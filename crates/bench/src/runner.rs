@@ -6,19 +6,25 @@ use fasttrack_core::attribution::{AttributionConfig, AttributionReport, LatencyC
 use fasttrack_core::config::{FtPolicy, NocConfig};
 use fasttrack_core::export::{epochs_to_csv, NdjsonSink};
 use fasttrack_core::fallback::{FallbackConfig, FallbackError};
-use fasttrack_core::fault::{FaultPlan, StormSpec};
+use fasttrack_core::fault::{FaultError, FaultPlan, StormSpec};
 use fasttrack_core::metrics::WindowedMetrics;
-use fasttrack_core::monitor::{HealthMonitor, HealthSummary, MonitorConfig};
-use fasttrack_core::shg::ShgBackend;
+use fasttrack_core::monitor::{HealthSummary, MonitorConfig};
+use fasttrack_core::packet::Delivery;
+use fasttrack_core::queue::InjectQueues;
+use fasttrack_core::shg::{ShgBackend, ShgNoc};
 use fasttrack_core::sim::{
-    SimOptions, SimOutcome, SimReport, SimSession, TorusBackend, TrafficSource,
+    SessionBackend, SimEngine, SimOptions, SimOutcome, SimReport, SimSession, TorusBackend,
+    TorusEngine, TrafficSource,
 };
+use fasttrack_core::stats::SimStats;
 use fasttrack_core::sweep::{
     point_seed, retry_seed, splitmix64, sweep, sweep_fallible, SweepError,
 };
-use fasttrack_core::topology::{ShgConfig, ShgTopology, Topology, TopologySpec, TorusTopology};
+use fasttrack_core::topology::{
+    MonitorShape, ShgConfig, ShgTopology, Topology, TopologySpec, TorusTopology,
+};
 use fasttrack_core::trace::EventSink;
-use fasttrack_mesh::{MeshBackend, MeshConfig, MeshTopology};
+use fasttrack_mesh::{MeshBackend, MeshConfig, MeshNoc, MeshTopology};
 use fasttrack_traffic::pattern::Pattern;
 use fasttrack_traffic::source::BernoulliSource;
 
@@ -56,34 +62,127 @@ pub fn topology_of(spec: &TopologySpec) -> Box<dyn Topology> {
     }
 }
 
-/// Builds the right [`SimSession`] for a NoC under test and evaluates
-/// `$body` with it — monomorphized per backend arm, so every topology
-/// runs the same zero-cost session plumbing the torus always had.
-macro_rules! dispatch_session {
-    ($nut:expr, $session:ident => $body:expr) => {
-        match &$nut.topology {
-            TopologySpec::Torus(cfg) => {
-                let $session = {
-                    let s = SimSession::new(cfg);
-                    if $nut.channels == 1 {
-                        s
-                    } else {
-                        s.channels($nut.channels)
-                    }
-                };
-                $body
-            }
-            TopologySpec::Shg(cfg) => {
-                let $session = SimSession::with_backend(ShgBackend::new(*cfg));
-                $body
-            }
-            TopologySpec::Mesh { n, depth } => {
-                let cfg = MeshConfig::new(*n, *depth).expect("specs are validated");
-                let $session = SimSession::with_backend(MeshBackend::new(&cfg));
-                $body
-            }
+/// Evaluates `$body` with `$x` bound to whichever backend (or engine)
+/// the three-variant enum `$this` holds.
+macro_rules! delegate {
+    ($ty:ident, $this:expr, $x:ident => $body:expr) => {
+        match $this {
+            $ty::Torus($x) => $body,
+            $ty::Shg($x) => $body,
+            $ty::Mesh($x) => $body,
         }
     };
+}
+
+/// The one [`SessionBackend`] the harness drives: any [`TopologySpec`]
+/// plus a channel count, so every NoC under test runs through one
+/// concrete [`SimSession`] type. It lives beside [`topology_of`] because
+/// this is the one crate that sees both the core and the mesh engines.
+#[derive(Debug, Clone)]
+pub enum SpecBackend {
+    /// Hoplite / FastTrack torus: a single NoC or a replicated bank.
+    Torus(TorusBackend),
+    /// Sparse Hamming Graph.
+    Shg(ShgBackend),
+    /// Buffered mesh.
+    Mesh(MeshBackend),
+}
+
+impl SpecBackend {
+    /// The backend for `spec`. One channel drives a plain single NoC;
+    /// any other count a replicated bank (channels apply to torus NoCs
+    /// only, matching how `Hoplite` vs `Hoplite-3x` read).
+    pub fn new(spec: &TopologySpec, channels: usize) -> Self {
+        match spec {
+            TopologySpec::Torus(cfg) => {
+                let backend = TorusBackend::new(cfg);
+                SpecBackend::Torus(if channels == 1 {
+                    backend
+                } else {
+                    backend.channels(channels)
+                })
+            }
+            TopologySpec::Shg(cfg) => SpecBackend::Shg(ShgBackend::new(*cfg)),
+            TopologySpec::Mesh { n, depth } => SpecBackend::Mesh(MeshBackend::new(
+                &MeshConfig::new(*n, *depth).expect("specs are validated"),
+            )),
+        }
+    }
+}
+
+impl SessionBackend for SpecBackend {
+    type Engine = SpecEngine;
+
+    fn build(&self, faults: Option<&FaultPlan>) -> Result<SpecEngine, FaultError> {
+        Ok(match self {
+            SpecBackend::Torus(b) => SpecEngine::Torus(b.build(faults)?),
+            SpecBackend::Shg(b) => SpecEngine::Shg(b.build(faults)?),
+            SpecBackend::Mesh(b) => SpecEngine::Mesh(b.build(faults)?),
+        })
+    }
+
+    fn monitor_shape(&self) -> MonitorShape {
+        delegate!(SpecBackend, self, b => b.monitor_shape())
+    }
+
+    fn fallback_armed(&self) -> bool {
+        delegate!(SpecBackend, self, b => b.fallback_armed())
+    }
+
+    fn set_fallback(&mut self, fallback: &FallbackConfig) -> Result<(), FallbackError> {
+        delegate!(SpecBackend, self, b => b.set_fallback(fallback))
+    }
+}
+
+/// The engine a [`SpecBackend`] builds.
+#[derive(Debug, Clone)]
+#[allow(clippy::large_enum_variant)] // engines are built once per session, never stored in bulk
+pub enum SpecEngine {
+    /// A torus NoC or bank.
+    Torus(TorusEngine),
+    /// A Sparse Hamming Graph NoC.
+    Shg(ShgNoc),
+    /// A buffered mesh NoC.
+    Mesh(MeshNoc),
+}
+
+impl SimEngine for SpecEngine {
+    fn num_nodes(&self) -> usize {
+        delegate!(SpecEngine, self, e => e.num_nodes())
+    }
+
+    fn report_name(&self) -> String {
+        delegate!(SpecEngine, self, e => e.report_name())
+    }
+
+    fn step_cycle<S: EventSink>(
+        &mut self,
+        queues: &mut InjectQueues,
+        deliveries: &mut Vec<Delivery>,
+        sink: &mut S,
+    ) {
+        delegate!(SpecEngine, self, e => e.step_cycle(queues, deliveries, sink))
+    }
+
+    fn in_flight(&self) -> usize {
+        delegate!(SpecEngine, self, e => SimEngine::in_flight(e))
+    }
+
+    fn reset_stats(&mut self) {
+        delegate!(SpecEngine, self, e => SimEngine::reset_stats(e))
+    }
+
+    fn only_failed_injectors_pending(&self, queues: &InjectQueues) -> bool {
+        delegate!(SpecEngine, self, e => SimEngine::only_failed_injectors_pending(e, queues))
+    }
+
+    fn stats_snapshot(&self) -> SimStats {
+        delegate!(SpecEngine, self, e => e.stats_snapshot())
+    }
+
+    fn reset(&mut self) {
+        delegate!(SpecEngine, self, e => SimEngine::reset(e))
+    }
 }
 
 /// A NoC under test: a topology plus a channel count (for the
@@ -202,112 +301,21 @@ impl NocUnderTest {
             .expect("built-in topologies are square grids")
     }
 
-    /// A torus [`SimSession`] over this NoC: single-channel NoCs drive
-    /// a plain engine, multi-channel ones a replicated bank — matching
-    /// how the labels (`Hoplite` vs `Hoplite-3x`) read. Torus-specific
-    /// call sites (e.g. route-mode timing) use this; generic paths go
-    /// through [`NocUnderTest::run`] and friends, which dispatch on the
-    /// topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the NoC is not a torus.
-    pub fn torus_session(&self) -> SimSession<'static, TorusBackend> {
-        let cfg = self.torus_config().expect("torus-only session");
-        let session = SimSession::new(cfg);
-        if self.channels == 1 {
-            session
-        } else {
-            session.channels(self.channels)
-        }
+    /// The [`SimSession`] over this NoC — the one way the harness runs
+    /// anything. Callers compose options, faults, fallback chains, and
+    /// observers with the session's own builder.
+    pub fn session(&self) -> SimSession<'static, SpecBackend> {
+        SimSession::with_backend(SpecBackend::new(&self.topology, self.channels))
     }
 
     /// Runs a traffic source to completion on this NoC.
     pub fn run<S: TrafficSource>(&self, source: &mut S, opts: SimOptions) -> SimReport {
-        dispatch_session!(self, session => no_faults(session.options(opts).run(source)).report)
-    }
-
-    /// [`NocUnderTest::run`] with an [`EventSink`] observing the run.
-    pub fn run_traced<S: TrafficSource, K: EventSink>(
-        &self,
-        source: &mut S,
-        opts: SimOptions,
-        sink: &mut K,
-    ) -> SimReport {
-        dispatch_session!(
-            self,
-            session => no_faults(session.options(opts).with_sink(sink).run(source)).report
-        )
-    }
-
-    /// [`NocUnderTest::run`] with a [`HealthMonitor`] attached.
-    pub fn run_monitored<S: TrafficSource>(
-        &self,
-        source: &mut S,
-        opts: SimOptions,
-        mcfg: MonitorConfig,
-    ) -> (SimReport, HealthMonitor) {
-        dispatch_session!(
-            self,
-            session => no_faults(session.options(opts).with_monitor(mcfg).run(source))
-                .into_monitored()
-        )
-    }
-
-    /// [`NocUnderTest::run`] with the latency-attribution layer attached.
-    pub fn run_attributed<S: TrafficSource>(
-        &self,
-        source: &mut S,
-        opts: SimOptions,
-        acfg: AttributionConfig,
-    ) -> (SimReport, AttributionReport) {
-        dispatch_session!(
-            self,
-            session => no_faults(session.options(opts).with_attribution(acfg).run(source))
-                .into_attributed()
-        )
-    }
-
-    /// [`NocUnderTest::run`] under a fault plan (validated through the
-    /// topology's fault hooks).
-    pub fn run_faulted<S: TrafficSource>(
-        &self,
-        plan: &FaultPlan,
-        source: &mut S,
-        opts: SimOptions,
-    ) -> Result<SimReport, fasttrack_core::fault::FaultError> {
-        dispatch_session!(
-            self,
-            session => session.options(opts).with_faults(plan).run(source).map(|o| o.report)
-        )
-    }
-
-    /// Runs one traffic source per seed against a single engine —
-    /// topology and route LUTs are built once and amortized across the
-    /// batch (see [`SimSession::run_batch`]).
-    pub fn run_seeds<T, F>(&self, seeds: &[u64], opts: SimOptions, mk_source: F) -> Vec<SimReport>
-    where
-        T: TrafficSource,
-        F: FnMut(u64) -> T,
-    {
-        dispatch_session!(
-            self,
-            session => no_faults_batch(session.options(opts).run_batch(seeds, mk_source))
-                .into_iter()
-                .map(|o| o.report)
-                .collect()
-        )
+        no_faults(self.session().options(opts).run(source)).report
     }
 }
 
-fn no_faults(outcome: Result<SimOutcome, fasttrack_core::fault::FaultError>) -> SimOutcome {
+fn no_faults(outcome: Result<SimOutcome, FaultError>) -> SimOutcome {
     outcome.expect("no fault plan attached")
-}
-
-fn no_faults_batch(
-    outcomes: Result<Vec<SimOutcome>, fasttrack_core::fault::FaultError>,
-) -> Vec<SimOutcome> {
-    outcomes.expect("no fault plan attached")
 }
 
 /// The directory experiment runs export traces into, from the
@@ -372,6 +380,26 @@ pub struct SweepPoint {
     pub pattern: Pattern,
     /// Injection rate (Bernoulli probability per PE per cycle).
     pub rate: f64,
+}
+
+impl SweepPoint {
+    /// The point's Bernoulli traffic for `seed`.
+    fn source(&self, seed: u64, packets: u64) -> BernoulliSource {
+        BernoulliSource::new(self.nut.side(), self.pattern, self.rate, packets, seed)
+    }
+
+    /// The row recording that this point, run with `seed`, produced
+    /// `report`.
+    fn row(&self, seed: u64, report: SimReport) -> SweepRow {
+        SweepRow {
+            label: self.nut.label.clone(),
+            channels: self.nut.channels,
+            pattern: self.pattern,
+            rate: self.rate,
+            seed,
+            report,
+        }
+    }
 }
 
 /// The result of one executed [`SweepPoint`].
@@ -448,23 +476,38 @@ impl SweepGrid {
         self.points.is_empty()
     }
 
+    /// The one sweep runner every variant below is a closure over. For
+    /// each point it derives the seed from the grid base seed and the
+    /// point index, builds the point's traffic source and session, and
+    /// hands `(index, seed, point, session, source)` to `drive`, which
+    /// composes whatever faults and observers it needs on the session,
+    /// runs it, and returns the report plus a typed sidecar. Rows and
+    /// sidecars come back in point order, so the output is independent
+    /// of `threads` (1 is the serial golden run).
+    fn run_each<R, F>(&self, threads: usize, drive: F) -> (Vec<SweepRow>, Vec<R>)
+    where
+        R: Send,
+        F: Fn(usize, u64, &SweepPoint, PointSession, &mut BernoulliSource) -> (SimReport, R) + Sync,
+    {
+        let (base, packets) = (self.base_seed, self.packets_per_pe);
+        sweep(self.points.clone(), threads, move |i, p| {
+            let seed = point_seed(base, i);
+            let mut source = p.source(seed, packets);
+            let (report, sidecar) = drive(i, seed, &p, p.nut.session(), &mut source);
+            (p.row(seed, report), sidecar)
+        })
+        .into_iter()
+        .unzip()
+    }
+
     /// Runs every point on `threads` workers. Results come back in
     /// point order with per-point derived seeds, so the output is
     /// independent of `threads` (1 is the serial golden run).
     pub fn run(&self, threads: usize) -> Vec<SweepRow> {
-        let (base, packets) = (self.base_seed, self.packets_per_pe);
-        sweep(self.points.clone(), threads, move |i, p| {
-            let seed = point_seed(base, i);
-            let report = run_point(&p.nut, p.pattern, p.rate, seed, packets);
-            SweepRow {
-                label: p.nut.label,
-                channels: p.nut.channels,
-                pattern: p.pattern,
-                rate: p.rate,
-                seed,
-                report,
-            }
+        self.run_each(threads, |_, seed, p, session, source| {
+            (drive_point(p, seed, session, source), ())
         })
+        .0
     }
 
     /// [`SweepGrid::run`] with per-point wall-clock timing captured.
@@ -476,34 +519,15 @@ impl SweepGrid {
     /// percentiles aggregate over the whole grid regardless of which
     /// worker thread ran each point.
     pub fn run_timed(&self, threads: usize) -> (Vec<SweepRow>, SweepTiming) {
-        let (base, packets) = (self.base_seed, self.packets_per_pe);
-        let timed = sweep(self.points.clone(), threads, move |i, p| {
+        let (rows, secs) = self.run_each(threads, |_, seed, p, session, source| {
             let t0 = std::time::Instant::now();
-            let seed = point_seed(base, i);
-            let report = run_point(&p.nut, p.pattern, p.rate, seed, packets);
-            let secs = t0.elapsed().as_secs_f64();
-            (
-                SweepRow {
-                    label: p.nut.label,
-                    channels: p.nut.channels,
-                    pattern: p.pattern,
-                    rate: p.rate,
-                    seed,
-                    report,
-                },
-                secs,
-            )
+            let report = drive_point(p, seed, session, source);
+            (report, t0.elapsed().as_secs_f64())
         });
-        let mut rows = Vec::with_capacity(timed.len());
-        let mut secs = Vec::with_capacity(timed.len());
-        for (row, s) in timed {
-            rows.push(row);
-            secs.push(s);
-        }
         (rows, SweepTiming::new(secs))
     }
 
-    /// [`SweepGrid::run`] with a per-point [`HealthMonitor`] attached.
+    /// [`SweepGrid::run`] with a per-point health monitor attached.
     ///
     /// Each point runs its own monitor (so its detectors and flight
     /// recorder never see another point's events) and the summaries are
@@ -516,33 +540,19 @@ impl SweepGrid {
         threads: usize,
         mcfg: MonitorConfig,
     ) -> (Vec<SweepRow>, Vec<PointHealth>) {
-        let (base, packets) = (self.base_seed, self.packets_per_pe);
-        let results = sweep(self.points.clone(), threads, move |i, p| {
-            let seed = point_seed(base, i);
-            let n = p.nut.side();
-            let mut source = BernoulliSource::new(n, p.pattern, p.rate, packets, seed);
-            let (report, monitor) = p
-                .nut
-                .run_monitored(&mut source, SimOptions::default(), mcfg);
-            let row = SweepRow {
-                label: p.nut.label,
-                channels: p.nut.channels,
-                pattern: p.pattern,
-                rate: p.rate,
-                seed,
-                report,
-            };
+        self.run_each(threads, |index, seed, p, session, source| {
+            let (report, monitor) =
+                no_faults(session.with_monitor(mcfg).run(source)).into_monitored();
             let health = PointHealth {
-                index: i,
-                label: row.label.clone(),
+                index,
+                label: p.nut.label.clone(),
                 pattern: p.pattern,
                 rate: p.rate,
                 seed,
                 health: monitor.summary(),
             };
-            (row, health)
-        });
-        results.into_iter().unzip()
+            (report, health)
+        })
     }
 
     /// [`SweepGrid::run`] under a seeded fault storm: every point runs
@@ -569,59 +579,23 @@ impl SweepGrid {
         for p in &self.points {
             topology_of(&p.nut.topology).validate_fallback(fallback)?;
         }
-        let (base, packets) = (self.base_seed, self.packets_per_pe);
-        let (storm, fallback, slo) = (*storm, fallback.clone(), *slo);
-        let results = sweep(self.points.clone(), threads, move |i, p| {
-            let seed = point_seed(base, i);
-            let n = p.nut.side();
-            let mut source = BernoulliSource::new(n, p.pattern, p.rate, packets, seed);
-            let report = match &p.nut.topology {
-                TopologySpec::Torus(cfg) => {
-                    // The torus keeps its native storm draw (byte-stable
-                    // with pre-trait runs) and is the only topology
-                    // whose express/shared pairing arms fallback chains.
-                    let plan = FaultPlan::storm(cfg, splitmix64(seed ^ STORM_SALT), &storm);
-                    p.nut
-                        .torus_session()
-                        .options(SimOptions::default())
-                        .with_fallback(&fallback)
-                        .expect("chains validated before the sweep")
-                        .with_faults(&plan)
-                        .run(&mut source)
-                        .expect("storm plans are valid by construction")
-                        .report
-                }
-                spec => {
-                    let plan = FaultPlan::storm_topo(
-                        &*topology_of(spec),
-                        splitmix64(seed ^ STORM_SALT),
-                        &storm,
-                    );
-                    p.nut
-                        .run_faulted(&plan, &mut source, SimOptions::default())
-                        .expect("storm plans are valid by construction")
-                }
-            };
-            let verdict = PointSlo::evaluate(
-                i,
-                p.nut.label.clone(),
-                p.pattern,
-                p.rate,
-                seed,
-                &report,
-                &slo,
+        Ok(self.run_each(threads, |index, seed, p, session, source| {
+            // On a torus this is `FaultPlan::storm` bit-for-bit.
+            let plan = FaultPlan::storm_topo(
+                &*topology_of(&p.nut.topology),
+                splitmix64(seed ^ STORM_SALT),
+                storm,
             );
-            let row = SweepRow {
-                label: p.nut.label,
-                channels: p.nut.channels,
-                pattern: p.pattern,
-                rate: p.rate,
-                seed,
-                report,
-            };
-            (row, verdict)
-        });
-        Ok(results.into_iter().unzip())
+            let report = session
+                .with_fallback(fallback)
+                .expect("chains validated before the sweep")
+                .with_faults(&plan)
+                .run(source)
+                .expect("storm plans are valid by construction")
+                .report;
+            let verdict = PointSlo::evaluate(index, p, seed, &report, slo);
+            (report, verdict)
+        }))
     }
 
     /// [`SweepGrid::run`] with the latency-attribution layer attached to
@@ -634,33 +608,19 @@ impl SweepGrid {
         threads: usize,
         acfg: AttributionConfig,
     ) -> (Vec<SweepRow>, Vec<PointAttribution>) {
-        let (base, packets) = (self.base_seed, self.packets_per_pe);
-        let results = sweep(self.points.clone(), threads, move |i, p| {
-            let seed = point_seed(base, i);
-            let n = p.nut.side();
-            let mut source = BernoulliSource::new(n, p.pattern, p.rate, packets, seed);
+        self.run_each(threads, |index, seed, p, session, source| {
             let (report, attribution) =
-                p.nut
-                    .run_attributed(&mut source, SimOptions::default(), acfg);
-            let row = SweepRow {
-                label: p.nut.label,
-                channels: p.nut.channels,
-                pattern: p.pattern,
-                rate: p.rate,
-                seed,
-                report,
-            };
+                no_faults(session.with_attribution(acfg).run(source)).into_attributed();
             let point = PointAttribution {
-                index: i,
-                label: row.label.clone(),
+                index,
+                label: p.nut.label.clone(),
                 pattern: p.pattern,
                 rate: p.rate,
                 seed,
                 attribution,
             };
-            (row, point)
-        });
-        results.into_iter().unzip()
+            (report, point)
+        })
     }
 
     /// [`SweepGrid::run`] hardened for unattended grids: per-point panic
@@ -673,34 +633,21 @@ impl SweepGrid {
     /// identical to a plain [`SweepGrid::run`] at any thread count
     /// (attempt 0 uses the same [`point_seed`] stream).
     pub fn run_fallible(&self, opts: &FallibleSweepOptions) -> Vec<Result<SweepRow, SweepError>> {
-        let indexed: Vec<(usize, SweepPoint)> =
-            self.points.clone().into_iter().enumerate().collect();
-        self.run_fallible_indexed(indexed, opts)
-    }
-
-    /// [`SweepGrid::run_fallible`] over an explicit `(original_index,
-    /// point)` subset — the resume path's primitive. Seeds derive from
-    /// the *original* grid index, so a point re-run after a crash gets
-    /// exactly the seed it would have had in the uninterrupted run.
-    /// Results come back in the order of `indexed`.
-    pub fn run_fallible_indexed(
-        &self,
-        indexed: Vec<(usize, SweepPoint)>,
-        opts: &FallibleSweepOptions,
-    ) -> Vec<Result<SweepRow, SweepError>> {
         let budget = opts.cycle_budget;
         sweep_fallible(
-            indexed,
+            self.points.clone(),
             opts.threads,
             opts.retries,
-            move |_slot, attempt, &(orig, ref p)| self.attempt_point(orig, attempt, p, budget),
+            move |i, attempt, p| self.attempt_point(i, attempt, p, budget),
         )
     }
 
     /// One attempt of grid point `orig` — the primitive under both
     /// [`SweepGrid::run_fallible`] and the journaled resume path. The
     /// seed derives from `(base_seed, orig, attempt)` via [`retry_seed`]
-    /// (attempt 0 is the plain [`point_seed`] stream).
+    /// (attempt 0 is the plain [`point_seed`] stream), so a point re-run
+    /// after a crash gets exactly the seed it would have had in the
+    /// uninterrupted run.
     pub fn attempt_point(
         &self,
         orig: usize,
@@ -713,22 +660,18 @@ impl SweepGrid {
             None => SimOptions::default(),
             Some(max_cycles) => SimOptions::with_max_cycles(max_cycles),
         };
-        let n = p.nut.side();
-        let mut source = BernoulliSource::new(n, p.pattern, p.rate, self.packets_per_pe, seed);
-        let report = p.nut.run(&mut source, sim_opts);
+        let report = p
+            .nut
+            .run(&mut p.source(seed, self.packets_per_pe), sim_opts);
         if let (true, Some(budget)) = (report.truncated, cycle_budget) {
             return Err(SweepError::BudgetExceeded { budget });
         }
-        Ok(SweepRow {
-            label: p.nut.label.clone(),
-            channels: p.nut.channels,
-            pattern: p.pattern,
-            rate: p.rate,
-            seed,
-            report,
-        })
+        Ok(p.row(seed, report))
     }
 }
+
+/// The session [`SweepGrid`]'s per-point closures compose on.
+type PointSession = SimSession<'static, SpecBackend>;
 
 /// Per-point wall-clock timings of one sweep run, aggregated across
 /// worker threads into nearest-rank percentiles.
@@ -911,9 +854,7 @@ impl PointSlo {
     /// Folds one storm run's report into its availability verdict.
     fn evaluate(
         index: usize,
-        label: String,
-        pattern: Pattern,
-        rate: f64,
+        p: &SweepPoint,
         seed: u64,
         report: &SimReport,
         slo: &SloSpec,
@@ -929,9 +870,9 @@ impl PointSlo {
             && (slo.max_p99_latency == 0 || p99_latency <= slo.max_p99_latency);
         PointSlo {
             index,
-            label,
-            pattern,
-            rate,
+            label: p.nut.label.clone(),
+            pattern: p.pattern,
+            rate: p.rate,
             seed,
             injected: s.injected,
             delivered: s.delivered,
@@ -1141,8 +1082,7 @@ pub fn run_pattern(nut: &NocUnderTest, pattern: Pattern, rate: f64, seed: u64) -
     run_point(nut, pattern, rate, seed, packets_per_pe())
 }
 
-/// [`run_pattern`] with an explicit per-PE packet quota (the sweep
-/// engine's primitive).
+/// [`run_pattern`] with an explicit per-PE packet quota.
 pub fn run_point(
     nut: &NocUnderTest,
     pattern: Pattern,
@@ -1150,50 +1090,49 @@ pub fn run_point(
     seed: u64,
     packets: u64,
 ) -> SimReport {
+    let p = SweepPoint {
+        nut: nut.clone(),
+        pattern,
+        rate,
+    };
+    drive_point(&p, seed, nut.session(), &mut p.source(seed, packets))
+}
+
+/// Drives one unobserved point (the plain sweep's per-point body):
+/// untraced unless [`trace_dir`] is set, in which case the run is
+/// exported there.
+fn drive_point(
+    p: &SweepPoint,
+    seed: u64,
+    session: PointSession,
+    source: &mut BernoulliSource,
+) -> SimReport {
     match trace_dir() {
-        None => {
-            let n = nut.side();
-            let mut source = BernoulliSource::new(n, pattern, rate, packets, seed);
-            nut.run(&mut source, SimOptions::default())
-        }
-        Some(dir) => run_point_traced_to(&dir, nut, pattern, rate, seed, packets),
+        None => no_faults(session.run(source)).report,
+        Some(dir) => drive_point_traced_to(&dir, p, seed, session, source),
     }
 }
 
-/// [`run_pattern`] with trace export forced into `dir` (standard packet
-/// quota); see [`run_point_traced_to`].
-pub fn run_pattern_traced_to(
+/// [`drive_point`] with trace export forced into `dir`, writing
+/// `<label>_<pattern>_<rate>_<seed>.events.ndjson` and `...epochs.csv`.
+/// Export failures are reported on stderr but never fail the
+/// experiment.
+fn drive_point_traced_to(
     dir: &str,
-    nut: &NocUnderTest,
-    pattern: Pattern,
-    rate: f64,
+    p: &SweepPoint,
     seed: u64,
+    session: PointSession,
+    source: &mut BernoulliSource,
 ) -> SimReport {
-    run_point_traced_to(dir, nut, pattern, rate, seed, packets_per_pe())
-}
-
-/// [`run_point`] with trace export forced into `dir`, writing
-/// `<label>_<pattern>_<rate>_<seed>.events.ndjson` and
-/// `...epochs.csv`. Export failures are reported on stderr but never
-/// fail the experiment.
-pub fn run_point_traced_to(
-    dir: &str,
-    nut: &NocUnderTest,
-    pattern: Pattern,
-    rate: f64,
-    seed: u64,
-    packets: u64,
-) -> SimReport {
-    let n = nut.side();
-    let nodes = nut.num_nodes();
-    let mut source = BernoulliSource::new(n, pattern, rate, packets, seed);
+    let nodes = p.nut.num_nodes();
     let mut sink = (NdjsonSink::new(), WindowedMetrics::new(nodes, TRACE_EPOCH));
-    let report = nut.run_traced(&mut source, SimOptions::default(), &mut sink);
+    let report = no_faults(session.with_sink(&mut sink).run(source)).report;
     let (ndjson, metrics) = sink;
     let stem = format!(
-        "{dir}/{}_{}_{rate}_{seed}",
-        sanitize(&nut.label),
-        sanitize(&pattern.to_string())
+        "{dir}/{}_{}_{}_{seed}",
+        sanitize(&p.nut.label),
+        sanitize(&p.pattern.to_string()),
+        p.rate,
     );
     let write = |path: String, data: &str| {
         if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, data)) {
@@ -1261,20 +1200,50 @@ mod tests {
         assert_eq!(SweepTiming::default().percentile(50.0), 0.0);
     }
 
+    /// A grid with one point per backend kind: single torus, torus
+    /// bank, FastTrack, SHG, and buffered mesh.
+    fn mixed_grid(base_seed: u64) -> SweepGrid {
+        let nuts = [
+            NocUnderTest::hoplite(4),
+            NocUnderTest::hoplite_x(4, 2),
+            NocUnderTest::fasttrack(4, 2, 1),
+            NocUnderTest::shg(4, 2),
+            NocUnderTest::mesh(4, 2),
+        ];
+        SweepGrid::cross(&nuts, &[Pattern::Random], &[0.2, 1.0], base_seed).with_packets_per_pe(40)
+    }
+
+    #[test]
+    fn run_each_hands_every_point_its_seed_session_and_source() {
+        // The primitive itself: closures see (index, derived seed,
+        // point) in grid order at any thread count, and running the
+        // handed session over the handed source is the plain sweep.
+        let grid = mixed_grid(0xC0FFEE);
+        let plain = sweep_csv(&grid.run(1));
+        for threads in [1, 2, 8] {
+            let (rows, seen) = grid.run_each(threads, |i, seed, p, session, source| {
+                let report = no_faults(session.run(source)).report;
+                (report, (i, seed, p.nut.label.clone()))
+            });
+            assert_eq!(sweep_csv(&rows), plain, "{threads} threads");
+            for (i, (index, seed, label)) in seen.into_iter().enumerate() {
+                assert_eq!(index, i);
+                assert_eq!(seed, point_seed(grid.base_seed, i));
+                assert_eq!(label, grid.points[i].nut.label);
+            }
+        }
+    }
+
     #[test]
     fn run_timed_rows_match_untimed_run() {
-        let nuts = [NocUnderTest::hoplite(4)];
-        let grid =
-            SweepGrid::cross(&nuts, &[Pattern::Random], &[0.1, 0.5], 7).with_packets_per_pe(25);
-        let plain = grid.run(1);
-        let (rows, timing) = grid.run_timed(2);
-        assert_eq!(
-            sweep_csv(&plain),
-            sweep_csv(&rows),
-            "timing must be a sidecar"
-        );
-        assert_eq!(timing.len(), grid.len());
-        assert!(timing.per_point_secs().iter().all(|&s| s >= 0.0));
+        let grid = mixed_grid(7);
+        let plain = sweep_csv(&grid.run(1));
+        for threads in [1, 2, 8] {
+            let (rows, timing) = grid.run_timed(threads);
+            assert_eq!(sweep_csv(&rows), plain, "timing must be a sidecar");
+            assert_eq!(timing.len(), grid.len());
+            assert!(timing.per_point_secs().iter().all(|&s| s >= 0.0));
+        }
     }
 
     #[test]
@@ -1313,7 +1282,13 @@ mod tests {
         let dir_s = dir.display().to_string();
         let nut = NocUnderTest::fasttrack(4, 2, 1);
         let plain = run_pattern(&nut, Pattern::Random, 0.3, 11);
-        let traced = run_pattern_traced_to(&dir_s, &nut, Pattern::Random, 0.3, 11);
+        let p = SweepPoint {
+            nut: nut.clone(),
+            pattern: Pattern::Random,
+            rate: 0.3,
+        };
+        let mut source = p.source(11, packets_per_pe());
+        let traced = drive_point_traced_to(&dir_s, &p, 11, nut.session(), &mut source);
         // Observation must not perturb the simulation.
         assert_eq!(plain.stats.delivered, traced.stats.delivered);
         assert_eq!(plain.cycles, traced.cycles);
@@ -1339,23 +1314,23 @@ mod tests {
 
     #[test]
     fn health_sweep_keeps_rows_identical_and_is_deterministic() {
-        let nuts = [NocUnderTest::hoplite(4), NocUnderTest::fasttrack(4, 2, 1)];
-        let grid = SweepGrid::cross(&nuts, &[Pattern::Random], &[0.2, 1.0], 0xBEEF)
-            .with_packets_per_pe(40);
+        let grid = mixed_grid(0xBEEF);
         let plain = sweep_csv(&grid.run(1));
         let (rows1, health1) = grid.run_with_health(1, MonitorConfig::default());
-        let (rows8, health8) = grid.run_with_health(8, MonitorConfig::default());
         assert_eq!(
             sweep_csv(&rows1),
             plain,
             "health monitoring must not change sweep rows"
         );
-        assert_eq!(sweep_csv(&rows8), plain, "thread count leaked in");
-        assert_eq!(
-            health_json(&health1),
-            health_json(&health8),
-            "health output must be deterministic at any thread count"
-        );
+        for threads in [2, 8] {
+            let (rows, health) = grid.run_with_health(threads, MonitorConfig::default());
+            assert_eq!(sweep_csv(&rows), plain, "thread count leaked in");
+            assert_eq!(
+                health_json(&health1),
+                health_json(&health),
+                "health output must be deterministic at any thread count"
+            );
+        }
         assert_eq!(health1.len(), grid.len());
         for (i, p) in health1.iter().enumerate() {
             assert_eq!(p.index, i);
@@ -1363,7 +1338,10 @@ mod tests {
         }
         let json = health_json(&health1);
         assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"config\":\"Hoplite\""));
+        for p in &grid.points {
+            let label = &p.nut.label;
+            assert!(json.contains(&format!("\"config\":\"{label}\"")), "{label}");
+        }
     }
 
     #[test]
@@ -1379,20 +1357,24 @@ mod tests {
         let fallback = FallbackConfig::standard();
         let slo = SloSpec::default();
         let (rows1, slo1) = grid.run_storm(1, &storm, &fallback, &slo).unwrap();
-        let (rows2, slo2) = grid.run_storm(2, &storm, &fallback, &slo).unwrap();
-        let (rows8, slo8) = grid.run_storm(8, &storm, &fallback, &slo).unwrap();
-        assert_eq!(
-            sweep_csv(&rows1),
-            sweep_csv(&rows2),
-            "thread count leaked in"
-        );
-        assert_eq!(
-            sweep_csv(&rows1),
-            sweep_csv(&rows8),
-            "thread count leaked in"
-        );
-        assert_eq!(storm_json(&slo1), storm_json(&slo2));
-        assert_eq!(storm_json(&slo1), storm_json(&slo8));
+        for threads in [2, 8] {
+            let (rows, slos) = grid.run_storm(threads, &storm, &fallback, &slo).unwrap();
+            assert_eq!(
+                sweep_csv(&rows1),
+                sweep_csv(&rows),
+                "thread count leaked in"
+            );
+            assert_eq!(storm_json(&slo1), storm_json(&slos));
+        }
+        // An empty storm under inert chains is the plain sweep.
+        let calm = StormSpec {
+            duration: 0,
+            ..storm
+        };
+        let (calm_rows, _) = grid
+            .run_storm(2, &calm, &FallbackConfig::none(), &slo)
+            .unwrap();
+        assert_eq!(sweep_csv(&calm_rows), sweep_csv(&grid.run(1)));
         for (i, p) in slo1.iter().enumerate() {
             assert_eq!(p.index, i);
             assert!(p.conserved, "conservation must hold under the storm");
@@ -1474,38 +1456,41 @@ mod tests {
 
     #[test]
     fn attribution_sweep_keeps_rows_identical_and_is_deterministic() {
-        let nuts = [NocUnderTest::hoplite(4), NocUnderTest::fasttrack(4, 2, 1)];
-        let grid = SweepGrid::cross(&nuts, &[Pattern::Random], &[0.2, 1.0], 0xBEEF)
-            .with_packets_per_pe(40);
+        let grid = mixed_grid(0xBEEF);
         let plain = sweep_csv(&grid.run(1));
         let acfg = AttributionConfig::default();
         let (rows1, attrib1) = grid.run_with_attribution(1, acfg);
-        let (rows8, attrib8) = grid.run_with_attribution(8, acfg);
         assert_eq!(
             sweep_csv(&rows1),
             plain,
             "attribution must not change sweep rows"
         );
-        assert_eq!(sweep_csv(&rows8), plain, "thread count leaked in");
-        assert_eq!(
-            attribution_csv(&attrib1),
-            attribution_csv(&attrib8),
-            "attribution sidecar must be deterministic at any thread count"
-        );
+        for threads in [2, 8] {
+            let (rows, attrib) = grid.run_with_attribution(threads, acfg);
+            assert_eq!(sweep_csv(&rows), plain, "thread count leaked in");
+            assert_eq!(
+                attribution_csv(&attrib1),
+                attribution_csv(&attrib),
+                "attribution sidecar must be deterministic at any thread count"
+            );
+        }
         assert_eq!(attrib1.len(), grid.len());
         for (i, (p, row)) in attrib1.iter().zip(&rows1).enumerate() {
             assert_eq!(p.index, i);
-            assert!(p.attribution.reconciled(), "point {i}");
+            // The mesh engine keeps no `route_decisions` counter, so its
+            // wire-class reconciliation has nothing to check against;
+            // the exact-sum invariant holds on every backend.
+            let mesh = matches!(grid.points[i].nut.topology, TopologySpec::Mesh { .. });
+            assert_eq!(p.attribution.reconciled(), !mesh, "point {i}");
             assert_eq!(p.attribution.mismatches, 0, "point {i}");
             assert_eq!(p.attribution.delivered, row.report.stats.delivered);
         }
         let csv = attribution_csv(&attrib1);
         assert!(csv.starts_with(attribution_csv_header()));
         assert_eq!(csv.lines().count(), grid.len() + 1);
-        assert!(csv.contains(",true\n") && !csv.contains(",false\n"));
         // FastTrack points must attribute cycles to express lanes;
         // Hoplite points must not.
-        let ft = &attrib1[2].attribution;
+        let ft = &attrib1[4].attribution;
         assert!(ft.component(LatencyComponent::Express) > 0);
         let hoplite = &attrib1[0].attribution;
         assert_eq!(hoplite.component(LatencyComponent::Express), 0);

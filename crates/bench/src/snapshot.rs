@@ -20,7 +20,7 @@ use std::fmt;
 use std::time::Instant;
 
 use fasttrack_core::kernel::RouteMode;
-use fasttrack_core::sim::SimOptions;
+use fasttrack_core::sim::SimSession;
 use fasttrack_core::sweep::point_seed;
 use fasttrack_traffic::pattern::Pattern;
 use fasttrack_traffic::source::BernoulliSource;
@@ -285,10 +285,11 @@ pub fn timed_serial(grid: &SweepGrid, mode: RouteMode) -> (f64, u64) {
         let seed = point_seed(grid.base_seed, i);
         let mut source =
             BernoulliSource::new(p.nut.side(), p.pattern, p.rate, grid.packets_per_pe, seed);
-        let report = p
-            .nut
-            .torus_session()
-            .options(SimOptions::default())
+        // Route modes are a knob of the single-channel torus engines the
+        // hot-path grid is made of.
+        let cfg = p.nut.torus_config().expect("hot-path grids are torus-only");
+        assert_eq!(p.nut.channels, 1, "hot-path grids are single-channel");
+        let report = SimSession::new(cfg)
             .route_mode(mode)
             .run(&mut source)
             .expect("no fault plan attached")

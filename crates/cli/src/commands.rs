@@ -5,7 +5,7 @@ use fasttrack_bench::fuzz::{fuzz, FuzzConfig};
 use fasttrack_bench::journal::run_journaled;
 use fasttrack_bench::runner::{
     attribution_csv, health_json, storm_json, sweep_csv, topology_of, FallibleSweepOptions,
-    NocUnderTest, SloSpec, SweepGrid, INJECTION_RATES,
+    NocUnderTest, SloSpec, SpecBackend, SweepGrid, INJECTION_RATES,
 };
 use fasttrack_bench::snapshot::{self, BenchSnapshot, SnapshotError};
 use fasttrack_core::attribution::{AttributionConfig, LatencyComponent, PacketJourney};
@@ -16,7 +16,6 @@ use fasttrack_core::fault::{FaultPlan, FaultSpec, StormSpec};
 use fasttrack_core::metrics::WindowedMetrics;
 use fasttrack_core::monitor::{DetectorConfig, FlightRecorder, HealthMonitor, MonitorConfig};
 use fasttrack_core::packet::PacketId;
-use fasttrack_core::shg::ShgBackend;
 use fasttrack_core::sim::{SimOptions, SimOutcome, SimReport, SimSession, TrafficSource};
 use fasttrack_core::topology::{MonitorShape, TopologySpec};
 use fasttrack_core::trace::{EventSink, SimEvent};
@@ -24,7 +23,6 @@ use fasttrack_fpga::device::Device;
 use fasttrack_fpga::power::PowerModel;
 use fasttrack_fpga::resources::noc_cost;
 use fasttrack_fpga::routability::noc_frequency_mhz;
-use fasttrack_mesh::{MeshBackend, MeshConfig};
 use fasttrack_traffic::dataflow::{lu_dag, DataflowSource};
 use fasttrack_traffic::graph::graph_source;
 use fasttrack_traffic::graph_gen::rmat;
@@ -311,6 +309,13 @@ fn render_report(report: &SimReport) -> String {
     )
 }
 
+/// The session a single-run command drives: `spec` replicated over
+/// `--channels` physical channels (0 and 1 both mean a plain single
+/// NoC; more is a torus bank).
+fn session_for(spec: TopologySpec, channels: usize) -> SimSession<'static, SpecBackend> {
+    SimSession::with_backend(SpecBackend::new(&spec, channels.max(1)))
+}
+
 /// `simulate` — one run at one injection rate.
 pub fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
     let cfg = parse_noc(flags.required("noc")?)?;
@@ -320,15 +325,10 @@ pub fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
     let seed: u64 = flags.numeric("seed", 1)?;
     let channels: usize = flags.numeric("channels", 1)?;
     let mut src = BernoulliSource::new(cfg.n(), pattern, rate, packets, seed);
-    let report = if channels <= 1 {
-        SimSession::new(&cfg).run(&mut src).unwrap().report
-    } else {
-        SimSession::new(&cfg)
-            .channels(channels)
-            .run(&mut src)
-            .unwrap()
-            .report
-    };
+    let report = session_for(TopologySpec::Torus(cfg), channels)
+        .run(&mut src)
+        .unwrap()
+        .report;
     Ok(render_report(&report))
 }
 
@@ -370,19 +370,11 @@ pub fn cmd_monitor(flags: &Flags) -> Result<String, CliError> {
     };
 
     let mut src = BernoulliSource::new(cfg.n(), pattern, rate, packets, seed);
-    let outcome = if channels <= 1 {
-        let mut session = SimSession::new(&cfg).with_monitor(mcfg);
-        if flags.switch("profile") {
-            session = session.with_profile();
-        }
-        session.run(&mut src).unwrap()
-    } else {
-        let mut session = SimSession::new(&cfg).channels(channels).with_monitor(mcfg);
-        if flags.switch("profile") {
-            session = session.with_profile();
-        }
-        session.run(&mut src).unwrap()
-    };
+    let mut session = session_for(TopologySpec::Torus(cfg), channels).with_monitor(mcfg);
+    if flags.switch("profile") {
+        session = session.with_profile();
+    }
+    let outcome = session.run(&mut src).unwrap();
     let report = outcome.report;
     let monitor = outcome
         .monitor
@@ -468,53 +460,22 @@ pub fn cmd_faults(flags: &Flags) -> Result<String, CliError> {
 
     let opts = SimOptions::default();
     let mut baseline_src = BernoulliSource::new(cfg.n(), pattern, rate, packets, seed);
-    let baseline = if channels <= 1 {
-        SimSession::new(&cfg)
-            .options(opts)
-            .run(&mut baseline_src)
-            .unwrap()
-            .report
-    } else {
-        SimSession::new(&cfg)
-            .options(opts)
-            .channels(channels)
-            .run(&mut baseline_src)
-            .unwrap()
-            .report
-    };
+    let fabric = || session_for(TopologySpec::Torus(cfg.clone()), channels).options(opts);
+    let baseline = fabric().run(&mut baseline_src).unwrap().report;
 
     let mut src = BernoulliSource::new(cfg.n(), pattern, rate, packets, seed);
     let mut monitor = HealthMonitor::new(
         MonitorShape::torus(cfg.n()).with_channels(channels.max(1)),
         MonitorConfig::default(),
     );
-    // The multi-channel faulted engine has no traced variant, so the
-    // health monitor rides along on the single-channel path only.
-    let (report, profile) = if channels <= 1 {
-        let mut session = SimSession::new(&cfg)
-            .options(opts)
-            .with_faults(&plan)
-            .with_sink(&mut monitor);
-        if flags.switch("profile") {
-            session = session.with_profile();
-        }
-        session
-            .run(&mut src)
-            .map(|o| (o.report, o.profile))
-            .map_err(|e| CliError::Other(e.to_string()))?
-    } else {
-        let mut session = SimSession::new(&cfg)
-            .options(opts)
-            .channels(channels)
-            .with_faults(&plan);
-        if flags.switch("profile") {
-            session = session.with_profile();
-        }
-        session
-            .run(&mut src)
-            .map(|o| (o.report, o.profile))
-            .map_err(|e| CliError::Other(e.to_string()))?
-    };
+    let mut session = fabric().with_faults(&plan).with_sink(&mut monitor);
+    if flags.switch("profile") {
+        session = session.with_profile();
+    }
+    let (report, profile) = session
+        .run(&mut src)
+        .map(|o| (o.report, o.profile))
+        .map_err(|e| CliError::Other(e.to_string()))?;
 
     if flags.switch("json") {
         use std::fmt::Write as _;
@@ -608,14 +569,12 @@ pub fn cmd_faults(flags: &Flags) -> Result<String, CliError> {
     if let Some(profile) = &profile {
         out.push_str(&profile.render_text());
     }
-    if channels <= 1 {
-        out.push_str(&monitor.summary().render_text());
-        if let Some(path) = flags.optional("health") {
-            let mut json = monitor.summary().to_json();
-            json.push('\n');
-            std::fs::write(path, json).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-            out.push_str(&format!("  health json -> {path}\n"));
-        }
+    out.push_str(&monitor.summary().render_text());
+    if let Some(path) = flags.optional("health") {
+        let mut json = monitor.summary().to_json();
+        json.push('\n');
+        std::fs::write(path, json).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+        out.push_str(&format!("  health json -> {path}\n"));
     }
     if report.conserved() {
         Ok(out)
@@ -1550,13 +1509,9 @@ pub fn cmd_record(flags: &Flags) -> Result<String, CliError> {
     };
 
     let mut rec = RecordingSource::new(cfg.n(), source);
-    let mut session = SimSession::new(&cfg)
+    let report = session_for(TopologySpec::Torus(cfg), channels)
         .max_cycles(max_cycles)
-        .with_faults(&plan);
-    if channels > 1 {
-        session = session.channels(channels);
-    }
-    let report = session
+        .with_faults(&plan)
         .run(&mut rec)
         .map_err(|e| CliError::Other(e.to_string()))?
         .report;
@@ -1589,16 +1544,7 @@ pub fn cmd_replay(flags: &Flags) -> Result<String, CliError> {
         .replay_setup()
         .map_err(|e| CliError::Other(format!("{path}: {e}")))?;
 
-    let mut session = SimSession::new(&cfg)
-        .max_cycles(trace.header.max_cycles)
-        .with_faults(&plan);
-    if trace.header.warmup > 0 {
-        session = session.warmup_cycles(trace.header.warmup);
-    }
-    if trace.header.channels > 1 {
-        session = session.channels(trace.header.channels);
-    }
-    let report = session
+    let report = replay_session(&trace, cfg, &plan)
         .run(&mut src)
         .map_err(|e| CliError::Other(e.to_string()))?
         .report;
@@ -1638,6 +1584,19 @@ fn load_trace(path: &str) -> Result<ScenarioTrace, CliError> {
     ScenarioTrace::decode(&text).map_err(|e| CliError::Other(format!("{path}: {e}")))
 }
 
+/// The session a recorded scenario replays on: NoC, channel count,
+/// cycle cap, warmup, and fault plan all come from the trace header.
+fn replay_session(
+    trace: &ScenarioTrace,
+    cfg: NocConfig,
+    plan: &FaultPlan,
+) -> SimSession<'static, SpecBackend> {
+    session_for(TopologySpec::Torus(cfg), trace.header.channels)
+        .max_cycles(trace.header.max_cycles)
+        .warmup_cycles(trace.header.warmup)
+        .with_faults(plan)
+}
+
 /// Runs the session `attribute`/`explain` share: a recorded scenario
 /// when `--trace` is given (faults, warmup, channels, and cycle cap
 /// all come from the trace header), a synthetic Bernoulli run
@@ -1647,28 +1606,13 @@ fn attributed_outcome(
     acfg: AttributionConfig,
     mcfg: Option<MonitorConfig>,
 ) -> Result<SimOutcome, CliError> {
-    match flags.optional("trace") {
+    let (session, mut src): (_, Box<dyn TrafficSource>) = match flags.optional("trace") {
         Some(path) => {
             let trace = load_trace(path)?;
-            let (cfg, plan, mut src) = trace
+            let (cfg, plan, src) = trace
                 .replay_setup()
                 .map_err(|e| CliError::Other(format!("{path}: {e}")))?;
-            let mut session = SimSession::new(&cfg)
-                .max_cycles(trace.header.max_cycles)
-                .with_faults(&plan)
-                .with_attribution(acfg);
-            if trace.header.warmup > 0 {
-                session = session.warmup_cycles(trace.header.warmup);
-            }
-            if trace.header.channels > 1 {
-                session = session.channels(trace.header.channels);
-            }
-            if let Some(m) = mcfg {
-                session = session.with_monitor(m);
-            }
-            session
-                .run(&mut src)
-                .map_err(|e| CliError::Other(e.to_string()))
+            (replay_session(&trace, cfg, &plan), Box::new(src))
         }
         None => {
             let spec = parse_topology(flags.required("noc").map_err(|_| {
@@ -1690,45 +1634,17 @@ fn attributed_outcome(
                 .monitor_shape()
                 .grid_side
                 .expect("built-in topologies are square grids");
-            let mut src = BernoulliSource::new(side, pattern, rate, packets, seed);
-            match spec {
-                TopologySpec::Torus(cfg) => {
-                    let mut session = SimSession::new(&cfg).with_attribution(acfg);
-                    if channels > 1 {
-                        session = session.channels(channels);
-                    }
-                    if let Some(m) = mcfg {
-                        session = session.with_monitor(m);
-                    }
-                    session
-                        .run(&mut src)
-                        .map_err(|e| CliError::Other(e.to_string()))
-                }
-                TopologySpec::Shg(cfg) => {
-                    let mut session =
-                        SimSession::with_backend(ShgBackend::new(cfg)).with_attribution(acfg);
-                    if let Some(m) = mcfg {
-                        session = session.with_monitor(m);
-                    }
-                    session
-                        .run(&mut src)
-                        .map_err(|e| CliError::Other(e.to_string()))
-                }
-                TopologySpec::Mesh { n, depth } => {
-                    let cfg =
-                        MeshConfig::new(n, depth).map_err(|e| CliError::Other(e.to_string()))?;
-                    let mut session =
-                        SimSession::with_backend(MeshBackend::new(&cfg)).with_attribution(acfg);
-                    if let Some(m) = mcfg {
-                        session = session.with_monitor(m);
-                    }
-                    session
-                        .run(&mut src)
-                        .map_err(|e| CliError::Other(e.to_string()))
-                }
-            }
+            let src = BernoulliSource::new(side, pattern, rate, packets, seed);
+            (session_for(spec, channels), Box::new(src))
         }
+    };
+    let mut session = session.with_attribution(acfg);
+    if let Some(m) = mcfg {
+        session = session.with_monitor(m);
     }
+    session
+        .run(&mut src)
+        .map_err(|e| CliError::Other(e.to_string()))
 }
 
 /// `attribute` — where did the cycles go? Runs one simulation (live
@@ -2043,7 +1959,7 @@ mod tests {
     }
 
     #[test]
-    fn simulate_end_to_end() {
+    fn end_to_end_simulate() {
         let out = run(argv("simulate --noc ft:4:2:1 --rate 0.5 --packets 50")).unwrap();
         assert!(out.contains("FT(16,2,1)"));
         assert!(out.contains("800 delivered"));
@@ -2051,7 +1967,7 @@ mod tests {
     }
 
     #[test]
-    fn simulate_multichannel() {
+    fn multichannel_simulate() {
         let out = run(argv("simulate --noc hoplite:4 --packets 20 --channels 2")).unwrap();
         assert!(out.contains("2x"));
     }
@@ -2348,6 +2264,24 @@ mod tests {
         .unwrap();
         assert!(out.contains("fail-stop router"), "{out}");
         assert!(out.contains("conservation: exact"), "{out}");
+        let json = std::fs::read_to_string(&health).unwrap();
+        assert!(json.contains("\"dropped\":"), "{json}");
+    }
+
+    #[test]
+    fn faults_health_monitor_rides_a_multichannel_bank() {
+        let dir = std::env::temp_dir().join("fasttrack_cli_faults_bank");
+        std::fs::create_dir_all(&dir).unwrap();
+        let health = dir.join("health.json").display().to_string();
+        let _ = std::fs::remove_file(&health);
+        let out = run(argv(&format!(
+            "faults --noc hoplite:8 --channels 3 --fail-stop 1 --packets 40 --health {health}"
+        )))
+        .unwrap();
+        assert!(out.contains("-3x: "), "{out}");
+        assert!(out.contains("conservation: exact"), "{out}");
+        assert!(out.contains("health: "), "{out}");
+        assert!(out.contains(&format!("health json -> {health}")), "{out}");
         let json = std::fs::read_to_string(&health).unwrap();
         assert!(json.contains("\"dropped\":"), "{json}");
     }

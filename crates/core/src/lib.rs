@@ -104,12 +104,6 @@ pub mod prelude {
         drive_engine, SessionBackend, SimEngine, SimOptions, SimOutcome, SimReport, SimSession,
         TorusBackend, TorusEngine, TrafficSource,
     };
-    #[cfg(feature = "legacy-api")]
-    #[allow(deprecated)]
-    pub use crate::sim::{
-        simulate, simulate_faulted, simulate_faulted_traced, simulate_multichannel,
-        simulate_multichannel_faulted, simulate_multichannel_traced, simulate_traced,
-    };
     pub use crate::stats::{Histogram, LatencyStats, LinkUsage, PortCounters, SimStats};
     pub use crate::sweep::{point_seed, retry_seed, splitmix64, sweep, sweep_fallible, SweepError};
     pub use crate::topology::{

@@ -17,7 +17,6 @@ use crate::fault::{FaultError, FaultPlan};
 use crate::kernel::{RouteLut, RouteMode};
 use crate::noc::{Noc, StepGates};
 use crate::packet::{Delivery, Packet};
-use crate::probe::{Probe, TraceSelect};
 use crate::queue::InjectQueues;
 use crate::stats::SimStats;
 use crate::trace::{EventSink, NullSink};
@@ -244,32 +243,6 @@ impl MultiNoc {
         for ch in &mut self.channels {
             ch.reset_stats();
         }
-    }
-
-    /// Attaches a fresh probe to every channel (replacing existing ones).
-    pub fn attach_probes(&mut self, select: TraceSelect) {
-        let nodes = self.config().num_nodes();
-        for ch in &mut self.channels {
-            ch.attach_probe(Probe::with_tracing(nodes, select));
-        }
-    }
-
-    /// Per-channel probes, in channel order (empty if none attached).
-    pub fn channel_probes(&self) -> Vec<&Probe> {
-        self.channels.iter().filter_map(Noc::probe).collect()
-    }
-
-    /// Combines all channels' probes into one heatmap via
-    /// [`Probe::merge`] — the aggregate link load a floorplanner would
-    /// see across the replicated wiring. Returns `None` when no channel
-    /// carries a probe.
-    pub fn merged_probe(&self) -> Option<Probe> {
-        let mut probes = self.channels.iter().filter_map(Noc::probe);
-        let mut merged = probes.next()?.clone();
-        for p in probes {
-            merged.merge(p);
-        }
-        Some(merged)
     }
 }
 

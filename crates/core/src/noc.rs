@@ -19,7 +19,6 @@ use crate::geom::Coord;
 use crate::kernel::{PacketPool, RouteLut, RouteMode, EMPTY_SLOT};
 use crate::packet::{Delivery, Packet};
 use crate::port::{InPort, OutPort, OutSet};
-use crate::probe::Probe;
 use crate::queue::InjectQueues;
 use crate::router::RouterClass;
 use crate::routing::{compute_prefs, RoutePrefs};
@@ -83,7 +82,6 @@ pub struct Noc {
     in_flight: usize,
     cycle: u64,
     stats: SimStats,
-    probe: Option<Probe>,
     /// Compiled fault tables; `None` on a healthy fabric, which keeps
     /// the no-fault path structurally identical to the pre-fault engine.
     faults: Option<FaultState>,
@@ -145,7 +143,6 @@ impl Noc {
             in_flight: 0,
             cycle: 0,
             stats: SimStats::default(),
-            probe: None,
             faults: None,
             fallback: CompiledFallback::default(),
             evict_enabled: false,
@@ -275,21 +272,6 @@ impl Noc {
                 (0..self.cfg.num_nodes()).all(|n| queues.depth(n) == 0 || f.failed(n, self.cycle))
             }
         }
-    }
-
-    /// Attaches an instrumentation probe (replacing any existing one).
-    pub fn attach_probe(&mut self, probe: Probe) {
-        self.probe = Some(probe);
-    }
-
-    /// The attached probe, if any.
-    pub fn probe(&self) -> Option<&Probe> {
-        self.probe.as_ref()
-    }
-
-    /// Detaches and returns the probe.
-    pub fn take_probe(&mut self) -> Option<Probe> {
-        self.probe.take()
     }
 
     /// The configuration this NoC was built from.
@@ -554,9 +536,6 @@ impl Noc {
                 taken[n_taken] = out;
                 n_taken += 1;
                 self.stats.route_decisions += 1;
-                if let Some(probe) = self.probe.as_mut() {
-                    probe.record(self.cycle, node, at, pkt.id, out);
-                }
                 if S::ENABLED {
                     sink.emit(&SimEvent::RouteDecision {
                         cycle: self.cycle,
@@ -673,9 +652,6 @@ impl Noc {
                             pkt.injected_at = self.cycle;
                             self.stats.injected += 1;
                             self.stats.route_decisions += 1;
-                            if let Some(probe) = self.probe.as_mut() {
-                                probe.record(self.cycle, node, at, pkt.id, out);
-                            }
                             if S::ENABLED {
                                 sink.emit(&SimEvent::Inject {
                                     cycle: self.cycle,
@@ -764,9 +740,6 @@ impl Noc {
         std::mem::swap(&mut self.regs, &mut front);
         front.fill(EMPTY_SLOT);
         self.wheel.push_back(front);
-        if let Some(probe) = self.probe.as_mut() {
-            probe.tick();
-        }
         if S::ENABLED {
             sink.end_cycle(self.cycle);
         }

@@ -1,16 +1,21 @@
 //! Instrumentation probes: per-link utilization heatmaps and per-packet
 //! path traces.
 //!
-//! A [`Probe`] can be attached to a [`crate::noc::Noc`]; the engine then
-//! records every output-port assignment into it. Probes power the
-//! utilization-heatmap diagnostics, path-visualization examples, and the
-//! white-box tests that check packets only ever cross links that exist.
+//! A [`Probe`] is an [`EventSink`]: attach it like any other sink
+//! ([`crate::sim::SimSession::with_sink`], or directly to
+//! [`crate::noc::Noc::step_with_sink`]) and it records every output-port
+//! assignment the torus engines make. One probe on a multi-channel bank
+//! sees every channel, so its heatmap is the aggregate link load across
+//! the replicated wiring. Probes power the utilization-heatmap
+//! diagnostics, path-visualization examples, and the white-box tests
+//! that check packets only ever cross links that exist.
 
 use std::collections::HashMap;
 
 use crate::geom::Coord;
 use crate::packet::PacketId;
 use crate::port::OutPort;
+use crate::trace::{EventSink, SimEvent};
 
 /// One recorded step of a traced packet's journey.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,43 +53,40 @@ impl TraceSelect {
 /// Link-utilization counters and optional packet path traces.
 #[derive(Debug, Clone, Default)]
 pub struct Probe {
+    /// Torus side length (node ids map to coordinates through it).
+    n: u16,
     /// `usage[node][port_index]`: assignments of each output port at
     /// each router (indices per [`OutPort::index`]).
     usage: Vec<[u64; 5]>,
     select: TraceSelect,
     traces: HashMap<PacketId, Vec<PathStep>>,
     cycles_observed: u64,
+    /// The last cycle counted, so a bank's per-channel
+    /// [`EventSink::end_cycle`] calls count each cycle once.
+    last_cycle: Option<u64>,
 }
 
 impl Probe {
-    /// Creates a heatmap-only probe for `nodes` routers.
-    pub fn new(nodes: usize) -> Self {
-        Probe {
-            usage: vec![[0; 5]; nodes],
-            ..Default::default()
-        }
+    /// Creates a heatmap-only probe for an `n × n` torus.
+    pub fn new(n: u16) -> Self {
+        Probe::with_tracing(n, TraceSelect::None)
     }
 
     /// Creates a probe that also traces packet paths.
-    pub fn with_tracing(nodes: usize, select: TraceSelect) -> Self {
+    pub fn with_tracing(n: u16, select: TraceSelect) -> Self {
         Probe {
-            usage: vec![[0; 5]; nodes],
+            n,
+            usage: vec![[0; 5]; usize::from(n) * usize::from(n)],
             select,
             ..Default::default()
         }
     }
 
-    /// Records one assignment (called by the engine).
-    pub(crate) fn record(
-        &mut self,
-        cycle: u64,
-        node: usize,
-        at: Coord,
-        id: PacketId,
-        out: OutPort,
-    ) {
+    /// Records one assignment.
+    fn record(&mut self, cycle: u64, node: usize, id: PacketId, out: OutPort) {
         self.usage[node][out.index()] += 1;
         if self.select.matches(id) {
+            let at = Coord::from_node_id(node, self.n);
             self.traces
                 .entry(id)
                 .or_default()
@@ -92,41 +94,9 @@ impl Probe {
         }
     }
 
-    /// Notes that one cycle elapsed (normalizes utilization).
-    pub(crate) fn tick(&mut self) {
-        self.cycles_observed += 1;
-    }
-
     /// Number of cycles observed.
     pub fn cycles(&self) -> u64 {
         self.cycles_observed
-    }
-
-    /// Number of cycles observed (explicit alias of [`Probe::cycles`]
-    /// matching the field name, for symmetry with merged probes).
-    pub fn cycles_observed(&self) -> u64 {
-        self.cycles_observed
-    }
-
-    /// Merges another probe's observations into this one: usage counts
-    /// add up, path traces union, and the observation window is the
-    /// longer of the two (channels of a multi-channel NoC observe the
-    /// same cycles, so their windows coincide rather than add).
-    pub fn merge(&mut self, other: &Probe) {
-        if self.usage.len() < other.usage.len() {
-            self.usage.resize(other.usage.len(), [0; 5]);
-        }
-        for (node, counts) in other.usage.iter().enumerate() {
-            for (port, &c) in counts.iter().enumerate() {
-                self.usage[node][port] += c;
-            }
-        }
-        for (id, steps) in &other.traces {
-            let merged = self.traces.entry(*id).or_default();
-            merged.extend_from_slice(steps);
-            merged.sort_by_key(|s| s.cycle);
-        }
-        self.cycles_observed = self.cycles_observed.max(other.cycles_observed);
     }
 
     /// Raw assignment count for a port at a node.
@@ -176,11 +146,11 @@ impl Probe {
 
     /// Renders an ASCII heatmap of a port's utilization across the torus
     /// (one digit per router, 0–9 deciles).
-    pub fn heatmap(&self, n: u16, port: OutPort) -> String {
+    pub fn heatmap(&self, port: OutPort) -> String {
         let mut out = String::new();
-        for y in 0..n {
-            for x in 0..n {
-                let node = Coord::new(x, y).to_node_id(n);
+        for y in 0..self.n {
+            for x in 0..self.n {
+                let node = Coord::new(x, y).to_node_id(self.n);
                 let u = self.utilization(node, port);
                 let digit = (u * 10.0).floor().min(9.0) as u8;
                 out.push(char::from(b'0' + digit));
@@ -191,10 +161,43 @@ impl Probe {
     }
 }
 
+/// Every output-port assignment reaches the sink as exactly one
+/// [`SimEvent::RouteDecision`] (in-flight packet) or [`SimEvent::Inject`]
+/// (PE injection); the rest of the stream annotates those two.
+impl EventSink for Probe {
+    fn emit(&mut self, event: &SimEvent) {
+        match *event {
+            SimEvent::RouteDecision {
+                cycle,
+                node,
+                packet,
+                out,
+                ..
+            }
+            | SimEvent::Inject {
+                cycle,
+                node,
+                packet,
+                out,
+                ..
+            } => self.record(cycle, node, packet, out),
+            _ => {}
+        }
+    }
+
+    fn end_cycle(&mut self, cycle: u64) {
+        if self.last_cycle != Some(cycle) {
+            self.last_cycle = Some(cycle);
+            self.cycles_observed += 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::NocConfig;
+    use crate::multichannel::MultiNoc;
     use crate::noc::Noc;
     use crate::queue::InjectQueues;
 
@@ -211,18 +214,19 @@ mod tests {
     fn records_usage_and_paths_through_engine() {
         let cfg = NocConfig::hoplite(4).unwrap();
         let mut noc = Noc::new(cfg);
-        noc.attach_probe(Probe::with_tracing(16, TraceSelect::All));
+        let mut probe = Probe::with_tracing(4, TraceSelect::All);
         let mut q = InjectQueues::new(16);
         let id = q.push(0, Coord::new(2, 1), 0, 0);
         let mut dels = Vec::new();
+        let mut steps = 0;
         for _ in 0..20 {
-            noc.step(&mut q, &mut dels, None);
+            noc.step_with_sink(&mut q, &mut dels, None, &mut probe);
+            steps += 1;
             if q.is_empty() && noc.in_flight() == 0 {
                 break;
             }
         }
-        let probe = noc.probe().unwrap();
-        assert!(probe.cycles() > 0);
+        assert_eq!(probe.cycles(), steps);
         // Path: inject east at (0,0), east at (1,0), south at (2,0),
         // exit at (2,1).
         let path = probe.path(id).unwrap();
@@ -254,10 +258,31 @@ mod tests {
     }
 
     #[test]
+    fn one_probe_aggregates_a_bank_and_counts_each_cycle_once() {
+        let cfg = NocConfig::hoplite(4).unwrap();
+        let mut bank = MultiNoc::new(cfg, 3);
+        let mut probe = Probe::new(4);
+        let mut q = InjectQueues::new(16);
+        for node in 0..16 {
+            q.push(node, Coord::new(3, (node % 4) as u16), 0, 0);
+        }
+        let mut dels = Vec::new();
+        let mut steps = 0;
+        while !(q.is_empty() && bank.in_flight() == 0) {
+            bank.step_with_sink(&mut q, &mut dels, &mut probe);
+            steps += 1;
+        }
+        // Three channels end every cycle; the window still counts it once.
+        assert_eq!(probe.cycles(), steps);
+        let exits: u64 = (0..16).map(|n| probe.count(n, OutPort::Exit)).sum();
+        assert_eq!(exits, 16, "every channel's deliveries land in one heatmap");
+    }
+
+    #[test]
     fn utilization_and_hottest_link() {
-        let mut p = Probe::new(4);
-        for _ in 0..10 {
-            p.tick();
+        let mut p = Probe::new(2);
+        for c in 0..10 {
+            p.end_cycle(c);
         }
         p.usage[2][OutPort::EastSh.index()] = 5;
         p.usage[1][OutPort::SouthSh.index()] = 3;
@@ -270,12 +295,12 @@ mod tests {
 
     #[test]
     fn heatmap_renders_grid() {
-        let mut p = Probe::new(4);
-        for _ in 0..10 {
-            p.tick();
+        let mut p = Probe::new(2);
+        for c in 0..10 {
+            p.end_cycle(c);
         }
         p.usage[3][OutPort::EastSh.index()] = 10;
-        let map = p.heatmap(2, OutPort::EastSh);
+        let map = p.heatmap(OutPort::EastSh);
         assert_eq!(map, "00\n09\n");
     }
 }

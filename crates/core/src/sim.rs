@@ -26,9 +26,6 @@
 //! assert!(outcome.monitor.unwrap().healthy());
 //! # Ok::<(), fasttrack_core::config::ConfigError>(())
 //! ```
-//!
-//! The pre-session `simulate_*` free functions remain as deprecated
-//! one-line shims over the builder; they produce bit-identical reports.
 
 use crate::attribution::{AttributionConfig, AttributionReport, AttributionSink};
 use crate::config::NocConfig;
@@ -398,6 +395,19 @@ pub trait SessionBackend {
     fn fallback_armed(&self) -> bool {
         false
     }
+
+    /// Installs per-router-class fallback chains (see
+    /// [`SimSession::with_fallback`]). The default mirrors
+    /// [`crate::topology::Topology::validate_fallback`]: only the inert
+    /// configuration is accepted, because chains are defined over the
+    /// torus express/shared lane pairing.
+    fn set_fallback(&mut self, fallback: &FallbackConfig) -> Result<(), FallbackError> {
+        if fallback.is_empty() {
+            Ok(())
+        } else {
+            Err(FallbackError::UnsupportedTopology)
+        }
+    }
 }
 
 /// Backend for the torus engines: a single [`Noc`], or a [`MultiNoc`]
@@ -419,6 +429,13 @@ impl TorusBackend {
             route: RouteMode::default(),
             fallback: CompiledFallback::default(),
         }
+    }
+
+    /// Builds a `channels`-way replicated bank instead of a single NoC
+    /// (see [`SimSession::channels`]).
+    pub fn channels(mut self, channels: usize) -> Self {
+        self.channels = Some(channels);
+        self
     }
 }
 
@@ -531,6 +548,13 @@ impl SessionBackend for TorusBackend {
     fn fallback_armed(&self) -> bool {
         !self.fallback.is_inert()
     }
+
+    fn set_fallback(&mut self, fallback: &FallbackConfig) -> Result<(), FallbackError> {
+        use crate::topology::{Topology, TorusTopology};
+        TorusTopology::new(self.cfg.clone()).validate_fallback(fallback)?;
+        self.fallback = fallback.compile();
+        Ok(())
+    }
 }
 
 /// What a [`SimSession`] run produced: the report, plus the monitor when
@@ -583,19 +607,21 @@ impl SimOutcome {
 ///
 /// A session starts from a configuration ([`SimSession::new`] for the
 /// torus engines, [`SimSession::with_backend`] for any
-/// [`SessionBackend`]) and composes the concerns that used to each have
-/// their own `simulate_*` entry point:
+/// [`SessionBackend`]) and composes every concern on one builder:
 ///
 /// * [`SimSession::with_sink`] — cycle-level event tracing,
 /// * [`SimSession::with_monitor`] — online health monitoring,
-/// * [`SimSession::with_faults`] — fault injection,
+/// * [`SimSession::with_attribution`] — per-packet latency attribution,
+/// * [`SimSession::with_profile`] — lifecycle spans and hot-path rates,
+/// * [`SimSession::with_faults`] / [`SimSession::with_fallback`] — fault
+///   injection and fallback chains,
 /// * [`SimSession::channels`] — a multi-channel bank (torus only),
 /// * [`SimSession::route_mode`] — LUT vs recomputed routing (torus only).
 ///
-/// Every combination is valid; sink and monitor tee into one event
-/// stream. [`SimSession::run`] drives one source; [`SimSession::run_batch`]
-/// drives one source per seed while building the engine (topology,
-/// route LUTs, compiled faults) only once.
+/// Every combination is valid; all attached observers see one event
+/// stream through one fan-out. [`SimSession::run`] drives one source;
+/// [`SimSession::run_batch`] drives one source per seed while building
+/// the engine (topology, route LUTs, compiled faults) only once.
 pub struct SimSession<'s, B: SessionBackend, K: EventSink = NullSink> {
     backend: B,
     opts: SimOptions,
@@ -684,8 +710,8 @@ impl<'s, B: SessionBackend, K: EventSink> SimSession<'s, B, K> {
     /// into the monitor's [`MetricsRegistry`] so they ride the same
     /// Prometheus/JSON exposition. Profiling observes the run without
     /// perturbing it — the report and event stream are identical to an
-    /// unprofiled session's. Sessions without this call take the exact
-    /// pre-profiling code path (statically zero-cost).
+    /// unprofiled session's; without this call the span sites are inert
+    /// (see [`profile::scoped`]).
     pub fn with_profile(mut self) -> Self {
         self.profile = true;
         self
@@ -700,17 +726,29 @@ impl<'s, B: SessionBackend, K: EventSink> SimSession<'s, B, K> {
     /// [`MetricsRegistry`] so they ride the same Prometheus/JSON
     /// exposition. Like the monitor and the profiler, attribution
     /// observes the run without perturbing it — report and event
-    /// stream are identical to an unattributed session's — and
-    /// sessions without this call take the exact pre-attribution code
-    /// path.
+    /// stream are identical to an unattributed session's.
     pub fn with_attribution(mut self, acfg: AttributionConfig) -> Self {
         self.attribution = Some(acfg);
         self
     }
 
-    fn make_monitor(&self) -> Option<HealthMonitor> {
-        self.monitor
-            .map(|mcfg| HealthMonitor::new(self.backend.monitor_shape(), mcfg))
+    /// Installs per-router-class fallback chains (see
+    /// [`crate::fallback`]): stranded express packets demote to the
+    /// shared ring, allocation losers switch channels in a bank, and
+    /// only an exhausted chain drops. The config is validated through
+    /// the backend ([`SessionBackend::set_fallback`]; the torus
+    /// delegates to [`crate::topology::Topology::validate_fallback`],
+    /// other backends admit only the inert configuration);
+    /// [`FallbackConfig::none`] (the default) keeps every run
+    /// bit-identical to a session without this call.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`FallbackError`] the backend's validation
+    /// finds.
+    pub fn with_fallback(mut self, fallback: &FallbackConfig) -> Result<Self, FallbackError> {
+        self.backend.set_fallback(fallback)?;
+        Ok(self)
     }
 
     /// Builds the engine and drives `source` to completion.
@@ -719,111 +757,16 @@ impl<'s, B: SessionBackend, K: EventSink> SimSession<'s, B, K> {
     /// validation; sessions without [`SimSession::with_faults`] always
     /// succeed.
     pub fn run<T: TrafficSource>(mut self, source: &mut T) -> Result<SimOutcome, FaultError> {
-        if self.profile {
-            return self.run_profiled(source);
-        }
-        let mut engine = self.backend.build(self.faults.as_ref())?;
-        let mut monitor = self.make_monitor();
-        let (report, attribution) = match self.attribution {
-            None => (
-                dispatch(
-                    &mut engine,
-                    source,
-                    self.opts,
-                    self.sink.as_deref_mut(),
-                    monitor.as_mut(),
-                ),
-                None,
-            ),
-            Some(acfg) => {
-                let mut attrib = AttributionSink::new(acfg);
-                let report = dispatch_attributed(
-                    &mut engine,
-                    source,
-                    self.opts,
-                    self.sink.as_deref_mut(),
-                    monitor.as_mut(),
-                    &mut attrib,
-                );
-                let attribution =
-                    AttributionReport::assemble(attrib, &report, registry_for(monitor.as_ref()));
-                (report, Some(attribution))
-            }
-        };
-        if self.backend.fallback_armed() {
-            publish_fallback_cells(&report, &registry_for(monitor.as_ref()));
-        }
-        Ok(SimOutcome {
-            report,
-            monitor,
-            profile: None,
-            attribution,
-        })
-    }
-
-    /// The profiled twin of [`SimSession::run`]: identical engine work
-    /// wrapped in lifecycle spans, with event dispatch accounted by an
-    /// [`EventCounter`] teed into the sink fan-out.
-    fn run_profiled<T: TrafficSource>(mut self, source: &mut T) -> Result<SimOutcome, FaultError> {
-        let tp = profile::ThreadProfile::begin();
-        let session_span = profile::scoped("session");
-        let mut engine = {
-            let _build = profile::scoped("session.build");
-            self.backend.build(self.faults.as_ref())?
-        };
-        let mut monitor = self.make_monitor();
-        let mut counter = EventCounter::default();
-        let (report, attrib) = {
-            let _drive = profile::scoped("session.drive");
-            match self.attribution {
-                None => (
-                    dispatch_profiled(
-                        &mut engine,
-                        source,
-                        self.opts,
-                        self.sink.as_deref_mut(),
-                        monitor.as_mut(),
-                        &mut counter,
-                    ),
-                    None,
-                ),
-                Some(acfg) => {
-                    let mut attrib = AttributionSink::new(acfg);
-                    let report = dispatch_attributed_profiled(
-                        &mut engine,
-                        source,
-                        self.opts,
-                        self.sink.as_deref_mut(),
-                        monitor.as_mut(),
-                        &mut attrib,
-                        &mut counter,
-                    );
-                    (report, Some(attrib))
-                }
-            }
-        };
-        drop(session_span);
-        let spans = tp.finish();
-        let registry = registry_for(monitor.as_ref());
-        let attribution = attrib.map(|a| AttributionReport::assemble(a, &report, registry.clone()));
-        if self.backend.fallback_armed() {
-            publish_fallback_cells(&report, &registry);
-        }
-        let profile = SessionProfile::assemble(spans, &report, counter.events, registry);
-        Ok(SimOutcome {
-            report,
-            monitor,
-            profile: Some(profile),
-            attribution,
-        })
+        self.run_on(&mut None, source)
     }
 
     /// Drives one run per seed against a single engine, resetting it
     /// between runs: topology, route LUTs, and compiled fault plans are
-    /// built once and amortized across the batch. `mk_source` builds the
-    /// traffic source for each seed; a fresh monitor is attached per run
-    /// (when configured), while an attached sink observes all runs in
-    /// sequence.
+    /// built once (by the first run, whose profile alone carries the
+    /// `session.build` span) and amortized across the batch.
+    /// `mk_source` builds the traffic source for each seed; fresh
+    /// observers (monitor, attribution, profile) are attached per run,
+    /// while an attached sink observes all runs in sequence.
     pub fn run_batch<T, F>(
         mut self,
         seeds: &[u64],
@@ -833,97 +776,85 @@ impl<'s, B: SessionBackend, K: EventSink> SimSession<'s, B, K> {
         T: TrafficSource,
         F: FnMut(u64) -> T,
     {
-        let mut tp = self.profile.then(profile::ThreadProfile::begin);
-        let mut engine = {
-            let _build = self.profile.then(|| profile::scoped("session.build"));
-            self.backend.build(self.faults.as_ref())?
+        let mut engine = None;
+        seeds
+            .iter()
+            .map(|&seed| self.run_on(&mut engine, &mut mk_source(seed)))
+            .collect()
+    }
+
+    /// The single path every run takes: builds the engine on first use
+    /// (resets it on reuse), attaches this session's observers, drives
+    /// once, and assembles the outcome. The lifecycle spans are opened
+    /// unconditionally — [`profile::scoped`] is inert unless
+    /// [`SimSession::with_profile`] installed the recorder.
+    ///
+    /// An unobserved run drives [`NullSink`] and a sink-only run drives
+    /// the sink itself, so a statically disabled sink still compiles
+    /// every emission site out; any other combination shares one
+    /// fan-out of optional observers.
+    fn run_on<T: TrafficSource>(
+        &mut self,
+        engine: &mut Option<B::Engine>,
+        source: &mut T,
+    ) -> Result<SimOutcome, FaultError> {
+        let recorder = self.profile.then(profile::ThreadProfile::begin);
+        let session_span = profile::scoped("session");
+        let engine = match engine {
+            Some(built) => {
+                built.reset();
+                built
+            }
+            None => {
+                let _build = profile::scoped("session.build");
+                engine.insert(self.backend.build(self.faults.as_ref())?)
+            }
         };
-        let mut outcomes = Vec::with_capacity(seeds.len());
-        for (i, &seed) in seeds.iter().enumerate() {
-            if i > 0 {
-                engine.reset();
+        let mut monitor = self
+            .monitor
+            .map(|mcfg| HealthMonitor::new(self.backend.monitor_shape(), mcfg));
+        let mut attrib = self.attribution.map(AttributionSink::new);
+        let mut counter = self.profile.then(EventCounter::default);
+        let report = {
+            let _drive = profile::scoped("session.drive");
+            match (
+                self.sink.as_deref_mut(),
+                monitor.as_mut(),
+                attrib.as_mut(),
+                counter.as_mut(),
+            ) {
+                (None, None, None, None) => drive_engine(engine, source, self.opts, &mut NullSink),
+                (Some(sink), None, None, None) => drive_engine(engine, source, self.opts, sink),
+                (sink, monitor, attrib, counter) => drive_engine(
+                    engine,
+                    source,
+                    self.opts,
+                    &mut ((sink, monitor), (attrib, counter)),
+                ),
             }
-            let mut source = mk_source(seed);
-            let mut monitor = self.make_monitor();
-            if self.profile {
-                // Each run gets its own profile; the first one carries
-                // the amortized `session.build` span.
-                if tp.is_none() {
-                    tp = Some(profile::ThreadProfile::begin());
-                }
-                let mut counter = EventCounter::default();
-                let mut attrib = self.attribution.map(AttributionSink::new);
-                let report = {
-                    let _drive = profile::scoped("session.drive");
-                    match attrib.as_mut() {
-                        None => dispatch_profiled(
-                            &mut engine,
-                            &mut source,
-                            self.opts,
-                            self.sink.as_deref_mut(),
-                            monitor.as_mut(),
-                            &mut counter,
-                        ),
-                        Some(a) => dispatch_attributed_profiled(
-                            &mut engine,
-                            &mut source,
-                            self.opts,
-                            self.sink.as_deref_mut(),
-                            monitor.as_mut(),
-                            a,
-                            &mut counter,
-                        ),
-                    }
-                };
-                let spans = tp.take().expect("profiling active").finish();
-                let registry = registry_for(monitor.as_ref());
-                let attribution =
-                    attrib.map(|a| AttributionReport::assemble(a, &report, registry.clone()));
-                if self.backend.fallback_armed() {
-                    publish_fallback_cells(&report, &registry);
-                }
-                let profile = SessionProfile::assemble(spans, &report, counter.events, registry);
-                outcomes.push(SimOutcome {
-                    report,
-                    monitor,
-                    profile: Some(profile),
-                    attribution,
-                });
-            } else {
-                let mut attrib = self.attribution.map(AttributionSink::new);
-                let report = match attrib.as_mut() {
-                    None => dispatch(
-                        &mut engine,
-                        &mut source,
-                        self.opts,
-                        self.sink.as_deref_mut(),
-                        monitor.as_mut(),
-                    ),
-                    Some(a) => dispatch_attributed(
-                        &mut engine,
-                        &mut source,
-                        self.opts,
-                        self.sink.as_deref_mut(),
-                        monitor.as_mut(),
-                        a,
-                    ),
-                };
-                let attribution = attrib.map(|a| {
-                    AttributionReport::assemble(a, &report, registry_for(monitor.as_ref()))
-                });
-                if self.backend.fallback_armed() {
-                    publish_fallback_cells(&report, &registry_for(monitor.as_ref()));
-                }
-                outcomes.push(SimOutcome {
-                    report,
-                    monitor,
-                    profile: None,
-                    attribution,
-                });
-            }
+        };
+        drop(session_span);
+        let spans = recorder.map(profile::ThreadProfile::finish);
+
+        // Derived cells ride the monitor's exposition when one is
+        // attached, a fresh registry otherwise.
+        let registry = monitor
+            .as_ref()
+            .map(|m| m.registry().clone())
+            .unwrap_or_default();
+        let attribution = attrib.map(|a| AttributionReport::assemble(a, &report, registry.clone()));
+        if self.backend.fallback_armed() {
+            publish_fallback_cells(&report, &registry);
         }
-        drop(tp);
-        Ok(outcomes)
+        let profile = spans.zip(counter).map(|(spans, counter)| {
+            SessionProfile::assemble(spans, &report, counter.events, registry)
+        });
+        Ok(SimOutcome {
+            report,
+            monitor,
+            profile,
+            attribution,
+        })
     }
 }
 
@@ -934,7 +865,7 @@ impl<'s, K: EventSink> SimSession<'s, TorusBackend, K> {
     ///
     /// The engine panics on `channels == 0` when the session runs.
     pub fn channels(mut self, channels: usize) -> Self {
-        self.backend.channels = Some(channels);
+        self.backend = self.backend.channels(channels);
         self
     }
 
@@ -944,109 +875,6 @@ impl<'s, K: EventSink> SimSession<'s, TorusBackend, K> {
         self.backend.route = mode;
         self
     }
-
-    /// Installs per-router-class fallback chains (see
-    /// [`crate::fallback`]): stranded express packets demote to the
-    /// shared ring, allocation losers switch channels in a bank, and
-    /// only an exhausted chain drops. The config is validated through
-    /// the backend's topology
-    /// ([`crate::topology::Topology::validate_fallback`]);
-    /// [`FallbackConfig::none`] (the default) keeps every run
-    /// bit-identical to a session without this call.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`FallbackError`] the topology's validation
-    /// hook finds.
-    pub fn with_fallback(mut self, fallback: &FallbackConfig) -> Result<Self, FallbackError> {
-        use crate::topology::{Topology, TorusTopology};
-        TorusTopology::new(self.backend.cfg.clone()).validate_fallback(fallback)?;
-        self.backend.fallback = fallback.compile();
-        Ok(self)
-    }
-}
-
-/// Runs the drive loop with the session's sink/monitor combination,
-/// teeing both into one event stream when both are present.
-fn dispatch<E: SimEngine, T: TrafficSource, K: EventSink>(
-    engine: &mut E,
-    source: &mut T,
-    opts: SimOptions,
-    sink: Option<&mut K>,
-    monitor: Option<&mut HealthMonitor>,
-) -> SimReport {
-    match (sink, monitor) {
-        (None, None) => drive_engine(engine, source, opts, &mut NullSink),
-        (Some(s), None) => drive_engine(engine, source, opts, s),
-        (None, Some(m)) => drive_engine(engine, source, opts, m),
-        (Some(s), Some(m)) => drive_engine(engine, source, opts, &mut (s, m)),
-    }
-}
-
-/// [`dispatch`] with an [`EventCounter`] teed into every combination, so
-/// profiled runs account dispatch volume without timing individual
-/// events. The counter is an extra tuple element, not a wrapper: the
-/// engine's `S::ENABLED` specialization sees the same sink topology.
-fn dispatch_profiled<E: SimEngine, T: TrafficSource, K: EventSink>(
-    engine: &mut E,
-    source: &mut T,
-    opts: SimOptions,
-    sink: Option<&mut K>,
-    monitor: Option<&mut HealthMonitor>,
-    counter: &mut EventCounter,
-) -> SimReport {
-    match (sink, monitor) {
-        (None, None) => drive_engine(engine, source, opts, counter),
-        (Some(s), None) => drive_engine(engine, source, opts, &mut (s, counter)),
-        (None, Some(m)) => drive_engine(engine, source, opts, &mut (m, counter)),
-        (Some(s), Some(m)) => drive_engine(engine, source, opts, &mut (s, m, counter)),
-    }
-}
-
-/// [`dispatch`] with an [`AttributionSink`] teed into every
-/// combination, mirroring [`dispatch_profiled`]: the attribution layer
-/// is one more tuple element in the fan-out, so the engine's
-/// `S::ENABLED` specialization sees the same sink topology and the
-/// event stream reaching sink and monitor is unchanged.
-fn dispatch_attributed<E: SimEngine, T: TrafficSource, K: EventSink>(
-    engine: &mut E,
-    source: &mut T,
-    opts: SimOptions,
-    sink: Option<&mut K>,
-    monitor: Option<&mut HealthMonitor>,
-    attrib: &mut AttributionSink,
-) -> SimReport {
-    match (sink, monitor) {
-        (None, None) => drive_engine(engine, source, opts, attrib),
-        (Some(s), None) => drive_engine(engine, source, opts, &mut (s, attrib)),
-        (None, Some(m)) => drive_engine(engine, source, opts, &mut (m, attrib)),
-        (Some(s), Some(m)) => drive_engine(engine, source, opts, &mut (s, m, attrib)),
-    }
-}
-
-/// Attribution and profiling together: the four-way fan-out nests
-/// tuple sinks, keeping every observer on the one event stream.
-fn dispatch_attributed_profiled<E: SimEngine, T: TrafficSource, K: EventSink>(
-    engine: &mut E,
-    source: &mut T,
-    opts: SimOptions,
-    sink: Option<&mut K>,
-    monitor: Option<&mut HealthMonitor>,
-    attrib: &mut AttributionSink,
-    counter: &mut EventCounter,
-) -> SimReport {
-    match (sink, monitor) {
-        (None, None) => drive_engine(engine, source, opts, &mut (attrib, counter)),
-        (Some(s), None) => drive_engine(engine, source, opts, &mut (s, attrib, counter)),
-        (None, Some(m)) => drive_engine(engine, source, opts, &mut (m, attrib, counter)),
-        (Some(s), Some(m)) => drive_engine(engine, source, opts, &mut ((s, m), (attrib, counter))),
-    }
-}
-
-/// The registry profile cells publish into: the monitor's when one is
-/// attached (shared exposition), a fresh one otherwise.
-fn registry_for(monitor: Option<&HealthMonitor>) -> MetricsRegistry {
-    monitor.map(|m| m.registry().clone()).unwrap_or_default()
 }
 
 /// Publishes the run's fallback counters as `fasttrack_fallback_*`
@@ -1065,189 +893,6 @@ fn publish_fallback_cells(report: &SimReport, registry: &MetricsRegistry) {
             "Allocation losers switched to an alternate channel",
         )
         .add(report.stats.fallback_channel_switches);
-}
-
-#[cfg(feature = "legacy-api")]
-fn no_faults(outcome: Result<SimOutcome, FaultError>) -> SimOutcome {
-    outcome.expect("no fault plan attached")
-}
-
-/// Runs `source` on a single-channel NoC built from `cfg`.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession` instead: `SimSession::new(cfg).options(opts).run(source)`; this shim will be removed in 0.3.0"
-)]
-pub fn simulate<S: TrafficSource>(cfg: &NocConfig, source: &mut S, opts: SimOptions) -> SimReport {
-    no_faults(SimSession::new(cfg).options(opts).run(source)).report
-}
-
-/// [`simulate`] with an [`EventSink`] observing the run.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession` with `.with_sink(sink)` instead; this shim will be removed in 0.3.0"
-)]
-pub fn simulate_traced<S: TrafficSource, K: EventSink>(
-    cfg: &NocConfig,
-    source: &mut S,
-    opts: SimOptions,
-    sink: &mut K,
-) -> SimReport {
-    no_faults(
-        SimSession::new(cfg)
-            .options(opts)
-            .with_sink(sink)
-            .run(source),
-    )
-    .report
-}
-
-/// [`simulate`] with a [`FaultPlan`] injected into the fabric.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession` with `.with_faults(plan)` instead; this shim will be removed in 0.3.0"
-)]
-pub fn simulate_faulted<S: TrafficSource>(
-    cfg: &NocConfig,
-    plan: &FaultPlan,
-    source: &mut S,
-    opts: SimOptions,
-) -> Result<SimReport, FaultError> {
-    SimSession::new(cfg)
-        .options(opts)
-        .with_faults(plan)
-        .run(source)
-        .map(|o| o.report)
-}
-
-/// [`simulate_faulted`] with an [`EventSink`] observing the run,
-/// including the [`SimEvent::FaultDrop`] / [`SimEvent::FaultReroute`]
-/// events.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession` with `.with_faults(plan).with_sink(sink)` instead; this shim will be removed in 0.3.0"
-)]
-pub fn simulate_faulted_traced<S: TrafficSource, K: EventSink>(
-    cfg: &NocConfig,
-    plan: &FaultPlan,
-    source: &mut S,
-    opts: SimOptions,
-    sink: &mut K,
-) -> Result<SimReport, FaultError> {
-    SimSession::new(cfg)
-        .options(opts)
-        .with_faults(plan)
-        .with_sink(sink)
-        .run(source)
-        .map(|o| o.report)
-}
-
-/// [`simulate`] with a [`HealthMonitor`] attached.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession` with `.with_monitor(mcfg)` instead; this shim will be removed in 0.3.0"
-)]
-pub fn simulate_monitored<S: TrafficSource>(
-    cfg: &NocConfig,
-    source: &mut S,
-    opts: SimOptions,
-    mcfg: MonitorConfig,
-) -> (SimReport, HealthMonitor) {
-    no_faults(
-        SimSession::new(cfg)
-            .options(opts)
-            .with_monitor(mcfg)
-            .run(source),
-    )
-    .into_monitored()
-}
-
-/// [`simulate_multichannel`] with a [`HealthMonitor`] attached (hotspot
-/// utilization is normalized by the channel count).
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession` with `.channels(k).with_monitor(mcfg)` instead; this shim will be removed in 0.3.0"
-)]
-pub fn simulate_multichannel_monitored<S: TrafficSource>(
-    cfg: &NocConfig,
-    channels: usize,
-    source: &mut S,
-    opts: SimOptions,
-    mcfg: MonitorConfig,
-) -> (SimReport, HealthMonitor) {
-    no_faults(
-        SimSession::new(cfg)
-            .options(opts)
-            .channels(channels)
-            .with_monitor(mcfg)
-            .run(source),
-    )
-    .into_monitored()
-}
-
-/// Runs `source` on a `channels`-way replicated NoC (multi-channel
-/// Hoplite; the paper's iso-wiring comparison point).
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession` with `.channels(k)` instead; this shim will be removed in 0.3.0"
-)]
-pub fn simulate_multichannel<S: TrafficSource>(
-    cfg: &NocConfig,
-    channels: usize,
-    source: &mut S,
-    opts: SimOptions,
-) -> SimReport {
-    no_faults(
-        SimSession::new(cfg)
-            .options(opts)
-            .channels(channels)
-            .run(source),
-    )
-    .report
-}
-
-/// [`simulate_multichannel`] with an [`EventSink`] observing all
-/// channels (see [`MultiNoc::step_with_sink`] for channel attribution).
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession` with `.channels(k).with_sink(sink)` instead; this shim will be removed in 0.3.0"
-)]
-pub fn simulate_multichannel_traced<S: TrafficSource, K: EventSink>(
-    cfg: &NocConfig,
-    channels: usize,
-    source: &mut S,
-    opts: SimOptions,
-    sink: &mut K,
-) -> SimReport {
-    no_faults(
-        SimSession::new(cfg)
-            .options(opts)
-            .channels(channels)
-            .with_sink(sink)
-            .run(source),
-    )
-    .report
-}
-
-/// [`simulate_multichannel`] with a [`FaultPlan`] injected into every
-/// channel (the channels replicate one physical fabric region, so a
-/// fault hits all of them).
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession` with `.channels(k).with_faults(plan)` instead; this shim will be removed in 0.3.0"
-)]
-pub fn simulate_multichannel_faulted<S: TrafficSource>(
-    cfg: &NocConfig,
-    channels: usize,
-    plan: &FaultPlan,
-    source: &mut S,
-    opts: SimOptions,
-) -> Result<SimReport, FaultError> {
-    SimSession::new(cfg)
-        .options(opts)
-        .channels(channels)
-        .with_faults(plan)
-        .run(source)
-        .map(|o| o.report)
 }
 
 #[cfg(test)]
@@ -1345,46 +990,6 @@ mod tests {
     }
 
     #[test]
-    fn monitored_run_matches_unmonitored() {
-        let cfg = NocConfig::hoplite(4).unwrap();
-        let mk = || Batch {
-            items: (1..16).map(|i| (i, Coord::new(0, 0))).collect(),
-            pushed: false,
-        };
-        let plain = run_session(&cfg, &mut mk());
-        let (monitored, monitor) = SimSession::new(&cfg)
-            .with_monitor(MonitorConfig::default())
-            .run(&mut mk())
-            .unwrap()
-            .into_monitored();
-        assert_eq!(plain, monitored, "the monitor must not perturb the run");
-        let s = monitor.summary();
-        assert_eq!(s.injected, 15);
-        assert_eq!(s.delivered, 15);
-        assert!(s.healthy(), "a draining batch run is healthy");
-    }
-
-    #[test]
-    fn monitored_multichannel_normalizes_channels() {
-        let cfg = NocConfig::hoplite(4).unwrap();
-        let mut src = Batch {
-            items: (0..16)
-                .map(|i| (i, Coord::from_node_id((i + 3) % 16, 4)))
-                .collect(),
-            pushed: false,
-        };
-        let (report, monitor) = SimSession::new(&cfg)
-            .channels(2)
-            .with_monitor(MonitorConfig::default())
-            .run(&mut src)
-            .unwrap()
-            .into_monitored();
-        assert!(!report.truncated);
-        assert_eq!(monitor.summary().delivered, 16);
-        assert!(monitor.healthy());
-    }
-
-    #[test]
     fn warmup_resets_measurement() {
         struct Trickle;
         impl TrafficSource for Trickle {
@@ -1465,77 +1070,6 @@ mod tests {
             .into_monitored()
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn attributed_run_matches_unattributed() {
-        use crate::attribution::AttributionConfig;
-        use crate::trace::VecSink;
-        let cfg = NocConfig::fasttrack(4, 2, 1, crate::config::FtPolicy::Full).unwrap();
-        let mk = || Batch {
-            items: (1..16).map(|i| (i, Coord::new(3, 2))).collect(),
-            pushed: false,
-        };
-        let mut plain_sink = VecSink::new();
-        let plain = SimSession::new(&cfg)
-            .with_sink(&mut plain_sink)
-            .run(&mut mk())
-            .unwrap()
-            .report;
-        let mut attrib_sink = VecSink::new();
-        let outcome = SimSession::new(&cfg)
-            .with_sink(&mut attrib_sink)
-            .with_attribution(AttributionConfig::default())
-            .run(&mut mk())
-            .unwrap();
-        assert_eq!(
-            plain, outcome.report,
-            "attribution must not perturb the report"
-        );
-        assert_eq!(
-            plain_sink.events, attrib_sink.events,
-            "attribution must not perturb the event stream"
-        );
-        let attribution = outcome.attribution.expect("attribution attached");
-        assert_eq!(attribution.delivered, 15);
-        assert_eq!(attribution.mismatches, 0);
-        assert!(attribution.reconciled(), "{attribution:?}");
-        // The components sum to the independently measured latencies.
-        let expected: u64 = plain_sink
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                SimEvent::Eject { delivery, .. } => Some(delivery.total_latency()),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(attribution.total_cycles(), expected);
-    }
-
-    #[test]
-    fn attribution_composes_with_monitor_and_profile() {
-        use crate::attribution::AttributionConfig;
-        let cfg = NocConfig::hoplite(4).unwrap();
-        let mk = || Batch {
-            items: (1..16).map(|i| (i, Coord::new(0, 0))).collect(),
-            pushed: false,
-        };
-        let plain = run_session(&cfg, &mut mk());
-        let outcome = SimSession::new(&cfg)
-            .with_monitor(MonitorConfig::default())
-            .with_profile()
-            .with_attribution(AttributionConfig::default())
-            .run(&mut mk())
-            .unwrap();
-        assert_eq!(plain, outcome.report);
-        let attribution = outcome.attribution.expect("attribution attached");
-        assert!(attribution.reconciled());
-        // Shared registry: attribution cells ride the monitor exposition
-        // next to the profile cells.
-        let text = outcome.monitor.unwrap().registry().to_prometheus();
-        assert!(text.contains("fasttrack_attrib_packets_total 15"));
-        assert!(text.contains("fasttrack_profile_events_dispatched_total"));
-        assert!(outcome.profile.is_some());
     }
 
     #[test]

@@ -267,6 +267,29 @@ impl<S: EventSink> EventSink for &mut S {
     }
 }
 
+/// An optional observer: statically disabled exactly when `S` is, and
+/// a no-op at runtime while `None`. [`crate::sim::SimSession`] builds
+/// its one observer fan-out from these, so any subset of attached
+/// observers shares a single drive-loop instantiation.
+impl<S: EventSink> EventSink for Option<S> {
+    const ENABLED: bool = S::ENABLED;
+    fn emit(&mut self, event: &SimEvent) {
+        if let Some(sink) = self {
+            sink.emit(event);
+        }
+    }
+    fn end_cycle(&mut self, cycle: u64) {
+        if let Some(sink) = self {
+            sink.end_cycle(cycle);
+        }
+    }
+    fn set_channel(&mut self, channel: usize) {
+        if let Some(sink) = self {
+            sink.set_channel(channel);
+        }
+    }
+}
+
 impl<A: EventSink, B: EventSink> EventSink for (A, B) {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
     fn emit(&mut self, event: &SimEvent) {
@@ -392,6 +415,21 @@ mod tests {
         // A pair is enabled iff either half is.
         const { assert!(!<(NullSink, NullSink)>::ENABLED) }
         const { assert!(<(NullSink, VecSink)>::ENABLED) }
+        // An absent-or-present observer is disabled iff its sink is.
+        const { assert!(!<Option<&mut NullSink>>::ENABLED) }
+        const { assert!(!<(Option<&mut NullSink>, Option<&mut NullSink>)>::ENABLED) }
+        const { assert!(<Option<&mut VecSink>>::ENABLED) }
+    }
+
+    #[test]
+    fn option_sink_forwards_only_when_present() {
+        let mut sink = VecSink::new();
+        let mut present = Some(&mut sink);
+        present.emit(&eject(4));
+        present.end_cycle(4);
+        let mut absent: Option<&mut VecSink> = None;
+        absent.emit(&eject(5));
+        assert_eq!(sink.events, vec![eject(4)]);
     }
 
     #[test]

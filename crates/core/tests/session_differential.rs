@@ -1,21 +1,15 @@
-//! Differential properties for the `SimSession` redesign and the
-//! hot-path routing kernel:
+//! Differential properties for `SimSession` and the hot-path routing
+//! kernel:
 //!
-//! * every legacy `simulate_*` entry point must produce a report
-//!   bit-identical to the equivalent `SimSession` composition (the shims
-//!   are one-liners over the session, so this pins the session semantics
-//!   to the pre-redesign behavior);
 //! * LUT-based route resolution ([`RouteMode::Lut`], the default) must
 //!   be bit-identical to recomputing `compute_prefs` per decision
 //!   ([`RouteMode::Direct`]) over random `FT(N², D, R)` grids, traffic,
 //!   faults, and channel counts;
-//! * the batched driver must reproduce fresh-engine runs exactly.
-
-#![cfg(feature = "legacy-api")]
-#![allow(deprecated)]
+//! * the batched driver must reproduce fresh-engine runs exactly;
+//! * a fully composed session (faults + sink + monitor + attribution +
+//!   profile) must match the bare session's report and event stream.
 
 use fasttrack_core::prelude::*;
-use fasttrack_core::sim::simulate_multichannel_monitored;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -135,124 +129,10 @@ proptest! {
                 .map(|o| o.report)
                 .unwrap()
         };
-        prop_assert_eq!(run(RouteMode::Lut), run(RouteMode::Direct));
-    }
-
-    /// `simulate` == `SimSession::new(cfg).run(..)`.
-    #[test]
-    fn shim_simulate_matches_session(cfg in arb_ft_config(), seed in 0u64..500) {
-        let opts = SimOptions::default();
-        let legacy = simulate(&cfg, &mut BatchSource::random(cfg.n(), 2, seed), opts);
-        let session = SimSession::new(&cfg)
-            .run(&mut BatchSource::random(cfg.n(), 2, seed))
-            .unwrap()
-            .report;
-        prop_assert_eq!(legacy, session);
-    }
-
-    /// `simulate_traced` == session + sink, and the event streams match.
-    #[test]
-    fn shim_traced_matches_session(cfg in arb_ft_config(), seed in 0u64..500) {
-        let opts = SimOptions::default();
-        let mut legacy_sink = VecSink::new();
-        let legacy = simulate_traced(
-            &cfg,
-            &mut BatchSource::random(cfg.n(), 2, seed),
-            opts,
-            &mut legacy_sink,
-        );
-        let mut session_sink = VecSink::new();
-        let session = SimSession::new(&cfg)
-            .with_sink(&mut session_sink)
-            .run(&mut BatchSource::random(cfg.n(), 2, seed))
-            .unwrap()
-            .report;
-        prop_assert_eq!(legacy, session);
-        prop_assert_eq!(&legacy_sink.events, &session_sink.events);
-    }
-
-    /// `simulate_faulted` == session + faults (both the Ok reports and
-    /// the error cases line up via the shim being a one-liner).
-    #[test]
-    fn shim_faulted_matches_session(cfg in arb_ft_config(), seed in 0u64..500) {
-        let plan = small_plan(&cfg, seed);
-        let opts = SimOptions::default();
-        let legacy = simulate_faulted(
-            &cfg,
-            &plan,
-            &mut BatchSource::random(cfg.n(), 2, seed),
-            opts,
-        )
-        .unwrap();
-        let session = SimSession::new(&cfg)
-            .with_faults(&plan)
-            .run(&mut BatchSource::random(cfg.n(), 2, seed))
-            .unwrap()
-            .report;
-        prop_assert_eq!(legacy, session);
-    }
-
-    /// `simulate_multichannel` (+ traced) == session + channels.
-    #[test]
-    fn shim_multichannel_matches_session(
-        cfg in arb_ft_config(),
-        channels in 1usize..=3,
-        seed in 0u64..500,
-    ) {
-        let opts = SimOptions::default();
-        let legacy = simulate_multichannel(
-            &cfg,
-            channels,
-            &mut BatchSource::random(cfg.n(), 2, seed),
-            opts,
-        );
-        let mut sink = VecSink::new();
-        let traced = simulate_multichannel_traced(
-            &cfg,
-            channels,
-            &mut BatchSource::random(cfg.n(), 2, seed),
-            opts,
-            &mut sink,
-        );
-        let session = SimSession::new(&cfg)
-            .channels(channels)
-            .run(&mut BatchSource::random(cfg.n(), 2, seed))
-            .unwrap()
-            .report;
-        prop_assert_eq!(&legacy, &session);
-        prop_assert_eq!(&traced, &session);
+        let lut = run(RouteMode::Lut);
+        prop_assert_eq!(&lut, &run(RouteMode::Direct));
         // The `-{k}x` naming (including `-1x`) is part of the contract.
-        prop_assert!(session.config_name.ends_with(&format!("-{channels}x")));
-    }
-
-    /// Monitored shims == session + monitor, with identical health
-    /// summaries, for both the single and multi-channel paths.
-    #[test]
-    fn shim_monitored_matches_session(
-        cfg in arb_ft_config(),
-        channels in 1usize..=2,
-        seed in 0u64..500,
-    ) {
-        let opts = SimOptions::default();
-        let mcfg = MonitorConfig::default();
-        let (legacy, legacy_mon) = simulate_multichannel_monitored(
-            &cfg,
-            channels,
-            &mut BatchSource::random(cfg.n(), 2, seed),
-            opts,
-            mcfg,
-        );
-        let (session, session_mon) = SimSession::new(&cfg)
-            .channels(channels)
-            .with_monitor(mcfg)
-            .run(&mut BatchSource::random(cfg.n(), 2, seed))
-            .unwrap()
-            .into_monitored();
-        prop_assert_eq!(legacy, session);
-        prop_assert_eq!(
-            legacy_mon.summary().to_json(),
-            session_mon.summary().to_json()
-        );
+        prop_assert!(lut.config_name.ends_with(&format!("-{channels}x")));
     }
 
     /// The batched driver (one engine, reset between seeds) reproduces
@@ -285,32 +165,33 @@ proptest! {
         prop_assert_eq!(&batch[0].report, &batch[2].report);
     }
 
-    /// Composing everything at once — channels, faults, monitor, sink —
-    /// still matches the plain run's report (observation never perturbs)
-    /// and the legacy faulted+traced shim.
+    /// Composing everything at once — faults, sink, monitor,
+    /// attribution, profile — still matches the bare faulted session's
+    /// report and event stream: observation never perturbs.
     #[test]
-    fn fully_composed_session_matches_legacy(cfg in arb_ft_config(), seed in 0u64..500) {
+    fn fully_composed_session_matches_bare(cfg in arb_ft_config(), seed in 0u64..500) {
         let plan = small_plan(&cfg, seed);
-        let opts = SimOptions::default();
-        let mut legacy_sink = VecSink::new();
-        let legacy = simulate_faulted_traced(
-            &cfg,
-            &plan,
-            &mut BatchSource::random(cfg.n(), 2, seed),
-            opts,
-            &mut legacy_sink,
-        )
-        .unwrap();
-        let mut sink = VecSink::new();
-        let (report, monitor) = SimSession::new(&cfg)
+        let mut bare_sink = VecSink::new();
+        let bare = SimSession::new(&cfg)
             .with_faults(&plan)
-            .with_monitor(MonitorConfig::default())
-            .with_sink(&mut sink)
+            .with_sink(&mut bare_sink)
             .run(&mut BatchSource::random(cfg.n(), 2, seed))
             .unwrap()
-            .into_monitored();
-        prop_assert_eq!(legacy, report);
-        prop_assert_eq!(&legacy_sink.events, &sink.events);
-        prop_assert!(monitor.summary().injected > 0);
+            .report;
+        let mut sink = VecSink::new();
+        let outcome = SimSession::new(&cfg)
+            .with_faults(&plan)
+            .with_monitor(MonitorConfig::default())
+            .with_attribution(AttributionConfig::default())
+            .with_profile()
+            .with_sink(&mut sink)
+            .run(&mut BatchSource::random(cfg.n(), 2, seed))
+            .unwrap();
+        prop_assert_eq!(&bare, &outcome.report);
+        prop_assert_eq!(&bare_sink.events, &sink.events);
+        prop_assert!(outcome.monitor.unwrap().summary().injected > 0);
+        prop_assert!(outcome.attribution.unwrap().reconciled());
+        let dispatched = outcome.profile.unwrap().summary().events_dispatched;
+        prop_assert_eq!(dispatched, sink.events.len() as u64);
     }
 }

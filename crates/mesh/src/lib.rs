@@ -41,7 +41,4 @@ pub use config::{MeshConfig, MeshConfigError};
 pub use noc::MeshNoc;
 pub use router::{mesh_distance, xy_route, Dir};
 pub use sim::MeshBackend;
-#[cfg(feature = "legacy-api")]
-#[allow(deprecated)]
-pub use sim::{simulate_mesh, simulate_mesh_traced};
 pub use topology::MeshTopology;

@@ -1,19 +1,17 @@
 //! Driver glue for the buffered mesh: a [`SessionBackend`] so
-//! `fasttrack_core`'s [`SimSession`] (and its shared drive loop) runs
-//! the mesh exactly like the torus engines, producing the same
-//! [`SimReport`] so results compose in one table.
+//! `fasttrack_core`'s [`SimSession`](fasttrack_core::sim::SimSession)
+//! (and its shared drive loop) runs the mesh exactly like the torus
+//! engines, producing the same
+//! [`SimReport`](fasttrack_core::sim::SimReport) so results compose in
+//! one table.
 
 use fasttrack_core::fault::{FaultError, FaultPlan};
 use fasttrack_core::packet::Delivery;
 use fasttrack_core::queue::InjectQueues;
 use fasttrack_core::sim::{SessionBackend, SimEngine};
-#[cfg(feature = "legacy-api")]
-use fasttrack_core::sim::{SimOptions, SimReport, SimSession, TrafficSource};
 use fasttrack_core::stats::SimStats;
 use fasttrack_core::topology::{MonitorShape, Topology};
 use fasttrack_core::trace::EventSink;
-#[cfg(feature = "legacy-api")]
-use fasttrack_core::trace::NullSink;
 
 use crate::config::MeshConfig;
 use crate::noc::MeshNoc;
@@ -89,69 +87,11 @@ impl SessionBackend for MeshBackend {
     }
 }
 
-/// Runs `source` on a buffered mesh built from `cfg`, producing the same
-/// [`SimReport`] the torus simulators emit so results compose in one
-/// table.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession::with_backend(MeshBackend::new(cfg))` instead; this shim will be removed in 0.3.0"
-)]
-pub fn simulate_mesh<S: TrafficSource>(
-    cfg: &MeshConfig,
-    source: &mut S,
-    opts: SimOptions,
-) -> SimReport {
-    #[allow(deprecated)]
-    simulate_mesh_traced(cfg, source, opts, &mut NullSink)
-}
-
-/// [`simulate_mesh`] with an [`EventSink`] observing the run (same
-/// driver markers as the torus sessions).
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession::with_backend(..)` with `.with_sink(sink)` instead; this shim will be removed in 0.3.0"
-)]
-pub fn simulate_mesh_traced<S: TrafficSource, K: EventSink>(
-    cfg: &MeshConfig,
-    source: &mut S,
-    opts: SimOptions,
-    sink: &mut K,
-) -> SimReport {
-    SimSession::with_backend(MeshBackend::new(cfg))
-        .options(opts)
-        .with_sink(sink)
-        .run(source)
-        .expect("no fault plan attached")
-        .report
-}
-
-/// [`simulate_mesh`] with a [`FaultPlan`] injected (the mesh-supported
-/// subset — see [`MeshNoc::with_faults`]). An empty plan reproduces
-/// [`simulate_mesh`] bit-for-bit.
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    note = "compose a `SimSession::with_backend(..)` with `.with_faults(plan)` instead; this shim will be removed in 0.3.0"
-)]
-pub fn simulate_mesh_faulted<S: TrafficSource>(
-    cfg: &MeshConfig,
-    plan: &FaultPlan,
-    source: &mut S,
-    opts: SimOptions,
-) -> Result<SimReport, FaultError> {
-    SimSession::with_backend(MeshBackend::new(cfg))
-        .options(opts)
-        .with_faults(plan)
-        .run(source)
-        .map(|o| o.report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(not(feature = "legacy-api"))]
-    use fasttrack_core::sim::{SimReport, SimSession, TrafficSource};
-
     use fasttrack_core::geom::Coord;
+    use fasttrack_core::sim::{SimReport, SimSession, TrafficSource};
 
     struct Batch {
         items: Vec<(usize, Coord)>,
@@ -192,20 +132,6 @@ mod tests {
         assert_eq!(report.nodes, 16);
         assert!(report.config_name.contains("Mesh"));
         assert!(report.avg_latency() > 0.0);
-    }
-
-    #[cfg(feature = "legacy-api")]
-    #[test]
-    fn deprecated_shim_matches_session() {
-        let cfg = MeshConfig::new(4, 4).unwrap();
-        let mk = || Batch {
-            items: (1..16).map(|i| (i, Coord::new(0, 0))).collect(),
-            pushed: false,
-        };
-        #[allow(deprecated)]
-        let legacy = simulate_mesh(&cfg, &mut mk(), SimOptions::default());
-        let session = run_mesh(&cfg, &mut mk());
-        assert_eq!(legacy, session);
     }
 
     #[test]

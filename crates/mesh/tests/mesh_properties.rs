@@ -114,18 +114,19 @@ proptest! {
         }
     }
 
-    /// The deprecated `simulate_mesh_traced` shim and the
-    /// `SimSession::with_backend` path are indistinguishable: same
-    /// report, same event stream, for arbitrary sizes and batches —
-    /// the mesh half of the refactor's differential guarantee.
-    #[cfg(feature = "legacy-api")]
+    /// A fully composed mesh session (faults + sink + monitor +
+    /// attribution + profile) is indistinguishable from the bare one:
+    /// same report, same event stream, for arbitrary sizes and batches.
     #[test]
-    fn shim_traced_matches_session(
+    fn fully_composed_session_matches_bare(
         n in 2u16..7,
         depth in 1usize..5,
         seed in any::<u64>(),
     ) {
-        use fasttrack_core::sim::{SimOptions, SimSession, TrafficSource};
+        use fasttrack_core::attribution::AttributionConfig;
+        use fasttrack_core::fault::{Fault, FaultPlan};
+        use fasttrack_core::monitor::MonitorConfig;
+        use fasttrack_core::sim::{SimSession, TrafficSource};
         use fasttrack_core::trace::VecSink;
         use fasttrack_mesh::MeshBackend;
 
@@ -150,24 +151,32 @@ proptest! {
         let cfg = MeshConfig::new(n, depth).unwrap();
         let items = random_batch(n, 2, seed);
         let mk = || Batch { items: items.clone(), pushed: false };
+        let plan = FaultPlan::new().with(Fault::StalledInjector { node: 0, from: 0, until: 20 });
 
-        let mut legacy_sink = VecSink::new();
-        #[allow(deprecated)]
-        let legacy = fasttrack_mesh::simulate_mesh_traced(
-            &cfg,
-            &mut mk(),
-            SimOptions::default(),
-            &mut legacy_sink,
-        );
-
-        let mut session_sink = VecSink::new();
-        let session = SimSession::with_backend(MeshBackend::new(&cfg))
-            .with_sink(&mut session_sink)
+        let mut bare_sink = VecSink::new();
+        let bare = SimSession::with_backend(MeshBackend::new(&cfg))
+            .with_faults(&plan)
+            .with_sink(&mut bare_sink)
             .run(&mut mk())
             .unwrap()
             .report;
 
-        prop_assert_eq!(legacy, session);
-        prop_assert_eq!(&legacy_sink.events, &session_sink.events);
+        let mut sink = VecSink::new();
+        let outcome = SimSession::with_backend(MeshBackend::new(&cfg))
+            .with_faults(&plan)
+            .with_monitor(MonitorConfig::default())
+            .with_attribution(AttributionConfig::default())
+            .with_profile()
+            .with_sink(&mut sink)
+            .run(&mut mk())
+            .unwrap();
+
+        prop_assert_eq!(&bare, &outcome.report);
+        prop_assert_eq!(&bare_sink.events, &sink.events);
+        prop_assert_eq!(outcome.monitor.unwrap().summary().delivered, bare.stats.delivered);
+        // Exact-sum only: the mesh keeps no `route_decisions` counter for
+        // the wire-class reconciliation to check against.
+        prop_assert_eq!(outcome.attribution.unwrap().mismatches, 0);
+        prop_assert!(outcome.profile.is_some());
     }
 }

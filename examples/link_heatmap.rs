@@ -1,6 +1,7 @@
-//! Link-utilization heatmaps and packet path tracing: attach a probe to
-//! the engine, run a hotspot workload, and visualize where the traffic
-//! actually flows — including one sampled packet's full journey.
+//! Link-utilization heatmaps and packet path tracing: step the engine
+//! with a probe as its event sink, run a hotspot workload, and visualize
+//! where the traffic actually flows — including one sampled packet's
+//! full journey.
 //!
 //! ```sh
 //! cargo run --release --example link_heatmap
@@ -12,10 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 8u16;
     let cfg = NocConfig::fasttrack(n, 2, 1, FtPolicy::Full)?;
     let mut noc = Noc::new(cfg.clone());
-    noc.attach_probe(Probe::with_tracing(
-        cfg.num_nodes(),
-        TraceSelect::Sampled(97),
-    ));
+    let mut probe = Probe::with_tracing(n, TraceSelect::Sampled(97));
 
     // Hotspot workload: everyone hammers the node at (6,6), plus
     // background random traffic.
@@ -32,14 +30,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 queues.push(src, hotspot, cycle, 1);
             }
         }
-        noc.step(&mut queues, &mut deliveries, None);
+        noc.step_with_sink(&mut queues, &mut deliveries, None, &mut probe);
         cycle += 1;
         if cycle > 800 && queues.is_empty() && noc.in_flight() == 0 {
             break;
         }
     }
 
-    let probe = noc.probe().expect("probe attached");
     println!(
         "== {} hotspot run: {} cycles, {} delivered ==\n",
         cfg.name(),
@@ -53,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("S_ex (express south)", OutPort::SouthEx),
     ] {
         println!("{label} utilization deciles:");
-        println!("{}", probe.heatmap(n, port));
+        println!("{}", probe.heatmap(port));
     }
 
     if let Some((node, port, u)) = probe.hottest_link() {

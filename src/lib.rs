@@ -54,8 +54,6 @@ pub mod prelude {
     pub use fasttrack_fpga::power::PowerModel;
     pub use fasttrack_fpga::resources::{noc_cost, NocCost};
     pub use fasttrack_fpga::routability::noc_frequency_mhz;
-    #[allow(deprecated)]
-    pub use fasttrack_mesh::simulate_mesh;
     pub use fasttrack_mesh::{MeshBackend, MeshConfig, MeshNoc};
     pub use fasttrack_traffic::partition::Partition;
     pub use fasttrack_traffic::pattern::Pattern;

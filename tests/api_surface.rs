@@ -9,8 +9,7 @@
 //!
 //! The snapshot is source-level and first-line-only: multi-line
 //! signatures contribute their opening line, and items behind `#[cfg]`
-//! gates (e.g. the `legacy-api` shims) are listed unconditionally —
-//! deleting a deprecated shim still shows up as a surface change.
+//! gates are listed unconditionally.
 //!
 //! To accept an intentional change, regenerate the golden file:
 //!
