@@ -667,6 +667,18 @@ pub(crate) struct FaultState {
     epoch_cursor: usize,
 }
 
+/// One router's fault view for one cycle (see
+/// [`FaultState::node_faults`]); the default is a healthy router.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct NodeFaults {
+    /// The router has fail-stopped.
+    pub(crate) failed: bool,
+    /// Outputs whose link is dead in the current epoch.
+    pub(crate) dead: OutSet,
+    /// The PE may not inject this cycle.
+    pub(crate) stalled: bool,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Transient {
     node: usize,
@@ -726,6 +738,16 @@ impl FaultState {
     /// True when the plan contains any dynamic recovery window.
     pub(crate) fn has_windows(&self) -> bool {
         !self.windows.is_empty()
+    }
+
+    /// Everything the torus step asks about `node` at `cycle`, read once
+    /// per visited router.
+    pub(crate) fn node_faults(&self, node: usize, cycle: u64) -> NodeFaults {
+        NodeFaults {
+            failed: self.failed(node, cycle),
+            dead: self.dead[node],
+            stalled: self.injector_stalled(node, cycle),
+        }
     }
 
     /// True when the PE at `node` may not inject at `cycle`.

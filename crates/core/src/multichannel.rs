@@ -359,6 +359,46 @@ mod tests {
     }
 
     #[test]
+    fn adopted_packets_keep_occupancy_masks_exact() {
+        use crate::packet::PacketId;
+        // Channel-switch evictions land through `adopt`, which writes the
+        // *current* registers between steps: the adopting channel must
+        // visit that router this very cycle, or the packet is lost.
+        let cfg = NocConfig::hoplite(8).unwrap();
+        let mut mnoc = MultiNoc::new(cfg, 3);
+        let mut q = InjectQueues::new(64);
+        for node in 0..64 {
+            q.push(node, Coord::new(((node + 3) % 8) as u16, 5), 0, 0);
+        }
+        let mut dels = Vec::new();
+        let mut adopted = 0;
+        for cycle in 0..500u64 {
+            if cycle < 20 {
+                // Evicted from channel `cycle % 3` at a spread of nodes.
+                let node = (cycle as usize * 11) % 64;
+                let pkt = Packet::new(
+                    PacketId(1_000 + cycle),
+                    Coord::from_node_id(node, 8),
+                    Coord::new(2, 6),
+                    cycle,
+                    0,
+                );
+                mnoc.pending.push((cycle as usize % 3, node, pkt));
+                adopted += 1;
+            }
+            mnoc.step(&mut q, &mut dels);
+            for ch in &mnoc.channels {
+                assert!(ch.occupancy_masks_exact(), "cycle {cycle}");
+            }
+            if q.is_empty() && mnoc.in_flight() == 0 {
+                break;
+            }
+        }
+        assert_eq!(mnoc.in_flight(), 0);
+        assert_eq!(dels.len(), 64 + adopted);
+    }
+
+    #[test]
     fn merged_stats_sum_channels() {
         let cfg = NocConfig::hoplite(4).unwrap();
         let mut mnoc = MultiNoc::new(cfg, 2);

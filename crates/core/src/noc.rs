@@ -14,7 +14,7 @@ use std::sync::Arc;
 use crate::alloc::{allocate, try_allocate, try_inject, MAX_IN_FLIGHT};
 use crate::config::{FtPolicy, NocConfig};
 use crate::fallback::CompiledFallback;
-use crate::fault::{FaultError, FaultPlan, FaultState};
+use crate::fault::{FaultError, FaultPlan, FaultState, NodeFaults};
 use crate::geom::Coord;
 use crate::kernel::{PacketPool, RouteLut, RouteMode, EMPTY_SLOT};
 use crate::packet::{Delivery, Packet};
@@ -52,6 +52,87 @@ impl StepGates {
     }
 }
 
+/// One frame of input registers (the current cycle's, or a timing-wheel
+/// entry) plus its occupancy bitmask. The step walks set bits instead of
+/// routers, so every write goes through [`Frame::put`] to keep the two
+/// in lockstep.
+#[derive(Debug, Clone)]
+struct Frame {
+    /// One flat contiguous array, slot `node * MAX_IN_FLIGHT + port` with
+    /// port indices matching [`InPort::index`] (0..4 are in-flight
+    /// ports). Each register holds a [`PacketPool`] slot index or
+    /// [`EMPTY_SLOT`]: 16 bytes per router.
+    slots: Vec<u32>,
+    /// Bit `node % 64` of `occ[node / 64]` is set exactly when one of
+    /// `node`'s four registers holds a packet.
+    occ: Vec<u64>,
+}
+
+impl Frame {
+    fn new(nodes: usize) -> Self {
+        Frame {
+            slots: vec![EMPTY_SLOT; nodes * MAX_IN_FLIGHT],
+            occ: vec![0; nodes.div_ceil(64)],
+        }
+    }
+
+    /// Writes pool slot `idx` into `node`'s input register `port`.
+    fn put(&mut self, node: usize, port: InPort, idx: u32) {
+        let reg = &mut self.slots[node * MAX_IN_FLIGHT + port.index()];
+        debug_assert!(*reg == EMPTY_SLOT, "two packets on one link register");
+        *reg = idx;
+        self.occ[node / 64] |= 1 << (node % 64);
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(EMPTY_SLOT);
+        self.occ.fill(0);
+    }
+
+    /// The invariant `put`/`clear` maintain — checked after every step in
+    /// debug builds, because a clear bit over an occupied register would
+    /// make the step skip a router that holds a packet.
+    fn occ_matches_slots(&self) -> bool {
+        self.slots
+            .chunks_exact(MAX_IN_FLIGHT)
+            .enumerate()
+            .all(|(node, regs)| {
+                let occupied = regs.iter().any(|&r| r != EMPTY_SLOT);
+                occupied == (self.occ[node / 64] >> (node % 64) & 1 == 1)
+            })
+    }
+}
+
+/// Walks the step's active set — routers with an occupied input register
+/// or a waiting PE — in ascending node order, 64 routers per mask word.
+#[derive(Default)]
+struct ActiveCursor {
+    /// Index of the next mask word to load.
+    word: usize,
+    /// Unvisited routers of word `word - 1`.
+    bits: u64,
+}
+
+impl ActiveCursor {
+    /// The next active router. Each word is read once, when the cursor
+    /// reaches it: a visit forwards into wheel frames, never into the
+    /// current registers, and pops only its own queue, so it cannot
+    /// change a later router's bit.
+    #[inline]
+    fn next(&mut self, occ: &[u64], queues: &InjectQueues) -> Option<usize> {
+        while self.bits == 0 {
+            if self.word == occ.len() {
+                return None;
+            }
+            self.bits = occ[self.word] | queues.nonempty_word(self.word);
+            self.word += 1;
+        }
+        let node = (self.word - 1) * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(node)
+    }
+}
+
 /// A single NoC channel (Hoplite or FastTrack, per its configuration).
 #[derive(Debug, Clone)]
 pub struct Noc {
@@ -61,18 +142,12 @@ pub struct Noc {
     /// Precomputed router coordinates, indexed by node id (avoids a
     /// divide per node per cycle in the hot loop).
     coords: Vec<Coord>,
-    /// Input registers for the current cycle: one flat contiguous array,
-    /// slot `node * MAX_IN_FLIGHT + port` with port indices matching
-    /// [`InPort::index`] (0..4 are in-flight ports). Each register holds
-    /// a [`PacketPool`] slot index or [`EMPTY_SLOT`]; the compact `u32`
-    /// layout keeps the per-cycle scan a single linear walk over 16
-    /// bytes per router.
-    regs: Vec<u32>,
+    /// Input registers for the current cycle.
+    regs: Frame,
     /// Timing wheel of future input states: `wheel[t]` holds packets
     /// arriving `t + 1` cycles from now (depth = the longest pipelined
-    /// link delay; depth 1 when links carry a single register). Frames
-    /// use the same flat layout as `regs`.
-    wheel: VecDeque<Vec<u32>>,
+    /// link delay; depth 1 when links carry a single register).
+    wheel: VecDeque<Frame>,
     /// Struct-of-arrays storage for every packet referenced by `regs`
     /// and the wheel frames.
     pool: PacketPool,
@@ -134,10 +209,8 @@ impl Noc {
             classes,
             available,
             coords,
-            regs: vec![EMPTY_SLOT; nodes * MAX_IN_FLIGHT],
-            wheel: (0..depth)
-                .map(|_| vec![EMPTY_SLOT; nodes * MAX_IN_FLIGHT])
-                .collect(),
+            regs: Frame::new(nodes),
+            wheel: (0..depth).map(|_| Frame::new(nodes)).collect(),
             pool: PacketPool::with_capacity(nodes),
             lut,
             in_flight: 0,
@@ -187,9 +260,9 @@ impl Noc {
     /// route tables, compiled fault plan, and allocations. Batched
     /// drivers reset between seeds instead of rebuilding the engine.
     pub fn reset(&mut self) {
-        self.regs.fill(EMPTY_SLOT);
+        self.regs.clear();
         for frame in &mut self.wheel {
-            frame.fill(EMPTY_SLOT);
+            frame.clear();
         }
         self.pool.clear();
         self.in_flight = 0;
@@ -231,12 +304,12 @@ impl Noc {
     /// are already occupied.
     pub(crate) fn adopt(&mut self, node: usize, pkt: Packet) -> bool {
         for port in [InPort::WestSh, InPort::NorthSh] {
-            let reg = &mut self.regs[node * MAX_IN_FLIGHT + port.index()];
-            if *reg == EMPTY_SLOT {
+            if self.regs.slots[node * MAX_IN_FLIGHT + port.index()] == EMPTY_SLOT {
                 if self.pool.free_slots() > 0 {
                     self.stats.pool_reuse += 1;
                 }
-                *reg = self.pool.insert(pkt);
+                let idx = self.pool.insert(pkt);
+                self.regs.put(node, port, idx);
                 self.in_flight += 1;
                 return true;
             }
@@ -328,9 +401,10 @@ impl Noc {
         sink: &mut S,
     ) {
         let n = self.cfg.n();
-        let nodes = self.cfg.num_nodes();
         let exit_policy = self.cfg.exit_policy();
         let d = self.cfg.d().max(1);
+        let faulted = self.faults.is_some();
+        debug_assert_eq!(queues.nodes(), self.cfg.num_nodes(), "one queue per router");
 
         // Dynamic fault timeline: when the cycle crosses an epoch
         // boundary (a link dying or healing), rebuild the dead-link
@@ -339,22 +413,32 @@ impl Noc {
             f.patch_epoch(self.cycle);
         }
 
-        for node in 0..nodes {
+        // Only a router with an occupied input register or a waiting PE
+        // can do anything observable; everyone else is skipped. Ascending
+        // node order is the dense `0..nodes` order, so events, deliveries
+        // and gate arbitration come out exactly as if every router ran.
+        let mut active = ActiveCursor::default();
+        while let Some(node) = active.next(&self.regs.occ, queues) {
+            self.stats.router_visits += 1;
             let at = self.coords[node];
             let class = self.classes[node];
             let base = node * MAX_IN_FLIGHT;
+            let NodeFaults {
+                failed,
+                dead,
+                stalled,
+            } = match &self.faults {
+                Some(f) => f.node_faults(node, self.cycle),
+                None => NodeFaults::default(),
+            };
 
             // A fail-stopped router swallows every arriving packet and
             // neither routes, injects, nor delivers.
-            if self
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.failed(node, self.cycle))
-            {
+            if failed {
                 for slot in 0..MAX_IN_FLIGHT {
-                    let idx = self.regs[base + slot];
+                    let idx = self.regs.slots[base + slot];
                     if idx != EMPTY_SLOT {
-                        self.regs[base + slot] = EMPTY_SLOT;
+                        self.regs.slots[base + slot] = EMPTY_SLOT;
                         let pkt = self.pool.remove(idx);
                         self.in_flight -= 1;
                         self.stats.dropped += 1;
@@ -377,7 +461,7 @@ impl Noc {
             let mut inputs: [(usize, u32); MAX_IN_FLIGHT] = [(0, EMPTY_SLOT); MAX_IN_FLIGHT];
             let mut n_inputs = 0;
             for slot in 0..MAX_IN_FLIGHT {
-                let idx = self.regs[base + slot];
+                let idx = self.regs.slots[base + slot];
                 if idx != EMPTY_SLOT {
                     inputs[n_inputs] = (slot, idx);
                     n_inputs += 1;
@@ -391,13 +475,7 @@ impl Noc {
             }
             // Mask permanently dead express links: packets that wanted
             // them deflect onto the plain ring (graceful degradation).
-            let dead = self
-                .faults
-                .as_ref()
-                .map_or(OutSet::empty(), |f| f.dead[node]);
-            for out in dead.iter() {
-                avail.remove(out);
-            }
+            let avail = avail.difference(dead);
 
             // Route the in-flight packets. Fixed-size buffers: the hot
             // path performs no heap allocation per node per cycle, and
@@ -478,7 +556,7 @@ impl Noc {
             // (the FULL router is exactly tight at four inputs), so the
             // faulted path uses the non-panicking allocator and drops the
             // stranded loser; the healthy path keeps the hard guarantee.
-            let assignment = if self.faults.is_some() {
+            let assignment = if faulted {
                 try_allocate(&prefs_buf[..n_inputs], avail, exit_policy)
             } else {
                 allocate(&prefs_buf[..n_inputs], avail, exit_policy)
@@ -620,11 +698,7 @@ impl Noc {
 
             // PE injection: lowest priority, never deflects.
             let inject_ok = gates.as_ref().is_none_or(|g| g.inject_allowed[node]);
-            let fault_stalled = self
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.injector_stalled(node, self.cycle));
-            if inject_ok && fault_stalled {
+            if inject_ok && stalled {
                 // A stalled injector holds its queue; count the stall so
                 // the degradation shows up in the report.
                 if queues.peek(node).is_some() {
@@ -738,8 +812,12 @@ impl Noc {
         // cycle's input registers, and a fresh frame joins the back.
         let mut front = self.wheel.pop_front().expect("wheel is never empty");
         std::mem::swap(&mut self.regs, &mut front);
-        front.fill(EMPTY_SLOT);
+        front.clear();
         self.wheel.push_back(front);
+        debug_assert!(
+            self.occupancy_masks_exact(),
+            "occupancy bitmask out of step with its registers"
+        );
         if S::ENABLED {
             sink.end_cycle(self.cycle);
         }
@@ -809,10 +887,13 @@ impl Noc {
             return;
         }
         self.pool.write(idx, pkt);
-        let frame = &mut self.wheel[delay as usize - 1];
-        let reg = &mut frame[target.to_node_id(n) * MAX_IN_FLIGHT + in_slot.index()];
-        debug_assert!(*reg == EMPTY_SLOT, "two packets on one link register");
-        *reg = idx;
+        self.wheel[delay as usize - 1].put(target.to_node_id(n), in_slot, idx);
+    }
+
+    /// True when every frame's occupancy bitmask agrees with its
+    /// registers (see [`Frame::occ_matches_slots`]).
+    pub(crate) fn occupancy_masks_exact(&self) -> bool {
+        self.regs.occ_matches_slots() && self.wheel.iter().all(Frame::occ_matches_slots)
     }
 
     /// Record that `count` packets were enqueued (driver bookkeeping so
@@ -825,7 +906,7 @@ impl Noc {
     /// position and input port (diagnostics / debugging aid).
     pub fn in_flight_packets(&self) -> Vec<(Coord, InPort, Packet)> {
         let mut out = Vec::with_capacity(self.in_flight);
-        for (i, &reg) in self.regs.iter().enumerate() {
+        for (i, &reg) in self.regs.slots.iter().enumerate() {
             if reg != EMPTY_SLOT {
                 let (node, slot) = (i / MAX_IN_FLIGHT, i % MAX_IN_FLIGHT);
                 out.push((self.coords[node], InPort::ALL[slot], *self.pool.get(reg)));
@@ -1008,6 +1089,87 @@ mod tests {
             assert_eq!(dels.len(), count, "{name}: livelock or loss");
             assert_eq!(noc.stats().delivered as usize, count);
         }
+    }
+
+    /// Drives `noc` at ~5 % load for 150 cycles, then drains it, checking
+    /// after every step that each frame's occupancy bitmask is exact — a
+    /// clear bit over an occupied register would skip a live router.
+    /// Returns how many packets were pushed.
+    fn run_checking_masks(noc: &mut Noc, seed: u64) -> u64 {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = noc.config().n();
+        let nodes = noc.config().num_nodes();
+        let mut q = InjectQueues::new(nodes);
+        let mut dels = Vec::new();
+        let mut pushed = 0;
+        for cycle in 0..5_000u64 {
+            if cycle < 150 {
+                for node in 0..nodes {
+                    if rng.gen::<f64>() < 0.05 {
+                        let dst = Coord::new(rng.gen_range(0..n), rng.gen_range(0..n));
+                        q.push(node, dst, cycle, 0);
+                        pushed += 1;
+                    }
+                }
+            } else if noc.in_flight() == 0
+                && (q.is_empty() || noc.only_failed_injectors_pending(&q))
+            {
+                break;
+            }
+            noc.step(&mut q, &mut dels, None);
+            assert!(noc.occupancy_masks_exact(), "cycle {cycle}");
+        }
+        assert_eq!(noc.in_flight(), 0, "did not drain");
+        let s = noc.stats();
+        assert_eq!(s.delivered + s.dropped, s.injected);
+        assert!(s.router_visits < noc.cycle() * nodes as u64);
+        pushed
+    }
+
+    #[test]
+    fn occupancy_masks_stay_exact() {
+        use crate::config::LinkPipeline;
+        use crate::fault::Fault;
+        let ft = |policy| NocConfig::fasttrack(8, 2, 1, policy).unwrap();
+        for cfg in [
+            NocConfig::hoplite(8).unwrap(),
+            ft(FtPolicy::Full),
+            ft(FtPolicy::Inject),
+            // Wheel depth 3: forwards land in three different frames.
+            ft(FtPolicy::Full).with_link_pipeline(LinkPipeline {
+                short: 1,
+                express: 2,
+            }),
+        ] {
+            let mut noc = Noc::new(cfg);
+            let pushed = run_checking_masks(&mut noc, 7);
+            assert_eq!(noc.stats().delivered, pushed);
+            // A reset clears every mask along with its registers.
+            noc.reset();
+            assert!(noc.occupancy_masks_exact());
+            assert_eq!(run_checking_masks(&mut noc, 7), pushed);
+        }
+
+        let plan = FaultPlan::new()
+            .with(Fault::FailStopRouter { node: 9, at: 20 })
+            .with(Fault::FailStopRouter { node: 40, at: 0 });
+        let mut noc = Noc::with_faults(ft(FtPolicy::Full), &plan).unwrap();
+        run_checking_masks(&mut noc, 7);
+        assert!(noc.stats().dropped > 0, "fail-stop routers saw no traffic");
+    }
+
+    #[test]
+    fn adopted_packet_is_visited() {
+        let mut noc = Noc::new(NocConfig::hoplite(4).unwrap());
+        let mut q = InjectQueues::new(16);
+        let at = Coord::new(1, 1);
+        let pkt = Packet::new(crate::packet::PacketId(0), at, Coord::new(3, 1), 0, 0);
+        assert!(noc.adopt(at.to_node_id(4), pkt));
+        assert!(noc.occupancy_masks_exact());
+        let dels = drain(&mut noc, &mut q, 100);
+        assert_eq!(dels.len(), 1, "an adopted packet must not be skipped");
+        assert_eq!(dels[0].packet.short_hops, 2);
     }
 
     #[test]

@@ -215,6 +215,11 @@ impl OutSet {
         OutSet(self.0 & other.0)
     }
 
+    /// Members of `self` that are not in `other`.
+    pub(crate) fn difference(self, other: OutSet) -> OutSet {
+        OutSet(self.0 & !other.0)
+    }
+
     /// Set union.
     pub fn union(self, other: OutSet) -> OutSet {
         OutSet(self.0 | other.0)

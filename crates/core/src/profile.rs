@@ -327,6 +327,9 @@ pub struct ProfileSummary {
     pub pool_reuse: u64,
     /// Non-productive output assignments.
     pub deflections: u64,
+    /// Routers whose step body ran, summed over cycles (the torus step
+    /// skips idle routers, so compare against `cycles x nodes`).
+    pub router_visits: u64,
 }
 
 /// The complete profiling artifact of one [`crate::sim::SimSession`]
@@ -373,6 +376,7 @@ impl SessionProfile {
             route_decisions: report.stats.route_decisions,
             pool_reuse: report.stats.pool_reuse,
             deflections: report.stats.ports.total_deflections(),
+            router_visits: report.stats.router_visits,
         };
         registry
             .gauge(
@@ -416,6 +420,12 @@ impl SessionProfile {
                 "Non-productive output assignments (deflections)",
             )
             .add(summary.deflections);
+        registry
+            .counter(
+                "fasttrack_profile_router_visits_total",
+                "Routers whose step body ran, summed over cycles (idle torus routers are skipped)",
+            )
+            .add(summary.router_visits);
         SessionProfile {
             spans,
             summary,
@@ -471,8 +481,8 @@ impl SessionProfile {
             s.drive_seconds, s.cycles_per_sec, s.packets_per_sec
         ));
         out.push_str(&format!(
-            "events dispatched {} | route decisions {} | pool reuse {} | deflections {}\n",
-            s.events_dispatched, s.route_decisions, s.pool_reuse, s.deflections
+            "events dispatched {} | route decisions {} | pool reuse {} | deflections {} | router visits {}\n",
+            s.events_dispatched, s.route_decisions, s.pool_reuse, s.deflections, s.router_visits
         ));
         out
     }
@@ -492,6 +502,7 @@ impl SessionProfile {
         out.push_str(&format!(",\"route_decisions\":{}", s.route_decisions));
         out.push_str(&format!(",\"pool_reuse\":{}", s.pool_reuse));
         out.push_str(&format!(",\"deflections\":{}", s.deflections));
+        out.push_str(&format!(",\"router_visits\":{}", s.router_visits));
         out.push_str(",\"phases\":[");
         for (i, p) in self.phases().iter().enumerate() {
             if i > 0 {

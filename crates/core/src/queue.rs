@@ -14,6 +14,10 @@ use crate::trace::SimEvent;
 #[derive(Debug, Clone)]
 pub struct InjectQueues {
     queues: Vec<VecDeque<PendingPacket>>,
+    /// Bit `node % 64` of word `node / 64` is set exactly while
+    /// `queues[node]` is non-empty, so the torus step can skip PEs with
+    /// nothing to inject without touching their `VecDeque`.
+    nonempty: Vec<u64>,
     next_id: u64,
     pending: usize,
     enqueued_total: u64,
@@ -24,6 +28,7 @@ impl InjectQueues {
     pub fn new(nodes: usize) -> Self {
         InjectQueues {
             queues: vec![VecDeque::new(); nodes],
+            nonempty: vec![0; nodes.div_ceil(64)],
             next_id: 0,
             pending: 0,
             enqueued_total: 0,
@@ -49,6 +54,7 @@ impl InjectQueues {
             enqueued_at: cycle,
             tag,
         });
+        self.nonempty[src / 64] |= 1 << (src % 64);
         self.pending += 1;
         self.enqueued_total += 1;
         id
@@ -64,8 +70,17 @@ impl InjectQueues {
         let p = self.queues[node].pop_front();
         if p.is_some() {
             self.pending -= 1;
+            if self.queues[node].is_empty() {
+                self.nonempty[node / 64] &= !(1 << (node % 64));
+            }
         }
         p
+    }
+
+    /// Word `word` of the non-empty bitmask: bit `b` is set exactly when
+    /// `depth(word * 64 + b) > 0`.
+    pub(crate) fn nonempty_word(&self, word: usize) -> u64 {
+        self.nonempty[word]
     }
 
     /// Packets currently waiting across all queues.
@@ -111,6 +126,31 @@ impl InjectQueues {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+    proptest! {
+        /// Under any push/pop interleaving — including pops of empty
+        /// queues and node counts past one mask word — a node's bit is
+        /// set exactly while its queue is non-empty.
+        #[test]
+        fn nonempty_mask_tracks_depth(nodes in 1usize..200, seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut q = InjectQueues::new(nodes);
+            for cycle in 0..300 {
+                let node = rng.gen_range(0..nodes);
+                if rng.gen::<bool>() {
+                    q.push(node, Coord::new(0, 0), cycle, 0);
+                } else {
+                    q.pop(node);
+                }
+                for n in 0..nodes {
+                    let bit = q.nonempty_word(n / 64) >> (n % 64) & 1 == 1;
+                    prop_assert_eq!(bit, q.depth(n) > 0, "node {}", n);
+                }
+            }
+        }
+    }
 
     #[test]
     fn push_pop_fifo_order() {

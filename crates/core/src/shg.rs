@@ -319,6 +319,7 @@ impl ShgNoc {
             f.patch_epoch(self.cycle);
         }
 
+        self.stats.router_visits += self.nodes as u64;
         for node in 0..self.nodes {
             let failed = self
                 .faults

@@ -274,6 +274,11 @@ pub struct SimStats {
     /// Packet-pool insertions that reused a previously freed slot instead
     /// of growing the pool (allocator recycling efficiency).
     pub pool_reuse: u64,
+    /// Routers whose step body ran, summed over cycles. The torus step
+    /// visits only routers with an occupied input register or a waiting
+    /// PE, so at low load this is far below `cycles x nodes`; the SHG and
+    /// mesh engines visit every router every cycle.
+    pub router_visits: u64,
 }
 
 impl SimStats {
@@ -298,6 +303,7 @@ impl SimStats {
         self.fallback_channel_switches += other.fallback_channel_switches;
         self.route_decisions += other.route_decisions;
         self.pool_reuse += other.pool_reuse;
+        self.router_visits += other.router_visits;
     }
 }
 

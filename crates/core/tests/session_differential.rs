@@ -75,6 +75,88 @@ impl TrafficSource for BatchSource {
     }
 }
 
+/// Open-loop Bernoulli injection, `per_pe` packets per PE (the traffic
+/// crate's `BernoulliSource` sits above this crate).
+struct BernoulliLoad {
+    n: u16,
+    rate: f64,
+    left: Vec<u32>,
+    rng: SmallRng,
+}
+
+impl BernoulliLoad {
+    fn new(n: u16, rate: f64, per_pe: u32, seed: u64) -> Self {
+        BernoulliLoad {
+            n,
+            rate,
+            left: vec![per_pe; n as usize * n as usize],
+            rng: SmallRng::seed_from_u64(seed),
+        }
+    }
+}
+
+impl TrafficSource for BernoulliLoad {
+    fn pump(&mut self, cycle: u64, queues: &mut InjectQueues) {
+        for node in 0..self.left.len() {
+            if self.left[node] > 0 && self.rng.gen::<f64>() < self.rate {
+                let dst = Coord::new(self.rng.gen_range(0..self.n), self.rng.gen_range(0..self.n));
+                queues.push(node, dst, cycle, 0);
+                self.left[node] -= 1;
+            }
+        }
+    }
+    fn exhausted(&self) -> bool {
+        self.left.iter().all(|&l| l == 0)
+    }
+}
+
+/// The low-load regime (16x16 at 5 % injection), where the torus step
+/// skips most routers every cycle: LUT and Direct still agree bit for
+/// bit, and a fully observed session still reports and streams exactly
+/// what the bare one does.
+#[test]
+fn low_load_16x16_sessions_agree() {
+    let ft = NocConfig::fasttrack(16, 2, 1, FtPolicy::Full).unwrap();
+    let hoplite = NocConfig::hoplite(16).unwrap();
+    for (cfg, channels) in [(&ft, 1), (&hoplite, 3)] {
+        let load = || BernoulliLoad::new(16, 0.05, 20, 0x10AD);
+        let session = || SimSession::new(cfg).channels(channels);
+        let mut bare_sink = VecSink::new();
+        let bare = session()
+            .with_sink(&mut bare_sink)
+            .run(&mut load())
+            .unwrap()
+            .report;
+        let direct = session()
+            .route_mode(RouteMode::Direct)
+            .run(&mut load())
+            .unwrap()
+            .report;
+        assert_eq!(bare, direct, "{}", bare.config_name);
+
+        let mut sink = VecSink::new();
+        let composed = session()
+            .with_monitor(MonitorConfig::default())
+            .with_attribution(AttributionConfig::default())
+            .with_profile()
+            .with_sink(&mut sink)
+            .run(&mut load())
+            .unwrap();
+        assert_eq!(bare, composed.report, "{}", bare.config_name);
+        assert_eq!(bare_sink.events, sink.events, "{}", bare.config_name);
+
+        // The regime is the one claimed: most router-cycles were skipped.
+        assert_eq!(bare.stats.delivered, 256 * 20);
+        let dense = bare.cycles * 256 * channels as u64;
+        assert!(
+            bare.stats.router_visits * 2 < dense,
+            "{}: {} visits of {dense} router-cycles",
+            bare.config_name,
+            bare.stats.router_visits
+        );
+    }
+}
+
 /// A fault plan exercising every supported fault kind, drawn
 /// deterministically from a seed (always torus-safe by construction).
 fn small_plan(cfg: &NocConfig, seed: u64) -> FaultPlan {

@@ -283,6 +283,7 @@ impl MeshNoc {
         let n = self.cfg.n();
         let nodes = self.cfg.num_nodes();
         let mut moves: Vec<Move> = Vec::new();
+        self.stats.router_visits += nodes as u64;
 
         // Phase 0: fail-stop routers drop everything buffered at them
         // and return the consumed credits upstream, so traffic keeps

@@ -21,6 +21,9 @@ pub struct BernoulliSource {
     pattern: Pattern,
     packets_per_pe: u64,
     generated: Vec<u64>,
+    /// PEs still below their quota; `exhausted` is asked every cycle, so
+    /// it reads this count instead of rescanning `generated`.
+    remaining_pes: usize,
     rng: SmallRng,
 }
 
@@ -35,12 +38,14 @@ impl BernoulliSource {
             rate > 0.0 && rate <= 1.0,
             "injection rate {rate} out of (0,1]"
         );
+        let nodes = n as usize * n as usize;
         BernoulliSource {
             n,
             rate,
             pattern,
             packets_per_pe,
-            generated: vec![0; n as usize * n as usize],
+            generated: vec![0; nodes],
+            remaining_pes: if packets_per_pe == 0 { 0 } else { nodes },
             rng: SmallRng::seed_from_u64(seed),
         }
     }
@@ -59,12 +64,15 @@ impl TrafficSource for BernoulliSource {
                 let dst = self.pattern.destination(src, self.n, &mut self.rng);
                 queues.push(node, dst, cycle, 0);
                 self.generated[node] += 1;
+                if self.generated[node] == self.packets_per_pe {
+                    self.remaining_pes -= 1;
+                }
             }
         }
     }
 
     fn exhausted(&self) -> bool {
-        self.generated.iter().all(|&g| g >= self.packets_per_pe)
+        self.remaining_pes == 0
     }
 }
 

@@ -6,8 +6,8 @@
 use fasttrack::prelude::*;
 
 /// Runs all 16 observer subsets on `backend` against the bare run.
-fn check_all_subsets<B: SessionBackend + Clone>(name: &str, backend: B, side: u16) {
-    let source = || BernoulliSource::new(side, Pattern::Random, 0.6, 30, 0xFA9);
+fn check_all_subsets<B: SessionBackend + Clone>(name: &str, backend: B, side: u16, rate: f64) {
+    let source = || BernoulliSource::new(side, Pattern::Random, rate, 30, 0xFA9);
     let bare = SimSession::with_backend(backend.clone())
         .run(&mut source())
         .unwrap()
@@ -96,13 +96,27 @@ fn check_all_subsets<B: SessionBackend + Clone>(name: &str, backend: B, side: u1
 #[test]
 fn every_observer_subset_is_passive_on_every_backend() {
     let ft = NocConfig::fasttrack(4, 2, 1, FtPolicy::Full).unwrap();
-    check_all_subsets("torus", TorusBackend::new(&ft), 4);
+    check_all_subsets("torus", TorusBackend::new(&ft), 4, 0.6);
     let hoplite = NocConfig::hoplite(4).unwrap();
     check_all_subsets(
         "3-channel torus",
         TorusBackend::new(&hoplite).channels(3),
         4,
+        0.6,
     );
-    check_all_subsets("shg", ShgBackend::new(ShgConfig::new(4, 2).unwrap()), 4);
-    check_all_subsets("mesh", MeshBackend::new(&MeshConfig::new(4, 2).unwrap()), 4);
+    check_all_subsets(
+        "shg",
+        ShgBackend::new(ShgConfig::new(4, 2).unwrap()),
+        4,
+        0.6,
+    );
+    check_all_subsets(
+        "mesh",
+        MeshBackend::new(&MeshConfig::new(4, 2).unwrap()),
+        4,
+        0.6,
+    );
+    // Low load on a large torus: most routers are skipped every cycle.
+    let ft16 = NocConfig::fasttrack(16, 2, 1, FtPolicy::Full).unwrap();
+    check_all_subsets("low-load torus", TorusBackend::new(&ft16), 16, 0.05);
 }
