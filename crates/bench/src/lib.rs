@@ -13,7 +13,6 @@
 pub mod fuzz;
 pub mod journal;
 pub mod runner;
-pub mod snapshot;
 pub mod table;
 
 pub use fuzz::{fuzz, FailureClass, FuzzConfig, FuzzFailure, FuzzOutcome};
@@ -22,9 +21,5 @@ pub use runner::{
     packets_per_pe, parallel_map, quick_mode, run_pattern, run_point, speedup, storm_json,
     sweep_csv, FallibleSweepOptions, NocUnderTest, PointSlo, SloSpec, SweepGrid, SweepPoint,
     SweepRow, SweepTiming, INJECTION_RATES, PE_LADDER,
-};
-pub use snapshot::{
-    diff, gate, hotpath_grid, measure_hotpath, snapshot_from, BenchDiff, BenchSnapshot, GateResult,
-    HotpathMeasurement, SnapshotError, HOTPATH_THREADS, SNAPSHOT_SCHEMA_VERSION,
 };
 pub use table::Table;

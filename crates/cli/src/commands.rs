@@ -7,16 +7,15 @@ use fasttrack_bench::runner::{
     attribution_csv, health_json, storm_json, sweep_csv, topology_of, FallibleSweepOptions,
     NocUnderTest, SloSpec, SpecBackend, SweepGrid, INJECTION_RATES,
 };
-use fasttrack_bench::snapshot::{self, BenchSnapshot, SnapshotError};
 use fasttrack_core::attribution::{AttributionConfig, LatencyComponent, PacketJourney};
-use fasttrack_core::config::{FtPolicy, NocConfig};
+use fasttrack_core::config::NocConfig;
 use fasttrack_core::export::{epochs_to_csv, ChromeTraceSink, NdjsonSink};
 use fasttrack_core::fallback::FallbackConfig;
-use fasttrack_core::fault::{FaultPlan, FaultSpec, StormSpec};
+use fasttrack_core::fault::{FaultPlan, StormSpec};
 use fasttrack_core::metrics::WindowedMetrics;
 use fasttrack_core::monitor::{DetectorConfig, FlightRecorder, HealthMonitor, MonitorConfig};
 use fasttrack_core::packet::PacketId;
-use fasttrack_core::sim::{SimOptions, SimOutcome, SimReport, SimSession, TrafficSource};
+use fasttrack_core::sim::{SimOutcome, SimReport, SimSession, TrafficSource};
 use fasttrack_core::topology::{MonitorShape, TopologySpec};
 use fasttrack_core::trace::{EventSink, SimEvent};
 use fasttrack_fpga::device::Device;
@@ -30,11 +29,13 @@ use fasttrack_traffic::matrix::circuit;
 use fasttrack_traffic::multiproc::{parsec_benchmarks, parsec_trace};
 use fasttrack_traffic::partition::Partition;
 use fasttrack_traffic::scenario::{Expectation, RecordingSource, ScenarioHeader, ScenarioTrace};
-use fasttrack_traffic::source::BernoulliSource;
 use fasttrack_traffic::spmv::spmv_source;
 use fasttrack_traffic::trace_io::trace_source_from_text;
 
 use crate::args::{ArgError, Flags};
+use crate::run_spec::{
+    conserved_or_err, fault_plan, p99, pattern_flag, range_flag, session_for, write_file, RunSpec,
+};
 use crate::spec::{parse_grid, parse_noc, parse_pattern, parse_topology, SpecError};
 
 /// Any CLI failure.
@@ -116,11 +117,6 @@ USAGE:
                      [--channels <k>]) [--metrics <path>] [--json]
   fasttrack explain  <packet-id> (--trace <path> | --noc <spec> ...)
                      [--flight-recorder <K>]
-  fasttrack bench    snapshot [--packets <n>] [--out <path>] [--json]
-  fasttrack bench    diff --baseline <path> --candidate <path> [--json]
-  fasttrack bench    gate --baseline <path> [--candidate <path>]
-                     [--tolerance <pct>] [--packets <n>]
-  fasttrack bench    migrate --file <path>
   fasttrack cost     --noc <spec> [--width <bits>] [--channels <k>]
   fasttrack trace    --noc <spec> --file <path>
   fasttrack trace    [--topology hoplite|ft|ftlite] [--n <n>] [--d <d>] [--r <r>]
@@ -139,8 +135,8 @@ USAGE:
 SPECS:
   NoC:     hoplite:<n> | ft:<n>:<d>:<r> | ftlite:<n>:<d>:<r>
            | shg:<q>:<delta> | mesh:<n>:<depth>
-           (simulate/monitor/faults/cost/record drive the torus kinds;
-            sweep, storm, compare, and attribute accept all five)
+           (faults/cost/profile/trace/record drive the torus kinds; simulate,
+            monitor, sweep, storm, compare, and attribute accept all five)
   Pattern: random | bitcompl | transpose | tornado | shuffle | bitrev
            | local:<radius> | hotspot:<percent>
   Grid:    <noc>[,<noc>...];<pattern>[,<pattern>...];<rate>[,<rate>...]
@@ -226,15 +222,6 @@ ATTRIBUTION:
   as a sidecar CSV (the sweep CSV stays byte-identical, at any
   --threads).
 
-BENCH TRAJECTORY:
-  `bench snapshot` measures the canonical sweep_scaling hot-path grid
-  and writes a versioned snapshot (schema, commit, grid fingerprint,
-  normalized packets/sec). `bench diff` compares two snapshots;
-  `bench gate` fails (exit 1) when the candidate — a file, or a fresh
-  measurement when --candidate is omitted — is more than --tolerance
-  percent slower than the baseline. `bench migrate` rewrites a
-  pre-versioning BENCH_hotpath.json in place as the current schema.
-
 SCENARIO CORPUS:
   `record` captures the realized injection schedule of any run —
   workload preset or synthetic, healthy or faulted — as a versioned,
@@ -274,7 +261,6 @@ EXAMPLES:
   fasttrack attribute --noc ft:8:2:2 --rate 1.0 --metrics attrib.prom
   fasttrack explain 42 --trace spmv.trace
   fasttrack sweep --grid \"ft:8:2:1;random;0.5\" --attribution attrib.csv
-  fasttrack bench gate --baseline BENCH_hotpath.json --tolerance 10
   fasttrack record --workload spmv --out spmv.trace
   fasttrack record --noc ftlite:8:4:1 --pattern hotspot:60 --rate 0.8 --dead-links 4 --out hot.trace
   fasttrack replay --file spmv.trace
@@ -291,12 +277,7 @@ fn render_report(report: &SimReport) -> String {
         report.cycles,
         report.sustained_rate_per_pe(),
         report.avg_latency(),
-        report
-            .stats
-            .total_latency
-            .histogram()
-            .percentile(99.0)
-            .unwrap_or(0),
+        p99(report),
         report.worst_latency(),
         report.stats.ports.total_deflections(),
         report.stats.link_usage.short_hops,
@@ -309,26 +290,19 @@ fn render_report(report: &SimReport) -> String {
     )
 }
 
-/// The session a single-run command drives: `spec` replicated over
-/// `--channels` physical channels (0 and 1 both mean a plain single
-/// NoC; more is a torus bank).
-fn session_for(spec: TopologySpec, channels: usize) -> SimSession<'static, SpecBackend> {
-    SimSession::with_backend(SpecBackend::new(&spec, channels.max(1)))
+/// `--health <path>` on a single run: the monitor summary as JSON.
+fn write_health(flags: &Flags, monitor: &HealthMonitor, out: &mut String) -> Result<(), CliError> {
+    if let Some(path) = flags.optional("health") {
+        write_file(path, monitor.summary().to_json() + "\n")?;
+        out.push_str(&format!("  health json -> {path}\n"));
+    }
+    Ok(())
 }
 
 /// `simulate` — one run at one injection rate.
 pub fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
-    let cfg = parse_noc(flags.required("noc")?)?;
-    let pattern = parse_pattern(flags.optional("pattern").unwrap_or("random"))?;
-    let rate: f64 = flags.numeric("rate", 1.0)?;
-    let packets: u64 = flags.numeric("packets", 1000)?;
-    let seed: u64 = flags.numeric("seed", 1)?;
-    let channels: usize = flags.numeric("channels", 1)?;
-    let mut src = BernoulliSource::new(cfg.n(), pattern, rate, packets, seed);
-    let report = session_for(TopologySpec::Torus(cfg), channels)
-        .run(&mut src)
-        .unwrap()
-        .report;
+    let run = RunSpec::from_flags(flags, None, 1.0, 1000)?.with_channels(flags)?;
+    let report = run.session().run(&mut run.source()).unwrap().report;
     Ok(render_report(&report))
 }
 
@@ -341,12 +315,7 @@ pub fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
 /// `--health <path>` writes the summary JSON, `--metrics <path>` the
 /// Prometheus-style exposition of the live counters.
 pub fn cmd_monitor(flags: &Flags) -> Result<String, CliError> {
-    let cfg = parse_noc(flags.required("noc")?)?;
-    let pattern = parse_pattern(flags.optional("pattern").unwrap_or("random"))?;
-    let rate: f64 = flags.numeric("rate", 1.0)?;
-    let packets: u64 = flags.numeric("packets", 1000)?;
-    let seed: u64 = flags.numeric("seed", 1)?;
-    let channels: usize = flags.numeric("channels", 1)?;
+    let run = RunSpec::from_flags(flags, None, 1.0, 1000)?.with_channels(flags)?;
     let snapshot: u64 = flags.numeric("snapshot", 1000)?;
     let flight: usize = flags.numeric("flight-recorder", 32)?;
     if snapshot == 0 {
@@ -369,12 +338,11 @@ pub fn cmd_monitor(flags: &Flags) -> Result<String, CliError> {
         snapshot_every: Some(snapshot),
     };
 
-    let mut src = BernoulliSource::new(cfg.n(), pattern, rate, packets, seed);
-    let mut session = session_for(TopologySpec::Torus(cfg), channels).with_monitor(mcfg);
+    let mut session = run.session().with_monitor(mcfg);
     if flags.switch("profile") {
         session = session.with_profile();
     }
-    let outcome = session.run(&mut src).unwrap();
+    let outcome = session.run(&mut run.source()).unwrap();
     let report = outcome.report;
     let monitor = outcome
         .monitor
@@ -394,39 +362,12 @@ pub fn cmd_monitor(flags: &Flags) -> Result<String, CliError> {
         // series as well.
         out.push_str(&profile.render_text());
     }
-    if let Some(path) = flags.optional("health") {
-        let mut json = monitor.summary().to_json();
-        json.push('\n');
-        std::fs::write(path, json).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-        out.push_str(&format!("  health json -> {path}\n"));
-    }
+    write_health(flags, &monitor, &mut out)?;
     if let Some(path) = flags.optional("metrics") {
-        std::fs::write(path, monitor.registry().to_prometheus())
-            .map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+        write_file(path, monitor.registry().to_prometheus())?;
         out.push_str(&format!("  metrics exposition -> {path}\n"));
     }
     Ok(out)
-}
-
-/// Parses `--window <from>:<until>` for the `faults` subcommand.
-fn parse_window(s: Option<&str>) -> Result<(u64, u64), CliError> {
-    let Some(s) = s else {
-        return Ok(FaultSpec::default().window);
-    };
-    let parsed = s.split_once(':').and_then(|(a, b)| {
-        let from: u64 = a.parse().ok()?;
-        let until: u64 = b.parse().ok()?;
-        Some((from, until))
-    });
-    match parsed {
-        Some((from, until)) if from < until => Ok((from, until)),
-        Some((from, until)) => Err(CliError::Other(format!(
-            "--window {from}:{until} is empty (need from < until)"
-        ))),
-        None => Err(CliError::Other(format!(
-            "--window expects <from>:<until> in cycles, got {s:?}"
-        ))),
-    }
 }
 
 /// `faults` — one faulted run against a healthy baseline of the same
@@ -442,38 +383,22 @@ fn parse_window(s: Option<&str>) -> Result<(u64, u64), CliError> {
 /// monitor summary JSON.
 pub fn cmd_faults(flags: &Flags) -> Result<String, CliError> {
     let cfg = parse_noc(flags.required("noc")?)?;
-    let pattern = parse_pattern(flags.optional("pattern").unwrap_or("random"))?;
-    let rate: f64 = flags.numeric("rate", 0.5)?;
-    let packets: u64 = flags.numeric("packets", 1000)?;
-    let seed: u64 = flags.numeric("seed", 1)?;
-    let fault_seed: u64 = flags.numeric("fault-seed", seed)?;
-    let channels: usize = flags.numeric("channels", 1)?;
-    let spec = FaultSpec {
-        dead_links: flags.numeric("dead-links", 0)?,
-        transient_links: flags.numeric("transient-links", 0)?,
-        fail_stop_routers: flags.numeric("fail-stop", 0)?,
-        stalled_injectors: flags.numeric("stalled-injectors", 0)?,
-        down_links: flags.numeric("down-links", 0)?,
-        window: parse_window(flags.optional("window"))?,
-    };
-    let plan = FaultPlan::random(&cfg, fault_seed, &spec);
+    let run =
+        RunSpec::on(TopologySpec::Torus(cfg.clone()), flags, 0.5, 1000)?.with_channels(flags)?;
+    let (fault_seed, plan) = fault_plan(flags, &cfg, run.seed, flags.numeric("down-links", 0)?)?;
 
-    let opts = SimOptions::default();
-    let mut baseline_src = BernoulliSource::new(cfg.n(), pattern, rate, packets, seed);
-    let fabric = || session_for(TopologySpec::Torus(cfg.clone()), channels).options(opts);
-    let baseline = fabric().run(&mut baseline_src).unwrap().report;
+    let baseline = run.session().run(&mut run.source()).unwrap().report;
 
-    let mut src = BernoulliSource::new(cfg.n(), pattern, rate, packets, seed);
     let mut monitor = HealthMonitor::new(
-        MonitorShape::torus(cfg.n()).with_channels(channels.max(1)),
+        MonitorShape::torus(cfg.n()).with_channels(run.channels),
         MonitorConfig::default(),
     );
-    let mut session = fabric().with_faults(&plan).with_sink(&mut monitor);
+    let mut session = run.session().with_faults(&plan).with_sink(&mut monitor);
     if flags.switch("profile") {
         session = session.with_profile();
     }
     let (report, profile) = session
-        .run(&mut src)
+        .run(&mut run.source())
         .map(|o| (o.report, o.profile))
         .map_err(|e| CliError::Other(e.to_string()))?;
 
@@ -520,16 +445,7 @@ pub fn cmd_faults(flags: &Flags) -> Result<String, CliError> {
             report.conserved()
         );
         json.push('\n');
-        return if report.conserved() {
-            Ok(json)
-        } else {
-            // Exit nonzero: a conservation violation is an engine bug,
-            // and CI keys off the exit code. The JSON still carries the
-            // full accounting for the failure report.
-            Err(CliError::Other(format!(
-                "{json}conservation invariant violated (delivered + in_flight + dropped != injected)"
-            )))
-        };
+        return conserved_or_err(json, &report);
     }
 
     let mut out = String::new();
@@ -570,40 +486,8 @@ pub fn cmd_faults(flags: &Flags) -> Result<String, CliError> {
         out.push_str(&profile.render_text());
     }
     out.push_str(&monitor.summary().render_text());
-    if let Some(path) = flags.optional("health") {
-        let mut json = monitor.summary().to_json();
-        json.push('\n');
-        std::fs::write(path, json).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-        out.push_str(&format!("  health json -> {path}\n"));
-    }
-    if report.conserved() {
-        Ok(out)
-    } else {
-        Err(CliError::Other(format!(
-            "{out}conservation invariant violated (delivered + in_flight + dropped != injected)"
-        )))
-    }
-}
-
-/// Parses `--heal <lo:hi>` (cycles until a downed link recovers).
-fn parse_heal(s: Option<&str>) -> Result<(u64, u64), CliError> {
-    let Some(s) = s else {
-        return Ok(StormSpec::default().heal_after);
-    };
-    let parsed = s.split_once(':').and_then(|(a, b)| {
-        let lo: u64 = a.parse().ok()?;
-        let hi: u64 = b.parse().ok()?;
-        Some((lo, hi))
-    });
-    match parsed {
-        Some((lo, hi)) if lo < hi => Ok((lo, hi)),
-        Some((lo, hi)) => Err(CliError::Other(format!(
-            "--heal {lo}:{hi} is empty (need lo < hi)"
-        ))),
-        None => Err(CliError::Other(format!(
-            "--heal expects <lo>:<hi> in cycles, got {s:?}"
-        ))),
-    }
+    write_health(flags, &monitor, &mut out)?;
+    conserved_or_err(out, &report)
 }
 
 /// `storm` — availability under a seeded fault storm, with and without
@@ -619,12 +503,14 @@ fn parse_heal(s: Option<&str>) -> Result<(u64, u64), CliError> {
 /// conservation. `--out <path>` writes the machine-readable SLO report;
 /// `--json` prints it instead of the table.
 pub fn cmd_storm(flags: &Flags) -> Result<String, CliError> {
-    let packets: u64 = flags.numeric("packets", 500)?;
-    let seed: u64 = flags.numeric("seed", 1)?;
+    // FT(64,2,2): the paper's depopulated 8x8 reference point. With
+    // --grid only the run's packets and seed apply.
+    let run = RunSpec::from_flags(flags, Some("ft:8:2:2"), 0.3, 500)?;
+    let seed = run.seed;
     let threads: usize = flags.numeric("threads", 1)?;
     let storm = StormSpec {
         kills_per_kcycle: flags.numeric("kills", StormSpec::default().kills_per_kcycle)?,
-        heal_after: parse_heal(flags.optional("heal"))?,
+        heal_after: range_flag(flags, "heal", ("lo", "hi"), StormSpec::default().heal_after)?,
         duration: flags.numeric("duration", StormSpec::default().duration)?,
     };
     let slo = SloSpec {
@@ -663,15 +549,9 @@ pub fn cmd_storm(flags: &Flags) -> Result<String, CliError> {
             let nuts: Vec<NocUnderTest> = g.nocs.into_iter().map(nut_for).collect();
             SweepGrid::cross(&nuts, &g.patterns, &g.rates, seed)
         }
-        None => {
-            // FT(64,2,2): the paper's depopulated 8x8 reference point.
-            let spec = parse_topology(flags.optional("noc").unwrap_or("ft:8:2:2"))?;
-            let pattern = parse_pattern(flags.optional("pattern").unwrap_or("random"))?;
-            let rate: f64 = flags.numeric("rate", 0.3)?;
-            SweepGrid::cross(&[nut_for(spec)], &[pattern], &[rate], seed)
-        }
+        None => SweepGrid::cross(&[nut_for(run.topology)], &[run.pattern], &[run.rate], seed),
     }
-    .with_packets_per_pe(packets);
+    .with_packets_per_pe(run.packets);
 
     let all_torus = grid
         .points
@@ -710,7 +590,7 @@ pub fn cmd_storm(flags: &Flags) -> Result<String, CliError> {
         json
     };
     if let Some(path) = flags.optional("out") {
-        std::fs::write(path, &report_json).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+        write_file(path, &report_json)?;
     }
 
     let mut out = String::new();
@@ -780,121 +660,69 @@ pub fn cmd_compare(flags: &Flags) -> Result<String, CliError> {
     let spec_list = flags
         .optional("topologies")
         .unwrap_or("ft:8:2:2,shg:8:2,mesh:8:4");
-    let pattern = parse_pattern(flags.optional("pattern").unwrap_or("random"))?;
-    let rate: f64 = flags.numeric("rate", 0.5)?;
-    let packets: u64 = flags.numeric("packets", 1000)?;
-    let seed: u64 = flags.numeric("seed", 1)?;
-    if !(rate > 0.0 && rate <= 1.0) {
-        return Err(CliError::Other(format!(
-            "injection rate {rate} out of (0,1]"
-        )));
-    }
-    let specs: Vec<TopologySpec> = spec_list
+    let runs: Vec<RunSpec> = spec_list
         .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
-        .map(parse_topology)
+        .map(|s| RunSpec::on(parse_topology(s)?, flags, 0.5, 1000))
         .collect::<Result<_, _>>()?;
-    if specs.len() < 2 {
+    if runs.len() < 2 {
         return Err(CliError::Other(
             "compare needs at least two comma-separated topologies".into(),
         ));
     }
 
-    struct CompareRow {
-        label: String,
-        nodes: usize,
-        cost: fasttrack_core::topology::ResourceCost,
-        report: SimReport,
-        rate_per_kcell: f64,
-    }
-    let mut rows: Vec<CompareRow> = Vec::new();
-    for spec in &specs {
-        let nut = NocUnderTest::from_spec(spec.clone());
-        let cost = topology_of(spec).resource_cost();
-        let mut src = BernoulliSource::new(nut.side(), pattern, rate, packets, seed);
-        let report = nut.run(&mut src, SimOptions::default());
-        let rate_per_kcell =
-            report.sustained_rate_per_pe() * nut.num_nodes() as f64 / (cost.total() as f64 / 1e3);
-        rows.push(CompareRow {
-            label: nut.label.clone(),
-            nodes: nut.num_nodes(),
-            cost,
-            report,
-            rate_per_kcell,
-        });
-    }
-
-    let csv = {
-        let mut csv = String::from(
-            "label,nodes,luts,ffs,cells,delivered,cycles,rate_per_pe,avg_latency,\
-             p99_latency,rate_per_kcell,vs_base\n",
-        );
-        let base = rows[0].rate_per_kcell;
-        for r in &rows {
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                csv,
-                "{},{},{},{},{},{},{},{:.6},{:.2},{},{:.6},{:.4}",
-                r.label,
-                r.nodes,
-                r.cost.luts,
-                r.cost.ffs,
-                r.cost.total(),
-                r.report.stats.delivered,
-                r.report.cycles,
-                r.report.sustained_rate_per_pe(),
-                r.report.avg_latency(),
-                r.report
-                    .stats
-                    .total_latency
-                    .histogram()
-                    .percentile(99.0)
-                    .unwrap_or(0),
-                r.rate_per_kcell,
-                if base > 0.0 {
-                    r.rate_per_kcell / base
-                } else {
-                    0.0
-                },
-            );
-        }
-        csv
-    };
-    if let Some(path) = flags.optional("out") {
-        std::fs::write(path, &csv).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-    }
-
-    let mut out = format!(
-        "iso-resource compare: {} topologies, {pattern} rate {rate:.2}, {packets} pkt/PE (seed {seed})\n",
-        rows.len()
+    let mut csv = String::from(
+        "label,nodes,luts,ffs,cells,delivered,cycles,rate_per_pe,avg_latency,\
+         p99_latency,rate_per_kcell,vs_base\n",
     );
-    let base = rows[0].rate_per_kcell;
-    for r in &rows {
-        out.push_str(&format!(
-            "  {:<22} {:>5} nodes  {:>8} cells ({} LUT + {} FF)  rate/PE {:.4}  \
-             p99 {:>4}  rate/kcell {:.4} ({:.2}x base)\n",
-            r.label,
-            r.nodes,
-            r.cost.total(),
-            r.cost.luts,
-            r.cost.ffs,
-            r.report.sustained_rate_per_pe(),
-            r.report
-                .stats
-                .total_latency
-                .histogram()
-                .percentile(99.0)
-                .unwrap_or(0),
-            r.rate_per_kcell,
-            if base > 0.0 {
-                r.rate_per_kcell / base
-            } else {
-                0.0
-            },
-        ));
+    let traffic = &runs[0];
+    let mut out = format!(
+        "iso-resource compare: {} topologies, {} rate {:.2}, {} pkt/PE (seed {})\n",
+        runs.len(),
+        traffic.pattern,
+        traffic.rate,
+        traffic.packets,
+        traffic.seed,
+    );
+    let mut base = None;
+    for run in &runs {
+        use std::fmt::Write as _;
+        let label = run.topology.display_name();
+        let nodes = run.topology.num_nodes();
+        let cost = topology_of(&run.topology).resource_cost();
+        let report = run.session().run(&mut run.source()).unwrap().report;
+        let rate_per_pe = report.sustained_rate_per_pe();
+        let rate_per_kcell = rate_per_pe * nodes as f64 / (cost.total() as f64 / 1e3);
+        let p99 = p99(&report);
+        // The first topology is the baseline.
+        let base = *base.get_or_insert(rate_per_kcell);
+        let vs_base = if base > 0.0 {
+            rate_per_kcell / base
+        } else {
+            0.0
+        };
+        let _ = writeln!(
+            csv,
+            "{label},{nodes},{},{},{},{},{},{rate_per_pe:.6},{:.2},{p99},{rate_per_kcell:.6},{vs_base:.4}",
+            cost.luts,
+            cost.ffs,
+            cost.total(),
+            report.stats.delivered,
+            report.cycles,
+            report.avg_latency(),
+        );
+        let _ = writeln!(
+            out,
+            "  {label:<22} {nodes:>5} nodes  {:>8} cells ({} LUT + {} FF)  rate/PE {rate_per_pe:.4}  \
+             p99 {p99:>4}  rate/kcell {rate_per_kcell:.4} ({vs_base:.2}x base)",
+            cost.total(),
+            cost.luts,
+            cost.ffs,
+        );
     }
     if let Some(path) = flags.optional("out") {
+        write_file(path, &csv)?;
         out.push_str(&format!("  iso-resource csv -> {path}\n"));
     }
     Ok(out)
@@ -963,7 +791,7 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
         }
         None => {
             let nut = NocUnderTest::from_spec(parse_topology(flags.required("noc")?)?);
-            let pattern = parse_pattern(flags.optional("pattern").unwrap_or("random"))?;
+            let pattern = parse_pattern(pattern_flag(flags))?;
             SweepGrid::cross(&[nut], &[pattern], &INJECTION_RATES, seed)
         }
     }
@@ -1028,7 +856,7 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
                 let (rows, points) = grid.run_with_health(threads, MonitorConfig::default());
                 let mut json = health_json(&points);
                 json.push('\n');
-                std::fs::write(path, json).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+                write_file(path, json)?;
                 let unhealthy = points.iter().filter(|p| !p.health.healthy()).count();
                 eprintln!(
                     "sweep health: {} points ({unhealthy} unhealthy) -> {path}",
@@ -1041,7 +869,7 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
                 let (rows, points) =
                     grid.run_with_attribution(threads, AttributionConfig::default());
                 let csv = attribution_csv(&points);
-                std::fs::write(path, csv).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+                write_file(path, csv)?;
                 let unreconciled = points
                     .iter()
                     .filter(|p| !p.attribution.reconciled())
@@ -1138,24 +966,18 @@ fn cmd_trace_replay(flags: &Flags) -> Result<String, CliError> {
 }
 
 /// Resolves the traced NoC from either `--noc <spec>` or the long-form
-/// `--topology/--n/--d/--r` flags.
+/// `--topology/--n/--d/--r` flags, which spell the same spec.
 fn trace_config(flags: &Flags) -> Result<NocConfig, CliError> {
     if let Some(spec) = flags.optional("noc") {
         return Ok(parse_noc(spec)?);
     }
-    let topology = flags.optional("topology").unwrap_or("ft");
     let n: u16 = flags.numeric("n", 8)?;
-    let cfg = match topology {
-        "hoplite" => NocConfig::hoplite(n),
-        "ft" | "ftlite" => {
+    let spec = match flags.optional("topology").unwrap_or("ft") {
+        "hoplite" => format!("hoplite:{n}"),
+        kind @ ("ft" | "ftlite") => {
             let d: u16 = flags.numeric("d", 2)?;
             let r: u16 = flags.numeric("r", 1)?;
-            let policy = if topology == "ft" {
-                FtPolicy::Full
-            } else {
-                FtPolicy::Inject
-            };
-            NocConfig::fasttrack(n, d, r, policy)
+            format!("{kind}:{n}:{d}:{r}")
         }
         other => {
             return Err(CliError::Other(format!(
@@ -1163,15 +985,12 @@ fn trace_config(flags: &Flags) -> Result<NocConfig, CliError> {
             )))
         }
     };
-    cfg.map_err(|e| CliError::Spec(e.into()))
+    Ok(parse_noc(&spec)?)
 }
 
 fn cmd_trace_export(flags: &Flags) -> Result<String, CliError> {
     let cfg = trace_config(flags)?;
-    let pattern = parse_pattern(flags.optional("pattern").unwrap_or("random"))?;
-    let rate: f64 = flags.numeric("rate", 0.1)?;
-    let packets: u64 = flags.numeric("packets", 200)?;
-    let seed: u64 = flags.numeric("seed", 1)?;
+    let run = RunSpec::on(TopologySpec::Torus(cfg.clone()), flags, 0.1, 200)?;
     let epoch: u64 = flags.numeric("epoch", 64)?;
     if epoch == 0 {
         return Err(CliError::Other("--epoch must be positive".into()));
@@ -1179,7 +998,6 @@ fn cmd_trace_export(flags: &Flags) -> Result<String, CliError> {
     let flight: usize = flags.numeric("flight-recorder", 0)?;
     let prefix = flags.optional("out").unwrap_or("fasttrack_trace");
 
-    let mut src = BernoulliSource::new(cfg.n(), pattern, rate, packets, seed);
     // Sink tuples compose pairwise, so the flight recorder nests beside
     // the three exporters (capacity 1 when unused — the events are
     // dropped on the floor either way).
@@ -1191,9 +1009,10 @@ fn cmd_trace_export(flags: &Flags) -> Result<String, CliError> {
         ),
         FlightRecorder::new(cfg.num_nodes(), flight.max(1)),
     );
-    let report = SimSession::new(&cfg)
+    let report = run
+        .session()
         .with_sink(&mut sink)
-        .run(&mut src)
+        .run(&mut run.source())
         .unwrap()
         .report;
     let ((ndjson, chrome, metrics), recorder) = sink;
@@ -1202,15 +1021,12 @@ fn cmd_trace_export(flags: &Flags) -> Result<String, CliError> {
     let suggested = metrics.suggested_warmup();
     let epochs = metrics.finish();
 
-    let write = |path: &str, data: &str| {
-        std::fs::write(path, data).map_err(|e| CliError::Io(format!("{path}: {e}")))
-    };
     let events_path = format!("{prefix}.events.ndjson");
     let csv_path = format!("{prefix}.epochs.csv");
     let chrome_path = format!("{prefix}.chrome.json");
-    write(&events_path, ndjson.as_str())?;
-    write(&csv_path, &epochs_to_csv(&epochs, cfg.num_nodes()))?;
-    write(&chrome_path, &chrome.finish())?;
+    write_file(&events_path, ndjson.as_str())?;
+    write_file(&csv_path, epochs_to_csv(&epochs, cfg.num_nodes()))?;
+    write_file(&chrome_path, chrome.finish())?;
 
     let mut out = render_report(&report);
     out.push_str(&format!(
@@ -1240,8 +1056,8 @@ fn cmd_trace_export(flags: &Flags) -> Result<String, CliError> {
         }
         let flight_nd = format!("{prefix}.flight.ndjson");
         let flight_chrome = format!("{prefix}.flight.chrome.json");
-        write(&flight_nd, replay_nd.as_str())?;
-        write(&flight_chrome, &replay_chrome.finish())?;
+        write_file(&flight_nd, replay_nd.as_str())?;
+        write_file(&flight_chrome, replay_chrome.finish())?;
         out.push_str(&format!(
             "  flight recorder K={flight}: {} events retained -> {flight_nd}, {flight_chrome}\n",
             events.len(),
@@ -1259,12 +1075,8 @@ fn cmd_trace_export(flags: &Flags) -> Result<String, CliError> {
 /// the machine-readable summary instead of the text table.
 pub fn cmd_profile(flags: &Flags) -> Result<String, CliError> {
     let cfg = parse_noc(flags.optional("noc").unwrap_or("ft:8:2:2"))?;
-    let pattern = parse_pattern(flags.optional("pattern").unwrap_or("random"))?;
-    let rate: f64 = flags.numeric("rate", 0.5)?;
-    let packets: u64 = flags.numeric("packets", 1000)?;
-    let seed: u64 = flags.numeric("seed", 1)?;
-    let mut src = BernoulliSource::new(cfg.n(), pattern, rate, packets, seed);
-    let outcome = SimSession::new(&cfg).with_profile().run(&mut src).unwrap();
+    let run = RunSpec::on(TopologySpec::Torus(cfg), flags, 0.5, 1000)?;
+    let outcome = run.session().with_profile().run(&mut run.source()).unwrap();
     let profile = outcome
         .profile
         .expect("`with_profile` always attaches a profile");
@@ -1272,8 +1084,7 @@ pub fn cmd_profile(flags: &Flags) -> Result<String, CliError> {
     let chrome_note = match flags.optional("out") {
         Some(prefix) => {
             let path = format!("{prefix}.chrome.json");
-            std::fs::write(&path, profile.chrome_trace())
-                .map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+            write_file(&path, profile.chrome_trace())?;
             Some(format!("chrome trace -> {path}"))
         }
         None => None,
@@ -1295,122 +1106,6 @@ pub fn cmd_profile(flags: &Flags) -> Result<String, CliError> {
         out.push('\n');
     }
     Ok(out)
-}
-
-fn snapshot_err(e: SnapshotError) -> CliError {
-    match e {
-        SnapshotError::Io { .. } => CliError::Io(e.to_string()),
-        _ => CliError::Other(e.to_string()),
-    }
-}
-
-fn measure_snapshot(packets: u64) -> BenchSnapshot {
-    let grid = snapshot::hotpath_grid(packets);
-    let m = snapshot::measure_hotpath(&grid);
-    snapshot::snapshot_from(&grid, &m)
-}
-
-fn bench_snapshot(flags: &Flags) -> Result<String, CliError> {
-    let packets: u64 = flags.numeric("packets", 2000)?;
-    let snap = measure_snapshot(packets);
-    let saved = match flags.optional("out") {
-        Some(path) => {
-            snap.save(path).map_err(snapshot_err)?;
-            Some(path.to_string())
-        }
-        None => None,
-    };
-    if flags.switch("json") {
-        if let Some(path) = saved {
-            eprintln!("snapshot -> {path}");
-        }
-        return Ok(snap.to_json());
-    }
-    let mut out = format!(
-        "bench snapshot: commit {}, {} points x {} packets/PE\n  serial {:.3}s, \
-         parallel({}) {:.3}s, lut {:.3}s, direct {:.3}s\n  {} delivered, {:.0} packets/sec\n",
-        snap.commit,
-        snap.grid_points,
-        snap.packets_per_pe,
-        snap.serial_secs,
-        snap.threads,
-        snap.parallel_secs,
-        snap.lut_secs,
-        snap.direct_secs,
-        snap.delivered_packets,
-        snap.packets_per_sec,
-    );
-    if let Some(path) = saved {
-        out.push_str(&format!("  snapshot -> {path}\n"));
-    }
-    Ok(out)
-}
-
-fn bench_diff(flags: &Flags) -> Result<String, CliError> {
-    let baseline = BenchSnapshot::load(flags.required("baseline")?).map_err(snapshot_err)?;
-    let candidate = BenchSnapshot::load(flags.required("candidate")?).map_err(snapshot_err)?;
-    let d = snapshot::diff(&baseline, &candidate).map_err(snapshot_err)?;
-    if flags.switch("json") {
-        let mut json = d.to_json();
-        json.push('\n');
-        Ok(json)
-    } else {
-        Ok(d.render_text())
-    }
-}
-
-fn bench_gate(flags: &Flags) -> Result<String, CliError> {
-    let baseline = BenchSnapshot::load(flags.required("baseline")?).map_err(snapshot_err)?;
-    let tolerance: f64 = flags.numeric("tolerance", 10.0)?;
-    let candidate = match flags.optional("candidate") {
-        Some(path) => BenchSnapshot::load(path).map_err(snapshot_err)?,
-        // No candidate file: measure fresh, on the baseline's own grid
-        // so the fingerprints agree.
-        None => {
-            let packets: u64 = flags.numeric("packets", baseline.packets_per_pe)?;
-            measure_snapshot(packets)
-        }
-    };
-    let result = snapshot::gate(&baseline, &candidate, tolerance).map_err(snapshot_err)?;
-    let verdict = result.render_text();
-    if result.pass {
-        Ok(format!("{verdict}\n"))
-    } else {
-        // A regression is a nonzero exit so CI fails the build.
-        Err(CliError::Other(verdict))
-    }
-}
-
-fn bench_migrate(flags: &Flags) -> Result<String, CliError> {
-    let path = flags.required("file")?;
-    let snap = BenchSnapshot::load(path).map_err(snapshot_err)?;
-    snap.save(path).map_err(snapshot_err)?;
-    Ok(format!(
-        "migrated {path} to schema_version {} ({:.0} packets/sec, grid {})\n",
-        snap.schema_version, snap.packets_per_sec, snap.grid_fingerprint
-    ))
-}
-
-/// `bench` — the tracked bench trajectory: measure a versioned
-/// hot-path snapshot, diff two snapshots, gate a candidate against a
-/// baseline (nonzero exit on regression), or migrate a pre-versioning
-/// snapshot file in place.
-pub fn cmd_bench(args: &[String]) -> Result<String, CliError> {
-    let Some((action, rest)) = args.split_first() else {
-        return Err(CliError::Other(
-            "bench needs an action: snapshot | diff | gate | migrate".into(),
-        ));
-    };
-    let flags = Flags::parse_with_switches(rest.to_vec(), &["json"])?;
-    match action.as_str() {
-        "snapshot" => bench_snapshot(&flags),
-        "diff" => bench_diff(&flags),
-        "gate" => bench_gate(&flags),
-        "migrate" => bench_migrate(&flags),
-        other => Err(CliError::Other(format!(
-            "unknown bench action {other:?} (expected snapshot, diff, gate, or migrate)"
-        ))),
-    }
 }
 
 /// The [`Expectation`] a finished report realizes.
@@ -1444,8 +1139,11 @@ pub fn cmd_record(flags: &Flags) -> Result<String, CliError> {
         None => flags.required("noc")?.to_string(),
     };
     let cfg = parse_noc(&noc_spec)?;
-    let seed: u64 = flags.numeric("seed", 1)?;
-    let channels: usize = flags.numeric("channels", 1)?;
+    // A workload preset replaces the run's traffic; its fabric, seed,
+    // and channel count still apply.
+    let run =
+        RunSpec::on(TopologySpec::Torus(cfg.clone()), flags, 0.5, 1000)?.with_channels(flags)?;
+    let seed = run.seed;
     // The LU dataflow DAG serializes heavily; give it the same budget
     // the integration tests need.
     let default_budget: u64 = if workload == Some("dataflow") {
@@ -1454,16 +1152,7 @@ pub fn cmd_record(flags: &Flags) -> Result<String, CliError> {
         2_000_000
     };
     let max_cycles: u64 = flags.numeric("max-cycles", default_budget)?;
-    let fault_seed: u64 = flags.numeric("fault-seed", seed)?;
-    let fspec = FaultSpec {
-        dead_links: flags.numeric("dead-links", 0)?,
-        transient_links: flags.numeric("transient-links", 0)?,
-        fail_stop_routers: flags.numeric("fail-stop", 0)?,
-        stalled_injectors: flags.numeric("stalled-injectors", 0)?,
-        down_links: 0,
-        window: parse_window(flags.optional("window"))?,
-    };
-    let plan = FaultPlan::random(&cfg, fault_seed, &fspec);
+    let (_, plan) = fault_plan(flags, &cfg, seed, 0)?;
 
     let (source, generator): (Box<dyn TrafficSource>, String) = match workload {
         Some("spmv") => (
@@ -1496,20 +1185,15 @@ pub fn cmd_record(flags: &Flags) -> Result<String, CliError> {
                 "unknown workload {other:?} (expected spmv, graph, dataflow, or multiproc)"
             )))
         }
-        None => {
-            let pattern_spec = flags.optional("pattern").unwrap_or("random");
-            let pattern = parse_pattern(pattern_spec)?;
-            let rate: f64 = flags.numeric("rate", 0.5)?;
-            let packets: u64 = flags.numeric("packets", 1000)?;
-            (
-                Box::new(BernoulliSource::new(cfg.n(), pattern, rate, packets, seed)),
-                format!("bernoulli:{pattern_spec}"),
-            )
-        }
+        None => (
+            Box::new(run.source()),
+            format!("bernoulli:{}", pattern_flag(flags)),
+        ),
     };
 
     let mut rec = RecordingSource::new(cfg.n(), source);
-    let report = session_for(TopologySpec::Torus(cfg), channels)
+    let report = run
+        .session()
         .max_cycles(max_cycles)
         .with_faults(&plan)
         .run(&mut rec)
@@ -1517,13 +1201,12 @@ pub fn cmd_record(flags: &Flags) -> Result<String, CliError> {
         .report;
 
     let mut header = ScenarioHeader::new(&noc_spec, &generator);
-    header.channels = channels.max(1);
+    header.channels = run.channels;
     header.max_cycles = max_cycles;
     header.faults = plan.faults().to_vec();
     header.expect = Some(expectation_of(&report));
     let trace = rec.into_trace(header);
-    std::fs::write(out_path, trace.encode())
-        .map_err(|e| CliError::Io(format!("{out_path}: {e}")))?;
+    write_file(out_path, trace.encode())?;
 
     let mut out = render_report(&report);
     out.push_str(&format!(
@@ -1591,7 +1274,7 @@ fn replay_session(
     cfg: NocConfig,
     plan: &FaultPlan,
 ) -> SimSession<'static, SpecBackend> {
-    session_for(TopologySpec::Torus(cfg), trace.header.channels)
+    session_for(&TopologySpec::Torus(cfg), trace.header.channels)
         .max_cycles(trace.header.max_cycles)
         .warmup_cycles(trace.header.warmup)
         .with_faults(plan)
@@ -1615,27 +1298,14 @@ fn attributed_outcome(
             (replay_session(&trace, cfg, &plan), Box::new(src))
         }
         None => {
-            let spec = parse_topology(flags.required("noc").map_err(|_| {
-                CliError::Other(
+            let run = RunSpec::from_flags(flags, None, 1.0, 1000).map_err(|e| match e {
+                CliError::Args(ArgError::MissingFlag("noc")) => CliError::Other(
                     "need --trace <path> or --noc <spec> to say which run to attribute".into(),
-                )
-            })?)?;
-            let pattern = parse_pattern(flags.optional("pattern").unwrap_or("random"))?;
-            let rate: f64 = flags.numeric("rate", 1.0)?;
-            let packets: u64 = flags.numeric("packets", 1000)?;
-            let seed: u64 = flags.numeric("seed", 1)?;
-            let channels: usize = flags.numeric("channels", 1)?;
-            if channels > 1 && !matches!(spec, TopologySpec::Torus(_)) {
-                return Err(CliError::Other(
-                    "--channels > 1 replicates torus fabrics only".into(),
-                ));
-            }
-            let side = spec
-                .monitor_shape()
-                .grid_side
-                .expect("built-in topologies are square grids");
-            let src = BernoulliSource::new(side, pattern, rate, packets, seed);
-            (session_for(spec, channels), Box::new(src))
+                ),
+                e => e,
+            })?;
+            let run = run.with_channels(flags)?;
+            (run.session(), Box::new(run.source()))
         }
     };
     let mut session = session.with_attribution(acfg);
@@ -1673,7 +1343,7 @@ pub fn cmd_attribute(flags: &Flags) -> Result<String, CliError> {
     };
     if let Some(path) = flags.optional("metrics") {
         let exposition = attribution.registry().to_prometheus();
-        std::fs::write(path, exposition).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+        write_file(path, exposition)?;
         out.push_str(&format!("  attribution metrics -> {path}\n"));
     }
     Ok(out)
@@ -1887,8 +1557,7 @@ pub fn cmd_fuzz(flags: &Flags) -> Result<String, CliError> {
         std::fs::create_dir_all(dir).map_err(|e| CliError::Io(format!("{dir}: {e}")))?;
         for f in &outcome.failures {
             let path = format!("{dir}/{}_{}.trace", f.class.tag(), cfg.seed);
-            std::fs::write(&path, f.trace.encode())
-                .map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+            write_file(&path, f.trace.encode())?;
             out.push_str(&format!("  minimized trace -> {path}\n"));
         }
     }
@@ -1916,38 +1585,30 @@ pub fn run(args: Vec<String>) -> Result<String, CliError> {
     let Some((command, rest)) = args.split_first() else {
         return Ok(USAGE.to_string());
     };
-    // `bench` takes an action word before its flags; `explain` takes a
-    // positional packet id.
-    if command == "bench" {
-        return cmd_bench(rest);
-    }
+    // `explain` takes a positional packet id before its flags.
     if command == "explain" {
         return cmd_explain(rest);
     }
-    let switches: &[&str] = match command.as_str() {
-        "monitor" | "sweep" => &["profile"],
-        "faults" => &["profile", "json"],
-        "profile" | "attribute" | "storm" => &["json"],
-        _ => &[],
+    // An unknown command is reported as such whatever follows it.
+    type Command = fn(&Flags) -> Result<String, CliError>;
+    let (cmd, switches): (Command, &[&str]) = match command.as_str() {
+        "simulate" => (cmd_simulate, &[]),
+        "monitor" => (cmd_monitor, &["profile"]),
+        "sweep" => (cmd_sweep, &["profile"]),
+        "compare" => (cmd_compare, &[]),
+        "faults" => (cmd_faults, &["profile", "json"]),
+        "storm" => (cmd_storm, &["json"]),
+        "profile" => (cmd_profile, &["json"]),
+        "attribute" => (cmd_attribute, &["json"]),
+        "cost" => (cmd_cost, &[]),
+        "trace" => (cmd_trace, &[]),
+        "record" => (cmd_record, &[]),
+        "replay" => (cmd_replay, &[]),
+        "fuzz" => (cmd_fuzz, &[]),
+        "help" | "--help" | "-h" => return Ok(USAGE.to_string()),
+        other => return Err(CliError::UnknownCommand(other.to_string())),
     };
-    let flags = Flags::parse_with_switches(rest.to_vec(), switches)?;
-    match command.as_str() {
-        "simulate" => cmd_simulate(&flags),
-        "monitor" => cmd_monitor(&flags),
-        "sweep" => cmd_sweep(&flags),
-        "compare" => cmd_compare(&flags),
-        "faults" => cmd_faults(&flags),
-        "storm" => cmd_storm(&flags),
-        "profile" => cmd_profile(&flags),
-        "attribute" => cmd_attribute(&flags),
-        "cost" => cmd_cost(&flags),
-        "trace" => cmd_trace(&flags),
-        "record" => cmd_record(&flags),
-        "replay" => cmd_replay(&flags),
-        "fuzz" => cmd_fuzz(&flags),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(CliError::UnknownCommand(other.to_string())),
-    }
+    cmd(&Flags::parse_with_switches(rest.to_vec(), switches)?)
 }
 
 #[cfg(test)]
@@ -2059,10 +1720,91 @@ mod tests {
 
     #[test]
     fn attribute_rejects_channels_on_non_torus() {
-        assert!(matches!(
-            run(argv("attribute --noc shg:4:2 --channels 2 --packets 5")),
-            Err(CliError::Other(_))
-        ));
+        for cmd in [
+            "attribute --noc shg:4:2",
+            "simulate --noc shg:4:1",
+            "monitor --noc mesh:4:2",
+        ] {
+            let err = run(argv(&format!("{cmd} --channels 2 --packets 5"))).unwrap_err();
+            assert!(matches!(err, CliError::Other(_)), "{cmd}: {err:?}");
+            assert!(
+                err.to_string().contains("torus fabrics only"),
+                "{cmd}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn simulate_and_monitor_accept_shg_and_mesh() {
+        for (noc, name) in [("shg:4:1", "SHG(16,1)"), ("mesh:4:2", "Mesh 4x4")] {
+            let out = run(argv(&format!(
+                "simulate --noc {noc} --rate 0.3 --packets 20"
+            )))
+            .unwrap();
+            assert!(out.contains(name), "{out}");
+            assert!(out.contains("320 delivered"), "{out}");
+            let out = run(argv(&format!(
+                "monitor --noc {noc} --rate 0.3 --packets 20 --snapshot 100000"
+            )))
+            .unwrap();
+            assert!(out.contains("320 delivered"), "{out}");
+            assert!(out.contains("health: "), "{out}");
+        }
+    }
+
+    /// Every command on the run builder (plus what else it needs to
+    /// start; `@` is a scratch path prefix) with the defaults it
+    /// documents: rate, packets, and anything beyond `--pattern random
+    /// --seed 1` (`1x` = `--channels 1`).
+    const RUN_COMMANDS: [(&str, &str, u32, &str); 10] = [
+        ("simulate --noc hoplite:4", "1.0", 1000, "1x"),
+        ("monitor --noc hoplite:4", "1.0", 1000, "1x"),
+        ("faults --noc hoplite:4", "0.5", 1000, "1x"),
+        ("compare --topologies hoplite:4,mesh:4:2", "0.5", 1000, ""),
+        ("storm", "0.3", 500, "--noc ft:8:2:2 --channels 2"),
+        ("trace --noc hoplite:4 --out @trace", "0.1", 200, ""),
+        ("profile", "0.5", 1000, "--noc ft:8:2:2"),
+        ("record --noc hoplite:4 --out @rec.trace", "0.5", 1000, "1x"),
+        ("attribute --noc hoplite:4", "1.0", 1000, "1x"),
+        ("explain 0 --noc hoplite:4", "1.0", 1000, "1x"),
+    ];
+
+    fn run_with(cmd: &str, rest: &str) -> Result<String, CliError> {
+        let tmp = std::env::temp_dir().join("fasttrack_cli_run_");
+        let cmd = cmd.replace('@', &tmp.display().to_string());
+        run(argv(&format!("{cmd} {rest}")))
+    }
+
+    #[test]
+    fn out_of_range_rate_is_a_typed_error_not_a_panic() {
+        for (cmd, ..) in RUN_COMMANDS {
+            for bad in ["0", "2", "-1", "nan"] {
+                let err = run_with(cmd, &format!("--rate {bad}")).unwrap_err();
+                assert!(matches!(err, CliError::Other(_)), "{cmd} {bad}: {err:?}");
+                assert!(
+                    err.to_string().contains("out of (0,1]"),
+                    "{cmd} {bad}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bare_invocation_equals_its_spelled_out_defaults() {
+        for (cmd, rate, packets, more) in RUN_COMMANDS {
+            let bare = run_with(cmd, "").unwrap();
+            let more = more.replace("1x", "--channels 1");
+            let full = run_with(
+                cmd,
+                &format!("--pattern random --rate {rate} --packets {packets} --seed 1 {more}"),
+            )
+            .unwrap();
+            // `profile` appends wall-clock timings; its four-line report
+            // is the deterministic part.
+            let keep = if cmd == "profile" { 4 } else { usize::MAX };
+            let head = |s: &str| s.lines().take(keep).collect::<Vec<_>>().join("\n");
+            assert_eq!(head(&bare), head(&full), "{cmd}");
+        }
     }
 
     #[test]
@@ -2223,9 +1965,14 @@ mod tests {
             run(argv("bogus")),
             Err(CliError::UnknownCommand(_))
         ));
+        // The `bench` trajectory stack is gone; `benchmark/` measures.
+        assert!(matches!(
+            run(argv("bench snapshot")),
+            Err(CliError::UnknownCommand(_))
+        ));
         assert!(matches!(run(argv("simulate")), Err(CliError::Args(_))));
         assert!(matches!(
-            run(argv("simulate --noc mesh:4")),
+            run(argv("simulate --noc ring:4")),
             Err(CliError::Spec(_))
         ));
         assert!(matches!(
@@ -2446,104 +2193,6 @@ mod tests {
         .unwrap();
         assert!(out.contains("session.build.fault_validate"), "{out}");
         assert!(out.contains("conservation: exact"), "{out}");
-    }
-
-    fn snapshot_fixture(pps_scale: f64) -> BenchSnapshot {
-        let grid = snapshot::hotpath_grid(2000);
-        let m = snapshot::HotpathMeasurement {
-            serial_secs: 0.8 / pps_scale,
-            parallel_secs: 0.2,
-            lut_secs: 0.9,
-            direct_secs: 1.1,
-            delivered: 1_024_000,
-        };
-        snapshot::snapshot_from(&grid, &m)
-    }
-
-    #[test]
-    fn bench_diff_and_gate_round_trip() {
-        let dir = std::env::temp_dir().join("fasttrack_cli_bench");
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("base.json").display().to_string();
-        let fast = dir.join("fast.json").display().to_string();
-        let slow = dir.join("slow.json").display().to_string();
-        snapshot_fixture(1.0).save(&base).unwrap();
-        snapshot_fixture(1.05).save(&fast).unwrap();
-        snapshot_fixture(0.85).save(&slow).unwrap();
-
-        let diff = run(argv(&format!(
-            "bench diff --baseline {base} --candidate {fast}"
-        )))
-        .unwrap();
-        assert!(diff.contains("packets_per_sec"), "{diff}");
-        let json = run(argv(&format!(
-            "bench diff --baseline {base} --candidate {fast} --json"
-        )))
-        .unwrap();
-        assert!(json.contains("\"delta_pct\""), "{json}");
-
-        let pass = run(argv(&format!(
-            "bench gate --baseline {base} --candidate {fast} --tolerance 10"
-        )))
-        .unwrap();
-        assert!(pass.contains("PASS"), "{pass}");
-        // An injected 15% slowdown fails the 10% gate with a nonzero
-        // exit (Err -> exit 1 in main).
-        let err = run(argv(&format!(
-            "bench gate --baseline {base} --candidate {slow} --tolerance 10"
-        )))
-        .unwrap_err();
-        assert!(err.to_string().contains("FAIL"), "{err}");
-    }
-
-    #[test]
-    fn bench_migrate_rewrites_legacy_snapshot() {
-        let dir = std::env::temp_dir().join("fasttrack_cli_bench_migrate");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy.json").display().to_string();
-        std::fs::write(
-            &path,
-            "{\n  \"bench\": \"sweep_scaling\",\n  \"grid_points\": 8,\n  \
-             \"packets_per_pe\": 2000,\n  \"pre_kernel_serial_secs\": 1.240,\n  \
-             \"serial_secs\": 0.855,\n  \"improvement_vs_pre_kernel\": 1.45,\n  \
-             \"lut_secs\": 0.972,\n  \"direct_secs\": 1.210,\n  \
-             \"lut_vs_direct_speedup\": 1.25,\n  \"parallel8_secs\": 0.946,\n  \
-             \"cores\": 1\n}\n",
-        )
-        .unwrap();
-        let out = run(argv(&format!("bench migrate --file {path}"))).unwrap();
-        assert!(out.contains("schema_version 2"), "{out}");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"schema_version\": 2"), "{text}");
-        assert!(text.contains("\"commit\": \"unknown\""));
-        assert!(text.contains("\"grid_fingerprint\""));
-        // Migration is idempotent.
-        run(argv(&format!("bench migrate --file {path}"))).unwrap();
-        assert_eq!(text, std::fs::read_to_string(&path).unwrap());
-        // The migrated baseline gates against a current-format snapshot.
-        let cand = dir.join("cand.json").display().to_string();
-        snapshot_fixture(1.0).save(&cand).unwrap();
-        let pass = run(argv(&format!(
-            "bench gate --baseline {path} --candidate {cand} --tolerance 10"
-        )))
-        .unwrap();
-        assert!(pass.contains("PASS"), "{pass}");
-    }
-
-    #[test]
-    fn bench_rejects_bad_invocations() {
-        assert!(matches!(run(argv("bench")), Err(CliError::Other(_))));
-        assert!(matches!(run(argv("bench bogus")), Err(CliError::Other(_))));
-        assert!(matches!(
-            run(argv(
-                "bench diff --baseline /not/here --candidate /not/here"
-            )),
-            Err(CliError::Io(_))
-        ));
-        assert!(matches!(
-            run(argv("bench gate")),
-            Err(CliError::Args(ArgError::MissingFlag("baseline")))
-        ));
     }
 
     #[test]

@@ -20,6 +20,7 @@
 
 pub mod args;
 pub mod commands;
+mod run_spec;
 pub mod spec;
 
 pub use commands::{run, CliError, USAGE};

@@ -10,7 +10,7 @@ fn main() {
         Err(e) => {
             eprintln!("error: {e}");
             // Usage helps with malformed invocations; runtime failures
-            // (a failed regression gate, an I/O error) keep stderr to
+            // (a missed SLO, an I/O error) keep stderr to
             // the verdict itself.
             if matches!(
                 e,

@@ -12,6 +12,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::stats::{bucket_index, percentile_edge};
+
 /// A monotonically increasing atomic counter.
 ///
 /// Cloning shares the underlying cell — all clones observe the same
@@ -107,17 +109,9 @@ impl LogHistogram {
         LogHistogram::default()
     }
 
-    fn bucket_of(value: u64) -> usize {
-        if value <= 1 {
-            0
-        } else {
-            63 - value.leading_zeros() as usize
-        }
-    }
-
     /// Records one observation.
     pub fn record(&self, value: u64) {
-        self.inner.buckets[Self::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+        self.inner.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.inner.count.fetch_add(1, Ordering::Relaxed);
         self.inner.sum.fetch_add(value, Ordering::Relaxed);
     }
@@ -156,24 +150,7 @@ impl LogHistogram {
     /// observation, matching [`crate::stats::Histogram::percentile`]
     /// (0 when empty).
     pub fn percentile(&self, p: f64) -> u64 {
-        let counts = self.bucket_counts();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return if i >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-            }
-        }
-        u64::MAX
+        percentile_edge(&self.bucket_counts(), p).unwrap_or(0)
     }
 
     /// Adds every observation recorded in `other` to this histogram,

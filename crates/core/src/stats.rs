@@ -6,6 +6,34 @@ use std::fmt;
 
 use crate::port::InPort;
 
+/// The power-of-two bucket a sample falls in: bucket `i` holds
+/// `[2^i, 2^(i+1))`, and bucket 0 also holds zero. Shared with the
+/// atomic [`crate::monitor::LogHistogram`].
+#[inline]
+pub(crate) fn bucket_index(value: u64) -> usize {
+    63 - value.max(1).leading_zeros() as usize
+}
+
+/// Walks `counts` to the rank of percentile `p` and returns the
+/// inclusive upper edge of the bucket holding it (`u64::MAX` for the
+/// top bucket, whose true edge does not fit); `None` without samples.
+pub(crate) fn percentile_edge(counts: &[u64], p: f64) -> Option<u64> {
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return None;
+    }
+    let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
+    let mut seen = 0;
+    for (i, &c) in counts.iter().enumerate() {
+        seen += c;
+        if seen >= rank {
+            return Some(if i >= 63 { u64::MAX } else { (2u64 << i) - 1 });
+        }
+    }
+    // Only a `p` above 100 ranks past every sample.
+    Some(u64::MAX)
+}
+
 /// A power-of-two-bucketed latency histogram (paper Figure 16 plots
 /// packet latencies on a log axis from tens to tens of thousands of
 /// cycles).
@@ -25,7 +53,7 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        let idx = (64 - value.max(1).leading_zeros() - 1) as usize;
+        let idx = bucket_index(value);
         if self.buckets.len() <= idx {
             self.buckets.resize(idx + 1, 0);
         }
@@ -68,21 +96,7 @@ impl Histogram {
     /// Panics if `p` is not within `0.0..=100.0`.
     pub fn percentile(&self, p: f64) -> Option<u64> {
         assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-        if self.count == 0 {
-            return None;
-        }
-        let target = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(Self::bucket_high(i).wrapping_sub(u64::from(i < 63)));
-            }
-        }
-        Some(
-            Self::bucket_high(self.buckets.len() - 1)
-                .wrapping_sub(u64::from(self.buckets.len() < 64)),
-        )
+        percentile_edge(&self.buckets, p)
     }
 
     /// Merges another histogram into this one.

@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Library crates whose surface is pinned. The CLI (a binary) and the
-/// vendored offline shims (rand/proptest/criterion) are excluded.
+/// vendored offline shims (rand/proptest) are excluded.
 const CRATES: &[&str] = &["core", "fpga", "traffic", "mesh", "bench"];
 
 /// Item prefixes that count as public surface.
