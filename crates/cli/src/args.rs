@@ -10,6 +10,8 @@ pub enum ArgError {
     MissingValue(String),
     /// A positional argument appeared where a flag was expected.
     UnexpectedPositional(String),
+    /// A `--flag` the command does not read.
+    UnknownFlag(String),
     /// A required flag was absent.
     MissingFlag(&'static str),
     /// A flag value failed to parse.
@@ -26,6 +28,7 @@ impl fmt::Display for ArgError {
         match self {
             ArgError::MissingValue(flag) => write!(f, "flag {flag} needs a value"),
             ArgError::UnexpectedPositional(s) => write!(f, "unexpected argument {s:?}"),
+            ArgError::UnknownFlag(flag) => write!(f, "this command takes no flag {flag}"),
             ArgError::MissingFlag(flag) => write!(f, "required flag --{flag} missing"),
             ArgError::BadValue { flag, value } => {
                 write!(f, "flag {flag}: invalid value {value:?}")
@@ -44,50 +47,42 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Parses a flat list of `--flag value` arguments.
+    /// Parses `--flag value` pairs and valueless `--switch` flags against
+    /// what the command declares it reads: `values` (groups of value-flag
+    /// names) and `switches`. Anything else is rejected rather than
+    /// dropped — a typo like `--rat 0.1` must not run at the default rate.
     ///
     /// # Errors
     ///
-    /// Returns an [`ArgError`] for dangling flags or stray positionals.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Flags, ArgError> {
-        Self::parse_with_switches(args, &[])
-    }
-
-    /// Parses `--flag value` pairs where any flag named in `switches`
-    /// is valueless (a boolean switch). Without the declaration a
-    /// switch would swallow the next `--flag` as its value.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ArgError`] for dangling flags or stray positionals.
-    pub fn parse_with_switches<I: IntoIterator<Item = String>>(
+    /// Returns an [`ArgError`] for undeclared or dangling flags and stray
+    /// positionals.
+    pub fn parse<I: IntoIterator<Item = String>>(
         args: I,
+        values: &[&[&str]],
         switches: &[&str],
     ) -> Result<Flags, ArgError> {
-        let mut values = HashMap::new();
-        let mut seen_switches = Vec::new();
+        let mut parsed = Flags::default();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(ArgError::UnexpectedPositional(arg));
             };
             if switches.contains(&name) {
-                seen_switches.push(name.to_string());
-                continue;
+                parsed.switches.push(name.to_string());
+            } else if values.iter().any(|group| group.contains(&name)) {
+                let value = iter
+                    .next()
+                    .ok_or_else(|| ArgError::MissingValue(arg.clone()))?;
+                parsed.values.insert(name.to_string(), value);
+            } else {
+                return Err(ArgError::UnknownFlag(arg));
             }
-            let value = iter
-                .next()
-                .ok_or_else(|| ArgError::MissingValue(arg.clone()))?;
-            values.insert(name.to_string(), value);
         }
-        Ok(Flags {
-            values,
-            switches: seen_switches,
-        })
+        Ok(parsed)
     }
 
     /// Whether a valueless switch (declared in
-    /// [`Flags::parse_with_switches`]) was present.
+    /// [`Flags::parse`]) was present.
     pub fn switch(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
     }
@@ -133,9 +128,11 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    const RUN: &[&str] = &["noc", "rate", "seed"];
+
     #[test]
     fn parses_flag_pairs() {
-        let f = Flags::parse(argv("--noc ft:8:2:1 --rate 0.5")).unwrap();
+        let f = Flags::parse(argv("--noc ft:8:2:1 --rate 0.5"), &[RUN], &[]).unwrap();
         assert_eq!(f.required("noc").unwrap(), "ft:8:2:1");
         assert_eq!(f.numeric("rate", 1.0).unwrap(), 0.5);
         assert_eq!(f.numeric("seed", 7u64).unwrap(), 7);
@@ -145,14 +142,14 @@ mod tests {
     #[test]
     fn rejects_malformed_input() {
         assert!(matches!(
-            Flags::parse(argv("--noc")),
+            Flags::parse(argv("--noc"), &[RUN], &[]),
             Err(ArgError::MissingValue(_))
         ));
         assert!(matches!(
-            Flags::parse(argv("simulate --noc x")),
+            Flags::parse(argv("simulate --noc x"), &[RUN], &[]),
             Err(ArgError::UnexpectedPositional(_))
         ));
-        let f = Flags::parse(argv("--rate abc")).unwrap();
+        let f = Flags::parse(argv("--rate abc"), &[RUN], &[]).unwrap();
         assert!(matches!(
             f.numeric::<f64>("rate", 1.0),
             Err(ArgError::BadValue { .. })
@@ -164,9 +161,27 @@ mod tests {
     }
 
     #[test]
+    fn rejects_flags_the_command_does_not_declare() {
+        // The typo must not fall back to the default rate.
+        let typo = Flags::parse(argv("--noc hoplite:4 --rat 0.1"), &[RUN], &[]).unwrap_err();
+        assert_eq!(typo, ArgError::UnknownFlag("--rat".into()));
+        assert!(typo.to_string().contains("--rat"));
+        // Declared in a second group, or as a switch: accepted.
+        let f = Flags::parse(argv("--out x --json"), &[RUN, &["out"]], &["json"]).unwrap();
+        assert_eq!(f.optional("out"), Some("x"));
+        assert!(f.switch("json"));
+        // A switch another command declares is unknown here.
+        assert!(matches!(
+            Flags::parse(argv("--json"), &[RUN], &["profile"]),
+            Err(ArgError::UnknownFlag(_))
+        ));
+    }
+
+    #[test]
     fn switches_take_no_value() {
-        let f = Flags::parse_with_switches(
+        let f = Flags::parse(
             argv("--profile --noc ft:8:2:1 --json"),
+            &[RUN],
             &["profile", "json"],
         )
         .unwrap();
@@ -174,9 +189,6 @@ mod tests {
         assert!(f.switch("json"));
         assert!(!f.switch("verbose"));
         assert_eq!(f.required("noc").unwrap(), "ft:8:2:1");
-        // Undeclared, --profile would swallow --noc as its value.
-        let naive = Flags::parse(argv("--profile --noc ft:8:2:1")).unwrap_err();
-        assert!(matches!(naive, ArgError::UnexpectedPositional(_)));
     }
 
     #[test]

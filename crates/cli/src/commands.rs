@@ -115,13 +115,15 @@ USAGE:
   fasttrack attribute (--trace <path> | --noc <spec> [--pattern <p>]
                      [--rate <r>] [--packets <n>] [--seed <s>]
                      [--channels <k>]) [--metrics <path>] [--json]
-  fasttrack explain  <packet-id> (--trace <path> | --noc <spec> ...)
-                     [--flight-recorder <K>]
+  fasttrack explain  <packet-id> (--trace <path> | --noc <spec> [--pattern <p>]
+                     [--rate <r>] [--packets <n>] [--seed <s>]
+                     [--channels <k>]) [--flight-recorder <K>]
   fasttrack cost     --noc <spec> [--width <bits>] [--channels <k>]
   fasttrack trace    --noc <spec> --file <path>
-  fasttrack trace    [--topology hoplite|ft|ftlite] [--n <n>] [--d <d>] [--r <r>]
-                     [--pattern <p>] [--rate <r>] [--packets <n>] [--seed <s>]
-                     [--epoch <cycles>] [--flight-recorder <K>] [--out <prefix>]
+  fasttrack trace    [--noc <spec> | [--topology hoplite|ft|ftlite] [--n <n>]
+                     [--d <d>] [--r <r>]] [--pattern <p>] [--rate <r>]
+                     [--packets <n>] [--seed <s>] [--epoch <cycles>]
+                     [--flight-recorder <K>] [--out <prefix>]
   fasttrack record   --out <path> (--workload spmv|graph|dataflow|multiproc |
                      --noc <spec> [--pattern <p>] [--rate <r>] [--packets <n>])
                      [--seed <s>] [--channels <k>] [--max-cycles <c>]
@@ -944,17 +946,7 @@ pub fn cmd_cost(flags: &Flags) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `trace` — replay a text trace file (`--file`), or run synthetic
-/// traffic with the observability stack attached, exporting an NDJSON
-/// event log, a per-epoch CSV, and a Chrome trace-event JSON.
-pub fn cmd_trace(flags: &Flags) -> Result<String, CliError> {
-    if flags.optional("file").is_some() {
-        cmd_trace_replay(flags)
-    } else {
-        cmd_trace_export(flags)
-    }
-}
-
+/// `trace --file` — replay a text trace file.
 fn cmd_trace_replay(flags: &Flags) -> Result<String, CliError> {
     let cfg = parse_noc(flags.required("noc")?)?;
     let path = flags.required("file")?;
@@ -988,6 +980,9 @@ fn trace_config(flags: &Flags) -> Result<NocConfig, CliError> {
     Ok(parse_noc(&spec)?)
 }
 
+/// `trace` — run synthetic traffic with the observability stack
+/// attached, exporting an NDJSON event log, a per-epoch CSV, and a Chrome
+/// trace-event JSON.
 fn cmd_trace_export(flags: &Flags) -> Result<String, CliError> {
     let cfg = trace_config(flags)?;
     let run = RunSpec::on(TopologySpec::Torus(cfg.clone()), flags, 0.1, 200)?;
@@ -1473,7 +1468,7 @@ pub fn cmd_explain(args: &[String]) -> Result<String, CliError> {
     let id: u64 = id_str
         .parse()
         .map_err(|_| CliError::Other(format!("packet id must be a number, got {id_str:?}")))?;
-    let flags = Flags::parse(rest.to_vec())?;
+    let flags = Flags::parse(rest.to_vec(), EXPLAIN_FLAGS, &[])?;
     let flight: usize = flags.numeric("flight-recorder", 16)?;
     if flight == 0 {
         return Err(CliError::Other("--flight-recorder must be positive".into()));
@@ -1590,25 +1585,127 @@ pub fn run(args: Vec<String>) -> Result<String, CliError> {
         return cmd_explain(rest);
     }
     // An unknown command is reported as such whatever follows it.
-    type Command = fn(&Flags) -> Result<String, CliError>;
-    let (cmd, switches): (Command, &[&str]) = match command.as_str() {
-        "simulate" => (cmd_simulate, &[]),
-        "monitor" => (cmd_monitor, &["profile"]),
-        "sweep" => (cmd_sweep, &["profile"]),
-        "compare" => (cmd_compare, &[]),
-        "faults" => (cmd_faults, &["profile", "json"]),
-        "storm" => (cmd_storm, &["json"]),
-        "profile" => (cmd_profile, &["json"]),
-        "attribute" => (cmd_attribute, &["json"]),
-        "cost" => (cmd_cost, &[]),
-        "trace" => (cmd_trace, &[]),
-        "record" => (cmd_record, &[]),
-        "replay" => (cmd_replay, &[]),
-        "fuzz" => (cmd_fuzz, &[]),
-        "help" | "--help" | "-h" => return Ok(USAGE.to_string()),
-        other => return Err(CliError::UnknownCommand(other.to_string())),
+    let Some((cmd, values, switches)) = command_table(command, rest) else {
+        return match command.as_str() {
+            "help" | "--help" | "-h" => Ok(USAGE.to_string()),
+            other => Err(CliError::UnknownCommand(other.to_string())),
+        };
     };
-    cmd(&Flags::parse_with_switches(rest.to_vec(), switches)?)
+    cmd(&Flags::parse(rest.to_vec(), values, switches)?)
+}
+
+type Command = fn(&Flags) -> Result<String, CliError>;
+/// Groups of flag names, as [`Flags::parse`] takes them.
+type FlagGroups = &'static [&'static [&'static str]];
+
+/// What [`RunSpec::on`] reads.
+const RUN_FLAGS: &[&str] = &["pattern", "rate", "packets", "seed"];
+/// What [`fault_plan`] reads.
+const FAULT_FLAGS: &[&str] = &[
+    "fault-seed",
+    "dead-links",
+    "transient-links",
+    "fail-stop",
+    "stalled-injectors",
+    "window",
+];
+/// What [`attributed_outcome`] reads on top of [`RUN_FLAGS`].
+const ATTRIBUTED_FLAGS: &[&str] = &["trace", "noc", "channels"];
+/// `explain` parses its own flags, after the positional packet id.
+const EXPLAIN_FLAGS: FlagGroups = &[RUN_FLAGS, ATTRIBUTED_FLAGS, &["flight-recorder"]];
+
+/// A flag-taking command's body plus every value flag and switch it
+/// reads: [`Flags::parse`] rejects the rest, so a flag listed here must
+/// be read and a flag read must be listed (USAGE is checked against
+/// this table by a test).
+fn command_table(
+    command: &str,
+    args: &[String],
+) -> Option<(Command, FlagGroups, &'static [&'static str])> {
+    Some(match command {
+        "simulate" => (cmd_simulate, &[RUN_FLAGS, &["noc", "channels"]], &[]),
+        "monitor" => (
+            cmd_monitor,
+            &[
+                RUN_FLAGS,
+                &[
+                    "noc",
+                    "channels",
+                    "snapshot",
+                    "flight-recorder",
+                    "max-reports",
+                ],
+                &["livelock-multiple", "stall-streak", "hotspot-watermark"],
+                &["health", "metrics"],
+            ],
+            &["profile"],
+        ),
+        "sweep" => (
+            cmd_sweep,
+            &[
+                &[
+                    "grid", "noc", "pattern", "packets", "seed", "threads", "out",
+                ],
+                &["health", "attribution", "retries", "cycle-budget", "resume"],
+            ],
+            &["profile"],
+        ),
+        "compare" => (cmd_compare, &[RUN_FLAGS, &["topologies", "out"]], &[]),
+        "faults" => (
+            cmd_faults,
+            &[
+                RUN_FLAGS,
+                FAULT_FLAGS,
+                &["noc", "channels", "down-links", "health"],
+            ],
+            &["profile", "json"],
+        ),
+        "storm" => (
+            cmd_storm,
+            &[
+                RUN_FLAGS,
+                &["noc", "grid", "threads", "channels", "out"],
+                &["kills", "heal", "duration", "min-delivered", "max-p99"],
+            ],
+            &["json"],
+        ),
+        "profile" => (cmd_profile, &[RUN_FLAGS, &["noc", "out"]], &["json"]),
+        "attribute" => (
+            cmd_attribute,
+            &[RUN_FLAGS, ATTRIBUTED_FLAGS, &["metrics"]],
+            &["json"],
+        ),
+        "cost" => (cmd_cost, &[&["noc", "width", "channels"]], &[]),
+        // `--file` selects the text-trace replay, which reads nothing else.
+        "trace" if args.iter().any(|a| a == "--file") => {
+            (cmd_trace_replay, &[&["noc", "file"]], &[])
+        }
+        "trace" => (
+            cmd_trace_export,
+            &[
+                RUN_FLAGS,
+                &["noc", "topology", "n", "d", "r"],
+                &["epoch", "flight-recorder", "out"],
+            ],
+            &[],
+        ),
+        "record" => (
+            cmd_record,
+            &[
+                RUN_FLAGS,
+                FAULT_FLAGS,
+                &["out", "workload", "noc", "channels", "max-cycles"],
+            ],
+            &[],
+        ),
+        "replay" => (cmd_replay, &[&["file"]], &[]),
+        "fuzz" => (
+            cmd_fuzz,
+            &[&["iters", "seed", "threads", "max-cycles", "out"]],
+            &[],
+        ),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -1787,6 +1884,100 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The `--flags` a USAGE or EXAMPLES line mentions.
+    fn flags_in(line: &str) -> Vec<String> {
+        line.split_whitespace()
+            .map(|w| w.trim_start_matches(['[', '(']))
+            .filter(|w| w.starts_with("--"))
+            .map(|w| {
+                w.chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// What a command declares it reads, as `--flag` strings.
+    fn declared(command: &str, args: &[String]) -> std::collections::BTreeSet<String> {
+        let (values, switches) = match command {
+            "explain" => (EXPLAIN_FLAGS, &[][..]),
+            _ => {
+                let (_, values, switches) = command_table(command, args).expect(command);
+                (values, switches)
+            }
+        };
+        values
+            .iter()
+            .flat_map(|group| group.iter())
+            .chain(switches)
+            .map(|f| format!("--{f}"))
+            .collect()
+    }
+
+    #[test]
+    fn a_flag_the_command_does_not_read_is_a_typed_error() {
+        // The ROADMAP's three: a typo must not run at the default rate,
+        // and a flag another command owns is not dropped without a word.
+        for (args, flag) in [
+            ("simulate --noc hoplite:4 --rat 0.1", "--rat"),
+            ("trace --noc hoplite:4 --channels 2", "--channels"),
+            ("profile --channels 2", "--channels"),
+            ("trace --noc hoplite:4 --file x.trace --rate 0.3", "--rate"),
+            ("explain 3 --noc hoplite:4 --metrics m.prom", "--metrics"),
+            ("replay --file x.trace --seed 3", "--seed"),
+            ("cost --noc hoplite:4 --json", "--json"),
+        ] {
+            match run(argv(args)) {
+                Err(CliError::Args(ArgError::UnknownFlag(f))) => assert_eq!(f, flag, "{args}"),
+                other => panic!("{args}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_flags_each_command_reads() {
+        // One entry per `fasttrack <command>` line of the USAGE block,
+        // continuation lines folded in.
+        let block = USAGE.split("USAGE:").nth(1).unwrap();
+        let block = block.split("SPECS:").next().unwrap();
+        let mut entries: Vec<(String, Vec<String>)> = Vec::new();
+        for line in block.lines() {
+            if let Some(rest) = line.strip_prefix("  fasttrack ") {
+                let command = rest.split_whitespace().next().unwrap();
+                entries.push((command.to_string(), Vec::new()));
+            }
+            if let Some((_, flags)) = entries.last_mut() {
+                flags.extend(flags_in(line));
+            }
+        }
+        assert!(entries.len() >= 15, "USAGE block not found: {entries:?}");
+        for (command, flags) in entries {
+            if command == "help" {
+                continue;
+            }
+            let listed: std::collections::BTreeSet<String> = flags.iter().cloned().collect();
+            assert_eq!(listed, declared(&command, &flags), "{command}");
+        }
+    }
+
+    #[test]
+    fn every_usage_example_uses_declared_flags() {
+        let examples = USAGE.split("EXAMPLES:").nth(1).unwrap();
+        let mut seen = 0;
+        for line in examples.lines() {
+            let Some(rest) = line.strip_prefix("  fasttrack ") else {
+                continue;
+            };
+            let listed: std::collections::BTreeSet<String> = flags_in(rest).into_iter().collect();
+            let command = rest.split_whitespace().next().unwrap();
+            let all: Vec<String> = listed.iter().cloned().collect();
+            let known = declared(command, &all);
+            assert!(listed.is_subset(&known), "{line}: {listed:?}");
+            seen += 1;
+        }
+        assert!(seen >= 20, "EXAMPLES block not found");
     }
 
     #[test]

@@ -68,14 +68,14 @@ impl Coord {
         ring_delta(self.y, dst.y, n)
     }
 
-    /// Coordinate reached by moving `hops` east.
+    /// Coordinate reached by moving `hops <= n` east.
     pub fn east(self, hops: u16, n: u16) -> Coord {
-        Coord::new((self.x + hops) % n, self.y)
+        Coord::new(ring_add(self.x, hops, n), self.y)
     }
 
-    /// Coordinate reached by moving `hops` south.
+    /// Coordinate reached by moving `hops <= n` south.
     pub fn south(self, hops: u16, n: u16) -> Coord {
-        Coord::new(self.x, (self.y + hops) % n)
+        Coord::new(self.x, ring_add(self.y, hops, n))
     }
 }
 
@@ -96,9 +96,29 @@ impl fmt::Display for Coord {
 /// assert_eq!(ring_delta(5, 1, 8), 4); // wraps east past the edge
 /// assert_eq!(ring_delta(3, 3, 8), 0);
 /// ```
+#[inline]
 pub fn ring_delta(from: u16, to: u16, n: u16) -> u16 {
     debug_assert!(n > 0 && from < n && to < n);
-    (to + n - from) % n
+    // Both operands are already reduced, so `(to - from) mod n` is one
+    // compare-and-add: no division on the per-lookup path.
+    if to >= from {
+        to - from
+    } else {
+        to + n - from
+    }
+}
+
+/// `(pos + hops) mod n` for a reduced position and at most one full lap,
+/// by compare-and-subtract.
+#[inline]
+fn ring_add(pos: u16, hops: u16, n: u16) -> u16 {
+    debug_assert!(pos < n && hops <= n);
+    let sum = pos + hops;
+    if sum >= n {
+        sum - n
+    } else {
+        sum
+    }
 }
 
 /// Greatest common divisor (used for express-ring reachability).
@@ -160,6 +180,26 @@ mod tests {
         assert_eq!(c.east(3, 8), Coord::new(1, 7));
         assert_eq!(c.south(2, 8), Coord::new(6, 1));
         assert_eq!(c.east(8, 8), c);
+    }
+
+    /// The compare-and-subtract forms against the `%` they replaced, on
+    /// every operand pair of every ring up to 64.
+    #[test]
+    fn ring_arithmetic_matches_modulo() {
+        for n in 1..=64u16 {
+            for a in 0..n {
+                for b in 0..n {
+                    assert_eq!(ring_delta(a, b, n), (b + n - a) % n, "{a}->{b} on {n}");
+                }
+                // `b` as a hop count: zero to one full lap.
+                for hops in 0..=n {
+                    let wrapped = (a + hops) % n;
+                    let at = Coord::new(a, a);
+                    assert_eq!(at.east(hops, n), Coord::new(wrapped, a));
+                    assert_eq!(at.south(hops, n), Coord::new(a, wrapped));
+                }
+            }
+        }
     }
 
     #[test]

@@ -174,6 +174,14 @@ impl PacketPool {
         &self.meta[idx as usize]
     }
 
+    /// The packet record in `idx`, for bumping its hop and deflection
+    /// counters in place. The destination is immutable after creation:
+    /// writing it here would desynchronize the hot column.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, idx: u32) -> &mut Packet {
+        &mut self.meta[idx as usize]
+    }
+
     /// Writes an updated packet record back into `idx`. The destination
     /// is immutable after creation, so the hot column needs no update.
     #[inline]
@@ -220,12 +228,14 @@ impl PacketPool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::FtPolicy;
     use crate::packet::PacketId;
 
-    fn configs() -> Vec<NocConfig> {
+    /// The six fabrics the kernel's exhaustive tests cover: every policy,
+    /// depopulated and not, two sizes.
+    pub(crate) fn configs() -> Vec<NocConfig> {
         vec![
             NocConfig::hoplite(4).unwrap(),
             NocConfig::hoplite(8).unwrap(),
@@ -234,6 +244,24 @@ mod tests {
             NocConfig::fasttrack(8, 4, 2, FtPolicy::Inject).unwrap(),
             NocConfig::fasttrack(8, 2, 1, FtPolicy::Inject).unwrap(),
         ]
+    }
+
+    /// The allocator's input alphabet: every distinct port list the six
+    /// [`configs`] LUTs hold, grouped by the input port it is keyed under
+    /// ([`InPort::index`] order; the unfilled-key filler included).
+    pub(crate) fn distinct_prefs_by_port() -> [Vec<RoutePrefs>; 5] {
+        let mut by_port: [Vec<RoutePrefs>; 5] = Default::default();
+        for cfg in configs() {
+            let lut = RouteLut::build(&cfg);
+            let nn = lut.n as usize * lut.n as usize;
+            for (i, prefs) in lut.prefs.iter().enumerate() {
+                let seen = &mut by_port[i / nn % 5];
+                if !seen.iter().any(|p| p.ports() == prefs.ports()) {
+                    seen.push(*prefs);
+                }
+            }
+        }
+        by_port
     }
 
     /// The LUT must agree with `compute_prefs` on every position, input

@@ -103,6 +103,21 @@ impl Frame {
     }
 }
 
+/// The four link outputs, in [`OutPort::index`] order (everything but
+/// `Exit`), and the input register each one lands in downstream.
+const LINK_OUTPUTS: [OutPort; 4] = [
+    OutPort::EastEx,
+    OutPort::EastSh,
+    OutPort::SouthEx,
+    OutPort::SouthSh,
+];
+const LINK_INPUTS: [InPort; 4] = [
+    InPort::WestEx,
+    InPort::WestSh,
+    InPort::NorthEx,
+    InPort::NorthSh,
+];
+
 /// Walks the step's active set — routers with an occupied input register
 /// or a waiting PE — in ascending node order, 64 routers per mask word.
 #[derive(Default)]
@@ -142,6 +157,11 @@ pub struct Noc {
     /// Precomputed router coordinates, indexed by node id (avoids a
     /// divide per node per cycle in the hot loop).
     coords: Vec<Coord>,
+    /// Where each link lands: `downstream[node][out.index()]` is the
+    /// node id at the far end of `node`'s output link `out` (express
+    /// entries of a router without that port are never read). The link
+    /// write is one table read, with no torus arithmetic.
+    downstream: Vec<[u32; 4]>,
     /// Input registers for the current cycle.
     regs: Frame,
     /// Timing wheel of future input states: `wheel[t]` holds packets
@@ -189,12 +209,23 @@ impl Noc {
         let mut classes = Vec::with_capacity(nodes);
         let mut available = Vec::with_capacity(nodes);
         let mut coords = Vec::with_capacity(nodes);
+        let mut downstream = Vec::with_capacity(nodes);
+        let d = cfg.d().max(1);
         for id in 0..nodes {
             let at = Coord::from_node_id(id, n);
             let class = RouterClass::of(&cfg, at);
             classes.push(class);
             available.push(class.available_outputs());
             coords.push(at);
+            downstream.push(LINK_OUTPUTS.map(|out| {
+                let span = if out.is_express() { d } else { 1 };
+                let target = if out.is_east() {
+                    at.east(span, n)
+                } else {
+                    at.south(span, n)
+                };
+                u32::try_from(target.to_node_id(n)).expect("node ids fit a register index")
+            }));
         }
         let depth = cfg.link_pipeline().max_cycles() as usize;
         let lut = match mode {
@@ -209,6 +240,7 @@ impl Noc {
             classes,
             available,
             coords,
+            downstream,
             regs: Frame::new(nodes),
             wheel: (0..depth).map(|_| Frame::new(nodes)).collect(),
             pool: PacketPool::with_capacity(nodes),
@@ -400,7 +432,6 @@ impl Noc {
         mut gates: Option<&mut StepGates>,
         sink: &mut S,
     ) {
-        let n = self.cfg.n();
         let exit_policy = self.cfg.exit_policy();
         let d = self.cfg.d().max(1);
         let faulted = self.faults.is_some();
@@ -610,11 +641,11 @@ impl Noc {
                     }
                     continue;
                 };
-                let mut pkt = *self.pool.get(idx);
                 taken[n_taken] = out;
                 n_taken += 1;
                 self.stats.route_decisions += 1;
                 if S::ENABLED {
+                    let pkt = self.pool.get(idx);
                     sink.emit(&SimEvent::RouteDecision {
                         cycle: self.cycle,
                         node,
@@ -627,15 +658,16 @@ impl Noc {
                     });
                 }
 
-                // Statistics classification.
+                // Statistics classification. Per-packet counters are
+                // bumped in the pool, where they live.
                 if !prefs.productive().contains(out) {
-                    pkt.deflections += 1;
+                    self.pool.get_mut(idx).deflections += 1;
                     self.stats.ports.deflections[slot] += 1;
                     if S::ENABLED {
                         sink.emit(&SimEvent::Deflect {
                             cycle: self.cycle,
                             node,
-                            packet: pkt.id,
+                            packet: self.pool.get(idx).id,
                             out,
                         });
                     }
@@ -649,7 +681,7 @@ impl Noc {
                             sink.emit(&SimEvent::FaultReroute {
                                 cycle: self.cycle,
                                 node,
-                                packet: pkt.id,
+                                packet: self.pool.get(idx).id,
                                 avoided,
                             });
                         }
@@ -658,8 +690,8 @@ impl Noc {
 
                 match out {
                     OutPort::Exit => {
+                        let pkt = self.pool.remove(idx);
                         debug_assert_eq!(pkt.dst, at);
-                        self.pool.release(idx);
                         self.in_flight -= 1;
                         self.stats.delivered += 1;
                         let delivery = Delivery {
@@ -687,11 +719,11 @@ impl Noc {
                             sink.emit(&SimEvent::ExpressHop {
                                 cycle: self.cycle,
                                 node,
-                                packet: pkt.id,
+                                packet: self.pool.get(idx).id,
                                 span: d,
                             });
                         }
-                        self.forward(idx, &mut pkt, at, out, n, d, sink)
+                        self.forward(idx, node, out, sink)
                     }
                 }
             }
@@ -793,7 +825,7 @@ impl Noc {
                                         self.stats.pool_reuse += 1;
                                     }
                                     let idx = self.pool.insert(pkt);
-                                    self.forward(idx, &mut pkt, at, out, n, d, sink);
+                                    self.forward(idx, node, out, sink);
                                 }
                             }
                         }
@@ -833,31 +865,18 @@ impl Noc {
         }
     }
 
-    /// Writes the packet in pool slot `idx` into the downstream router's
-    /// input register for the chosen output port, updating hop counters.
+    /// Writes the packet in pool slot `idx` into the input register at the
+    /// far end of `node`'s output link `out`, updating hop counters.
     /// Pipelined links place the packet deeper into the timing wheel
     /// (one extra cycle per extra link register). A transiently faulted
     /// link consumes the hop but loses the packet (counted in `dropped`;
     /// conservation: the in-flight count drops with it).
-    #[allow(clippy::too_many_arguments)] // hot path: scalars beat a params struct here
-    fn forward<S: EventSink>(
-        &mut self,
-        idx: u32,
-        pkt: &mut Packet,
-        at: Coord,
-        out: OutPort,
-        n: u16,
-        d: u16,
-        sink: &mut S,
-    ) {
-        let (target, in_slot) = match out {
-            OutPort::EastSh => (at.east(1, n), InPort::WestSh),
-            OutPort::EastEx => (at.east(d, n), InPort::WestEx),
-            OutPort::SouthSh => (at.south(1, n), InPort::NorthSh),
-            OutPort::SouthEx => (at.south(d, n), InPort::NorthEx),
-            OutPort::Exit => unreachable!("exit is not a link"),
-        };
+    fn forward<S: EventSink>(&mut self, idx: u32, node: usize, out: OutPort, sink: &mut S) {
+        // `Exit` is not a link: it has no row in either table.
+        let target = self.downstream[node][out.index()];
+        let in_port = LINK_INPUTS[out.index()];
         let pipeline = self.cfg.link_pipeline();
+        let pkt = self.pool.get_mut(idx);
         let delay = if out.is_express() {
             pkt.express_hops += 1;
             self.stats.link_usage.express_hops += 1;
@@ -870,15 +889,15 @@ impl Noc {
         let link_fault = self
             .faults
             .as_ref()
-            .and_then(|f| f.link_fault(at.to_node_id(n), out, self.cycle));
+            .and_then(|f| f.link_fault(node, out, self.cycle));
         if let Some(corrupted) = link_fault {
-            self.pool.release(idx);
+            let pkt = self.pool.remove(idx);
             self.in_flight -= 1;
             self.stats.dropped += 1;
             if S::ENABLED {
                 sink.emit(&SimEvent::FaultDrop {
                     cycle: self.cycle,
-                    node: at.to_node_id(n),
+                    node,
                     packet: pkt.id,
                     link: Some(out),
                     corrupted,
@@ -886,8 +905,7 @@ impl Noc {
             }
             return;
         }
-        self.pool.write(idx, pkt);
-        self.wheel[delay as usize - 1].put(target.to_node_id(n), in_slot, idx);
+        self.wheel[delay as usize - 1].put(target as usize, in_port, idx);
     }
 
     /// True when every frame's occupancy bitmask agrees with its
@@ -1157,6 +1175,56 @@ mod tests {
         let mut noc = Noc::with_faults(ft(FtPolicy::Full), &plan).unwrap();
         run_checking_masks(&mut noc, 7);
         assert!(noc.stats().dropped > 0, "fail-stop routers saw no traffic");
+    }
+
+    /// The downstream table against the torus arithmetic it replaced, for
+    /// every node and link output of the kernel's six fabrics plus a
+    /// depth-3 pipelined one (the table is per link, not per delay).
+    #[test]
+    fn downstream_table_matches_torus_arithmetic() {
+        use crate::config::LinkPipeline;
+        let mut cfgs = crate::kernel::tests::configs();
+        cfgs.push(
+            NocConfig::fasttrack(8, 2, 1, FtPolicy::Full)
+                .unwrap()
+                .with_link_pipeline(LinkPipeline {
+                    short: 1,
+                    express: 2,
+                }),
+        );
+        for cfg in cfgs {
+            let (n, d) = (cfg.n(), cfg.d().max(1));
+            let noc = Noc::new(cfg);
+            assert_eq!(noc.downstream.len(), noc.cfg.num_nodes());
+            for (node, row) in noc.downstream.iter().enumerate() {
+                let at = Coord::from_node_id(node, n);
+                for (out, &target) in LINK_OUTPUTS.iter().zip(row) {
+                    let expected = match out {
+                        OutPort::EastSh => at.east(1, n),
+                        OutPort::EastEx => at.east(d, n),
+                        OutPort::SouthSh => at.south(1, n),
+                        OutPort::SouthEx => at.south(d, n),
+                        OutPort::Exit => unreachable!("exit is not a link"),
+                    };
+                    assert_eq!(
+                        target as usize,
+                        expected.to_node_id(n),
+                        "{} {at} {out}",
+                        noc.cfg.name()
+                    );
+                }
+            }
+        }
+        // Row `i` of both link tables is output `i`, landing on the input
+        // of the same lane and axis.
+        for (i, (out, input)) in LINK_OUTPUTS.iter().zip(LINK_INPUTS).enumerate() {
+            assert_eq!(out.index(), i);
+            assert_eq!(out.is_express(), input.is_express());
+            assert_eq!(
+                out.is_east(),
+                matches!(input, InPort::WestEx | InPort::WestSh)
+            );
+        }
     }
 
     #[test]

@@ -210,6 +210,11 @@ impl OutSet {
         self.0 == 0
     }
 
+    /// The raw bitmask: bit [`OutPort::index`] is set for each member.
+    pub(crate) fn bits(self) -> u8 {
+        self.0
+    }
+
     /// Set intersection.
     pub fn intersect(self, other: OutSet) -> OutSet {
         OutSet(self.0 & other.0)

@@ -70,7 +70,7 @@ impl RoutePrefs {
 
     /// The full set of ports in the list (for matching feasibility).
     pub fn as_set(&self) -> OutSet {
-        self.ports().iter().copied().collect()
+        OutSet::from_ports(self.ports())
     }
 
     fn push(&mut self, p: OutPort) {

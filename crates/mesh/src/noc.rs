@@ -149,6 +149,8 @@ impl MeshFaultState {
 #[derive(Debug, Clone)]
 pub struct MeshNoc {
     cfg: MeshConfig,
+    /// Router coordinates by node id (no divide per router per phase).
+    coords: Vec<Coord>,
     /// `fifos[node][d]`: packets that arrived moving *from* direction
     /// `d` (i.e. sent by the `d`-side neighbor).
     fifos: Vec<[VecDeque<Packet>; 4]>,
@@ -162,6 +164,10 @@ pub struct MeshNoc {
     cycle: u64,
     stats: SimStats,
     faults: Option<MeshFaultState>,
+    /// Per-cycle scratch of the step (granted moves, then link
+    /// arrivals): cleared every cycle, allocated once.
+    moves: Vec<Move>,
+    arrivals: Vec<(usize, usize, Packet)>,
 }
 
 /// One granted move, computed against the cycle-start snapshot.
@@ -180,6 +186,9 @@ impl MeshNoc {
         let nodes = cfg.num_nodes();
         MeshNoc {
             cfg,
+            coords: (0..nodes)
+                .map(|id| Coord::from_node_id(id, cfg.n()))
+                .collect(),
             fifos: vec![Default::default(); nodes],
             credits: vec![[cfg.buffer_depth(); 4]; nodes],
             rr: vec![[0; 5]; nodes],
@@ -187,6 +196,8 @@ impl MeshNoc {
             cycle: 0,
             stats: SimStats::default(),
             faults: None,
+            moves: Vec::new(),
+            arrivals: Vec::new(),
         }
     }
 
@@ -282,7 +293,9 @@ impl MeshNoc {
     ) {
         let n = self.cfg.n();
         let nodes = self.cfg.num_nodes();
-        let mut moves: Vec<Move> = Vec::new();
+        let mut moves = std::mem::take(&mut self.moves);
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        moves.clear();
         self.stats.router_visits += nodes as u64;
 
         // Phase 0: fail-stop routers drop everything buffered at them
@@ -297,7 +310,7 @@ impl MeshNoc {
             {
                 continue;
             }
-            let at = Coord::from_node_id(node, n);
+            let at = self.coords[node];
             for d in Dir::ALL {
                 while let Some(pkt) = self.fifos[node][d.index()].pop_front() {
                     if let Some(upstream) = d.neighbor(at, n) {
@@ -329,7 +342,7 @@ impl MeshNoc {
             {
                 continue;
             }
-            let at = Coord::from_node_id(node, n);
+            let at = self.coords[node];
             // Desired output of each candidate input's head packet.
             let mut desires: [Option<Option<Dir>>; 5] = [None; 5];
             for d in Dir::ALL {
@@ -379,9 +392,8 @@ impl MeshNoc {
 
         // Phase 2: apply moves — pops (returning upstream credits), then
         // pushes into downstream FIFOs.
-        let mut arrivals: Vec<(usize, usize, Packet)> = Vec::new();
         for mv in &moves {
-            let at = Coord::from_node_id(mv.node, n);
+            let at = self.coords[mv.node];
             let mut pkt = if mv.input == INJ {
                 let pending = queues.pop(mv.node).expect("granted injection has a packet");
                 let mut p = Packet::new(
@@ -486,7 +498,7 @@ impl MeshNoc {
                 }
             }
         }
-        for (node, fifo, pkt) in arrivals {
+        for (node, fifo, pkt) in arrivals.drain(..) {
             debug_assert!(self.fifos[node][fifo].len() < self.cfg.buffer_depth());
             self.fifos[node][fifo].push_back(pkt);
         }
@@ -503,6 +515,8 @@ impl MeshNoc {
             sink.end_cycle(self.cycle);
         }
 
+        self.moves = moves;
+        self.arrivals = arrivals;
         self.cycle += 1;
     }
 }
