@@ -19,7 +19,7 @@ use crate::geom::Coord;
 use crate::kernel::{PacketPool, RouteLut, RouteMode, EMPTY_SLOT};
 use crate::packet::{Delivery, Packet};
 use crate::port::{InPort, OutPort, OutSet};
-use crate::queue::InjectQueues;
+use crate::queue::{ActiveCursor, InjectQueues};
 use crate::router::RouterClass;
 use crate::routing::{compute_prefs, RoutePrefs};
 use crate::stats::SimStats;
@@ -117,36 +117,6 @@ const LINK_INPUTS: [InPort; 4] = [
     InPort::NorthEx,
     InPort::NorthSh,
 ];
-
-/// Walks the step's active set — routers with an occupied input register
-/// or a waiting PE — in ascending node order, 64 routers per mask word.
-#[derive(Default)]
-struct ActiveCursor {
-    /// Index of the next mask word to load.
-    word: usize,
-    /// Unvisited routers of word `word - 1`.
-    bits: u64,
-}
-
-impl ActiveCursor {
-    /// The next active router. Each word is read once, when the cursor
-    /// reaches it: a visit forwards into wheel frames, never into the
-    /// current registers, and pops only its own queue, so it cannot
-    /// change a later router's bit.
-    #[inline]
-    fn next(&mut self, occ: &[u64], queues: &InjectQueues) -> Option<usize> {
-        while self.bits == 0 {
-            if self.word == occ.len() {
-                return None;
-            }
-            self.bits = occ[self.word] | queues.nonempty_word(self.word);
-            self.word += 1;
-        }
-        let node = (self.word - 1) * 64 + self.bits.trailing_zeros() as usize;
-        self.bits &= self.bits - 1;
-        Some(node)
-    }
-}
 
 /// A single NoC channel (Hoplite or FastTrack, per its configuration).
 #[derive(Debug, Clone)]

@@ -423,7 +423,7 @@ impl SessionProfile {
         registry
             .counter(
                 "fasttrack_profile_router_visits_total",
-                "Routers whose step body ran, summed over cycles (idle torus routers are skipped)",
+                "Routers whose step body ran, summed over cycles (idle routers are skipped)",
             )
             .add(summary.router_visits);
         SessionProfile {

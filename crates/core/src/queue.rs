@@ -79,7 +79,7 @@ impl InjectQueues {
 
     /// Word `word` of the non-empty bitmask: bit `b` is set exactly when
     /// `depth(word * 64 + b) > 0`.
-    pub(crate) fn nonempty_word(&self, word: usize) -> u64 {
+    fn nonempty_word(&self, word: usize) -> u64 {
         self.nonempty[word]
     }
 
@@ -120,6 +120,42 @@ impl InjectQueues {
             node,
             depth: self.depth(node),
         }
+    }
+}
+
+/// Walks an engine step's active set — routers whose bit is set in the
+/// engine's occupancy mask or whose PE has a packet waiting — in
+/// ascending node order, 64 routers per mask word. Every engine's step
+/// loop is `while let Some(node) = cursor.next(occ, queues)`: ascending
+/// order is the dense `0..nodes` order, so events, deliveries and
+/// arbitration come out exactly as if every router ran.
+#[derive(Debug, Default)]
+pub struct ActiveCursor {
+    /// Index of the next mask word to load.
+    word: usize,
+    /// Unvisited routers of word `word - 1`.
+    bits: u64,
+}
+
+impl ActiveCursor {
+    /// The next active router; `occ` holds one bit per router, laid out
+    /// like the queues' own mask (bit `node % 64` of word `node / 64`).
+    /// Each word is read once, when the cursor reaches it, so a visit
+    /// must not change a *later* router's bit in `occ` or push to
+    /// another router's queue: engines forward into next-cycle state and
+    /// pop only the visited router's queue.
+    #[inline]
+    pub fn next(&mut self, occ: &[u64], queues: &InjectQueues) -> Option<usize> {
+        while self.bits == 0 {
+            if self.word == occ.len() {
+                return None;
+            }
+            self.bits = occ[self.word] | queues.nonempty_word(self.word);
+            self.word += 1;
+        }
+        let node = (self.word - 1) * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(node)
     }
 }
 

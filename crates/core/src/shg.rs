@@ -6,23 +6,29 @@
 //! through some output (or be ejected), and contention resolves by
 //! deflection rather than buffering. Differences from the torus engine:
 //!
-//! * **Routing is LUT-driven** through the topology's flat
-//!   [`TopoRouteLut`] — the greedy radix decomposition over the
-//!   power-of-two stride set. The per-cycle hot path is a single table
-//!   read per packet, exactly like the torus `RouteLut`.
+//! * **Routing is table-driven**: per destination offset, a
+//!   preference row lists the output slots closest-first (see below),
+//!   and the greedy radix slot ([`Topology::route_slot`], the same
+//!   decomposition [`crate::topology::TopoRouteLut`] tabulates) is kept
+//!   only to tell a fault reroute from a deflection. The per-cycle hot
+//!   path is one short row read per packet.
 //! * **Per-input ejectors**: every arrival destined here leaves the
 //!   network this cycle, so the output-allocation problem stays
 //!   feasible (arrivals never exceed the out-degree on a healthy
 //!   fabric).
-//! * **Deflection is distance-descent**: the engine pre-computes BFS
-//!   hop distances to every destination on the *statically faulted*
-//!   graph, and each packet takes the live, free output slot whose far
-//!   end is closest to its destination (ties break toward the lowest
-//!   slot, preserving X-before-Y ordering). A packet denied every
+//! * **Deflection is distance-descent**: the engine compiles BFS hop
+//!   distances on the *statically faulted* graph into those rows, and
+//!   each packet takes the live, free output slot whose far end is
+//!   closest to its destination (ties break toward the lowest slot,
+//!   preserving X-before-Y ordering). A packet denied every
 //!   productive slot takes any live free one. Losers never wait —
 //!   there is nowhere to wait — but every deflection still makes the
 //!   best progress available, which is what keeps a detour around a
 //!   dead stride-1 link from livelocking on the stride ring.
+//! * **Only active routers are visited**: the step walks
+//!   [`ActiveCursor`] over the routers with an occupied arrival
+//!   register or a waiting PE, in ascending node order — what a scan of
+//!   every router would do, minus the routers with nothing to do.
 //!
 //! Events reuse the torus [`SimEvent`] schema via the SHG's
 //! [`OutPort`]-class mapping (stride-1 links report as `E_sh`/`S_sh`,
@@ -35,88 +41,135 @@
 //! (`delivered + in_flight + dropped == injected`) holds under every
 //! plan, asserted by the integration tests.
 
-use crate::fault::{FaultError, FaultPlan};
-use crate::kernel::PacketPool;
+use crate::fault::{FaultError, FaultPlan, FaultState};
+use crate::geom::Coord;
+use crate::kernel::{PacketPool, EMPTY_SLOT};
 use crate::packet::{Delivery, Packet};
 use crate::port::{OutPort, OutSet};
-use crate::queue::InjectQueues;
+use crate::queue::{ActiveCursor, InjectQueues};
 use crate::sim::{SessionBackend, SimEngine};
 use crate::stats::SimStats;
-use crate::topology::{MonitorShape, ShgConfig, ShgTopology, TopoRouteLut, Topology};
+use crate::topology::{MonitorShape, ShgConfig, ShgTopology, Topology};
 use crate::trace::{EventSink, SimEvent};
 
-/// Empty link-register marker.
-const EMPTY_SLOT: u32 = u32::MAX;
+#[cfg(test)]
+mod reference;
 
 /// Distance-table marker for "no path on the statically faulted graph".
 const UNREACHABLE: u16 = u16::MAX;
+
+/// Preference-row filler. Its bit is outside every slot mask (`delta`
+/// is at most 15, so slots stop at 29): a padded entry never tests as
+/// live and the row scan needs no length.
+const PAD_SLOT: u8 = 31;
+
+/// "No slot" in [`pick_slot`]'s answers — what `trailing_zeros` returns
+/// for an empty mask.
+const NO_SLOT: u32 = 32;
 
 /// The Sparse Hamming Graph engine: a synchronous bufferless
 /// deflection router bank over [`ShgTopology`].
 #[derive(Debug, Clone)]
 pub struct ShgNoc {
     topo: ShgTopology,
-    lut: TopoRouteLut,
     nodes: usize,
     out_degree: usize,
+    /// Router coordinates by node id.
+    coords: Vec<Coord>,
     /// Output port class per slot (same for every node).
     slot_ports: Vec<OutPort>,
     /// Link span per slot (stride in router positions).
     slot_spans: Vec<u16>,
-    /// `regs[src * out_degree + slot]`: pool index of the packet on
-    /// that link, arriving at its dst this cycle.
-    regs: Vec<u32>,
-    /// Next cycle's link registers (written by this cycle's routing).
-    next_regs: Vec<u32>,
-    /// Per node: the global link indices arriving there, ascending.
-    in_links: Vec<Vec<u32>>,
+    /// One bit per output slot.
+    all_slots: u32,
+    /// `class_slots[dead.bits() & 0xF]`: the slots of every port class in
+    /// the dead set (slots share a class once `delta >= 3`).
+    class_slots: [u32; 16],
     /// `link_dst[src * out_degree + slot]`: the node that link lands on.
     link_dst: Vec<u32>,
-    /// `dist[at * nodes + dst]`: BFS hop distance on the statically
-    /// faulted graph ([`UNREACHABLE`] when no path survives).
-    dist: Vec<u16>,
+    /// `link_reg[src * out_degree + slot]`: the arrival register that
+    /// link writes. Registers are grouped by *destination* — node `n`
+    /// reads `regs[n * out_degree..][..out_degree]` — in ascending
+    /// global-link order inside each block, which is the arrival order.
+    link_reg: Vec<u32>,
+    /// This cycle's arrival registers: pool index or [`EMPTY_SLOT`].
+    regs: Vec<u32>,
+    /// Next cycle's arrival registers (written by this cycle's routing).
+    next_regs: Vec<u32>,
+    /// Bit `node % 64` of word `node / 64` is set exactly when one of
+    /// `node`'s arrival registers in `regs` holds a packet.
+    occ: Vec<u64>,
+    /// The same for `next_regs`.
+    next_occ: Vec<u64>,
+    /// Greedy radix slot ([`Topology::route_slot`]) by destination
+    /// offset; it depends on position only through the offset.
+    greedy: Vec<u8>,
+    /// Preference rows, `out_degree` bytes each: the slots whose far end
+    /// can reach the destination, closest first (ties toward the lowest
+    /// slot), padded with [`PAD_SLOT`]. Row `(node * row_stride +
+    /// offset) * out_degree`, `offset` being `(dst - at) mod q` as a
+    /// node id.
+    rows: Vec<u8>,
+    /// 0 on a healthy fabric — it is vertex-transitive, so one router's
+    /// rows serve all — and `nodes` under a fault plan, whose statically
+    /// dead links break the symmetry.
+    row_stride: usize,
     pool: PacketPool,
     stats: SimStats,
-    faults: Option<crate::fault::FaultState>,
+    faults: Option<FaultState>,
     in_flight: usize,
     cycle: u64,
+}
+
+/// `(dst - at) mod q` per axis, as the node id of that offset.
+#[inline]
+fn offset_id(at: Coord, dst: Coord, q: u16) -> usize {
+    usize::from(at.dy_to(dst, q)) * usize::from(q) + usize::from(at.dx_to(dst, q))
+}
+
+/// Reads one preference row: `wanted` is the closest slot in `live`,
+/// `chosen` the closest that is also in `free` (a subset of `live`);
+/// when every productive slot is dead or taken, `chosen` falls back to
+/// the lowest free slot — a pure deflection. Either is [`NO_SLOT`] when
+/// no slot qualifies.
+#[inline]
+fn pick_slot(row: &[u8], live: u32, free: u32) -> (u32, u32) {
+    debug_assert_eq!(free & !live, 0, "free slots must be live");
+    let mut wanted = NO_SLOT;
+    for &slot in row {
+        let bit = 1u32 << slot;
+        if live & bit != 0 {
+            if wanted == NO_SLOT {
+                wanted = u32::from(slot);
+            }
+            if free & bit != 0 {
+                return (u32::from(slot), wanted);
+            }
+        }
+    }
+    (free.trailing_zeros(), wanted)
+}
+
+/// Writes one preference row from each slot's distance-after-the-hop.
+fn fill_row(row: &mut [u8], dist_via: impl Iterator<Item = u16>) {
+    let mut keys = [0u32; PAD_SLOT as usize];
+    let mut len = 0;
+    for (slot, d) in dist_via.enumerate() {
+        if d != UNREACHABLE {
+            keys[len] = u32::from(d) << 8 | slot as u32;
+            len += 1;
+        }
+    }
+    keys[..len].sort_unstable();
+    for (entry, key) in row.iter_mut().zip(&keys[..len]) {
+        *entry = *key as u8;
+    }
 }
 
 impl ShgNoc {
     /// Builds an idle fabric.
     pub fn new(cfg: ShgConfig) -> Self {
-        let topo = ShgTopology::new(cfg);
-        let lut = TopoRouteLut::build(&topo);
-        let nodes = topo.num_nodes();
-        let out_degree = 2 * usize::from(cfg.delta());
-        let template = topo.out_links(0);
-        let slot_ports: Vec<OutPort> = template.iter().map(|l| l.port).collect();
-        let slot_spans: Vec<u16> = template.iter().map(|l| l.span).collect();
-        let mut in_links = vec![Vec::new(); nodes];
-        let mut link_dst = vec![0u32; nodes * out_degree];
-        for link in topo.links() {
-            in_links[link.dst].push((link.src * out_degree + link.slot) as u32);
-            link_dst[link.src * out_degree + link.slot] = link.dst as u32;
-        }
-        let dist = build_dist(nodes, out_degree, &slot_ports, &link_dst, None);
-        ShgNoc {
-            topo,
-            lut,
-            nodes,
-            out_degree,
-            slot_ports,
-            slot_spans,
-            regs: vec![EMPTY_SLOT; nodes * out_degree],
-            next_regs: vec![EMPTY_SLOT; nodes * out_degree],
-            in_links,
-            link_dst,
-            dist,
-            pool: PacketPool::with_capacity(nodes * out_degree),
-            stats: SimStats::default(),
-            faults: None,
-            in_flight: 0,
-            cycle: 0,
-        }
+        Self::build(cfg, None)
     }
 
     /// Builds an idle fabric with a fault plan injected. The plan is
@@ -127,21 +180,110 @@ impl ShgNoc {
     /// around them from the first cycle instead of discovering them by
     /// deflection.
     pub fn with_faults(cfg: ShgConfig, plan: &FaultPlan) -> Result<Self, FaultError> {
+        plan.validate_topo(&ShgTopology::new(cfg))?;
+        let faults = (!plan.is_empty()).then(|| plan.compile(cfg.num_nodes()));
+        Ok(Self::build(cfg, faults))
+    }
+
+    fn build(cfg: ShgConfig, faults: Option<FaultState>) -> Self {
         let topo = ShgTopology::new(cfg);
-        plan.validate_topo(&topo)?;
-        let mut noc = ShgNoc::new(cfg);
-        if !plan.is_empty() {
-            let faults = plan.compile(noc.nodes);
-            noc.dist = build_dist(
-                noc.nodes,
-                noc.out_degree,
-                &noc.slot_ports,
-                &noc.link_dst,
-                Some(faults.static_dead()),
-            );
-            noc.faults = Some(faults);
+        let q = cfg.q();
+        let nodes = topo.num_nodes();
+        let out_degree = 2 * usize::from(cfg.delta());
+        let coords: Vec<Coord> = (0..nodes).map(|id| Coord::from_node_id(id, q)).collect();
+        let template = topo.out_links(0);
+        let slot_ports: Vec<OutPort> = template.iter().map(|l| l.port).collect();
+        let slot_spans: Vec<u16> = template.iter().map(|l| l.span).collect();
+        let mut class_slots = [0u32; 16];
+        for (dead, mask) in class_slots.iter_mut().enumerate() {
+            for (slot, port) in slot_ports.iter().enumerate() {
+                if dead >> port.index() & 1 == 1 {
+                    *mask |= 1 << slot;
+                }
+            }
         }
-        Ok(noc)
+
+        // `links()` enumerates in ascending global-link order, so the
+        // running count per destination is the link's rank there.
+        let mut link_dst = vec![0u32; nodes * out_degree];
+        let mut link_reg = vec![0u32; nodes * out_degree];
+        let mut arrivals = vec![0usize; nodes];
+        for link in topo.links() {
+            let global = link.src * out_degree + link.slot;
+            link_dst[global] = link.dst as u32;
+            link_reg[global] = (link.dst * out_degree + arrivals[link.dst]) as u32;
+            arrivals[link.dst] += 1;
+        }
+        assert!(
+            arrivals.iter().all(|&a| a == out_degree),
+            "every stride is a permutation of the nodes: in-degree equals out-degree"
+        );
+
+        let mut greedy = vec![PAD_SLOT; nodes];
+        for (offset, slot) in greedy.iter_mut().enumerate().skip(1) {
+            *slot = topo.route_slot(0, offset) as u8;
+        }
+
+        let (rows, row_stride) = match &faults {
+            None => {
+                // Distance depends only on the offset: node 0's rows, from
+                // one BFS out of node 0, are every router's rows.
+                let from_origin = bfs_from_origin(nodes, out_degree, &link_dst);
+                let mut rows = vec![PAD_SLOT; nodes * out_degree];
+                for offset in 1..nodes {
+                    let via = (0..out_degree).map(|s| {
+                        let next = coords[link_dst[s] as usize];
+                        from_origin[offset_id(next, coords[offset], q)]
+                    });
+                    fill_row(&mut rows[offset * out_degree..][..out_degree], via);
+                }
+                (rows, 0)
+            }
+            Some(f) => {
+                let dist = build_dist(
+                    nodes,
+                    out_degree,
+                    &slot_ports,
+                    &link_dst,
+                    Some(f.static_dead()),
+                );
+                let mut rows = vec![PAD_SLOT; nodes * nodes * out_degree];
+                for at in 0..nodes {
+                    for dst in (0..nodes).filter(|&dst| dst != at) {
+                        let via = (0..out_degree)
+                            .map(|s| dist[link_dst[at * out_degree + s] as usize * nodes + dst]);
+                        let row = (at * nodes + offset_id(coords[at], coords[dst], q)) * out_degree;
+                        fill_row(&mut rows[row..][..out_degree], via);
+                    }
+                }
+                (rows, nodes)
+            }
+        };
+
+        ShgNoc {
+            topo,
+            nodes,
+            out_degree,
+            coords,
+            slot_ports,
+            slot_spans,
+            all_slots: (1 << out_degree) - 1,
+            class_slots,
+            link_dst,
+            link_reg,
+            regs: vec![EMPTY_SLOT; nodes * out_degree],
+            next_regs: vec![EMPTY_SLOT; nodes * out_degree],
+            occ: vec![0; nodes.div_ceil(64)],
+            next_occ: vec![0; nodes.div_ceil(64)],
+            greedy,
+            rows,
+            row_stride,
+            pool: PacketPool::with_capacity(nodes * out_degree),
+            stats: SimStats::default(),
+            faults,
+            in_flight: 0,
+            cycle: 0,
+        }
     }
 
     /// The topology this engine runs.
@@ -187,6 +329,8 @@ impl ShgNoc {
     pub fn reset(&mut self) {
         self.regs.fill(EMPTY_SLOT);
         self.next_regs.fill(EMPTY_SLOT);
+        self.occ.fill(0);
+        self.next_occ.fill(0);
         self.pool.clear();
         self.stats = SimStats::default();
         self.in_flight = 0;
@@ -194,6 +338,20 @@ impl ShgNoc {
         if let Some(f) = self.faults.as_mut() {
             f.rewind();
         }
+    }
+
+    /// The invariant `forward` and the walk maintain: a node's bit is set
+    /// exactly when one of its arrival registers holds a packet. A clear
+    /// bit over an occupied register would make the step skip a router
+    /// that holds a packet, so debug builds check it after every step.
+    fn occupancy_mask_exact(&self) -> bool {
+        self.regs
+            .chunks_exact(self.out_degree)
+            .enumerate()
+            .all(|(node, regs)| {
+                let occupied = regs.iter().any(|&r| r != EMPTY_SLOT);
+                occupied == (self.occ[node / 64] >> (node % 64) & 1 == 1)
+            })
     }
 
     /// Ejects `pkt` at `node` this cycle.
@@ -223,53 +381,39 @@ impl ShgNoc {
         }
     }
 
-    /// Picks output slots at `node` for a packet bound to `dst` by
-    /// distance descent: among currently live slots, `wanted` is the
-    /// one whose far end is BFS-closest to `dst` on the statically
-    /// faulted graph, and `chosen` is the closest one that is also
-    /// still free this cycle (ties break toward the lowest slot). When
-    /// every productive slot is taken, `chosen` falls back to any live
-    /// free slot — a pure deflection. `(None, _)` means every live
-    /// output is occupied.
-    fn choose_slot(&self, node: usize, dst: usize) -> (Option<usize>, Option<usize>) {
-        let dead = self
-            .faults
-            .as_ref()
-            .map_or(OutSet::empty(), |f| f.dead[node]);
-        let base = node * self.out_degree;
-        let mut wanted: Option<(u16, usize)> = None;
-        let mut chosen: Option<(u16, usize)> = None;
-        for s in 0..self.out_degree {
-            if dead.contains(self.slot_ports[s]) {
-                continue;
-            }
-            let next = self.link_dst[base + s] as usize;
-            let d = self.dist[next * self.nodes + dst];
-            if d == UNREACHABLE {
-                continue;
-            }
-            if wanted.is_none_or(|(best, _)| d < best) {
-                wanted = Some((d, s));
-            }
-            if self.next_regs[base + s] == EMPTY_SLOT && chosen.is_none_or(|(best, _)| d < best) {
-                chosen = Some((d, s));
-            }
+    /// Removes the packet in pool slot `idx` from the network as lost at
+    /// `node` (`link` names the faulty link, if one is to blame).
+    fn drop_packet<S: EventSink>(
+        &mut self,
+        node: usize,
+        idx: u32,
+        link: Option<OutPort>,
+        corrupted: bool,
+        sink: &mut S,
+    ) {
+        if S::ENABLED {
+            sink.emit(&SimEvent::FaultDrop {
+                cycle: self.cycle,
+                node,
+                packet: self.pool.get(idx).id,
+                link,
+                corrupted,
+            });
         }
-        let chosen = chosen.map(|(_, s)| s).or_else(|| {
-            (0..self.out_degree).find(|&s| {
-                !dead.contains(self.slot_ports[s]) && self.next_regs[base + s] == EMPTY_SLOT
-            })
-        });
-        (chosen, wanted.map(|(_, s)| s))
+        self.pool.release(idx);
+        self.in_flight -= 1;
+        self.stats.dropped += 1;
     }
 
     /// Places the packet in pool slot `idx` onto output `slot` of
-    /// `node`, updating hop counters; a transiently faulted link
-    /// consumes the hop but loses the packet (counted in `dropped`).
-    fn forward<S: EventSink>(&mut self, node: usize, slot: usize, idx: u32, sink: &mut S) {
+    /// `node`, bumping its hop counters in the pool. A transiently
+    /// faulted link consumes the hop but loses the packet (counted in
+    /// `dropped`); the return value says whether the register was
+    /// written, i.e. whether the slot is now taken.
+    fn forward<S: EventSink>(&mut self, node: usize, slot: usize, idx: u32, sink: &mut S) -> bool {
         let port = self.slot_ports[slot];
         let span = self.slot_spans[slot];
-        let mut pkt = *self.pool.get(idx);
+        let pkt = self.pool.get_mut(idx);
         if span > 1 {
             pkt.express_hops += 1;
             self.stats.link_usage.express_hops += 1;
@@ -290,22 +434,14 @@ impl ShgNoc {
             .as_ref()
             .and_then(|f| f.link_fault(node, port, self.cycle));
         if let Some(corrupted) = link_fault {
-            self.pool.release(idx);
-            self.in_flight -= 1;
-            self.stats.dropped += 1;
-            if S::ENABLED {
-                sink.emit(&SimEvent::FaultDrop {
-                    cycle: self.cycle,
-                    node,
-                    packet: pkt.id,
-                    link: Some(port),
-                    corrupted,
-                });
-            }
-            return;
+            self.drop_packet(node, idx, Some(port), corrupted, sink);
+            return false;
         }
-        self.pool.write(idx, &pkt);
-        self.next_regs[node * self.out_degree + slot] = idx;
+        let link = node * self.out_degree + slot;
+        let dst = self.link_dst[link] as usize;
+        self.next_regs[self.link_reg[link] as usize] = idx;
+        self.next_occ[dst / 64] |= 1 << (dst % 64);
+        true
     }
 
     /// Advances the fabric by one cycle (see [`SimEngine::step_cycle`]).
@@ -318,46 +454,46 @@ impl ShgNoc {
         if let Some(f) = self.faults.as_mut() {
             f.patch_epoch(self.cycle);
         }
+        let q = self.topo.config().q();
+        let deg = self.out_degree;
 
-        self.stats.router_visits += self.nodes as u64;
-        for node in 0..self.nodes {
-            let failed = self
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.failed(node, self.cycle));
+        // Only a router with an occupied arrival register or a waiting
+        // PE can do anything observable.
+        let mut active = ActiveCursor::default();
+        while let Some(node) = active.next(&self.occ, queues) {
+            self.stats.router_visits += 1;
+            let at = self.coords[node];
+            let base = node * deg;
+            let (failed, dead) = match &self.faults {
+                Some(f) => (f.failed(node, self.cycle), f.dead[node]),
+                None => (false, OutSet::empty()),
+            };
+            let live = self.all_slots & !self.class_slots[usize::from(dead.bits() & 0xF)];
+            // This router's outputs are written only during this visit,
+            // so "is the slot free" is local state, not a register probe.
+            let mut free = live;
 
             // Arrivals, in ascending global-link order (deterministic).
-            for li in 0..self.in_links[node].len() {
-                let gidx = self.in_links[node][li] as usize;
-                let idx = self.regs[gidx];
+            // Every occupied register is consumed here, which is what
+            // leaves `regs` empty for the swap below.
+            for reg in base..base + deg {
+                let idx = self.regs[reg];
                 if idx == EMPTY_SLOT {
                     continue;
                 }
-                self.regs[gidx] = EMPTY_SLOT;
-                let pkt = *self.pool.get(idx);
+                self.regs[reg] = EMPTY_SLOT;
 
                 // A fail-stopped router swallows every arrival.
                 if failed {
-                    self.pool.release(idx);
-                    self.in_flight -= 1;
-                    self.stats.dropped += 1;
-                    if S::ENABLED {
-                        sink.emit(&SimEvent::FaultDrop {
-                            cycle: self.cycle,
-                            node,
-                            packet: pkt.id,
-                            link: None,
-                            corrupted: false,
-                        });
-                    }
+                    self.drop_packet(node, idx, None, false, sink);
                     continue;
                 }
 
-                let q = self.topo.config().q();
-                let dst = pkt.dst.to_node_id(q);
-                if dst == node {
+                let dst = self.pool.dst(idx);
+                if dst == at {
                     // Per-input ejector: delivery this cycle.
                     self.stats.route_decisions += 1;
+                    let pkt = self.pool.remove(idx);
                     if S::ENABLED {
                         sink.emit(&SimEvent::RouteDecision {
                             cycle: self.cycle,
@@ -370,36 +506,27 @@ impl ShgNoc {
                             hops: pkt.total_hops(),
                         });
                     }
-                    self.pool.release(idx);
                     self.in_flight -= 1;
                     self.eject(node, pkt, deliveries, sink);
                     continue;
                 }
 
-                let greedy = self.lut.slot(node, dst).expect("dst != node");
-                let (chosen, wanted) = self.choose_slot(node, dst);
-                let Some(slot) = chosen else {
+                let offset = offset_id(at, dst, q);
+                let row = (node * self.row_stride + offset) * deg;
+                let (chosen, wanted) = pick_slot(&self.rows[row..row + deg], live, free);
+                if chosen == NO_SLOT {
                     // Every live output is taken: dead links broke the
                     // arrivals <= outputs guarantee. Bufferless routers
                     // have nowhere to park the loser.
-                    let dead = self.faults.as_ref().expect("only faults strand").dead[node];
-                    self.pool.release(idx);
-                    self.in_flight -= 1;
-                    self.stats.dropped += 1;
-                    if S::ENABLED {
-                        sink.emit(&SimEvent::FaultDrop {
-                            cycle: self.cycle,
-                            node,
-                            packet: pkt.id,
-                            link: dead.iter().next(),
-                            corrupted: false,
-                        });
-                    }
+                    debug_assert!(!dead.is_empty(), "only faults strand");
+                    self.drop_packet(node, idx, dead.iter().next(), false, sink);
                     continue;
-                };
+                }
+                let slot = chosen as usize;
                 let out = self.slot_ports[slot];
                 self.stats.route_decisions += 1;
                 if S::ENABLED {
+                    let pkt = self.pool.get(idx);
                     sink.emit(&SimEvent::RouteDecision {
                         cycle: self.cycle,
                         node,
@@ -411,151 +538,123 @@ impl ShgNoc {
                         hops: pkt.total_hops(),
                     });
                 }
-                if slot != greedy {
-                    let greedy_port = self.slot_ports[greedy];
-                    let dead_caused = self
-                        .faults
-                        .as_ref()
-                        .is_some_and(|f| f.dead[node].contains(greedy_port));
-                    if dead_caused {
-                        // Steered off a dead link: degradation, not a
-                        // deflection.
-                        self.stats.rerouted += 1;
-                        if S::ENABLED {
-                            sink.emit(&SimEvent::FaultReroute {
-                                cycle: self.cycle,
-                                node,
-                                packet: pkt.id,
-                                avoided: greedy_port,
-                            });
-                        }
-                    } else if Some(slot) != wanted {
-                        // Denied the closest productive slot by
-                        // occupancy: a genuine deflection.
-                        let mut moved = *self.pool.get(idx);
-                        moved.deflections += 1;
-                        self.pool.write(idx, &moved);
-                        self.stats.ports.deflections[out.index().min(3)] += 1;
-                        if S::ENABLED {
-                            sink.emit(&SimEvent::Deflect {
-                                cycle: self.cycle,
-                                node,
-                                packet: pkt.id,
-                                out,
-                            });
+                // Taking the closest slot on a healthy router is neither
+                // a reroute nor a deflection, whatever the greedy slot is.
+                if chosen != wanted || !dead.is_empty() {
+                    let greedy = usize::from(self.greedy[offset]);
+                    if slot != greedy {
+                        let greedy_port = self.slot_ports[greedy];
+                        if dead.contains(greedy_port) {
+                            // Steered off a dead link: degradation, not a
+                            // deflection.
+                            self.stats.rerouted += 1;
+                            if S::ENABLED {
+                                sink.emit(&SimEvent::FaultReroute {
+                                    cycle: self.cycle,
+                                    node,
+                                    packet: self.pool.get(idx).id,
+                                    avoided: greedy_port,
+                                });
+                            }
+                        } else if chosen != wanted {
+                            // Denied the closest productive slot by
+                            // occupancy: a genuine deflection.
+                            let pkt = self.pool.get_mut(idx);
+                            pkt.deflections += 1;
+                            self.stats.ports.deflections[out.index().min(3)] += 1;
+                            if S::ENABLED {
+                                sink.emit(&SimEvent::Deflect {
+                                    cycle: self.cycle,
+                                    node,
+                                    packet: pkt.id,
+                                    out,
+                                });
+                            }
                         }
                     }
                 }
-                self.forward(node, slot, idx, sink);
+                // A transient-fault drop consumes the hop but leaves the
+                // slot free for the next arrival.
+                if self.forward(node, slot, idx, sink) {
+                    free &= !(1 << slot);
+                }
             }
 
             // PE injection: lowest priority.
             if failed {
                 continue;
             }
+            let Some(pending) = queues.peek(node) else {
+                continue;
+            };
+            let dst = pending.dst;
             let stalled = self
                 .faults
                 .as_ref()
                 .is_some_and(|f| f.injector_stalled(node, self.cycle));
-            let Some(pending) = queues.peek(node) else {
-                continue;
-            };
-            if stalled {
+            let offset = offset_id(at, dst, q);
+            let row = (node * self.row_stride + offset) * deg;
+            // A self-send leaves through the ejector without traversing
+            // any link; otherwise the PE needs a free output.
+            let chosen = (dst != at).then(|| pick_slot(&self.rows[row..row + deg], live, free).0);
+            if stalled || chosen == Some(NO_SLOT) {
                 self.stats.injection_stalls += 1;
                 if S::ENABLED {
                     sink.emit(&queues.stall_event(self.cycle, node));
                 }
                 continue;
             }
-            let q = self.topo.config().q();
-            let dst = pending.dst.to_node_id(q);
-            if dst == node {
-                // Self-send: delivered without traversing any link.
-                let pending = queues.pop(node).unwrap();
-                let mut pkt = Packet::new(
-                    pending.id,
-                    pkt_coord(node, q),
-                    pending.dst,
-                    pending.enqueued_at,
-                    pending.tag,
-                );
-                pkt.injected_at = self.cycle;
-                self.stats.injected += 1;
-                self.stats.route_decisions += 1;
-                if S::ENABLED {
-                    sink.emit(&SimEvent::Inject {
-                        cycle: self.cycle,
-                        node,
-                        packet: pkt.id,
-                        dst: pkt.dst,
-                        out: OutPort::Exit,
-                        queue_wait: self.cycle.saturating_sub(pkt.enqueued_at),
-                    });
-                }
+            let pending = queues.pop(node).expect("peeked above");
+            let mut pkt = Packet::new(pending.id, at, dst, pending.enqueued_at, pending.tag);
+            pkt.injected_at = self.cycle;
+            self.stats.injected += 1;
+            self.stats.route_decisions += 1;
+            if S::ENABLED {
+                sink.emit(&SimEvent::Inject {
+                    cycle: self.cycle,
+                    node,
+                    packet: pkt.id,
+                    dst,
+                    out: chosen.map_or(OutPort::Exit, |s| self.slot_ports[s as usize]),
+                    queue_wait: self.cycle.saturating_sub(pkt.enqueued_at),
+                });
+            }
+            let Some(chosen) = chosen else {
                 self.eject(node, pkt, deliveries, sink);
                 continue;
-            }
-            let greedy = self.lut.slot(node, dst).expect("dst != node");
-            match self.choose_slot(node, dst).0 {
-                Some(slot) => {
-                    let pending = queues.pop(node).unwrap();
-                    let mut pkt = Packet::new(
-                        pending.id,
-                        pkt_coord(node, q),
-                        pending.dst,
-                        pending.enqueued_at,
-                        pending.tag,
-                    );
-                    pkt.injected_at = self.cycle;
-                    self.stats.injected += 1;
-                    self.stats.route_decisions += 1;
-                    let out = self.slot_ports[slot];
+            };
+            let slot = chosen as usize;
+            if !dead.is_empty() {
+                let greedy = usize::from(self.greedy[offset]);
+                let greedy_port = self.slot_ports[greedy];
+                if slot != greedy && dead.contains(greedy_port) {
+                    self.stats.rerouted += 1;
                     if S::ENABLED {
-                        sink.emit(&SimEvent::Inject {
+                        sink.emit(&SimEvent::FaultReroute {
                             cycle: self.cycle,
                             node,
                             packet: pkt.id,
-                            dst: pkt.dst,
-                            out,
-                            queue_wait: self.cycle.saturating_sub(pkt.enqueued_at),
+                            avoided: greedy_port,
                         });
-                    }
-                    if slot != greedy {
-                        let greedy_port = self.slot_ports[greedy];
-                        if self
-                            .faults
-                            .as_ref()
-                            .is_some_and(|f| f.dead[node].contains(greedy_port))
-                        {
-                            self.stats.rerouted += 1;
-                            if S::ENABLED {
-                                sink.emit(&SimEvent::FaultReroute {
-                                    cycle: self.cycle,
-                                    node,
-                                    packet: pkt.id,
-                                    avoided: greedy_port,
-                                });
-                            }
-                        }
-                    }
-                    self.in_flight += 1;
-                    if self.pool.free_slots() > 0 {
-                        self.stats.pool_reuse += 1;
-                    }
-                    let idx = self.pool.insert(pkt);
-                    self.forward(node, slot, idx, sink);
-                }
-                None => {
-                    self.stats.injection_stalls += 1;
-                    if S::ENABLED {
-                        sink.emit(&queues.stall_event(self.cycle, node));
                     }
                 }
             }
+            self.in_flight += 1;
+            if self.pool.free_slots() > 0 {
+                self.stats.pool_reuse += 1;
+            }
+            let idx = self.pool.insert(pkt);
+            self.forward(node, slot, idx, sink);
         }
 
+        debug_assert!(
+            self.regs.iter().all(|&r| r == EMPTY_SLOT),
+            "the walk consumes every occupied register"
+        );
+        self.occ.fill(0);
         std::mem::swap(&mut self.regs, &mut self.next_regs);
-        self.next_regs.fill(EMPTY_SLOT);
+        std::mem::swap(&mut self.occ, &mut self.next_occ);
+        debug_assert!(self.occupancy_mask_exact());
         if S::ENABLED {
             sink.end_cycle(self.cycle);
         }
@@ -563,9 +662,20 @@ impl ShgNoc {
     }
 }
 
-/// Node id to coordinate on the SHG's `q × q` grid.
-fn pkt_coord(node: usize, q: u16) -> crate::geom::Coord {
-    crate::geom::Coord::from_node_id(node, q)
+/// BFS hop distance from node 0 to every node of the healthy SHG.
+fn bfs_from_origin(nodes: usize, out_degree: usize, link_dst: &[u32]) -> Vec<u16> {
+    let mut dist = vec![UNREACHABLE; nodes];
+    let mut queue = std::collections::VecDeque::from([0u32]);
+    dist[0] = 0;
+    while let Some(v) = queue.pop_front() {
+        for &next in &link_dst[v as usize * out_degree..][..out_degree] {
+            if dist[next as usize] == UNREACHABLE {
+                dist[next as usize] = dist[v as usize] + 1;
+                queue.push_back(next);
+            }
+        }
+    }
+    dist
 }
 
 /// BFS hop distances between every node pair on the SHG with the
@@ -685,11 +795,14 @@ impl SessionBackend for ShgBackend {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::RefShgNoc;
     use super::*;
     use crate::fault::Fault;
-    use crate::geom::Coord;
     use crate::sim::{SimOptions, SimReport, SimSession, TrafficSource};
-    use crate::trace::VecSink;
+    use crate::topology::TopoRouteLut;
+    use crate::trace::{NullSink, VecSink};
+    use proptest::prelude::*;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     struct Batch {
         items: Vec<(usize, Coord)>,
@@ -956,5 +1069,322 @@ mod tests {
             .report;
         assert!(report.truncated);
         assert!(report.conserved());
+    }
+
+    /// The four link port classes, for drawing faults.
+    const LINK_PORTS: [OutPort; 4] = [
+        OutPort::EastSh,
+        OutPort::EastEx,
+        OutPort::SouthSh,
+        OutPort::SouthEx,
+    ];
+
+    /// A small random plan of one fault family (`kind` 1..=5: static
+    /// dead links, down-link windows, transient links, fail-stop
+    /// routers, stalled injectors), of all five (6), or none (0). Draws
+    /// the topology refuses are skipped.
+    fn random_plan(c: ShgConfig, kind: u8, rng: &mut SmallRng) -> FaultPlan {
+        let topo = ShgTopology::new(c);
+        let mut plan = FaultPlan::new();
+        if kind == 0 {
+            return plan;
+        }
+        for i in 0..rng.gen_range(1..5) {
+            let node = rng.gen_range(0..c.num_nodes());
+            let out = LINK_PORTS[rng.gen_range(0..4)];
+            let from = rng.gen_range(0..50u64);
+            let until = from + rng.gen_range(1..90u64);
+            let fault = match if kind == 6 { i % 5 + 1 } else { kind } {
+                1 => Fault::DeadLink { node, out },
+                2 => Fault::DownLink {
+                    node,
+                    out,
+                    from,
+                    until,
+                },
+                3 => Fault::TransientLink {
+                    node,
+                    out,
+                    from,
+                    until,
+                    corrupt: rng.gen(),
+                },
+                4 => Fault::FailStopRouter { node, at: from },
+                _ => Fault::StalledInjector { node, from, until },
+            };
+            if topo.validate_fault(&fault).is_ok() {
+                plan.push(fault);
+            }
+        }
+        plan
+    }
+
+    /// Random traffic for the first 60 cycles (self-sends included).
+    fn pump(queues: &mut [&mut InjectQueues], q: u16, rate: u32, cycle: u64, rng: &mut SmallRng) {
+        if cycle >= 60 {
+            return;
+        }
+        for node in 0..usize::from(q) * usize::from(q) {
+            if rng.gen_range(0..100) < rate {
+                let dst = Coord::new(rng.gen_range(0..q), rng.gen_range(0..q));
+                for queue in queues.iter_mut() {
+                    queue.push(node, dst, cycle, 0);
+                }
+            }
+        }
+    }
+
+    /// Drives [`ShgNoc`] and the dense reference through the same random
+    /// traffic (self-sends included) and fault plan: deliveries match
+    /// cycle by cycle, then the whole event stream and every statistic
+    /// but `router_visits` (the reference visits every router).
+    fn assert_matches_reference<S: EventSink + Default>(
+        c: ShgConfig,
+        plan: &FaultPlan,
+        rate: u32,
+        seed: u64,
+    ) -> (S, S) {
+        let (q, nodes) = (c.q(), c.num_nodes());
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut new = ShgNoc::with_faults(c, plan).unwrap();
+        let mut old = RefShgNoc::with_faults(c, plan).unwrap();
+        let mut new_q = InjectQueues::new(nodes);
+        let mut old_q = InjectQueues::new(nodes);
+        let (mut new_sink, mut old_sink) = (S::default(), S::default());
+        for cycle in 0..700u64 {
+            pump(&mut [&mut new_q, &mut old_q], q, rate, cycle, &mut rng);
+            if cycle >= 60 && new_q.is_empty() && new.in_flight() == 0 {
+                break;
+            }
+            let (mut new_out, mut old_out) = (Vec::new(), Vec::new());
+            new.step_with_sink(&mut new_q, &mut new_out, &mut new_sink);
+            old.step_with_sink(&mut old_q, &mut old_out, &mut old_sink);
+            assert_eq!(new_out, old_out, "deliveries of cycle {cycle}");
+        }
+        let mut new_stats = new.stats().clone();
+        assert!(new_stats.router_visits <= old.stats().router_visits);
+        new_stats.router_visits = old.stats().router_visits;
+        assert_eq!(&new_stats, old.stats());
+        assert_eq!(new.in_flight(), old.in_flight());
+        assert_eq!(new_q.total_pending(), old_q.total_pending());
+        (new_sink, old_sink)
+    }
+
+    /// The fabrics the differentials and table checks cover: the
+    /// smallest ring, an odd side, and `delta = 3` where slots share a
+    /// port class.
+    const SPECS: [(u16, u16); 4] = [(4, 1), (5, 2), (8, 2), (8, 3)];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn step_matches_dense_reference(
+            spec in 0usize..4,
+            kind in 0u8..7,
+            rate in 1u32..100,
+            seed in any::<u64>(),
+        ) {
+            let (q, delta) = SPECS[spec];
+            let c = cfg(q, delta);
+            let plan = random_plan(c, kind, &mut SmallRng::seed_from_u64(seed ^ 0xFA17));
+            let (new, old) = assert_matches_reference::<VecSink>(c, &plan, rate, seed);
+            prop_assert_eq!(new.events, old.events);
+            // The unobserved monomorphization takes the same decisions.
+            assert_matches_reference::<NullSink>(c, &plan, rate, seed);
+        }
+
+        /// `router_visits` is the running count of routers with an
+        /// occupied arrival register or a waiting PE — nothing occupied
+        /// is skipped, nothing idle is visited — and the occupancy mask
+        /// is exact after every step.
+        #[test]
+        fn router_visits_match_shadow_active_set(
+            spec in 0usize..4,
+            kind in 0u8..7,
+            rate in 1u32..40,
+            seed in any::<u64>(),
+        ) {
+            let (q, delta) = SPECS[spec];
+            let c = cfg(q, delta);
+            let nodes = c.num_nodes();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let plan = random_plan(c, kind, &mut rng);
+            let mut noc = ShgNoc::with_faults(c, &plan).unwrap();
+            let mut queues = InjectQueues::new(nodes);
+            let mut deliveries = Vec::new();
+            let mut expected = 0u64;
+            for cycle in 0..700u64 {
+                pump(&mut [&mut queues], q, rate, cycle, &mut rng);
+                if cycle >= 60 && queues.is_empty() && noc.in_flight() == 0 {
+                    break;
+                }
+                expected += (0..nodes)
+                    .filter(|&n| {
+                        let regs = &noc.regs[n * noc.out_degree..][..noc.out_degree];
+                        regs.iter().any(|&r| r != EMPTY_SLOT) || queues.depth(n) > 0
+                    })
+                    .count() as u64;
+                noc.step_with_sink(&mut queues, &mut deliveries, &mut NullSink);
+                prop_assert_eq!(noc.stats().router_visits, expected, "after cycle {}", cycle);
+                prop_assert!(noc.occupancy_mask_exact());
+            }
+            prop_assert!(expected <= noc.cycle() * nodes as u64);
+        }
+    }
+
+    #[test]
+    fn occupancy_mask_is_exact_healthy_failstopped_and_after_reset() {
+        let c = cfg(8, 2);
+        let plan = FaultPlan::new().with(Fault::FailStopRouter { node: 27, at: 4 });
+        for mut noc in [ShgNoc::new(c), ShgNoc::with_faults(c, &plan).unwrap()] {
+            for round in 0..2 {
+                let mut queues = InjectQueues::new(64);
+                for node in 0..64 {
+                    queues.push(node, Coord::new(3, 3), 0, 0); // node 27
+                }
+                let mut deliveries = Vec::new();
+                let mut saw_traffic = false;
+                for _ in 0..12 {
+                    noc.step_with_sink(&mut queues, &mut deliveries, &mut NullSink);
+                    assert!(noc.occupancy_mask_exact(), "round {round}");
+                    saw_traffic |= noc.occ.iter().any(|&w| w != 0);
+                }
+                assert!(saw_traffic);
+                noc.reset();
+                assert!(noc.occupancy_mask_exact());
+                assert!(noc.occ.iter().chain(&noc.next_occ).all(|&w| w == 0));
+            }
+        }
+    }
+
+    /// Two static-dead plans for the exhaustive table checks (each fault
+    /// admitted by the topology it is used on).
+    fn static_dead_plans(c: ShgConfig) -> Vec<FaultPlan> {
+        let nodes = c.num_nodes();
+        let express = if c.delta() > 1 {
+            OutPort::EastEx
+        } else {
+            OutPort::SouthSh
+        };
+        vec![
+            FaultPlan::new().with(Fault::DeadLink {
+                node: 1,
+                out: OutPort::EastSh,
+            }),
+            FaultPlan::new()
+                .with(Fault::DeadLink {
+                    node: nodes / 2,
+                    out: express,
+                })
+                .with(Fault::DeadLink {
+                    node: nodes - 1,
+                    out: OutPort::SouthSh,
+                }),
+        ]
+    }
+
+    /// The preference-row read equals the reference's scan of the full
+    /// distance table for every router, destination, dead port-class
+    /// set and set of already-taken live outputs.
+    #[test]
+    fn pick_slot_matches_reference_scan_exhaustively() {
+        for (q, delta) in [(4, 1), (8, 2), (8, 3)] {
+            let c = cfg(q, delta);
+            let mut plans = vec![FaultPlan::new()];
+            plans.extend(static_dead_plans(c));
+            for plan in &plans {
+                let new = ShgNoc::with_faults(c, plan).unwrap();
+                let mut old = RefShgNoc::with_faults(c, plan).unwrap();
+                let deg = new.out_degree;
+                for node in 0..new.nodes {
+                    for dst in (0..new.nodes).filter(|&d| d != node) {
+                        let offset = offset_id(new.coords[node], new.coords[dst], q);
+                        let row = (node * new.row_stride + offset) * deg;
+                        let row = &new.rows[row..row + deg];
+                        for dead_bits in 0..16usize {
+                            let dead: OutSet = LINK_PORTS
+                                .into_iter()
+                                .filter(|p| dead_bits >> p.index() & 1 == 1)
+                                .collect();
+                            let live = new.all_slots & !new.class_slots[dead_bits];
+                            // Every `free` that is a subset of `live`.
+                            let mut taken = 0u32;
+                            loop {
+                                let free = live & !taken;
+                                let (chosen, wanted) = pick_slot(row, live, free);
+                                let as_option = |s: u32| (s != NO_SLOT).then_some(s as usize);
+                                assert_eq!(
+                                    (as_option(chosen), as_option(wanted)),
+                                    old.choose_slot_under(node, dst, dead, taken),
+                                    "shg:{q}:{delta} {plan} at {node} to {dst} dead {dead:?} taken {taken:#b}"
+                                );
+                                taken = (taken | !live).wrapping_add(1) & live;
+                                if taken == 0 {
+                                    break;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Vertex transitivity, checked rather than assumed: the rows built
+    /// for one router from one BFS equal, for every router, the rows
+    /// built from the full all-pairs distance table.
+    #[test]
+    fn healthy_offset_rows_equal_per_router_rows() {
+        for (q, delta) in [(4, 1), (5, 2), (8, 3), (16, 4)] {
+            let noc = ShgNoc::new(cfg(q, delta));
+            assert_eq!(noc.row_stride, 0);
+            let (nodes, deg) = (noc.nodes, noc.out_degree);
+            let dist = build_dist(nodes, deg, &noc.slot_ports, &noc.link_dst, None);
+            let mut row = vec![0u8; deg];
+            for at in 0..nodes {
+                for dst in (0..nodes).filter(|&d| d != at) {
+                    row.fill(PAD_SLOT);
+                    let via =
+                        (0..deg).map(|s| dist[noc.link_dst[at * deg + s] as usize * nodes + dst]);
+                    fill_row(&mut row, via);
+                    let offset = offset_id(noc.coords[at], noc.coords[dst], q);
+                    assert_eq!(
+                        &noc.rows[offset * deg..][..deg],
+                        &row[..],
+                        "shg:{q}:{delta} at {at} to {dst}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The offset-keyed greedy table and the destination-grouped
+    /// register map agree with the topology's own tables.
+    #[test]
+    fn greedy_and_register_tables_match_topology() {
+        for (q, delta) in [(4, 1), (5, 2), (8, 3)] {
+            let noc = ShgNoc::new(cfg(q, delta));
+            let lut = TopoRouteLut::build(noc.topology());
+            let (nodes, deg) = (noc.nodes, noc.out_degree);
+            for at in 0..nodes {
+                for dst in (0..nodes).filter(|&d| d != at) {
+                    let offset = offset_id(noc.coords[at], noc.coords[dst], q);
+                    assert_eq!(Some(usize::from(noc.greedy[offset])), lut.slot(at, dst));
+                }
+            }
+            // Each node's block lists its arriving links in ascending
+            // global-link order, and every register is used once.
+            let mut arriving: Vec<Vec<usize>> = vec![Vec::new(); nodes];
+            for link in noc.topology().links() {
+                arriving[link.dst].push(link.src * deg + link.slot);
+            }
+            for (dst, links) in arriving.iter().enumerate() {
+                for (rank, &global) in links.iter().enumerate() {
+                    assert_eq!(noc.link_reg[global] as usize, dst * deg + rank);
+                    assert_eq!(noc.link_dst[global] as usize, dst);
+                }
+            }
+        }
     }
 }

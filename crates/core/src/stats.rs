@@ -288,10 +288,11 @@ pub struct SimStats {
     /// Packet-pool insertions that reused a previously freed slot instead
     /// of growing the pool (allocator recycling efficiency).
     pub pool_reuse: u64,
-    /// Routers whose step body ran, summed over cycles. The torus step
-    /// visits only routers with an occupied input register or a waiting
-    /// PE, so at low load this is far below `cycles x nodes`; the SHG and
-    /// mesh engines visit every router every cycle.
+    /// Routers whose step body ran, summed over cycles. Every engine
+    /// visits only routers that hold a packet (an occupied input or
+    /// arrival register on the torus and the SHG, a non-empty link FIFO
+    /// on the mesh) or have a waiting PE, so at low load this is far
+    /// below `cycles x nodes`.
     pub router_visits: u64,
 }
 

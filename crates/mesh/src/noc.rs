@@ -14,12 +14,15 @@ use fasttrack_core::fault::{Fault, FaultError, FaultPlan};
 use fasttrack_core::geom::Coord;
 use fasttrack_core::packet::{Delivery, Packet};
 use fasttrack_core::port::OutPort;
-use fasttrack_core::queue::InjectQueues;
+use fasttrack_core::queue::{ActiveCursor, InjectQueues};
 use fasttrack_core::stats::SimStats;
 use fasttrack_core::trace::{EventSink, NullSink, SimEvent};
 
 use crate::config::MeshConfig;
 use crate::router::{xy_route, Dir};
+
+#[cfg(test)]
+mod reference;
 
 /// Maps a mesh link direction onto the torus-typed event port by *axis*:
 /// the torus enum has no west/north outputs (its rings are
@@ -36,6 +39,36 @@ fn axis_port(dir: Dir) -> OutPort {
 
 /// Candidate inputs per output: four link FIFOs plus local injection.
 const INJ: usize = 4;
+
+/// Output index of the ejector, after the four links in [`Dir::index`]
+/// order.
+const EJECT: usize = 4;
+
+/// [`MeshNoc::neighbors`] entry at the mesh edge.
+const NO_NEIGHBOR: u32 = u32::MAX;
+
+/// Index of the direction a packet sent toward `dir` arrives from
+/// ([`Dir::opposite`] on indices: N <-> S, E <-> W).
+const fn opposite(dir: usize) -> usize {
+    dir ^ 2
+}
+
+/// The round-robin winner among the inputs in `want` (bit `i` = input
+/// `i`, five inputs), searching from input `start` upward and wrapping.
+/// `want` must be non-zero.
+#[inline]
+fn rr_winner(want: u32, start: usize) -> usize {
+    debug_assert!(want != 0 && want < 32 && start < 5);
+    // Rotate right by `start` within five bits: the winner is then the
+    // lowest set bit.
+    let rotated = (want >> start | want << (5 - start)) & 0x1F;
+    let input = start + rotated.trailing_zeros() as usize;
+    if input >= 5 {
+        input - 5
+    } else {
+        input
+    }
+}
 
 /// The mesh's compiled view of a [`FaultPlan`]. The core engine's
 /// compiled tables are crate-private, so the mesh re-derives its own
@@ -151,9 +184,16 @@ pub struct MeshNoc {
     cfg: MeshConfig,
     /// Router coordinates by node id (no divide per router per phase).
     coords: Vec<Coord>,
+    /// `neighbors[node][d]`: node id of the `d`-side neighbor, or
+    /// [`NO_NEIGHBOR`] at the mesh edge.
+    neighbors: Vec<[u32; 4]>,
     /// `fifos[node][d]`: packets that arrived moving *from* direction
     /// `d` (i.e. sent by the `d`-side neighbor).
     fifos: Vec<[VecDeque<Packet>; 4]>,
+    /// Bit `node % 64` of word `node / 64` is set exactly while one of
+    /// `node`'s link FIFOs holds a packet; with the inject queues' own
+    /// mask it is the step's active set.
+    occ: Vec<u64>,
     /// `credits[node][d]`: free slots we may still consume in the
     /// `d`-side neighbor's facing FIFO.
     credits: Vec<[usize; 4]>,
@@ -164,32 +204,45 @@ pub struct MeshNoc {
     cycle: u64,
     stats: SimStats,
     faults: Option<MeshFaultState>,
-    /// Per-cycle scratch of the step (granted moves, then link
-    /// arrivals): cleared every cycle, allocated once.
+    /// Per-cycle scratch of the step (granted moves, link arrivals, and
+    /// under an enabled sink the nodes that injected): cleared every
+    /// cycle, allocated once.
     moves: Vec<Move>,
     arrivals: Vec<(usize, usize, Packet)>,
+    injected: Vec<u64>,
 }
 
 /// One granted move, computed against the cycle-start snapshot.
 #[derive(Debug, Clone, Copy)]
 struct Move {
-    node: usize,
+    node: u32,
     /// Input index: 0..4 = link FIFO by direction, [`INJ`] = injection.
-    input: usize,
-    /// Output: `Some(dir)` = link, `None` = ejection.
-    out: Option<Dir>,
+    input: u8,
+    /// Output index: 0..4 = link by direction, [`EJECT`] = ejection.
+    out: u8,
 }
 
 impl MeshNoc {
     /// Builds an idle mesh.
     pub fn new(cfg: MeshConfig) -> Self {
+        let n = cfg.n();
         let nodes = cfg.num_nodes();
+        let coords: Vec<Coord> = (0..nodes).map(|id| Coord::from_node_id(id, n)).collect();
+        let neighbors = coords
+            .iter()
+            .map(|&at| {
+                Dir::ALL.map(|d| {
+                    d.neighbor(at, n)
+                        .map_or(NO_NEIGHBOR, |c| c.to_node_id(n) as u32)
+                })
+            })
+            .collect();
         MeshNoc {
             cfg,
-            coords: (0..nodes)
-                .map(|id| Coord::from_node_id(id, cfg.n()))
-                .collect(),
+            coords,
+            neighbors,
             fifos: vec![Default::default(); nodes],
+            occ: vec![0; nodes.div_ceil(64)],
             credits: vec![[cfg.buffer_depth(); 4]; nodes],
             rr: vec![[0; 5]; nodes],
             in_flight: 0,
@@ -198,6 +251,7 @@ impl MeshNoc {
             faults: None,
             moves: Vec::new(),
             arrivals: Vec::new(),
+            injected: vec![0; nodes.div_ceil(64)],
         }
     }
 
@@ -262,6 +316,7 @@ impl MeshNoc {
                 dir.clear();
             }
         }
+        self.occ.fill(0);
         for credit in &mut self.credits {
             *credit = [self.cfg.buffer_depth(); 4];
         }
@@ -271,6 +326,25 @@ impl MeshNoc {
         self.in_flight = 0;
         self.cycle = 0;
         self.stats = SimStats::default();
+    }
+
+    /// Clears `node`'s occupancy bit if a pop just emptied its last
+    /// non-empty link FIFO.
+    #[inline]
+    fn note_popped(&mut self, node: usize) {
+        if self.fifos[node].iter().all(VecDeque::is_empty) {
+            self.occ[node / 64] &= !(1 << (node % 64));
+        }
+    }
+
+    /// The invariant the pushes and pops maintain (see `occ`): a clear
+    /// bit over a buffered packet would make the step skip its router,
+    /// so debug builds check it after every step.
+    fn occupancy_mask_exact(&self) -> bool {
+        self.fifos.iter().enumerate().all(|(node, fifos)| {
+            let occupied = fifos.iter().any(|f| !f.is_empty());
+            occupied == (self.occ[node / 64] >> (node % 64) & 1 == 1)
+        })
     }
 
     /// Advances the mesh by one cycle.
@@ -291,101 +365,105 @@ impl MeshNoc {
         deliveries: &mut Vec<Delivery>,
         sink: &mut S,
     ) {
-        let n = self.cfg.n();
-        let nodes = self.cfg.num_nodes();
         let mut moves = std::mem::take(&mut self.moves);
         let mut arrivals = std::mem::take(&mut self.arrivals);
         moves.clear();
-        self.stats.router_visits += nodes as u64;
 
         // Phase 0: fail-stop routers drop everything buffered at them
         // and return the consumed credits upstream, so traffic keeps
         // flowing *toward* the dead node and is accounted as lost there
         // (exact conservation: every drop decrements in-flight).
-        for node in 0..nodes {
-            if !self
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.failed(node, self.cycle))
-            {
-                continue;
-            }
-            let at = self.coords[node];
-            for d in Dir::ALL {
-                while let Some(pkt) = self.fifos[node][d.index()].pop_front() {
-                    if let Some(upstream) = d.neighbor(at, n) {
-                        self.credits[upstream.to_node_id(n)][d.opposite().index()] += 1;
-                    }
-                    self.in_flight -= 1;
-                    self.stats.dropped += 1;
-                    if S::ENABLED {
-                        sink.emit(&SimEvent::FaultDrop {
-                            cycle: self.cycle,
-                            node,
-                            packet: pkt.id,
-                            link: None,
-                            corrupted: false,
-                        });
+        if self.faults.is_some() {
+            let mut active = ActiveCursor::default();
+            while let Some(node) = active.next(&self.occ, queues) {
+                if !self
+                    .faults
+                    .as_ref()
+                    .is_some_and(|f| f.failed(node, self.cycle))
+                {
+                    continue;
+                }
+                for d in 0..4 {
+                    while let Some(pkt) = self.fifos[node][d].pop_front() {
+                        let upstream = self.neighbors[node][d];
+                        if upstream != NO_NEIGHBOR {
+                            self.credits[upstream as usize][opposite(d)] += 1;
+                        }
+                        self.in_flight -= 1;
+                        self.stats.dropped += 1;
+                        if S::ENABLED {
+                            sink.emit(&SimEvent::FaultDrop {
+                                cycle: self.cycle,
+                                node,
+                                packet: pkt.id,
+                                link: None,
+                                corrupted: false,
+                            });
+                        }
                     }
                 }
             }
         }
 
-        // Phase 1: arbitration against the cycle-start snapshot.
-        for node in 0..nodes {
+        // Phase 1: arbitration against the cycle-start snapshot. Only a
+        // router with a buffered packet or a waiting PE has a candidate.
+        let mut active = ActiveCursor::default();
+        while let Some(node) = active.next(&self.occ, queues) {
+            self.stats.router_visits += 1;
             // A fail-stopped router makes no moves: nothing routes,
-            // nothing injects, nothing ejects.
+            // nothing injects, nothing ejects. Phase 0 left its FIFOs
+            // empty; its bit goes here, after the cursor has read it, so
+            // both phases walk the cycle-start active set.
             if self
                 .faults
                 .as_ref()
                 .is_some_and(|f| f.failed(node, self.cycle))
             {
+                self.occ[node / 64] &= !(1 << (node % 64));
                 continue;
             }
             let at = self.coords[node];
-            // Desired output of each candidate input's head packet.
-            let mut desires: [Option<Option<Dir>>; 5] = [None; 5];
-            for d in Dir::ALL {
-                if let Some(head) = self.fifos[node][d.index()].front() {
-                    desires[d.index()] = Some(xy_route(at, head.dst));
+            // Per output, the candidate inputs whose head packet desires
+            // it (bit `i` = input `i`).
+            let mut want = [0u32; 5];
+            for (d, fifo) in self.fifos[node].iter().enumerate() {
+                if let Some(head) = fifo.front() {
+                    want[xy_route(at, head.dst).map_or(EJECT, Dir::index)] |= 1 << d;
                 }
             }
-            let inject_blocked = self
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.injector_stalled(node, self.cycle));
-            if !inject_blocked {
-                if let Some(pending) = queues.peek(node) {
-                    desires[INJ] = Some(xy_route(at, pending.dst));
+            if let Some(pending) = queues.peek(node) {
+                let inject_blocked = self
+                    .faults
+                    .as_ref()
+                    .is_some_and(|f| f.injector_stalled(node, self.cycle));
+                if !inject_blocked {
+                    want[xy_route(at, pending.dst).map_or(EJECT, Dir::index)] |= 1 << INJ;
                 }
             }
 
-            // Arbitrate each output: ejection (index 4) plus four links.
-            for out_idx in 0..5usize {
-                let out: Option<Dir> = if out_idx == 4 {
-                    None
-                } else {
-                    Some(Dir::ALL[out_idx])
-                };
-                // Link outputs need a neighbor and a credit.
-                if let Some(dir) = out {
-                    if dir.neighbor(at, n).is_none() || self.credits[node][dir.index()] == 0 {
-                        continue;
-                    }
+            // Arbitrate each output somebody wants: four links, then
+            // ejection.
+            for (out, &want) in want.iter().enumerate() {
+                if want == 0 {
+                    continue;
                 }
-                // Round-robin over the five candidate inputs.
-                let start = self.rr[node][out_idx] as usize;
-                let winner = (0..5)
-                    .map(|k| (start + k) % 5)
-                    .find(|&i| desires[i] == Some(out));
-                if let Some(input) = winner {
-                    moves.push(Move { node, input, out });
-                    self.rr[node][out_idx] = ((input + 1) % 5) as u8;
-                    // Reserve the credit now so no other router state is
-                    // needed; pops/pushes apply in phase 2.
-                    if let Some(dir) = out {
-                        self.credits[node][dir.index()] -= 1;
-                    }
+                // Link outputs need a neighbor and a credit.
+                if out != EJECT
+                    && (self.neighbors[node][out] == NO_NEIGHBOR || self.credits[node][out] == 0)
+                {
+                    continue;
+                }
+                let input = rr_winner(want, usize::from(self.rr[node][out]));
+                moves.push(Move {
+                    node: node as u32,
+                    input: input as u8,
+                    out: out as u8,
+                });
+                self.rr[node][out] = if input == 4 { 0 } else { input as u8 + 1 };
+                // Reserve the credit now so no other router state is
+                // needed; pops/pushes apply in phase 2.
+                if out != EJECT {
+                    self.credits[node][out] -= 1;
                 }
             }
         }
@@ -393,9 +471,16 @@ impl MeshNoc {
         // Phase 2: apply moves — pops (returning upstream credits), then
         // pushes into downstream FIFOs.
         for mv in &moves {
-            let at = self.coords[mv.node];
-            let mut pkt = if mv.input == INJ {
-                let pending = queues.pop(mv.node).expect("granted injection has a packet");
+            let node = mv.node as usize;
+            let input = usize::from(mv.input);
+            let out = usize::from(mv.out);
+            let at = self.coords[node];
+            let out_port = match out {
+                EJECT => OutPort::Exit,
+                dir => axis_port(Dir::ALL[dir]),
+            };
+            let mut pkt = if input == INJ {
+                let pending = queues.pop(node).expect("granted injection has a packet");
                 let mut p = Packet::new(
                     pending.id,
                     at,
@@ -407,33 +492,35 @@ impl MeshNoc {
                 self.stats.injected += 1;
                 self.in_flight += 1;
                 if S::ENABLED {
+                    self.injected[node / 64] |= 1 << (node % 64);
                     sink.emit(&SimEvent::Inject {
                         cycle: self.cycle,
-                        node: mv.node,
+                        node,
                         packet: p.id,
                         dst: p.dst,
-                        out: mv.out.map_or(OutPort::Exit, axis_port),
+                        out: out_port,
                         queue_wait: self.cycle.saturating_sub(p.enqueued_at),
                     });
                 }
                 p
             } else {
-                let p = self.fifos[mv.node][mv.input]
+                let p = self.fifos[node][input]
                     .pop_front()
                     .expect("granted input has a head");
+                self.note_popped(node);
                 // Return the credit to the upstream router that feeds
                 // this FIFO (if any — edge FIFOs have no upstream).
-                let from_dir = Dir::ALL[mv.input];
-                if let Some(upstream) = from_dir.neighbor(at, n) {
-                    self.credits[upstream.to_node_id(n)][from_dir.opposite().index()] += 1;
+                let upstream = self.neighbors[node][input];
+                if upstream != NO_NEIGHBOR {
+                    self.credits[upstream as usize][opposite(input)] += 1;
                 }
                 if S::ENABLED {
                     sink.emit(&SimEvent::RouteDecision {
                         cycle: self.cycle,
-                        node: mv.node,
+                        node,
                         packet: p.id,
                         in_port: None,
-                        out: mv.out.map_or(OutPort::Exit, axis_port),
+                        out: out_port,
                         src: p.src,
                         dst: p.dst,
                         hops: p.total_hops(),
@@ -442,76 +529,76 @@ impl MeshNoc {
                 p
             };
 
-            match mv.out {
-                None => {
-                    debug_assert_eq!(pkt.dst, at);
-                    self.in_flight -= 1;
-                    self.stats.delivered += 1;
-                    let delivery = Delivery {
-                        packet: pkt,
-                        cycle: self.cycle + 1,
-                    };
-                    self.stats.total_latency.record(delivery.total_latency());
-                    self.stats
-                        .network_latency
-                        .record(delivery.network_latency());
-                    if S::ENABLED {
-                        sink.emit(&SimEvent::Eject {
-                            cycle: self.cycle,
-                            node: mv.node,
-                            delivery,
-                        });
-                    }
-                    deliveries.push(delivery);
+            if out == EJECT {
+                debug_assert_eq!(pkt.dst, at);
+                self.in_flight -= 1;
+                self.stats.delivered += 1;
+                let delivery = Delivery {
+                    packet: pkt,
+                    cycle: self.cycle + 1,
+                };
+                self.stats.total_latency.record(delivery.total_latency());
+                self.stats
+                    .network_latency
+                    .record(delivery.network_latency());
+                if S::ENABLED {
+                    sink.emit(&SimEvent::Eject {
+                        cycle: self.cycle,
+                        node,
+                        delivery,
+                    });
                 }
-                Some(dir) => {
-                    // The hop is counted even when a transient fault eats
-                    // the packet: the wire was driven either way.
-                    pkt.short_hops += 1;
-                    self.stats.link_usage.short_hops += 1;
-                    let axis = axis_port(dir);
-                    if let Some(corrupted) = self
-                        .faults
-                        .as_ref()
-                        .and_then(|f| f.link_fault(mv.node, axis, self.cycle))
-                    {
-                        // The reserved downstream slot is never filled:
-                        // hand the credit straight back.
-                        self.credits[mv.node][dir.index()] += 1;
-                        self.in_flight -= 1;
-                        self.stats.dropped += 1;
-                        if S::ENABLED {
-                            sink.emit(&SimEvent::FaultDrop {
-                                cycle: self.cycle,
-                                node: mv.node,
-                                packet: pkt.id,
-                                link: Some(axis),
-                                corrupted,
-                            });
-                        }
-                        continue;
-                    }
-                    let target = dir.neighbor(at, n).expect("checked in phase 1");
-                    // The packet arrives at the target on the FIFO facing
-                    // back toward us.
-                    arrivals.push((target.to_node_id(n), dir.opposite().index(), pkt));
-                }
+                deliveries.push(delivery);
+                continue;
             }
+            // The hop is counted even when a transient fault eats the
+            // packet: the wire was driven either way.
+            pkt.short_hops += 1;
+            self.stats.link_usage.short_hops += 1;
+            if let Some(corrupted) = self
+                .faults
+                .as_ref()
+                .and_then(|f| f.link_fault(node, out_port, self.cycle))
+            {
+                // The reserved downstream slot is never filled: hand the
+                // credit straight back.
+                self.credits[node][out] += 1;
+                self.in_flight -= 1;
+                self.stats.dropped += 1;
+                if S::ENABLED {
+                    sink.emit(&SimEvent::FaultDrop {
+                        cycle: self.cycle,
+                        node,
+                        packet: pkt.id,
+                        link: Some(out_port),
+                        corrupted,
+                    });
+                }
+                continue;
+            }
+            // The packet arrives at the target on the FIFO facing back
+            // toward us (the neighbor exists: checked in phase 1).
+            arrivals.push((self.neighbors[node][out] as usize, opposite(out), pkt));
         }
         for (node, fifo, pkt) in arrivals.drain(..) {
             debug_assert!(self.fifos[node][fifo].len() < self.cfg.buffer_depth());
             self.fifos[node][fifo].push_back(pkt);
+            self.occ[node / 64] |= 1 << (node % 64);
         }
+        debug_assert!(self.occupancy_mask_exact());
 
         if S::ENABLED {
-            // A node with a still-pending head was denied injection this
-            // cycle (grants pop the head, and pumps happen outside step).
-            for node in 0..nodes {
-                let injected = moves.iter().any(|m| m.node == node && m.input == INJ);
-                if !injected && queues.peek(node).is_some() {
+            // A node with a still-pending head that did not inject was
+            // denied this cycle (grants pop the head, and pumps happen
+            // outside step). Walking `injected | non-empty` and skipping
+            // the injectors leaves exactly those, in node order.
+            let mut pending = ActiveCursor::default();
+            while let Some(node) = pending.next(&self.injected, queues) {
+                if self.injected[node / 64] >> (node % 64) & 1 == 0 {
                     sink.emit(&queues.stall_event(self.cycle, node));
                 }
             }
+            self.injected.fill(0);
             sink.end_cycle(self.cycle);
         }
 
@@ -523,7 +610,11 @@ impl MeshNoc {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::RefMeshNoc;
     use super::*;
+    use fasttrack_core::trace::VecSink;
+    use proptest::prelude::*;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     fn drain(noc: &mut MeshNoc, q: &mut InjectQueues, max: u64) -> Vec<Delivery> {
         let mut out = Vec::new();
@@ -706,5 +797,191 @@ mod tests {
         // ever (buffered routers hold, never misroute).
         assert_eq!(dels[0].packet.short_hops, 8);
         assert_eq!(dels[0].packet.deflections, 0);
+    }
+
+    /// A small random plan of one fault family the mesh admits (`kind`
+    /// 1..=3: transient axis links, fail-stop routers, stalled
+    /// injectors), of all three (4), or none (0).
+    fn random_plan(cfg: &MeshConfig, kind: u8, rng: &mut SmallRng) -> FaultPlan {
+        let mut plan = FaultPlan::new();
+        if kind == 0 {
+            return plan;
+        }
+        for i in 0..rng.gen_range(1..5) {
+            let node = rng.gen_range(0..cfg.num_nodes());
+            let from = rng.gen_range(0..50u64);
+            let until = from + rng.gen_range(1..90u64);
+            plan.push(match if kind == 4 { i % 3 + 1 } else { kind } {
+                1 => Fault::TransientLink {
+                    node,
+                    out: [OutPort::EastSh, OutPort::SouthSh][rng.gen_range(0..2)],
+                    from,
+                    until,
+                    corrupt: rng.gen(),
+                },
+                2 => Fault::FailStopRouter { node, at: from },
+                _ => Fault::StalledInjector { node, from, until },
+            });
+        }
+        plan
+    }
+
+    /// Random traffic for the first 60 cycles (self-sends included).
+    fn pump(queues: &mut [&mut InjectQueues], n: u16, rate: u32, cycle: u64, rng: &mut SmallRng) {
+        if cycle >= 60 {
+            return;
+        }
+        for node in 0..usize::from(n) * usize::from(n) {
+            if rng.gen_range(0..100) < rate {
+                let dst = Coord::new(rng.gen_range(0..n), rng.gen_range(0..n));
+                for q in queues.iter_mut() {
+                    q.push(node, dst, cycle, 0);
+                }
+            }
+        }
+    }
+
+    /// Drives [`MeshNoc`] and the dense reference through the same
+    /// random traffic and fault plan: deliveries match cycle by cycle,
+    /// then every statistic but `router_visits` (the reference visits
+    /// every router). Returns both sinks for the caller to compare.
+    fn assert_matches_reference<S: EventSink + Default>(
+        cfg: MeshConfig,
+        plan: &FaultPlan,
+        rate: u32,
+        seed: u64,
+    ) -> (S, S) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut new = MeshNoc::with_faults(cfg, plan).unwrap();
+        let mut old = RefMeshNoc::with_faults(cfg, plan).unwrap();
+        let mut new_q = InjectQueues::new(cfg.num_nodes());
+        let mut old_q = InjectQueues::new(cfg.num_nodes());
+        let (mut new_sink, mut old_sink) = (S::default(), S::default());
+        for cycle in 0..1500u64 {
+            pump(
+                &mut [&mut new_q, &mut old_q],
+                cfg.n(),
+                rate,
+                cycle,
+                &mut rng,
+            );
+            if cycle >= 60 && new_q.is_empty() && new.in_flight() == 0 {
+                break;
+            }
+            let (mut new_out, mut old_out) = (Vec::new(), Vec::new());
+            new.step_with_sink(&mut new_q, &mut new_out, &mut new_sink);
+            old.step_with_sink(&mut old_q, &mut old_out, &mut old_sink);
+            assert_eq!(new_out, old_out, "deliveries of cycle {cycle}");
+        }
+        let mut new_stats = new.stats().clone();
+        assert!(new_stats.router_visits <= old.stats().router_visits);
+        new_stats.router_visits = old.stats().router_visits;
+        assert_eq!(&new_stats, old.stats());
+        assert_eq!(new.in_flight(), old.in_flight());
+        assert_eq!(new.cycle(), old.cycle());
+        assert_eq!(new_q.total_pending(), old_q.total_pending());
+        (new_sink, old_sink)
+    }
+
+    /// Depth-1 credits, an odd side, and the benchmark's 8x8.
+    const SPECS: [(u16, usize); 3] = [(4, 1), (5, 3), (8, 4)];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn step_matches_dense_reference(
+            spec in 0usize..3,
+            kind in 0u8..5,
+            rate in 1u32..100,
+            seed in any::<u64>(),
+        ) {
+            let (n, depth) = SPECS[spec];
+            let cfg = MeshConfig::new(n, depth).unwrap();
+            let plan = random_plan(&cfg, kind, &mut SmallRng::seed_from_u64(seed ^ 0xFA17));
+            let (new, old) = assert_matches_reference::<VecSink>(cfg, &plan, rate, seed);
+            prop_assert_eq!(new.events, old.events);
+            // The unobserved monomorphization takes the same decisions.
+            assert_matches_reference::<NullSink>(cfg, &plan, rate, seed);
+        }
+
+        /// `router_visits` is the running count of routers with a
+        /// non-empty link FIFO or a waiting PE — nothing buffered is
+        /// skipped, nothing idle is visited — and the occupancy mask is
+        /// exact after every step.
+        #[test]
+        fn router_visits_match_shadow_active_set(
+            spec in 0usize..3,
+            kind in 0u8..5,
+            rate in 1u32..40,
+            seed in any::<u64>(),
+        ) {
+            let (n, depth) = SPECS[spec];
+            let cfg = MeshConfig::new(n, depth).unwrap();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let plan = random_plan(&cfg, kind, &mut rng);
+            let mut noc = MeshNoc::with_faults(cfg, &plan).unwrap();
+            let mut queues = InjectQueues::new(cfg.num_nodes());
+            let mut deliveries = Vec::new();
+            let mut expected = 0u64;
+            for cycle in 0..1500u64 {
+                pump(&mut [&mut queues], n, rate, cycle, &mut rng);
+                if cycle >= 60 && queues.is_empty() && noc.in_flight() == 0 {
+                    break;
+                }
+                expected += (0..cfg.num_nodes())
+                    .filter(|&node| {
+                        noc.fifos[node].iter().any(|f| !f.is_empty()) || queues.depth(node) > 0
+                    })
+                    .count() as u64;
+                noc.step(&mut queues, &mut deliveries);
+                prop_assert_eq!(noc.stats().router_visits, expected, "after cycle {}", cycle);
+                prop_assert!(noc.occupancy_mask_exact());
+            }
+            prop_assert!(expected <= noc.cycle() * cfg.num_nodes() as u64);
+        }
+    }
+
+    #[test]
+    fn occupancy_mask_is_exact_healthy_failstopped_and_after_reset() {
+        let cfg = MeshConfig::new(8, 2).unwrap();
+        let plan = FaultPlan::new().with(Fault::FailStopRouter { node: 27, at: 4 });
+        for mut noc in [MeshNoc::new(cfg), MeshNoc::with_faults(cfg, &plan).unwrap()] {
+            for round in 0..2 {
+                let mut queues = InjectQueues::new(64);
+                for node in 0..64 {
+                    queues.push(node, Coord::new(3, 3), 0, 0); // node 27
+                }
+                let mut deliveries = Vec::new();
+                let mut saw_traffic = false;
+                for _ in 0..12 {
+                    noc.step(&mut queues, &mut deliveries);
+                    assert!(noc.occupancy_mask_exact(), "round {round}");
+                    saw_traffic |= noc.occ.iter().any(|&w| w != 0);
+                }
+                assert!(saw_traffic);
+                noc.reset();
+                assert!(noc.occupancy_mask_exact());
+                assert!(noc.occ.iter().all(|&w| w == 0));
+            }
+        }
+    }
+
+    /// Rotate-and-`trailing_zeros` picks the input the modular search
+    /// picked, for every candidate mask and pointer.
+    #[test]
+    fn rr_winner_matches_modular_search_exhaustively() {
+        for want in 1u32..32 {
+            for start in 0..5usize {
+                let searched = (0..5)
+                    .map(|k| (start + k) % 5)
+                    .find(|&i| want >> i & 1 == 1);
+                assert_eq!(
+                    Some(rr_winner(want, start)),
+                    searched,
+                    "{want:#b} from {start}"
+                );
+            }
+        }
     }
 }
