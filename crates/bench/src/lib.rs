@@ -1,15 +1,16 @@
 //! # fasttrack-bench
 //!
-//! The experiment harness that regenerates every table and figure of the
-//! FastTrack paper. Each `benches/` target is one experiment
-//! (`cargo bench -p fasttrack-bench --bench fig11_sustained_rate`);
-//! running `cargo bench` reproduces the full evaluation and mirrors each
-//! table as CSV under `target/paper_results/`.
-//!
-//! Set `FASTTRACK_QUICK=1` to trim workload sizes for a smoke pass.
+//! The experiment harness: the deterministic sweep grid the CLI's
+//! `sweep` / `storm` / `compare` run through ([`runner`]), its
+//! crash-safe journal ([`journal`]), the scenario fuzzer ([`mod@fuzz`]),
+//! and the figure catalog ([`figures`]) that regenerates every table
+//! and figure of the FastTrack paper and executes the paper's shape
+//! claims as checks — `fasttrack figure --all --out <dir>` at full
+//! scale, `cargo test` at reduced scale.
 
 #![warn(missing_docs)]
 
+pub mod figures;
 pub mod fuzz;
 pub mod journal;
 pub mod runner;
@@ -18,8 +19,7 @@ pub mod table;
 pub use fuzz::{fuzz, FailureClass, FuzzConfig, FuzzFailure, FuzzOutcome};
 pub use journal::{grid_fingerprint, run_journaled, JournalError, SweepJournal, SweepOutcome};
 pub use runner::{
-    packets_per_pe, parallel_map, quick_mode, run_pattern, run_point, speedup, storm_json,
-    sweep_csv, FallibleSweepOptions, NocUnderTest, PointSlo, SloSpec, SweepGrid, SweepPoint,
-    SweepRow, SweepTiming, INJECTION_RATES, PE_LADDER,
+    storm_json, sweep_csv, FallibleSweepOptions, NocUnderTest, PointSlo, SloSpec, SweepGrid,
+    SweepPoint, SweepRow, SweepTiming, INJECTION_RATES, PE_LADDER,
 };
 pub use table::Table;

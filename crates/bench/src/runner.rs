@@ -1,13 +1,11 @@
-//! Shared experiment plumbing: standard configurations, injection-rate
-//! sweeps (serial and deterministically parallel), and workload speedup
-//! measurement.
+//! Shared experiment plumbing: the NoCs under test and the
+//! deterministic sweep grid every experiment — the CLI's `sweep` /
+//! `storm` / `compare` and the figure catalog — runs through.
 
 use fasttrack_core::attribution::{AttributionConfig, AttributionReport, LatencyComponent};
 use fasttrack_core::config::{FtPolicy, NocConfig};
-use fasttrack_core::export::{epochs_to_csv, NdjsonSink};
 use fasttrack_core::fallback::{FallbackConfig, FallbackError};
 use fasttrack_core::fault::{FaultError, FaultPlan, StormSpec};
-use fasttrack_core::metrics::WindowedMetrics;
 use fasttrack_core::monitor::{HealthSummary, MonitorConfig};
 use fasttrack_core::packet::Delivery;
 use fasttrack_core::queue::InjectQueues;
@@ -27,23 +25,6 @@ use fasttrack_core::trace::EventSink;
 use fasttrack_mesh::{MeshBackend, MeshConfig, MeshNoc, MeshTopology};
 use fasttrack_traffic::pattern::Pattern;
 use fasttrack_traffic::source::BernoulliSource;
-
-/// Packets per PE for synthetic experiments (the paper uses 1 K;
-/// `FASTTRACK_QUICK=1` trims it for smoke runs).
-pub fn packets_per_pe() -> u64 {
-    if quick_mode() {
-        100
-    } else {
-        1000
-    }
-}
-
-/// True when `FASTTRACK_QUICK=1` (reduced workloads for smoke testing).
-pub fn quick_mode() -> bool {
-    std::env::var("FASTTRACK_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
 
 /// The injection rates swept in Figures 11–13 (log-spaced 1%..100%).
 pub const INJECTION_RATES: [f64; 9] = [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0];
@@ -256,28 +237,6 @@ impl NocUnderTest {
         }
     }
 
-    /// The FastTrack candidates evaluated as "best FastTrack
-    /// configuration" at a given system size: the D=2 variants where the
-    /// torus admits them (`D <= N/2`), else the largest valid D.
-    pub fn fasttrack_candidates(n: u16) -> Vec<NocUnderTest> {
-        let d = 2u16.min(n / 2).max(1);
-        let mut v = vec![NocUnderTest::fasttrack(n, d, 1)];
-        if d > 1 && n.is_multiple_of(d) {
-            v.push(NocUnderTest::fasttrack(n, d, d));
-        }
-        v
-    }
-
-    /// FastTrack with the FTlite (Inject) policy.
-    pub fn fasttrack_inject(n: u16, d: u16, r: u16) -> Self {
-        let config = NocConfig::fasttrack(n, d, r, FtPolicy::Inject).expect("valid config");
-        NocUnderTest {
-            label: format!("{} lite", config.name()),
-            topology: TopologySpec::Torus(config),
-            channels: 1,
-        }
-    }
-
     /// The wrapped torus configuration, when this NoC is a torus.
     pub fn torus_config(&self) -> Option<&NocConfig> {
         match &self.topology {
@@ -316,56 +275,6 @@ impl NocUnderTest {
 
 fn no_faults(outcome: Result<SimOutcome, FaultError>) -> SimOutcome {
     outcome.expect("no fault plan attached")
-}
-
-/// The directory experiment runs export traces into, from the
-/// `FASTTRACK_TRACE_DIR` environment variable (unset = no tracing; the
-/// benches then run the zero-overhead untraced engine).
-pub fn trace_dir() -> Option<String> {
-    std::env::var("FASTTRACK_TRACE_DIR")
-        .ok()
-        .filter(|v| !v.is_empty())
-}
-
-/// Flattens an experiment label into a filename stem (alphanumerics
-/// kept, everything else collapsed to `-`).
-fn sanitize(label: &str) -> String {
-    let mut out = String::with_capacity(label.len());
-    let mut gap = false;
-    for ch in label.chars() {
-        if ch.is_ascii_alphanumeric() || ch == '.' {
-            out.push(ch.to_ascii_lowercase());
-            gap = false;
-        } else if !gap && !out.is_empty() {
-            out.push('-');
-            gap = true;
-        }
-    }
-    out.trim_end_matches('-').to_string()
-}
-
-/// Epoch length used for exported per-run metric series.
-const TRACE_EPOCH: u64 = 64;
-
-/// Default worker count for the experiment harness: one per core.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(4)
-}
-
-/// Maps `f` over `items` on a work-stealing pool sized to the machine,
-/// preserving order ([`fasttrack_core::sweep::sweep`] under the hood).
-/// Every simulation run is independent and seeded, so sweeps
-/// parallelize without affecting results; wall-clock for the Figure
-/// 11–13 grids drops by roughly the core count.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    sweep(items, default_threads(), |_, item| f(item))
 }
 
 /// One point of a sweep grid: a NoC under test × pattern × rate. The
@@ -434,7 +343,7 @@ pub struct SweepGrid {
 
 impl SweepGrid {
     /// The cross product `nuts × patterns × rates` in row-major order
-    /// (NoC slowest, rate fastest), with the standard packet quota.
+    /// (NoC slowest, rate fastest), at the paper's 1 K packets per PE.
     pub fn cross(
         nuts: &[NocUnderTest],
         patterns: &[Pattern],
@@ -456,7 +365,7 @@ impl SweepGrid {
         SweepGrid {
             points,
             base_seed,
-            packets_per_pe: packets_per_pe(),
+            packets_per_pe: 1000,
         }
     }
 
@@ -504,8 +413,8 @@ impl SweepGrid {
     /// point order with per-point derived seeds, so the output is
     /// independent of `threads` (1 is the serial golden run).
     pub fn run(&self, threads: usize) -> Vec<SweepRow> {
-        self.run_each(threads, |_, seed, p, session, source| {
-            (drive_point(p, seed, session, source), ())
+        self.run_each(threads, |_, _, _, session, source| {
+            (no_faults(session.run(source)).report, ())
         })
         .0
     }
@@ -519,9 +428,9 @@ impl SweepGrid {
     /// percentiles aggregate over the whole grid regardless of which
     /// worker thread ran each point.
     pub fn run_timed(&self, threads: usize) -> (Vec<SweepRow>, SweepTiming) {
-        let (rows, secs) = self.run_each(threads, |_, seed, p, session, source| {
+        let (rows, secs) = self.run_each(threads, |_, _, _, session, source| {
             let t0 = std::time::Instant::now();
-            let report = drive_point(p, seed, session, source);
+            let report = no_faults(session.run(source)).report;
             (report, t0.elapsed().as_secs_f64())
         });
         (rows, SweepTiming::new(secs))
@@ -1075,87 +984,6 @@ pub fn sweep_csv(rows: &[SweepRow]) -> String {
     out
 }
 
-/// Runs one synthetic-pattern point: `pattern` at `rate`, the standard
-/// packets-per-PE quota, on `nut`. When [`trace_dir`] is set the run is
-/// additionally exported as an NDJSON event log and a per-epoch CSV.
-pub fn run_pattern(nut: &NocUnderTest, pattern: Pattern, rate: f64, seed: u64) -> SimReport {
-    run_point(nut, pattern, rate, seed, packets_per_pe())
-}
-
-/// [`run_pattern`] with an explicit per-PE packet quota.
-pub fn run_point(
-    nut: &NocUnderTest,
-    pattern: Pattern,
-    rate: f64,
-    seed: u64,
-    packets: u64,
-) -> SimReport {
-    let p = SweepPoint {
-        nut: nut.clone(),
-        pattern,
-        rate,
-    };
-    drive_point(&p, seed, nut.session(), &mut p.source(seed, packets))
-}
-
-/// Drives one unobserved point (the plain sweep's per-point body):
-/// untraced unless [`trace_dir`] is set, in which case the run is
-/// exported there.
-fn drive_point(
-    p: &SweepPoint,
-    seed: u64,
-    session: PointSession,
-    source: &mut BernoulliSource,
-) -> SimReport {
-    match trace_dir() {
-        None => no_faults(session.run(source)).report,
-        Some(dir) => drive_point_traced_to(&dir, p, seed, session, source),
-    }
-}
-
-/// [`drive_point`] with trace export forced into `dir`, writing
-/// `<label>_<pattern>_<rate>_<seed>.events.ndjson` and `...epochs.csv`.
-/// Export failures are reported on stderr but never fail the
-/// experiment.
-fn drive_point_traced_to(
-    dir: &str,
-    p: &SweepPoint,
-    seed: u64,
-    session: PointSession,
-    source: &mut BernoulliSource,
-) -> SimReport {
-    let nodes = p.nut.num_nodes();
-    let mut sink = (NdjsonSink::new(), WindowedMetrics::new(nodes, TRACE_EPOCH));
-    let report = no_faults(session.with_sink(&mut sink).run(source)).report;
-    let (ndjson, metrics) = sink;
-    let stem = format!(
-        "{dir}/{}_{}_{}_{seed}",
-        sanitize(&p.nut.label),
-        sanitize(&p.pattern.to_string()),
-        p.rate,
-    );
-    let write = |path: String, data: &str| {
-        if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, data)) {
-            eprintln!("warning: trace export {path} failed: {e}");
-        }
-    };
-    write(format!("{stem}.events.ndjson"), ndjson.as_str());
-    write(
-        format!("{stem}.epochs.csv"),
-        &epochs_to_csv(&metrics.finish(), nodes),
-    );
-    report
-}
-
-/// Speedup of `fast` over `slow` by workload completion time.
-pub fn speedup(slow: &SimReport, fast: &SimReport) -> f64 {
-    assert!(
-        !slow.truncated && !fast.truncated,
-        "cannot compare truncated runs"
-    );
-    slow.cycles as f64 / fast.cycles as f64
-}
-
 /// The PE-count ladder of Figure 15 (4..256 PEs) mapped to torus sides.
 pub const PE_LADDER: [(usize, u16); 4] = [(4, 2), (16, 4), (64, 8), (256, 16)];
 
@@ -1168,9 +996,6 @@ mod tests {
         assert_eq!(NocUnderTest::hoplite(8).label, "Hoplite");
         assert_eq!(NocUnderTest::hoplite_x(8, 3).label, "Hoplite-3x");
         assert_eq!(NocUnderTest::fasttrack(8, 2, 1).label, "FT(64,2,1)");
-        assert!(NocUnderTest::fasttrack_inject(8, 2, 1)
-            .label
-            .contains("lite"));
     }
 
     #[test]
@@ -1256,47 +1081,9 @@ mod tests {
     }
 
     #[test]
-    fn speedup_ratio() {
-        let nut = NocUnderTest::hoplite(4);
-        let a = run_pattern(&nut, Pattern::Random, 0.5, 7);
-        let s = speedup(&a, &a);
-        assert!((s - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn ladder_covers_paper_sizes() {
         assert_eq!(PE_LADDER[0], (4, 2));
         assert_eq!(PE_LADDER[3], (256, 16));
-    }
-
-    #[test]
-    fn sanitize_flattens_labels() {
-        assert_eq!(sanitize("FT(64,2,1)"), "ft-64-2-1");
-        assert_eq!(sanitize("Hoplite-3x"), "hoplite-3x");
-        assert_eq!(sanitize("local:2"), "local-2");
-    }
-
-    #[test]
-    fn traced_run_matches_untraced_and_exports_files() {
-        let dir = std::env::temp_dir().join("fasttrack_bench_trace_test");
-        let dir_s = dir.display().to_string();
-        let nut = NocUnderTest::fasttrack(4, 2, 1);
-        let plain = run_pattern(&nut, Pattern::Random, 0.3, 11);
-        let p = SweepPoint {
-            nut: nut.clone(),
-            pattern: Pattern::Random,
-            rate: 0.3,
-        };
-        let mut source = p.source(11, packets_per_pe());
-        let traced = drive_point_traced_to(&dir_s, &p, 11, nut.session(), &mut source);
-        // Observation must not perturb the simulation.
-        assert_eq!(plain.stats.delivered, traced.stats.delivered);
-        assert_eq!(plain.cycles, traced.cycles);
-        let stem = dir.join("ft-16-2-1_random_0.3_11");
-        let nd = std::fs::read_to_string(format!("{}.events.ndjson", stem.display())).unwrap();
-        assert!(nd.lines().count() > 0);
-        let csv = std::fs::read_to_string(format!("{}.epochs.csv", stem.display())).unwrap();
-        assert!(csv.starts_with("epoch,"));
     }
 
     #[test]
@@ -1605,31 +1392,5 @@ mod tests {
         .with_packets_per_pe(10);
         let rows = grid.run(1);
         assert_ne!(rows[0].seed, rows[1].seed);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order_and_values() {
-        let out = parallel_map((0..100).collect(), |x: i32| x * x);
-        assert_eq!(out.len(), 100);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, (i * i) as i32);
-        }
-        // Degenerate sizes.
-        assert_eq!(parallel_map(Vec::<i32>::new(), |x| x), Vec::<i32>::new());
-        assert_eq!(parallel_map(vec![7], |x: i32| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn parallel_map_matches_sequential_simulation() {
-        let rates = vec![0.05, 0.2, 1.0];
-        let nut = NocUnderTest::hoplite(4);
-        let parallel: Vec<u64> = parallel_map(rates.clone(), |r| {
-            run_pattern(&nut, Pattern::Random, r, 5).stats.delivered
-        });
-        let sequential: Vec<u64> = rates
-            .into_iter()
-            .map(|r| run_pattern(&nut, Pattern::Random, r, 5).stats.delivered)
-            .collect();
-        assert_eq!(parallel, sequential);
     }
 }

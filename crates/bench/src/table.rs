@@ -1,12 +1,8 @@
-//! Plain-text table rendering and CSV export for the experiment harness.
-//!
-//! Every bench target prints its table to stdout (the "rows/series the
-//! paper reports") and mirrors it as CSV under `target/paper_results/`
-//! so EXPERIMENTS.md can reference stable artifacts.
+//! Table rendering for the figure catalog: aligned text for the
+//! terminal, CSV for `fasttrack figure --out`, and Markdown for the
+//! generated EXPERIMENTS.md.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::PathBuf;
 
 /// A simple column-aligned table.
 #[derive(Debug, Clone)]
@@ -18,10 +14,10 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new(title: &str, headers: &[&str]) -> Self {
+    pub fn new<S: AsRef<str>>(title: &str, headers: &[S]) -> Self {
         Table {
             title: title.to_string(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
+            headers: headers.iter().map(|s| s.as_ref().to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -34,6 +30,11 @@ impl Table {
     pub fn add_row(&mut self, row: Vec<String>) {
         assert_eq!(row.len(), self.headers.len(), "row width mismatch");
         self.rows.push(row);
+    }
+
+    /// The title (for figure tables, the slug that is the CSV stem).
+    pub fn title(&self) -> &str {
+        &self.title
     }
 
     /// Number of data rows.
@@ -101,27 +102,22 @@ impl Table {
         out
     }
 
-    /// Prints the table to stdout and writes the CSV artifact to
-    /// `target/paper_results/<slug>.csv` (best effort).
-    pub fn emit(&self, slug: &str) {
-        println!("{}", self.render());
-        let dir = results_dir();
-        if fs::create_dir_all(&dir).is_ok() {
-            let _ = fs::write(dir.join(format!("{slug}.csv")), self.to_csv());
+    /// Renders a GitHub-flavoured Markdown table under a bold title.
+    pub fn to_markdown(&self) -> String {
+        let line = |cells: &[String]| format!("| {} |", cells.join(" | "));
+        let mut out = format!("**{}**\n\n{}\n", self.title, line(&self.headers));
+        let _ = writeln!(out, "|{}", "---|".repeat(self.headers.len()));
+        for row in &self.rows {
+            let _ = writeln!(out, "{}", line(row));
         }
+        out
     }
-}
 
-/// Directory for CSV artifacts (`FASTTRACK_RESULTS_DIR` overrides).
-pub fn results_dir() -> PathBuf {
-    std::env::var_os("FASTTRACK_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/paper_results"))
-}
-
-/// Formats a float with the given precision.
-pub fn fmt_f(v: f64, prec: usize) -> String {
-    format!("{v:.prec$}")
+    /// Table cells (headers included), for deciding whether a table is
+    /// small enough to print inline.
+    pub(crate) fn cells(&self) -> usize {
+        self.headers.len() * (self.rows.len() + 1)
+    }
 }
 
 #[cfg(test)]
@@ -157,7 +153,13 @@ mod tests {
     }
 
     #[test]
-    fn fmt_helper() {
-        assert_eq!(fmt_f(1.23456, 2), "1.23");
+    fn markdown_has_a_separator_row_per_column() {
+        let mut t = Table::new("Demo", &["a", "b"]);
+        t.add_row(vec!["1".into(), "2".into()]);
+        assert_eq!(
+            t.to_markdown(),
+            "**Demo**\n\n| a | b |\n|---|---|\n| 1 | 2 |\n"
+        );
+        assert_eq!(t.cells(), 4);
     }
 }

@@ -1,4 +1,5 @@
-//! Minimal `--flag value` argument parsing (no external dependencies).
+//! Minimal `--flag value` argument parsing (no external dependencies),
+//! plus the leading positional arguments two commands take.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -39,18 +40,21 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// Parsed `--flag value` pairs plus valueless `--switch` flags.
+/// Parsed `--flag value` pairs, valueless `--switch` flags, and the
+/// positional arguments (`explain`'s packet id, `figure`'s ids).
 #[derive(Debug, Clone, Default)]
 pub struct Flags {
     values: HashMap<String, String>,
     switches: Vec<String>,
+    positionals: Vec<String>,
 }
 
 impl Flags {
     /// Parses `--flag value` pairs and valueless `--switch` flags against
     /// what the command declares it reads: `values` (groups of value-flag
-    /// names) and `switches`. Anything else is rejected rather than
-    /// dropped — a typo like `--rat 0.1` must not run at the default rate.
+    /// names), `switches`, and up to `positionals` bare arguments.
+    /// Anything else is rejected rather than dropped — a typo like
+    /// `--rat 0.1` must not run at the default rate.
     ///
     /// # Errors
     ///
@@ -60,12 +64,17 @@ impl Flags {
         args: I,
         values: &[&[&str]],
         switches: &[&str],
+        positionals: usize,
     ) -> Result<Flags, ArgError> {
         let mut parsed = Flags::default();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             let Some(name) = arg.strip_prefix("--") else {
-                return Err(ArgError::UnexpectedPositional(arg));
+                if parsed.positionals.len() == positionals {
+                    return Err(ArgError::UnexpectedPositional(arg));
+                }
+                parsed.positionals.push(arg);
+                continue;
             };
             if switches.contains(&name) {
                 parsed.switches.push(name.to_string());
@@ -85,6 +94,11 @@ impl Flags {
     /// [`Flags::parse`]) was present.
     pub fn switch(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
+    }
+
+    /// The bare (non-`--`) arguments, in order.
+    pub fn positionals(&self) -> &[String] {
+        &self.positionals
     }
 
     /// A required string flag.
@@ -132,7 +146,7 @@ mod tests {
 
     #[test]
     fn parses_flag_pairs() {
-        let f = Flags::parse(argv("--noc ft:8:2:1 --rate 0.5"), &[RUN], &[]).unwrap();
+        let f = Flags::parse(argv("--noc ft:8:2:1 --rate 0.5"), &[RUN], &[], 0).unwrap();
         assert_eq!(f.required("noc").unwrap(), "ft:8:2:1");
         assert_eq!(f.numeric("rate", 1.0).unwrap(), 0.5);
         assert_eq!(f.numeric("seed", 7u64).unwrap(), 7);
@@ -142,14 +156,14 @@ mod tests {
     #[test]
     fn rejects_malformed_input() {
         assert!(matches!(
-            Flags::parse(argv("--noc"), &[RUN], &[]),
+            Flags::parse(argv("--noc"), &[RUN], &[], 0),
             Err(ArgError::MissingValue(_))
         ));
         assert!(matches!(
-            Flags::parse(argv("simulate --noc x"), &[RUN], &[]),
+            Flags::parse(argv("simulate --noc x"), &[RUN], &[], 0),
             Err(ArgError::UnexpectedPositional(_))
         ));
-        let f = Flags::parse(argv("--rate abc"), &[RUN], &[]).unwrap();
+        let f = Flags::parse(argv("--rate abc"), &[RUN], &[], 0).unwrap();
         assert!(matches!(
             f.numeric::<f64>("rate", 1.0),
             Err(ArgError::BadValue { .. })
@@ -163,18 +177,29 @@ mod tests {
     #[test]
     fn rejects_flags_the_command_does_not_declare() {
         // The typo must not fall back to the default rate.
-        let typo = Flags::parse(argv("--noc hoplite:4 --rat 0.1"), &[RUN], &[]).unwrap_err();
+        let typo = Flags::parse(argv("--noc hoplite:4 --rat 0.1"), &[RUN], &[], 0).unwrap_err();
         assert_eq!(typo, ArgError::UnknownFlag("--rat".into()));
         assert!(typo.to_string().contains("--rat"));
         // Declared in a second group, or as a switch: accepted.
-        let f = Flags::parse(argv("--out x --json"), &[RUN, &["out"]], &["json"]).unwrap();
+        let f = Flags::parse(argv("--out x --json"), &[RUN, &["out"]], &["json"], 0).unwrap();
         assert_eq!(f.optional("out"), Some("x"));
         assert!(f.switch("json"));
         // A switch another command declares is unknown here.
         assert!(matches!(
-            Flags::parse(argv("--json"), &[RUN], &["profile"]),
+            Flags::parse(argv("--json"), &[RUN], &["profile"], 0),
             Err(ArgError::UnknownFlag(_))
         ));
+    }
+
+    #[test]
+    fn positionals_are_collected_up_to_the_declared_count() {
+        let f = Flags::parse(argv("fig11 --out d fig12"), &[&["out"]], &[], 2).unwrap();
+        assert_eq!(f.positionals(), ["fig11", "fig12"]);
+        assert_eq!(f.optional("out"), Some("d"));
+        assert_eq!(
+            Flags::parse(argv("7 8"), &[RUN], &[], 1).unwrap_err(),
+            ArgError::UnexpectedPositional("8".into())
+        );
     }
 
     #[test]
@@ -183,6 +208,7 @@ mod tests {
             argv("--profile --noc ft:8:2:1 --json"),
             &[RUN],
             &["profile", "json"],
+            0,
         )
         .unwrap();
         assert!(f.switch("profile"));

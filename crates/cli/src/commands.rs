@@ -1,6 +1,7 @@
 //! CLI subcommand implementations. Each returns its report as a string
 //! so the logic is unit-testable; `main` only prints.
 
+use fasttrack_bench::figures::{catalog, experiments_md, Scale, Verdict};
 use fasttrack_bench::fuzz::{fuzz, FuzzConfig};
 use fasttrack_bench::journal::run_journaled;
 use fasttrack_bench::runner::{
@@ -132,6 +133,7 @@ USAGE:
   fasttrack replay   --file <path>
   fasttrack fuzz     [--iters <n>] [--seed <s>] [--threads <t>]
                      [--max-cycles <c>] [--out <dir>]
+  fasttrack figure   (<id>... | --all) [--out <dir>]
   fasttrack help
 
 SPECS:
@@ -237,6 +239,17 @@ SCENARIO CORPUS:
   self-contained corpus entries; the same --seed is bit-exact at any
   --threads count.
 
+PAPER FIGURES:
+  `figure` regenerates tables and figures of the paper's evaluation
+  from the checked catalog (table1 table2 fig01 fig01sim fig04 fig06
+  fig10..fig14 fig15a..fig15d fig16..fig19 abl-exit abl-lane abl-pipe
+  abl-serial) at the paper's scale and executes each one's shape claims:
+  one line per check, \u{2705} inside the paper's band, \u{26a0} a known deviation
+  with its reason, \u{2717} a failure (exit 1). Without --out the tables go to
+  stdout; with it each table is written as <dir>/<slug>.csv and, under
+  --all, <dir>/EXPERIMENTS.md is the whole generated report (the file
+  checked in at the repo root). Byte-reproducible at any core count.
+
 CRASH-SAFE SWEEPS:
   sweep --resume <journal> appends every finished point to an
   append-only journal (flushed per point) and emits CSV. If the file
@@ -267,6 +280,8 @@ EXAMPLES:
   fasttrack record --noc ftlite:8:4:1 --pattern hotspot:60 --rate 0.8 --dead-links 4 --out hot.trace
   fasttrack replay --file spmv.trace
   fasttrack fuzz --iters 200 --seed 7 --threads 4 --out corpus/
+  fasttrack figure fig11 fig13
+  fasttrack figure --all --out target/figures
 ";
 
 fn render_report(report: &SimReport) -> String {
@@ -1457,8 +1472,8 @@ fn render_journey(journey: &PacketJourney) -> String {
 /// decision, deflection, express hop, fault event, and the final eject,
 /// cycle by cycle, with the packet's latency decomposition and a
 /// flight-recorder excerpt around its final router for cross-checking.
-pub fn cmd_explain(args: &[String]) -> Result<String, CliError> {
-    let Some((id_str, rest)) = args.split_first() else {
+pub fn cmd_explain(flags: &Flags) -> Result<String, CliError> {
+    let Some(id_str) = flags.positionals().first() else {
         return Err(CliError::Other(
             "explain needs a packet id: \
              fasttrack explain <packet-id> (--trace <path> | --noc <spec> ...)"
@@ -1468,7 +1483,6 @@ pub fn cmd_explain(args: &[String]) -> Result<String, CliError> {
     let id: u64 = id_str
         .parse()
         .map_err(|_| CliError::Other(format!("packet id must be a number, got {id_str:?}")))?;
-    let flags = Flags::parse(rest.to_vec(), EXPLAIN_FLAGS, &[])?;
     let flight: usize = flags.numeric("flight-recorder", 16)?;
     if flight == 0 {
         return Err(CliError::Other("--flight-recorder must be positive".into()));
@@ -1479,7 +1493,7 @@ pub fn cmd_explain(args: &[String]) -> Result<String, CliError> {
         ..MonitorConfig::default()
     };
     let acfg = AttributionConfig::default().watch(PacketId(id));
-    let outcome = attributed_outcome(&flags, acfg, Some(mcfg))?;
+    let outcome = attributed_outcome(flags, acfg, Some(mcfg))?;
     let attribution = outcome
         .attribution
         .expect("session was built with `with_attribution`");
@@ -1570,6 +1584,61 @@ pub fn cmd_fuzz(flags: &Flags) -> Result<String, CliError> {
     }
 }
 
+/// `figure <id>... | --all [--out <dir>]` — regenerates catalog entries
+/// at the paper's scale and executes their checks. Exit is nonzero when
+/// an id is unknown, a check fails, or `--out` cannot be written.
+pub fn cmd_figure(flags: &Flags) -> Result<String, CliError> {
+    let (ids, all) = (flags.positionals(), flags.switch("all"));
+    let known: Vec<&str> = catalog().iter().map(|f| f.id).collect();
+    let bad = ids.iter().find(|id| !known.contains(&id.as_str()));
+    if all != ids.is_empty() || bad.is_some() {
+        let what = bad.map_or("figure takes either figure ids or --all".into(), |id| {
+            format!("unknown figure {id:?}")
+        });
+        return Err(CliError::Other(format!("{what}; ids: {}", known.join(" "))));
+    }
+    let dir = flags.optional("out");
+    if let Some(dir) = dir {
+        std::fs::create_dir_all(dir).map_err(|e| CliError::Io(format!("{dir}: {e}")))?;
+    }
+    let (mut out, mut failed, mut results) = (String::new(), String::new(), Vec::new());
+    for fig in catalog()
+        .iter()
+        .filter(|f| all || ids.iter().any(|id| id == f.id))
+    {
+        let outcome = (fig.run)(Scale::Paper);
+        out.push_str(&format!("# {} ({})\n", fig.title, fig.id));
+        for table in &outcome.tables {
+            match dir {
+                Some(dir) => {
+                    let path = format!("{dir}/{}.csv", table.title());
+                    write_file(&path, table.to_csv())?;
+                    out.push_str(&format!("  {path}\n"));
+                }
+                None => out.push_str(&format!("{}\n", table.render())),
+            }
+        }
+        for check in &outcome.checks {
+            out.push_str(&format!("{}\n", check.line()));
+            if check.verdict == Verdict::Fails {
+                failed.push_str(&format!("\n  {}: {}", fig.id, check.line()));
+            }
+        }
+        out.push('\n');
+        results.push((fig, outcome));
+    }
+    if let (Some(dir), true) = (dir, all) {
+        let path = format!("{dir}/EXPERIMENTS.md");
+        write_file(&path, experiments_md(&results))?;
+        out.push_str(&format!("report -> {path}\n"));
+    }
+    if failed.is_empty() {
+        Ok(out)
+    } else {
+        Err(CliError::Other(format!("{out}failing checks:{failed}")))
+    }
+}
+
 /// Dispatches a full argument vector (without the program name).
 ///
 /// # Errors
@@ -1580,18 +1649,14 @@ pub fn run(args: Vec<String>) -> Result<String, CliError> {
     let Some((command, rest)) = args.split_first() else {
         return Ok(USAGE.to_string());
     };
-    // `explain` takes a positional packet id before its flags.
-    if command == "explain" {
-        return cmd_explain(rest);
-    }
     // An unknown command is reported as such whatever follows it.
-    let Some((cmd, values, switches)) = command_table(command, rest) else {
+    let Some((cmd, values, switches, positionals)) = command_table(command, rest) else {
         return match command.as_str() {
             "help" | "--help" | "-h" => Ok(USAGE.to_string()),
             other => Err(CliError::UnknownCommand(other.to_string())),
         };
     };
-    cmd(&Flags::parse(rest.to_vec(), values, switches)?)
+    cmd(&Flags::parse(rest.to_vec(), values, switches, positionals)?)
 }
 
 type Command = fn(&Flags) -> Result<String, CliError>;
@@ -1611,18 +1676,22 @@ const FAULT_FLAGS: &[&str] = &[
 ];
 /// What [`attributed_outcome`] reads on top of [`RUN_FLAGS`].
 const ATTRIBUTED_FLAGS: &[&str] = &["trace", "noc", "channels"];
-/// `explain` parses its own flags, after the positional packet id.
-const EXPLAIN_FLAGS: FlagGroups = &[RUN_FLAGS, ATTRIBUTED_FLAGS, &["flight-recorder"]];
 
-/// A flag-taking command's body plus every value flag and switch it
-/// reads: [`Flags::parse`] rejects the rest, so a flag listed here must
-/// be read and a flag read must be listed (USAGE is checked against
-/// this table by a test).
+/// A command's body plus every value flag and switch it reads and how
+/// many positional arguments it takes: [`Flags::parse`] rejects the
+/// rest, so a flag listed here must be read and a flag read must be
+/// listed (USAGE is checked against this table by a test).
 fn command_table(
     command: &str,
     args: &[String],
-) -> Option<(Command, FlagGroups, &'static [&'static str])> {
-    Some(match command {
+) -> Option<(Command, FlagGroups, &'static [&'static str], usize)> {
+    // `explain` takes its packet id, `figure` any number of figure ids.
+    let positionals = match command {
+        "explain" => 1,
+        "figure" => usize::MAX,
+        _ => 0,
+    };
+    let (cmd, values, switches): (Command, FlagGroups, &[&str]) = match command {
         "simulate" => (cmd_simulate, &[RUN_FLAGS, &["noc", "channels"]], &[]),
         "monitor" => (
             cmd_monitor,
@@ -1675,6 +1744,12 @@ fn command_table(
             &[RUN_FLAGS, ATTRIBUTED_FLAGS, &["metrics"]],
             &["json"],
         ),
+        "explain" => (
+            cmd_explain,
+            &[RUN_FLAGS, ATTRIBUTED_FLAGS, &["flight-recorder"]],
+            &[],
+        ),
+        "figure" => (cmd_figure, &[&["out"]], &["all"]),
         "cost" => (cmd_cost, &[&["noc", "width", "channels"]], &[]),
         // `--file` selects the text-trace replay, which reads nothing else.
         "trace" if args.iter().any(|a| a == "--file") => {
@@ -1705,7 +1780,8 @@ fn command_table(
             &[],
         ),
         _ => return None,
-    })
+    };
+    Some((cmd, values, switches, positionals))
 }
 
 #[cfg(test)]
@@ -1901,13 +1977,7 @@ mod tests {
 
     /// What a command declares it reads, as `--flag` strings.
     fn declared(command: &str, args: &[String]) -> std::collections::BTreeSet<String> {
-        let (values, switches) = match command {
-            "explain" => (EXPLAIN_FLAGS, &[][..]),
-            _ => {
-                let (_, values, switches) = command_table(command, args).expect(command);
-                (values, switches)
-            }
-        };
+        let (_, values, switches, _) = command_table(command, args).expect(command);
         values
             .iter()
             .flat_map(|group| group.iter())
@@ -2603,6 +2673,68 @@ mod tests {
         assert!(err.to_string().contains("never appeared"), "{err}");
         let err = run(argv("explain 0")).unwrap_err();
         assert!(err.to_string().contains("--trace <path> or --noc"), "{err}");
+    }
+
+    #[test]
+    fn figure_prints_tables_and_executed_checks() {
+        let out = run(argv("figure table2")).unwrap();
+        // The Table II row the fpga crate's doctest pins (104 064 LUTs).
+        assert!(out.contains("FT(64,2,1)   104K  150K"), "{out}");
+        assert!(
+            out.contains("\u{2705} LUT and FF counts match Table II"),
+            "{out}"
+        );
+        // Analytic figures with --out: one CSV per table, no report file.
+        let dir = std::env::temp_dir().join("fasttrack_cli_figure_out");
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = run(argv(&format!(
+            "figure table1 fig10 --out {}",
+            dir.display()
+        )))
+        .unwrap();
+        for slug in [
+            "table1_router_costs",
+            "table1_model_costs",
+            "fig10_routability",
+        ] {
+            let csv = std::fs::read_to_string(dir.join(format!("{slug}.csv"))).unwrap();
+            assert!(csv.lines().count() > 1, "{slug}");
+            assert!(out.contains(&format!("{slug}.csv")), "{out}");
+        }
+        assert!(!dir.join("EXPERIMENTS.md").exists());
+        assert!(out.contains("\u{26a0} Fig 10 plots"), "{out}");
+    }
+
+    #[test]
+    fn figure_argument_and_io_errors_are_typed() {
+        let err = run(argv("figure nosuch")).unwrap_err();
+        assert!(matches!(err, CliError::Other(_)), "{err:?}");
+        let text = err.to_string();
+        assert!(text.contains("unknown figure \"nosuch\""), "{text}");
+        for fig in catalog() {
+            assert!(text.contains(fig.id), "{text} lacks {}", fig.id);
+        }
+        // Neither ids nor --all, or both.
+        assert!(run(argv("figure"))
+            .unwrap_err()
+            .to_string()
+            .contains("ids:"));
+        assert!(matches!(
+            run(argv("figure table1 --all")),
+            Err(CliError::Other(_))
+        ));
+        // The old knobs are not flags.
+        for flag in ["--list", "--quick", "--seed", "--threads"] {
+            assert!(matches!(
+                run(argv(&format!("figure table1 {flag}"))),
+                Err(CliError::Args(ArgError::UnknownFlag(_)))
+            ));
+        }
+        // An unwritable --out is an I/O error, not a dropped write.
+        let file = std::env::temp_dir().join("fasttrack_cli_figure_not_a_dir");
+        std::fs::write(&file, "x").unwrap();
+        let err = run(argv(&format!("figure table1 --out {}", file.display()))).unwrap_err();
+        assert!(matches!(err, CliError::Io(_)), "{err:?}");
     }
 
     #[test]

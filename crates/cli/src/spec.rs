@@ -197,9 +197,11 @@ pub fn parse_pattern(spec: &str) -> Result<Pattern, SpecError> {
                     found: fields.len() - 1,
                 });
             }
-            Ok(Pattern::Local {
-                radius: num(fields[1])?,
-            })
+            let radius: u16 = num(fields[1])?;
+            if radius == 0 {
+                return Err(SpecError::Invalid("local radius must be at least 1".into()));
+            }
+            Ok(Pattern::Local { radius })
         }
         "hotspot" => {
             if fields.len() != 2 {
@@ -392,6 +394,11 @@ mod tests {
         ));
         assert!(matches!(
             parse_pattern("hotspot:101"),
+            Err(SpecError::Invalid(_))
+        ));
+        // Radius 0 leaves no destination to draw (the generator asserts).
+        assert!(matches!(
+            parse_pattern("local:0"),
             Err(SpecError::Invalid(_))
         ));
         assert!(matches!(

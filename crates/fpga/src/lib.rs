@@ -17,8 +17,6 @@
 //!   (the §V layout choice).
 //! * [`hyperflex`] — the §VII pipelined-interconnect (Stratix 10
 //!   HyperFlex) trade-off model.
-//! * [`smart`] — SMART-style virtual express links on FPGA wires, the
-//!   §III comparison FastTrack's physical links win.
 //!
 //! The Vivado toolchain and silicon are obviously not reproducible in a
 //! library; these are *calibrated analytic models* that return the
@@ -47,7 +45,6 @@ pub mod power;
 pub mod published;
 pub mod resources;
 pub mod routability;
-pub mod smart;
 pub mod wire;
 
 pub use device::Device;

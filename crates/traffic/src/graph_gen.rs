@@ -223,8 +223,8 @@ mod tests {
 
     #[test]
     fn benchmark_suite_complete() {
-        // Spot-check the cheap entries; full generation covered by the
-        // bench harness.
+        // Spot-check the cheap entries; full generation is covered by
+        // `fasttrack figure fig15b`.
         let g = rmat(13, 103_000, 0.57, 0.19, 0.19, 0xbee_f001);
         assert!(g.num_edges() > 80_000);
         assert_eq!(g.num_vertices(), 8192);

@@ -38,9 +38,9 @@
 //! # Ok::<(), fasttrack::core::config::ConfigError>(())
 //! ```
 //!
-//! The experiment harness regenerating every table and figure of the
-//! paper lives in the `fasttrack-bench` crate (`cargo bench`); runnable
-//! scenarios are under `examples/`.
+//! The checked figure catalog regenerating every table and figure of
+//! the paper lives in the `fasttrack-bench` crate (`fasttrack figure
+//! --all`); runnable scenarios are under `examples/`.
 
 pub use fasttrack_core as core;
 pub use fasttrack_fpga as fpga;
