@@ -160,10 +160,6 @@ impl SimEngine for SpecEngine {
     fn stats_snapshot(&self) -> SimStats {
         delegate!(SpecEngine, self, e => e.stats_snapshot())
     }
-
-    fn reset(&mut self) {
-        delegate!(SpecEngine, self, e => SimEngine::reset(e))
-    }
 }
 
 /// A NoC under test: a topology plus a channel count (for the

@@ -93,7 +93,12 @@ USAGE:
                      [--max-reports <n>] [--livelock-multiple <x>]
                      [--stall-streak <n>] [--hotspot-watermark <u>]
                      [--health <path>] [--metrics <path>] [--profile]
-  fasttrack sweep    (--grid <g> | --noc <spec> [--pattern <p>])
+  fasttrack sweep    --noc <spec> [--pattern <p>]
+                     [--threads <t>] [--out table|csv]
+                     [--packets <n>] [--seed <s>] [--health <path>]
+                     [--attribution <path>] [--retries <n>]
+                     [--cycle-budget <cycles>] [--resume <journal>] [--profile]
+  fasttrack sweep    --grid <g>
                      [--threads <t>] [--out table|csv]
                      [--packets <n>] [--seed <s>] [--health <path>]
                      [--attribution <path>] [--retries <n>]
@@ -106,28 +111,37 @@ USAGE:
                      [--fail-stop <n>] [--stalled-injectors <n>]
                      [--down-links <n>] [--window <from:until>]
                      [--channels <k>] [--health <path>] [--profile] [--json]
-  fasttrack storm    [--noc <spec> | --grid <g>] [--pattern <p>] [--rate <r>]
+  fasttrack storm    [--noc <spec>] [--pattern <p>] [--rate <r>]
+                     [--packets <n>] [--seed <s>] [--threads <t>] [--channels <k>]
+                     [--kills <per-kcycle>] [--heal <lo:hi>] [--duration <c>]
+                     [--min-delivered <frac>] [--max-p99 <cycles>]
+                     [--out <path>] [--json]
+  fasttrack storm    --grid <g>
                      [--packets <n>] [--seed <s>] [--threads <t>] [--channels <k>]
                      [--kills <per-kcycle>] [--heal <lo:hi>] [--duration <c>]
                      [--min-delivered <frac>] [--max-p99 <cycles>]
                      [--out <path>] [--json]
   fasttrack profile  [--noc <spec>] [--pattern <p>] [--rate <r>]
                      [--packets <n>] [--seed <s>] [--out <prefix>] [--json]
-  fasttrack attribute (--trace <path> | --noc <spec> [--pattern <p>]
-                     [--rate <r>] [--packets <n>] [--seed <s>]
-                     [--channels <k>]) [--metrics <path>] [--json]
-  fasttrack explain  <packet-id> (--trace <path> | --noc <spec> [--pattern <p>]
-                     [--rate <r>] [--packets <n>] [--seed <s>]
-                     [--channels <k>]) [--flight-recorder <K>]
+  fasttrack attribute --noc <spec> [--pattern <p>] [--rate <r>]
+                     [--packets <n>] [--seed <s>] [--channels <k>]
+                     [--metrics <path>] [--json]
+  fasttrack attribute --trace <path> [--metrics <path>] [--json]
+  fasttrack explain  <packet-id> --noc <spec> [--pattern <p>] [--rate <r>]
+                     [--packets <n>] [--seed <s>] [--channels <k>]
+                     [--flight-recorder <K>]
+  fasttrack explain  <packet-id> --trace <path> [--flight-recorder <K>]
   fasttrack cost     --noc <spec> [--width <bits>] [--channels <k>]
   fasttrack trace    --noc <spec> --file <path>
-  fasttrack trace    [--noc <spec> | [--topology hoplite|ft|ftlite] [--n <n>]
-                     [--d <d>] [--r <r>]] [--pattern <p>] [--rate <r>]
+  fasttrack trace    [--noc <spec>] [--pattern <p>] [--rate <r>]
                      [--packets <n>] [--seed <s>] [--epoch <cycles>]
                      [--flight-recorder <K>] [--out <prefix>]
-  fasttrack record   --out <path> (--workload spmv|graph|dataflow|multiproc |
-                     --noc <spec> [--pattern <p>] [--rate <r>] [--packets <n>])
-                     [--seed <s>] [--channels <k>] [--max-cycles <c>]
+  fasttrack record   --out <path> --noc <spec> [--pattern <p>] [--rate <r>]
+                     [--packets <n>] [--seed <s>] [--channels <k>] [--max-cycles <c>]
+                     [--fault-seed <s>] [--dead-links <n>] [--transient-links <n>]
+                     [--fail-stop <n>] [--stalled-injectors <n>] [--window <from:until>]
+  fasttrack record   --out <path> --workload spmv|graph|dataflow|multiproc
+                     [--noc <spec>] [--seed <s>] [--channels <k>] [--max-cycles <c>]
                      [--fault-seed <s>] [--dead-links <n>] [--transient-links <n>]
                      [--fail-stop <n>] [--stalled-injectors <n>] [--window <from:until>]
   fasttrack replay   --file <path>
@@ -271,7 +285,7 @@ EXAMPLES:
   fasttrack faults --noc ftlite:8:4:1 --rate 0.5 --dead-links 4 --json
   fasttrack storm --noc ft:8:2:2 --rate 0.3 --kills 8 --heal 200:600 --out slo.json
   fasttrack sweep --grid \"ft:8:2:1;random;0.1,0.5\" --resume run.journal
-  fasttrack trace --topology ft --n 8 --d 2 --r 2 --pattern random --rate 0.2
+  fasttrack trace --noc ft:8:2:2 --pattern random --rate 0.2
   fasttrack profile --noc ft:8:2:2 --rate 0.5 --out prof
   fasttrack attribute --noc ft:8:2:2 --rate 1.0 --metrics attrib.prom
   fasttrack explain 42 --trace spmv.trace
@@ -521,7 +535,7 @@ pub fn cmd_faults(flags: &Flags) -> Result<String, CliError> {
 /// `--json` prints it instead of the table.
 pub fn cmd_storm(flags: &Flags) -> Result<String, CliError> {
     // FT(64,2,2): the paper's depopulated 8x8 reference point. With
-    // --grid only the run's packets and seed apply.
+    // --grid only the run's packets and seed are read (and declared).
     let run = RunSpec::from_flags(flags, Some("ft:8:2:2"), 0.3, 500)?;
     let seed = run.seed;
     let threads: usize = flags.numeric("threads", 1)?;
@@ -972,34 +986,11 @@ fn cmd_trace_replay(flags: &Flags) -> Result<String, CliError> {
     Ok(render_report(&report))
 }
 
-/// Resolves the traced NoC from either `--noc <spec>` or the long-form
-/// `--topology/--n/--d/--r` flags, which spell the same spec.
-fn trace_config(flags: &Flags) -> Result<NocConfig, CliError> {
-    if let Some(spec) = flags.optional("noc") {
-        return Ok(parse_noc(spec)?);
-    }
-    let n: u16 = flags.numeric("n", 8)?;
-    let spec = match flags.optional("topology").unwrap_or("ft") {
-        "hoplite" => format!("hoplite:{n}"),
-        kind @ ("ft" | "ftlite") => {
-            let d: u16 = flags.numeric("d", 2)?;
-            let r: u16 = flags.numeric("r", 1)?;
-            format!("{kind}:{n}:{d}:{r}")
-        }
-        other => {
-            return Err(CliError::Other(format!(
-                "unknown topology {other:?} (expected hoplite, ft, or ftlite)"
-            )))
-        }
-    };
-    Ok(parse_noc(&spec)?)
-}
-
 /// `trace` — run synthetic traffic with the observability stack
 /// attached, exporting an NDJSON event log, a per-epoch CSV, and a Chrome
 /// trace-event JSON.
 fn cmd_trace_export(flags: &Flags) -> Result<String, CliError> {
-    let cfg = trace_config(flags)?;
+    let cfg = parse_noc(flags.optional("noc").unwrap_or("ft:8:2:1"))?;
     let run = RunSpec::on(TopologySpec::Torus(cfg.clone()), flags, 0.1, 200)?;
     let epoch: u64 = flags.numeric("epoch", 64)?;
     if epoch == 0 {
@@ -1674,13 +1665,39 @@ const FAULT_FLAGS: &[&str] = &[
     "stalled-injectors",
     "window",
 ];
-/// What [`attributed_outcome`] reads on top of [`RUN_FLAGS`].
-const ATTRIBUTED_FLAGS: &[&str] = &["trace", "noc", "channels"];
+/// What `sweep` reads in both of its forms.
+const SWEEP_FLAGS: &[&str] = &[
+    "packets",
+    "seed",
+    "threads",
+    "out",
+    "health",
+    "attribution",
+    "retries",
+    "cycle-budget",
+    "resume",
+];
+/// What `storm` reads in both of its forms.
+const STORM_FLAGS: &[&str] = &[
+    "threads",
+    "channels",
+    "out",
+    "kills",
+    "heal",
+    "duration",
+    "min-delivered",
+    "max-p99",
+];
+/// What `record` reads in both of its forms.
+const RECORD_FLAGS: &[&str] = &["out", "noc", "channels", "max-cycles"];
 
 /// A command's body plus every value flag and switch it reads and how
 /// many positional arguments it takes: [`Flags::parse`] rejects the
 /// rest, so a flag listed here must be read and a flag read must be
-/// listed (USAGE is checked against this table by a test).
+/// listed (USAGE is checked against this table by a test). A command
+/// whose forms read different flags has one row per form, selected by
+/// the flag that names the form, so a flag the chosen form ignores is
+/// rejected like any other unknown flag.
 fn command_table(
     command: &str,
     args: &[String],
@@ -1691,6 +1708,7 @@ fn command_table(
         "figure" => usize::MAX,
         _ => 0,
     };
+    let has = |flag: &str| args.iter().any(|a| a == flag);
     let (cmd, values, switches): (Command, FlagGroups, &[&str]) = match command {
         "simulate" => (cmd_simulate, &[RUN_FLAGS, &["noc", "channels"]], &[]),
         "monitor" => (
@@ -1709,16 +1727,9 @@ fn command_table(
             ],
             &["profile"],
         ),
-        "sweep" => (
-            cmd_sweep,
-            &[
-                &[
-                    "grid", "noc", "pattern", "packets", "seed", "threads", "out",
-                ],
-                &["health", "attribution", "retries", "cycle-budget", "resume"],
-            ],
-            &["profile"],
-        ),
+        // `--grid` names its own NoCs, patterns and rates.
+        "sweep" if has("--grid") => (cmd_sweep, &[SWEEP_FLAGS, &["grid"]], &["profile"]),
+        "sweep" => (cmd_sweep, &[SWEEP_FLAGS, &["noc", "pattern"]], &["profile"]),
         "compare" => (cmd_compare, &[RUN_FLAGS, &["topologies", "out"]], &[]),
         "faults" => (
             cmd_faults,
@@ -1729,50 +1740,43 @@ fn command_table(
             ],
             &["profile", "json"],
         ),
-        "storm" => (
+        "storm" if has("--grid") => (
             cmd_storm,
-            &[
-                RUN_FLAGS,
-                &["noc", "grid", "threads", "channels", "out"],
-                &["kills", "heal", "duration", "min-delivered", "max-p99"],
-            ],
+            &[STORM_FLAGS, &["grid", "packets", "seed"]],
             &["json"],
         ),
+        "storm" => (cmd_storm, &[RUN_FLAGS, STORM_FLAGS, &["noc"]], &["json"]),
         "profile" => (cmd_profile, &[RUN_FLAGS, &["noc", "out"]], &["json"]),
+        // `--trace` replays a recorded scenario: fabric, channels and
+        // traffic all come from its header.
+        "attribute" if has("--trace") => (cmd_attribute, &[&["trace", "metrics"]], &["json"]),
         "attribute" => (
             cmd_attribute,
-            &[RUN_FLAGS, ATTRIBUTED_FLAGS, &["metrics"]],
+            &[RUN_FLAGS, &["noc", "channels", "metrics"]],
             &["json"],
         ),
+        "explain" if has("--trace") => (cmd_explain, &[&["trace", "flight-recorder"]], &[]),
         "explain" => (
             cmd_explain,
-            &[RUN_FLAGS, ATTRIBUTED_FLAGS, &["flight-recorder"]],
+            &[RUN_FLAGS, &["noc", "channels", "flight-recorder"]],
             &[],
         ),
         "figure" => (cmd_figure, &[&["out"]], &["all"]),
         "cost" => (cmd_cost, &[&["noc", "width", "channels"]], &[]),
         // `--file` selects the text-trace replay, which reads nothing else.
-        "trace" if args.iter().any(|a| a == "--file") => {
-            (cmd_trace_replay, &[&["noc", "file"]], &[])
-        }
+        "trace" if has("--file") => (cmd_trace_replay, &[&["noc", "file"]], &[]),
         "trace" => (
             cmd_trace_export,
-            &[
-                RUN_FLAGS,
-                &["noc", "topology", "n", "d", "r"],
-                &["epoch", "flight-recorder", "out"],
-            ],
+            &[RUN_FLAGS, &["noc", "epoch", "flight-recorder", "out"]],
             &[],
         ),
-        "record" => (
+        // A `--workload` preset brings its own traffic.
+        "record" if has("--workload") => (
             cmd_record,
-            &[
-                RUN_FLAGS,
-                FAULT_FLAGS,
-                &["out", "workload", "noc", "channels", "max-cycles"],
-            ],
+            &[RECORD_FLAGS, FAULT_FLAGS, &["workload", "seed"]],
             &[],
         ),
+        "record" => (cmd_record, &[RUN_FLAGS, RECORD_FLAGS, FAULT_FLAGS], &[]),
         "replay" => (cmd_replay, &[&["file"]], &[]),
         "fuzz" => (
             cmd_fuzz,
@@ -1998,10 +2002,37 @@ mod tests {
             ("explain 3 --noc hoplite:4 --metrics m.prom", "--metrics"),
             ("replay --file x.trace --seed 3", "--seed"),
             ("cost --noc hoplite:4 --json", "--json"),
+            // The long-form spelling of `--noc` is gone.
+            ("trace --topology ft --n 8 --d 2 --r 2", "--topology"),
         ] {
             match run(argv(args)) {
                 Err(CliError::Args(ArgError::UnknownFlag(f))) => assert_eq!(f, flag, "{args}"),
                 other => panic!("{args}: {other:?}"),
+            }
+        }
+        // Nor does one form of a command take what only its other form
+        // reads.
+        for (form, ignored) in [
+            ("sweep --grid hoplite:4;random;0.5", "--noc --pattern"),
+            ("storm --grid ft:8:2:2;random;0.3", "--noc --pattern --rate"),
+            (
+                "record --workload spmv --out x.trace",
+                "--pattern --rate --packets",
+            ),
+            (
+                "attribute --trace x.trace",
+                "--noc --channels --pattern --rate --packets --seed",
+            ),
+            (
+                "explain 3 --trace x.trace",
+                "--noc --channels --pattern --rate --packets --seed",
+            ),
+        ] {
+            for flag in ignored.split_whitespace() {
+                match run(argv(&format!("{form} {flag} 1"))) {
+                    Err(CliError::Args(ArgError::UnknownFlag(f))) => assert_eq!(f, flag, "{form}"),
+                    other => panic!("{form} {flag}: {other:?}"),
+                }
             }
         }
     }
@@ -2023,12 +2054,22 @@ mod tests {
             }
         }
         assert!(entries.len() >= 15, "USAGE block not found: {entries:?}");
-        for (command, flags) in entries {
+        // The flag naming a form sits in its entry, so `declared` picks
+        // that form's row.
+        let mut rows = std::collections::BTreeMap::<&str, std::collections::BTreeSet<_>>::new();
+        for (command, flags) in &entries {
             if command == "help" {
                 continue;
             }
             let listed: std::collections::BTreeSet<String> = flags.iter().cloned().collect();
-            assert_eq!(listed, declared(&command, &flags), "{command}");
+            assert_eq!(listed, declared(command, flags), "{command}");
+            rows.entry(command.as_str()).or_default().insert(listed);
+        }
+        // Every per-form row has its own entry; the rest have one.
+        let split = ["sweep", "storm", "attribute", "explain", "trace", "record"];
+        for (command, forms) in rows {
+            let expected = if split.contains(&command) { 2 } else { 1 };
+            assert_eq!(forms.len(), expected, "{command}");
         }
     }
 
@@ -2104,7 +2145,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let prefix = dir.join("t").display().to_string();
         let out = run(argv(&format!(
-            "trace --topology ft --n 8 --d 2 --r 2 --pattern random --rate 0.2 \
+            "trace --noc ft:8:2:2 --pattern random --rate 0.2 \
              --packets 20 --out {prefix}"
         )))
         .unwrap();
@@ -2215,8 +2256,8 @@ mod tests {
     #[test]
     fn trace_rejects_unknown_topology() {
         assert!(matches!(
-            run(argv("trace --topology ring --n 4")),
-            Err(CliError::Other(_))
+            run(argv("trace --noc ring:4")),
+            Err(CliError::Spec(_))
         ));
     }
 

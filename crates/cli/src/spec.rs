@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use fasttrack_core::config::{ConfigError, FtPolicy, NocConfig};
+use fasttrack_core::config::NocConfig;
 use fasttrack_core::topology::{TopologySpec, TopologySpecError};
 use fasttrack_traffic::pattern::Pattern;
 
@@ -23,18 +23,6 @@ pub enum SpecError {
     },
     /// A numeric field failed to parse.
     BadNumber(String),
-    /// An `ft:`/`ftlite:` spec violates the paper's structural
-    /// constraints on `FT(N², D, R)`.
-    BadFtParams {
-        /// Torus side length `N`.
-        n: u16,
-        /// Express-link span `D`.
-        d: u16,
-        /// Depopulation factor `R`.
-        r: u16,
-        /// Which constraint failed, human-readable.
-        why: &'static str,
-    },
     /// The parsed configuration failed validation.
     Invalid(String),
 }
@@ -51,12 +39,6 @@ impl fmt::Display for SpecError {
                 write!(f, "{kind} spec needs {expected} field(s), found {found}")
             }
             SpecError::BadNumber(s) => write!(f, "invalid number {s:?}"),
-            SpecError::BadFtParams { n, d, r, why } => write!(
-                f,
-                "invalid FastTrack spec FT({sq},{d},{r}) on a {n}x{n} torus: {why} \
-                 (constraints: 1 <= D <= N/2, 1 <= R <= D, D divisible by R)",
-                sq = u32::from(*n) * u32::from(*n)
-            ),
             SpecError::Invalid(e) => write!(f, "invalid configuration: {e}"),
         }
     }
@@ -64,9 +46,14 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-impl From<ConfigError> for SpecError {
-    fn from(e: ConfigError) -> Self {
-        SpecError::Invalid(e.to_string())
+impl From<TopologySpecError> for SpecError {
+    fn from(e: TopologySpecError) -> Self {
+        match e {
+            TopologySpecError::UnknownKind(k) => SpecError::UnknownKind(k),
+            TopologySpecError::BadNumber(s) => SpecError::BadNumber(s),
+            TopologySpecError::Torus(e) => SpecError::Invalid(e.to_string()),
+            other => SpecError::Invalid(other.to_string()),
+        }
     }
 }
 
@@ -74,103 +61,36 @@ fn num<T: std::str::FromStr>(s: &str) -> Result<T, SpecError> {
     s.parse().map_err(|_| SpecError::BadNumber(s.to_string()))
 }
 
-/// Checks the paper's structural constraints on `FT(N², D, R)` before
-/// the configuration is built: `1 <= D <= N/2` (an express link must
-/// not wrap past the opposite side of the torus), `1 <= R <= D`, and
-/// `D % R == 0` (depopulated express routers must tile the express
-/// span).
-///
-/// # Errors
-///
-/// Returns [`SpecError::BadFtParams`] naming the violated constraint.
-pub fn validate_ft_params(n: u16, d: u16, r: u16) -> Result<(), SpecError> {
-    let why = if d < 1 {
-        Some("D must be at least 1")
-    } else if d > n / 2 {
-        Some("D exceeds N/2, so express links would wrap past the far side")
-    } else if r < 1 {
-        Some("R must be at least 1")
-    } else if r > d {
-        Some("R exceeds D, so some express spans would have no express router")
-    } else if !d.is_multiple_of(r) {
-        Some("R must divide D for express routers to tile the express span")
-    } else {
-        None
-    };
-    match why {
-        Some(why) => Err(SpecError::BadFtParams { n, d, r, why }),
-        None => Ok(()),
-    }
-}
-
-/// Parses a NoC spec:
+/// Parses a topology spec covering every backend the CLI can drive —
+/// the [`TopologySpec`] grammar, which also checks the paper's
+/// structural constraints on `FT(N², D, R)`:
 ///
 /// * `hoplite:<n>` — baseline Hoplite on an `n × n` torus
 /// * `ft:<n>:<d>:<r>` — FastTrack (Full policy)
 /// * `ftlite:<n>:<d>:<r>` — FastTrack (Inject policy)
-///
-/// # Errors
-///
-/// Returns a [`SpecError`] describing the malformed field.
-pub fn parse_noc(spec: &str) -> Result<NocConfig, SpecError> {
-    let fields: Vec<&str> = spec.split(':').collect();
-    match fields[0] {
-        "hoplite" => {
-            if fields.len() != 2 {
-                return Err(SpecError::BadArity {
-                    kind: "hoplite",
-                    expected: 1,
-                    found: fields.len() - 1,
-                });
-            }
-            Ok(NocConfig::hoplite(num(fields[1])?)?)
-        }
-        "ft" | "ftlite" => {
-            if fields.len() != 4 {
-                return Err(SpecError::BadArity {
-                    kind: "ft",
-                    expected: 3,
-                    found: fields.len() - 1,
-                });
-            }
-            let policy = if fields[0] == "ft" {
-                FtPolicy::Full
-            } else {
-                FtPolicy::Inject
-            };
-            let (n, d, r) = (num(fields[1])?, num(fields[2])?, num(fields[3])?);
-            validate_ft_params(n, d, r)?;
-            Ok(NocConfig::fasttrack(n, d, r, policy)?)
-        }
-        other => Err(SpecError::UnknownKind(other.to_string())),
-    }
-}
-
-fn topology_spec_error(e: TopologySpecError) -> SpecError {
-    match e {
-        TopologySpecError::UnknownKind(k) => SpecError::UnknownKind(k),
-        TopologySpecError::BadNumber(s) => SpecError::BadNumber(s),
-        other => SpecError::Invalid(other.to_string()),
-    }
-}
-
-/// Parses a topology spec covering every backend the CLI can drive:
-///
-/// * `hoplite:<n>` / `ft:<n>:<d>:<r>` / `ftlite:<n>:<d>:<r>` — torus
-///   backends, identical to [`parse_noc`] (including the structural
-///   `FT(N², D, R)` checks)
 /// * `shg:<q>:<delta>` — Sparse Hamming Graph on a `q × q` grid with
 ///   `delta` strides per dimension
-/// * `mesh:<n>:<depth>` — buffered XY mesh with `depth`-deep FIFOs
+/// * `mesh:<n>[:<depth>]` — buffered XY mesh with `depth`-deep FIFOs
 ///
 /// # Errors
 ///
 /// Returns a [`SpecError`] describing the malformed field.
 pub fn parse_topology(spec: &str) -> Result<TopologySpec, SpecError> {
-    match spec.split(':').next().unwrap_or("") {
-        "hoplite" | "ft" | "ftlite" => Ok(TopologySpec::Torus(parse_noc(spec)?)),
-        "shg" | "mesh" => spec.parse::<TopologySpec>().map_err(topology_spec_error),
-        other => Err(SpecError::UnknownKind(other.to_string())),
+    Ok(spec.parse::<TopologySpec>()?)
+}
+
+/// Parses a NoC spec for the torus-only commands: [`parse_topology`],
+/// restricted to `hoplite:` / `ft:` / `ftlite:`.
+///
+/// # Errors
+///
+/// Returns a [`SpecError`] describing the malformed field;
+/// [`SpecError::UnknownKind`] for a well-formed `shg:` / `mesh:` spec.
+pub fn parse_noc(spec: &str) -> Result<NocConfig, SpecError> {
+    match parse_topology(spec)? {
+        TopologySpec::Torus(cfg) => Ok(cfg),
+        TopologySpec::Shg(_) => Err(SpecError::UnknownKind("shg".into())),
+        TopologySpec::Mesh { .. } => Err(SpecError::UnknownKind("mesh".into())),
     }
 }
 
@@ -293,6 +213,8 @@ pub fn parse_grid(spec: &str) -> Result<GridSpec, SpecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fasttrack_core::config::FtPolicy;
+    use fasttrack_traffic::scenario::ScenarioHeader;
 
     #[test]
     fn parses_noc_specs() {
@@ -308,66 +230,69 @@ mod tests {
             parse_noc("mesh:4"),
             Err(SpecError::UnknownKind(_))
         ));
-        assert!(matches!(
-            parse_noc("hoplite"),
-            Err(SpecError::BadArity { .. })
-        ));
-        assert!(matches!(
-            parse_noc("ft:8:2"),
-            Err(SpecError::BadArity { .. })
-        ));
+        assert!(matches!(parse_noc("hoplite"), Err(SpecError::Invalid(_))));
+        assert!(matches!(parse_noc("ft:8:2"), Err(SpecError::Invalid(_))));
         assert!(matches!(
             parse_noc("ft:8:x:1"),
             Err(SpecError::BadNumber(_))
         ));
     }
 
+    /// The one check of `FT(N², D, R)` is `NocConfig::fasttrack`'s, so a
+    /// violation reads as `ConfigError`'s sentence (the cases are in
+    /// the table below).
     #[test]
     fn rejects_ft_constraint_violations() {
-        // D > N/2: express links would wrap past the far side.
         let e = parse_noc("ft:8:5:1").unwrap_err();
-        assert!(
-            matches!(
-                e,
-                SpecError::BadFtParams {
-                    n: 8,
-                    d: 5,
-                    r: 1,
-                    ..
+        assert!(e.to_string().contains("need 1 <= d <= n/2"), "{e}");
+    }
+
+    /// Every surface that reads a NoC spec — the grid grammar's
+    /// `parse_topology`, the torus-only `parse_noc`, and a scenario
+    /// header's `topology` / `noc_config` — is the one [`TopologySpec`]
+    /// grammar: the same value where it accepts, rejecting together
+    /// where it does not.
+    #[test]
+    fn every_spec_surface_is_the_one_grammar() {
+        // All five kinds: what grids, the fuzzer and the corpus headers
+        // name, the FT boundaries (D == 1; D == N/2 with R == D; R
+        // dividing D and tiling N), and the mesh's default depth.
+        const ACCEPTED: &str = "hoplite:2 hoplite:4 hoplite:8 \
+            ft:4:2:1 ft:8:2:1 ft:8:2:2 ft:8:1:1 ft:8:4:4 ft:16:4:2 \
+            ftlite:8:2:1 ftlite:8:3:1 ftlite:8:4:1 ftlite:8:4:2 \
+            shg:8:2 shg:8:3 mesh:4 mesh:4:4 mesh:8:2";
+        // Unknown kind, wrong arity, a non-numeric field, a side below 2;
+        // then the FT(N², D, R) violations — D == 0, R == 0, D > N/2,
+        // D > N, R > D, R not dividing D, R not tiling N, shared by
+        // `ftlite` — an SHG stride past the ring and a zero-depth mesh.
+        const REJECTED: &str = "ring:8 hoplite hoplite:8:2 hoplite:x hoplite:1 \
+            ft:8:2 ft:8:2:1:1 ft:8:x:1 shg:8 shg:x:2 mesh:1 mesh:8:x mesh:4:4:4 \
+            ft:8:0:1 ft:8:2:0 ft:8:5:1 ft:8:9:1 ft:8:2:3 ft:8:4:3 ft:8:3:2 ft:10:4:4 \
+            ftlite:8:5:1 shg:8:9 mesh:4:0";
+        for spec in ACCEPTED.split_whitespace() {
+            let parsed: TopologySpec = spec.parse().unwrap_or_else(|e| panic!("{spec}: {e}"));
+            let header = ScenarioHeader::new(spec, "t");
+            assert_eq!(parse_topology(spec).as_ref(), Ok(&parsed), "{spec}");
+            assert_eq!(header.topology().as_ref(), Ok(&parsed), "{spec}");
+            match &parsed {
+                TopologySpec::Torus(cfg) => {
+                    assert_eq!(parse_noc(spec).as_ref(), Ok(cfg), "{spec}");
+                    assert_eq!(header.noc_config().as_ref(), Ok(cfg), "{spec}");
                 }
-            ),
-            "{e}"
-        );
-        assert!(e.to_string().contains("1 <= D <= N/2"), "{e}");
-        assert!(e.to_string().contains("FT(64,5,1)"), "{e}");
-        // D == 0 and R == 0.
-        assert!(matches!(
-            parse_noc("ft:8:0:1"),
-            Err(SpecError::BadFtParams { .. })
-        ));
-        assert!(matches!(
-            parse_noc("ft:8:2:0"),
-            Err(SpecError::BadFtParams { .. })
-        ));
-        // R > D: some express spans would have no express router.
-        assert!(matches!(
-            parse_noc("ft:8:2:3"),
-            Err(SpecError::BadFtParams { .. })
-        ));
-        // R does not divide D.
-        assert!(matches!(
-            parse_noc("ft:8:4:3"),
-            Err(SpecError::BadFtParams { .. })
-        ));
-        // The ftlite path shares the check.
-        assert!(matches!(
-            parse_noc("ftlite:8:5:1"),
-            Err(SpecError::BadFtParams { .. })
-        ));
-        // Boundary cases stay accepted.
-        assert!(parse_noc("ft:8:4:4").is_ok(), "D == N/2, R == D");
-        assert!(parse_noc("ft:8:1:1").is_ok(), "D == 1");
-        assert!(validate_ft_params(8, 4, 2).is_ok());
+                _ => {
+                    assert!(parse_noc(spec).is_err(), "{spec} is not a torus");
+                    assert!(header.noc_config().is_err(), "{spec} is not a torus");
+                }
+            }
+        }
+        for spec in REJECTED.split_whitespace().chain([""]) {
+            let header = ScenarioHeader::new(spec, "t");
+            assert!(spec.parse::<TopologySpec>().is_err(), "{spec:?}");
+            assert!(parse_topology(spec).is_err(), "{spec:?}");
+            assert!(parse_noc(spec).is_err(), "{spec:?}");
+            assert!(header.topology().is_err(), "{spec:?}");
+            assert!(header.noc_config().is_err(), "{spec:?}");
+        }
     }
 
     #[test]
@@ -442,11 +367,6 @@ mod tests {
         assert!(matches!(
             parse_topology("mesh:8:4").unwrap(),
             TopologySpec::Mesh { n: 8, depth: 4 }
-        ));
-        // The torus kinds keep their structural FT checks.
-        assert!(matches!(
-            parse_topology("ft:8:5:1"),
-            Err(SpecError::BadFtParams { .. })
         ));
         assert!(matches!(
             parse_topology("shg:8"),

@@ -730,16 +730,6 @@ impl FaultState {
         }
     }
 
-    /// Rewinds the epoch state to cycle 0 (engine reset between runs).
-    pub(crate) fn rewind(&mut self) {
-        self.rebuild(0);
-    }
-
-    /// True when the plan contains any dynamic recovery window.
-    pub(crate) fn has_windows(&self) -> bool {
-        !self.windows.is_empty()
-    }
-
     /// Everything the torus step asks about `node` at `cycle`, read once
     /// per visited router.
     pub(crate) fn node_faults(&self, node: usize, cycle: u64) -> NodeFaults {
@@ -992,7 +982,6 @@ mod tests {
                 until: 30,
             });
         let mut fs = plan.compile(4);
-        assert!(fs.has_windows());
         // Cycle 0: only the static dead link.
         assert!(!fs.dead[0].contains(OutPort::EastEx));
         assert!(fs.dead[1].contains(OutPort::SouthEx));
@@ -1006,11 +995,6 @@ mod tests {
             fs.patch_epoch(cycle);
             expect(&fs, (10..20).contains(&cycle), (15..30).contains(&cycle));
         }
-        // Rewind reproduces cycle 0 exactly.
-        fs.rewind();
-        expect(&fs, false, false);
-        fs.patch_epoch(17);
-        expect(&fs, true, true);
     }
 
     #[test]

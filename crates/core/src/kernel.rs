@@ -43,8 +43,8 @@ pub enum RouteMode {
 
 /// Precomputed route preferences for every `(class, in port, dx, dy)`.
 ///
-/// Shared between engine clones (multi-channel banks, batched drivers)
-/// behind an [`Arc`], so replicating an engine never rebuilds the table.
+/// Shared between the channels of a multi-channel bank behind an
+/// [`Arc`], so replicating an engine never rebuilds the table.
 #[derive(Debug, Clone)]
 pub struct RouteLut {
     n: u16,
@@ -218,13 +218,6 @@ impl PacketPool {
     pub fn free_slots(&self) -> usize {
         self.free.len()
     }
-
-    /// Drops every packet, keeping allocated capacity for reuse.
-    pub fn clear(&mut self) {
-        self.dst.clear();
-        self.meta.clear();
-        self.free.clear();
-    }
 }
 
 #[cfg(test)]
@@ -320,8 +313,6 @@ pub(crate) mod tests {
         assert_eq!(c, a);
         assert_eq!(pool.dst(c), Coord::new(3, 3));
         assert_eq!(pool.get(b).id, PacketId(2));
-        pool.clear();
-        assert_eq!(pool.live(), 0);
     }
 
     #[test]

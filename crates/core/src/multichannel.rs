@@ -128,20 +128,6 @@ impl MultiNoc {
         }
     }
 
-    /// Returns the bank to its just-constructed state (see
-    /// [`Noc::reset`]): every channel reset, gates reopened, rotation
-    /// and cycle back to 0. Topology, route tables, and compiled fault
-    /// plans are kept.
-    pub fn reset(&mut self) {
-        for ch in &mut self.channels {
-            ch.reset();
-        }
-        self.gates.reset();
-        self.rotation = 0;
-        self.cycle = 0;
-        self.pending.clear();
-    }
-
     /// See [`Noc::only_failed_injectors_pending`]; all channels share
     /// the fault plan, so channel 0 answers for the bank.
     pub fn only_failed_injectors_pending(&self, queues: &InjectQueues) -> bool {

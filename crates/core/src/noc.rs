@@ -257,29 +257,6 @@ impl Noc {
         self.lut = Some(lut);
     }
 
-    /// Returns the engine to its just-constructed state — no packets in
-    /// flight, cycle 0, zeroed statistics — while keeping the topology,
-    /// route tables, compiled fault plan, and allocations. Batched
-    /// drivers reset between seeds instead of rebuilding the engine.
-    pub fn reset(&mut self) {
-        self.regs.clear();
-        for frame in &mut self.wheel {
-            frame.clear();
-        }
-        self.pool.clear();
-        self.in_flight = 0;
-        self.cycle = 0;
-        self.stats = SimStats::default();
-        self.evicted.clear();
-        // Only a dynamic timeline can leave the dead-link table in a
-        // later epoch; static plans never need the rebuild.
-        if let Some(f) = self.faults.as_mut() {
-            if f.has_windows() {
-                f.rewind();
-            }
-        }
-    }
-
     /// Installs compiled fallback chains. The default compiled form is
     /// inert and keeps this engine bit-identical to one built without
     /// fallback routing.
@@ -1133,10 +1110,6 @@ mod tests {
             let mut noc = Noc::new(cfg);
             let pushed = run_checking_masks(&mut noc, 7);
             assert_eq!(noc.stats().delivered, pushed);
-            // A reset clears every mask along with its registers.
-            noc.reset();
-            assert!(noc.occupancy_masks_exact());
-            assert_eq!(run_checking_masks(&mut noc, 7), pushed);
         }
 
         let plan = FaultPlan::new()

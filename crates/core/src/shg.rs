@@ -325,21 +325,6 @@ impl ShgNoc {
         self.stats = SimStats::default();
     }
 
-    /// Returns the engine to its just-built state.
-    pub fn reset(&mut self) {
-        self.regs.fill(EMPTY_SLOT);
-        self.next_regs.fill(EMPTY_SLOT);
-        self.occ.fill(0);
-        self.next_occ.fill(0);
-        self.pool.clear();
-        self.stats = SimStats::default();
-        self.in_flight = 0;
-        self.cycle = 0;
-        if let Some(f) = self.faults.as_mut() {
-            f.rewind();
-        }
-    }
-
     /// The invariant `forward` and the walk maintain: a node's bit is set
     /// exactly when one of its arrival registers holds a packet. A clear
     /// bit over an occupied register would make the step skip a router
@@ -751,10 +736,6 @@ impl SimEngine for ShgNoc {
     fn stats_snapshot(&self) -> SimStats {
         self.stats.clone()
     }
-
-    fn reset(&mut self) {
-        ShgNoc::reset(self);
-    }
 }
 
 /// [`SessionBackend`] for the Sparse Hamming Graph:
@@ -873,18 +854,10 @@ mod tests {
     }
 
     #[test]
-    fn runs_are_deterministic_and_reset_is_exact() {
+    fn runs_are_deterministic() {
         let c = cfg(8, 3);
         let mk = || Batch::all_to(8, Coord::new(0, 0));
-        let a = run(c, &mut mk());
-        let b = run(c, &mut mk());
-        assert_eq!(a, b);
-        let batch = SimSession::with_backend(ShgBackend::new(c))
-            .run_batch(&[1, 2, 3], |_| mk())
-            .unwrap();
-        for outcome in &batch {
-            assert_eq!(outcome.report, a, "reset must be exact");
-        }
+        assert_eq!(run(c, &mut mk()), run(c, &mut mk()));
     }
 
     #[test]
@@ -1234,27 +1207,22 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_mask_is_exact_healthy_failstopped_and_after_reset() {
+    fn occupancy_mask_is_exact_healthy_and_failstopped() {
         let c = cfg(8, 2);
         let plan = FaultPlan::new().with(Fault::FailStopRouter { node: 27, at: 4 });
         for mut noc in [ShgNoc::new(c), ShgNoc::with_faults(c, &plan).unwrap()] {
-            for round in 0..2 {
-                let mut queues = InjectQueues::new(64);
-                for node in 0..64 {
-                    queues.push(node, Coord::new(3, 3), 0, 0); // node 27
-                }
-                let mut deliveries = Vec::new();
-                let mut saw_traffic = false;
-                for _ in 0..12 {
-                    noc.step_with_sink(&mut queues, &mut deliveries, &mut NullSink);
-                    assert!(noc.occupancy_mask_exact(), "round {round}");
-                    saw_traffic |= noc.occ.iter().any(|&w| w != 0);
-                }
-                assert!(saw_traffic);
-                noc.reset();
-                assert!(noc.occupancy_mask_exact());
-                assert!(noc.occ.iter().chain(&noc.next_occ).all(|&w| w == 0));
+            let mut queues = InjectQueues::new(64);
+            for node in 0..64 {
+                queues.push(node, Coord::new(3, 3), 0, 0); // node 27
             }
+            let mut deliveries = Vec::new();
+            let mut saw_traffic = false;
+            for _ in 0..12 {
+                noc.step_with_sink(&mut queues, &mut deliveries, &mut NullSink);
+                assert!(noc.occupancy_mask_exact());
+                saw_traffic |= noc.occ.iter().any(|&w| w != 0);
+            }
+            assert!(saw_traffic);
         }
     }
 

@@ -232,11 +232,6 @@ pub trait SimEngine {
     /// A copy of the accumulated statistics (merged across channels for
     /// banked engines).
     fn stats_snapshot(&self) -> SimStats;
-
-    /// Returns the engine to its just-constructed state while keeping
-    /// topology, route tables, and compiled fault plans — the batched
-    /// driver resets between seeds instead of rebuilding.
-    fn reset(&mut self);
 }
 
 impl SimEngine for Noc {
@@ -272,10 +267,6 @@ impl SimEngine for Noc {
     fn stats_snapshot(&self) -> SimStats {
         self.stats().clone()
     }
-
-    fn reset(&mut self) {
-        Noc::reset(self);
-    }
 }
 
 impl SimEngine for MultiNoc {
@@ -310,10 +301,6 @@ impl SimEngine for MultiNoc {
 
     fn stats_snapshot(&self) -> SimStats {
         self.merged_stats()
-    }
-
-    fn reset(&mut self) {
-        MultiNoc::reset(self);
     }
 }
 
@@ -506,13 +493,6 @@ impl SimEngine for TorusEngine {
             TorusEngine::Multi(e) => e.stats_snapshot(),
         }
     }
-
-    fn reset(&mut self) {
-        match self {
-            TorusEngine::Single(e) => SimEngine::reset(e),
-            TorusEngine::Multi(e) => SimEngine::reset(e),
-        }
-    }
 }
 
 impl SessionBackend for TorusBackend {
@@ -619,9 +599,8 @@ impl SimOutcome {
 /// * [`SimSession::route_mode`] — LUT vs recomputed routing (torus only).
 ///
 /// Every combination is valid; all attached observers see one event
-/// stream through one fan-out. [`SimSession::run`] drives one source;
-/// [`SimSession::run_batch`] drives one source per seed while building
-/// the engine (topology, route LUTs, compiled faults) only once.
+/// stream through one fan-out, and [`SimSession::run`] is the single
+/// run entry: one session builds one engine and drives one source.
 pub struct SimSession<'s, B: SessionBackend, K: EventSink = NullSink> {
     backend: B,
     opts: SimOptions,
@@ -751,65 +730,27 @@ impl<'s, B: SessionBackend, K: EventSink> SimSession<'s, B, K> {
         Ok(self)
     }
 
-    /// Builds the engine and drives `source` to completion.
-    ///
-    /// Returns `Err` only when a fault plan was attached and fails
-    /// validation; sessions without [`SimSession::with_faults`] always
-    /// succeed.
-    pub fn run<T: TrafficSource>(mut self, source: &mut T) -> Result<SimOutcome, FaultError> {
-        self.run_on(&mut None, source)
-    }
-
-    /// Drives one run per seed against a single engine, resetting it
-    /// between runs: topology, route LUTs, and compiled fault plans are
-    /// built once (by the first run, whose profile alone carries the
-    /// `session.build` span) and amortized across the batch.
-    /// `mk_source` builds the traffic source for each seed; fresh
-    /// observers (monitor, attribution, profile) are attached per run,
-    /// while an attached sink observes all runs in sequence.
-    pub fn run_batch<T, F>(
-        mut self,
-        seeds: &[u64],
-        mut mk_source: F,
-    ) -> Result<Vec<SimOutcome>, FaultError>
-    where
-        T: TrafficSource,
-        F: FnMut(u64) -> T,
-    {
-        let mut engine = None;
-        seeds
-            .iter()
-            .map(|&seed| self.run_on(&mut engine, &mut mk_source(seed)))
-            .collect()
-    }
-
-    /// The single path every run takes: builds the engine on first use
-    /// (resets it on reuse), attaches this session's observers, drives
-    /// once, and assembles the outcome. The lifecycle spans are opened
-    /// unconditionally — [`profile::scoped`] is inert unless
-    /// [`SimSession::with_profile`] installed the recorder.
+    /// Builds the engine, attaches this session's observers, drives
+    /// `source` to completion and assembles the outcome. The lifecycle
+    /// spans are opened unconditionally — [`profile::scoped`] is inert
+    /// unless [`SimSession::with_profile`] installed the recorder.
     ///
     /// An unobserved run drives [`NullSink`] and a sink-only run drives
     /// the sink itself, so a statically disabled sink still compiles
     /// every emission site out; any other combination shares one
     /// fan-out of optional observers.
-    fn run_on<T: TrafficSource>(
-        &mut self,
-        engine: &mut Option<B::Engine>,
-        source: &mut T,
-    ) -> Result<SimOutcome, FaultError> {
+    ///
+    /// Returns `Err` only when a fault plan was attached and fails
+    /// validation; sessions without [`SimSession::with_faults`] always
+    /// succeed.
+    pub fn run<T: TrafficSource>(mut self, source: &mut T) -> Result<SimOutcome, FaultError> {
         let recorder = self.profile.then(profile::ThreadProfile::begin);
         let session_span = profile::scoped("session");
-        let engine = match engine {
-            Some(built) => {
-                built.reset();
-                built
-            }
-            None => {
-                let _build = profile::scoped("session.build");
-                engine.insert(self.backend.build(self.faults.as_ref())?)
-            }
+        let mut engine = {
+            let _build = profile::scoped("session.build");
+            self.backend.build(self.faults.as_ref())?
         };
+        let engine = &mut engine;
         let mut monitor = self
             .monitor
             .map(|mcfg| HealthMonitor::new(self.backend.monitor_shape(), mcfg));
@@ -1014,42 +955,6 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_matches_individual_runs() {
-        let cfg = NocConfig::hoplite(4).unwrap();
-        let mk = |seed: u64| Batch {
-            items: (0..16)
-                .map(|i| (i, Coord::from_node_id((i + 1 + seed as usize % 7) % 16, 4)))
-                .collect(),
-            pushed: false,
-        };
-        let seeds = [1u64, 2, 3, 4];
-        let batch = SimSession::new(&cfg).run_batch(&seeds, mk).unwrap();
-        assert_eq!(batch.len(), seeds.len());
-        for (outcome, &seed) in batch.iter().zip(&seeds) {
-            let solo = SimSession::new(&cfg).run(&mut mk(seed)).unwrap();
-            assert_eq!(
-                outcome.report, solo.report,
-                "engine reset must reproduce a fresh engine (seed {seed})"
-            );
-        }
-    }
-
-    #[test]
-    fn run_batch_multichannel_resets_rotation() {
-        let cfg = NocConfig::hoplite(4).unwrap();
-        let mk = |_seed: u64| Batch {
-            items: (1..16).map(|i| (i, Coord::new(0, 0))).collect(),
-            pushed: false,
-        };
-        let batch = SimSession::new(&cfg)
-            .channels(2)
-            .run_batch(&[0, 0, 0], mk)
-            .unwrap();
-        assert_eq!(batch[0].report, batch[1].report);
-        assert_eq!(batch[1].report, batch[2].report);
-    }
-
-    #[test]
     fn outcome_without_monitor_panics_on_split() {
         let cfg = NocConfig::hoplite(4).unwrap();
         let outcome = run_session(
@@ -1070,25 +975,5 @@ mod tests {
             .into_monitored()
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn attribution_in_run_batch_is_per_seed() {
-        use crate::attribution::AttributionConfig;
-        let cfg = NocConfig::hoplite(4).unwrap();
-        let outcomes = SimSession::new(&cfg)
-            .with_attribution(AttributionConfig::default())
-            .run_batch(&[1, 2, 3], |_| Batch {
-                items: (1..16).map(|i| (i, Coord::new(0, 0))).collect(),
-                pushed: false,
-            })
-            .unwrap();
-        assert_eq!(outcomes.len(), 3);
-        for o in &outcomes {
-            let a = o.attribution.as_ref().expect("attribution attached");
-            assert_eq!(a.delivered, 15, "each seed gets a fresh sink");
-            assert!(a.reconciled());
-            assert_eq!(a.mismatches, 0);
-        }
     }
 }

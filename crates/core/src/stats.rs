@@ -112,7 +112,7 @@ impl Histogram {
 }
 
 /// Streaming aggregate of a latency population plus its histogram.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyStats {
     count: u64,
     sum: u64,
@@ -121,12 +121,23 @@ pub struct LatencyStats {
     histogram: Histogram,
 }
 
+impl Default for LatencyStats {
+    /// [`LatencyStats::new`]: `min` is primed so the first sample sets
+    /// it, which an all-zero aggregate would not.
+    fn default() -> Self {
+        LatencyStats::new()
+    }
+}
+
 impl LatencyStats {
     /// Creates an empty aggregate.
     pub fn new() -> Self {
         LatencyStats {
+            count: 0,
+            sum: 0,
+            max: 0,
             min: u64::MAX,
-            ..Default::default()
+            histogram: Histogram::default(),
         }
     }
 
@@ -257,9 +268,9 @@ pub struct SimStats {
     /// Packets delivered to their destination PE.
     pub delivered: u64,
     /// Latency from source-queue entry to delivery.
-    pub total_latency: LatencyStatsInit,
+    pub total_latency: LatencyStats,
     /// Latency from NoC injection to delivery.
-    pub network_latency: LatencyStatsInit,
+    pub network_latency: LatencyStats,
     /// Link traversal totals.
     pub link_usage: LinkUsage,
     /// Per-port deflection counters.
@@ -319,30 +330,6 @@ impl SimStats {
         self.route_decisions += other.route_decisions;
         self.pool_reuse += other.pool_reuse;
         self.router_visits += other.router_visits;
-    }
-}
-
-/// Wrapper so that `SimStats: Default` builds `LatencyStats::new()`
-/// (with `min` primed to `u64::MAX`) rather than the all-zero default.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencyStatsInit(pub LatencyStats);
-
-impl Default for LatencyStatsInit {
-    fn default() -> Self {
-        LatencyStatsInit(LatencyStats::new())
-    }
-}
-
-impl std::ops::Deref for LatencyStatsInit {
-    type Target = LatencyStats;
-    fn deref(&self) -> &LatencyStats {
-        &self.0
-    }
-}
-
-impl std::ops::DerefMut for LatencyStatsInit {
-    fn deref_mut(&mut self) -> &mut LatencyStats {
-        &mut self.0
     }
 }
 
@@ -476,6 +463,17 @@ mod tests {
         assert!((s.mean() - 20.0).abs() < 1e-9);
         assert_eq!(s.max(), 30);
         assert_eq!(s.min(), 10);
+    }
+
+    #[test]
+    fn latency_stats_default_is_the_empty_aggregate() {
+        let mut s = LatencyStats::default();
+        assert_eq!(s, LatencyStats::new());
+        s.record(5);
+        assert_eq!(s.min(), 5);
+        let mut stats = SimStats::default();
+        stats.network_latency.record(7);
+        assert_eq!(stats.network_latency.min(), 7);
     }
 
     #[test]

@@ -24,12 +24,6 @@
 //! (the atomic cells of a shared [`crate::monitor::MetricsRegistry`]
 //! can be incremented from every worker; totals are exact regardless of
 //! interleaving, though intermediate readings are racy by nature).
-//!
-//! This pool parallelizes *across* independent engines. To amortize
-//! engine construction (topology, route LUTs, compiled fault tables)
-//! *within* one configuration over many seeds, use
-//! [`crate::sim::SimSession::run_batch`] — the two compose: each sweep
-//! point can itself be a batched multi-seed run.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

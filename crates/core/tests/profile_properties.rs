@@ -144,35 +144,6 @@ fn profiled_run_composes_with_monitor_and_faults() {
 }
 
 #[test]
-fn run_batch_profiles_each_seed() {
-    let cfg = NocConfig::hoplite(4).unwrap();
-    let seeds = [1u64, 2, 3];
-    let plain = SimSession::new(&cfg)
-        .run_batch(&seeds, |s| BatchSource::random(4, 5, s))
-        .unwrap();
-    let profiled = SimSession::new(&cfg)
-        .with_profile()
-        .run_batch(&seeds, |s| BatchSource::random(4, 5, s))
-        .unwrap();
-    assert_eq!(plain.len(), profiled.len());
-    for (p, q) in plain.iter().zip(&profiled) {
-        assert_eq!(p.report, q.report, "batch runs must be unperturbed");
-        assert!(q.profile.is_some());
-    }
-    // Only the first run pays (and records) the engine build.
-    let has_build = |o: &fasttrack_core::sim::SimOutcome| {
-        o.profile
-            .as_ref()
-            .unwrap()
-            .spans()
-            .iter()
-            .any(|s| s.name == "session.build")
-    };
-    assert!(has_build(&profiled[0]));
-    assert!(!has_build(&profiled[1]));
-}
-
-#[test]
 fn route_decisions_match_event_stream() {
     let cfg = ft_cfg();
     let mut sink = VecSink::new();

@@ -5,7 +5,6 @@
 //!   be bit-identical to recomputing `compute_prefs` per decision
 //!   ([`RouteMode::Direct`]) over random `FT(N², D, R)` grids, traffic,
 //!   faults, and channel counts;
-//! * the batched driver must reproduce fresh-engine runs exactly;
 //! * a fully composed session (faults + sink + monitor + attribution +
 //!   profile) must match the bare session's report and event stream.
 
@@ -215,36 +214,6 @@ proptest! {
         prop_assert_eq!(&lut, &run(RouteMode::Direct));
         // The `-{k}x` naming (including `-1x`) is part of the contract.
         prop_assert!(lut.config_name.ends_with(&format!("-{channels}x")));
-    }
-
-    /// The batched driver (one engine, reset between seeds) reproduces
-    /// fresh-engine runs exactly — LUTs, SoA pool recycling, and fault
-    /// tables all survive the reset.
-    #[test]
-    fn run_batch_matches_fresh_runs(
-        cfg in arb_ft_config(),
-        channels in 1usize..=2,
-        base in 0u64..200,
-    ) {
-        let plan = small_plan(&cfg, base);
-        let seeds = [base, base + 1, base];
-        let batch = SimSession::new(&cfg)
-            .channels(channels)
-            .with_faults(&plan)
-            .run_batch(&seeds, |seed| BatchSource::random(cfg.n(), 2, seed))
-            .unwrap();
-        prop_assert_eq!(batch.len(), seeds.len());
-        for (outcome, &seed) in batch.iter().zip(&seeds) {
-            let fresh = SimSession::new(&cfg)
-                .channels(channels)
-                .with_faults(&plan)
-                .run(&mut BatchSource::random(cfg.n(), 2, seed))
-                .unwrap();
-            prop_assert_eq!(&outcome.report, &fresh.report);
-        }
-        // Identical seeds at positions 0 and 2 must yield identical
-        // reports (the reset leaves no residue).
-        prop_assert_eq!(&batch[0].report, &batch[2].report);
     }
 
     /// Composing everything at once — faults, sink, monitor,

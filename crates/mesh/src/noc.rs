@@ -304,30 +304,6 @@ impl MeshNoc {
         self.stats = SimStats::default();
     }
 
-    /// Returns the mesh to its just-constructed state: buffers drained,
-    /// credits refilled, round-robin pointers and statistics zeroed, and
-    /// the cycle counter back to 0. Topology and compiled fault plans
-    /// are kept (fault tables are absolute-cycle, so resetting the cycle
-    /// replays them identically) — the batched driver resets between
-    /// seeds instead of rebuilding.
-    pub fn reset(&mut self) {
-        for fifo in &mut self.fifos {
-            for dir in fifo.iter_mut() {
-                dir.clear();
-            }
-        }
-        self.occ.fill(0);
-        for credit in &mut self.credits {
-            *credit = [self.cfg.buffer_depth(); 4];
-        }
-        for rr in &mut self.rr {
-            *rr = [0; 5];
-        }
-        self.in_flight = 0;
-        self.cycle = 0;
-        self.stats = SimStats::default();
-    }
-
     /// Clears `node`'s occupancy bit if a pop just emptied its last
     /// non-empty link FIFO.
     #[inline]
@@ -943,27 +919,22 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_mask_is_exact_healthy_failstopped_and_after_reset() {
+    fn occupancy_mask_is_exact_healthy_and_failstopped() {
         let cfg = MeshConfig::new(8, 2).unwrap();
         let plan = FaultPlan::new().with(Fault::FailStopRouter { node: 27, at: 4 });
         for mut noc in [MeshNoc::new(cfg), MeshNoc::with_faults(cfg, &plan).unwrap()] {
-            for round in 0..2 {
-                let mut queues = InjectQueues::new(64);
-                for node in 0..64 {
-                    queues.push(node, Coord::new(3, 3), 0, 0); // node 27
-                }
-                let mut deliveries = Vec::new();
-                let mut saw_traffic = false;
-                for _ in 0..12 {
-                    noc.step(&mut queues, &mut deliveries);
-                    assert!(noc.occupancy_mask_exact(), "round {round}");
-                    saw_traffic |= noc.occ.iter().any(|&w| w != 0);
-                }
-                assert!(saw_traffic);
-                noc.reset();
-                assert!(noc.occupancy_mask_exact());
-                assert!(noc.occ.iter().all(|&w| w == 0));
+            let mut queues = InjectQueues::new(64);
+            for node in 0..64 {
+                queues.push(node, Coord::new(3, 3), 0, 0); // node 27
             }
+            let mut deliveries = Vec::new();
+            let mut saw_traffic = false;
+            for _ in 0..12 {
+                noc.step(&mut queues, &mut deliveries);
+                assert!(noc.occupancy_mask_exact());
+                saw_traffic |= noc.occ.iter().any(|&w| w != 0);
+            }
+            assert!(saw_traffic);
         }
     }
 

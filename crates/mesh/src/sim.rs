@@ -50,10 +50,6 @@ impl SimEngine for MeshNoc {
     fn stats_snapshot(&self) -> SimStats {
         self.stats().clone()
     }
-
-    fn reset(&mut self) {
-        MeshNoc::reset(self);
-    }
 }
 
 /// [`SessionBackend`] for the buffered mesh:
@@ -132,27 +128,6 @@ mod tests {
         assert_eq!(report.nodes, 16);
         assert!(report.config_name.contains("Mesh"));
         assert!(report.avg_latency() > 0.0);
-    }
-
-    #[test]
-    fn batched_runs_reset_cleanly() {
-        let cfg = MeshConfig::new(4, 4).unwrap();
-        let mk = |seed: u64| Batch {
-            items: (0..16)
-                .map(|i| (i, Coord::from_node_id((i + 1 + seed as usize % 5) % 16, 4)))
-                .collect(),
-            pushed: false,
-        };
-        let batch = SimSession::with_backend(MeshBackend::new(&cfg))
-            .run_batch(&[0, 3, 7], mk)
-            .unwrap();
-        for (outcome, &seed) in batch.iter().zip(&[0u64, 3, 7]) {
-            let solo = run_mesh(&cfg, &mut mk(seed));
-            assert_eq!(
-                outcome.report, solo,
-                "mesh reset must be exact (seed {seed})"
-            );
-        }
     }
 
     #[test]

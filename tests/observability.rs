@@ -206,7 +206,7 @@ mod json {
 }
 
 fn acceptance_config() -> NocConfig {
-    // The CLI acceptance configuration: ft --n 8 --d 2 --r 2.
+    // The CLI acceptance configuration: `--noc ft:8:2:2`.
     NocConfig::fasttrack(8, 2, 2, FtPolicy::Full).unwrap()
 }
 
