@@ -42,7 +42,7 @@ use fasttrack_core::monitor::{Anomaly, MonitorConfig};
 use fasttrack_core::packet::PacketId;
 use fasttrack_core::sim::{SimSession, TrafficSource};
 use fasttrack_core::sweep::{point_seed, splitmix64, sweep};
-use fasttrack_core::trace::{SimEvent, VecSink};
+use fasttrack_core::trace::{EventSink, SimEvent};
 use fasttrack_traffic::adversarial::{BurstySource, PermutationSource};
 use fasttrack_traffic::pattern::Pattern;
 use fasttrack_traffic::scenario::{
@@ -331,6 +331,27 @@ struct RunVerdict {
     detail: String,
 }
 
+/// Counts `FaultReroute`s per packet as they are emitted and keeps the
+/// first packet to reach the highest count; every other event is
+/// dropped on the floor rather than stored for a pass afterwards.
+#[derive(Default)]
+struct RerouteFold {
+    reroutes: HashMap<PacketId, u32>,
+    worst: Option<(PacketId, u32)>,
+}
+
+impl EventSink for RerouteFold {
+    fn emit(&mut self, event: &SimEvent) {
+        if let SimEvent::FaultReroute { packet, .. } = event {
+            let count = self.reroutes.entry(*packet).or_insert(0);
+            *count += 1;
+            if self.worst.is_none_or(|(_, c)| *count > c) {
+                self.worst = Some((*packet, *count));
+            }
+        }
+    }
+}
+
 /// Runs `source` under the scenario's session and classifies the result.
 fn classify_run<T: TrafficSource>(
     scenario: &Scenario,
@@ -343,7 +364,7 @@ fn classify_run<T: TrafficSource>(
             .with_fallback(&FallbackConfig::standard())
             .expect("standard chains validate on every router class");
     }
-    let mut sink = VecSink::new();
+    let mut sink = RerouteFold::default();
     let outcome = session
         .with_faults(plan)
         .with_monitor(MonitorConfig::default())
@@ -352,22 +373,11 @@ fn classify_run<T: TrafficSource>(
         .expect("randomly drawn fault plans are valid by construction");
     let report = &outcome.report;
     let monitor = outcome.monitor.as_ref().expect("monitor attached");
-    // Per-packet reroute counts: three or more demotions means the
-    // packet cycled back onto a lane the storm killed again.
-    let mut reroutes: HashMap<PacketId, u32> = HashMap::new();
-    let mut worst: Option<(PacketId, u32)> = None;
-    for event in &sink.events {
-        if let SimEvent::FaultReroute { packet, .. } = event {
-            let count = reroutes.entry(*packet).or_insert(0);
-            *count += 1;
-            if worst.is_none_or(|(_, c)| *count > c) {
-                worst = Some((*packet, *count));
-            }
-        }
-    }
+    // Three or more demotions of one packet means it cycled back onto
+    // a lane the storm killed again.
     let reroute_loop = scenario
         .fallback
-        .then_some(worst)
+        .then_some(sink.worst)
         .flatten()
         .filter(|&(_, c)| c >= 3);
     let expect = Expectation {

@@ -17,7 +17,7 @@ use fasttrack_core::metrics::WindowedMetrics;
 use fasttrack_core::monitor::{DetectorConfig, FlightRecorder, HealthMonitor, MonitorConfig};
 use fasttrack_core::packet::PacketId;
 use fasttrack_core::sim::{SimOutcome, SimReport, SimSession, TrafficSource};
-use fasttrack_core::topology::{MonitorShape, TopologySpec};
+use fasttrack_core::topology::TopologySpec;
 use fasttrack_core::trace::{EventSink, SimEvent};
 use fasttrack_fpga::device::Device;
 use fasttrack_fpga::power::PowerModel;
@@ -420,18 +420,22 @@ pub fn cmd_faults(flags: &Flags) -> Result<String, CliError> {
 
     let baseline = run.session().run(&mut run.source()).unwrap().report;
 
-    let mut monitor = HealthMonitor::new(
-        MonitorShape::torus(cfg.n()).with_channels(run.channels),
-        MonitorConfig::default(),
-    );
-    let mut session = run.session().with_faults(&plan).with_sink(&mut monitor);
+    let mut session = run
+        .session()
+        .with_faults(&plan)
+        .with_monitor(MonitorConfig::default());
     if flags.switch("profile") {
         session = session.with_profile();
     }
-    let (report, profile) = session
+    let SimOutcome {
+        report,
+        monitor,
+        profile,
+        ..
+    } = session
         .run(&mut run.source())
-        .map(|o| (o.report, o.profile))
         .map_err(|e| CliError::Other(e.to_string()))?;
+    let monitor = monitor.expect("monitor attached");
 
     if flags.switch("json") {
         use std::fmt::Write as _;

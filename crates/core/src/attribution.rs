@@ -41,7 +41,11 @@
 //!    or PE exit), and `express + ring + exit == SimStats::route_decisions`.
 //!
 //! The sink is bounded-memory: per-packet state lives only while the
-//! packet is in flight and is dropped on `Eject` / `FaultDrop`.
+//! packet is in flight and is dropped on `Eject` / `FaultDrop`. It is
+//! keyed by [`PacketId`] alone: one [`crate::queue::InjectQueues`]
+//! counter numbers every packet of a run, whichever channel of a bank
+//! carries it, so a packet a fallback chain moves to a sibling channel
+//! keeps its state.
 //!
 //! # Composition
 //!
@@ -53,10 +57,9 @@
 //! attached, nothing is paid — the session drives the engine with the
 //! same sinks as before.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::monitor::{LogHistogram, MetricsRegistry};
+use crate::monitor::{LocalHistogram, LogHistogram, MetricsRegistry};
 use crate::packet::PacketId;
 use crate::port::OutPort;
 use crate::sim::SimReport;
@@ -193,26 +196,111 @@ struct InFlight {
     transit: [u64; COMPONENTS],
 }
 
+/// The in-flight packets' state, keyed by id: open addressing with
+/// linear probing and backward-shift deletion over a power-of-two slot
+/// array, hashed by one multiply and shift (ids are a dense counter, so
+/// the golden-ratio multiplier spreads them evenly). It holds only what
+/// is on the fabric — ids still queued at their source are not in it —
+/// so it stays a few hundred entries however long the run.
+#[derive(Debug, Clone)]
+struct InFlightTable {
+    slots: Vec<Option<(PacketId, InFlight)>>,
+    len: usize,
+    /// `64 - log2(slots.len())`.
+    shift: u32,
+}
+
+impl InFlightTable {
+    fn new() -> Self {
+        InFlightTable {
+            slots: vec![None; 64],
+            len: 0,
+            shift: 64 - 6,
+        }
+    }
+
+    #[inline]
+    fn home(&self, id: PacketId) -> usize {
+        (id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The slot holding `id`, or the empty slot its probe ends at.
+    #[inline]
+    fn probe(&self, id: PacketId) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(id);
+        while matches!(&self.slots[i], Some((held, _)) if *held != id) {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    fn insert(&mut self, id: PacketId, st: InFlight) {
+        // At most three quarters full, so every probe ends.
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            let doubled = vec![None; self.slots.len() * 2];
+            self.shift -= 1;
+            for (held, st) in std::mem::replace(&mut self.slots, doubled)
+                .into_iter()
+                .flatten()
+            {
+                let i = self.probe(held);
+                self.slots[i] = Some((held, st));
+            }
+        }
+        let i = self.probe(id);
+        if self.slots[i].is_none() {
+            self.len += 1;
+        }
+        self.slots[i] = Some((id, st));
+    }
+
+    #[inline]
+    fn get_mut(&mut self, id: PacketId) -> Option<&mut InFlight> {
+        let i = self.probe(id);
+        self.slots[i].as_mut().map(|(_, st)| st)
+    }
+
+    fn remove(&mut self, id: PacketId) -> Option<InFlight> {
+        let mask = self.slots.len() - 1;
+        let mut hole = self.probe(id);
+        let (_, st) = self.slots[hole].take()?;
+        self.len -= 1;
+        // Close the hole: pull back each later entry of the run whose
+        // home is not cyclically inside (hole, its slot].
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let Some((held, _)) = &self.slots[i] else {
+                return Some(st);
+            };
+            if (i.wrapping_sub(self.home(*held)) & mask) >= (i.wrapping_sub(hole) & mask) {
+                self.slots[hole] = self.slots[i].take();
+                hole = i;
+            }
+        }
+    }
+}
+
 /// A streaming [`EventSink`] that folds the event stream into
 /// per-packet latency attributions and wire-class decision counts.
 #[derive(Debug, Clone)]
 pub struct AttributionSink {
     cfg: AttributionConfig,
-    channel: usize,
-    states: HashMap<(usize, PacketId), InFlight>,
+    states: InFlightTable,
     /// Aggregates over delivered packets (reset at warmup).
     delivered: u64,
     totals: [u64; COMPONENTS],
-    hists: [LogHistogram; COMPONENTS],
+    hists: [LocalHistogram; COMPONENTS],
     mismatches: u64,
-    /// Wire-class decision counters (reset at warmup, like SimStats).
-    express_decisions: u64,
-    ring_decisions: u64,
-    exit_decisions: u64,
+    /// Routing decisions by the class of their output (reset at warmup,
+    /// like SimStats): `Express`, `Ring` and `Eject` (the PE exit) are
+    /// the slots that count.
+    decisions: [u64; COMPONENTS],
     /// Traffic-weighted distance: express lanes cover `span` router
-    /// positions per decision, shared rings exactly one.
+    /// positions per decision, shared rings exactly one (so the ring's
+    /// positions are its decisions).
     express_positions: u64,
-    ring_positions: u64,
     /// Fault accounting (packets that never reached their PE).
     dropped_packets: u64,
     dropped_cycles: u64,
@@ -227,17 +315,13 @@ impl AttributionSink {
     pub fn new(cfg: AttributionConfig) -> Self {
         AttributionSink {
             cfg,
-            channel: 0,
-            states: HashMap::new(),
+            states: InFlightTable::new(),
             delivered: 0,
             totals: [0; COMPONENTS],
-            hists: std::array::from_fn(|_| LogHistogram::new()),
+            hists: std::array::from_fn(|_| LocalHistogram::new()),
             mismatches: 0,
-            express_decisions: 0,
-            ring_decisions: 0,
-            exit_decisions: 0,
+            decisions: [0; COMPONENTS],
             express_positions: 0,
-            ring_positions: 0,
             dropped_packets: 0,
             dropped_cycles: 0,
             journey: Vec::new(),
@@ -246,25 +330,19 @@ impl AttributionSink {
         }
     }
 
-    /// Which class the cycles *after* a decision onto `out` belong to.
+    /// Which class the cycles *after* a decision onto `out` belong to
+    /// (a table, not a branch: the class of the next decision is as
+    /// good as random).
+    #[inline]
     fn classify(out: OutPort) -> LatencyComponent {
-        match out {
-            OutPort::Exit => LatencyComponent::Eject,
-            o if o.is_express() => LatencyComponent::Express,
-            _ => LatencyComponent::Ring,
-        }
-    }
-
-    /// Count one routing decision by the wire class of its output.
-    fn count_decision(&mut self, out: OutPort) {
-        match out {
-            OutPort::Exit => self.exit_decisions += 1,
-            o if o.is_express() => self.express_decisions += 1,
-            _ => {
-                self.ring_decisions += 1;
-                self.ring_positions += 1;
-            }
-        }
+        const BY_PORT: [LatencyComponent; 5] = [
+            LatencyComponent::Express, // EastEx
+            LatencyComponent::Ring,    // EastSh
+            LatencyComponent::Express, // SouthEx
+            LatencyComponent::Ring,    // SouthSh
+            LatencyComponent::Eject,   // Exit
+        ];
+        BY_PORT[out.index()]
     }
 
     /// The packet an event refers to, if any.
@@ -282,8 +360,7 @@ impl AttributionSink {
     }
 
     fn finalize(&mut self, cycle: u64, delivery: &crate::packet::Delivery) {
-        let key = (self.channel, delivery.packet.id);
-        let Some(mut st) = self.states.remove(&key) else {
+        let Some(mut st) = self.states.remove(delivery.packet.id) else {
             // A delivery we never saw injected (sink attached mid-run):
             // nothing to attribute, but record the hole.
             self.mismatches += 1;
@@ -325,20 +402,17 @@ impl AttributionSink {
     fn warmup_reset(&mut self) {
         self.delivered = 0;
         self.totals = [0; COMPONENTS];
-        self.hists = std::array::from_fn(|_| LogHistogram::new());
+        self.hists = std::array::from_fn(|_| LocalHistogram::new());
         self.mismatches = 0;
-        self.express_decisions = 0;
-        self.ring_decisions = 0;
-        self.exit_decisions = 0;
+        self.decisions = [0; COMPONENTS];
         self.express_positions = 0;
-        self.ring_positions = 0;
         self.dropped_packets = 0;
         self.dropped_cycles = 0;
     }
 
     /// Packets still in flight (injected, neither delivered nor dropped).
     pub fn in_flight(&self) -> usize {
-        self.states.len()
+        self.states.len
     }
 }
 
@@ -357,13 +431,14 @@ impl EventSink for AttributionSink {
                 queue_wait,
                 ..
             } => {
-                self.count_decision(*out);
+                let class = Self::classify(*out);
+                self.decisions[class as usize] += 1;
                 self.states.insert(
-                    (self.channel, *packet),
+                    *packet,
                     InFlight {
                         queue_wait: *queue_wait,
                         last_cycle: *cycle,
-                        pending: Self::classify(*out),
+                        pending: class,
                         transit: [0; COMPONENTS],
                     },
                 );
@@ -371,22 +446,23 @@ impl EventSink for AttributionSink {
             SimEvent::RouteDecision {
                 cycle, packet, out, ..
             } => {
-                self.count_decision(*out);
-                if let Some(st) = self.states.get_mut(&(self.channel, *packet)) {
+                let class = Self::classify(*out);
+                self.decisions[class as usize] += 1;
+                if let Some(st) = self.states.get_mut(*packet) {
                     st.transit[st.pending as usize] += cycle - st.last_cycle;
                     st.last_cycle = *cycle;
-                    st.pending = Self::classify(*out);
+                    st.pending = class;
                 }
             }
             SimEvent::Deflect { packet, .. } => {
-                if let Some(st) = self.states.get_mut(&(self.channel, *packet)) {
+                if let Some(st) = self.states.get_mut(*packet) {
                     st.pending = LatencyComponent::Deflect;
                 }
             }
             SimEvent::FaultReroute { packet, .. } => {
                 // Emitted after any same-cycle Deflect, so the reroute
                 // cause wins the pending class.
-                if let Some(st) = self.states.get_mut(&(self.channel, *packet)) {
+                if let Some(st) = self.states.get_mut(*packet) {
                     st.pending = LatencyComponent::Reroute;
                 }
             }
@@ -397,7 +473,7 @@ impl EventSink for AttributionSink {
                 cycle, delivery, ..
             } => self.finalize(*cycle, delivery),
             SimEvent::FaultDrop { cycle, packet, .. } => {
-                if let Some(st) = self.states.remove(&(self.channel, *packet)) {
+                if let Some(st) = self.states.remove(*packet) {
                     self.dropped_packets += 1;
                     let in_net: u64 = st.transit.iter().sum();
                     self.dropped_cycles += st.queue_wait + in_net + (cycle - st.last_cycle);
@@ -409,10 +485,6 @@ impl EventSink for AttributionSink {
             SimEvent::WarmupReset { .. } => self.warmup_reset(),
             _ => {}
         }
-    }
-
-    fn set_channel(&mut self, channel: usize) {
-        self.channel = channel;
     }
 }
 
@@ -469,17 +541,21 @@ impl AttributionReport {
             delivered: sink.delivered,
             component_cycles: sink.totals,
             mismatches: sink.mismatches,
-            express_decisions: sink.express_decisions,
-            ring_decisions: sink.ring_decisions,
-            exit_decisions: sink.exit_decisions,
+            express_decisions: sink.decisions[LatencyComponent::Express as usize],
+            ring_decisions: sink.decisions[LatencyComponent::Ring as usize],
+            exit_decisions: sink.decisions[LatencyComponent::Eject as usize],
             route_decisions: report.stats.route_decisions,
             express_positions: sink.express_positions,
-            ring_positions: sink.ring_positions,
+            ring_positions: sink.decisions[LatencyComponent::Ring as usize],
             dropped_packets: sink.dropped_packets,
             dropped_cycles: sink.dropped_cycles,
-            in_flight: sink.states.len(),
+            in_flight: sink.states.len,
             journey,
-            hists: sink.hists,
+            hists: sink.hists.map(|mut local| {
+                let hist = LogHistogram::new();
+                hist.publish(&mut local);
+                hist
+            }),
             registry,
         };
         out.publish();
@@ -836,25 +912,65 @@ mod tests {
     }
 
     #[test]
-    fn channels_keep_identical_packet_ids_apart() {
+    fn a_packet_that_switches_channel_keeps_its_state() {
+        // A fallback chain evicts packet 9 from channel 0 and channel 1
+        // adopts it: ids are per run, not per channel, so the later
+        // events find the state the injection left.
         let mut s = AttributionSink::new(AttributionConfig::default());
         s.set_channel(0);
         s.emit(&inject(0, 9, OutPort::EastSh, 0));
         s.set_channel(1);
-        s.emit(&inject(2, 9, OutPort::EastEx, 1));
-        s.set_channel(0);
-        s.emit(&route(4, 9, OutPort::Exit));
-        s.emit(&eject(4, 9, 0));
-        s.set_channel(1);
-        s.emit(&route(8, 9, OutPort::Exit));
-        s.emit(&eject(8, 9, 1));
-        let r = AttributionReport::assemble(s, &report_with(4), MetricsRegistry::new());
-        assert_eq!(r.delivered, 2);
-        // chan 0: 0 wait + 4 ring + 1 eject; chan 1: 1 wait + 6 express + 1 eject.
+        s.emit(&route(4, 9, OutPort::EastEx));
+        s.emit(&route(6, 9, OutPort::Exit));
+        s.emit(&eject(6, 9, 0));
+        assert_eq!(s.in_flight(), 0);
+        let r = AttributionReport::assemble(s, &report_with(3), MetricsRegistry::new());
+        assert_eq!((r.delivered, r.mismatches), (1, 0));
         assert_eq!(r.component(LatencyComponent::Ring), 4);
-        assert_eq!(r.component(LatencyComponent::Express), 6);
-        assert_eq!(r.total_cycles(), 13);
+        assert_eq!(r.component(LatencyComponent::Express), 2);
+        assert_eq!(r.total_cycles(), 7);
         assert!(r.reconciled());
+    }
+
+    #[test]
+    fn in_flight_table_matches_a_hash_map_model() {
+        // Ids arrive in order and leave in a scrambled one, as on a
+        // deflecting fabric; the table grows past its first size and
+        // every removal closes its probe run.
+        let state = |n: u64| InFlight {
+            queue_wait: n,
+            last_cycle: 0,
+            pending: LatencyComponent::Ring,
+            transit: [0; COMPONENTS],
+        };
+        let mut table = InFlightTable::new();
+        let mut model = std::collections::HashMap::new();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for next in 0..4000u64 {
+            table.insert(PacketId(next), state(next));
+            model.insert(next, next);
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Drain faster than the fill every so often.
+            for probe in 0..(x % 3 + u64::from(next % 500 > 400)) {
+                let id = (x >> 8).wrapping_add(probe * 7) % (next + 1);
+                assert_eq!(
+                    table.remove(PacketId(id)).map(|st| st.queue_wait),
+                    model.remove(&id),
+                    "remove {id}"
+                );
+            }
+            assert_eq!(table.len, model.len());
+        }
+        assert!(table.slots.len() > 64, "the table grew");
+        for id in 0..4000 {
+            assert_eq!(
+                table.get_mut(PacketId(id)).map(|st| st.queue_wait),
+                model.get(&id).copied(),
+                "lookup {id}"
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!   configurable multiple of its DOR distance is circling the torus
 //!   instead of converging. The engine carries `src`/`dst`/`hops` on
 //!   every [`SimEvent::RouteDecision`], so this detector needs no
-//!   per-packet state beyond a dedup set of already-reported ids.
+//!   per-packet state beyond a dedup list of already-reported ids.
 //! * **Starvation** — a PE that stalls injection for a long consecutive
 //!   streak of cycles is being locked out by through-traffic
 //!   (Hoplite's injection has the lowest allocator priority).
@@ -16,8 +16,6 @@
 //! Detectors are deterministic: fed the same event stream they emit the
 //! same anomalies in the same order, which keeps sweep output stable at
 //! any thread count.
-
-use std::collections::HashSet;
 
 use crate::geom::Coord;
 use crate::packet::PacketId;
@@ -113,14 +111,16 @@ impl Anomaly {
 }
 
 /// Flags packets whose displacement exceeds a multiple of their DOR
-/// distance. Reports each packet at most once per flight (the set is
-/// cleared again on ejection, so a reinjected id can report again).
+/// distance. Reports each packet at most once per flight (its id is
+/// forgotten again on ejection, so a reinjected id can report again).
 #[derive(Debug, Clone)]
 pub struct LivelockDetector {
     grid: Option<u16>,
     multiple: f64,
     min_hops: u32,
-    reported: HashSet<PacketId>,
+    /// Ids reported and still in flight: almost always empty, and never
+    /// longer than the anomalies of one flight time.
+    reported: Vec<PacketId>,
 }
 
 impl LivelockDetector {
@@ -133,7 +133,7 @@ impl LivelockDetector {
             grid,
             multiple: cfg.livelock_multiple,
             min_hops: cfg.livelock_min_hops,
-            reported: HashSet::new(),
+            reported: Vec::new(),
         }
     }
 
@@ -147,6 +147,7 @@ impl LivelockDetector {
     }
 
     /// Feeds one event; returns an anomaly on a fresh threshold cross.
+    #[inline]
     pub fn observe(&mut self, event: &SimEvent) -> Option<Anomaly> {
         match *event {
             SimEvent::RouteDecision {
@@ -157,9 +158,15 @@ impl LivelockDetector {
                 hops,
                 ..
             } => {
+                // The threshold is never below the floor, so most
+                // decisions are settled by one integer compare.
+                if hops <= self.min_hops {
+                    return None;
+                }
                 let dor = self.dor_distance(src, dst);
                 let threshold = (self.multiple * f64::from(dor)).max(f64::from(self.min_hops));
-                if f64::from(hops) > threshold && self.reported.insert(packet) {
+                if f64::from(hops) > threshold && !self.reported.contains(&packet) {
+                    self.reported.push(packet);
                     return Some(Anomaly::Livelock {
                         packet,
                         node,
@@ -170,7 +177,9 @@ impl LivelockDetector {
                 None
             }
             SimEvent::Eject { delivery, .. } => {
-                self.reported.remove(&delivery.packet.id);
+                if !self.reported.is_empty() {
+                    self.reported.retain(|&p| p != delivery.packet.id);
+                }
                 None
             }
             _ => None,
@@ -202,6 +211,7 @@ impl StarvationDetector {
 
     /// Feeds one event; returns an anomaly when a streak first reaches
     /// the threshold (re-armed by a successful injection).
+    #[inline]
     pub fn observe(&mut self, event: &SimEvent) -> Option<Anomaly> {
         match *event {
             SimEvent::QueueStall { cycle, node, depth } if node < self.streaks.len() => {
@@ -284,6 +294,7 @@ impl HotspotDetector {
     }
 
     /// Feeds one event (counts link occupancy; emits nothing itself).
+    #[inline]
     pub fn observe(&mut self, event: &SimEvent) {
         let (node, out) = match *event {
             SimEvent::RouteDecision { node, out, .. } | SimEvent::Inject { node, out, .. } => {
@@ -412,12 +423,51 @@ mod tests {
 
     #[test]
     fn livelock_respects_dor_scaling() {
-        let mut d = LivelockDetector::new(Some(8), &DetectorConfig::default());
-        // DOR distance 7 (east 3, south 4); multiple 8 → threshold 56.
-        let (src, dst) = (Coord::new(0, 0), Coord::new(3, 4));
-        assert_eq!(d.dor_distance(src, dst), 7);
-        assert!(d.observe(&route(0, 0, 1, 56, src, dst)).is_none());
-        assert!(d.observe(&route(1, 0, 1, 57, src, dst)).is_some());
+        // Defaults: multiple 8, floor 32, so the threshold is
+        // max(8 x DOR, 32) and a packet fires strictly above it. The
+        // integer early-out sits exactly at the floor.
+        let origin = Coord::new(0, 0);
+        let cases: [(Option<u16>, Coord, u32, u32, bool); 11] = [
+            // DOR 1: the floor carries the threshold.
+            (Some(8), Coord::new(1, 0), 1, 32, false),
+            (Some(8), Coord::new(1, 0), 1, 33, true),
+            // DOR 4: scaled threshold equals the floor.
+            (Some(8), Coord::new(2, 2), 4, 32, false),
+            (Some(8), Coord::new(2, 2), 4, 33, true),
+            // DOR 7 (east 3, south 4): scaled threshold 56 is above the
+            // floor, so hops past the early-out still must not fire.
+            (Some(8), Coord::new(3, 4), 7, 33, false),
+            (Some(8), Coord::new(3, 4), 7, 56, false),
+            (Some(8), Coord::new(3, 4), 7, 57, true),
+            // A self-send has DOR 0.
+            (Some(8), origin, 0, 33, true),
+            // No grid embedding: DOR reads 0 and the floor stands alone.
+            (None, Coord::new(3, 4), 0, 32, false),
+            (None, Coord::new(3, 4), 0, 33, true),
+            (None, Coord::new(3, 4), 0, 0, false),
+        ];
+        for (id, (grid, dst, dor, hops, fires)) in cases.into_iter().enumerate() {
+            let mut d = LivelockDetector::new(grid, &DetectorConfig::default());
+            assert_eq!(d.dor_distance(origin, dst), dor, "case {id}");
+            let a = d.observe(&route(0, 5, id as u64, hops, origin, dst));
+            let expected = fires.then_some(Anomaly::Livelock {
+                packet: PacketId(id as u64),
+                node: 5,
+                hops,
+                dor_distance: dor,
+            });
+            assert_eq!(a, expected, "case {id}: {hops} hops vs DOR {dor}");
+        }
+        // A fractional multiple compares in f64, not truncated.
+        let cfg = DetectorConfig {
+            livelock_multiple: 2.5,
+            livelock_min_hops: 4,
+            ..DetectorConfig::default()
+        };
+        let mut d = LivelockDetector::new(Some(8), &cfg);
+        let dst = Coord::new(3, 0); // DOR 3 -> threshold 7.5
+        assert!(d.observe(&route(0, 0, 1, 7, origin, dst)).is_none());
+        assert!(d.observe(&route(0, 0, 1, 8, origin, dst)).is_some());
     }
 
     #[test]

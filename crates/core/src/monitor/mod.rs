@@ -21,6 +21,8 @@ mod detect;
 mod recorder;
 mod registry;
 
+pub(crate) use registry::LocalHistogram;
+
 pub use detect::{Anomaly, DetectorConfig, HotspotDetector, LivelockDetector, StarvationDetector};
 pub use recorder::FlightRecorder;
 pub use registry::{
@@ -254,8 +256,41 @@ impl HealthSummary {
     }
 }
 
+/// The live counters: index into [`HealthMonitor`]'s `counts` (the
+/// plain integers events are counted in) and `cells` (the registry
+/// cells they are published to), and each cell's name and help text.
+const INJECTED: usize = 0;
+const DELIVERED: usize = 1;
+const DEFLECTIONS: usize = 2;
+const STALLS: usize = 3;
+const EXPRESS_HOPS: usize = 4;
+const ROUTE_DECISIONS: usize = 5;
+const FAULT_DROPS: usize = 6;
+const FAULT_REROUTES: usize = 7;
+const COUNTERS: [(&str, &str); 8] = [
+    ("fasttrack_injected_total", "Packets injected"),
+    ("fasttrack_delivered_total", "Packets delivered"),
+    ("fasttrack_deflections_total", "Deflection events"),
+    ("fasttrack_inject_stalls_total", "Inject-stall events"),
+    ("fasttrack_express_hops_total", "Express-link hops"),
+    ("fasttrack_route_decisions_total", "Route decisions"),
+    (
+        "fasttrack_fault_drops_total",
+        "Packets lost to injected faults",
+    ),
+    (
+        "fasttrack_fault_reroutes_total",
+        "Packets deflected around dead express links",
+    ),
+];
+
 /// An [`EventSink`] that maintains live counters, a per-router flight
 /// recorder, and the three anomaly detectors.
+///
+/// Events are counted in plain integers; the registry cells are brought
+/// up to date at every [`EventSink::end_cycle`], which is when a reader
+/// of [`HealthMonitor::registry`] can see them ([`HealthMonitor::summary`]
+/// reads the integers and is exact at any time).
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
     nodes: usize,
@@ -267,15 +302,10 @@ pub struct HealthMonitor {
     reports: Vec<HealthReport>,
     suppressed: u64,
     registry: MetricsRegistry,
-    injected: Counter,
-    delivered: Counter,
-    deflections: Counter,
-    stalls: Counter,
-    express_hops: Counter,
-    route_decisions: Counter,
-    fault_drops: Counter,
-    fault_reroutes: Counter,
-    latency: LogHistogram,
+    counts: [u64; COUNTERS.len()],
+    cells: [Counter; COUNTERS.len()],
+    latency: LocalHistogram,
+    latency_cell: LogHistogram,
     in_flight: Gauge,
     cycles: u64,
     channels: usize,
@@ -289,17 +319,8 @@ impl HealthMonitor {
     /// topology-derived replacement for the old torus side length)
     /// with a fresh registry.
     pub fn new(shape: MonitorShape, cfg: MonitorConfig) -> Self {
-        Self::with_registry(shape, cfg, MetricsRegistry::new())
-    }
-
-    /// A monitor sharing an existing registry (so sweep workers can
-    /// aggregate into one set of cells).
-    pub fn with_registry(
-        shape: MonitorShape,
-        cfg: MonitorConfig,
-        registry: MetricsRegistry,
-    ) -> Self {
         let nodes = shape.nodes;
+        let registry = MetricsRegistry::new();
         HealthMonitor {
             nodes,
             cfg,
@@ -309,21 +330,10 @@ impl HealthMonitor {
             hotspot: HotspotDetector::new(shape, &cfg.detectors),
             reports: Vec::new(),
             suppressed: 0,
-            injected: registry.counter("fasttrack_injected_total", "Packets injected"),
-            delivered: registry.counter("fasttrack_delivered_total", "Packets delivered"),
-            deflections: registry.counter("fasttrack_deflections_total", "Deflection events"),
-            stalls: registry.counter("fasttrack_inject_stalls_total", "Inject-stall events"),
-            express_hops: registry.counter("fasttrack_express_hops_total", "Express-link hops"),
-            route_decisions: registry.counter("fasttrack_route_decisions_total", "Route decisions"),
-            fault_drops: registry.counter(
-                "fasttrack_fault_drops_total",
-                "Packets lost to injected faults",
-            ),
-            fault_reroutes: registry.counter(
-                "fasttrack_fault_reroutes_total",
-                "Packets deflected around dead express links",
-            ),
-            latency: registry.histogram(
+            counts: [0; COUNTERS.len()],
+            cells: COUNTERS.map(|(name, help)| registry.counter(name, help)),
+            latency: LocalHistogram::new(),
+            latency_cell: registry.histogram(
                 "fasttrack_delivery_latency_cycles",
                 "End-to-end packet latency",
             ),
@@ -337,7 +347,7 @@ impl HealthMonitor {
         }
     }
 
-    /// The shared metrics registry.
+    /// The metrics registry, current as of the last completed cycle.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
@@ -374,12 +384,12 @@ impl HealthMonitor {
         HealthSummary {
             cycles: self.cycles,
             nodes: self.nodes,
-            injected: self.injected.get(),
-            delivered: self.delivered.get(),
-            deflections: self.deflections.get(),
-            stalls: self.stalls.get(),
-            dropped: self.fault_drops.get(),
-            rerouted: self.fault_reroutes.get(),
+            injected: self.counts[INJECTED],
+            delivered: self.counts[DELIVERED],
+            deflections: self.counts[DEFLECTIONS],
+            stalls: self.counts[STALLS],
+            dropped: self.counts[FAULT_DROPS],
+            rerouted: self.counts[FAULT_REROUTES],
             reports: self.reports.clone(),
             suppressed: self.suppressed,
         }
@@ -399,46 +409,63 @@ impl HealthMonitor {
     }
 
     fn snapshot(&mut self, cycle: u64) {
-        let delivered = self.delivered.get();
+        let delivered = self.counts[DELIVERED];
         let delta = delivered - self.prev_delivered;
         self.prev_delivered = delivered;
         let anomalies = self.reports.len() as u64 + self.suppressed;
         self.snapshots.push(format!(
             "[monitor] cycle={:>8} injected={} delivered={} (+{}) in_flight={} stalls={} anomalies={}",
             cycle + 1,
-            self.injected.get(),
+            self.counts[INJECTED],
             delivered,
             delta,
-            self.injected.get() - delivered,
-            self.stalls.get(),
+            self.packets_in_flight(),
+            self.counts[STALLS],
             anomalies
         ));
+    }
+
+    /// Injected packets neither delivered nor lost to a fault.
+    fn packets_in_flight(&self) -> u64 {
+        self.counts[INJECTED] - self.counts[DELIVERED] - self.counts[FAULT_DROPS]
     }
 }
 
 impl EventSink for HealthMonitor {
+    /// Records the event, then one dispatch on its kind: count it and
+    /// feed the detectors that read that kind (their `observe`s inline
+    /// here, where the kind is already known).
     fn emit(&mut self, event: &SimEvent) {
         self.recorder.emit(event);
         match *event {
-            SimEvent::Inject { .. } => self.injected.inc(),
-            SimEvent::RouteDecision { .. } => self.route_decisions.inc(),
-            SimEvent::Deflect { .. } => self.deflections.inc(),
-            SimEvent::ExpressHop { .. } => self.express_hops.inc(),
-            SimEvent::QueueStall { .. } => self.stalls.inc(),
-            SimEvent::Eject { delivery, .. } => {
-                self.delivered.inc();
-                self.latency.record(delivery.total_latency());
+            SimEvent::Inject { .. } => {
+                self.counts[INJECTED] += 1;
+                self.hotspot.observe(event);
+                self.starvation.observe(event);
             }
-            SimEvent::FaultDrop { .. } => self.fault_drops.inc(),
-            SimEvent::FaultReroute { .. } => self.fault_reroutes.inc(),
+            SimEvent::RouteDecision { cycle, .. } => {
+                self.counts[ROUTE_DECISIONS] += 1;
+                self.hotspot.observe(event);
+                if let Some(a) = self.livelock.observe(event) {
+                    self.report(cycle, a);
+                }
+            }
+            SimEvent::QueueStall { cycle, .. } => {
+                self.counts[STALLS] += 1;
+                if let Some(a) = self.starvation.observe(event) {
+                    self.report(cycle, a);
+                }
+            }
+            SimEvent::Eject { delivery, .. } => {
+                self.counts[DELIVERED] += 1;
+                self.latency.record(delivery.total_latency());
+                self.livelock.observe(event);
+            }
+            SimEvent::Deflect { .. } => self.counts[DEFLECTIONS] += 1,
+            SimEvent::ExpressHop { .. } => self.counts[EXPRESS_HOPS] += 1,
+            SimEvent::FaultDrop { .. } => self.counts[FAULT_DROPS] += 1,
+            SimEvent::FaultReroute { .. } => self.counts[FAULT_REROUTES] += 1,
             SimEvent::WarmupReset { .. } | SimEvent::Truncated { .. } => {}
-        }
-        self.hotspot.observe(event);
-        if let Some(a) = self.livelock.observe(event) {
-            self.report(event.cycle(), a);
-        }
-        if let Some(a) = self.starvation.observe(event) {
-            self.report(event.cycle(), a);
         }
     }
 
@@ -447,8 +474,11 @@ impl EventSink for HealthMonitor {
         for a in self.hotspot.end_cycle(cycle) {
             self.report(cycle, a);
         }
-        self.in_flight
-            .set((self.injected.get() - self.delivered.get()) as f64);
+        for (cell, &count) in self.cells.iter().zip(&self.counts) {
+            cell.set(count);
+        }
+        self.latency_cell.publish(&mut self.latency);
+        self.in_flight.set(self.packets_in_flight() as f64);
         if let Some(every) = self.cfg.snapshot_every {
             if cycle + 1 >= self.next_snapshot {
                 self.snapshot(cycle);

@@ -2,21 +2,33 @@
 //! [`SimEvent`]s per router, dumped on anomaly or panic.
 //!
 //! The recorder is itself an [`EventSink`], so it can ride alongside any
-//! other sink in a tuple. Memory is bounded by `(nodes + 1) * K` events
-//! regardless of run length: each router has its own ring, plus one
-//! extra ring for driver-level events ([`SimEvent::WarmupReset`],
-//! [`SimEvent::Truncated`]) that have no router.
-
-use std::collections::VecDeque;
+//! other sink in a tuple. Memory is `(nodes + 1) * K` events regardless
+//! of run length, in one flat allocation: router `r` owns slots
+//! `r*K..(r+1)*K` and a write cursor, and the extra final ring takes
+//! driver-level events ([`SimEvent::WarmupReset`],
+//! [`SimEvent::Truncated`]) that have no router. Recording an event is
+//! one copy into the cursor's slot.
 
 use crate::trace::{EventSink, SimEvent};
+
+/// Where one router's ring stands.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    /// Slot (within the ring) the next event lands in.
+    next: usize,
+    /// Events held, at most K.
+    len: usize,
+}
 
 /// Per-router ring buffer of recent events.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     capacity: usize,
-    /// One ring per router; the final ring holds driver-level events.
-    rings: Vec<VecDeque<SimEvent>>,
+    /// `(nodes + 1) * capacity` slots; slots past a ring's `len` hold
+    /// filler that is never read.
+    slots: Vec<SimEvent>,
+    /// One cursor per router; the final one is the driver ring's.
+    cursors: Vec<Cursor>,
     recorded: u64,
     dropped: u64,
 }
@@ -32,7 +44,8 @@ impl FlightRecorder {
         assert!(capacity > 0, "flight recorder capacity must be positive");
         FlightRecorder {
             capacity,
-            rings: vec![VecDeque::with_capacity(capacity); nodes + 1],
+            slots: vec![SimEvent::WarmupReset { cycle: 0 }; (nodes + 1) * capacity],
+            cursors: vec![Cursor::default(); nodes + 1],
             recorded: 0,
             dropped: 0,
         }
@@ -45,7 +58,7 @@ impl FlightRecorder {
 
     /// Number of routers covered (excluding the driver ring).
     pub fn nodes(&self) -> usize {
-        self.rings.len() - 1
+        self.cursors.len() - 1
     }
 
     /// Total events accepted (including since-evicted ones).
@@ -58,20 +71,23 @@ impl FlightRecorder {
         self.dropped
     }
 
-    fn ring_index(&self, event: &SimEvent) -> usize {
-        match event.node() {
-            Some(node) if node < self.rings.len() - 1 => node,
-            _ => self.rings.len() - 1,
-        }
+    /// Ring `ring`'s events, oldest first, as the two runs the cursor
+    /// splits them into (until the ring wraps, `next == len` and the
+    /// first run is empty).
+    fn ring(&self, ring: usize) -> (&[SimEvent], &[SimEvent]) {
+        let Cursor { next, len } = self.cursors[ring];
+        let (newest, oldest) = self.slots[ring * self.capacity..][..len].split_at(next);
+        (oldest, newest)
     }
 
     /// The retained events for `node`, oldest first (empty for an
     /// out-of-range node).
     pub fn excerpt(&self, node: usize) -> Vec<SimEvent> {
-        self.rings
-            .get(node)
-            .map(|r| r.iter().copied().collect())
-            .unwrap_or_default()
+        if node >= self.cursors.len() {
+            return Vec::new();
+        }
+        let (oldest, newest) = self.ring(node);
+        [oldest, newest].concat()
     }
 
     /// Every retained event across all rings, sorted by cycle (ties
@@ -79,8 +95,9 @@ impl FlightRecorder {
     /// stream suitable for replay through the exporters.
     pub fn dump_all(&self) -> Vec<SimEvent> {
         let mut tagged: Vec<(u64, usize, usize, SimEvent)> = Vec::new();
-        for (ring_idx, ring) in self.rings.iter().enumerate() {
-            for (seq, &e) in ring.iter().enumerate() {
+        for ring_idx in 0..self.cursors.len() {
+            let (oldest, newest) = self.ring(ring_idx);
+            for (seq, &e) in oldest.iter().chain(newest).enumerate() {
                 tagged.push((e.cycle(), ring_idx, seq, e));
             }
         }
@@ -90,14 +107,22 @@ impl FlightRecorder {
 }
 
 impl EventSink for FlightRecorder {
+    /// A node past the last router (and every driver-level event) goes
+    /// to the driver ring.
     fn emit(&mut self, event: &SimEvent) {
-        let idx = self.ring_index(event);
-        let ring = &mut self.rings[idx];
-        if ring.len() == self.capacity {
-            ring.pop_front();
+        let driver = self.cursors.len() - 1;
+        let ring = event.node().map_or(driver, |node| node.min(driver));
+        let cursor = &mut self.cursors[ring];
+        self.slots[ring * self.capacity + cursor.next] = *event;
+        cursor.next += 1;
+        if cursor.next == self.capacity {
+            cursor.next = 0;
+        }
+        if cursor.len < self.capacity {
+            cursor.len += 1;
+        } else {
             self.dropped += 1;
         }
-        ring.push_back(*event);
         self.recorded += 1;
     }
 }

@@ -2,12 +2,14 @@
 //! log-bucketed [`LogHistogram`] cells behind a shared, cloneable
 //! [`MetricsRegistry`].
 //!
-//! Every cell is an `Arc` around atomics, so the handles returned by the
-//! registry can be cloned into sweep-pool workers and incremented
-//! concurrently without locks on the hot path; the registry itself only
-//! takes a mutex to register a new name or to serialize. Exposition is
-//! deterministic: both the Prometheus text format and the JSON snapshot
-//! list metrics sorted by name.
+//! Every cell is an `Arc` around atomics, so a handle can be cloned to
+//! another thread and read (or incremented) there without locks; the
+//! registry itself only takes a mutex to register a new name or to
+//! serialize. The sinks in this crate do not count per event in these
+//! cells: they count in plain integers ([`LocalHistogram`] for
+//! buckets) and store the totals here when a cycle or the run ends.
+//! Exposition is deterministic: both the Prometheus text format and the
+//! JSON snapshot list metrics sorted by name.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -42,6 +44,12 @@ impl Counter {
     /// The current value.
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
+    }
+
+    /// Overwrites the value: how a sink that counts in a plain `u64` of
+    /// its own publishes the total.
+    pub(crate) fn set(&self, n: u64) {
+        self.cell.store(n, Ordering::Relaxed);
     }
 }
 
@@ -79,6 +87,38 @@ struct HistogramInner {
     buckets: [AtomicU64; HIST_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
+}
+
+/// The single-owner form of a [`LogHistogram`]: the same buckets in
+/// plain integers, for a sink that records on its own memory per event
+/// and publishes with [`LogHistogram::publish`] when a reader can look.
+#[derive(Debug, Clone)]
+pub(crate) struct LocalHistogram {
+    buckets: [u64; HIST_BUCKETS],
+    count: u64,
+    sum: u64,
+    /// Bit `i` is set when `buckets[i]` changed since the last publish.
+    dirty: u64,
+}
+
+impl LocalHistogram {
+    pub(crate) fn new() -> Self {
+        LocalHistogram {
+            buckets: [0; HIST_BUCKETS],
+            count: 0,
+            sum: 0,
+            dirty: 0,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn record(&mut self, value: u64) {
+        let i = bucket_index(value);
+        self.buckets[i] += 1;
+        self.dirty |= 1 << i;
+        self.count += 1;
+        self.sum += value;
+    }
 }
 
 /// A thread-safe log-bucketed histogram with power-of-two buckets.
@@ -151,6 +191,19 @@ impl LogHistogram {
     /// (0 when empty).
     pub fn percentile(&self, p: f64) -> u64 {
         percentile_edge(&self.bucket_counts(), p).unwrap_or(0)
+    }
+
+    /// Brings this cell up to `local`, which must be the only writer:
+    /// stores the buckets recorded into since the last publish, then
+    /// count and sum.
+    pub(crate) fn publish(&self, local: &mut LocalHistogram) {
+        while local.dirty != 0 {
+            let i = local.dirty.trailing_zeros() as usize;
+            local.dirty &= local.dirty - 1;
+            self.inner.buckets[i].store(local.buckets[i], Ordering::Relaxed);
+        }
+        self.inner.count.store(local.count, Ordering::Relaxed);
+        self.inner.sum.store(local.sum, Ordering::Relaxed);
     }
 
     /// Adds every observation recorded in `other` to this histogram,

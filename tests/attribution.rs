@@ -118,19 +118,40 @@ fn warmup_attribution_covers_only_the_measured_window() {
 }
 
 #[test]
-fn multichannel_attribution_keys_packets_per_channel() {
-    // MultiNoc reuses PacketIds across channels; the sink keys state by
-    // (channel, id), so exact sums survive the collisions.
-    let cfg = NocConfig::fasttrack(4, 2, 1, FtPolicy::Full).unwrap();
-    let mut src = BernoulliSource::new(4, Pattern::Transpose, 0.9, 60, 31);
+fn attribution_follows_packets_across_a_channel_switch() {
+    // One `InjectQueues` counter numbers every packet of a bank run, so
+    // an id names one packet whichever channel carries it. Under a
+    // storm the standard fallback chain evicts allocation losers to the
+    // sibling channel; their later events must find the state their
+    // injection left.
+    let cfg = NocConfig::fasttrack(8, 2, 2, FtPolicy::Full).unwrap();
+    let storm = StormSpec {
+        kills_per_kcycle: 8,
+        heal_after: (200, 600),
+        ..StormSpec::default()
+    };
+    let plan = FaultPlan::storm(&cfg, 42, &storm);
+    let mut src = BernoulliSource::new(8, Pattern::Random, 0.8, 200, 7);
+    let mut events = VecSink::new();
     let outcome = SimSession::new(&cfg)
         .channels(2)
+        .with_fallback(&FallbackConfig::standard())
+        .unwrap()
+        .with_faults(&plan)
+        .with_sink(&mut events)
         .with_attribution(AttributionConfig::default())
         .run(&mut src)
         .unwrap();
-    let a = outcome.attribution.unwrap();
-    assert_eq!(a.delivered, outcome.report.stats.delivered);
-    assert_eq!(a.mismatches, 0, "channel collisions must not corrupt sums");
+    let report = &outcome.report;
+    assert!(
+        report.stats.fallback_channel_switches > 0,
+        "the scenario must actually switch channels"
+    );
+    let a = outcome.attribution.as_ref().unwrap();
+    assert_eq!(a.delivered, report.stats.delivered);
+    assert_eq!(a.mismatches, 0, "switched packets lost their state");
+    assert_eq!(a.in_flight, report.in_flight);
+    assert_eq!(a.total_cycles(), delivered_latency_sum(&events.events));
     assert!(a.reconciled());
 }
 

@@ -3,10 +3,16 @@
 //! it), detector verdicts on real traffic, registry exposition, and
 //! flight-recorder retention properties under proptest.
 
+use std::collections::VecDeque;
+
 use fasttrack_core::config::{FtPolicy, NocConfig};
+use fasttrack_core::fault::{Fault, FaultPlan};
 use fasttrack_core::monitor::{DetectorConfig, FlightRecorder, MonitorConfig};
+use fasttrack_core::packet::PacketId;
+use fasttrack_core::port::OutPort;
 use fasttrack_core::sim::SimSession;
-use fasttrack_core::trace::EventSink;
+use fasttrack_core::sweep::splitmix64;
+use fasttrack_core::trace::{EventSink, SimEvent};
 use fasttrack_traffic::pattern::Pattern;
 use fasttrack_traffic::source::BernoulliSource;
 
@@ -114,8 +120,112 @@ fn registry_exposition_matches_summary() {
     assert_eq!(m.snapshots().len() as u64, report.cycles / 100);
 }
 
+#[test]
+fn in_flight_gauge_forgets_dropped_packets() {
+    // A fail-stopped router swallows packets for the rest of the run:
+    // they have left the network, so the gauge must end at what is
+    // still on links (nothing, here), not at the drop count.
+    let cfg = NocConfig::fasttrack(8, 2, 2, FtPolicy::Full).unwrap();
+    let plan = FaultPlan::new().with(Fault::FailStopRouter { node: 27, at: 40 });
+    let mut src = BernoulliSource::new(8, Pattern::Random, 0.5, 60, 13);
+    let (report, m) = SimSession::new(&cfg)
+        .with_faults(&plan)
+        .with_monitor(monitored_cfg())
+        .run(&mut src)
+        .unwrap()
+        .into_monitored();
+    assert!(report.stats.dropped > 0, "the plan must actually drop");
+    assert!(report.conserved());
+    let reg = m.registry();
+    let cell = |name: &str| reg.counter(name, "").get();
+    let in_flight = reg.gauge("fasttrack_in_flight", "").get();
+    assert_eq!(in_flight, report.in_flight as f64);
+    assert_eq!(
+        cell("fasttrack_injected_total"),
+        cell("fasttrack_delivered_total") + in_flight as u64 + cell("fasttrack_fault_drops_total"),
+    );
+    assert_eq!(cell("fasttrack_fault_drops_total"), report.stats.dropped);
+}
+
+/// The event `pick` selects, at `node` in cycle `cycle`: every kind a
+/// recorder can be handed, the two driver-level ones included.
+fn event_of(pick: u64, cycle: u64, node: usize) -> SimEvent {
+    let packet = PacketId(pick >> 8);
+    match pick % 6 {
+        0 => SimEvent::QueueStall {
+            cycle,
+            node,
+            depth: 1,
+        },
+        1 => SimEvent::Deflect {
+            cycle,
+            node,
+            packet,
+            out: OutPort::EastSh,
+        },
+        2 => SimEvent::ExpressHop {
+            cycle,
+            node,
+            packet,
+            span: 2,
+        },
+        3 => SimEvent::FaultDrop {
+            cycle,
+            node,
+            packet,
+            link: None,
+            corrupted: false,
+        },
+        4 => SimEvent::WarmupReset { cycle },
+        _ => SimEvent::Truncated { cycle },
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The flat ring against one `VecDeque` per router: any stream of
+    /// kinds and nodes (past-the-end nodes and driver events share the
+    /// extra ring) leaves the same excerpts, dump and counters.
+    #[test]
+    fn flight_recorder_matches_a_deque_model(
+        seed in 0u64..10_000,
+        k in 1usize..=8,
+        nodes in 1usize..6,
+        len in 0usize..200,
+    ) {
+        let mut recorder = FlightRecorder::new(nodes, k);
+        let mut model: Vec<VecDeque<SimEvent>> = vec![VecDeque::new(); nodes + 1];
+        let (mut recorded, mut dropped) = (0u64, 0u64);
+        let mut x = seed;
+        for i in 0..len {
+            x = splitmix64(x);
+            // Nodes run two past the last router; cycles mostly rise.
+            let node = (x >> 16) as usize % (nodes + 2);
+            let event = event_of(x, (i as u64 / 3) + (x >> 40) % 2, node);
+            recorder.emit(&event);
+            let ring = &mut model[event.node().map_or(nodes, |n| n.min(nodes))];
+            if ring.len() == k {
+                ring.pop_front();
+                dropped += 1;
+            }
+            ring.push_back(event);
+            recorded += 1;
+        }
+        prop_assert_eq!(recorder.recorded(), recorded);
+        prop_assert_eq!(recorder.dropped(), dropped);
+        for (ring, held) in model.iter().enumerate() {
+            prop_assert_eq!(recorder.excerpt(ring), Vec::from(held.clone()), "ring {}", ring);
+        }
+        prop_assert!(recorder.excerpt(nodes + 1).is_empty());
+        let mut dump: Vec<(u64, usize, usize, SimEvent)> = Vec::new();
+        for (ring, held) in model.iter().enumerate() {
+            dump.extend(held.iter().enumerate().map(|(seq, &e)| (e.cycle(), ring, seq, e)));
+        }
+        dump.sort_by_key(|&(cycle, ring, seq, _)| (cycle, ring, seq));
+        let dump: Vec<SimEvent> = dump.into_iter().map(|t| t.3).collect();
+        prop_assert_eq!(recorder.dump_all(), dump);
+    }
 
     /// Flight-recorder law: after observing any real simulation, every
     /// router's excerpt holds at most K events, in non-decreasing cycle

@@ -1,7 +1,10 @@
 //! The observer fan-out contract: on every backend, every subset of
 //! {sink, monitor, attribution, profile} leaves the run identical to the
 //! bare session — same `SimReport`, same event stream at the user sink —
-//! and each attached observer sees that one stream in full.
+//! and each attached observer sees that one stream in full. And the
+//! observers are pure folds of that stream: a standalone monitor or
+//! attribution sink fed a recording of it ends in the same state as the
+//! one the session drove.
 
 use fasttrack::prelude::*;
 
@@ -119,4 +122,142 @@ fn every_observer_subset_is_passive_on_every_backend() {
     // Low load on a large torus: most routers are skipped every cycle.
     let ft16 = NocConfig::fasttrack(16, 2, 1, FtPolicy::Full).unwrap();
     check_all_subsets("low-load torus", TorusBackend::new(&ft16), 16, 0.05);
+}
+
+/// Everything an engine tells a sink, in call order.
+#[derive(Debug, Clone, Copy)]
+enum Call {
+    Emit(SimEvent),
+    EndCycle(u64),
+    SetChannel(usize),
+}
+
+#[derive(Default)]
+struct Tape(Vec<Call>);
+
+impl EventSink for Tape {
+    fn emit(&mut self, event: &SimEvent) {
+        self.0.push(Call::Emit(*event));
+    }
+    fn end_cycle(&mut self, cycle: u64) {
+        self.0.push(Call::EndCycle(cycle));
+    }
+    fn set_channel(&mut self, channel: usize) {
+        self.0.push(Call::SetChannel(channel));
+    }
+}
+
+impl Tape {
+    fn replay<S: EventSink>(&self, sink: &mut S) {
+        for call in &self.0 {
+            match call {
+                Call::Emit(event) => sink.emit(event),
+                Call::EndCycle(cycle) => sink.end_cycle(*cycle),
+                Call::SetChannel(channel) => sink.set_channel(*channel),
+            }
+        }
+    }
+}
+
+/// Records one run's sink calls and replays them into standalone
+/// observers: they must end where the in-session ones did. This is what
+/// lets the monitor count in private integers and publish its registry
+/// cells once per `end_cycle`.
+fn check_observers_are_pure_folds<B: SessionBackend + Clone>(
+    name: &str,
+    backend: B,
+    side: u16,
+    faults: Option<&FaultPlan>,
+) {
+    let source = || BernoulliSource::new(side, Pattern::Random, 0.7, 40, 0xF01D);
+    let session = || {
+        let s = SimSession::with_backend(backend.clone());
+        match faults {
+            Some(plan) => s.with_faults(plan),
+            None => s,
+        }
+    };
+    let mcfg = MonitorConfig {
+        snapshot_every: Some(50),
+        ..MonitorConfig::default()
+    };
+    let mut tape = Tape::default();
+    let report = session()
+        .with_sink(&mut tape)
+        .run(&mut source())
+        .unwrap()
+        .report;
+    assert_eq!(faults.is_some(), report.stats.dropped > 0, "{name}: drops");
+
+    let (_, driven) = session()
+        .with_monitor(mcfg)
+        .run(&mut source())
+        .unwrap()
+        .into_monitored();
+    let mut replayed = HealthMonitor::new(backend.monitor_shape(), mcfg);
+    tape.replay(&mut replayed);
+    assert_eq!(
+        replayed.summary().to_json(),
+        driven.summary().to_json(),
+        "{name}: summary"
+    );
+    assert_eq!(
+        replayed.registry().to_prometheus(),
+        driven.registry().to_prometheus(),
+        "{name}: registry"
+    );
+    assert_eq!(replayed.snapshots(), driven.snapshots(), "{name}");
+    assert_eq!(
+        replayed.recorder().dump_all(),
+        driven.recorder().dump_all(),
+        "{name}: flight recorder"
+    );
+
+    let (_, driven) = session()
+        .with_attribution(AttributionConfig::default())
+        .run(&mut source())
+        .unwrap()
+        .into_attributed();
+    let mut sink = AttributionSink::new(AttributionConfig::default());
+    tape.replay(&mut sink);
+    let replayed = AttributionReport::assemble(sink, &report, MetricsRegistry::new());
+    assert_eq!(replayed.to_json(), driven.to_json(), "{name}: attribution");
+    assert_eq!(
+        replayed.registry().to_prometheus(),
+        driven.registry().to_prometheus(),
+        "{name}: attribution registry"
+    );
+}
+
+#[test]
+fn observers_are_pure_folds_of_the_event_stream() {
+    let ft = NocConfig::fasttrack(4, 2, 1, FtPolicy::Full).unwrap();
+    check_observers_are_pure_folds("torus", TorusBackend::new(&ft), 4, None);
+    // Drops and reroutes reach the fault cells and the in-flight gauge.
+    let plan = FaultPlan::new()
+        .with(Fault::DeadLink {
+            node: 5,
+            out: OutPort::EastEx,
+        })
+        .with(Fault::FailStopRouter { node: 10, at: 30 });
+    check_observers_are_pure_folds("faulted torus", TorusBackend::new(&ft), 4, Some(&plan));
+    let hoplite = NocConfig::hoplite(4).unwrap();
+    check_observers_are_pure_folds(
+        "3-channel torus",
+        TorusBackend::new(&hoplite).channels(3),
+        4,
+        None,
+    );
+    check_observers_are_pure_folds(
+        "shg",
+        ShgBackend::new(ShgConfig::new(4, 2).unwrap()),
+        4,
+        None,
+    );
+    check_observers_are_pure_folds(
+        "mesh",
+        MeshBackend::new(&MeshConfig::new(4, 2).unwrap()),
+        4,
+        None,
+    );
 }
