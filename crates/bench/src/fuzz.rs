@@ -446,15 +446,12 @@ fn classify_run<T: TrafficSource>(
 fn probe(
     scenario: &Scenario,
     plan: &FaultPlan,
-    records: &[ScenarioRecord],
+    records: Vec<ScenarioRecord>,
     class: FailureClass,
 ) -> Option<Expectation> {
-    let scenario = scenario.clone();
-    let plan = plan.clone();
-    let records = records.to_vec();
     let result = catch_unwind(AssertUnwindSafe(|| {
         let mut source = ReplaySource::new(scenario.cfg.n(), records);
-        classify_run(&scenario, &plan, &mut source)
+        classify_run(scenario, plan, &mut source)
     }));
     match result {
         Err(_) => (class == FailureClass::Panic).then(Expectation::default),
@@ -468,10 +465,9 @@ fn probe(
 fn minimize_records(
     scenario: &Scenario,
     plan: &FaultPlan,
-    records: &[ScenarioRecord],
+    mut current: Vec<ScenarioRecord>,
     class: FailureClass,
 ) -> Vec<ScenarioRecord> {
-    let mut current = records.to_vec();
     let mut chunk = (current.len() / 2).max(1);
     while chunk >= 1 && !current.is_empty() {
         let mut start = 0;
@@ -481,8 +477,8 @@ fn minimize_records(
             let mut candidate = Vec::with_capacity(current.len() - (end - start));
             candidate.extend_from_slice(&current[..start]);
             candidate.extend_from_slice(&current[end..]);
-            if !candidate.is_empty() && probe(scenario, plan, &candidate, class).is_some() {
-                current = candidate;
+            if !candidate.is_empty() && probe(scenario, plan, candidate, class).is_some() {
+                current.drain(start..end);
                 progressed = true;
                 // Retry the same offset: the next chunk slid into it.
             } else {
@@ -512,7 +508,7 @@ fn minimize_faults(
         let mut candidate: Vec<Fault> = faults.clone();
         candidate.remove(i);
         let cand_plan = candidate.iter().fold(FaultPlan::new(), |p, f| p.with(*f));
-        if probe(scenario, &cand_plan, records, class).is_some() {
+        if probe(scenario, &cand_plan, records.to_vec(), class).is_some() {
             faults = candidate;
         }
     }
@@ -543,16 +539,16 @@ pub fn fuzz(cfg: &FuzzConfig) -> FuzzOutcome {
         let verdict = catch_unwind(AssertUnwindSafe(|| {
             classify_run(&scenario, &plan, &mut recording)
         }));
-        let (class, detail) = match &verdict {
+        let (class, detail) = match verdict {
             Err(_) => (Some(FailureClass::Panic), "engine panicked".to_string()),
-            Ok(v) => (v.class, v.detail.clone()),
+            Ok(v) => (v.class, v.detail),
         };
         PointResult {
             index,
             class,
             detail,
             records: if class.is_some() {
-                recording.records().to_vec()
+                recording.into_records()
             } else {
                 Vec::new()
             },
@@ -571,17 +567,18 @@ pub fn fuzz(cfg: &FuzzConfig) -> FuzzOutcome {
         let original_records = point.records.len();
 
         // Minimize: messages first (the bulk), then the fault plan.
-        let (records, plan, expect) = if probe(&scenario, &plan, &point.records, class).is_some() {
-            let records = minimize_records(&scenario, &plan, &point.records, class);
-            let plan = minimize_faults(&scenario, &plan, &records, class);
-            let expect = probe(&scenario, &plan, &records, class)
-                .expect("minimized scenario must still reproduce");
-            (records, plan, expect)
-        } else {
-            // The failure does not reproduce open-loop (e.g. a panic
-            // mid-pump): archive the un-minimized schedule as-is.
-            (point.records.clone(), plan, Expectation::default())
-        };
+        let (records, plan, expect) =
+            if probe(&scenario, &plan, point.records.clone(), class).is_some() {
+                let records = minimize_records(&scenario, &plan, point.records, class);
+                let plan = minimize_faults(&scenario, &plan, &records, class);
+                let expect = probe(&scenario, &plan, records.clone(), class)
+                    .expect("minimized scenario must still reproduce");
+                (records, plan, expect)
+            } else {
+                // The failure does not reproduce open-loop (e.g. a panic
+                // mid-pump): archive the un-minimized schedule as-is.
+                (point.records, plan, Expectation::default())
+            };
 
         let mut header = ScenarioHeader::new(&scenario.spec, "fuzz");
         header.max_cycles = scenario.max_cycles;
@@ -728,11 +725,17 @@ mod tests {
         let (scenario, plan, recording) =
             found.expect("no reroute loop in 300 fault seeds - detector or fallback regressed");
         let records = recording.into_records();
-        let minimized = minimize_records(&scenario, &plan, &records, FailureClass::RerouteLoop);
+        let minimized =
+            minimize_records(&scenario, &plan, records.clone(), FailureClass::RerouteLoop);
         assert!(!minimized.is_empty() && minimized.len() <= records.len());
         let plan = minimize_faults(&scenario, &plan, &minimized, FailureClass::RerouteLoop);
-        let expect = probe(&scenario, &plan, &minimized, FailureClass::RerouteLoop)
-            .expect("minimized reroute-loop scenario must reproduce");
+        let expect = probe(
+            &scenario,
+            &plan,
+            minimized.clone(),
+            FailureClass::RerouteLoop,
+        )
+        .expect("minimized reroute-loop scenario must reproduce");
         assert!(!expect.truncated, "run must terminate (no orbit)");
         // The minimized trace round-trips with its fallback flag.
         let mut header = ScenarioHeader::new(&scenario.spec, "fuzz");
@@ -787,11 +790,21 @@ mod tests {
         let (scenario, plan, recording) =
             found.expect("no stranded drop in 200 fault seeds — classifier or fix regressed");
         let records = recording.into_records();
-        let minimized = minimize_records(&scenario, &plan, &records, FailureClass::StrandedDrop);
+        let minimized = minimize_records(
+            &scenario,
+            &plan,
+            records.clone(),
+            FailureClass::StrandedDrop,
+        );
         assert!(!minimized.is_empty() && minimized.len() <= records.len());
         let plan = minimize_faults(&scenario, &plan, &minimized, FailureClass::StrandedDrop);
-        let expect = probe(&scenario, &plan, &minimized, FailureClass::StrandedDrop)
-            .expect("minimized stranded-drop scenario must reproduce");
+        let expect = probe(
+            &scenario,
+            &plan,
+            minimized.clone(),
+            FailureClass::StrandedDrop,
+        )
+        .expect("minimized stranded-drop scenario must reproduce");
         assert!(expect.dropped > 0);
         assert!(!expect.truncated, "run must terminate (no orbit)");
         // And the minimized trace round-trips through the v1 format.

@@ -9,10 +9,9 @@ use fasttrack_bench::runner::{
     NocUnderTest, SloSpec, SpecBackend, SweepGrid, INJECTION_RATES,
 };
 use fasttrack_core::attribution::{AttributionConfig, LatencyComponent, PacketJourney};
-use fasttrack_core::config::NocConfig;
 use fasttrack_core::export::{epochs_to_csv, ChromeTraceSink, NdjsonSink};
 use fasttrack_core::fallback::FallbackConfig;
-use fasttrack_core::fault::{FaultPlan, StormSpec};
+use fasttrack_core::fault::StormSpec;
 use fasttrack_core::metrics::WindowedMetrics;
 use fasttrack_core::monitor::{DetectorConfig, FlightRecorder, HealthMonitor, MonitorConfig};
 use fasttrack_core::packet::PacketId;
@@ -29,13 +28,16 @@ use fasttrack_traffic::graph_gen::rmat;
 use fasttrack_traffic::matrix::circuit;
 use fasttrack_traffic::multiproc::{parsec_benchmarks, parsec_trace};
 use fasttrack_traffic::partition::Partition;
-use fasttrack_traffic::scenario::{Expectation, RecordingSource, ScenarioHeader, ScenarioTrace};
+use fasttrack_traffic::scenario::{
+    Expectation, RecordingSource, ReplaySource, ScenarioHeader, ScenarioTrace, TraceError,
+};
 use fasttrack_traffic::spmv::spmv_source;
 use fasttrack_traffic::trace_io::trace_source_from_text;
 
 use crate::args::{ArgError, Flags};
 use crate::run_spec::{
-    conserved_or_err, fault_plan, p99, pattern_flag, range_flag, session_for, write_file, RunSpec,
+    channels_flag, conserved_or_err, fault_plan, p99, pattern_flag, range_flag, session_for,
+    write_file, RunSpec,
 };
 use crate::spec::{parse_grid, parse_noc, parse_pattern, parse_topology, SpecError};
 
@@ -556,7 +558,7 @@ pub fn cmd_storm(flags: &Flags) -> Result<String, CliError> {
     // a sibling to evict to. In a single channel a post-allocation
     // stranded loser has physically nowhere to go (bufferless router,
     // fewer live outputs than inputs), so only express demotion helps.
-    let channels: usize = flags.numeric("channels", 2)?;
+    let channels = channels_flag(flags, 2)?;
     if channels == 0 {
         return Err(CliError::Other("--channels must be positive".into()));
     }
@@ -1227,23 +1229,20 @@ pub fn cmd_record(flags: &Flags) -> Result<String, CliError> {
 /// expectation, a divergent outcome is a nonzero exit.
 pub fn cmd_replay(flags: &Flags) -> Result<String, CliError> {
     let path = flags.required("file")?;
-    let trace = load_trace(path)?;
-    let (cfg, plan, mut src) = trace
-        .replay_setup()
-        .map_err(|e| CliError::Other(format!("{path}: {e}")))?;
+    let (header, session, mut src) = load_replay(path)?;
+    let pushes = src.len();
 
-    let report = replay_session(&trace, cfg, &plan)
+    let report = session
         .run(&mut src)
         .map_err(|e| CliError::Other(e.to_string()))?
         .report;
 
     let mut out = render_report(&report);
     out.push_str(&format!(
-        "\n  replayed {} pushes from {path} (generator {})\n",
-        trace.records.len(),
-        trace.header.generator,
+        "\n  replayed {pushes} pushes from {path} (generator {})\n",
+        header.generator,
     ));
-    if let Some(expect) = trace.header.expect {
+    if let Some(expect) = header.expect {
         let got = expectation_of(&report);
         if got == expect {
             out.push_str("  expectation verified: delivered/cycles/dropped/truncated match\n");
@@ -1266,23 +1265,31 @@ pub fn cmd_replay(flags: &Flags) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Reads and decodes a scenario trace file.
-fn load_trace(path: &str) -> Result<ScenarioTrace, CliError> {
+/// Reads a scenario trace file into the session it replays on — NoC,
+/// channel count, cycle cap, warmup, and fault plan all come from the
+/// trace header — and the source that owns its schedule. The file's
+/// text is dropped once decoded and the records move into the source:
+/// the run holds one copy of the schedule.
+fn load_replay(
+    path: &str,
+) -> Result<
+    (
+        ScenarioHeader,
+        SimSession<'static, SpecBackend>,
+        ReplaySource,
+    ),
+    CliError,
+> {
+    let bad = |e: TraceError| CliError::Other(format!("{path}: {e}"));
     let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-    ScenarioTrace::decode(&text).map_err(|e| CliError::Other(format!("{path}: {e}")))
-}
-
-/// The session a recorded scenario replays on: NoC, channel count,
-/// cycle cap, warmup, and fault plan all come from the trace header.
-fn replay_session(
-    trace: &ScenarioTrace,
-    cfg: NocConfig,
-    plan: &FaultPlan,
-) -> SimSession<'static, SpecBackend> {
-    session_for(&TopologySpec::Torus(cfg), trace.header.channels)
-        .max_cycles(trace.header.max_cycles)
-        .warmup_cycles(trace.header.warmup)
-        .with_faults(plan)
+    let trace = ScenarioTrace::decode(&text).map_err(bad)?;
+    drop(text);
+    let (header, cfg, plan, src) = trace.replay_setup().map_err(bad)?;
+    let session = session_for(&TopologySpec::Torus(cfg), header.channels)
+        .max_cycles(header.max_cycles)
+        .warmup_cycles(header.warmup)
+        .with_faults(&plan);
+    Ok((header, session, src))
 }
 
 /// Runs the session `attribute`/`explain` share: a recorded scenario
@@ -1296,11 +1303,8 @@ fn attributed_outcome(
 ) -> Result<SimOutcome, CliError> {
     let (session, mut src): (_, Box<dyn TrafficSource>) = match flags.optional("trace") {
         Some(path) => {
-            let trace = load_trace(path)?;
-            let (cfg, plan, src) = trace
-                .replay_setup()
-                .map_err(|e| CliError::Other(format!("{path}: {e}")))?;
-            (replay_session(&trace, cfg, &plan), Box::new(src))
+            let (_, session, src) = load_replay(path)?;
+            (session, Box::new(src))
         }
         None => {
             let run = RunSpec::from_flags(flags, None, 1.0, 1000).map_err(|e| match e {
@@ -2547,6 +2551,54 @@ mod tests {
         std::fs::write(&path, "not a scenario trace\n").unwrap();
         let err = run(argv(&format!("replay --file {}", path.display()))).unwrap_err();
         assert!(err.to_string().contains("bad magic"), "{err}");
+    }
+
+    /// A bank allocates per channel, so a count from outside is held
+    /// to `MAX_CHANNELS` wherever it enters: both of these aborted the
+    /// process on a 824 TB allocation.
+    #[test]
+    fn a_huge_channel_count_is_a_typed_error_not_an_abort() {
+        for cmd in ["simulate --noc hoplite:4", "storm --noc hoplite:4"] {
+            let err = run(argv(&format!("{cmd} --channels 1000000000000"))).unwrap_err();
+            assert!(matches!(err, CliError::Other(_)), "{cmd}: {err:?}");
+            assert!(err.to_string().contains("16-channel cap"), "{cmd}: {err}");
+        }
+        // Checksum-valid, so only the header can refuse it.
+        let dir = std::env::temp_dir().join("fasttrack_cli_huge_channels");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("huge.trace").display().to_string();
+        let text = "fasttrack-scenario-trace v1\n\
+                    {\"schema\":2,\"noc\":\"hoplite:4\",\"channels\":1000000000000}\n\
+                    m 0 0 5 0\nend 1 95ab5216fec8a82b\n";
+        std::fs::write(&path, text).unwrap();
+        for cmd in ["replay --file", "attribute --trace", "explain 0 --trace"] {
+            let err = run(argv(&format!("{cmd} {path}"))).unwrap_err();
+            assert!(err.to_string().contains("bad trace header"), "{cmd}: {err}");
+        }
+    }
+
+    /// The `end <count> <checksum>` line digests the whole body, so
+    /// these four lines pin every byte the presets record at seed 7.
+    /// Taken from the build before the codec and the recorder handled
+    /// records as integers; CI checks the multiproc one on the binary.
+    #[test]
+    fn preset_recordings_keep_their_pinned_trailers() {
+        let dir = std::env::temp_dir().join("fasttrack_cli_pinned_trailers");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (workload, trailer) in [
+            ("spmv", "end 8239 8da21458e508b274"),
+            ("graph", "end 12821 24d7faa6e3657b18"),
+            ("dataflow", "end 2460 9dc31ecf65444ef7"),
+            ("multiproc", "end 144000 24bb931a5e7872a7"),
+        ] {
+            let path = dir.join(format!("{workload}.trace")).display().to_string();
+            run(argv(&format!(
+                "record --workload {workload} --seed 7 --out {path}"
+            )))
+            .unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(text.lines().last(), Some(trailer), "{workload}");
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use fasttrack_bench::runner::SpecBackend;
 use fasttrack_core::config::NocConfig;
 use fasttrack_core::fault::{FaultPlan, FaultSpec};
+use fasttrack_core::multichannel::MAX_CHANNELS;
 use fasttrack_core::sim::{SimReport, SimSession};
 use fasttrack_core::topology::TopologySpec;
 use fasttrack_traffic::pattern::Pattern;
@@ -72,7 +73,7 @@ impl RunSpec {
 
     /// Applies `--channels` (0 and 1 both mean a plain single NoC).
     pub fn with_channels(mut self, flags: &Flags) -> Result<RunSpec, CliError> {
-        self.channels = flags.numeric("channels", 1usize)?.max(1);
+        self.channels = channels_flag(flags, 1)?.max(1);
         // `SpecBackend` would silently drive one channel instead.
         if self.channels > 1 && !matches!(self.topology, TopologySpec::Torus(_)) {
             return Err(CliError::Other(
@@ -106,6 +107,18 @@ pub(crate) fn session_for(
     channels: usize,
 ) -> SimSession<'static, SpecBackend> {
     SimSession::with_backend(SpecBackend::new(spec, channels.max(1)))
+}
+
+/// `--channels`, `default` when absent, refused above the cap a trace
+/// header's `channels` is held to: the bank allocates per channel.
+pub(crate) fn channels_flag(flags: &Flags, default: usize) -> Result<usize, CliError> {
+    let channels: usize = flags.numeric("channels", default)?;
+    if channels > MAX_CHANNELS {
+        return Err(CliError::Other(format!(
+            "--channels {channels} is above the {MAX_CHANNELS}-channel cap"
+        )));
+    }
+    Ok(channels)
 }
 
 /// The `--pattern` spec string, `random` when absent.

@@ -21,6 +21,12 @@ use crate::queue::InjectQueues;
 use crate::stats::SimStats;
 use crate::trace::{EventSink, NullSink};
 
+/// The widest bank a command line or a trace header may ask for. Each
+/// channel is a full copy of the fabric's registers, so a count taken
+/// from outside the program is an allocation of that size; the paper's
+/// widest bank is Hoplite-3x (Fig 13).
+pub const MAX_CHANNELS: usize = 16;
+
 /// A bank of replicated NoC channels behind shared PE ports.
 #[derive(Debug, Clone)]
 pub struct MultiNoc {

@@ -101,8 +101,10 @@ impl InjectQueues {
     /// Iterates `node`'s waiting packets in FIFO order (head first).
     ///
     /// Recording wrappers use this to observe what an inner traffic
-    /// source appended during `pump` without disturbing the queue.
-    pub fn iter(&self, node: usize) -> impl Iterator<Item = &PendingPacket> + '_ {
+    /// source appended during `pump` without disturbing the queue:
+    /// ids ascend along a FIFO, so the appended packets are the ones
+    /// `.rev()` meets first.
+    pub fn iter(&self, node: usize) -> impl DoubleEndedIterator<Item = &PendingPacket> + '_ {
         self.queues[node].iter()
     }
 
@@ -212,9 +214,9 @@ mod tests {
         let tags: Vec<u64> = q.iter(0).map(|p| p.tag).collect();
         assert_eq!(tags, vec![7, 8]);
         assert_eq!(q.iter(1).count(), 0);
-        // Skipping the already-seen head yields only the new tail.
-        let new: Vec<u64> = q.iter(0).skip(1).map(|p| p.tag).collect();
-        assert_eq!(new, vec![8]);
+        // Walking back from the tail meets the newest push first.
+        let newest_first: Vec<u64> = q.iter(0).rev().map(|p| p.tag).collect();
+        assert_eq!(newest_first, vec![8, 7]);
     }
 
     #[test]

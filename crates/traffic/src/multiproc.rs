@@ -92,7 +92,7 @@ pub fn parsec_trace(profile: &ParsecProfile, n: u16, seed: u64) -> TimedTraceSou
     let mut rng = SmallRng::seed_from_u64(seed);
     // Hotspot homes: a handful of PEs holding hot shared lines.
     let hotspots: Vec<usize> = (0..4).map(|_| rng.gen_range(0..pes)).collect();
-    let mut events = Vec::new();
+    let mut events = Vec::with_capacity(pes * profile.messages_per_pe as usize);
     for pe in 0..pes {
         let src = Coord::from_node_id(pe, n);
         let mut t = 0u64;

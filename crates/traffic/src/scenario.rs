@@ -32,24 +32,43 @@
 //!   and interior corruption fails the checksum.
 //!
 //! Recording works by wrapping any source in a [`RecordingSource`]:
-//! before delegating `pump`, it snapshots every queue depth, then
-//! scans the FIFO tails for newly appended packets and sorts them by
-//! [`PacketId`](fasttrack_core::packet::PacketId) to recover the exact
-//! global push order. Replaying that schedule open-loop through a
-//! [`ReplaySource`] reproduces the run exactly because the engine is
-//! deterministic given the push schedule.
+//! it reads [`InjectQueues::total_enqueued`] before and after the
+//! inner `pump`. [`InjectQueues::push`] is the only thing that hands
+//! out a [`PacketId`](fasttrack_core::packet::PacketId) and it counts
+//! up by one, so `k` pushes carry exactly the ids `first .. first + k`
+//! and id order *is* global push order; and a source only ever appends
+//! during `pump`, so those `k` packets are the last entries of their
+//! FIFOs. Each is written straight to slot `id - first` of the `k`
+//! records the cycle appends — no per-cycle snapshot or sort, and a
+//! cycle that pushed nothing touches no queue. Replaying that schedule
+//! open-loop through a [`ReplaySource`] reproduces the run exactly
+//! because the engine is deterministic given the push schedule.
+//!
+//! The codec handles records as integers: `encode` writes decimal
+//! digits into one buffer sized from the record count, `decode` parses
+//! the canonical `m <cycle> <src> <dst> <tag>` line byte by byte and
+//! hands anything else (extra blanks, a `+` sign, 20-digit values,
+//! CRLF) to a tokenizer with `str::parse`'s rules. What the format
+//! fixes is one SplitMix64 round per byte: a line's hash is a serial
+//! chain, but lines are hashed independently and only the fold of
+//! line hashes into the checksum is ordered, so both directions hash
+//! four lines side by side.
 
 use std::fmt;
 
 use fasttrack_core::config::NocConfig;
 use fasttrack_core::fault::Fault;
 use fasttrack_core::geom::Coord;
+use fasttrack_core::multichannel::MAX_CHANNELS;
 use fasttrack_core::packet::Delivery;
 use fasttrack_core::port::OutPort;
 use fasttrack_core::queue::InjectQueues;
 use fasttrack_core::sim::TrafficSource;
 use fasttrack_core::sweep::splitmix64;
 use fasttrack_core::topology::TopologySpec;
+
+#[cfg(test)]
+mod reference;
 
 /// First line of every v1 scenario trace.
 pub const SCENARIO_MAGIC: &str = "fasttrack-scenario-trace v1";
@@ -266,12 +285,177 @@ impl fmt::Display for TraceError {
 impl std::error::Error for TraceError {}
 
 /// SplitMix64 hash of one line, mirroring the sweep journal's row hash.
-fn line_hash(line: &str) -> u64 {
+fn line_hash(line: &[u8]) -> u64 {
     let mut h = splitmix64(line.len() as u64);
-    for &b in line.as_bytes() {
+    for &b in line {
         h = splitmix64(h ^ u64::from(b));
     }
     h
+}
+
+/// Record lines hashed side by side. One SplitMix64 round is two
+/// dependent multiplies (~14 cycles of latency) but only a handful of
+/// issue slots, so a core can keep about this many independent chains
+/// in flight.
+const LANES: usize = 4;
+
+/// [`line_hash`] of [`LANES`] lines at once, their per-byte chains
+/// interleaved over the common prefix length.
+fn line_hashes(lines: [&[u8]; LANES]) -> [u64; LANES] {
+    let mut h = lines.map(|l| splitmix64(l.len() as u64));
+    let common = lines.iter().map(|l| l.len()).min().unwrap_or(0);
+    let heads = lines.map(|l| &l[..common]);
+    for i in 0..common {
+        for (h, head) in h.iter_mut().zip(&heads) {
+            *h = splitmix64(*h ^ u64::from(head[i]));
+        }
+    }
+    for (h, line) in h.iter_mut().zip(&lines) {
+        for &b in &line[common..] {
+            *h = splitmix64(*h ^ u64::from(b));
+        }
+    }
+    h
+}
+
+/// The running checksum over a trace body. Only folding line hashes
+/// into it is ordered, so lines are held back as byte ranges of the
+/// caller's buffer until [`LANES`] of them can be hashed together.
+struct BodyChecksum {
+    sum: u64,
+    held: [(usize, usize); LANES],
+    holding: usize,
+}
+
+impl BodyChecksum {
+    fn new(header_line: &str) -> Self {
+        BodyChecksum {
+            sum: line_hash(header_line.as_bytes()),
+            held: [(0, 0); LANES],
+            holding: 0,
+        }
+    }
+
+    fn fold(&mut self, line_hash: u64) {
+        self.sum = splitmix64(self.sum ^ line_hash);
+    }
+
+    /// Adds the line `buf[from..to]`. Every call up to and including
+    /// [`BodyChecksum::finish`] must pass the same buffer with the
+    /// bytes of earlier lines unchanged.
+    fn line(&mut self, buf: &[u8], from: usize, to: usize) {
+        self.held[self.holding] = (from, to);
+        self.holding += 1;
+        if self.holding == LANES {
+            self.holding = 0;
+            for hash in line_hashes(self.held.map(|(from, to)| &buf[from..to])) {
+                self.fold(hash);
+            }
+        }
+    }
+
+    /// The checksum over every line added.
+    fn finish(mut self, buf: &[u8]) -> u64 {
+        for (from, to) in self.held.into_iter().take(self.holding) {
+            self.fold(line_hash(&buf[from..to]));
+        }
+        self.sum
+    }
+}
+
+/// Decimal digits in `v`.
+fn decimal_len(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Writes `v` in decimal at `buf[at..]`; returns the index after it.
+fn write_decimal(buf: &mut [u8], at: usize, mut v: u64) -> usize {
+    let end = at + decimal_len(v);
+    for digit in buf[at..end].iter_mut().rev() {
+        *digit = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    end
+}
+
+/// Writes `m <cycle> <src> <dst> <tag>\n` at `buf[at..]`; returns the
+/// index after the newline.
+fn write_record_line(buf: &mut [u8], mut at: usize, r: &ScenarioRecord) -> usize {
+    buf[at] = b'm';
+    at += 1;
+    for v in [r.cycle, r.src as u64, r.dst as u64, r.tag] {
+        buf[at] = b' ';
+        at = write_decimal(buf, at + 1, v);
+    }
+    buf[at] = b'\n';
+    at + 1
+}
+
+/// Parses the canonical record line at the head of `rest` — `m`, then
+/// four single-space-separated runs of 1 to 19 ASCII digits (so the
+/// value cannot overflow), then `\n` — into its four values and the
+/// index of that `\n`. `None` for any other spelling, which the
+/// caller hands to [`loose_record`].
+fn canonical_record(rest: &[u8]) -> Option<([u64; 4], usize)> {
+    let mut bytes = rest.iter();
+    if bytes.next() != Some(&b'm') || bytes.next() != Some(&b' ') {
+        return None;
+    }
+    let mut fields = [0u64; 4];
+    for (i, field) in fields.iter_mut().enumerate() {
+        let mut digits = 0;
+        let after = loop {
+            let &b = bytes.next()?;
+            let d = b.wrapping_sub(b'0');
+            if d > 9 {
+                break b;
+            }
+            *field = field.wrapping_mul(10).wrapping_add(u64::from(d));
+            digits += 1;
+        };
+        if digits == 0 || digits > 19 || after != if i < 3 { b' ' } else { b'\n' } {
+            return None;
+        }
+    }
+    Some((fields, rest.len() - bytes.as_slice().len() - 1))
+}
+
+/// Parses a record line the way the format always has: any Unicode
+/// whitespace separates the five tokens and the numbers follow
+/// `str::parse::<u64>` (a leading `+`, all twenty digits).
+fn loose_record(line: &str) -> Option<[u64; 4]> {
+    let mut tokens = line.split_whitespace();
+    if tokens.next() != Some("m") {
+        return None;
+    }
+    let mut fields = [0u64; 4];
+    for field in &mut fields {
+        *field = tokens.next()?.parse().ok()?;
+    }
+    tokens.next().is_none().then_some(fields)
+}
+
+/// Walks a trace's lines exactly as `str::lines` splits them, keeping
+/// the byte offset so the record loop can parse in place.
+struct LineCursor<'a> {
+    text: &'a str,
+    /// Byte offset of the next unread line.
+    pos: usize,
+    /// 1-based number of the line last returned.
+    lineno: usize,
+}
+
+impl<'a> LineCursor<'a> {
+    fn next_line(&mut self) -> Option<&'a str> {
+        let rest = &self.text[self.pos..];
+        if rest.is_empty() {
+            return None;
+        }
+        let len = rest.find('\n').map_or(rest.len(), |i| i + 1);
+        self.pos += len;
+        self.lineno += 1;
+        rest[..len].lines().next()
+    }
 }
 
 /// Canonical token for an [`OutPort`] in the fault codec.
@@ -526,20 +710,33 @@ impl ScenarioTrace {
         }
         header.push('}');
 
-        let mut out = String::new();
-        out.push_str(SCENARIO_MAGIC);
-        out.push('\n');
-        out.push_str(&header);
-        out.push('\n');
-        let mut checksum = line_hash(&header);
+        // One line is at most `m`, four separators-plus-number and the
+        // newline; sizing each number by its column's maximum reserves
+        // within a few percent of the bytes written.
+        let widest = self.records.iter().fold([0u64; 4], |w, r| {
+            [
+                w[0].max(r.cycle),
+                w[1].max(r.src as u64),
+                w[2].max(r.dst as u64),
+                w[3].max(r.tag),
+            ]
+        });
+        let line_len = 2 + widest.iter().map(|&v| 1 + decimal_len(v)).sum::<usize>();
+        let trailer_len = "end  \n".len() + 20 + 16;
+        let body_at = SCENARIO_MAGIC.len() + header.len() + 2;
+        let mut out = vec![0; body_at + self.records.len() * line_len + trailer_len];
+        out[..body_at].copy_from_slice(format!("{SCENARIO_MAGIC}\n{header}\n").as_bytes());
+        let mut at = body_at;
+        let mut checksum = BodyChecksum::new(&header);
         for r in &self.records {
-            let line = format!("m {} {} {} {}", r.cycle, r.src, r.dst, r.tag);
-            checksum = splitmix64(checksum ^ line_hash(&line));
-            out.push_str(&line);
-            out.push('\n');
+            let from = at;
+            at = write_record_line(&mut out, at, r);
+            checksum.line(&out, from, at - 1);
         }
-        out.push_str(&format!("end {} {:016x}\n", self.records.len(), checksum));
-        out
+        let checksum = checksum.finish(&out);
+        out.truncate(at);
+        out.extend_from_slice(format!("end {} {:016x}\n", self.records.len(), checksum).as_bytes());
+        String::from_utf8(out).expect("the header is a `String` and everything else is ASCII")
     }
 
     /// Parses a v1 trace, verifying the magic, header, record
@@ -552,87 +749,97 @@ impl ScenarioTrace {
     /// mid-write decodes to [`TraceError::TornTail`] rather than a
     /// silently shortened scenario.
     pub fn decode(text: &str) -> Result<ScenarioTrace, TraceError> {
-        let mut lines = text.lines().enumerate();
-        let (_, magic) = lines.next().ok_or(TraceError::BadMagic)?;
+        let mut lines = LineCursor {
+            text,
+            pos: 0,
+            lineno: 0,
+        };
+        let magic = lines.next_line().ok_or(TraceError::BadMagic)?;
         if magic.trim_end() != SCENARIO_MAGIC {
             return Err(TraceError::BadMagic);
         }
-        let (_, header_line) = lines
-            .next()
+        let header_line = lines
+            .next_line()
             .ok_or_else(|| TraceError::BadHeader("missing header line".into()))?;
         let header = Self::decode_header(header_line)?;
         let side = u64::from(header.side_len()?);
         let nodes = side * side;
 
-        let mut checksum = line_hash(header_line);
-        let mut records = Vec::new();
-        let mut trailer: Option<(u64, u64)> = None;
+        // The trailer's count, read ahead only to size `records`: the
+        // shortest record line is ten bytes, which bounds what a lying
+        // trailer can make this reserve.
+        let claimed = text
+            .rfind("\nend ")
+            .and_then(|at| {
+                text[at + 5..]
+                    .split_whitespace()
+                    .next()?
+                    .parse::<usize>()
+                    .ok()
+            })
+            .unwrap_or(0);
+        let mut records = Vec::with_capacity(claimed.min(text.len() / 10));
+
+        let bytes = text.as_bytes();
+        let mut checksum = BodyChecksum::new(header_line);
         let mut last_cycle = 0u64;
-        for (idx, line) in lines {
-            let lineno = idx + 1;
-            if trailer.is_some() {
-                if line.trim().is_empty() {
-                    continue;
+        let (count, sum) = loop {
+            let from = lines.pos;
+            let ([cycle, src, dst, tag], to) = match canonical_record(&bytes[from..]) {
+                Some((fields, len)) => {
+                    lines.pos = from + len + 1;
+                    lines.lineno += 1;
+                    (fields, from + len)
                 }
-                return Err(TraceError::TrailingData { line: lineno });
-            }
-            if let Some(rest) = line.strip_prefix("end ") {
-                let mut f = rest.split_whitespace();
-                let count = f
-                    .next()
-                    .and_then(|s| s.parse::<u64>().ok())
-                    .ok_or(TraceError::BadRecord { line: lineno })?;
-                let sum = f
-                    .next()
-                    .and_then(|s| u64::from_str_radix(s, 16).ok())
-                    .ok_or(TraceError::BadRecord { line: lineno })?;
-                if f.next().is_some() {
-                    return Err(TraceError::BadRecord { line: lineno });
+                // Once per file, or per line nobody's encoder wrote.
+                None => {
+                    let line = lines.next_line().ok_or(TraceError::TornTail)?;
+                    let bad = TraceError::BadRecord { line: lines.lineno };
+                    if let Some(rest) = line.strip_prefix("end ") {
+                        let mut f = rest.split_whitespace();
+                        let count = f.next().and_then(|s| s.parse::<u64>().ok());
+                        let sum = f.next().and_then(|s| u64::from_str_radix(s, 16).ok());
+                        match (count, sum, f.next()) {
+                            (Some(count), Some(sum), None) => break (count, sum),
+                            _ => return Err(bad),
+                        }
+                    }
+                    let fields = loose_record(line).ok_or(bad)?;
+                    (fields, from + line.trim_end().len())
                 }
-                trailer = Some((count, sum));
-                continue;
-            }
-            let fields: Vec<&str> = line.split_whitespace().collect();
-            let [m, cycle, src, dst, tag] = fields.as_slice() else {
-                return Err(TraceError::BadRecord { line: lineno });
             };
-            if *m != "m" {
-                return Err(TraceError::BadRecord { line: lineno });
-            }
-            let num = |s: &str| {
-                s.parse::<u64>()
-                    .map_err(|_| TraceError::BadRecord { line: lineno })
-            };
-            let (cycle, src, dst, tag) = (num(cycle)?, num(src)?, num(dst)?, num(tag)?);
+            let line = lines.lineno;
             // Range-check in u64 BEFORE any narrowing cast, so a huge
             // node id reports as out-of-range instead of wrapping.
-            for &node in &[src, dst] {
+            for node in [src, dst] {
                 if node >= nodes {
-                    return Err(TraceError::NodeOutOfRange { line: lineno, node });
+                    return Err(TraceError::NodeOutOfRange { line, node });
                 }
             }
             if cycle < last_cycle {
-                return Err(TraceError::NonMonotonic { line: lineno });
+                return Err(TraceError::NonMonotonic { line });
             }
             last_cycle = cycle;
-            checksum = splitmix64(checksum ^ line_hash(line.trim_end()));
+            checksum.line(bytes, from, to);
             records.push(ScenarioRecord {
                 cycle,
                 src: src as usize,
                 dst: dst as usize,
                 tag,
             });
-        }
-        let Some((count, sum)) = trailer else {
-            return Err(TraceError::TornTail);
         };
+        while let Some(line) = lines.next_line() {
+            if !line.trim().is_empty() {
+                return Err(TraceError::TrailingData { line: lines.lineno });
+            }
+        }
         if count != records.len() as u64 {
             return Err(TraceError::CountMismatch {
                 expected: count,
                 found: records.len() as u64,
             });
         }
-        if sum != checksum {
+        if sum != checksum.finish(bytes) {
             return Err(TraceError::ChecksumMismatch);
         }
         Ok(ScenarioTrace { header, records })
@@ -653,7 +860,9 @@ impl ScenarioTrace {
                 "schema" => {
                     let v = want_int(&value, "schema")?;
                     if v > u64::from(SCENARIO_SCHEMA) {
-                        return Err(TraceError::UnsupportedSchema(v as u32));
+                        return Err(TraceError::UnsupportedSchema(
+                            u32::try_from(v).unwrap_or(u32::MAX),
+                        ));
                     }
                     header.schema = v as u32;
                     saw_schema = true;
@@ -662,7 +871,15 @@ impl ScenarioTrace {
                     JsonValue::Str(s) => header.noc = s,
                     _ => return Err(TraceError::BadHeader("noc must be a string".into())),
                 },
-                "channels" => header.channels = want_int(&value, "channels")?.max(1) as usize,
+                "channels" => {
+                    let v = want_int(&value, "channels")?;
+                    if v > MAX_CHANNELS as u64 {
+                        return Err(TraceError::BadHeader(format!(
+                            "channels {v} is above the {MAX_CHANNELS}-channel cap"
+                        )));
+                    }
+                    header.channels = v.max(1) as usize;
+                }
                 "max_cycles" => header.max_cycles = want_int(&value, "max_cycles")?,
                 "warmup" => header.warmup = want_int(&value, "warmup")?,
                 "generator" => match value {
@@ -726,8 +943,8 @@ impl ScenarioTrace {
         Ok(header)
     }
 
-    /// A [`ReplaySource`] feeding this trace's schedule back into a
-    /// session.
+    /// A [`ReplaySource`] feeding a copy of this trace's schedule back
+    /// into a session.
     ///
     /// # Errors
     ///
@@ -740,27 +957,36 @@ impl ScenarioTrace {
         )
     }
 
-    /// Rebuilds everything a session needs to replay this trace: the
-    /// topology from the header's noc spec, the recorded fault plan,
-    /// and a [`ReplaySource`] feeding the push schedule back. One call
-    /// serves `fasttrack replay`, `attribute --trace`, and
-    /// `explain --trace` identically.
+    /// Takes the trace apart into everything a session needs to replay
+    /// it: the header, the topology from its noc spec, the recorded
+    /// fault plan, and a [`ReplaySource`] that now owns the push
+    /// schedule (moved, not copied). One call serves `fasttrack
+    /// replay`, `attribute --trace`, and `explain --trace` identically.
     ///
     /// # Errors
     ///
     /// Returns [`TraceError::BadHeader`] when the noc spec does not
     /// parse.
     pub fn replay_setup(
-        &self,
-    ) -> Result<(NocConfig, fasttrack_core::fault::FaultPlan, ReplaySource), TraceError> {
+        self,
+    ) -> Result<
+        (
+            ScenarioHeader,
+            NocConfig,
+            fasttrack_core::fault::FaultPlan,
+            ReplaySource,
+        ),
+        TraceError,
+    > {
         let cfg = self.header.noc_config()?;
         let plan = self
             .header
             .faults
             .iter()
             .fold(fasttrack_core::fault::FaultPlan::new(), |p, &f| p.with(f));
-        let source = self.replay_source()?;
-        Ok((cfg, plan, source))
+        let source = ReplaySource::new(self.header.side_len()?, self.records)
+            .hold_until(self.header.drained_at);
+        Ok((self.header, cfg, plan, source))
     }
 }
 
@@ -774,7 +1000,6 @@ pub struct RecordingSource<S> {
     n: u16,
     inner: S,
     records: Vec<ScenarioRecord>,
-    depths: Vec<usize>,
     drained_at: Option<u64>,
 }
 
@@ -785,14 +1010,8 @@ impl<S: TrafficSource> RecordingSource<S> {
             n,
             inner,
             records: Vec::new(),
-            depths: Vec::new(),
             drained_at: None,
         }
-    }
-
-    /// The records captured so far.
-    pub fn records(&self) -> &[ScenarioRecord] {
-        &self.records
     }
 
     /// The cycle the inner source first reported itself exhausted, if
@@ -824,31 +1043,40 @@ impl<S: TrafficSource> RecordingSource<S> {
 
 impl<S: TrafficSource> TrafficSource for RecordingSource<S> {
     fn pump(&mut self, cycle: u64, queues: &mut InjectQueues) {
-        let nodes = queues.nodes();
-        self.depths.resize(nodes, 0);
-        for node in 0..nodes {
-            self.depths[node] = queues.depth(node);
-        }
+        let first = queues.total_enqueued();
         self.inner.pump(cycle, queues);
-        // Collect this cycle's new tail entries across all nodes and
-        // sort by packet id to recover the exact global push order —
-        // replay must assign identical PacketIds.
-        let mut fresh: Vec<(u64, ScenarioRecord)> = Vec::new();
-        for node in 0..nodes {
-            for p in queues.iter(node).skip(self.depths[node]) {
-                fresh.push((
-                    p.id.0,
-                    ScenarioRecord {
+        let pushed = (queues.total_enqueued() - first) as usize;
+        if pushed > 0 {
+            // This cycle's pushes carry the ids `first .. first +
+            // pushed` and sit at the tails of their FIFOs (module doc):
+            // slot `id - first` is the packet's place in global push
+            // order, which replay must repeat to assign identical
+            // PacketIds.
+            let base = self.records.len();
+            let blank = ScenarioRecord {
+                cycle,
+                src: 0,
+                dst: 0,
+                tag: 0,
+            };
+            self.records.resize(base + pushed, blank);
+            let mut missing = pushed;
+            for src in 0..queues.nodes() {
+                for p in queues.iter(src).rev().take_while(|p| p.id.0 >= first) {
+                    self.records[base + (p.id.0 - first) as usize] = ScenarioRecord {
                         cycle,
-                        src: node,
+                        src,
                         dst: p.dst.to_node_id(self.n),
                         tag: p.tag,
-                    },
-                ));
+                    };
+                    missing -= 1;
+                }
+                if missing == 0 {
+                    break;
+                }
             }
+            assert_eq!(missing, 0, "the inner source removed packets during pump");
         }
-        fresh.sort_by_key(|&(id, _)| id);
-        self.records.extend(fresh.into_iter().map(|(_, r)| r));
         self.note_drain(cycle);
     }
 
@@ -1033,11 +1261,52 @@ mod tests {
 
     #[test]
     fn rejects_newer_schema() {
-        let text = format!("{SCENARIO_MAGIC}\n{{\"schema\":9,\"noc\":\"ft:4:2:1\"}}\nend 0 0\n");
-        assert_eq!(
-            ScenarioTrace::decode(&text),
-            Err(TraceError::UnsupportedSchema(9))
-        );
+        // A version past `u32` saturates: truncating 2^32 + 2 would name
+        // v2, the version this build writes.
+        for (written, reported) in [(9, 9), (u64::from(u32::MAX) + 3, u32::MAX)] {
+            let text = format!(
+                "{SCENARIO_MAGIC}\n{{\"schema\":{written},\"noc\":\"ft:4:2:1\"}}\nend 0 0\n"
+            );
+            assert_eq!(
+                ScenarioTrace::decode(&text),
+                Err(TraceError::UnsupportedSchema(reported))
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_a_channel_count_above_the_cap() {
+        let decode = |channels: u64| {
+            let header = format!("{{\"schema\":2,\"noc\":\"hoplite:4\",\"channels\":{channels}}}");
+            let sum = line_hash(header.as_bytes());
+            ScenarioTrace::decode(&format!("{SCENARIO_MAGIC}\n{header}\nend 0 {sum:016x}\n"))
+        };
+        assert_eq!(decode(0).unwrap().header.channels, 1);
+        assert_eq!(decode(16).unwrap().header.channels, MAX_CHANNELS);
+        for channels in [17, 1_000_000_000_000, u64::MAX] {
+            let err = decode(channels).unwrap_err();
+            assert!(
+                matches!(&err, TraceError::BadHeader(why) if why.contains("16-channel cap")),
+                "{channels}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn corpus_traces_re_encode_to_their_own_bytes() {
+        for text in [
+            include_str!("../../../tests/corpus/inject_livelock.trace"),
+            include_str!("../../../tests/corpus/monitor_livelock.trace"),
+            include_str!("../../../tests/corpus/reroute_loop.trace"),
+        ] {
+            assert_eq!(ScenarioTrace::decode(text).unwrap().encode(), text);
+        }
+    }
+
+    #[test]
+    fn lockstep_hashes_equal_the_serial_hash() {
+        let lines: [&[u8]; LANES] = [b"m 0 0 5 1", b"", b"m 18446744073709551615 15 0 7", b"m 3"];
+        assert_eq!(line_hashes(lines), lines.map(line_hash));
     }
 
     #[test]
@@ -1073,7 +1342,7 @@ mod tests {
         let header = "{\"schema\":2,\"noc\":\"shg:8:2\",\"wire_budget\":9000,\"flavor\":\"zesty\"}";
         let text = format!(
             "{SCENARIO_MAGIC}\n{header}\nend 0 {:016x}\n",
-            line_hash(header)
+            line_hash(header.as_bytes())
         );
         let trace = ScenarioTrace::decode(&text).unwrap();
         assert_eq!(trace.header.noc, "shg:8:2");
@@ -1089,7 +1358,7 @@ mod tests {
         let header = "{\"schema\":1,\"noc\":\"ftlite:8:4:1\"}";
         let text = format!(
             "{SCENARIO_MAGIC}\n{header}\nend 0 {:016x}\n",
-            line_hash(header)
+            line_hash(header.as_bytes())
         );
         let trace = ScenarioTrace::decode(&text).unwrap();
         // The recorded schema number is preserved...
@@ -1157,8 +1426,8 @@ mod tests {
         let huge = u64::from(u32::MAX) + 7;
         let body = format!("m 0 0 {huge} 0");
         let header = "{\"schema\":1,\"noc\":\"ft:4:2:1\"}";
-        let mut checksum = line_hash(header);
-        checksum = splitmix64(checksum ^ line_hash(&body));
+        let mut checksum = line_hash(header.as_bytes());
+        checksum = splitmix64(checksum ^ line_hash(body.as_bytes()));
         let text = format!("{SCENARIO_MAGIC}\n{header}\n{body}\nend 1 {checksum:016x}\n");
         assert_eq!(
             ScenarioTrace::decode(&text),
@@ -1174,9 +1443,9 @@ mod tests {
         let header = "{\"schema\":1,\"noc\":\"ft:4:2:1\"}";
         let b1 = "m 5 0 1 0";
         let b2 = "m 4 0 1 0";
-        let mut checksum = line_hash(header);
-        checksum = splitmix64(checksum ^ line_hash(b1));
-        checksum = splitmix64(checksum ^ line_hash(b2));
+        let mut checksum = line_hash(header.as_bytes());
+        checksum = splitmix64(checksum ^ line_hash(b1.as_bytes()));
+        checksum = splitmix64(checksum ^ line_hash(b2.as_bytes()));
         let text = format!("{SCENARIO_MAGIC}\n{header}\n{b1}\n{b2}\nend 2 {checksum:016x}\n");
         assert_eq!(
             ScenarioTrace::decode(&text),
@@ -1239,13 +1508,14 @@ mod tests {
     #[test]
     fn replay_setup_rebuilds_config_faults_and_source() {
         let trace = sample_trace();
-        let (cfg, plan, _source) = trace.replay_setup().expect("valid trace");
-        assert_eq!(cfg.n(), 4);
-        assert_eq!(plan.faults(), trace.header.faults.as_slice());
         // The rebuilt source replays the same schedule as one built by
         // hand from the record list.
         let by_hand = trace.replay_source().expect("valid trace");
-        let (_, _, rebuilt) = trace.replay_setup().expect("valid trace");
+        let (header, cfg, plan, rebuilt) = trace.clone().replay_setup().expect("valid trace");
+        assert_eq!(header, trace.header);
+        assert_eq!(cfg.n(), 4);
+        assert_eq!(plan.faults(), trace.header.faults.as_slice());
+        assert_eq!(rebuilt.len(), trace.records.len());
         let cfg2 = trace.header.noc_config().unwrap();
         let mut a = rebuilt;
         let mut b = by_hand;
