@@ -770,7 +770,7 @@ impl PointSlo {
         } else {
             s.delivered as f64 / s.injected as f64
         };
-        let p99_latency = s.total_latency.histogram().percentile(99.0).unwrap_or(0);
+        let p99_latency = report.p99_latency();
         let slo_met = delivered_fraction >= slo.min_delivered_fraction
             && (slo.max_p99_latency == 0 || p99_latency <= slo.max_p99_latency);
         PointSlo {
@@ -955,11 +955,7 @@ pub fn sweep_csv_row(row: &SweepRow) -> String {
         r.stats.delivered,
         r.sustained_rate_per_pe(),
         r.avg_latency(),
-        r.stats
-            .total_latency
-            .histogram()
-            .percentile(99.0)
-            .unwrap_or(0),
+        r.p99_latency(),
         r.worst_latency(),
         r.stats.ports.total_deflections(),
         r.stats.link_usage.short_hops,

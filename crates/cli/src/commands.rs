@@ -36,8 +36,8 @@ use fasttrack_traffic::trace_io::trace_source_from_text;
 
 use crate::args::{ArgError, Flags};
 use crate::run_spec::{
-    channels_flag, conserved_or_err, fault_plan, p99, pattern_flag, range_flag, session_for,
-    write_file, RunSpec,
+    channels_flag, conserved_or_err, fault_plan, pattern_flag, range_flag, session_for, write_file,
+    RunSpec,
 };
 use crate::spec::{parse_grid, parse_noc, parse_pattern, parse_topology, SpecError};
 
@@ -310,7 +310,7 @@ fn render_report(report: &SimReport) -> String {
         report.cycles,
         report.sustained_rate_per_pe(),
         report.avg_latency(),
-        p99(report),
+        report.p99_latency(),
         report.worst_latency(),
         report.stats.ports.total_deflections(),
         report.stats.link_usage.short_hops,
@@ -390,14 +390,13 @@ pub fn cmd_monitor(flags: &Flags) -> Result<String, CliError> {
     out.push('\n');
     out.push_str(&monitor.summary().render_text());
     if let Some(profile) = &outcome.profile {
-        // The profile cells share the monitor's registry, so a
-        // `--metrics` exposition below carries the fasttrack_profile_*
-        // series as well.
+        // The `--metrics` exposition below carries the
+        // fasttrack_profile_* series as well.
         out.push_str(&profile.render_text());
     }
     write_health(flags, &monitor, &mut out)?;
     if let Some(path) = flags.optional("metrics") {
-        write_file(path, monitor.registry().to_prometheus())?;
+        write_file(path, outcome.metrics.to_prometheus())?;
         out.push_str(&format!("  metrics exposition -> {path}\n"));
     }
     Ok(out)
@@ -527,6 +526,11 @@ pub fn cmd_faults(flags: &Flags) -> Result<String, CliError> {
     conserved_or_err(out, &report)
 }
 
+/// The most link kills one `storm` schedule may hold: each is a
+/// `Fault::DownLink` the plan materialises for every grid point, and
+/// the default spec schedules 16.
+const MAX_STORM_EVENTS: u64 = 100_000;
+
 /// `storm` — availability under a seeded fault storm, with and without
 /// the fallback chains.
 ///
@@ -550,6 +554,15 @@ pub fn cmd_storm(flags: &Flags) -> Result<String, CliError> {
         heal_after: range_flag(flags, "heal", ("lo", "hi"), StormSpec::default().heal_after)?,
         duration: flags.numeric("duration", StormSpec::default().duration)?,
     };
+    if storm.kill_events() > MAX_STORM_EVENTS {
+        return Err(CliError::Other(format!(
+            "--kills {} over --duration {} schedules {} link kills, above the \
+             {MAX_STORM_EVENTS}-event cap",
+            storm.kills_per_kcycle,
+            storm.duration,
+            storm.kill_events(),
+        )));
+    }
     let slo = SloSpec {
         min_delivered_fraction: flags.numeric("min-delivered", 0.95)?,
         max_p99_latency: flags.numeric("max-p99", 0)?,
@@ -731,7 +744,7 @@ pub fn cmd_compare(flags: &Flags) -> Result<String, CliError> {
         let report = run.session().run(&mut run.source()).unwrap().report;
         let rate_per_pe = report.sustained_rate_per_pe();
         let rate_per_kcell = rate_per_pe * nodes as f64 / (cost.total() as f64 / 1e3);
-        let p99 = p99(&report);
+        let p99 = report.p99_latency();
         // The first topology is the baseline.
         let base = *base.get_or_insert(rate_per_kcell);
         let vs_base = if base > 0.0 {
@@ -800,6 +813,12 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
     let out_fmt = flags
         .optional("out")
         .unwrap_or(if resume.is_some() { "csv" } else { "table" });
+    // Refused before any point runs or any sidecar is written.
+    if !matches!(out_fmt, "csv" | "table") {
+        return Err(CliError::Other(format!(
+            "unknown --out format {out_fmt:?} (expected table or csv)"
+        )));
+    }
     let profile = flags.switch("profile");
     if profile
         && (resume.is_some()
@@ -927,33 +946,25 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
             None => grid.run(threads),
         }
     };
-    match out_fmt {
-        "csv" => {
-            let csv = sweep_csv(&rows);
-            let columns = csv.lines().next().map_or(0, |h| h.split(',').count());
-            eprintln!("sweep csv: {} data rows x {columns} columns", rows.len());
-            Ok(csv)
-        }
-        "table" => {
-            let mut out =
-                String::from("config         pattern      rate    sustained  avg-lat   worst\n");
-            for row in &rows {
-                out.push_str(&format!(
-                    "{:<14} {:<12} {:<7.2} {:<10.4} {:<9.1} {}\n",
-                    row.label,
-                    row.pattern.to_string(),
-                    row.rate,
-                    row.report.sustained_rate_per_pe(),
-                    row.report.avg_latency(),
-                    row.report.worst_latency()
-                ));
-            }
-            Ok(out)
-        }
-        other => Err(CliError::Other(format!(
-            "unknown --out format {other:?} (expected table or csv)"
-        ))),
+    if out_fmt == "csv" {
+        let csv = sweep_csv(&rows);
+        let columns = csv.lines().next().map_or(0, |h| h.split(',').count());
+        eprintln!("sweep csv: {} data rows x {columns} columns", rows.len());
+        return Ok(csv);
     }
+    let mut out = String::from("config         pattern      rate    sustained  avg-lat   worst\n");
+    for row in &rows {
+        out.push_str(&format!(
+            "{:<14} {:<12} {:<7.2} {:<10.4} {:<9.1} {}\n",
+            row.label,
+            row.pattern.to_string(),
+            row.rate,
+            row.report.sustained_rate_per_pe(),
+            row.report.avg_latency(),
+            row.report.worst_latency()
+        ));
+    }
+    Ok(out)
 }
 
 /// `cost` — the FPGA implementation picture.
@@ -1265,31 +1276,45 @@ pub fn cmd_replay(flags: &Flags) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Reads a scenario trace file into the session it replays on — NoC,
-/// channel count, cycle cap, warmup, and fault plan all come from the
-/// trace header — and the source that owns its schedule. The file's
-/// text is dropped once decoded and the records move into the source:
-/// the run holds one copy of the schedule.
-fn load_replay(
-    path: &str,
-) -> Result<
-    (
-        ScenarioHeader,
-        SimSession<'static, SpecBackend>,
-        ReplaySource,
-    ),
-    CliError,
-> {
-    let bad = |e: TraceError| CliError::Other(format!("{path}: {e}"));
-    let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-    let trace = ScenarioTrace::decode(&text).map_err(bad)?;
-    drop(text);
-    let (header, cfg, plan, src) = trace.replay_setup().map_err(bad)?;
-    let session = session_for(&TopologySpec::Torus(cfg), header.channels)
+/// What a scenario trace replays as: its header, the session built
+/// from it, and the source that owns its schedule.
+pub type Replay = (
+    ScenarioHeader,
+    SimSession<'static, SpecBackend>,
+    ReplaySource,
+);
+
+/// Turns a decoded scenario trace into the session it replays on. NoC,
+/// channel count, cycle cap, warmup, fault plan and — when the header
+/// says the recording ran with them — the standard fallback chains all
+/// come from the trace header; the records move into the source, so the
+/// run holds one copy of the schedule. This is the one reading of a
+/// header: `replay`, `attribute --trace`, `explain --trace` and the
+/// corpus tests all replay through it.
+pub fn replay_session(trace: ScenarioTrace) -> Result<Replay, CliError> {
+    let (header, cfg, plan, src) = trace
+        .replay_setup()
+        .map_err(|e| CliError::Other(e.to_string()))?;
+    let mut session = session_for(&TopologySpec::Torus(cfg), header.channels)
         .max_cycles(header.max_cycles)
         .warmup_cycles(header.warmup)
         .with_faults(&plan);
+    if header.fallback {
+        session = session
+            .with_fallback(&FallbackConfig::standard())
+            .map_err(|e| CliError::Other(e.to_string()))?;
+    }
     Ok((header, session, src))
+}
+
+/// [`replay_session`] of the trace file at `path`, whose text is
+/// dropped once decoded.
+fn load_replay(path: &str) -> Result<Replay, CliError> {
+    let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+    let trace = ScenarioTrace::decode(&text)
+        .map_err(|e: TraceError| CliError::Other(format!("{path}: {e}")))?;
+    drop(text);
+    replay_session(trace).map_err(|e| CliError::Other(format!("{path}: {e}")))
 }
 
 /// Runs the session `attribute`/`explain` share: a recorded scenario
@@ -1351,7 +1376,7 @@ pub fn cmd_attribute(flags: &Flags) -> Result<String, CliError> {
         text
     };
     if let Some(path) = flags.optional("metrics") {
-        let exposition = attribution.registry().to_prometheus();
+        let exposition = outcome.metrics.to_prometheus();
         write_file(path, exposition)?;
         out.push_str(&format!("  attribution metrics -> {path}\n"));
     }
@@ -2659,6 +2684,38 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.to_string().contains("availability SLO missed"), "{err}");
+    }
+
+    /// A schedule is one `Fault::DownLink` per kill: both of these were
+    /// accepted (74 s and 5.5 GB for the first form at a tenth of this
+    /// rate; the second wrapped the multiply and never returned).
+    #[test]
+    fn storm_refuses_a_schedule_above_the_event_cap() {
+        for oversized in [
+            "--duration 100 --kills 4000000000",
+            "--duration 18446744073709551615 --kills 4",
+        ] {
+            let started = std::time::Instant::now();
+            let err = run(argv(&format!(
+                "storm --noc ft:4:2:1 --packets 5 {oversized}"
+            )))
+            .unwrap_err();
+            assert!(err.to_string().contains("100000-event cap"), "{err}");
+            assert!(started.elapsed().as_secs() < 1, "{oversized}: refused late");
+        }
+    }
+
+    #[test]
+    fn sweep_rejects_a_bad_out_format_before_running_anything() {
+        let sidecar = std::env::temp_dir().join("fasttrack_cli_bad_out_health.json");
+        let _ = std::fs::remove_file(&sidecar);
+        let err = run(argv(&format!(
+            "sweep --grid hoplite:4;random;0.1 --out json --health {}",
+            sidecar.display()
+        )))
+        .unwrap_err();
+        assert!(err.to_string().contains("unknown --out format"), "{err}");
+        assert!(!sidecar.exists(), "the sweep ran before --out was checked");
     }
 
     #[test]

@@ -182,16 +182,6 @@ pub(crate) fn write_file(path: &str, data: impl AsRef<[u8]>) -> Result<(), CliEr
     std::fs::write(path, data).map_err(|e| CliError::Io(format!("{path}: {e}")))
 }
 
-/// The 99th-percentile end-to-end latency the reports print.
-pub(crate) fn p99(report: &SimReport) -> u64 {
-    report
-        .stats
-        .total_latency
-        .histogram()
-        .percentile(99.0)
-        .unwrap_or(0)
-}
-
 /// `out`, as an error when the run broke exact conservation: that is
 /// an engine bug and CI keys off the exit code, while the text still
 /// carries the full accounting for the failure report.

@@ -59,10 +59,11 @@
 
 use std::fmt::Write as _;
 
-use crate::monitor::{LocalHistogram, LogHistogram, MetricsRegistry};
+use crate::monitor::MetricsRegistry;
 use crate::packet::PacketId;
 use crate::port::OutPort;
 use crate::sim::SimReport;
+use crate::stats::Histogram;
 use crate::trace::{EventSink, SimEvent};
 
 /// The six disjoint latency components (see module docs).
@@ -291,7 +292,7 @@ pub struct AttributionSink {
     /// Aggregates over delivered packets (reset at warmup).
     delivered: u64,
     totals: [u64; COMPONENTS],
-    hists: [LocalHistogram; COMPONENTS],
+    hists: [Histogram; COMPONENTS],
     mismatches: u64,
     /// Routing decisions by the class of their output (reset at warmup,
     /// like SimStats): `Express`, `Ring` and `Eject` (the PE exit) are
@@ -318,7 +319,7 @@ impl AttributionSink {
             states: InFlightTable::new(),
             delivered: 0,
             totals: [0; COMPONENTS],
-            hists: std::array::from_fn(|_| LocalHistogram::new()),
+            hists: Default::default(),
             mismatches: 0,
             decisions: [0; COMPONENTS],
             express_positions: 0,
@@ -402,7 +403,7 @@ impl AttributionSink {
     fn warmup_reset(&mut self) {
         self.delivered = 0;
         self.totals = [0; COMPONENTS];
-        self.hists = std::array::from_fn(|_| LocalHistogram::new());
+        self.hists = Default::default();
         self.mismatches = 0;
         self.decisions = [0; COMPONENTS];
         self.express_positions = 0;
@@ -490,10 +491,9 @@ impl EventSink for AttributionSink {
 
 /// The aggregate attribution report for one run.
 ///
-/// Assembled from an [`AttributionSink`] after the drive loop; the
-/// `fasttrack_attrib_*` cells are published into `registry` (the
-/// monitor's registry when a monitor is attached, a fresh one
-/// otherwise) so they ride the Prometheus/JSON exposition.
+/// Assembled from an [`AttributionSink`] after the drive loop;
+/// [`AttributionReport::append_metrics`] reports it as the
+/// `fasttrack_attrib_*` metric family.
 #[derive(Debug, Clone)]
 pub struct AttributionReport {
     /// Packets delivered after warmup (the attributed population).
@@ -523,21 +523,19 @@ pub struct AttributionReport {
     pub in_flight: usize,
     /// The watched packet's journey, when one was configured.
     pub journey: Option<PacketJourney>,
-    hists: [LogHistogram; COMPONENTS],
-    registry: MetricsRegistry,
+    hists: [Histogram; COMPONENTS],
 }
 
 impl AttributionReport {
-    /// Folds the sink into a report and publishes `fasttrack_attrib_*`
-    /// cells into `registry`.
-    pub fn assemble(sink: AttributionSink, report: &SimReport, registry: MetricsRegistry) -> Self {
+    /// Folds the sink into a report.
+    pub fn assemble(sink: AttributionSink, report: &SimReport) -> Self {
         let journey = sink.cfg.watch.map(|packet| PacketJourney {
             packet,
             events: sink.journey.clone(),
             attribution: sink.watch_result,
             dropped: sink.watch_dropped,
         });
-        let out = AttributionReport {
+        AttributionReport {
             delivered: sink.delivered,
             component_cycles: sink.totals,
             mismatches: sink.mismatches,
@@ -551,70 +549,63 @@ impl AttributionReport {
             dropped_cycles: sink.dropped_cycles,
             in_flight: sink.states.len,
             journey,
-            hists: sink.hists.map(|mut local| {
-                let hist = LogHistogram::new();
-                hist.publish(&mut local);
-                hist
-            }),
-            registry,
-        };
-        out.publish();
-        out
+            hists: sink.hists,
+        }
     }
 
-    fn publish(&self) {
-        let r = &self.registry;
-        r.counter(
+    /// Appends the `fasttrack_attrib_*` rows to `registry`.
+    pub fn append_metrics(&self, registry: &mut MetricsRegistry) {
+        registry.counter(
             "fasttrack_attrib_packets_total",
             "packets with a complete latency attribution",
-        )
-        .add(self.delivered);
+            self.delivered,
+        );
         for c in LatencyComponent::ALL {
-            let name = format!("fasttrack_attrib_{}_cycles_total", c.metric());
-            let help = format!("total cycles attributed to the {} component", c.label());
-            r.counter(&name, &help)
-                .add(self.component_cycles[c as usize]);
-            let hname = format!("fasttrack_attrib_{}_cycles", c.metric());
-            let hhelp = format!("per-packet {} cycles", c.label());
-            r.histogram(&hname, &hhelp)
-                .merge_from(&self.hists[c as usize]);
+            registry.counter(
+                &format!("fasttrack_attrib_{}_cycles_total", c.metric()),
+                &format!("total cycles attributed to the {} component", c.label()),
+                self.component(c),
+            );
+            registry.histogram(
+                &format!("fasttrack_attrib_{}_cycles", c.metric()),
+                &format!("per-packet {} cycles", c.label()),
+                self.histogram(c).clone(),
+            );
         }
-        r.counter(
-            "fasttrack_attrib_express_decisions_total",
-            "routing decisions onto express lanes",
-        )
-        .add(self.express_decisions);
-        r.counter(
-            "fasttrack_attrib_ring_decisions_total",
-            "routing decisions onto shared-ring links",
-        )
-        .add(self.ring_decisions);
-        r.counter(
-            "fasttrack_attrib_exit_decisions_total",
-            "routing decisions onto the PE exit",
-        )
-        .add(self.exit_decisions);
-        r.counter(
-            "fasttrack_attrib_mismatch_total",
-            "delivered packets whose components did not sum to their latency",
-        )
-        .add(self.mismatches);
-        r.counter(
-            "fasttrack_attrib_dropped_packets_total",
-            "in-flight packets dropped by faults",
-        )
-        .add(self.dropped_packets);
-        r.gauge(
+        for (name, help, count) in [
+            (
+                "fasttrack_attrib_express_decisions_total",
+                "routing decisions onto express lanes",
+                self.express_decisions,
+            ),
+            (
+                "fasttrack_attrib_ring_decisions_total",
+                "routing decisions onto shared-ring links",
+                self.ring_decisions,
+            ),
+            (
+                "fasttrack_attrib_exit_decisions_total",
+                "routing decisions onto the PE exit",
+                self.exit_decisions,
+            ),
+            (
+                "fasttrack_attrib_mismatch_total",
+                "delivered packets whose components did not sum to their latency",
+                self.mismatches,
+            ),
+            (
+                "fasttrack_attrib_dropped_packets_total",
+                "in-flight packets dropped by faults",
+                self.dropped_packets,
+            ),
+        ] {
+            registry.counter(name, help, count);
+        }
+        registry.gauge(
             "fasttrack_attrib_express_traffic_fraction",
             "fraction of traffic-weighted distance covered on express lanes",
-        )
-        .set(self.express_traffic_fraction());
-    }
-
-    /// The registry holding the published `fasttrack_attrib_*` cells
-    /// (shared with the health monitor when one was attached).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+            self.express_traffic_fraction(),
+        );
     }
 
     /// Total cycles attributed to one component.
@@ -623,7 +614,7 @@ impl AttributionReport {
     }
 
     /// Per-component latency histogram over delivered packets.
-    pub fn histogram(&self, c: LatencyComponent) -> &LogHistogram {
+    pub fn histogram(&self, c: LatencyComponent) -> &Histogram {
         &self.hists[c as usize]
     }
 
@@ -683,9 +674,9 @@ impl AttributionReport {
                 v,
                 share,
                 avg,
-                h.percentile(50.0),
-                h.percentile(95.0),
-                h.percentile(99.0),
+                h.percentile(50.0).unwrap_or(0),
+                h.percentile(95.0).unwrap_or(0),
+                h.percentile(99.0).unwrap_or(0),
             );
         }
         let _ = writeln!(
@@ -820,7 +811,7 @@ mod tests {
         });
         s.emit(&route(14, 7, OutPort::Exit));
         s.emit(&eject(14, 7, 2));
-        let r = AttributionReport::assemble(s, &report_with(4), MetricsRegistry::new());
+        let r = AttributionReport::assemble(s, &report_with(4));
         assert_eq!(r.delivered, 1);
         assert_eq!(r.component(LatencyComponent::QueueWait), 3);
         assert_eq!(r.component(LatencyComponent::Express), 4);
@@ -853,7 +844,7 @@ mod tests {
         });
         s.emit(&route(9, 1, OutPort::Exit));
         s.emit(&eject(9, 1, 0));
-        let r = AttributionReport::assemble(s, &report_with(3), MetricsRegistry::new());
+        let r = AttributionReport::assemble(s, &report_with(3));
         assert_eq!(r.component(LatencyComponent::Reroute), 5);
         assert_eq!(r.component(LatencyComponent::Deflect), 0);
         assert_eq!(r.total_cycles(), 10);
@@ -865,7 +856,7 @@ mod tests {
         let mut s = AttributionSink::new(AttributionConfig::default());
         s.emit(&inject(6, 2, OutPort::Exit, 4));
         s.emit(&eject(6, 2, 2));
-        let r = AttributionReport::assemble(s, &report_with(1), MetricsRegistry::new());
+        let r = AttributionReport::assemble(s, &report_with(1));
         assert_eq!(r.component(LatencyComponent::QueueWait), 4);
         assert_eq!(r.component(LatencyComponent::Eject), 1);
         assert_eq!(r.total_cycles(), 5);
@@ -885,7 +876,7 @@ mod tests {
             corrupted: false,
         });
         assert_eq!(s.in_flight(), 0);
-        let r = AttributionReport::assemble(s, &report_with(2), MetricsRegistry::new());
+        let r = AttributionReport::assemble(s, &report_with(2));
         assert_eq!(r.dropped_packets, 1);
         // 2 wait + 5 express + 3 in-transit when dropped.
         assert_eq!(r.dropped_cycles, 10);
@@ -902,7 +893,7 @@ mod tests {
         assert_eq!(s.in_flight(), 1);
         s.emit(&route(7, 2, OutPort::Exit));
         s.emit(&eject(7, 2, 2));
-        let r = AttributionReport::assemble(s, &report_with(1), MetricsRegistry::new());
+        let r = AttributionReport::assemble(s, &report_with(1));
         // Only the post-warmup delivery counts, but its pre-warmup
         // cycles are still attributed (latency measured from enqueue).
         assert_eq!(r.delivered, 1);
@@ -924,7 +915,7 @@ mod tests {
         s.emit(&route(6, 9, OutPort::Exit));
         s.emit(&eject(6, 9, 0));
         assert_eq!(s.in_flight(), 0);
-        let r = AttributionReport::assemble(s, &report_with(3), MetricsRegistry::new());
+        let r = AttributionReport::assemble(s, &report_with(3));
         assert_eq!((r.delivered, r.mismatches), (1, 0));
         assert_eq!(r.component(LatencyComponent::Ring), 4);
         assert_eq!(r.component(LatencyComponent::Express), 2);
@@ -981,7 +972,7 @@ mod tests {
         s.emit(&inject(1, 7, OutPort::EastEx, 1));
         s.emit(&route(3, 7, OutPort::Exit));
         s.emit(&eject(3, 7, 0));
-        let r = AttributionReport::assemble(s, &report_with(3), MetricsRegistry::new());
+        let r = AttributionReport::assemble(s, &report_with(3));
         let j = r.journey.as_ref().expect("watch configured");
         assert_eq!(j.packet, PacketId(7));
         assert_eq!(j.events.len(), 3);
@@ -1003,15 +994,16 @@ mod tests {
         });
         s.emit(&route(6, 1, OutPort::Exit));
         s.emit(&eject(6, 1, 0));
-        let reg = MetricsRegistry::new();
-        let r = AttributionReport::assemble(s, &report_with(2), reg.clone());
+        let r = AttributionReport::assemble(s, &report_with(2));
         assert!(r.reconciled());
         assert_eq!(r.express_positions, 4);
+        let mut reg = MetricsRegistry::new();
+        r.append_metrics(&mut reg);
         let text = reg.to_prometheus();
         assert!(text.contains("fasttrack_attrib_packets_total 1"));
         assert!(text.contains("fasttrack_attrib_express_cycles_total 4"));
         assert!(text.contains("fasttrack_attrib_express_traffic_fraction 1"));
-        // The per-component histogram landed via merge_from.
+        // The per-component histogram rides along.
         assert!(text.contains("fasttrack_attrib_express_cycles_count 1"));
         assert!(text.contains("fasttrack_attrib_express_cycles_sum 4"));
         let json = r.to_json();
@@ -1024,7 +1016,7 @@ mod tests {
         let mut s = AttributionSink::new(AttributionConfig::default());
         s.emit(&inject(0, 1, OutPort::Exit, 0));
         s.emit(&eject(0, 1, 0));
-        let r = AttributionReport::assemble(s, &report_with(1), MetricsRegistry::new());
+        let r = AttributionReport::assemble(s, &report_with(1));
         let text = r.render_text();
         for c in LatencyComponent::ALL {
             assert!(

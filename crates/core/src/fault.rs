@@ -32,6 +32,7 @@ use crate::geom::Coord;
 use crate::port::{OutPort, OutSet};
 use crate::router::RouterClass;
 use crate::sweep::splitmix64;
+use crate::topology::TorusTopology;
 
 /// One injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -298,9 +299,11 @@ impl Default for StormSpec {
 }
 
 impl StormSpec {
-    /// Total kill events this spec schedules.
+    /// Total kill events this spec schedules (saturating: the product
+    /// of a `u64` duration and a `u32` rate need not fit in a `u64`).
     pub fn kill_events(&self) -> u64 {
-        (self.duration * u64::from(self.kills_per_kcycle)) / 1000
+        let events = u128::from(self.duration) * u128::from(self.kills_per_kcycle) / 1000;
+        u64::try_from(events).unwrap_or(u64::MAX)
     }
 }
 
@@ -504,27 +507,7 @@ impl FaultPlan {
     /// same `(cfg, seed, spec)` triple always produces the same storm.
     /// On a topology with no express links the storm is empty.
     pub fn storm(cfg: &NocConfig, seed: u64, spec: &StormSpec) -> FaultPlan {
-        let mut stream = SeedStream::new(seed);
-        let mut plan = FaultPlan::new();
-        let express = express_links(cfg);
-        if express.is_empty() || spec.duration == 0 {
-            return plan;
-        }
-        let (h0, h1) = spec.heal_after;
-        let (h0, h1) = (h0.max(1), h1.max(h0.max(1) + 1));
-        for _ in 0..spec.kill_events() {
-            let (node, out) = express[(stream.next() % express.len() as u64) as usize];
-            let from = stream.next() % spec.duration;
-            let until = from + h0 + stream.next() % (h1 - h0);
-            plan.push(Fault::DownLink {
-                node,
-                out,
-                from,
-                until,
-            });
-        }
-        debug_assert!(plan.validate(cfg).is_ok());
-        plan
+        FaultPlan::storm_topo(&TorusTopology::new(cfg.clone()), seed, spec)
     }
 
     /// Compiles the plan into the per-node lookup tables the engine
@@ -611,7 +594,7 @@ fn router_outputs(cfg: &NocConfig, node: usize) -> OutSet {
 
 /// Every express link in the topology, as `(node, out)` pairs in node
 /// order.
-fn express_links(cfg: &NocConfig) -> Vec<(usize, OutPort)> {
+pub(crate) fn express_links(cfg: &NocConfig) -> Vec<(usize, OutPort)> {
     let mut express = Vec::new();
     for node in 0..cfg.num_nodes() {
         let outs = router_outputs(cfg, node);
@@ -626,16 +609,16 @@ fn express_links(cfg: &NocConfig) -> Vec<(usize, OutPort)> {
 
 /// A deterministic stream of draws derived from one seed: the canonical
 /// SplitMix64 generator (add the golden-gamma, then mix).
-struct SeedStream {
+pub(crate) struct SeedStream {
     state: u64,
 }
 
 impl SeedStream {
-    fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SeedStream { state: seed }
     }
 
-    fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         let out = splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         out
@@ -1005,7 +988,13 @@ mod tests {
         let b = FaultPlan::storm(&cfg, 7, &spec);
         assert_eq!(a, b);
         assert_eq!(a.len() as u64, spec.kill_events());
-        assert!(!a.is_empty());
+        assert_eq!(a.len(), 16);
+        let huge = StormSpec {
+            kills_per_kcycle: u32::MAX,
+            duration: u64::MAX,
+            ..spec
+        };
+        assert_eq!(huge.kill_events(), u64::MAX, "saturates, never wraps");
         assert_eq!(a.validate(&cfg), Ok(()));
         let c = FaultPlan::storm(&cfg, 8, &spec);
         assert_ne!(a, c);

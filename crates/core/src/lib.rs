@@ -87,8 +87,8 @@ pub mod prelude {
     pub use crate::kernel::{PacketPool, RouteLut, RouteMode};
     pub use crate::metrics::{EpochStats, WindowedMetrics};
     pub use crate::monitor::{
-        Anomaly, Counter, DetectorConfig, FlightRecorder, Gauge, HealthMonitor, HealthReport,
-        HealthSummary, MetricsRegistry, MonitorConfig,
+        Anomaly, DetectorConfig, FlightRecorder, HealthMonitor, HealthReport, HealthSummary,
+        MetricValue, MetricsRegistry, MonitorConfig,
     };
     pub use crate::multichannel::MultiNoc;
     pub use crate::noc::Noc;

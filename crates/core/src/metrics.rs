@@ -38,8 +38,6 @@ pub struct EpochStats {
     pub express_hops: u64,
     /// Cycles in which some PE wanted to inject but stalled.
     pub stalls: u64,
-    /// Sum of end-to-end latencies of this epoch's deliveries.
-    latency_sum: u64,
     /// End-to-end latency histogram of this epoch's deliveries.
     latency: Histogram,
     /// `link_usage[node][port]` assignments this epoch (present only
@@ -59,11 +57,7 @@ impl EpochStats {
 
     /// Mean end-to-end latency of this epoch's deliveries.
     pub fn mean_latency(&self) -> f64 {
-        if self.delivered == 0 {
-            0.0
-        } else {
-            self.latency_sum as f64 / self.delivered as f64
-        }
+        self.latency.mean()
     }
 
     /// Median end-to-end latency (histogram-bucket upper bound).
@@ -307,9 +301,7 @@ impl EventSink for WindowedMetrics {
             SimEvent::ExpressHop { .. } => self.cur.express_hops += 1,
             SimEvent::Eject { delivery, .. } => {
                 self.cur.delivered += 1;
-                let lat = delivery.total_latency();
-                self.cur.latency_sum += lat;
-                self.cur.latency.record(lat);
+                self.cur.latency.record(delivery.total_latency());
             }
             SimEvent::QueueStall { .. } => self.cur.stalls += 1,
             // Fault events feed the health monitor's dedicated counters;

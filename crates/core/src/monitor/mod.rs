@@ -1,6 +1,6 @@
-//! Online health monitoring: a metrics registry, a bounded flight
-//! recorder, and anomaly detectors, all layered on the [`EventSink`]
-//! stream.
+//! Online health monitoring: a bounded flight recorder and anomaly
+//! detectors layered on the [`EventSink`] stream, plus the metrics
+//! registry a finished run's observers report into.
 //!
 //! The paper's sweeps (Figs 11, 12, 18) only make sense on runs that
 //! have not gone pathological; this module watches for the three
@@ -13,22 +13,19 @@
 //! the exporters via sink tuples and costs nothing when absent (the
 //! engine's [`crate::trace::NullSink`] path is untouched). Everything
 //! here is deterministic: the same event stream yields the same
-//! [`HealthReport`]s, the same summary JSON, and the same registry
-//! exposition, which is what lets the sweep pool merge per-point health
-//! by point index without breaking PR 2's byte-identical CSV guarantee.
+//! [`HealthReport`]s, the same summary JSON, and the same metric rows,
+//! which is what lets the sweep pool merge per-point health by point
+//! index without breaking the byte-identical CSV guarantee.
 
 mod detect;
 mod recorder;
 mod registry;
 
-pub(crate) use registry::LocalHistogram;
-
 pub use detect::{Anomaly, DetectorConfig, HotspotDetector, LivelockDetector, StarvationDetector};
 pub use recorder::FlightRecorder;
-pub use registry::{
-    escape_help, escape_label_value, Counter, Gauge, LogHistogram, MetricsRegistry, HIST_BUCKETS,
-};
+pub use registry::{MetricValue, MetricsRegistry};
 
+use crate::stats::Histogram;
 use crate::topology::MonitorShape;
 use crate::trace::{EventSink, SimEvent};
 
@@ -256,9 +253,8 @@ impl HealthSummary {
     }
 }
 
-/// The live counters: index into [`HealthMonitor`]'s `counts` (the
-/// plain integers events are counted in) and `cells` (the registry
-/// cells they are published to), and each cell's name and help text.
+/// The live counters: index into [`HealthMonitor`]'s `counts`, and the
+/// metric name and help text each is reported under.
 const INJECTED: usize = 0;
 const DELIVERED: usize = 1;
 const DEFLECTIONS: usize = 2;
@@ -287,10 +283,9 @@ const COUNTERS: [(&str, &str); 8] = [
 /// An [`EventSink`] that maintains live counters, a per-router flight
 /// recorder, and the three anomaly detectors.
 ///
-/// Events are counted in plain integers; the registry cells are brought
-/// up to date at every [`EventSink::end_cycle`], which is when a reader
-/// of [`HealthMonitor::registry`] can see them ([`HealthMonitor::summary`]
-/// reads the integers and is exact at any time).
+/// Events are counted in plain integers: [`HealthMonitor::summary`] and
+/// [`HealthMonitor::append_metrics`] read them and are exact at any
+/// time.
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
     nodes: usize,
@@ -301,12 +296,8 @@ pub struct HealthMonitor {
     hotspot: HotspotDetector,
     reports: Vec<HealthReport>,
     suppressed: u64,
-    registry: MetricsRegistry,
     counts: [u64; COUNTERS.len()],
-    cells: [Counter; COUNTERS.len()],
-    latency: LocalHistogram,
-    latency_cell: LogHistogram,
-    in_flight: Gauge,
+    latency: Histogram,
     cycles: u64,
     channels: usize,
     snapshots: Vec<String>,
@@ -316,11 +307,9 @@ pub struct HealthMonitor {
 
 impl HealthMonitor {
     /// A monitor sized for `shape` (see [`MonitorShape`] — the
-    /// topology-derived replacement for the old torus side length)
-    /// with a fresh registry.
+    /// topology-derived replacement for the old torus side length).
     pub fn new(shape: MonitorShape, cfg: MonitorConfig) -> Self {
         let nodes = shape.nodes;
-        let registry = MetricsRegistry::new();
         HealthMonitor {
             nodes,
             cfg,
@@ -331,14 +320,7 @@ impl HealthMonitor {
             reports: Vec::new(),
             suppressed: 0,
             counts: [0; COUNTERS.len()],
-            cells: COUNTERS.map(|(name, help)| registry.counter(name, help)),
-            latency: LocalHistogram::new(),
-            latency_cell: registry.histogram(
-                "fasttrack_delivery_latency_cycles",
-                "End-to-end packet latency",
-            ),
-            in_flight: registry.gauge("fasttrack_in_flight", "Packets currently in the network"),
-            registry,
+            latency: Histogram::new(),
             cycles: 0,
             channels: shape.channels.max(1),
             snapshots: Vec::new(),
@@ -347,9 +329,22 @@ impl HealthMonitor {
         }
     }
 
-    /// The metrics registry, current as of the last completed cycle.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+    /// Appends this monitor's rows to `registry`: the eight event
+    /// counters, the delivery-latency histogram and the in-flight gauge.
+    pub fn append_metrics(&self, registry: &mut MetricsRegistry) {
+        for ((name, help), &count) in COUNTERS.iter().zip(&self.counts) {
+            registry.counter(name, help, count);
+        }
+        registry.histogram(
+            "fasttrack_delivery_latency_cycles",
+            "End-to-end packet latency",
+            self.latency.clone(),
+        );
+        registry.gauge(
+            "fasttrack_in_flight",
+            "Packets currently in the network",
+            self.packets_in_flight() as f64,
+        );
     }
 
     /// The flight recorder (for replay through exporters).
@@ -474,11 +469,6 @@ impl EventSink for HealthMonitor {
         for a in self.hotspot.end_cycle(cycle) {
             self.report(cycle, a);
         }
-        for (cell, &count) in self.cells.iter().zip(&self.counts) {
-            cell.set(count);
-        }
-        self.latency_cell.publish(&mut self.latency);
-        self.in_flight.set(self.packets_in_flight() as f64);
         if let Some(every) = self.cfg.snapshot_every {
             if cycle + 1 >= self.next_snapshot {
                 self.snapshot(cycle);
@@ -576,7 +566,9 @@ mod tests {
         assert!(json.contains("\"healthy\":true"));
         assert!(json.contains("\"anomalies\":{\"livelock\":0,\"starvation\":0,\"hotspot\":0}"));
         assert_eq!(json, m.summary().to_json(), "JSON must be deterministic");
-        let prom = m.registry().to_prometheus();
+        let mut registry = MetricsRegistry::new();
+        m.append_metrics(&mut registry);
+        let prom = registry.to_prometheus();
         assert!(prom.contains("fasttrack_injected_total 1"));
         assert!(prom.contains("fasttrack_delivery_latency_cycles_count 1"));
     }

@@ -16,9 +16,9 @@
 //! A finished profile ([`SessionProfile`]) exposes the span tree (Chrome
 //! `chrome://tracing` JSON, same document shape as
 //! [`crate::export::ChromeTraceSink`]), a per-phase summary with
-//! self-time, and derived rates (cycles/sec, packets/sec) published as
-//! [`crate::monitor::MetricsRegistry`] cells so they ride the
-//! Prometheus/JSON exposition for free.
+//! self-time, and derived rates (cycles/sec, packets/sec) reported as
+//! [`crate::monitor::MetricsRegistry`] rows so they ride the Prometheus
+//! exposition for free.
 //!
 //! [`SimSession::with_profile`]: crate::sim::SimSession::with_profile
 
@@ -333,25 +333,19 @@ pub struct ProfileSummary {
 }
 
 /// The complete profiling artifact of one [`crate::sim::SimSession`]
-/// run: span tree, per-phase summary, derived rates, and the metrics
-/// registry the rates were published into.
+/// run: span tree, per-phase summary and derived rates.
 #[derive(Debug, Clone)]
 pub struct SessionProfile {
     spans: Vec<Span>,
     summary: ProfileSummary,
-    registry: MetricsRegistry,
 }
 
 impl SessionProfile {
-    /// Builds the profile from captured spans and the run's report,
-    /// publishing `fasttrack_profile_*` cells into `registry` (the
-    /// monitor's registry when one is attached, so profile rates ride
-    /// the same Prometheus/JSON exposition).
+    /// Builds the profile from captured spans and the run's report.
     pub fn assemble(
         spans: Vec<Span>,
         report: &SimReport,
         events_dispatched: u64,
-        registry: MetricsRegistry,
     ) -> SessionProfile {
         let drive_ns: u64 = spans
             .iter()
@@ -378,58 +372,59 @@ impl SessionProfile {
             deflections: report.stats.ports.total_deflections(),
             router_visits: report.stats.router_visits,
         };
-        registry
-            .gauge(
+        SessionProfile { spans, summary }
+    }
+
+    /// Appends the `fasttrack_profile_*` rows to `registry`.
+    pub fn append_metrics(&self, registry: &mut MetricsRegistry) {
+        let s = &self.summary;
+        for (name, help, value) in [
+            (
                 "fasttrack_profile_drive_seconds",
                 "Wall-clock seconds spent in the cycle drive loop",
-            )
-            .set(summary.drive_seconds);
-        registry
-            .gauge(
+                s.drive_seconds,
+            ),
+            (
                 "fasttrack_profile_cycles_per_sec",
                 "Simulated cycles per wall-clock second of drive time",
-            )
-            .set(summary.cycles_per_sec);
-        registry
-            .gauge(
+                s.cycles_per_sec,
+            ),
+            (
                 "fasttrack_profile_packets_per_sec",
                 "Delivered packets per wall-clock second of drive time",
-            )
-            .set(summary.packets_per_sec);
-        registry
-            .counter(
+                s.packets_per_sec,
+            ),
+        ] {
+            registry.gauge(name, help, value);
+        }
+        for (name, help, count) in [
+            (
                 "fasttrack_profile_events_dispatched_total",
                 "SimEvents fanned out to event sinks during the profiled run",
-            )
-            .add(summary.events_dispatched);
-        registry
-            .counter(
+                s.events_dispatched,
+            ),
+            (
                 "fasttrack_profile_route_decisions_total",
                 "Output-port route decisions made by the engine",
-            )
-            .add(summary.route_decisions);
-        registry
-            .counter(
+                s.route_decisions,
+            ),
+            (
                 "fasttrack_profile_pool_reuse_total",
                 "Packet-pool insertions that recycled a freed slot",
-            )
-            .add(summary.pool_reuse);
-        registry
-            .counter(
+                s.pool_reuse,
+            ),
+            (
                 "fasttrack_profile_deflections_total",
                 "Non-productive output assignments (deflections)",
-            )
-            .add(summary.deflections);
-        registry
-            .counter(
+                s.deflections,
+            ),
+            (
                 "fasttrack_profile_router_visits_total",
                 "Routers whose step body ran, summed over cycles (idle routers are skipped)",
-            )
-            .add(summary.router_visits);
-        SessionProfile {
-            spans,
-            summary,
-            registry,
+                s.router_visits,
+            ),
+        ] {
+            registry.counter(name, help, count);
         }
     }
 
@@ -446,11 +441,6 @@ impl SessionProfile {
     /// Per-phase aggregates (first-seen order).
     pub fn phases(&self) -> Vec<PhaseStat> {
         summarize(&self.spans)
-    }
-
-    /// The registry holding the published `fasttrack_profile_*` cells.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
     }
 
     /// Chrome trace-event document for the span tree.

@@ -175,6 +175,16 @@ impl SimReport {
         self.stats.total_latency.max()
     }
 
+    /// 99th-percentile end-to-end latency (0 when nothing was
+    /// delivered); see [`crate::stats::Histogram::percentile`].
+    pub fn p99_latency(&self) -> u64 {
+        self.stats
+            .total_latency
+            .histogram()
+            .percentile(99.0)
+            .unwrap_or(0)
+    }
+
     /// Exact packet conservation: every injected packet is delivered,
     /// still on a link, or was dropped by an injected fault. Holds for
     /// every run without a warmup reset, faulted or not, truncated or
@@ -377,8 +387,9 @@ pub trait SessionBackend {
     fn monitor_shape(&self) -> MonitorShape;
 
     /// True when the backend carries armed (non-inert) fallback chains;
-    /// monitored runs then publish the `fasttrack_fallback_*` registry
-    /// cells. Chain-less backends keep their exact cell set.
+    /// the run's [`SimOutcome::metrics`] then carry the
+    /// `fasttrack_fallback_*` rows. Chain-less backends keep their
+    /// exact row set.
     fn fallback_armed(&self) -> bool {
         false
     }
@@ -537,12 +548,18 @@ impl SessionBackend for TorusBackend {
     }
 }
 
-/// What a [`SimSession`] run produced: the report, plus the monitor when
-/// one was attached with [`SimSession::with_monitor`].
+/// What a [`SimSession`] run produced: the report, the metric rows of
+/// everything that observed it, plus each attached observer.
 #[derive(Debug)]
 pub struct SimOutcome {
     /// The simulation report.
     pub report: SimReport,
+    /// The run's metrics, assembled once after the drive loop: each
+    /// attached observer's rows (`fasttrack_*` counters and latency
+    /// histogram for the monitor, `fasttrack_attrib_*`,
+    /// `fasttrack_profile_*`) and `fasttrack_fallback_*` when chains
+    /// are armed. Empty for an unobserved, chain-less run.
+    pub metrics: MetricsRegistry,
     /// The health monitor, when the session attached one.
     pub monitor: Option<HealthMonitor>,
     /// The profiling artifact, when the session attached
@@ -684,13 +701,12 @@ impl<'s, B: SessionBackend, K: EventSink> SimSession<'s, B, K> {
 
     /// Attaches the self-profiler: the run records lifecycle spans
     /// (build, drive, collect), derives throughput rates, and returns a
-    /// [`SessionProfile`] in the [`SimOutcome`]. When a monitor is also
-    /// attached, the profile's `fasttrack_profile_*` cells are published
-    /// into the monitor's [`MetricsRegistry`] so they ride the same
-    /// Prometheus/JSON exposition. Profiling observes the run without
-    /// perturbing it — the report and event stream are identical to an
-    /// unprofiled session's; without this call the span sites are inert
-    /// (see [`profile::scoped`]).
+    /// [`SessionProfile`] in the [`SimOutcome`], whose
+    /// [`SimOutcome::metrics`] gain the `fasttrack_profile_*` rows.
+    /// Profiling observes the run without perturbing it — the report
+    /// and event stream are identical to an unprofiled session's;
+    /// without this call the span sites are inert (see
+    /// [`profile::scoped`]).
     pub fn with_profile(mut self) -> Self {
         self.profile = true;
         self
@@ -700,12 +716,10 @@ impl<'s, B: SessionBackend, K: EventSink> SimSession<'s, B, K> {
     /// tees into the event stream, folds every packet's journey into a
     /// per-component latency decomposition plus wire-class decision
     /// accounting, and returns an [`AttributionReport`] in the
-    /// [`SimOutcome`]. When a monitor is also attached, the report's
-    /// `fasttrack_attrib_*` cells are published into the monitor's
-    /// [`MetricsRegistry`] so they ride the same Prometheus/JSON
-    /// exposition. Like the monitor and the profiler, attribution
-    /// observes the run without perturbing it — report and event
-    /// stream are identical to an unattributed session's.
+    /// [`SimOutcome`], whose [`SimOutcome::metrics`] gain the
+    /// `fasttrack_attrib_*` rows. Like the monitor and the profiler,
+    /// attribution observes the run without perturbing it — report and
+    /// event stream are identical to an unattributed session's.
     pub fn with_attribution(mut self, acfg: AttributionConfig) -> Self {
         self.attribution = Some(acfg);
         self
@@ -777,21 +791,37 @@ impl<'s, B: SessionBackend, K: EventSink> SimSession<'s, B, K> {
         drop(session_span);
         let spans = recorder.map(profile::ThreadProfile::finish);
 
-        // Derived cells ride the monitor's exposition when one is
-        // attached, a fresh registry otherwise.
-        let registry = monitor
-            .as_ref()
-            .map(|m| m.registry().clone())
-            .unwrap_or_default();
-        let attribution = attrib.map(|a| AttributionReport::assemble(a, &report, registry.clone()));
-        if self.backend.fallback_armed() {
-            publish_fallback_cells(&report, &registry);
+        let attribution = attrib.map(|a| AttributionReport::assemble(a, &report));
+        let profile = spans
+            .zip(counter)
+            .map(|(spans, counter)| SessionProfile::assemble(spans, &report, counter.events));
+
+        // The run is over: every observer reports its rows, once.
+        let mut metrics = MetricsRegistry::new();
+        if let Some(m) = &monitor {
+            m.append_metrics(&mut metrics);
         }
-        let profile = spans.zip(counter).map(|(spans, counter)| {
-            SessionProfile::assemble(spans, &report, counter.events, registry)
-        });
+        if let Some(a) = &attribution {
+            a.append_metrics(&mut metrics);
+        }
+        if let Some(p) = &profile {
+            p.append_metrics(&mut metrics);
+        }
+        if self.backend.fallback_armed() {
+            metrics.counter(
+                "fasttrack_fallback_demotions_total",
+                "Stranded express packets demoted to the shared ring",
+                report.stats.fallback_demotions,
+            );
+            metrics.counter(
+                "fasttrack_fallback_channel_switches_total",
+                "Allocation losers switched to an alternate channel",
+                report.stats.fallback_channel_switches,
+            );
+        }
         Ok(SimOutcome {
             report,
+            metrics,
             monitor,
             profile,
             attribution,
@@ -816,24 +846,6 @@ impl<'s, K: EventSink> SimSession<'s, TorusBackend, K> {
         self.backend.route = mode;
         self
     }
-}
-
-/// Publishes the run's fallback counters as `fasttrack_fallback_*`
-/// registry cells. Called only for backends whose chains are armed
-/// (see [`SessionBackend::fallback_armed`]).
-fn publish_fallback_cells(report: &SimReport, registry: &MetricsRegistry) {
-    registry
-        .counter(
-            "fasttrack_fallback_demotions_total",
-            "Stranded express packets demoted to the shared ring",
-        )
-        .add(report.stats.fallback_demotions);
-    registry
-        .counter(
-            "fasttrack_fallback_channel_switches_total",
-            "Allocation losers switched to an alternate channel",
-        )
-        .add(report.stats.fallback_channel_switches);
 }
 
 #[cfg(test)]
@@ -968,6 +980,7 @@ mod tests {
         let result = std::panic::catch_unwind(|| {
             SimOutcome {
                 report: SimReport::default(),
+                metrics: Default::default(),
                 monitor: None,
                 profile: None,
                 attribution: None,

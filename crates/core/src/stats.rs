@@ -6,43 +6,32 @@ use std::fmt;
 
 use crate::port::InPort;
 
-/// The power-of-two bucket a sample falls in: bucket `i` holds
-/// `[2^i, 2^(i+1))`, and bucket 0 also holds zero. Shared with the
-/// atomic [`crate::monitor::LogHistogram`].
-#[inline]
-pub(crate) fn bucket_index(value: u64) -> usize {
-    63 - value.max(1).leading_zeros() as usize
-}
-
-/// Walks `counts` to the rank of percentile `p` and returns the
-/// inclusive upper edge of the bucket holding it (`u64::MAX` for the
-/// top bucket, whose true edge does not fit); `None` without samples.
-pub(crate) fn percentile_edge(counts: &[u64], p: f64) -> Option<u64> {
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-    let mut seen = 0;
-    for (i, &c) in counts.iter().enumerate() {
-        seen += c;
-        if seen >= rank {
-            return Some(if i >= 63 { u64::MAX } else { (2u64 << i) - 1 });
-        }
-    }
-    // Only a `p` above 100 ranks past every sample.
-    Some(u64::MAX)
-}
+/// Power-of-two buckets covering the full `u64` range.
+const BUCKETS: usize = 64;
 
 /// A power-of-two-bucketed latency histogram (paper Figure 16 plots
 /// packet latencies on a log axis from tens to tens of thousands of
-/// cycles).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// cycles) — the one histogram in the workspace: run statistics, the
+/// windowed metrics, the health monitor, latency attribution and the
+/// metrics exposition all record into or read from this type.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// `buckets[i]` counts samples with `value` in `[2^i, 2^(i+1))`
     /// (bucket 0 holds values 0 and 1).
-    buckets: Vec<u64>,
+    buckets: [u64; BUCKETS],
     count: u64,
+    /// Saturates at `u64::MAX` instead of wrapping.
+    sum: u64,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            buckets: [0; BUCKETS],
+            count: 0,
+            sum: 0,
+        }
+    }
 }
 
 impl Histogram {
@@ -52,18 +41,36 @@ impl Histogram {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, value: u64) {
-        let idx = bucket_index(value);
-        if self.buckets.len() <= idx {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] += 1;
+        self.buckets[63 - value.max(1).leading_zeros() as usize] += 1;
         self.count += 1;
+        self.sum = self.sum.saturating_add(value);
     }
 
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// Sum of all samples (saturating).
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    /// Mean of all samples (0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
+
+    /// The raw bucket counts, for the metrics exposition's cumulative
+    /// `le` series (which lists empty buckets too).
+    pub(crate) fn buckets(&self) -> &[u64; BUCKETS] {
+        &self.buckets
     }
 
     /// Exclusive upper bound of bucket `i`. The top bucket's true bound
@@ -88,34 +95,45 @@ impl Histogram {
             .map(|(i, &c)| (1u64 << i, Self::bucket_high(i), c))
     }
 
-    /// Approximate percentile (upper bound of the bucket containing it).
-    /// Returns `None` for an empty histogram.
+    /// Approximate percentile: the inclusive upper edge of the bucket
+    /// holding the sample of rank `p` (`u64::MAX` for the top bucket,
+    /// whose true edge does not fit). Returns `None` for an empty
+    /// histogram.
     ///
     /// # Panics
     ///
     /// Panics if `p` is not within `0.0..=100.0`.
     pub fn percentile(&self, p: f64) -> Option<u64> {
         assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-        percentile_edge(&self.buckets, p)
+        if self.count == 0 {
+            return None;
+        }
+        let rank = ((p / 100.0) * self.count as f64).ceil() as u64;
+        let rank = rank.clamp(1, self.count);
+        let mut seen = 0;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return Some(if i >= 63 { u64::MAX } else { (2u64 << i) - 1 });
+            }
+        }
+        unreachable!("the buckets hold `count` samples")
     }
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (i, &c) in other.buckets.iter().enumerate() {
-            self.buckets[i] += c;
+        for (mine, &theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
         }
         self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
     }
 }
 
-/// Streaming aggregate of a latency population plus its histogram.
+/// Streaming aggregate of a latency population: its histogram (which
+/// carries count and sum) plus the exact extremes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyStats {
-    count: u64,
-    sum: u64,
     max: u64,
     min: u64,
     histogram: Histogram,
@@ -133,8 +151,6 @@ impl LatencyStats {
     /// Creates an empty aggregate.
     pub fn new() -> Self {
         LatencyStats {
-            count: 0,
-            sum: 0,
             max: 0,
             min: u64::MAX,
             histogram: Histogram::default(),
@@ -143,8 +159,6 @@ impl LatencyStats {
 
     /// Records one latency sample.
     pub fn record(&mut self, latency: u64) {
-        self.count += 1;
-        self.sum += latency;
         self.max = self.max.max(latency);
         self.min = self.min.min(latency);
         self.histogram.record(latency);
@@ -152,30 +166,22 @@ impl LatencyStats {
 
     /// Number of samples.
     pub fn count(&self) -> u64 {
-        self.count
+        self.histogram.count()
     }
 
     /// Mean latency (0 for an empty population).
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
+        self.histogram.mean()
     }
 
     /// Worst-case latency observed (0 if empty).
     pub fn max(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.max
-        }
+        self.max
     }
 
     /// Best-case latency observed (0 if empty).
     pub fn min(&self) -> u64 {
-        if self.count == 0 {
+        if self.count() == 0 {
             0
         } else {
             self.min
@@ -189,8 +195,6 @@ impl LatencyStats {
 
     /// Merges another aggregate into this one.
     pub fn merge(&mut self, other: &LatencyStats) {
-        self.count += other.count;
-        self.sum += other.sum;
         self.max = self.max.max(other.max);
         self.min = self.min.min(other.min);
         self.histogram.merge(&other.histogram);
@@ -401,6 +405,7 @@ mod tests {
         assert_eq!(buckets[1], (1u64 << 63, u64::MAX, 1));
         assert_eq!(h.percentile(100.0), Some(u64::MAX));
         assert_eq!(h.percentile(50.0), Some(1));
+        assert_eq!(h.sum(), u64::MAX, "the sum saturates");
     }
 
     #[test]
@@ -448,7 +453,14 @@ mod tests {
         b.record(2);
         a.merge(&b);
         assert_eq!(a.count(), 3);
+        assert_eq!(a.sum(), 105);
+        assert_eq!(a.mean(), 35.0);
         assert_eq!(a.iter().count(), 2);
+        let mut direct = Histogram::new();
+        for v in [3, 100, 2] {
+            direct.record(v);
+        }
+        assert_eq!(a, direct, "merging equals recording into one");
     }
 
     #[test]

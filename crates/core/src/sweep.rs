@@ -16,14 +16,10 @@
 //! produce byte-identical output for any pure `f`, which is what the
 //! determinism regression tests assert on the exported CSVs.
 //!
-//! Observability composes with this in two deterministic ways:
-//! *per-point* health (each point runs its own
+//! Observability composes with this per point: each point runs its own
 //! [`crate::monitor::HealthMonitor`] and returns the
 //! [`crate::monitor::HealthSummary`] as part of its result slot, so
-//! summaries come back merged by point index), and *aggregate* metrics
-//! (the atomic cells of a shared [`crate::monitor::MetricsRegistry`]
-//! can be incremented from every worker; totals are exact regardless of
-//! interleaving, though intermediate readings are racy by nature).
+//! summaries come back merged by point index.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -304,23 +300,6 @@ mod tests {
         assert_eq!(sweep(Vec::<u8>::new(), 8, |_, x| x), Vec::<u8>::new());
         assert_eq!(sweep(vec![5], 8, |_, x: i32| x * 2), vec![10]);
         assert_eq!(sweep(vec![1, 2], 0, |_, x: i32| x + 1), vec![2, 3]);
-    }
-
-    #[test]
-    fn shared_registry_aggregates_exactly_across_workers() {
-        use crate::monitor::MetricsRegistry;
-        let registry = MetricsRegistry::new();
-        let work = registry.counter("points_total", "Sweep points processed");
-        let hist = registry.histogram("point_value", "Per-point value");
-        let out = sweep((0..100u64).collect(), 8, |i, x| {
-            work.inc();
-            hist.record(x);
-            point_seed(1, i)
-        });
-        assert_eq!(out.len(), 100);
-        assert_eq!(work.get(), 100, "every worker lands in the same cell");
-        assert_eq!(hist.count(), 100);
-        assert_eq!(hist.sum(), (0..100).sum::<u64>());
     }
 
     #[test]

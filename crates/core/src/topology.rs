@@ -35,11 +35,10 @@ use std::str::FromStr;
 
 use crate::config::{ConfigError, FtPolicy, NocConfig, NocKind};
 use crate::fallback::{FallbackConfig, FallbackError};
-use crate::fault::{Fault, FaultError, FaultPlan, StormSpec};
+use crate::fault::{Fault, FaultError, FaultPlan, SeedStream, StormSpec};
 use crate::geom::Coord;
 use crate::port::OutPort;
 use crate::router::RouterClass;
-use crate::sweep::splitmix64;
 
 /// Flat link identifier: `node * links_per_node + class_slot`, the key
 /// the health monitor's hotspot EWMA tables are sized and indexed by
@@ -456,18 +455,13 @@ impl FaultPlan {
     }
 
     /// Draws a fault storm for an arbitrary topology: express-class
-    /// links die at `spec.kills_per_kcycle` and heal after a delay from
-    /// `spec.heal_after`, exactly like [`FaultPlan::storm`] but with
-    /// the link pool supplied by [`Topology::express_ports`]. For a
-    /// [`TorusTopology`] the same `(seed, spec)` reproduces
-    /// [`FaultPlan::storm`] bit-for-bit.
+    /// links (the pool [`Topology::express_ports`] supplies) die at
+    /// `spec.kills_per_kcycle` and heal after a delay from
+    /// `spec.heal_after`, as a plan of [`Fault::DownLink`] windows. The
+    /// same `(topology, seed, spec)` triple always produces the same
+    /// storm; [`FaultPlan::storm`] is this draw on a [`TorusTopology`].
     pub fn storm_topo(topo: &dyn Topology, seed: u64, spec: &StormSpec) -> FaultPlan {
-        let mut state = seed;
-        let mut next = move || {
-            let out = splitmix64(state);
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            out
-        };
+        let mut stream = SeedStream::new(seed);
         let mut plan = FaultPlan::new();
         let express = topo.express_ports();
         if express.is_empty() || spec.duration == 0 {
@@ -476,9 +470,9 @@ impl FaultPlan {
         let (h0, h1) = spec.heal_after;
         let (h0, h1) = (h0.max(1), h1.max(h0.max(1) + 1));
         for _ in 0..spec.kill_events() {
-            let (node, out) = express[(next() % express.len() as u64) as usize];
-            let from = next() % spec.duration;
-            let until = from + h0 + next() % (h1 - h0);
+            let (node, out) = express[(stream.next() % express.len() as u64) as usize];
+            let from = stream.next() % spec.duration;
+            let until = from + h0 + stream.next() % (h1 - h0);
             plan.push(Fault::DownLink {
                 node,
                 out,
@@ -1045,15 +1039,16 @@ mod tests {
 
     #[test]
     fn torus_express_pool_matches_fault_planner() {
-        // The storm pool drawn through the trait reproduces the
-        // cfg-native storm bit-for-bit.
-        let cfg = ft(8, 2, 2);
-        let topo = TorusTopology::new(cfg.clone());
-        let spec = StormSpec::default();
-        assert_eq!(
-            FaultPlan::storm_topo(&topo, 7, &spec),
-            FaultPlan::storm(&cfg, 7, &spec)
-        );
+        // Storms draw from the trait's pool, `FaultPlan::random` from
+        // the cfg-native one: the same links in the same order.
+        for cfg in [ft(8, 2, 2), ft(8, 2, 1), NocConfig::hoplite(4).unwrap()] {
+            assert_eq!(
+                TorusTopology::new(cfg.clone()).express_ports(),
+                crate::fault::express_links(&cfg),
+                "{}",
+                cfg.name()
+            );
+        }
     }
 
     #[test]

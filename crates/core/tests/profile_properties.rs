@@ -123,17 +123,11 @@ fn profiled_run_composes_with_monitor_and_faults() {
         .unwrap();
     assert_eq!(plain.report, profiled.report);
     let profile = profiled.profile.expect("profile attached");
-    // With a monitor attached, profile cells share its registry and ride
-    // the same exposition.
-    let monitor = profiled.monitor.expect("monitor attached");
-    let text = monitor.registry().to_prometheus();
+    // Profile and monitor rows ride one exposition.
+    let text = profiled.metrics.to_prometheus();
     assert!(text.contains("fasttrack_profile_cycles_per_sec"));
     assert!(text.contains("fasttrack_profile_route_decisions_total"));
-    assert_eq!(
-        profile.registry().to_prometheus(),
-        text,
-        "profile and monitor must share one registry"
-    );
+    assert!(text.contains("fasttrack_fault_drops_total"));
     // Fault build phases were spanned.
     let names: Vec<_> = profile.spans().iter().map(|s| s.name).collect();
     assert!(names.contains(&"session"));

@@ -24,7 +24,7 @@ use fasttrack::traffic::graph_gen::rmat;
 use fasttrack::traffic::matrix::circuit;
 use fasttrack::traffic::multiproc::{parsec_benchmarks, parsec_trace};
 use fasttrack::traffic::partition::Partition;
-use fasttrack::traffic::scenario::{RecordingSource, ReplaySource, ScenarioTrace};
+use fasttrack::traffic::scenario::{Expectation, RecordingSource, ReplaySource, ScenarioTrace};
 use fasttrack::traffic::spmv::spmv_source;
 
 /// Records `src` on `cfg`, replays the captured schedule, and asserts
@@ -121,34 +121,16 @@ fn checked_in_corpus_replays_and_matches_expectations() {
         // v1 entries re-encode byte-identically under the v2 library:
         // the recorded schema number and key order are preserved.
         assert_eq!(trace.encode(), text, "{name}: re-encode must be stable");
-        let cfg = trace
-            .header
-            .noc_config()
+        // The CLI's reading of a header, so this test and `fasttrack
+        // replay` cannot disagree about what a trace means.
+        let (header, session, mut src) = fasttrack_cli::commands::replay_session(trace)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let plan = trace
-            .header
-            .faults
-            .iter()
-            .fold(FaultPlan::new(), |p, &f| p.with(f));
-        let mut src = trace.replay_source().unwrap();
-        let mut session = SimSession::new(&cfg)
-            .max_cycles(trace.header.max_cycles)
-            .with_faults(&plan);
-        if trace.header.channels > 1 {
-            session = session.channels(trace.header.channels);
-        }
-        if trace.header.fallback {
-            session = session
-                .with_fallback(&FallbackConfig::standard())
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-        }
         let report = session
             .run(&mut src)
             .unwrap_or_else(|e| panic!("{name}: {e}"))
             .report;
         assert!(report.conserved(), "{name}: conservation violated");
-        let expect = trace
-            .header
+        let expect = header
             .expect
             .unwrap_or_else(|| panic!("{name}: corpus entries must embed an expectation"));
         assert_eq!(
@@ -213,4 +195,34 @@ fn reroute_loop_corpus_entry_replays_with_chains_armed() {
     let expect = trace.header.expect.unwrap();
     assert_eq!(expect.dropped, 0, "chains must keep every packet alive");
     assert!(!expect.truncated, "entry must terminate, not livelock");
+}
+
+#[test]
+fn replay_arms_the_chains_a_header_asks_for() {
+    // `inject_livelock.trace` strands its one lane-locked packet at a
+    // dead express link: chains off it is dropped at cycle 557. The
+    // fuzzer also writes such traces with `"fallback":true`, recorded
+    // with the standard chains armed — there the packet is demoted to
+    // the shared ring and delivered. `fasttrack replay` must rebuild
+    // that fabric, not the chain-less one.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let text = std::fs::read_to_string(dir.join("inject_livelock.trace")).unwrap();
+    let mut trace = ScenarioTrace::decode(&text).unwrap();
+    trace.header.fallback = true;
+    trace.header.expect = Some(Expectation {
+        delivered: 1,
+        cycles: 564,
+        dropped: 0,
+        truncated: false,
+    });
+    let path = std::env::temp_dir().join(format!("fasttrack_chains_{}.trace", std::process::id()));
+    std::fs::write(&path, trace.encode()).unwrap();
+    let replayed = fasttrack_cli::run(vec![
+        "replay".into(),
+        "--file".into(),
+        path.to_str().unwrap().into(),
+    ]);
+    std::fs::remove_file(&path).unwrap();
+    let out = replayed.unwrap_or_else(|e| panic!("chains-armed replay: {e}"));
+    assert!(out.contains("expectation verified"), "{out}");
 }

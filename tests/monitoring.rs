@@ -7,10 +7,10 @@ use std::collections::VecDeque;
 
 use fasttrack_core::config::{FtPolicy, NocConfig};
 use fasttrack_core::fault::{Fault, FaultPlan};
-use fasttrack_core::monitor::{DetectorConfig, FlightRecorder, MonitorConfig};
+use fasttrack_core::monitor::{DetectorConfig, FlightRecorder, MetricValue, MonitorConfig};
 use fasttrack_core::packet::PacketId;
 use fasttrack_core::port::OutPort;
-use fasttrack_core::sim::SimSession;
+use fasttrack_core::sim::{SimOutcome, SimSession};
 use fasttrack_core::sweep::splitmix64;
 use fasttrack_core::trace::{EventSink, SimEvent};
 use fasttrack_traffic::pattern::Pattern;
@@ -96,12 +96,12 @@ fn light_load_is_healthy_and_saturation_is_not() {
 fn registry_exposition_matches_summary() {
     let cfg = NocConfig::fasttrack(4, 2, 1, FtPolicy::Full).unwrap();
     let mut src = BernoulliSource::new(4, Pattern::Transpose, 0.3, 40, 9);
-    let (report, m) = SimSession::new(&cfg)
+    let outcome = SimSession::new(&cfg)
         .with_monitor(monitored_cfg())
         .run(&mut src)
-        .unwrap()
-        .into_monitored();
-    let prom = m.registry().to_prometheus();
+        .unwrap();
+    let prom = outcome.metrics.to_prometheus();
+    let (report, m) = outcome.into_monitored();
     assert!(prom.contains(&format!(
         "fasttrack_injected_total {}",
         report.stats.injected
@@ -114,8 +114,6 @@ fn registry_exposition_matches_summary() {
         "fasttrack_delivery_latency_cycles_count {}",
         report.stats.delivered
     )));
-    let json = m.registry().snapshot_json();
-    assert!(json.contains("\"fasttrack_delivered_total\""));
     // Snapshots fired on the 100-cycle schedule.
     assert_eq!(m.snapshots().len() as u64, report.cycles / 100);
 }
@@ -128,17 +126,24 @@ fn in_flight_gauge_forgets_dropped_packets() {
     let cfg = NocConfig::fasttrack(8, 2, 2, FtPolicy::Full).unwrap();
     let plan = FaultPlan::new().with(Fault::FailStopRouter { node: 27, at: 40 });
     let mut src = BernoulliSource::new(8, Pattern::Random, 0.5, 60, 13);
-    let (report, m) = SimSession::new(&cfg)
+    let SimOutcome {
+        report,
+        metrics: reg,
+        ..
+    } = SimSession::new(&cfg)
         .with_faults(&plan)
         .with_monitor(monitored_cfg())
         .run(&mut src)
-        .unwrap()
-        .into_monitored();
+        .unwrap();
     assert!(report.stats.dropped > 0, "the plan must actually drop");
     assert!(report.conserved());
-    let reg = m.registry();
-    let cell = |name: &str| reg.counter(name, "").get();
-    let in_flight = reg.gauge("fasttrack_in_flight", "").get();
+    let cell = |name: &str| match reg.get(name) {
+        Some(&MetricValue::Counter(n)) => n,
+        other => panic!("{name}: {other:?}"),
+    };
+    let Some(&MetricValue::Gauge(in_flight)) = reg.get("fasttrack_in_flight") else {
+        panic!("no in-flight gauge");
+    };
     assert_eq!(in_flight, report.in_flight as f64);
     assert_eq!(
         cell("fasttrack_injected_total"),

@@ -79,19 +79,15 @@ fn check_all_subsets<B: SessionBackend + Clone>(name: &str, backend: B, side: u1
                 "{case}"
             );
         }
-        // Derived cells ride the monitor's registry when one is attached.
-        if let Some(m) = &outcome.monitor {
-            let text = m.registry().to_prometheus();
-            assert_eq!(
-                text.contains("fasttrack_attrib_packets_total"),
-                attribution,
-                "{case}"
-            );
-            assert_eq!(
-                text.contains("fasttrack_profile_events_dispatched_total"),
-                profile,
-                "{case}"
-            );
+        // Each attached observer's rows, and only those, are in the
+        // outcome's one registry.
+        let text = outcome.metrics.to_prometheus();
+        for (family, attached) in [
+            ("fasttrack_delivered_total", monitor),
+            ("fasttrack_attrib_packets_total", attribution),
+            ("fasttrack_profile_events_dispatched_total", profile),
+        ] {
+            assert_eq!(text.contains(family), attached, "{case}: {family}");
         }
     }
 }
@@ -160,9 +156,9 @@ impl Tape {
 }
 
 /// Records one run's sink calls and replays them into standalone
-/// observers: they must end where the in-session ones did. This is what
-/// lets the monitor count in private integers and publish its registry
-/// cells once per `end_cycle`.
+/// observers: they must end where the in-session ones did, the metric
+/// rows they report included. This is what lets the observers count in
+/// private integers and report once, after the run.
 fn check_observers_are_pure_folds<B: SessionBackend + Clone>(
     name: &str,
     backend: B,
@@ -189,21 +185,21 @@ fn check_observers_are_pure_folds<B: SessionBackend + Clone>(
         .report;
     assert_eq!(faults.is_some(), report.stats.dropped > 0, "{name}: drops");
 
-    let (_, driven) = session()
-        .with_monitor(mcfg)
-        .run(&mut source())
-        .unwrap()
-        .into_monitored();
+    let outcome = session().with_monitor(mcfg).run(&mut source()).unwrap();
+    let driven_metrics = outcome.metrics.to_prometheus();
+    let (_, driven) = outcome.into_monitored();
     let mut replayed = HealthMonitor::new(backend.monitor_shape(), mcfg);
     tape.replay(&mut replayed);
+    let mut replayed_metrics = MetricsRegistry::new();
+    replayed.append_metrics(&mut replayed_metrics);
     assert_eq!(
         replayed.summary().to_json(),
         driven.summary().to_json(),
         "{name}: summary"
     );
     assert_eq!(
-        replayed.registry().to_prometheus(),
-        driven.registry().to_prometheus(),
+        replayed_metrics.to_prometheus(),
+        driven_metrics,
         "{name}: registry"
     );
     assert_eq!(replayed.snapshots(), driven.snapshots(), "{name}");
@@ -213,18 +209,21 @@ fn check_observers_are_pure_folds<B: SessionBackend + Clone>(
         "{name}: flight recorder"
     );
 
-    let (_, driven) = session()
+    let outcome = session()
         .with_attribution(AttributionConfig::default())
         .run(&mut source())
-        .unwrap()
-        .into_attributed();
+        .unwrap();
+    let driven_metrics = outcome.metrics.to_prometheus();
+    let (_, driven) = outcome.into_attributed();
     let mut sink = AttributionSink::new(AttributionConfig::default());
     tape.replay(&mut sink);
-    let replayed = AttributionReport::assemble(sink, &report, MetricsRegistry::new());
+    let replayed = AttributionReport::assemble(sink, &report);
     assert_eq!(replayed.to_json(), driven.to_json(), "{name}: attribution");
+    let mut replayed_metrics = MetricsRegistry::new();
+    replayed.append_metrics(&mut replayed_metrics);
     assert_eq!(
-        replayed.registry().to_prometheus(),
-        driven.registry().to_prometheus(),
+        replayed_metrics.to_prometheus(),
+        driven_metrics,
         "{name}: attribution registry"
     );
 }
