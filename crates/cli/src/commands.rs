@@ -2602,6 +2602,21 @@ mod tests {
         }
     }
 
+    /// Every engine allocates per router and a side is squared: each of
+    /// these aborted the process on a 34 GB allocation.
+    #[test]
+    fn a_huge_side_is_a_typed_error_not_an_abort() {
+        for noc in ["hoplite:65535", "mesh:65535:4", "shg:65535:2"] {
+            let cmd = format!("simulate --noc {noc} --rate 0.001 --packets 1");
+            let err = run(argv(&cmd)).unwrap_err();
+            assert!(matches!(err, CliError::Spec(_)), "{noc}: {err:?}");
+            assert!(
+                err.to_string().contains("1024-per-side cap"),
+                "{noc}: {err}"
+            );
+        }
+    }
+
     /// The `end <count> <checksum>` line digests the whole body, so
     /// these four lines pin every byte the presets record at seed 7.
     /// Taken from the build before the codec and the recorder handled

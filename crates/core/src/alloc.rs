@@ -14,6 +14,8 @@
 //! and `S_sh` are one physical resource (Hoplite's two-mux switch), so
 //! they occupy a single allocation *slot*.
 
+use std::num::NonZeroU32;
+
 use crate::config::ExitPolicy;
 use crate::port::{OutPort, OutSet};
 use crate::routing::RoutePrefs;
@@ -63,9 +65,18 @@ fn feasible(masks: &[u8], free: u8) -> bool {
     }
 }
 
+/// Slot mask of `available` less the slots `taken` occupies.
+fn free_after(available: OutSet, taken: impl IntoIterator<Item = OutPort>, exit: ExitPolicy) -> u8 {
+    taken
+        .into_iter()
+        .fold(slot_mask(available, exit), |free, p| {
+            free & !slot_bit(p, exit)
+        })
+}
+
 /// The first port in `prefs` that exists at this router and whose slot is
-/// still in `free`.
-fn first_free(
+/// still in `free` — for the PE's list, the port it injects on.
+pub(crate) fn first_free(
     prefs: &RoutePrefs,
     available: OutSet,
     free: u8,
@@ -184,11 +195,93 @@ pub fn try_inject(
     taken: &[OutPort],
     exit: ExitPolicy,
 ) -> Option<OutPort> {
-    let mut free = slot_mask(available, exit);
-    for &p in taken {
-        free &= !slot_bit(p, exit);
-    }
+    let free = free_after(available, taken.iter().copied(), exit);
     first_free(pe_prefs, available, free, exit)
+}
+
+/// Everything a router visit decides for its in-flight inputs, packed
+/// into one word so the engine can memoise it (`kernel::DecisionTable`):
+/// five bits per input register — the assigned port's index (or
+/// [`Decision::STRANDED`]), whether that counts as a deflection, whether
+/// it is a lane demotion — then the slot mask left free for the PE, and a
+/// top bit that keeps the word nonzero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Decision(NonZeroU32);
+
+impl Decision {
+    const STRANDED: u32 = 7;
+    const DEFLECTED: u32 = 1 << 3;
+    const DEMOTED: u32 = 1 << 4;
+    const FREE_SHIFT: u32 = 5 * MAX_IN_FLIGHT as u32;
+
+    /// Allocates `inputs` — one list per input register in
+    /// [`InPort::index`](crate::port::InPort::index) order, the empty
+    /// list for an empty register — and classifies each assignment the
+    /// way the statistics count it: *deflected* when the port is not
+    /// productive, else *demoted* when the packet wanted express and
+    /// rides a short link. `must_match` selects [`allocate`] over
+    /// [`try_allocate`].
+    pub(crate) fn decide(
+        inputs: &[RoutePrefs; MAX_IN_FLIGHT],
+        available: OutSet,
+        exit: ExitPolicy,
+        must_match: bool,
+    ) -> Decision {
+        let mut prefs = [RoutePrefs::empty(); MAX_IN_FLIGHT];
+        let mut slots = [0; MAX_IN_FLIGHT];
+        let mut n = 0;
+        for (slot, input) in inputs.iter().enumerate() {
+            if !input.ports().is_empty() {
+                (prefs[n], slots[n]) = (*input, slot);
+                n += 1;
+            }
+        }
+        let allocator = if must_match { allocate } else { try_allocate };
+        let assignment = allocator(&prefs[..n], available, exit);
+        let free = free_after(available, assignment.iter().flatten().copied(), exit);
+        let mut word = 1 << 31 | (free as u32) << Self::FREE_SHIFT;
+        for i in 0..n {
+            let code = assignment[i].map_or(Self::STRANDED, |out| {
+                let deflected = !prefs[i].productive().contains(out);
+                let demoted = !deflected
+                    && prefs[i].wanted_express()
+                    && !out.is_express()
+                    && out != OutPort::Exit;
+                out.index() as u32
+                    | if deflected { Self::DEFLECTED } else { 0 }
+                    | if demoted { Self::DEMOTED } else { 0 }
+            });
+            word |= code << (5 * slots[i]);
+        }
+        Decision(NonZeroU32::new(word).expect("the top bit is set"))
+    }
+
+    /// The port assigned to the packet in input register `slot`; `None`
+    /// when dead links stranded it. Meaningless for an empty register.
+    #[inline]
+    pub(crate) fn out(self, slot: usize) -> Option<OutPort> {
+        let code = self.0.get() >> (5 * slot) & 7;
+        (code != Self::STRANDED).then(|| OutPort::ALL[code as usize])
+    }
+
+    /// Whether `slot`'s assignment is a deflection.
+    #[inline]
+    pub(crate) fn deflected(self, slot: usize) -> bool {
+        self.0.get() >> (5 * slot) & Self::DEFLECTED != 0
+    }
+
+    /// Whether `slot`'s assignment is a lane demotion.
+    #[inline]
+    pub(crate) fn demoted(self, slot: usize) -> bool {
+        self.0.get() >> (5 * slot) & Self::DEMOTED != 0
+    }
+
+    /// The slot mask the in-flight assignments leave free — what
+    /// [`first_free`] takes for the PE.
+    #[inline]
+    pub(crate) fn free(self) -> u8 {
+        (self.0.get() >> Self::FREE_SHIFT & 0b1_1111) as u8
+    }
 }
 
 #[cfg(test)]

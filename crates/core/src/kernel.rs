@@ -8,9 +8,12 @@
 //! router position **only** through the [`RouterClass`] (whether the
 //! position is express-capable per dimension) and the ring deltas
 //! `dx = (dst.x - at.x) mod N`, `dy = (dst.y - at.y) mod N` — every other
-//! input is configuration-static. A [`RouteLut`] therefore precomputes
-//! the full preference list for every `(class, input port, dx, dy)` key
-//! at engine construction, turning the hot path into one table load.
+//! input is configuration-static — and on each delta only through its
+//! *kind* (`offset_kind`). A [`RouteLut`] therefore holds, per `(class, input
+//! port)`, the few *distinct* preference lists that can occur and one
+//! byte per `(dx, dy)` naming which of them applies: the hot path is one
+//! byte load, and the bytes of all four inputs together key the engine's
+//! `DecisionTable`, which memoises what the allocator makes of them.
 //!
 //! The second half of the kernel is the [`PacketPool`]: in-flight packets
 //! move out of the link registers into a slab with free-list reuse, and
@@ -22,10 +25,11 @@
 
 use std::sync::Arc;
 
-use crate::config::NocConfig;
+use crate::alloc::{first_free, Decision, MAX_IN_FLIGHT};
+use crate::config::{ExitPolicy, NocConfig};
 use crate::geom::Coord;
 use crate::packet::Packet;
-use crate::port::InPort;
+use crate::port::{InPort, OutPort};
 use crate::router::RouterClass;
 use crate::routing::{compute_prefs, RoutePrefs};
 
@@ -41,6 +45,24 @@ pub enum RouteMode {
     Direct,
 }
 
+/// Offset kinds per dimension (see [`offset_kind`]).
+const KINDS: usize = 5;
+/// List ids one `(class, port)` can need: the empty list, then one per
+/// pair of offset kinds.
+const MAX_LISTS: usize = 1 + KINDS * KINDS;
+
+/// Everything [`compute_prefs`] (with `desire` and
+/// `inject_express_eligible` under it) reads of a ring offset: whether it
+/// is zero, [`NocConfig::express_aligned`], [`NocConfig::express_worthwhile`].
+/// Offsets of equal kind are interchangeable in every preference list.
+fn offset_kind(cfg: &NocConfig, delta: u16) -> usize {
+    if delta == 0 {
+        0
+    } else {
+        1 + cfg.express_aligned(delta) as usize + 2 * cfg.express_worthwhile(delta) as usize
+    }
+}
+
 /// Precomputed route preferences for every `(class, in port, dx, dy)`.
 ///
 /// Shared between the channels of a multi-channel bank behind an
@@ -48,50 +70,88 @@ pub enum RouteMode {
 #[derive(Debug, Clone)]
 pub struct RouteLut {
     n: u16,
-    prefs: Vec<RoutePrefs>,
+    /// Per key, which of its `(class, port)`'s `lists` applies.
+    ids: Vec<u8>,
+    /// The `counts` distinct preference lists of each `(class, port)`
+    /// (index `class.code() * 5 + port.index()`). Id 0 is always
+    /// [`RoutePrefs::empty`]: what a key that cannot occur holds, and an
+    /// empty register in a [`DecisionTable`] key.
+    lists: [[RoutePrefs; MAX_LISTS]; 20],
+    counts: [u8; 20],
 }
 
 impl RouteLut {
     /// Builds the table for `cfg`. Only keys that can occur are filled:
     /// classes realized by some router position, and input ports that
     /// exist at that class under the configuration's policy.
+    ///
+    /// `compute_prefs` runs once per realized `(class, port, kind of dx,
+    /// kind of dy)` — at most 25 times where the offsets number `n²`.
     pub fn build(cfg: &NocConfig) -> Arc<RouteLut> {
         let n = cfg.n();
-        let nn = n as usize * n as usize;
-        let mut prefs = vec![RoutePrefs::empty(); 4 * 5 * nn];
-        // One representative position per realized class: positions of
-        // equal class share every entry (`compute_prefs` sees position
-        // only through the class and the ring deltas).
-        let mut reps: [Option<Coord>; 4] = [None; 4];
-        for id in 0..cfg.num_nodes() {
-            let at = Coord::from_node_id(id, n);
-            let rep = &mut reps[RouterClass::of(cfg, at).code()];
-            if rep.is_none() {
-                *rep = Some(at);
-            }
-        }
-        for (code, rep) in reps.iter().enumerate() {
-            let Some(at) = *rep else { continue };
-            let class = RouterClass::from_code(code);
+        let side = n as usize;
+        let kinds: Vec<usize> = (0..n).map(|delta| offset_kind(cfg, delta)).collect();
+        // One position per express capability stands for its whole class:
+        // `compute_prefs` sees position only through the class and the
+        // ring deltas.
+        let rep_pos = [false, true].map(|ex| (0..n).find(|&p| cfg.has_express_at(p) == ex));
+        let mut lut = RouteLut {
+            n,
+            ids: vec![0; 20 * side * side],
+            lists: [[RoutePrefs::empty(); MAX_LISTS]; 20],
+            counts: [1; 20],
+        };
+        for code in 0..4 {
+            let (Some(x), Some(y)) = (rep_pos[code & 1], rep_pos[code >> 1]) else {
+                continue;
+            };
+            let (at, class) = (Coord::new(x, y), RouterClass::from_code(code));
             for port in InPort::ALL {
                 if !class.has_input(port) || (cfg.ft_policy().is_none() && port.is_express()) {
                     continue;
                 }
-                for dx in 0..n {
-                    for dy in 0..n {
-                        let dst = Coord::new((at.x + dx) % n, (at.y + dy) % n);
-                        prefs[Self::index(n, code, port, dx, dy)] =
-                            compute_prefs(cfg, class, port, at, dst);
+                let cp = code * 5 + port.index();
+                let (lists, count) = (&mut lut.lists[cp], &mut lut.counts[cp]);
+                // The id of each pair of kinds, 0 until its first offset
+                // pair comes up and is routed for all of them.
+                let mut id_of_kinds = [[0; KINDS]; KINDS];
+                let rows = lut.ids[cp * side * side..].chunks_exact_mut(side);
+                for ((dx, row), &kx) in (0..n).zip(rows).zip(&kinds) {
+                    for ((dy, id), &ky) in (0..n).zip(row).zip(&kinds) {
+                        let known = &mut id_of_kinds[kx][ky];
+                        if *known == 0 {
+                            let dst = at.east(dx, n).south(dy, n);
+                            let prefs = compute_prefs(cfg, class, port, at, dst);
+                            let seen = &lists[..*count as usize];
+                            *known = seen.iter().position(|p| *p == prefs).unwrap_or_else(|| {
+                                lists[*count as usize] = prefs;
+                                *count += 1;
+                                *count as usize - 1
+                            }) as u8;
+                        }
+                        *id = *known;
                     }
                 }
             }
         }
-        Arc::new(RouteLut { n, prefs })
+        Arc::new(lut)
     }
 
+    /// Which of `(class, port)`'s distinct lists a packet at `at` heading
+    /// for `dst` gets; never 0 for a key that can occur.
     #[inline]
-    fn index(n: u16, code: usize, port: InPort, dx: u16, dy: u16) -> usize {
-        ((code * 5 + port.index()) * n as usize + dx as usize) * n as usize + dy as usize
+    pub(crate) fn id(&self, class: RouterClass, port: InPort, at: Coord, dst: Coord) -> u8 {
+        let n = self.n as usize;
+        let dx = at.dx_to(dst, self.n) as usize;
+        let dy = at.dy_to(dst, self.n) as usize;
+        self.ids[((class.code() * 5 + port.index()) * n + dx) * n + dy]
+    }
+
+    /// `(class, port)`'s distinct preference lists, indexed by id.
+    #[inline]
+    pub(crate) fn lists(&self, class: RouterClass, port: InPort) -> &[RoutePrefs] {
+        let cp = class.code() * 5 + port.index();
+        &self.lists[cp][..self.counts[cp] as usize]
     }
 
     /// The precomputed preference list for a packet arriving on `port` at
@@ -99,19 +159,127 @@ impl RouteLut {
     /// [`compute_prefs`] on the same arguments.
     #[inline]
     pub fn lookup(&self, class: RouterClass, port: InPort, at: Coord, dst: Coord) -> RoutePrefs {
-        let dx = at.dx_to(dst, self.n);
-        let dy = at.dy_to(dst, self.n);
-        self.prefs[Self::index(self.n, class.code(), port, dx, dy)]
+        self.lists(class, port)[self.id(class, port, at, dst) as usize]
     }
 
     /// Table entries (all keys, filled or not).
     pub fn len(&self) -> usize {
-        self.prefs.len()
+        self.ids.len()
     }
 
     /// True when the table holds no entries (never for a built table).
     pub fn is_empty(&self) -> bool {
-        self.prefs.is_empty()
+        self.ids.is_empty()
+    }
+}
+
+/// An engine's memoised whole-router decisions.
+///
+/// A healthy router's visit is a pure function of its class and of the
+/// preference list in each input register, which a [`RouteLut`] names by
+/// a small id: what the allocator makes of a visit is stored under the
+/// mixed-radix number `(class; id of W_ex, N_ex, W_sh, N_sh)`, and what
+/// the PE may then inject under `(class, PE list id, free slot mask)`.
+/// Entries are filled, by the allocator they stand in for, the first time
+/// a visit reads them: most keys never occur in a run, and computing all
+/// of them would cost several engine builds.
+#[derive(Debug, Clone)]
+pub(crate) struct DecisionTable {
+    lut: Arc<RouteLut>,
+    exit: ExitPolicy,
+    /// Per class: where its block of `visits` starts, then the weight of
+    /// each in-flight input's id.
+    base: [usize; 4],
+    stride: [[usize; MAX_IN_FLIGHT]; 4],
+    visits: Vec<Option<Decision>>,
+    /// PE list ids per class in `injects` (the widest class's count).
+    pe_lists: usize,
+    /// The port the PE takes; the inner `None` is a stall.
+    injects: Vec<Option<Option<OutPort>>>,
+}
+
+impl DecisionTable {
+    /// An all-unfilled table over `lut`'s list ids.
+    pub(crate) fn new(lut: Arc<RouteLut>, exit: ExitPolicy) -> DecisionTable {
+        let (mut base, mut stride) = ([0; 4], [[0; MAX_IN_FLIGHT]; 4]);
+        let (mut len, mut pe_lists) = (0, 0);
+        for class in (0..4).map(RouterClass::from_code) {
+            base[class.code()] = len;
+            let mut weight = 1;
+            for port in InPort::IN_FLIGHT {
+                stride[class.code()][port.index()] = weight;
+                weight *= lut.lists(class, port).len();
+            }
+            len += weight;
+            pe_lists = pe_lists.max(lut.lists(class, InPort::Pe).len());
+        }
+        DecisionTable {
+            lut,
+            exit,
+            base,
+            stride,
+            visits: vec![None; len],
+            pe_lists,
+            injects: vec![None; 4 * pe_lists * 32],
+        }
+    }
+
+    /// The route table whose ids key this one.
+    #[inline]
+    pub(crate) fn lut(&self) -> &Arc<RouteLut> {
+        &self.lut
+    }
+
+    /// What a healthy router of `class` does with its in-flight inputs,
+    /// `ids[slot]` being the [`RouteLut::id`] of the packet in that input
+    /// register (0 when empty). Debug builds re-derive every hit through
+    /// the fill, which checks it.
+    #[inline]
+    pub(crate) fn visit(&mut self, class: RouterClass, ids: &[u8; MAX_IN_FLIGHT]) -> Decision {
+        let stride = &self.stride[class.code()];
+        let key = (0..MAX_IN_FLIGHT).fold(self.base[class.code()], |key, slot| {
+            key + stride[slot] * ids[slot] as usize
+        });
+        match self.visits[key] {
+            Some(hit) if !cfg!(debug_assertions) => hit,
+            _ => self.fill_visit(key, class, ids),
+        }
+    }
+
+    #[cold]
+    fn fill_visit(
+        &mut self,
+        key: usize,
+        class: RouterClass,
+        ids: &[u8; MAX_IN_FLIGHT],
+    ) -> Decision {
+        let inputs =
+            InPort::IN_FLIGHT.map(|port| self.lut.lists(class, port)[ids[port.index()] as usize]);
+        let decision = Decision::decide(&inputs, class.available_outputs(), self.exit, true);
+        debug_assert!(self.visits[key].is_none_or(|hit| hit == decision));
+        self.visits[key] = Some(decision);
+        decision
+    }
+
+    /// The port a healthy router's PE injects on (`None` = it stalls) when
+    /// its head packet has PE list `id` and the in-flight inputs left slot
+    /// mask `free` ([`Decision::free`]). Checked like [`Self::visit`].
+    #[inline]
+    pub(crate) fn inject(&mut self, class: RouterClass, id: u8, free: u8) -> Option<OutPort> {
+        let key = (class.code() * self.pe_lists + id as usize) * 32 + free as usize;
+        match self.injects[key] {
+            Some(hit) if !cfg!(debug_assertions) => hit,
+            _ => self.fill_inject(key, class, id, free),
+        }
+    }
+
+    #[cold]
+    fn fill_inject(&mut self, key: usize, class: RouterClass, id: u8, free: u8) -> Option<OutPort> {
+        let prefs = self.lut.lists(class, InPort::Pe)[id as usize];
+        let out = first_free(&prefs, class.available_outputs(), free, self.exit);
+        debug_assert!(self.injects[key].is_none_or(|hit| hit == out));
+        self.injects[key] = Some(out);
+        out
     }
 }
 
@@ -246,41 +414,157 @@ pub(crate) mod tests {
         let mut by_port: [Vec<RoutePrefs>; 5] = Default::default();
         for cfg in configs() {
             let lut = RouteLut::build(&cfg);
-            let nn = lut.n as usize * lut.n as usize;
-            for (i, prefs) in lut.prefs.iter().enumerate() {
-                let seen = &mut by_port[i / nn % 5];
-                if !seen.iter().any(|p| p.ports() == prefs.ports()) {
-                    seen.push(*prefs);
+            for (cp, lists) in lut.lists.iter().enumerate() {
+                let seen = &mut by_port[cp % 5];
+                for prefs in &lists[..lut.counts[cp] as usize] {
+                    if !seen.iter().any(|p| p.ports() == prefs.ports()) {
+                        seen.push(*prefs);
+                    }
                 }
             }
         }
         by_port
     }
 
+    /// Hoplite and every valid `FT(n², d, r)` under both policies.
+    fn fabrics_of_side(n: u16) -> Vec<NocConfig> {
+        let mut cfgs = vec![NocConfig::hoplite(n).unwrap()];
+        for d in 1..=n / 2 {
+            for r in (1..=d).filter(|&r| d.is_multiple_of(r) && n.is_multiple_of(r)) {
+                for policy in [FtPolicy::Full, FtPolicy::Inject] {
+                    cfgs.push(NocConfig::fasttrack(n, d, r, policy).unwrap());
+                }
+            }
+        }
+        cfgs
+    }
+
+    /// Checks `lut` against `compute_prefs` for every input port that
+    /// exists at each of the given `(at, dst)` node-id pairs.
+    fn assert_lut_matches(cfg: &NocConfig, keys: impl Iterator<Item = (usize, usize)>) {
+        let lut = RouteLut::build(cfg);
+        let n = cfg.n();
+        for (id, dst_id) in keys {
+            let at = Coord::from_node_id(id, n);
+            let dst = Coord::from_node_id(dst_id, n);
+            let class = RouterClass::of(cfg, at);
+            for port in InPort::ALL {
+                if !class.has_input(port) || (cfg.ft_policy().is_none() && port.is_express()) {
+                    continue;
+                }
+                assert_eq!(
+                    lut.lookup(class, port, at, dst),
+                    compute_prefs(cfg, class, port, at, dst),
+                    "{} at {at} port {port} dst {dst}",
+                    cfg.name()
+                );
+            }
+        }
+    }
+
     /// The LUT must agree with `compute_prefs` on every position, input
-    /// port, and destination — exhaustively, not just on samples.
+    /// port, and destination — exhaustively, not just on samples, and on
+    /// sides that are not powers of two: `ft:10:4:2` has gcd(D, N) = 2 <
+    /// D, where `express_aligned` and `express_worthwhile` disagree most.
     #[test]
     fn lut_matches_computed_prefs_exhaustively() {
-        for cfg in configs() {
-            let lut = RouteLut::build(&cfg);
-            let n = cfg.n();
-            for id in 0..cfg.num_nodes() {
-                let at = Coord::from_node_id(id, n);
-                let class = RouterClass::of(&cfg, at);
-                for port in InPort::ALL {
-                    if !class.has_input(port) || (cfg.ft_policy().is_none() && port.is_express()) {
-                        continue;
-                    }
-                    for dst_id in 0..cfg.num_nodes() {
-                        let dst = Coord::from_node_id(dst_id, n);
-                        assert_eq!(
-                            lut.lookup(class, port, at, dst),
-                            compute_prefs(&cfg, class, port, at, dst),
-                            "{} at {at} port {port} dst {dst}",
-                            cfg.name()
-                        );
+        let sides = [4, 6, 8, 10, 12, 16];
+        let cfgs = sides.into_iter().flat_map(fabrics_of_side).chain(configs());
+        let mut seen_10_4_2 = false;
+        for cfg in cfgs {
+            seen_10_4_2 |= cfg.name() == "FT(100,4,2)";
+            let nodes = cfg.num_nodes();
+            assert_lut_matches(
+                &cfg,
+                (0..nodes).flat_map(|at| (0..nodes).map(move |d| (at, d))),
+            );
+        }
+        assert!(seen_10_4_2);
+    }
+
+    /// Sides past 64 work like any other (the offset-kind array is sized
+    /// by the side): sampled keys of 72x72 fabrics, every class and ring
+    /// offset among them.
+    #[test]
+    fn lut_matches_computed_prefs_on_a_72_side() {
+        for cfg in [
+            NocConfig::hoplite(72).unwrap(),
+            NocConfig::fasttrack(72, 4, 2, FtPolicy::Full).unwrap(),
+            NocConfig::fasttrack(72, 9, 3, FtPolicy::Inject).unwrap(),
+            NocConfig::fasttrack(72, 36, 4, FtPolicy::Full).unwrap(),
+        ] {
+            let nodes = cfg.num_nodes();
+            // 73 = side + 1 walks the diagonal, so every (x, y) class
+            // residue occurs; 5 is coprime to the side, so every dx does.
+            let ats = (0..nodes).step_by(73);
+            assert_lut_matches(
+                &cfg,
+                ats.flat_map(|at| (0..nodes).step_by(5).map(move |d| (at, d))),
+            );
+        }
+    }
+
+    impl DecisionTable {
+        /// Visit entries computed so far.
+        pub(crate) fn visits_filled(&self) -> usize {
+            self.visits.iter().flatten().count()
+        }
+    }
+
+    /// The table is the allocator: for every key of every class of the
+    /// six kernel fabrics under both exit policies, the memoised visit is
+    /// `allocate` plus the statistics classification on the lists the ids
+    /// name, and the memoised injection is `try_inject` after it.
+    #[test]
+    fn decision_table_matches_the_allocator_on_every_key() {
+        use crate::alloc::{allocate, try_inject};
+        for base in configs() {
+            for exit in [ExitPolicy::SharedWithSouth, ExitPolicy::Dedicated] {
+                let cfg = base.clone().with_exit_policy(exit);
+                let lut = RouteLut::build(&cfg);
+                let mut table = DecisionTable::new(lut.clone(), exit);
+                for class in (0..4).map(RouterClass::from_code) {
+                    let avail = class.available_outputs();
+                    let radix = InPort::IN_FLIGHT.map(|p| lut.lists(class, p).len());
+                    for key in 0..radix.iter().product() {
+                        let mut rest = key;
+                        let ids = radix.map(|r| {
+                            let id = (rest % r) as u8;
+                            rest /= r;
+                            id
+                        });
+                        let occupied: Vec<usize> = (0..4).filter(|&s| ids[s] != 0).collect();
+                        let prefs: Vec<RoutePrefs> = occupied
+                            .iter()
+                            .map(|&s| lut.lists(class, InPort::IN_FLIGHT[s])[ids[s] as usize])
+                            .collect();
+                        let expected = allocate(&prefs, avail, exit);
+                        let got = table.visit(class, &ids);
+                        assert_eq!(got, table.visit(class, &ids), "a hit repeats the fill");
+                        let what = format!("{} {exit:?} {class:?} {ids:?}", cfg.name());
+                        for (i, &slot) in occupied.iter().enumerate() {
+                            let out = expected[i].unwrap();
+                            let deflected = !prefs[i].productive().contains(out);
+                            let demoted = !deflected
+                                && prefs[i].wanted_express()
+                                && !out.is_express()
+                                && out != OutPort::Exit;
+                            assert_eq!(got.out(slot), Some(out), "{what}");
+                            assert_eq!(got.deflected(slot), deflected, "{what}");
+                            assert_eq!(got.demoted(slot), demoted, "{what}");
+                        }
+                        let taken: Vec<OutPort> = expected.iter().flatten().copied().collect();
+                        for (id, pe) in lut.lists(class, InPort::Pe).iter().enumerate().skip(1) {
+                            assert_eq!(
+                                table.inject(class, id as u8, got.free()),
+                                try_inject(pe, avail, &taken, exit),
+                                "{what} PE {:?}",
+                                pe.ports()
+                            );
+                        }
                     }
                 }
+                assert_eq!(table.visits_filled(), table.visits.len());
             }
         }
     }

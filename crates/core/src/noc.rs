@@ -11,12 +11,12 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::alloc::{allocate, try_allocate, try_inject, MAX_IN_FLIGHT};
+use crate::alloc::{first_free, Decision, MAX_IN_FLIGHT};
 use crate::config::{FtPolicy, NocConfig};
 use crate::fallback::CompiledFallback;
 use crate::fault::{FaultError, FaultPlan, FaultState, NodeFaults};
 use crate::geom::Coord;
-use crate::kernel::{PacketPool, RouteLut, RouteMode, EMPTY_SLOT};
+use crate::kernel::{DecisionTable, PacketPool, RouteLut, RouteMode, EMPTY_SLOT};
 use crate::packet::{Delivery, Packet};
 use crate::port::{InPort, OutPort, OutSet};
 use crate::queue::{ActiveCursor, InjectQueues};
@@ -141,9 +141,11 @@ pub struct Noc {
     /// Struct-of-arrays storage for every packet referenced by `regs`
     /// and the wheel frames.
     pool: PacketPool,
-    /// Precomputed route preferences (shared between clones); `None`
-    /// when the engine runs in [`RouteMode::Direct`].
-    lut: Option<Arc<RouteLut>>,
+    /// Precomputed route preferences (shared between clones) and, keyed
+    /// by their ids, what healthy routers decide — memoised as the run
+    /// meets each input combination. `None` when the engine runs in
+    /// [`RouteMode::Direct`].
+    tables: Option<DecisionTable>,
     in_flight: usize,
     cycle: u64,
     stats: SimStats,
@@ -198,14 +200,7 @@ impl Noc {
             }));
         }
         let depth = cfg.link_pipeline().max_cycles() as usize;
-        let lut = match mode {
-            RouteMode::Lut => {
-                let _span = crate::profile::scoped("session.build.route_lut");
-                Some(RouteLut::build(&cfg))
-            }
-            RouteMode::Direct => None,
-        };
-        Noc {
+        let mut noc = Noc {
             cfg,
             classes,
             available,
@@ -214,7 +209,7 @@ impl Noc {
             regs: Frame::new(nodes),
             wheel: (0..depth).map(|_| Frame::new(nodes)).collect(),
             pool: PacketPool::with_capacity(nodes),
-            lut,
+            tables: None,
             in_flight: 0,
             cycle: 0,
             stats: SimStats::default(),
@@ -222,17 +217,22 @@ impl Noc {
             fallback: CompiledFallback::default(),
             evict_enabled: false,
             evicted: Vec::new(),
+        };
+        if mode == RouteMode::Lut {
+            let _span = crate::profile::scoped("session.build.route_lut");
+            noc.install_lut(RouteLut::build(&noc.cfg));
         }
+        noc
     }
 
     /// Switches the route-resolution mode. Entering [`RouteMode::Lut`]
     /// builds the table if this engine does not already hold one.
     pub fn set_route_mode(&mut self, mode: RouteMode) {
         match mode {
-            RouteMode::Direct => self.lut = None,
+            RouteMode::Direct => self.tables = None,
             RouteMode::Lut => {
-                if self.lut.is_none() {
-                    self.lut = Some(RouteLut::build(&self.cfg));
+                if self.tables.is_none() {
+                    self.install_lut(RouteLut::build(&self.cfg));
                 }
             }
         }
@@ -240,7 +240,7 @@ impl Noc {
 
     /// The current route-resolution mode.
     pub fn route_mode(&self) -> RouteMode {
-        if self.lut.is_some() {
+        if self.tables.is_some() {
             RouteMode::Lut
         } else {
             RouteMode::Direct
@@ -249,12 +249,12 @@ impl Noc {
 
     /// Shared handle on the route table, if one is installed.
     pub(crate) fn lut_handle(&self) -> Option<Arc<RouteLut>> {
-        self.lut.clone()
+        self.tables.as_ref().map(|t| t.lut().clone())
     }
 
     /// Installs a prebuilt route table (multi-channel banks share one).
     pub(crate) fn install_lut(&mut self, lut: Arc<RouteLut>) {
-        self.lut = Some(lut);
+        self.tables = Some(DecisionTable::new(lut, self.cfg.exit_policy()));
     }
 
     /// Installs compiled fallback chains. The default compiled form is
@@ -434,18 +434,6 @@ impl Noc {
                 continue;
             }
 
-            // Gather occupied in-flight inputs in priority order. The
-            // register index *is* the priority order (see InPort::index).
-            let mut inputs: [(usize, u32); MAX_IN_FLIGHT] = [(0, EMPTY_SLOT); MAX_IN_FLIGHT];
-            let mut n_inputs = 0;
-            for slot in 0..MAX_IN_FLIGHT {
-                let idx = self.regs.slots[base + slot];
-                if idx != EMPTY_SLOT {
-                    inputs[n_inputs] = (slot, idx);
-                    n_inputs += 1;
-                }
-            }
-
             let exit_ok = gates.as_ref().is_none_or(|g| g.exit_allowed[node]);
             let mut avail = self.available[node];
             if !exit_ok {
@@ -455,98 +443,61 @@ impl Noc {
             // them deflect onto the plain ring (graceful degradation).
             let avail = avail.difference(dead);
 
-            // Route the in-flight packets. Fixed-size buffers: the hot
-            // path performs no heap allocation per node per cycle, and
-            // only the pool's destination column is read here.
-            let mut prefs_buf = [RoutePrefs::empty(); MAX_IN_FLIGHT];
-            for i in 0..n_inputs {
-                let (slot, idx) = inputs[i];
-                let port = InPort::ALL[slot];
-                prefs_buf[i] = self.prefs_for(class, port, at, self.pool.dst(idx));
-            }
-            // The INJECT crossbar has no express-to-shared turn, so a
-            // lane-locked express packet whose every productive output is
-            // dead can never reach its destination: deflection would keep
-            // it orbiting the express ring forever (livelock). Drop it at
-            // the first dead router instead — counted, conserved.
-            if !dead.is_empty() && self.cfg.ft_policy() == Some(FtPolicy::Inject) {
-                let mut kept = 0;
-                for i in 0..n_inputs {
-                    let (slot, idx) = inputs[i];
-                    let productive = prefs_buf[i].productive();
-                    let stranded = InPort::ALL[slot].is_express()
-                        && !productive.is_empty()
-                        && productive.intersect(dead) == productive;
-                    if stranded {
-                        // Fallback chain, step 1: demote the stranded
-                        // express packet onto the shared ring instead of
-                        // dropping it. Shared links can never be fault-
-                        // masked, so the demoted prefs always have a
-                        // live output.
-                        if self.fallback.demote[class.code()] {
-                            let twin = match InPort::ALL[slot] {
-                                InPort::WestEx => InPort::WestSh,
-                                InPort::NorthEx => InPort::NorthSh,
-                                other => other,
-                            };
-                            let demoted = self.prefs_for(class, twin, at, self.pool.dst(idx));
-                            debug_assert!(
-                                demoted.as_set().intersect(dead).is_empty(),
-                                "demoted prefs must avoid dead express links"
-                            );
-                            self.stats.rerouted += 1;
-                            self.stats.fallback_demotions += 1;
-                            if S::ENABLED {
-                                sink.emit(&SimEvent::FaultReroute {
-                                    cycle: self.cycle,
-                                    node,
-                                    packet: self.pool.get(idx).id,
-                                    avoided: productive
-                                        .iter()
-                                        .next()
-                                        .expect("stranding requires productive outputs"),
-                                });
-                            }
-                            prefs_buf[i] = demoted;
-                        } else {
-                            let pkt = self.pool.remove(idx);
-                            self.in_flight -= 1;
-                            self.stats.dropped += 1;
-                            if S::ENABLED {
-                                sink.emit(&SimEvent::FaultDrop {
-                                    cycle: self.cycle,
-                                    node,
-                                    packet: pkt.id,
-                                    link: productive.iter().next(),
-                                    corrupted: false,
-                                });
-                            }
-                            continue;
+            // The occupied in-flight inputs. The register index *is* the
+            // priority order (see InPort::index).
+            let mut held = [EMPTY_SLOT; MAX_IN_FLIGHT];
+            held.copy_from_slice(&self.regs.slots[base..base + MAX_IN_FLIGHT]);
+
+            // A visit whose outputs are the class's own — no dead link
+            // here this epoch, no shut exit gate — is a table read: the
+            // id of each input's preference list, then the decision
+            // memoised under those ids. Only the pool's destination
+            // column is read.
+            let tabled = match &mut self.tables {
+                Some(tables) if exit_ok && dead.is_empty() => {
+                    let mut ids = [0; MAX_IN_FLIGHT];
+                    for slot in 0..MAX_IN_FLIGHT {
+                        if held[slot] != EMPTY_SLOT {
+                            let dst = self.pool.dst(held[slot]);
+                            ids[slot] = tables.lut().id(class, InPort::ALL[slot], at, dst);
                         }
                     }
-                    inputs[kept] = inputs[i];
-                    prefs_buf[kept] = prefs_buf[i];
-                    kept += 1;
+                    Some(tables.visit(class, &ids))
                 }
-                n_inputs = kept;
-            }
-            // Dead links can shrink the output set below Hall's condition
-            // (the FULL router is exactly tight at four inputs), so the
-            // faulted path uses the non-panicking allocator and drops the
-            // stranded loser; the healthy path keeps the hard guarantee.
-            let assignment = if faulted {
-                try_allocate(&prefs_buf[..n_inputs], avail, exit_policy)
-            } else {
-                allocate(&prefs_buf[..n_inputs], avail, exit_policy)
+                _ => None,
             };
 
-            let mut taken = [OutPort::Exit; MAX_IN_FLIGHT];
-            let mut n_taken = 0;
+            // Every other visit routes each packet and searches for the
+            // allocation. Fixed-size buffers: no heap allocation per node
+            // per cycle.
+            let mut prefs_buf = [RoutePrefs::empty(); MAX_IN_FLIGHT];
+            let decision = match tabled {
+                Some(decision) => decision,
+                None => {
+                    for slot in 0..MAX_IN_FLIGHT {
+                        if held[slot] != EMPTY_SLOT {
+                            let dst = self.pool.dst(held[slot]);
+                            prefs_buf[slot] = self.prefs_for(class, InPort::ALL[slot], at, dst);
+                        }
+                    }
+                    if !dead.is_empty() && self.cfg.ft_policy() == Some(FtPolicy::Inject) {
+                        self.drop_or_demote_stranded(node, dead, &mut held, &mut prefs_buf, sink);
+                    }
+                    // Dead links can shrink the output set below Hall's
+                    // condition (the FULL router is exactly tight at four
+                    // inputs), so the faulted path uses the non-panicking
+                    // allocator and drops the stranded loser; the healthy
+                    // path keeps the hard guarantee.
+                    Decision::decide(&prefs_buf, avail, exit_policy, !faulted)
+                }
+            };
 
-            for i in 0..n_inputs {
-                let (slot, idx) = inputs[i];
-                let prefs = prefs_buf[i];
-                let Some(out) = assignment[i] else {
+            for slot in 0..MAX_IN_FLIGHT {
+                let idx = held[slot];
+                if idx == EMPTY_SLOT {
+                    continue;
+                }
+                let Some(out) = decision.out(slot) else {
                     // Stranded by a dead link: a bufferless router has
                     // nowhere to park the packet. Fallback chain, step 2:
                     // in a multi-channel bank the loser switches to a
@@ -566,7 +517,7 @@ impl Noc {
                                 node,
                                 packet: pkt.id,
                                 avoided: dead
-                                    .intersect(prefs.productive())
+                                    .intersect(prefs_buf[slot].productive())
                                     .iter()
                                     .next()
                                     .or_else(|| dead.iter().next())
@@ -588,8 +539,6 @@ impl Noc {
                     }
                     continue;
                 };
-                taken[n_taken] = out;
-                n_taken += 1;
                 self.stats.route_decisions += 1;
                 if S::ENABLED {
                     let pkt = self.pool.get(idx);
@@ -607,7 +556,7 @@ impl Noc {
 
                 // Statistics classification. Per-packet counters are
                 // bumped in the pool, where they live.
-                if !prefs.productive().contains(out) {
+                if decision.deflected(slot) {
                     self.pool.get_mut(idx).deflections += 1;
                     self.stats.ports.deflections[slot] += 1;
                     if S::ENABLED {
@@ -618,11 +567,12 @@ impl Noc {
                             out,
                         });
                     }
-                } else if prefs.wanted_express() && !out.is_express() && out != OutPort::Exit {
+                } else if decision.demoted(slot) {
                     self.stats.ports.demotions[slot] += 1;
                 }
                 if !dead.is_empty() {
-                    if let Some(avoided) = dead.intersect(prefs.productive()).iter().next() {
+                    let wanted = prefs_buf[slot].productive();
+                    if let Some(avoided) = dead.intersect(wanted).iter().next() {
                         self.stats.rerouted += 1;
                         if S::ENABLED {
                             sink.emit(&SimEvent::FaultReroute {
@@ -688,11 +638,25 @@ impl Noc {
                 }
             } else if inject_ok {
                 if let Some(pending) = queues.peek(node) {
-                    let pe_prefs = self.prefs_for(class, InPort::Pe, at, pending.dst);
-                    // Use the un-gated availability: the gate only removed
+                    // The PE takes the first port of its list whose slot
+                    // the in-flight packets left free: one more table
+                    // read on a tabled visit, a walk otherwise. `avail`
+                    // stays as adjusted above — the gate only removed
                     // Exit, and an Exit injection (self-send) must also
-                    // respect it, so keep `avail` as adjusted above.
-                    match try_inject(&pe_prefs, avail, &taken[..n_taken], exit_policy) {
+                    // respect it.
+                    let free = decision.free();
+                    let mut pe_prefs = RoutePrefs::empty();
+                    let out = match &mut self.tables {
+                        Some(tables) if tabled.is_some() => {
+                            let id = tables.lut().id(class, InPort::Pe, at, pending.dst);
+                            tables.inject(class, id, free)
+                        }
+                        _ => {
+                            pe_prefs = self.prefs_for(class, InPort::Pe, at, pending.dst);
+                            first_free(&pe_prefs, avail, free, exit_policy)
+                        }
+                    };
+                    match out {
                         Some(out) => {
                             let pending = queues.pop(node).unwrap();
                             let mut pkt = Packet::new(
@@ -803,11 +767,85 @@ impl Noc {
         self.cycle += 1;
     }
 
+    /// The INJECT crossbar has no express-to-shared turn, so a lane-locked
+    /// express packet whose every productive output is dead can never
+    /// reach its destination: deflection would keep it orbiting the
+    /// express ring forever (livelock). Drop it at the first dead router
+    /// instead — counted, conserved — or, when the fallback chain says
+    /// so, demote it onto the shared ring. A dropped input leaves `held`
+    /// and `prefs`; a demoted one gets its shared twin's list.
+    fn drop_or_demote_stranded<S: EventSink>(
+        &mut self,
+        node: usize,
+        dead: OutSet,
+        held: &mut [u32; MAX_IN_FLIGHT],
+        prefs: &mut [RoutePrefs; MAX_IN_FLIGHT],
+        sink: &mut S,
+    ) {
+        let at = self.coords[node];
+        let class = self.classes[node];
+        for slot in 0..MAX_IN_FLIGHT {
+            let idx = held[slot];
+            let productive = prefs[slot].productive();
+            let stranded = InPort::ALL[slot].is_express()
+                && !productive.is_empty()
+                && productive.intersect(dead) == productive;
+            if !stranded {
+                continue;
+            }
+            // Fallback chain, step 1: demote the stranded express packet
+            // onto the shared ring instead of dropping it. Shared links
+            // can never be fault-masked, so the demoted prefs always have
+            // a live output.
+            if self.fallback.demote[class.code()] {
+                let twin = match InPort::ALL[slot] {
+                    InPort::WestEx => InPort::WestSh,
+                    InPort::NorthEx => InPort::NorthSh,
+                    other => other,
+                };
+                let demoted = self.prefs_for(class, twin, at, self.pool.dst(idx));
+                debug_assert!(
+                    demoted.as_set().intersect(dead).is_empty(),
+                    "demoted prefs must avoid dead express links"
+                );
+                self.stats.rerouted += 1;
+                self.stats.fallback_demotions += 1;
+                if S::ENABLED {
+                    sink.emit(&SimEvent::FaultReroute {
+                        cycle: self.cycle,
+                        node,
+                        packet: self.pool.get(idx).id,
+                        avoided: productive
+                            .iter()
+                            .next()
+                            .expect("stranding requires productive outputs"),
+                    });
+                }
+                prefs[slot] = demoted;
+            } else {
+                let pkt = self.pool.remove(idx);
+                self.in_flight -= 1;
+                self.stats.dropped += 1;
+                if S::ENABLED {
+                    sink.emit(&SimEvent::FaultDrop {
+                        cycle: self.cycle,
+                        node,
+                        packet: pkt.id,
+                        link: productive.iter().next(),
+                        corrupted: false,
+                    });
+                }
+                held[slot] = EMPTY_SLOT;
+                prefs[slot] = RoutePrefs::empty();
+            }
+        }
+    }
+
     /// Resolves route preferences per the configured [`RouteMode`].
     #[inline]
     fn prefs_for(&self, class: RouterClass, port: InPort, at: Coord, dst: Coord) -> RoutePrefs {
-        match &self.lut {
-            Some(lut) => lut.lookup(class, port, at, dst),
+        match &self.tables {
+            Some(tables) => tables.lut().lookup(class, port, at, dst),
             None => compute_prefs(&self.cfg, class, port, at, dst),
         }
     }
@@ -1168,6 +1206,37 @@ mod tests {
                 matches!(input, InPort::WestEx | InPort::WestSh)
             );
         }
+    }
+
+    /// The regime the decision table is built for: a saturated fabric
+    /// meets a few hundred input combinations and then repeats them, so
+    /// the allocator runs for under 1 % of the visits the table serves.
+    #[test]
+    fn saturated_visits_are_table_hits() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut noc = Noc::new(NocConfig::fasttrack(8, 2, 2, FtPolicy::Full).unwrap());
+        let mut q = InjectQueues::new(64);
+        let mut dels = Vec::new();
+        for cycle in 0..4_000 {
+            for node in 0..64 {
+                q.push(
+                    node,
+                    Coord::new(rng.gen_range(0..8), rng.gen_range(0..8)),
+                    cycle,
+                    0,
+                );
+            }
+            noc.step(&mut q, &mut dels, None);
+        }
+        // Healthy and ungated: every visit went through the table.
+        let visits = noc.stats().router_visits;
+        assert_eq!(visits, 4_000 * 64);
+        let fills = noc.tables.as_ref().unwrap().visits_filled() as u64;
+        assert!(
+            fills > 100 && fills * 100 < visits,
+            "{fills} fills of {visits}"
+        );
     }
 
     #[test]

@@ -901,6 +901,8 @@ pub enum TopologySpecError {
     },
     /// A numeric field failed to parse.
     BadNumber(String),
+    /// The grid side is above the cap the spec grammar sets (1 024).
+    SideTooLarge(u16),
     /// The torus configuration failed validation.
     Torus(ConfigError),
     /// The SHG configuration failed validation.
@@ -922,6 +924,9 @@ impl fmt::Display for TopologySpecError {
                 found,
             } => write!(f, "{kind} spec needs {expected} field(s), found {found}"),
             TopologySpecError::BadNumber(s) => write!(f, "invalid number {s:?}"),
+            TopologySpecError::SideTooLarge(side) => {
+                write!(f, "side {side} is above the {MAX_SIDE}-per-side cap")
+            }
             TopologySpecError::Torus(e) => write!(f, "invalid torus spec: {e}"),
             TopologySpecError::Shg(e) => write!(f, "invalid shg spec: {e}"),
             TopologySpecError::Mesh(e) => write!(f, "invalid mesh spec: {e}"),
@@ -943,6 +948,14 @@ impl From<ShgConfigError> for TopologySpecError {
     }
 }
 
+/// The largest grid side (`n`, or SHG's `q`) a spec string may name.
+/// Every engine allocates per router, and a side is squared: 1 024 is
+/// about a million routers (`hoplite:1000` builds in ~400 MB), while the
+/// 65 535 a `u16` admits asks the allocator for tens of gigabytes and
+/// aborts the process. Specs reach here from the command line and from
+/// scenario-trace headers, so the cap sits in the one grammar both use.
+pub(crate) const MAX_SIDE: u16 = 1024;
+
 impl FromStr for TopologySpec {
     type Err = TopologySpecError;
 
@@ -951,6 +964,10 @@ impl FromStr for TopologySpec {
         let num = |s: &str| -> Result<u16, TopologySpecError> {
             s.parse()
                 .map_err(|_| TopologySpecError::BadNumber(s.to_string()))
+        };
+        let side = |s: &str| match num(s)? {
+            side if side > MAX_SIDE => Err(TopologySpecError::SideTooLarge(side)),
+            side => Ok(side),
         };
         let arity = |kind: &'static str, expected: &'static str| TopologySpecError::BadArity {
             kind,
@@ -962,7 +979,7 @@ impl FromStr for TopologySpec {
                 if fields.len() != 2 {
                     return Err(arity("hoplite", "1"));
                 }
-                Ok(TopologySpec::Torus(NocConfig::hoplite(num(fields[1])?)?))
+                Ok(TopologySpec::Torus(NocConfig::hoplite(side(fields[1])?)?))
             }
             "ft" | "ftlite" => {
                 if fields.len() != 4 {
@@ -974,7 +991,7 @@ impl FromStr for TopologySpec {
                     FtPolicy::Inject
                 };
                 Ok(TopologySpec::Torus(NocConfig::fasttrack(
-                    num(fields[1])?,
+                    side(fields[1])?,
                     num(fields[2])?,
                     num(fields[3])?,
                     policy,
@@ -985,7 +1002,7 @@ impl FromStr for TopologySpec {
                     return Err(arity("shg", "2"));
                 }
                 Ok(TopologySpec::Shg(ShgConfig::new(
-                    num(fields[1])?,
+                    side(fields[1])?,
                     num(fields[2])?,
                 )?))
             }
@@ -993,7 +1010,7 @@ impl FromStr for TopologySpec {
                 if !(2..=3).contains(&fields.len()) {
                     return Err(arity("mesh", "1 or 2"));
                 }
-                let n = num(fields[1])?;
+                let n = side(fields[1])?;
                 if n < 2 {
                     return Err(TopologySpecError::Mesh("mesh side must be at least 2"));
                 }
@@ -1322,6 +1339,31 @@ mod tests {
         ));
         let e = "ring:8".parse::<TopologySpec>().unwrap_err();
         assert!(e.to_string().contains("unknown topology kind"));
+    }
+
+    /// A side is squared into per-router allocations, so every kind
+    /// refuses one above the cap before building anything.
+    #[test]
+    fn spec_grammar_caps_the_side() {
+        for s in ["hoplite:1024", "ft:1024:4:2", "shg:1024:2", "mesh:1024:4"] {
+            assert_eq!(s.parse::<TopologySpec>().unwrap().to_string(), s);
+        }
+        for s in [
+            "hoplite:1025",
+            "hoplite:65535",
+            "ft:65535:4:1",
+            "ftlite:2000:4:2",
+            "shg:65535:2",
+            "mesh:65535:4",
+            "mesh:1025",
+        ] {
+            let e = s.parse::<TopologySpec>().unwrap_err();
+            assert!(
+                matches!(e, TopologySpecError::SideTooLarge(_)),
+                "{s}: {e:?}"
+            );
+            assert!(e.to_string().contains("1024-per-side cap"), "{s}: {e}");
+        }
     }
 
     #[test]

@@ -14,10 +14,13 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Arbitrary FastTrack configuration with the paper's validity rules
-/// (`D % R == 0`, `R` tiles the ring) enforced by construction.
+/// (`D % R == 0`, `R` tiles the ring) enforced by construction. Sides
+/// that are not powers of two matter: `gcd(D, N) < D` (as in
+/// `ft:10:4:2`) is where express-aligned and express-worthwhile offsets
+/// differ, which the route table's offset kinds must tell apart.
 fn arb_ft_config() -> impl Strategy<Value = NocConfig> {
-    (2u16..=3, any::<u8>(), any::<bool>()).prop_map(|(n_exp, sel, full)| {
-        let n = 1u16 << n_exp; // 4 or 8
+    (0usize..6, any::<u8>(), any::<bool>()).prop_map(|(side, sel, full)| {
+        let n = [4u16, 6, 8, 10, 12, 16][side];
         let policy = if full {
             FtPolicy::Full
         } else {
@@ -156,6 +159,62 @@ fn low_load_16x16_sessions_agree() {
     }
 }
 
+/// One batch run under `mode`: its report and its whole event stream.
+fn observed(
+    cfg: &NocConfig,
+    channels: usize,
+    mode: RouteMode,
+    plan: Option<&FaultPlan>,
+    per_pe: usize,
+    seed: u64,
+) -> (SimReport, Vec<SimEvent>) {
+    let mut sink = VecSink::new();
+    let mut session = SimSession::new(cfg).channels(channels).route_mode(mode);
+    if let Some(plan) = plan {
+        session = session.with_faults(plan);
+    }
+    let report = session
+        .with_sink(&mut sink)
+        .run(&mut BatchSource::random(cfg.n(), per_pe, seed))
+        .unwrap()
+        .report;
+    (report, sink.events)
+}
+
+/// Past saturation — forty packets queued at every PE — routers hold
+/// three and four packets at once, which a three-packet batch barely
+/// produces: the memoised multi-input decisions must still be the
+/// allocator's, event for event, healthy, gated and faulted.
+#[test]
+fn saturated_lut_runs_match_direct_event_for_event() {
+    let ft = |n, d, r, policy| NocConfig::fasttrack(n, d, r, policy).unwrap();
+    for (cfg, channels) in [
+        (ft(8, 2, 2, FtPolicy::Full), 1),
+        (ft(10, 4, 2, FtPolicy::Full), 1),
+        (ft(10, 4, 2, FtPolicy::Inject), 2),
+        (ft(6, 3, 1, FtPolicy::Inject), 1),
+        (NocConfig::hoplite(6).unwrap(), 3),
+    ] {
+        for plan in [None, Some(small_plan(&cfg, 5))] {
+            let run = |mode| observed(&cfg, channels, mode, plan.as_ref(), 40, 9);
+            let (lut, lut_events) = run(RouteMode::Lut);
+            let (direct, direct_events) = run(RouteMode::Direct);
+            assert_eq!(lut, direct, "{}", lut.config_name);
+            assert!(lut_events == direct_events, "{} events", lut.config_name);
+            if channels == 1 && plan.is_none() {
+                // The regime is the one claimed.
+                let decisions = lut.stats.route_decisions as f64;
+                assert!(
+                    decisions > 1.5 * lut.stats.router_visits as f64,
+                    "{}: {decisions} decisions over {} visits",
+                    lut.config_name,
+                    lut.stats.router_visits
+                );
+            }
+        }
+    }
+}
+
 /// A fault plan exercising every supported fault kind, drawn
 /// deterministically from a seed (always torus-safe by construction).
 fn small_plan(cfg: &NocConfig, seed: u64) -> FaultPlan {
@@ -179,17 +238,10 @@ proptest! {
     /// cycle-exactness).
     #[test]
     fn lut_routing_is_bit_identical_to_direct(cfg in arb_ft_config(), seed in 0u64..500) {
-        let lut = SimSession::new(&cfg)
-            .route_mode(RouteMode::Lut)
-            .run(&mut BatchSource::random(cfg.n(), 3, seed))
-            .unwrap()
-            .report;
-        let direct = SimSession::new(&cfg)
-            .route_mode(RouteMode::Direct)
-            .run(&mut BatchSource::random(cfg.n(), 3, seed))
-            .unwrap()
-            .report;
+        let (lut, lut_events) = observed(&cfg, 1, RouteMode::Lut, None, 3, seed);
+        let (direct, direct_events) = observed(&cfg, 1, RouteMode::Direct, None, 3, seed);
         prop_assert_eq!(lut, direct);
+        prop_assert_eq!(lut_events, direct_events);
     }
 
     /// Same bit-identity through the multi-channel bank (the LUT is
@@ -200,18 +252,15 @@ proptest! {
         channels in 1usize..=3,
         seed in 0u64..500,
     ) {
+        // Gated visits (channels > 1) and dead-link visits bypass the
+        // decision table, healthy ones around them use it: one run
+        // crosses that boundary many times.
         let plan = small_plan(&cfg, seed);
-        let run = |mode: RouteMode| {
-            SimSession::new(&cfg)
-                .channels(channels)
-                .route_mode(mode)
-                .with_faults(&plan)
-                .run(&mut BatchSource::random(cfg.n(), 2, seed))
-                .map(|o| o.report)
-                .unwrap()
-        };
-        let lut = run(RouteMode::Lut);
-        prop_assert_eq!(&lut, &run(RouteMode::Direct));
+        let run = |mode: RouteMode| observed(&cfg, channels, mode, Some(&plan), 2, seed);
+        let (lut, lut_events) = run(RouteMode::Lut);
+        let (direct, direct_events) = run(RouteMode::Direct);
+        prop_assert_eq!(&lut, &direct);
+        prop_assert_eq!(lut_events, direct_events);
         // The `-{k}x` naming (including `-1x`) is part of the contract.
         prop_assert!(lut.config_name.ends_with(&format!("-{channels}x")));
     }

@@ -1292,6 +1292,26 @@ mod tests {
         }
     }
 
+    /// The header's `noc` goes through the CLI's grammar, side cap
+    /// included: a checksum-valid trace cannot name a fabric that the
+    /// replaying engine would abort allocating.
+    #[test]
+    fn rejects_a_side_above_the_cap() {
+        let encoded = |noc: &str| {
+            ScenarioTrace {
+                header: ScenarioHeader::new(noc, "test"),
+                records: Vec::new(),
+            }
+            .encode()
+        };
+        assert!(ScenarioTrace::decode(&encoded("hoplite:1024")).is_ok());
+        let err = ScenarioTrace::decode(&encoded("hoplite:65535")).unwrap_err();
+        assert!(
+            matches!(&err, TraceError::BadHeader(why) if why.contains("1024-per-side cap")),
+            "{err:?}"
+        );
+    }
+
     #[test]
     fn corpus_traces_re_encode_to_their_own_bytes() {
         for text in [
