@@ -39,7 +39,9 @@ use crate::run_spec::{
     channels_flag, conserved_or_err, fault_plan, pattern_flag, range_flag, session_for, write_file,
     RunSpec,
 };
-use crate::spec::{parse_grid, parse_noc, parse_pattern, parse_topology, SpecError};
+use crate::spec::{
+    check_pattern_side, parse_grid, parse_noc, parse_pattern, parse_topology, SpecError,
+};
 
 /// Any CLI failure.
 #[derive(Debug)]
@@ -846,8 +848,10 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
             SweepGrid::cross(&nuts, &g.patterns, &g.rates, seed)
         }
         None => {
-            let nut = NocUnderTest::from_spec(parse_topology(flags.required("noc")?)?);
+            let topology = parse_topology(flags.required("noc")?)?;
             let pattern = parse_pattern(pattern_flag(flags))?;
+            check_pattern_side(pattern, &topology)?;
+            let nut = NocUnderTest::from_spec(topology);
             SweepGrid::cross(&[nut], &[pattern], &INJECTION_RATES, seed)
         }
     }
@@ -1997,6 +2001,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A bit permutation on a side that is not a power of two is refused
+    /// where pattern and fabric first meet, on every surface where the
+    /// traffic source used to panic on its first draw.
+    #[test]
+    fn a_bit_pattern_on_a_side_it_cannot_permute_is_a_typed_error() {
+        for (cmd, side) in [
+            ("simulate --noc hoplite:3 --pattern bitrev", 3),
+            ("simulate --noc mesh:5 --pattern shuffle", 5),
+            ("simulate --noc shg:6:2 --pattern bitrev", 6),
+            ("faults --noc ft:6:2:1 --pattern shuffle", 6),
+            ("trace --noc hoplite:6 --pattern bitrev --out @bits", 6),
+            (
+                "record --noc hoplite:6 --pattern shuffle --out @bits.trace",
+                6,
+            ),
+            ("compare --topologies hoplite:6,mesh:6 --pattern bitrev", 6),
+            ("sweep --grid hoplite:3;bitrev;0.5", 3),
+            ("sweep --noc hoplite:3 --pattern shuffle", 3),
+            ("storm --grid hoplite:6;shuffle;0.5", 6),
+        ] {
+            let err = run_with(cmd, "--packets 5").unwrap_err();
+            assert!(matches!(err, CliError::Spec(_)), "{cmd}: {err:?}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("power-of-two side, not {side}")),
+                "{cmd}: {err}"
+            );
+        }
+        run(argv(
+            "simulate --noc hoplite:8 --pattern bitrev --packets 5",
+        ))
+        .unwrap();
     }
 
     /// The `--flags` a USAGE or EXAMPLES line mentions.

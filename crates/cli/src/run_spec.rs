@@ -14,7 +14,7 @@ use fasttrack_traffic::source::BernoulliSource;
 
 use crate::args::Flags;
 use crate::commands::CliError;
-use crate::spec::{parse_pattern, parse_topology};
+use crate::spec::{check_pattern_side, parse_pattern, parse_topology};
 
 /// One validated synthetic run.
 pub(crate) struct RunSpec {
@@ -61,10 +61,12 @@ impl RunSpec {
                 "injection rate {rate} out of (0,1]"
             )));
         }
+        let pattern = parse_pattern(pattern_flag(flags))?;
+        check_pattern_side(pattern, &topology)?;
         Ok(RunSpec {
             topology,
             channels: 1,
-            pattern: parse_pattern(pattern_flag(flags))?,
+            pattern,
             rate,
             packets: flags.numeric("packets", packets)?,
             seed: flags.numeric("seed", 1)?,

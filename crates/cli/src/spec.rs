@@ -143,6 +143,27 @@ pub fn parse_pattern(spec: &str) -> Result<Pattern, SpecError> {
     }
 }
 
+/// Checks that `pattern` is defined on `topology`'s side, where the two
+/// first meet: the traffic source would panic on the first draw.
+///
+/// # Errors
+///
+/// Returns [`SpecError::Invalid`], naming the pattern and the side, for
+/// a bit permutation on a side that is not a power of two.
+pub fn check_pattern_side(pattern: Pattern, topology: &TopologySpec) -> Result<(), SpecError> {
+    let side = topology
+        .monitor_shape()
+        .grid_side
+        .expect("built-in topologies are square grids");
+    if pattern.admits_side(side) {
+        Ok(())
+    } else {
+        Err(SpecError::Invalid(format!(
+            "pattern {pattern} needs a power-of-two side, not {side}"
+        )))
+    }
+}
+
 /// A parsed `--grid` specification: the cross product of topologies,
 /// patterns, and injection rates a sweep expands into.
 #[derive(Debug, Clone)]
@@ -162,7 +183,8 @@ pub struct GridSpec {
 /// # Errors
 ///
 /// Returns a [`SpecError`] for a missing section, an empty list, a
-/// malformed element, or an out-of-range rate.
+/// malformed element, an out-of-range rate, or a pattern one of the
+/// NoCs cannot run.
 pub fn parse_grid(spec: &str) -> Result<GridSpec, SpecError> {
     let sections: Vec<&str> = spec.split(';').collect();
     if sections.len() != 3 {
@@ -201,6 +223,11 @@ pub fn parse_grid(spec: &str) -> Result<GridSpec, SpecError> {
             return Err(SpecError::Invalid(format!(
                 "injection rate {rate} out of (0,1]"
             )));
+        }
+    }
+    for noc in &nocs {
+        for &pattern in &patterns {
+            check_pattern_side(pattern, noc)?;
         }
     }
     Ok(GridSpec {

@@ -1,34 +1,25 @@
-//! Analytical channel-load and saturation-throughput bounds.
+//! Analytical channel-load and saturation-throughput bounds, for any
+//! [`Topology`].
 //!
 //! Deflection routing cannot exceed what the wiring admits: for a given
 //! traffic pattern, the most-loaded channel bounds the sustainable
-//! injection rate. This module computes, for any [`NocConfig`] and an
-//! explicit traffic matrix, the ideal (contention-free, minimal-path)
-//! load on every short and express link, and from it an upper bound on
-//! saturation throughput. The simulator should approach — and never
-//! exceed — these bounds; integration tests enforce both directions.
-//!
-//! The model assumes DOR paths with greedy express usage (ride the
-//! express lane whenever the remaining offset is express-reachable in no
-//! more cycles than short hops, exactly like the routing function) and
-//! charges each traversal to the links it crosses.
+//! injection rate. This module charges every flow of an explicit
+//! traffic matrix to the links of [`Topology::zero_load_path`] — the
+//! path the engine gives a lone packet: on the torus the walk reads
+//! `routing::compute_prefs`, on the SHG its preference rows, on the
+//! mesh its XY `route_slot` — and from the per-link loads derives an
+//! upper bound on saturation throughput. The simulator should approach
+//! — and never exceed — these bounds; integration tests enforce both
+//! directions.
 
-use crate::config::NocConfig;
-use crate::geom::Coord;
+use crate::topology::Topology;
 
 /// Ideal per-link loads for one traffic matrix, in expected packets per
 /// cycle per link, at an injection rate of 1 packet/PE/cycle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelLoads {
-    n: u16,
-    /// `east_short[node]`: load on the E_sh link leaving `node`.
-    pub east_short: Vec<f64>,
-    /// Load on the E_ex link leaving each node (0 where absent).
-    pub east_express: Vec<f64>,
-    /// Load on the S_sh link leaving each node.
-    pub south_short: Vec<f64>,
-    /// Load on the S_ex link leaving each node (0 where absent).
-    pub south_express: Vec<f64>,
+    /// Load on each link, in [`Topology::links`] order.
+    pub links: Vec<f64>,
     /// Load on each node's exit (delivery) port.
     pub exit: Vec<f64>,
 }
@@ -36,13 +27,7 @@ pub struct ChannelLoads {
 impl ChannelLoads {
     /// The maximum load over all links (the bottleneck channel).
     pub fn max_link_load(&self) -> f64 {
-        let links = self
-            .east_short
-            .iter()
-            .chain(&self.east_express)
-            .chain(&self.south_short)
-            .chain(&self.south_express);
-        links.fold(0.0f64, |a, &b| a.max(b))
+        self.links.iter().fold(0.0f64, |a, &b| a.max(b))
     }
 
     /// The maximum delivery-port load (one delivery per PE per cycle).
@@ -64,20 +49,13 @@ impl ChannelLoads {
         }
     }
 
-    /// Total ideal link traversals per injected packet (average minimal
-    /// hop count under the express-greedy DOR policy).
+    /// Total ideal link traversals per injected packet (the mean length
+    /// of the zero-load paths).
     pub fn mean_hops_per_packet(&self, total_rate: f64) -> f64 {
         if total_rate <= 0.0 {
             return 0.0;
         }
-        let total: f64 = self
-            .east_short
-            .iter()
-            .chain(&self.east_express)
-            .chain(&self.south_short)
-            .chain(&self.south_express)
-            .sum();
-        total / total_rate
+        self.links.iter().sum::<f64>() / total_rate
     }
 }
 
@@ -104,88 +82,64 @@ pub fn permutation_traffic(nodes: usize, dst_of: impl Fn(usize) -> usize) -> Tra
     m
 }
 
-/// Computes ideal channel loads for `traffic` on `cfg`.
+/// Computes ideal channel loads for `traffic` on `topo`: each flow is
+/// charged to every link of its zero-load path and to the exit of its
+/// destination.
 ///
 /// # Panics
 ///
-/// Panics if the matrix dimensions do not match the configuration.
-pub fn channel_loads(cfg: &NocConfig, traffic: &TrafficMatrix) -> ChannelLoads {
-    let nodes = cfg.num_nodes();
+/// Panics if the matrix dimensions do not match the topology.
+pub fn channel_loads(topo: &dyn Topology, traffic: &TrafficMatrix) -> ChannelLoads {
+    let nodes = topo.num_nodes();
     assert_eq!(traffic.len(), nodes, "traffic matrix row count");
-    let n = cfg.n();
+    let links = topo.links();
     let mut loads = ChannelLoads {
-        n,
-        east_short: vec![0.0; nodes],
-        east_express: vec![0.0; nodes],
-        south_short: vec![0.0; nodes],
-        south_express: vec![0.0; nodes],
+        links: vec![0.0; links.len()],
         exit: vec![0.0; nodes],
     };
-
     for (s, row) in traffic.iter().enumerate() {
         assert_eq!(row.len(), nodes, "traffic matrix column count");
-        let src = Coord::from_node_id(s, n);
         for (d, &rate) in row.iter().enumerate() {
             if rate <= 0.0 {
                 continue;
             }
-            let dst = Coord::from_node_id(d, n);
-            walk_ideal_path(cfg, src, dst, rate, &mut loads);
+            for hop in topo.zero_load_path(s, d) {
+                let i = links
+                    .binary_search_by_key(&(hop.src, hop.slot), |l| (l.src, l.slot))
+                    .expect("links() is in (node, slot) order");
+                loads.links[i] += rate;
+            }
+            loads.exit[d] += rate;
         }
     }
     loads
-}
-
-/// Walks the deflection-free DOR path with the router's actual lane
-/// rules and charges `rate` to each link crossed.
-///
-/// X phase: packets may upgrade onto the express lane at any
-/// express-capable router (`W_sh → E_ex` exists). Y phase: the express
-/// lane is boardable only at the phase entry — the turn router or the
-/// injection point (`N_sh` has no upgrade path) — so the whole Y leg is
-/// decided once.
-fn walk_ideal_path(cfg: &NocConfig, src: Coord, dst: Coord, rate: f64, loads: &mut ChannelLoads) {
-    let n = cfg.n();
-    let mut at = src;
-    // X phase: greedy upgrades.
-    while at.x != dst.x {
-        let dx = at.dx_to(dst, n);
-        if cfg.has_express_at(at.x) && cfg.express_worthwhile(dx) {
-            loads.east_express[at.to_node_id(n)] += rate;
-            at = at.east(cfg.d(), n);
-        } else {
-            loads.east_short[at.to_node_id(n)] += rate;
-            at = at.east(1, n);
-        }
-    }
-    // Y phase: one boarding decision at entry.
-    let dy = at.dy_to(dst, n);
-    let board = dy > 0 && cfg.has_express_at(at.y) && cfg.express_worthwhile(dy);
-    if board {
-        while at.y != dst.y {
-            loads.south_express[at.to_node_id(n)] += rate;
-            at = at.south(cfg.d(), n);
-        }
-    } else {
-        while at.y != dst.y {
-            loads.south_short[at.to_node_id(n)] += rate;
-            at = at.south(1, n);
-        }
-    }
-    loads.exit[at.to_node_id(n)] += rate;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{FtPolicy, NocConfig};
+    use crate::geom::Coord;
+    use crate::port::OutPort;
+    use crate::topology::TorusTopology;
 
-    fn hoplite(n: u16) -> NocConfig {
-        NocConfig::hoplite(n).unwrap()
+    fn hoplite(n: u16) -> TorusTopology {
+        TorusTopology::new(NocConfig::hoplite(n).unwrap())
     }
 
-    fn ft(n: u16, d: u16, r: u16) -> NocConfig {
-        NocConfig::fasttrack(n, d, r, FtPolicy::Full).unwrap()
+    fn ft(n: u16, d: u16, r: u16) -> TorusTopology {
+        TorusTopology::new(NocConfig::fasttrack(n, d, r, FtPolicy::Full).unwrap())
+    }
+
+    /// The load on each node's `port` link (0 where it has none).
+    fn on(topo: &TorusTopology, loads: &ChannelLoads, port: OutPort) -> Vec<f64> {
+        let mut per_node = vec![0.0; topo.num_nodes()];
+        for (l, &load) in topo.links().iter().zip(&loads.links) {
+            if l.port == port {
+                per_node[l.src] = load;
+            }
+        }
+        per_node
     }
 
     #[test]
@@ -212,11 +166,15 @@ mod tests {
         // (0,0) -> (2,1): two east, one south.
         m[0][Coord::new(2, 1).to_node_id(4)] = 1.0;
         let loads = channel_loads(&cfg, &m);
-        assert_eq!(loads.east_short[Coord::new(0, 0).to_node_id(4)], 1.0);
-        assert_eq!(loads.east_short[Coord::new(1, 0).to_node_id(4)], 1.0);
-        assert_eq!(loads.south_short[Coord::new(2, 0).to_node_id(4)], 1.0);
+        let east_short = on(&cfg, &loads, OutPort::EastSh);
+        assert_eq!(east_short[Coord::new(0, 0).to_node_id(4)], 1.0);
+        assert_eq!(east_short[Coord::new(1, 0).to_node_id(4)], 1.0);
+        assert_eq!(
+            on(&cfg, &loads, OutPort::SouthSh)[Coord::new(2, 0).to_node_id(4)],
+            1.0
+        );
         assert_eq!(loads.exit[Coord::new(2, 1).to_node_id(4)], 1.0);
-        assert_eq!(loads.east_short.iter().sum::<f64>(), 2.0);
+        assert_eq!(east_short.iter().sum::<f64>(), 2.0);
         assert_eq!(loads.mean_hops_per_packet(1.0), 3.0);
     }
 
@@ -226,9 +184,10 @@ mod tests {
         let mut m = vec![vec![0.0; 64]; 64];
         m[0][Coord::new(4, 0).to_node_id(8)] = 1.0; // dx=4, aligned
         let loads = channel_loads(&cfg, &m);
-        assert_eq!(loads.east_short.iter().sum::<f64>(), 0.0);
-        assert_eq!(loads.east_express[Coord::new(0, 0).to_node_id(8)], 1.0);
-        assert_eq!(loads.east_express[Coord::new(2, 0).to_node_id(8)], 1.0);
+        assert_eq!(on(&cfg, &loads, OutPort::EastSh).iter().sum::<f64>(), 0.0);
+        let east_express = on(&cfg, &loads, OutPort::EastEx);
+        assert_eq!(east_express[Coord::new(0, 0).to_node_id(8)], 1.0);
+        assert_eq!(east_express[Coord::new(2, 0).to_node_id(8)], 1.0);
         assert_eq!(loads.mean_hops_per_packet(1.0), 2.0);
     }
 

@@ -335,7 +335,7 @@ impl NocConfig {
     /// Minimal number of express hops covering exactly `delta` ring
     /// positions, or `None` when the express network cannot reach that
     /// offset (or `delta == 0`).
-    pub fn express_hops_for(&self, delta: u16) -> Option<u16> {
+    fn express_hops_for(&self, delta: u16) -> Option<u16> {
         self.express_hops.get(delta as usize).copied().flatten()
     }
 

@@ -32,7 +32,7 @@ use crate::geom::Coord;
 use crate::port::{OutPort, OutSet};
 use crate::router::RouterClass;
 use crate::sweep::splitmix64;
-use crate::topology::TorusTopology;
+use crate::topology::{Topology, TorusTopology};
 
 /// One injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -425,11 +425,12 @@ impl FaultPlan {
         let mut plan = FaultPlan::new();
 
         // Dead links: sample without replacement from the express links
-        // that actually exist.
-        let mut express = express_links(cfg);
-        for _ in 0..spec.dead_links.min(express.len()) {
-            let i = (stream.next() % express.len() as u64) as usize;
-            let (node, out) = express.swap_remove(i);
+        // that actually exist (the pool storms draw from too).
+        let express = TorusTopology::new(cfg.clone()).express_ports();
+        let mut undrawn = express.clone();
+        for _ in 0..spec.dead_links.min(undrawn.len()) {
+            let i = (stream.next() % undrawn.len() as u64) as usize;
+            let (node, out) = undrawn.swap_remove(i);
             plan.push(Fault::DeadLink { node, out });
         }
 
@@ -482,7 +483,6 @@ impl FaultPlan {
         // Down-then-recover express links: any express link, window
         // drawn inside the spec window (with replacement — overlapping
         // outages on one link extend each other).
-        let express = express_links(cfg);
         if !express.is_empty() {
             for _ in 0..spec.down_links {
                 let (node, out) = express[(stream.next() % express.len() as u64) as usize];
@@ -590,21 +590,6 @@ impl fmt::Display for FaultPlan {
 fn router_outputs(cfg: &NocConfig, node: usize) -> OutSet {
     let at = Coord::from_node_id(node, cfg.n());
     RouterClass::of(cfg, at).available_outputs()
-}
-
-/// Every express link in the topology, as `(node, out)` pairs in node
-/// order.
-pub(crate) fn express_links(cfg: &NocConfig) -> Vec<(usize, OutPort)> {
-    let mut express = Vec::new();
-    for node in 0..cfg.num_nodes() {
-        let outs = router_outputs(cfg, node);
-        for out in [OutPort::EastEx, OutPort::SouthEx] {
-            if outs.contains(out) {
-                express.push((node, out));
-            }
-        }
-    }
-    express
 }
 
 /// A deterministic stream of draws derived from one seed: the canonical

@@ -111,7 +111,7 @@ const LINK_OUTPUTS: [OutPort; 4] = [
     OutPort::SouthEx,
     OutPort::SouthSh,
 ];
-const LINK_INPUTS: [InPort; 4] = [
+pub(crate) const LINK_INPUTS: [InPort; 4] = [
     InPort::WestEx,
     InPort::WestSh,
     InPort::NorthEx,

@@ -1,80 +1,38 @@
-//! Real-time characterization: exact zero-load latencies and
-//! rate-regulated worst-case measurement.
+//! Real-time characterization: zero-load latencies per
+//! source/destination pair.
 //!
 //! The paper's livelock scheme builds on HopliteRT (its ref \[30\]), whose
 //! concern is *worst-case* traversal time. This module provides the two
-//! ingredients a real-time analysis of a FastTrack NoC needs:
+//! ingredients a real-time analysis of a NoC needs:
 //!
-//! * [`zero_load_latency`] — the exact, deterministic latency of a
-//!   packet with no contention anywhere, per source/destination pair
-//!   (the floor every observed latency must respect; the engine is
-//!   tested to hit it exactly for lone packets), and
+//! * [`zero_load_latency`] — the deterministic latency of a packet with
+//!   no contention anywhere: the cycles of the links on
+//!   [`Topology::zero_load_path`] (each engine's own routing rule: on
+//!   the torus `routing::compute_prefs`, on the SHG its preference
+//!   rows, on the mesh its XY `route_slot`; pipelined links pay their
+//!   registers) plus the exit stage. Every engine hits it exactly for
+//!   lone packets. It is also a floor on Hoplite, FTlite, the SHG and
+//!   the mesh, but not under the FastTrack Full policy, where a
+//!   deflected packet can turn onto the express lane a lone one would
+//!   not board; and
 //! * a rate-regulated traffic source (`fasttrack-traffic`'s
 //!   `RegulatedSource`) — the admission model under which real-time NoC
-//!   bounds are stated — pairs with these floors in the integration
+//!   bounds are stated — pairs with these latencies in the integration
 //!   tests.
 
-use crate::config::{FtPolicy, NocConfig};
-use crate::geom::Coord;
-use crate::routing::inject_express_eligible;
+use crate::topology::Topology;
 
-/// Exact latency, in cycles, of a lone packet from `src` to `dst`
-/// (enqueue at an idle PE through delivery), replicating the routing
-/// function's lane decisions with no contention: X-phase express
-/// upgrades wherever warranted, a single Y-lane decision at the turn,
-/// plus one cycle for the exit stage.
-pub fn zero_load_latency(cfg: &NocConfig, src: Coord, dst: Coord) -> u64 {
-    let n = cfg.n();
-    if src == dst {
-        return 1; // self-send: delivered at the next edge
-    }
-    let mut cycles = 0u64;
-    let mut at = src;
-    let mut first_hop = true;
-    // X phase: express boarding allowed at injection and via W_sh/W_ex
-    // upgrades at any express-capable router (Full policy); the Inject
-    // policy decides the whole path at the PE.
-    while at.x != dst.x {
-        let dx = at.dx_to(dst, n);
-        let express_ok = match cfg.ft_policy() {
-            None => false,
-            Some(FtPolicy::Full) => cfg.has_express_at(at.x) && cfg.express_worthwhile(dx),
-            Some(FtPolicy::Inject) => first_hop && inject_express_eligible(cfg, at, dst),
-        };
-        if express_ok {
-            // Ride the express lane for the whole aligned stretch.
-            let k = cfg
-                .express_hops_for(dx)
-                .expect("worthwhile implies reachable");
-            for _ in 0..k {
-                at = at.east(cfg.d(), n);
-            }
-            cycles += k as u64;
-        } else {
-            at = at.east(1, n);
-            cycles += 1;
-        }
-        first_hop = false;
-    }
-    // Y phase: one boarding decision at entry (N_sh cannot upgrade).
-    let dy = at.dy_to(dst, n);
-    if dy > 0 {
-        let board = match cfg.ft_policy() {
-            None => false,
-            Some(FtPolicy::Full) => cfg.has_express_at(at.y) && cfg.express_worthwhile(dy),
-            Some(FtPolicy::Inject) => {
-                (first_hop || src.dx_to(dst, n) > 0) && inject_express_eligible(cfg, src, dst)
-            }
-        };
-        if board {
-            cycles += cfg
-                .express_hops_for(dy)
-                .expect("worthwhile implies reachable") as u64;
-        } else {
-            cycles += dy as u64;
-        }
-    }
-    cycles + 1 // exit stage
+/// Latency, in cycles, of a lone packet from node `src` to node `dst`
+/// (enqueue at an idle PE through delivery): the cycles of every link
+/// on its zero-load path, plus one for the exit stage. A self-send is
+/// delivered at the next edge, in 1.
+pub fn zero_load_latency(topo: &dyn Topology, src: usize, dst: usize) -> u64 {
+    let links: u64 = topo
+        .zero_load_path(src, dst)
+        .iter()
+        .map(|l| u64::from(l.cycles))
+        .sum();
+    links + 1
 }
 
 /// Zero-load latency statistics over all source/destination pairs.
@@ -86,18 +44,18 @@ pub struct ZeroLoadProfile {
     pub max: u64,
 }
 
-/// Computes the zero-load profile of a configuration.
-pub fn zero_load_profile(cfg: &NocConfig) -> ZeroLoadProfile {
-    let n = cfg.n();
+/// Computes the zero-load profile of a topology.
+pub fn zero_load_profile(topo: &dyn Topology) -> ZeroLoadProfile {
+    let nodes = topo.num_nodes();
     let mut sum = 0u64;
     let mut max = 0u64;
     let mut count = 0u64;
-    for s in 0..cfg.num_nodes() {
-        for d in 0..cfg.num_nodes() {
+    for s in 0..nodes {
+        for d in 0..nodes {
             if s == d {
                 continue;
             }
-            let lat = zero_load_latency(cfg, Coord::from_node_id(s, n), Coord::from_node_id(d, n));
+            let lat = zero_load_latency(topo, s, d);
             sum += lat;
             max = max.max(lat);
             count += 1;
@@ -112,54 +70,15 @@ pub fn zero_load_profile(cfg: &NocConfig) -> ZeroLoadProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::noc::Noc;
-    use crate::queue::InjectQueues;
-
-    fn ft(n: u16, d: u16, r: u16) -> NocConfig {
-        NocConfig::fasttrack(n, d, r, FtPolicy::Full).unwrap()
-    }
-
-    /// The analytic zero-load latency matches the engine exactly for
-    /// every pair on several configurations.
-    #[test]
-    fn zero_load_matches_engine_exactly() {
-        for cfg in [
-            NocConfig::hoplite(4).unwrap(),
-            NocConfig::hoplite(8).unwrap(),
-            ft(8, 2, 1),
-            ft(8, 2, 2),
-            ft(8, 4, 2),
-            NocConfig::fasttrack(8, 2, 1, FtPolicy::Inject).unwrap(),
-        ] {
-            let n = cfg.n();
-            for s in 0..cfg.num_nodes() {
-                for d in 0..cfg.num_nodes() {
-                    let (src, dst) = (Coord::from_node_id(s, n), Coord::from_node_id(d, n));
-                    let mut noc = Noc::new(cfg.clone());
-                    let mut q = InjectQueues::new(cfg.num_nodes());
-                    q.push(s, dst, 0, 0);
-                    let mut dels = Vec::new();
-                    for _ in 0..10_000 {
-                        noc.step(&mut q, &mut dels, None);
-                        if !dels.is_empty() {
-                            break;
-                        }
-                    }
-                    assert_eq!(
-                        dels[0].total_latency(),
-                        zero_load_latency(&cfg, src, dst),
-                        "{}: {src} -> {dst}",
-                        cfg.name()
-                    );
-                }
-            }
-        }
-    }
+    use crate::config::{FtPolicy, NocConfig};
+    use crate::topology::TorusTopology;
 
     #[test]
     fn fasttrack_cuts_zero_load_latency() {
-        let hoplite = zero_load_profile(&NocConfig::hoplite(8).unwrap());
-        let fast = zero_load_profile(&ft(8, 2, 1));
+        let hoplite = zero_load_profile(&TorusTopology::new(NocConfig::hoplite(8).unwrap()));
+        let fast = zero_load_profile(&TorusTopology::new(
+            NocConfig::fasttrack(8, 2, 1, FtPolicy::Full).unwrap(),
+        ));
         assert!(
             fast.mean < 0.8 * hoplite.mean,
             "{} vs {}",

@@ -127,7 +127,7 @@ pub fn desire(cfg: &NocConfig, at: Coord, dst: Coord) -> Desire {
 /// policy: a packet may board the express lane at the PE only if its
 /// entire journey — the X leg, the turn, and the Y leg — stays on express
 /// links until delivery (paper §IV-B).
-pub fn inject_express_eligible(cfg: &NocConfig, at: Coord, dst: Coord) -> bool {
+fn inject_express_eligible(cfg: &NocConfig, at: Coord, dst: Coord) -> bool {
     let n = cfg.n();
     let dx = at.dx_to(dst, n);
     let dy = at.dy_to(dst, n);

@@ -49,7 +49,7 @@ use crate::port::{OutPort, OutSet};
 use crate::queue::{ActiveCursor, InjectQueues};
 use crate::sim::{SessionBackend, SimEngine};
 use crate::stats::SimStats;
-use crate::topology::{MonitorShape, ShgConfig, ShgTopology, Topology};
+use crate::topology::{LinkDesc, MonitorShape, ShgConfig, ShgTopology, Topology};
 use crate::trace::{EventSink, SimEvent};
 
 #[cfg(test)]
@@ -645,6 +645,34 @@ impl ShgNoc {
         }
         self.cycle += 1;
     }
+}
+
+/// The links a lone packet crosses on the healthy fabric: every router
+/// sends it down the first slot of its preference row — the far end
+/// closest to `dst`, ties toward the lowest slot — exactly as the step
+/// does. ([`Topology::route_slot`]'s greedy slot only classifies
+/// reroutes; on a tie the two differ.)
+pub(crate) fn zero_load_path(topo: &ShgTopology, src: usize, dst: usize) -> Vec<LinkDesc> {
+    let q = topo.config().q();
+    let deg = 2 * usize::from(topo.config().delta());
+    let links = topo.links();
+    let link_dst: Vec<u32> = links.iter().map(|l| l.dst as u32).collect();
+    let from_origin = bfs_from_origin(topo.num_nodes(), deg, &link_dst);
+    let target = Coord::from_node_id(dst, q);
+    let mut row = [PAD_SLOT; PAD_SLOT as usize];
+    let mut path = Vec::new();
+    let mut at = src;
+    while at != dst {
+        let out = &links[at * deg..][..deg];
+        let via = out
+            .iter()
+            .map(|l| from_origin[offset_id(Coord::from_node_id(l.dst, q), target, q)]);
+        fill_row(&mut row[..deg], via);
+        let link = out[usize::from(row[0])];
+        at = link.dst;
+        path.push(link);
+    }
+    path
 }
 
 /// BFS hop distance from node 0 to every node of the healthy SHG.

@@ -37,8 +37,10 @@ use crate::config::{ConfigError, FtPolicy, NocConfig, NocKind};
 use crate::fallback::{FallbackConfig, FallbackError};
 use crate::fault::{Fault, FaultError, FaultPlan, SeedStream, StormSpec};
 use crate::geom::Coord;
-use crate::port::OutPort;
+use crate::noc::LINK_INPUTS;
+use crate::port::{InPort, OutPort};
 use crate::router::RouterClass;
+use crate::routing::compute_prefs;
 
 /// Flat link identifier: `node * links_per_node + class_slot`, the key
 /// the health monitor's hotspot EWMA tables are sized and indexed by
@@ -70,15 +72,18 @@ pub struct LinkDesc {
     pub src: usize,
     /// Node the link arrives at.
     pub dst: usize,
-    /// Output slot at `src` (dense, `0..out_degree`).
+    /// Output slot at `src`: the engine's register index for this
+    /// output (unique per node, not necessarily dense).
     pub slot: usize,
     /// The port class the engine uses for this slot in events, faults,
     /// and statistics.
     pub port: OutPort,
     /// Wire class of the link.
     pub class: WireClass,
-    /// Router positions covered in one cycle (1 for short links).
+    /// Router positions covered in one traversal (1 for short links).
     pub span: u16,
+    /// Cycles one traversal takes (1 plus any pipeline registers).
+    pub cycles: u16,
 }
 
 /// Topology-derived sizing for a [`crate::monitor::HealthMonitor`] —
@@ -193,11 +198,6 @@ impl TopoRouteLut {
         TopoRouteLut { nodes, slots }
     }
 
-    /// Nodes the table covers.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes
-    }
-
     /// Preferred slot at `at` for destination `dst`; `None` when
     /// `at == dst`.
     #[inline]
@@ -217,9 +217,9 @@ impl TopoRouteLut {
 ///
 /// Implementations must uphold (DESIGN.md §16):
 ///
-/// 1. **Dense ids** — nodes are `0..num_nodes()`; output slots at each
-///    node are dense `0..out_links(node).len()` and `LinkDesc::slot`
-///    matches the position's slot number.
+/// 1. **Ids** — nodes are `0..num_nodes()`; output slots are unique
+///    per node and are the engine's register index for that output, so
+///    a slot is looked up by [`LinkDesc::slot`], never by position.
 /// 2. **Strong connectivity** — with no faults, every node reaches
 ///    every other ([`Topology::connected_without`] of `&[]` is true).
 /// 3. **Productive routing** — [`Topology::route_slot`] must return a
@@ -233,15 +233,10 @@ impl TopoRouteLut {
 /// use fasttrack_core::topology::{ShgConfig, ShgTopology, Topology, TopoRouteLut};
 ///
 /// let topo = ShgTopology::new(ShgConfig::new(8, 2).unwrap());
-/// let lut = TopoRouteLut::build(&topo);
-/// // Walk the LUT from node 0 to node 60: it must arrive.
-/// let (mut at, dst) = (0, 60);
-/// for _ in 0..64 {
-///     if at == dst { break; }
-///     let slot = lut.slot(at, dst).unwrap();
-///     at = topo.out_links(at)[slot].dst;
-/// }
-/// assert_eq!(at, dst);
+/// // A lone packet from node 0 to node 60 follows the route LUT home.
+/// let path = topo.zero_load_path(0, 60);
+/// assert_eq!(path.last().unwrap().dst, 60);
+/// assert_eq!(TopoRouteLut::build(&topo).slot(0, 60), Some(path[0].slot));
 /// ```
 pub trait Topology {
     /// Human-readable name (e.g. `FT(64,2,1)`, `SHG(64,2)`).
@@ -262,6 +257,26 @@ pub trait Topology {
     /// The preferred productive output slot at `at` for a packet headed
     /// to `dst`. Must not be called with `at == dst`.
     fn route_slot(&self, at: usize, dst: usize) -> usize;
+
+    /// The links a lone packet crosses from `src` to `dst`, in order:
+    /// the engine's path with no contention anywhere (empty for a
+    /// self-send). The default follows [`Topology::route_slot`] from
+    /// router to router.
+    fn zero_load_path(&self, src: usize, dst: usize) -> Vec<LinkDesc> {
+        let mut path = Vec::new();
+        let mut at = src;
+        while at != dst {
+            let slot = self.route_slot(at, dst);
+            let link = self
+                .out_links(at)
+                .into_iter()
+                .find(|l| l.slot == slot)
+                .expect("route_slot names a link leaving `at`");
+            at = link.dst;
+            path.push(link);
+        }
+        path
+    }
 
     /// Every link of the topology, in `(node, slot)` order.
     fn links(&self) -> Vec<LinkDesc> {
@@ -286,7 +301,10 @@ pub trait Topology {
     /// The wire class of `(node, slot)`, or `None` if the slot does not
     /// exist there.
     fn wire_class(&self, node: usize, slot: usize) -> Option<WireClass> {
-        self.out_links(node).get(slot).map(|l| l.class)
+        self.out_links(node)
+            .into_iter()
+            .find(|l| l.slot == slot)
+            .map(|l| l.class)
     }
 
     /// First-order FPGA price: every output is a cascade of 2:1
@@ -504,6 +522,18 @@ impl TorusTopology {
     pub fn config(&self) -> &NocConfig {
         &self.cfg
     }
+
+    /// The link a lone packet leaves `at` by, having arrived on `input`
+    /// and headed to `dst`: the first choice of the engine's routing
+    /// function, or `None` when that choice is the exit.
+    fn next_link(&self, at: usize, input: InPort, dst: usize) -> Option<LinkDesc> {
+        let n = self.cfg.n();
+        let here = Coord::from_node_id(at, n);
+        let class = RouterClass::of(&self.cfg, here);
+        let out =
+            compute_prefs(&self.cfg, class, input, here, Coord::from_node_id(dst, n)).primary();
+        self.out_links(at).into_iter().find(|l| l.port == out)
+    }
 }
 
 impl Topology for TorusTopology {
@@ -523,68 +553,65 @@ impl Topology for TorusTopology {
         MonitorShape::torus(self.cfg.n())
     }
 
+    /// A router's links in [`OutPort::index`] order, slotted by that
+    /// index (the engine's output register index).
     fn out_links(&self, node: usize) -> Vec<LinkDesc> {
         let n = self.cfg.n();
         let d = self.cfg.d().max(1);
+        let pipeline = self.cfg.link_pipeline();
         let at = Coord::from_node_id(node, n);
         let outs = RouterClass::of(&self.cfg, at).available_outputs();
-        let mut links = Vec::with_capacity(4);
-        for port in [
-            OutPort::EastEx,
-            OutPort::EastSh,
-            OutPort::SouthEx,
-            OutPort::SouthSh,
-        ] {
-            if !outs.contains(port) {
-                continue;
-            }
-            let span = if port.is_express() { d } else { 1 };
-            let dst = if port.is_east() {
-                at.east(span, n)
-            } else {
-                at.south(span, n)
-            };
-            links.push(LinkDesc {
-                src: node,
-                dst: dst.to_node_id(n),
-                slot: links.len(),
-                port,
-                class: if port.is_express() {
-                    WireClass::Express
+        outs.iter()
+            .filter(|&port| port != OutPort::Exit)
+            .map(|port| {
+                let (span, class, cycles) = if port.is_express() {
+                    (d, WireClass::Express, pipeline.express_cycles())
                 } else {
-                    WireClass::Short
-                },
-                span,
-            });
-        }
-        links
+                    (1, WireClass::Short, pipeline.short_cycles())
+                };
+                let dst = if port.is_east() {
+                    at.east(span, n)
+                } else {
+                    at.south(span, n)
+                };
+                LinkDesc {
+                    src: node,
+                    dst: dst.to_node_id(n),
+                    slot: port.index(),
+                    port,
+                    class,
+                    span,
+                    cycles,
+                }
+            })
+            .collect()
     }
 
+    /// The PE's first choice: where the engine injects a packet at `at`.
     fn route_slot(&self, at: usize, dst: usize) -> usize {
-        let n = self.cfg.n();
-        let (a, b) = (Coord::from_node_id(at, n), Coord::from_node_id(dst, n));
-        let links = self.out_links(at);
-        let pick = |port: OutPort, fallback: OutPort| {
-            links
-                .iter()
-                .find(|l| l.port == port)
-                .or_else(|| links.iter().find(|l| l.port == fallback))
-                .map(|l| l.slot)
-                .expect("shared ring link always exists")
-        };
-        let dx = a.dx_to(b, n);
-        if dx > 0 {
-            // X first (DOR); express only when the whole span fits.
-            if dx >= self.cfg.d().max(1) {
-                pick(OutPort::EastEx, OutPort::EastSh)
-            } else {
-                pick(OutPort::EastSh, OutPort::EastSh)
-            }
-        } else if a.dy_to(b, n) >= self.cfg.d().max(1) {
-            pick(OutPort::SouthEx, OutPort::SouthSh)
-        } else {
-            pick(OutPort::SouthSh, OutPort::SouthSh)
+        self.next_link(at, InPort::Pe, dst)
+            .expect("a packet not yet home injects onto a link")
+            .slot
+    }
+
+    /// The engine's own walk: a lone packet wins its first choice at
+    /// every router and enters the next one on the input its output
+    /// feeds.
+    fn zero_load_path(&self, src: usize, dst: usize) -> Vec<LinkDesc> {
+        let mut path = Vec::new();
+        let (mut at, mut input) = (src, InPort::Pe);
+        while let Some(link) = self.next_link(at, input, dst) {
+            // The walk is a function of its (router, input) state, so a
+            // walk longer than the state count repeats one: an orbit.
+            assert!(
+                path.len() < InPort::ALL.len() * self.num_nodes(),
+                "{}: a lone packet from {src} to {dst} never arrives",
+                self.name()
+            );
+            (at, input) = (link.dst, LINK_INPUTS[link.port.index()]);
+            path.push(link);
         }
+        path
     }
 
     fn validate_fault(&self, fault: &Fault) -> Result<(), FaultError> {
@@ -786,6 +813,7 @@ impl Topology for ShgTopology {
                     WireClass::Short
                 },
                 span: stride,
+                cycles: 1,
             });
         }
         links
@@ -810,6 +838,12 @@ impl Topology for ShgTopology {
         } else {
             delta + greedy(a.dy_to(b, q))
         }
+    }
+
+    /// The engine's preference rows, which break ties toward the
+    /// lowest slot rather than the greedy one.
+    fn zero_load_path(&self, src: usize, dst: usize) -> Vec<LinkDesc> {
+        crate::shg::zero_load_path(self, src, dst)
     }
 }
 
@@ -1055,20 +1089,6 @@ mod tests {
     }
 
     #[test]
-    fn torus_express_pool_matches_fault_planner() {
-        // Storms draw from the trait's pool, `FaultPlan::random` from
-        // the cfg-native one: the same links in the same order.
-        for cfg in [ft(8, 2, 2), ft(8, 2, 1), NocConfig::hoplite(4).unwrap()] {
-            assert_eq!(
-                TorusTopology::new(cfg.clone()).express_ports(),
-                crate::fault::express_links(&cfg),
-                "{}",
-                cfg.name()
-            );
-        }
-    }
-
-    #[test]
     fn torus_fault_validation_matches_native() {
         let cfg = ft(8, 2, 1);
         let topo = TorusTopology::new(cfg.clone());
@@ -1109,22 +1129,31 @@ mod tests {
         assert!(!topo.connected_without(&[(0, OutPort::EastSh), (0, OutPort::SouthSh)]));
     }
 
+    /// On every pair of the six kernel fabrics the LUT holds the first
+    /// link of the engine's zero-load walk, and following the LUT alone
+    /// from router to router (contract 3) reaches the destination.
     #[test]
     fn torus_route_lut_walks_home() {
-        let topo = TorusTopology::new(ft(8, 2, 1));
-        let lut = topo.build_route_lut();
-        for dst in [1usize, 9, 37, 63] {
-            let mut at = 0usize;
-            for _ in 0..64 {
-                if at == dst {
-                    break;
+        for cfg in crate::kernel::tests::configs() {
+            let topo = TorusTopology::new(cfg);
+            let lut = topo.build_route_lut();
+            let nodes = topo.num_nodes();
+            for src in 0..nodes {
+                for dst in 0..nodes {
+                    let first = topo.zero_load_path(src, dst).first().map(|l| l.slot);
+                    assert_eq!(lut.slot(src, dst), first, "{}: {src} -> {dst}", topo.name());
+                    let mut at = src;
+                    for _ in 0..2 * nodes {
+                        let Some(slot) = lut.slot(at, dst) else {
+                            break;
+                        };
+                        let links = topo.out_links(at);
+                        at = links.iter().find(|l| l.slot == slot).unwrap().dst;
+                    }
+                    assert_eq!(at, dst, "{}: LUT walk {src} -> {dst}", topo.name());
                 }
-                let slot = lut.slot(at, dst).unwrap();
-                at = topo.out_links(at)[slot].dst;
             }
-            assert_eq!(at, dst, "LUT walk must reach {dst}");
         }
-        assert_eq!(lut.slot(5, 5), None);
     }
 
     #[test]
@@ -1191,7 +1220,12 @@ mod tests {
             let mut hops = 0;
             while at != to {
                 let slot = lut.slot(at, to).unwrap();
-                at = topo.out_links(at)[slot].dst;
+                at = topo
+                    .out_links(at)
+                    .iter()
+                    .find(|l| l.slot == slot)
+                    .unwrap()
+                    .dst;
                 hops += 1;
                 assert!(hops <= 32, "greedy route {from}->{to} must terminate");
             }

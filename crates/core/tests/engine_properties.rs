@@ -3,6 +3,7 @@
 //! randomized configurations and traffic.
 
 use fasttrack_core::prelude::*;
+use fasttrack_core::realtime::zero_load_latency;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -145,18 +146,29 @@ proptest! {
     }
 
     /// Latency sanity: no packet is delivered before it could possibly
-    /// arrive (injection + at least the express-optimal hop count).
+    /// arrive (injection + at least the express-optimal hop count), and
+    /// outside the Full policy none beats a lone packet's zero-load
+    /// latency. Under Full a contended packet can: one that turns south
+    /// with an odd offset rides the short lane to the end (`N_sh` has no
+    /// upgrade), while one deflected a row early turns with an even
+    /// offset and boards the express lane.
     #[test]
     fn latency_lower_bound(cfg in arb_config(), seed in any::<u64>()) {
         let n = cfg.n();
         let batch = random_batch(n, 3, seed);
         let (deliveries, _) = drain(&cfg, &batch, 300_000);
+        let topo = TorusTopology::new(cfg.clone());
+        let floored = cfg.ft_policy() != Some(FtPolicy::Full);
         for del in &deliveries {
             let p = &del.packet;
             prop_assert!(del.cycle > p.injected_at);
             let net = del.network_latency();
             prop_assert!(net >= p.total_hops() as u64,
                 "latency {net} below hop count {}", p.total_hops());
+            let floor = zero_load_latency(&topo, p.src.to_node_id(n), p.dst.to_node_id(n));
+            prop_assert!(!floored || del.total_latency() >= floor,
+                "latency {} below the zero-load floor {floor} on {}",
+                del.total_latency(), cfg.name());
         }
     }
 

@@ -84,6 +84,7 @@ impl Topology for MeshTopology {
                     port: axis_port(dir),
                     class: WireClass::Short,
                     span: 1,
+                    cycles: 1,
                 })
             })
             .collect()
@@ -162,6 +163,27 @@ mod tests {
         // (2,0) -> (2,1): then south.
         let slot = lut.slot(2, Coord::new(2, 1).to_node_id(4)).unwrap();
         assert_eq!(slot, Dir::South.index());
+    }
+
+    /// Slots are the engine's direction index, so an edge router's are
+    /// sparse: lookups go by `LinkDesc::slot`, never by position.
+    #[test]
+    fn slots_are_direction_indices() {
+        let t = topo(4);
+        for l in t.links() {
+            let dir = Dir::ALL[l.slot];
+            assert_eq!(
+                dir.neighbor(Coord::from_node_id(l.src, 4), 4)
+                    .unwrap()
+                    .to_node_id(4),
+                l.dst
+            );
+        }
+        // The corner (0,0) has only its East and South links.
+        assert_eq!(t.wire_class(0, Dir::South.index()), Some(WireClass::Short));
+        assert_eq!(t.wire_class(0, Dir::East.index()), Some(WireClass::Short));
+        assert_eq!(t.wire_class(0, Dir::North.index()), None);
+        assert_eq!(t.wire_class(0, Dir::West.index()), None);
     }
 
     #[test]

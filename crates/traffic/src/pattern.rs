@@ -61,14 +61,22 @@ impl Pattern {
         }
     }
 
+    /// Whether the pattern is defined on an `n × n` grid: the bit
+    /// permutations ([`Pattern::Shuffle`], [`Pattern::BitReverse`])
+    /// need a power-of-two side.
+    pub fn admits_side(self, n: u16) -> bool {
+        n.is_power_of_two() || !matches!(self, Pattern::Shuffle | Pattern::BitReverse)
+    }
+
     /// Draws a destination for a packet injected at `src` on an `n × n`
     /// torus.
     ///
     /// # Panics
     ///
     /// Panics if `n < 2` (no valid destination distinct from the source
-    /// for the stochastic patterns) or if `radius == 0` for
-    /// [`Pattern::Local`].
+    /// for the stochastic patterns), if `radius == 0` for
+    /// [`Pattern::Local`], or if the pattern does not
+    /// [admit](Pattern::admits_side) the side.
     pub fn destination<R: Rng + ?Sized>(self, src: Coord, n: u16, rng: &mut R) -> Coord {
         assert!(n >= 2, "pattern needs at least a 2x2 torus");
         match self {
@@ -275,6 +283,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "power-of-two")]
     fn bit_patterns_need_power_of_two() {
+        assert!(Pattern::Shuffle.admits_side(8) && Pattern::BitReverse.admits_side(2));
+        assert!(!Pattern::Shuffle.admits_side(6) && !Pattern::BitReverse.admits_side(3));
+        assert!(Pattern::Random.admits_side(3) && Pattern::BitComplement.admits_side(6));
         Pattern::Shuffle.destination(Coord::new(0, 0), 6, &mut rng());
     }
 

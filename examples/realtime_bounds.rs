@@ -8,6 +8,7 @@
 //! ```
 
 use fasttrack::core::realtime::{zero_load_latency, zero_load_profile};
+use fasttrack::core::topology::TorusTopology;
 use fasttrack::prelude::*;
 use fasttrack::traffic::regulated::RegulatedSource;
 
@@ -24,8 +25,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "config", "mean", "worst", "corner-to-corner"
     );
     for cfg in &configs {
-        let p = zero_load_profile(cfg);
-        let corner = zero_load_latency(cfg, Coord::new(0, 0), Coord::new(7, 7));
+        let topo = TorusTopology::new(cfg.clone());
+        let p = zero_load_profile(&topo);
+        let corner = zero_load_latency(&topo, 0, Coord::new(7, 7).to_node_id(8));
         println!(
             "{:<12} {:>10.2} {:>10} {:>22}",
             cfg.name(),
@@ -41,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "config", "period", "worst observed", "zero-load", "ratio"
     );
     for cfg in &configs {
-        let floor = zero_load_profile(cfg).max;
+        let floor = zero_load_profile(&TorusTopology::new(cfg.clone())).max;
         for period in [8u64, 16, 32] {
             let mut src = RegulatedSource::new(8, period, 300, 11);
             let report = SimSession::new(cfg).run(&mut src).unwrap().report;
