@@ -975,7 +975,10 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
 pub fn cmd_cost(flags: &Flags) -> Result<String, CliError> {
     let cfg = parse_noc(flags.required("noc")?)?;
     let width: u32 = flags.numeric("width", 256)?;
-    let channels: u32 = flags.numeric("channels", 1)?;
+    if width == 0 {
+        return Err(CliError::Other("--width must be positive".into()));
+    }
+    let channels = channels_flag(flags, 1)?.max(1) as u32;
     let device = Device::virtex7_485t();
     let cost = noc_cost(&cfg, width).replicated(channels);
     let mut out = format!(
@@ -1854,6 +1857,32 @@ mod tests {
         assert!(ok.contains("MHz"));
         let na = run(argv("cost --noc ft:16:2:1 --width 1024")).unwrap();
         assert!(na.contains("DOES NOT FIT"));
+    }
+
+    /// `cost` reads `--channels` like every other command: 0 is a plain
+    /// single NoC, not an all-zero price list.
+    #[test]
+    fn cost_reads_zero_channels_as_one() {
+        let zero = run(argv("cost --noc hoplite:8 --channels 0")).unwrap();
+        assert_eq!(zero, run(argv("cost --noc hoplite:8")).unwrap());
+        assert!(
+            zero.contains("x1 ") && zero.contains("LUTs 33664"),
+            "{zero}"
+        );
+    }
+
+    #[test]
+    fn cost_refuses_channels_above_the_cap() {
+        let err = run(argv("cost --noc hoplite:8 --channels 17")).unwrap_err();
+        assert!(matches!(err, CliError::Other(_)), "{err:?}");
+        assert!(err.to_string().contains("16-channel cap"), "{err}");
+    }
+
+    #[test]
+    fn cost_refuses_a_zero_bit_noc() {
+        let err = run(argv("cost --noc ft:8:2:2 --width 0")).unwrap_err();
+        assert!(matches!(err, CliError::Other(_)), "{err:?}");
+        assert!(err.to_string().contains("--width"), "{err}");
     }
 
     #[test]

@@ -658,37 +658,4 @@ mod tests {
             Some(OutPort::SouthSh)
         );
     }
-
-    /// Exhaustive smoke test: every combination of desires on a full
-    /// FT router allocates all four in-flight inputs.
-    #[test]
-    fn allocation_never_strands_inputs() {
-        let cfg = NocConfig::fasttrack(8, 2, 1, FtPolicy::Full).unwrap();
-        let class = RouterClass::FULL;
-        let at = Coord::new(2, 2);
-        let n = cfg.n();
-        let dsts: Vec<Coord> = (0..n)
-            .flat_map(|x| (0..n).map(move |y| Coord::new(x, y)))
-            .collect();
-        // Sample a grid of destination combinations (full cross product of
-        // 64^4 is too large; stride the space).
-        let stride = 7;
-        let sample: Vec<Coord> = dsts.iter().copied().step_by(stride).collect();
-        for &d0 in &sample {
-            for &d1 in &sample {
-                for &d2 in &sample {
-                    for &d3 in &sample {
-                        let inputs = [
-                            compute_prefs(&cfg, class, InPort::WestEx, at, d0),
-                            compute_prefs(&cfg, class, InPort::NorthEx, at, d1),
-                            compute_prefs(&cfg, class, InPort::WestSh, at, d2),
-                            compute_prefs(&cfg, class, InPort::NorthSh, at, d3),
-                        ];
-                        let a = allocate(&inputs, class.available_outputs(), shared());
-                        assert!(a[..4].iter().all(|x| x.is_some()));
-                    }
-                }
-            }
-        }
-    }
 }

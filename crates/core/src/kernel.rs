@@ -393,6 +393,8 @@ pub(crate) mod tests {
     use super::*;
     use crate::config::FtPolicy;
     use crate::packet::PacketId;
+    use crate::port::OutSet;
+    use crate::router::allowed_outputs;
 
     /// The six fabrics the kernel's exhaustive tests cover: every policy,
     /// depopulated and not, two sizes.
@@ -448,10 +450,10 @@ pub(crate) mod tests {
             let at = Coord::from_node_id(id, n);
             let dst = Coord::from_node_id(dst_id, n);
             let class = RouterClass::of(cfg, at);
-            for port in InPort::ALL {
-                if !class.has_input(port) || (cfg.ft_policy().is_none() && port.is_express()) {
-                    continue;
-                }
+            for port in InPort::ALL
+                .into_iter()
+                .filter(|&p| exists(cfg.ft_policy(), class, p))
+            {
                 assert_eq!(
                     lut.lookup(class, port, at, dst),
                     compute_prefs(cfg, class, port, at, dst),
@@ -511,20 +513,167 @@ pub(crate) mod tests {
         }
     }
 
-    /// The table is the allocator: for every key of every class of the
-    /// six kernel fabrics under both exit policies, the memoised visit is
-    /// `allocate` plus the statistics classification on the lists the ids
-    /// name, and the memoised injection is `try_inject` after it.
+    /// Whether `port` is an input of `class` on a fabric of `policy`.
+    fn exists(policy: Option<FtPolicy>, class: RouterClass, port: InPort) -> bool {
+        class.has_input(port) && !(policy.is_none() && port.is_express())
+    }
+
+    /// The allocation slot bit `port` takes: `Exit` shares `S_sh`'s under
+    /// the shared exit policy.
+    fn slot(port: OutPort, exit: ExitPolicy) -> u8 {
+        match (port, exit) {
+            (OutPort::Exit, ExitPolicy::SharedWithSouth) => 1 << OutPort::SouthSh.index(),
+            _ => 1 << port.index(),
+        }
+    }
+
+    /// The ports of `list` in `avail` whose slot is not `taken`, best first.
+    fn open(
+        list: &RoutePrefs,
+        avail: OutSet,
+        exit: ExitPolicy,
+        taken: u8,
+    ) -> impl Iterator<Item = OutPort> + '_ {
+        let ports = list.ports().iter().copied();
+        ports.filter(move |&p| avail.contains(p) && slot(p, exit) & taken == 0)
+    }
+
+    /// Whether `lists` can take pairwise-distinct open slots, by trying
+    /// every port of every list (at most 5^4 tuples).
+    fn matchable(lists: &[RoutePrefs], avail: OutSet, exit: ExitPolicy, taken: u8) -> bool {
+        let Some((first, rest)) = lists.split_first() else {
+            return true;
+        };
+        open(first, avail, exit, taken).any(|p| matchable(rest, avail, exit, taken | slot(p, exit)))
+    }
+
+    /// The router's rule on a visit with outputs `avail`, when its
+    /// occupied inputs have a complete matching there: each input, in
+    /// priority order, takes the first port of its list whose slot is
+    /// still free and that leaves the inputs below it a complete
+    /// matching. So none is stranded and no two share a slot. Returns
+    /// whether the matching existed.
+    fn obeys_the_rule(
+        inputs: &[RoutePrefs; MAX_IN_FLIGHT],
+        got: Decision,
+        avail: OutSet,
+        exit: ExitPolicy,
+        what: &str,
+    ) -> bool {
+        let occupied: Vec<usize> = (0..4).filter(|&s| !inputs[s].ports().is_empty()).collect();
+        let lists: Vec<RoutePrefs> = occupied.iter().map(|&s| inputs[s]).collect();
+        if !matchable(&lists, avail, exit, 0) {
+            return false;
+        }
+        let mut taken = 0;
+        for (i, &s) in occupied.iter().enumerate() {
+            let rest = &lists[i + 1..];
+            let first = open(&lists[i], avail, exit, taken)
+                .find(|&p| matchable(rest, avail, exit, taken | slot(p, exit)));
+            assert_eq!(got.out(s), first, "{what} on {avail:?}: input {s}");
+            taken |= slot(first.expect("a complete matching extends"), exit);
+        }
+        true
+    }
+
+    /// The list rules on every `(class, port, dx, dy)` key of `cfg` that
+    /// can occur (see `decision_table_matches_the_allocator_on_every_key`).
+    fn assert_lists_obey_the_rules(cfg: &NocConfig, lut: &RouteLut) {
+        let (n, side, policy) = (cfg.n(), cfg.n() as usize, cfg.ft_policy());
+        let at = |id| RouterClass::of(cfg, Coord::from_node_id(id, n));
+        let realized: Vec<RouterClass> = (0..cfg.num_nodes()).map(at).collect();
+        let classes = (0..4).map(RouterClass::from_code);
+        for class in classes.filter(|c| realized.contains(c)) {
+            for port in InPort::ALL
+                .into_iter()
+                .filter(|&p| exists(policy, class, p))
+            {
+                let allowed = allowed_outputs(policy, class, port);
+                let cp = class.code() * 5 + port.index();
+                for (dx, dy) in (0..n).flat_map(|dx| (0..n).map(move |dy| (dx, dy))) {
+                    let id = lut.ids[(cp * side + dx as usize) * side + dy as usize];
+                    let prefs = lut.lists(class, port)[id as usize];
+                    let ports = prefs.ports();
+                    let what = format!("{} {class:?} {port} ({dx}, {dy}): {ports:?}", cfg.name());
+                    assert!(!ports.is_empty(), "{what}");
+                    for (i, &p) in ports.iter().enumerate() {
+                        assert!(allowed.contains(p) && !ports[..i].contains(&p), "{what}");
+                    }
+                    let home = dx == 0 && dy == 0;
+                    assert_eq!(ports.contains(&OutPort::Exit), home, "{what}");
+                    assert!(!home || ports[0] == OutPort::Exit, "{what}");
+                    if policy != Some(FtPolicy::Full) {
+                        continue;
+                    }
+                    for (express, delta) in [(OutPort::EastEx, dx), (OutPort::SouthEx, dy)] {
+                        let aligned = cfg.express_aligned(delta);
+                        assert!(aligned || !prefs.productive().contains(express), "{what}");
+                    }
+                    // A misaligned express packet leaves the lane by the
+                    // escape turn of the dimension it travels.
+                    let escape = match port {
+                        InPort::WestEx if !cfg.express_aligned(dx) => Some(OutPort::SouthSh),
+                        InPort::NorthEx if dx == 0 && !cfg.express_aligned(dy) => {
+                            Some(OutPort::EastSh)
+                        }
+                        _ => None,
+                    };
+                    assert!(escape.is_none_or(|turn| ports[0] == turn), "{what}");
+                }
+            }
+        }
+    }
+
+    /// The table is the allocator, and the allocator is the paper's
+    /// router, on every key: for every class of the kernel fabrics and
+    /// every side-8 fabric, under both exit policies,
+    /// * every list a LUT holds is non-empty, duplicate-free and inside
+    ///   `allowed_outputs`, holding `Exit` exactly at the destination and
+    ///   then first. Under the Full policy every express port a list
+    ///   counts productive is aligned in its dimension, and a misaligned
+    ///   express packet's list starts with its escape turn (DESIGN §5b);
+    /// * the memoised visit is `allocate` plus the statistics
+    ///   classification, and obeys [`obeys_the_rule`] with the class's
+    ///   outputs and again with `Exit` gated off (the multi-channel
+    ///   gate), stranding nothing either way;
+    /// * the memoised injection is the first port of the PE's list that
+    ///   exists and has a free slot, for every slot mask;
+    /// * per policy and class, the (input, output) pairs visits and
+    ///   injections use over all fabrics are exactly `allowed_outputs`:
+    ///   no mux input is dead and none is missing.
+    ///
+    /// On the kernel fabrics a visit with any subset of the class's
+    /// outputs, as at a faulted router, also obeys the rule whenever a
+    /// complete matching exists.
     #[test]
     fn decision_table_matches_the_allocator_on_every_key() {
-        use crate::alloc::{allocate, try_inject};
-        for base in configs() {
+        use crate::alloc::allocate;
+        let policies = [None, Some(FtPolicy::Full), Some(FtPolicy::Inject)];
+        // Per (policy, class, input): the outputs some fabric used.
+        let mut union = [[[OutSet::empty(); 5]; 4]; 3];
+        let (kernel, side_8) = (configs(), fabrics_of_side(8));
+        for base in kernel
+            .iter()
+            .chain(side_8.iter().filter(|c| !kernel.contains(c)))
+        {
+            let p = policies
+                .iter()
+                .position(|&q| q == base.ft_policy())
+                .unwrap();
+            // On the kernel fabrics, every subset of a class's outputs as
+            // dead links leave them: its 5-bit masks.
+            let faulted = if kernel.contains(base) { 32 } else { 0 };
             for exit in [ExitPolicy::SharedWithSouth, ExitPolicy::Dedicated] {
                 let cfg = base.clone().with_exit_policy(exit);
                 let lut = RouteLut::build(&cfg);
+                assert_lists_obey_the_rules(&cfg, &lut);
                 let mut table = DecisionTable::new(lut.clone(), exit);
                 for class in (0..4).map(RouterClass::from_code) {
+                    let used = &mut union[p][class.code()];
                     let avail = class.available_outputs();
+                    let mut gated = avail;
+                    gated.remove(OutPort::Exit);
+                    let all_slots = avail.iter().fold(0, |m, p| m | slot(p, exit));
                     let radix = InPort::IN_FLIGHT.map(|p| lut.lists(class, p).len());
                     for key in 0..radix.iter().product() {
                         let mut rest = key;
@@ -533,38 +682,71 @@ pub(crate) mod tests {
                             rest /= r;
                             id
                         });
+                        let inputs = InPort::IN_FLIGHT
+                            .map(|port| lut.lists(class, port)[ids[port.index()] as usize]);
                         let occupied: Vec<usize> = (0..4).filter(|&s| ids[s] != 0).collect();
-                        let prefs: Vec<RoutePrefs> = occupied
-                            .iter()
-                            .map(|&s| lut.lists(class, InPort::IN_FLIGHT[s])[ids[s] as usize])
-                            .collect();
+                        let prefs: Vec<RoutePrefs> = occupied.iter().map(|&s| inputs[s]).collect();
                         let expected = allocate(&prefs, avail, exit);
                         let got = table.visit(class, &ids);
                         assert_eq!(got, table.visit(class, &ids), "a hit repeats the fill");
                         let what = format!("{} {exit:?} {class:?} {ids:?}", cfg.name());
-                        for (i, &slot) in occupied.iter().enumerate() {
+                        let mut taken = 0;
+                        for (i, &s) in occupied.iter().enumerate() {
                             let out = expected[i].unwrap();
                             let deflected = !prefs[i].productive().contains(out);
                             let demoted = !deflected
                                 && prefs[i].wanted_express()
                                 && !out.is_express()
                                 && out != OutPort::Exit;
-                            assert_eq!(got.out(slot), Some(out), "{what}");
-                            assert_eq!(got.deflected(slot), deflected, "{what}");
-                            assert_eq!(got.demoted(slot), demoted, "{what}");
+                            assert_eq!(got.out(s), Some(out), "{what}");
+                            assert_eq!(got.deflected(s), deflected, "{what}");
+                            assert_eq!(got.demoted(s), demoted, "{what}");
+                            taken |= slot(out, exit);
                         }
-                        let taken: Vec<OutPort> = expected.iter().flatten().copied().collect();
-                        for (id, pe) in lut.lists(class, InPort::Pe).iter().enumerate().skip(1) {
-                            assert_eq!(
-                                table.inject(class, id as u8, got.free()),
-                                try_inject(pe, avail, &taken, exit),
-                                "{what} PE {:?}",
-                                pe.ports()
-                            );
+                        assert_eq!(got.free(), all_slots & !taken, "{what}");
+                        let gate = Decision::decide(&inputs, gated, exit, false);
+                        assert!(obeys_the_rule(&inputs, got, avail, exit, &what), "{what}");
+                        assert!(obeys_the_rule(&inputs, gate, gated, exit, &what), "{what}");
+                        for &s in &occupied {
+                            used[s].insert(got.out(s).unwrap());
+                            used[s].insert(gate.out(s).unwrap());
+                        }
+                        for bits in 0..faulted {
+                            let sub = avail
+                                .iter()
+                                .filter(|p| bits >> p.index() & 1 == 1)
+                                .collect();
+                            let visit = Decision::decide(&inputs, sub, exit, false);
+                            obeys_the_rule(&inputs, visit, sub, exit, &what);
+                        }
+                    }
+                    for (id, pe) in lut.lists(class, InPort::Pe).iter().enumerate().skip(1) {
+                        for free in 0u8..32 {
+                            let out = table.inject(class, id as u8, free);
+                            let first = open(pe, avail, exit, !free).next();
+                            assert_eq!(out, first, "{} {class:?} PE {:?}", cfg.name(), pe.ports());
+                            if let Some(out) = out {
+                                used[InPort::Pe.index()].insert(out);
+                            }
                         }
                     }
                 }
                 assert_eq!(table.visits_filled(), table.visits.len());
+            }
+        }
+        for (p, policy) in policies.into_iter().enumerate() {
+            let classes = if policy.is_none() { 1 } else { 4 };
+            for class in (0..classes).map(RouterClass::from_code) {
+                for port in InPort::ALL {
+                    let allowed = allowed_outputs(policy, class, port);
+                    let expected = if exists(policy, class, port) {
+                        allowed
+                    } else {
+                        OutSet::empty()
+                    };
+                    let used = union[p][class.code()][port.index()];
+                    assert_eq!(used, expected, "{policy:?} {class:?} {port}");
+                }
             }
         }
     }

@@ -327,6 +327,48 @@ mod tests {
         assert!(!wsh.contains(OutPort::SouthEx)); // no Y express here
     }
 
+    /// The switch, pinned: per policy and class code (bit 0: X express,
+    /// bit 1: Y express), the outputs of `W_ex | N_ex | W_sh | N_sh | PE`,
+    /// `-` where the input does not exist and `*` for all five. Express
+    /// leaves for short only at the turns `W_ex → S_sh` and `N_ex → E_sh`
+    /// (Full), `N_sh` never upgrades, Inject keeps each lane to itself and
+    /// lets the PE board either, and every input reaches `Exit`.
+    #[test]
+    fn connectivity_matrix_is_pinned() {
+        const MATRIX: &str = "
+            -      0 | - | - | E_sh S_sh Exit | E_sh S_sh Exit | E_sh S_sh Exit
+            Full   0 | - | - | E_sh S_sh Exit | E_sh S_sh Exit | E_sh S_sh Exit
+            Full   1 | E_ex S_sh Exit | - | E_ex E_sh S_sh Exit | E_sh S_sh Exit | E_ex E_sh S_sh Exit
+            Full   2 | - | E_sh S_ex Exit | E_sh S_ex S_sh Exit | E_sh S_sh Exit | E_sh S_ex S_sh Exit
+            Full   3 | E_ex S_ex S_sh Exit | E_ex E_sh S_ex Exit | * | E_sh S_sh Exit | *
+            Inject 0 | - | - | E_sh S_sh Exit | E_sh S_sh Exit | E_sh S_sh Exit
+            Inject 1 | E_ex Exit | - | E_sh S_sh Exit | E_sh S_sh Exit | E_ex E_sh S_sh Exit
+            Inject 2 | - | S_ex Exit | E_sh S_sh Exit | E_sh S_sh Exit | E_sh S_ex S_sh Exit
+            Inject 3 | E_ex S_ex Exit | E_ex S_ex Exit | E_sh S_sh Exit | E_sh S_sh Exit | *";
+        for row in MATRIX.lines().map(str::trim).filter(|row| !row.is_empty()) {
+            let cells: Vec<&str> = row.split(" | ").collect();
+            assert_eq!(cells.len(), 1 + InPort::ALL.len(), "{row}");
+            let (policy, code) = cells[0].split_once(' ').unwrap();
+            let policy = match policy {
+                "Full" => Some(FtPolicy::Full),
+                "Inject" => Some(FtPolicy::Inject),
+                _ => None,
+            };
+            let class = RouterClass::from_code(code.trim().parse().unwrap());
+            for (port, want) in InPort::ALL.into_iter().zip(&cells[1..]) {
+                let outs = allowed_outputs(policy, class, port).iter();
+                let outs: Vec<String> = outs.map(|out| out.to_string()).collect();
+                let exists = class.has_input(port) && !(policy.is_none() && port.is_express());
+                let got = if exists { outs.join(" ") } else { "-".into() };
+                assert_eq!(
+                    got,
+                    want.replace('*', "E_ex E_sh S_ex S_sh Exit"),
+                    "{row}: {port}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn has_input_matches_class() {
         assert!(!RouterClass::HOPLITE.has_input(InPort::WestEx));

@@ -7,45 +7,10 @@
 
 use fasttrack_core::prelude::*;
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
-/// Arbitrary FastTrack configuration with the paper's validity rules
-/// (`D % R == 0`, `R` tiles the ring) enforced by construction.
-fn arb_ft_config() -> impl Strategy<Value = NocConfig> {
-    (2u16..=3, any::<u8>(), any::<bool>()).prop_map(|(n_exp, sel, full)| {
-        let n = 1u16 << n_exp; // 4 or 8
-        let policy = if full {
-            FtPolicy::Full
-        } else {
-            FtPolicy::Inject
-        };
-        let mut variants = Vec::new();
-        for d in 1..=n / 2 {
-            for r in 1..=d {
-                if d % r == 0 && n.is_multiple_of(r) {
-                    variants.push((d, r));
-                }
-            }
-        }
-        let (d, r) = variants[sel as usize % variants.len()];
-        NocConfig::fasttrack(n, d, r, policy).unwrap()
-    })
-}
+mod common;
 
-/// A batch of random packets for the given torus size.
-fn random_batch(n: u16, per_pe: usize, seed: u64) -> Vec<(usize, Coord)> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let nodes = n as usize * n as usize;
-    let mut batch = Vec::new();
-    for node in 0..nodes {
-        for _ in 0..per_pe {
-            let dst = Coord::new(rng.gen_range(0..n), rng.gen_range(0..n));
-            batch.push((node, dst));
-        }
-    }
-    batch
-}
+use common::{arb_ft_config, random_batch};
 
 /// Drains a batch through a NoC, returning the deliveries.
 fn drain(cfg: &NocConfig, batch: &[(usize, Coord)]) -> Vec<Delivery> {

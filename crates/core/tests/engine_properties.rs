@@ -8,6 +8,10 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+mod common;
+
+use common::random_batch;
+
 /// Arbitrary valid NoC configuration on a small torus.
 fn arb_config() -> impl Strategy<Value = NocConfig> {
     (2u16..=3, any::<u8>(), any::<bool>(), any::<bool>()).prop_map(
@@ -39,20 +43,6 @@ fn arb_config() -> impl Strategy<Value = NocConfig> {
             }
         },
     )
-}
-
-/// A batch of random packets for the given torus size.
-fn random_batch(n: u16, per_pe: usize, seed: u64) -> Vec<(usize, Coord)> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let nodes = n as usize * n as usize;
-    let mut batch = Vec::new();
-    for node in 0..nodes {
-        for _ in 0..per_pe {
-            let dst = Coord::new(rng.gen_range(0..n), rng.gen_range(0..n));
-            batch.push((node, dst));
-        }
-    }
-    batch
 }
 
 /// Drains a batch through a NoC, returning (deliveries, cycles).

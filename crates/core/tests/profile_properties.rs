@@ -17,43 +17,9 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// A one-shot batch of random packets.
-struct BatchSource {
-    items: Vec<(usize, Coord)>,
-    pushed: bool,
-}
+mod common;
 
-impl BatchSource {
-    fn random(n: u16, per_pe: usize, seed: u64) -> Self {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let nodes = n as usize * n as usize;
-        let mut items = Vec::new();
-        for node in 0..nodes {
-            for _ in 0..per_pe {
-                let dst = Coord::new(rng.gen_range(0..n), rng.gen_range(0..n));
-                items.push((node, dst));
-            }
-        }
-        BatchSource {
-            items,
-            pushed: false,
-        }
-    }
-}
-
-impl TrafficSource for BatchSource {
-    fn pump(&mut self, cycle: u64, queues: &mut InjectQueues) {
-        if !self.pushed {
-            for &(src, dst) in &self.items {
-                queues.push(src, dst, cycle, 0);
-            }
-            self.pushed = true;
-        }
-    }
-    fn exhausted(&self) -> bool {
-        self.pushed
-    }
-}
+use common::BatchSource;
 
 fn ft_cfg() -> NocConfig {
     NocConfig::fasttrack(8, 2, 2, FtPolicy::Full).unwrap()

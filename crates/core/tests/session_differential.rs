@@ -13,6 +13,10 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+mod common;
+
+use common::BatchSource;
+
 /// Arbitrary FastTrack configuration with the paper's validity rules
 /// (`D % R == 0`, `R` tiles the ring) enforced by construction. Sides
 /// that are not powers of two matter: `gcd(D, N) < D` (as in
@@ -37,44 +41,6 @@ fn arb_ft_config() -> impl Strategy<Value = NocConfig> {
         let (d, r) = variants[sel as usize % variants.len()];
         NocConfig::fasttrack(n, d, r, policy).unwrap()
     })
-}
-
-/// A one-shot batch of random packets.
-struct BatchSource {
-    items: Vec<(usize, Coord)>,
-    pushed: bool,
-}
-
-impl BatchSource {
-    fn random(n: u16, per_pe: usize, seed: u64) -> Self {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let nodes = n as usize * n as usize;
-        let mut items = Vec::new();
-        for node in 0..nodes {
-            for _ in 0..per_pe {
-                let dst = Coord::new(rng.gen_range(0..n), rng.gen_range(0..n));
-                items.push((node, dst));
-            }
-        }
-        BatchSource {
-            items,
-            pushed: false,
-        }
-    }
-}
-
-impl TrafficSource for BatchSource {
-    fn pump(&mut self, cycle: u64, queues: &mut InjectQueues) {
-        if !self.pushed {
-            for &(src, dst) in &self.items {
-                queues.push(src, dst, cycle, 0);
-            }
-            self.pushed = true;
-        }
-    }
-    fn exhausted(&self) -> bool {
-        self.pushed
-    }
 }
 
 /// Open-loop Bernoulli injection, `per_pe` packets per PE (the traffic

@@ -13,14 +13,18 @@
 //!
 //! and Hoplite @32 b = 78 LUTs (Table I), FT @32 b in 191–290 LUTs.
 //!
-//! Mux costs on a 6-input-LUT fabric: a 2:1–4:1 mux fits one LUT per bit,
-//! a 5:1–8:1 mux needs two. A Hoplite router is two 3:1 muxes (2 LUT/bit);
-//! a full FT router is four 4:1 muxes plus the 5:1 exit mux (6 LUT/bit);
-//! a depopulated (grey) router drops one express dimension (4 LUT/bit).
+//! The mux inventory is derived from [`allowed_outputs`], the matrix the
+//! decision table is checked against on every key. A 2:1–4:1 mux is one
+//! 6-LUT per bit, a 5:1–8:1 mux two: white routers have two 3:1 muxes
+//! (`E_sh`, shared `S_sh`/exit), black ones four 4:1 (3:1 under Inject)
+//! and a 5:1 exit, grey ones under Full 3:1, 3:1, 4:1 and a 4:1 exit. A
+//! white router in an FT NoC with `D ≥ 2` is priced with the shared exit
+//! but runs a dedicated one (DESIGN §5b "Exit port").
 
 use fasttrack_core::config::{FtPolicy, NocConfig};
 use fasttrack_core::geom::Coord;
-use fasttrack_core::router::RouterClass;
+use fasttrack_core::port::{InPort, OutPort, OutSet};
+use fasttrack_core::router::{allowed_outputs, RouterClass};
 
 use crate::device::Device;
 
@@ -62,54 +66,50 @@ pub fn mux_luts_per_bit(inputs: u32) -> u64 {
     }
 }
 
-/// Control/decode overhead (DOR compare, valid bits, priority logic) in
-/// LUTs per router, by class complexity.
-fn decode_overhead(class: RouterClass, policy: FtPolicy) -> u64 {
-    let base = match (class.x_express, class.y_express) {
-        (true, true) => 90,
-        (true, false) | (false, true) => 60,
-        (false, false) => 14,
+/// Each output mux of a `class` switch and its fan-in: the inputs whose
+/// [`allowed_outputs`] reach it. `shared_exit` folds `Exit` into `S_sh`.
+fn output_muxes(class: RouterClass, policy: FtPolicy, shared_exit: bool) -> Vec<(OutPort, u32)> {
+    let mux = |out| match out {
+        OutPort::Exit if shared_exit => OutPort::SouthSh,
+        out => out,
     };
-    match policy {
-        FtPolicy::Full => base,
-        // The Inject variant's routing function is decided once at the
-        // PE, so the per-router decode logic is roughly halved.
-        FtPolicy::Inject => (base / 2).max(14),
+    let mut fan_in = [0; 5];
+    for port in InPort::ALL.into_iter().filter(|&p| class.has_input(p)) {
+        let reach = allowed_outputs(Some(policy), class, port);
+        let fed: OutSet = reach.iter().map(mux).collect();
+        fed.iter().for_each(|out| fan_in[out.index()] += 1);
     }
+    let avail = class.available_outputs();
+    let outs = avail.iter().filter(|&out| mux(out) == out);
+    outs.map(|out| (out, fan_in[out.index()])).collect()
 }
 
 /// Cost of one router of the given class at `width` bits.
 ///
-/// `policy` is `None` for a baseline Hoplite NoC (and forced for routers
-/// with no express ports, which are plain Hoplite switches).
+/// `policy` is `None` for a baseline Hoplite NoC. A router with no
+/// express port is Hoplite's two-mux switch under any policy.
 pub fn router_cost(class: RouterClass, policy: Option<FtPolicy>, width: u32) -> RouterCost {
-    let w = width as u64;
-    match (class.x_express, class.y_express) {
-        // Plain Hoplite: two 3:1 muxes (E, shared S/exit) + decode;
-        // registers on 2 inputs + 2 outputs + PE interface.
-        (false, false) => RouterCost {
-            luts: 2 * w + 14,
-            ffs: 5 * w + 17,
-        },
-        // Full FT: E_ex/E_sh/S_ex/S_sh 4:1 muxes + 5:1 exit mux.
-        (true, true) => {
-            let policy = policy.unwrap_or_default();
-            RouterCost {
-                luts: (4 * mux_luts_per_bit(4) + mux_luts_per_bit(5)) * w
-                    + decode_overhead(class, policy),
-                ffs: 9 * w + 40,
-            }
-        }
-        // Grey (one express dimension): drop one pair of express muxes
-        // and shrink the exit mux to 4:1.
-        _ => {
-            let policy = policy.unwrap_or_default();
-            RouterCost {
-                luts: (3 * mux_luts_per_bit(4) + mux_luts_per_bit(4)) * w
-                    + decode_overhead(class, policy),
-                ffs: 7 * w + 30,
-            }
-        }
+    let policy = policy.unwrap_or_default();
+    let muxes = output_muxes(class, policy, !class.has_any_express());
+    let luts: u64 = muxes.iter().map(|m| mux_luts_per_bit(m.1)).sum();
+    // Registers on every input, the PE's included, and every link output.
+    let inputs = InPort::ALL.into_iter().filter(|&p| class.has_input(p));
+    let registers = (inputs.count() + class.available_outputs().len() - 1) as u64;
+    // Control and decode logic (DOR compare, valid bits, priority) by
+    // class: calibration, not structure. The Inject routing function is
+    // decided once at the PE, which roughly halves its decode.
+    let (decode, control) = match (class.x_express, class.y_express) {
+        (true, true) => (90, 40),
+        (true, false) | (false, true) => (60, 30),
+        (false, false) => (14, 17),
+    };
+    let decode = match policy {
+        FtPolicy::Full => decode,
+        FtPolicy::Inject => (decode / 2).max(14),
+    };
+    RouterCost {
+        luts: luts * width as u64 + decode,
+        ffs: registers * width as u64 + control,
     }
 }
 
@@ -186,7 +186,7 @@ pub fn wire_slice_bits(device: &Device, cfg: &NocConfig, width: u32) -> (f64, f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fasttrack_core::config::NocConfig;
+    use fasttrack_core::config::{ExitPolicy, NocConfig};
 
     fn ft(n: u16, d: u16, r: u16) -> NocConfig {
         NocConfig::fasttrack(n, d, r, FtPolicy::Full).unwrap()
@@ -285,22 +285,50 @@ mod tests {
         assert_eq!(tripled.routers, 3 * base.routers);
     }
 
+    /// The one place the priced switch and the engine's part ways. A
+    /// router with no express port inside an FT NoC with `D ≥ 2` runs the
+    /// NoC's `ExitPolicy::Dedicated`: three 3:1 muxes (`E_sh`, `S_sh`,
+    /// `Exit`), priced as Hoplite's two. Pinned here, not resolved: +256
+    /// LUTs per such router at 256 b, so +4 096 on FT(64,2,2).
     #[test]
-    fn iso_wiring_equivalence() {
-        // FT(·,2,1) uses the same wire bundles as Hoplite-3x, and
-        // FT(·,2,2) the same as Hoplite-2x (the paper's comparison).
-        let hoplite = noc_cost(&NocConfig::hoplite(8).unwrap(), 256);
+    fn white_routers_in_ft_nocs_are_priced_one_exit_mux_short() {
+        let mut cfgs = vec![NocConfig::hoplite(8).unwrap()];
+        for (d, r) in [(1, 1), (2, 1), (2, 2), (3, 1), (4, 1), (4, 2), (4, 4)] {
+            for policy in [FtPolicy::Full, FtPolicy::Inject] {
+                cfgs.push(NocConfig::fasttrack(8, d, r, policy).unwrap());
+            }
+        }
+        let mut gaps = std::collections::BTreeSet::new();
+        for cfg in cfgs {
+            let policy = cfg.ft_policy().unwrap_or_default();
+            let engine_shares_exit = cfg.exit_policy() == ExitPolicy::SharedWithSouth;
+            let mut extra_luts = 0;
+            for id in 0..cfg.num_nodes() {
+                let class = RouterClass::of(&cfg, Coord::from_node_id(id, cfg.n()));
+                let engine = output_muxes(class, policy, engine_shares_exit);
+                let priced = output_muxes(class, policy, !class.has_any_express());
+                assert!(
+                    priced.iter().all(|mux| engine.contains(mux)),
+                    "{}",
+                    cfg.name()
+                );
+                for &(out, fan_in) in engine.iter().filter(|mux| !priced.contains(mux)) {
+                    gaps.insert((class.code(), out, fan_in));
+                    extra_luts += mux_luts_per_bit(fan_in) * 256;
+                }
+            }
+            let white_in_ft = cfg.d() >= 2 && cfg.r() >= 2;
+            assert_eq!(extra_luts > 0, white_in_ft, "{}", cfg.name());
+            if cfg.d() == 2 && cfg.r() == 2 && policy == FtPolicy::Full {
+                assert_eq!(extra_luts, 4_096);
+                assert_eq!(noc_cost(&cfg, 256).luts + extra_luts, 73_216);
+            }
+        }
+        let white = RouterClass::HOPLITE.code();
         assert_eq!(
-            noc_cost(&ft(8, 2, 1), 256).wire_bundles_per_cut,
-            hoplite.replicated(3).wire_bundles_per_cut
+            gaps.into_iter().collect::<Vec<_>>(),
+            [(white, OutPort::Exit, 3)]
         );
-        assert_eq!(
-            noc_cost(&ft(8, 2, 2), 256).wire_bundles_per_cut,
-            hoplite.replicated(2).wire_bundles_per_cut
-        );
-        // ...while needing fewer LUTs than the 3-channel replica? The
-        // paper: "costs the designer 1.5× more LUTs than FastTrack".
-        assert!(hoplite.replicated(3).luts as f64 > 0.9 * noc_cost(&ft(8, 2, 1), 256).luts as f64);
     }
 
     #[test]
