@@ -34,18 +34,23 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
-use fasttrack_core::sweep::{splitmix64, sweep_fallible, SweepError};
+use fasttrack_core::sim::SimReport;
+use fasttrack_core::sweep::{splitmix64, SweepError};
+use fasttrack_traffic::source::BernoulliSource;
 
-use crate::runner::{sweep_csv_header, sweep_csv_row, FallibleSweepOptions, SweepGrid, SweepPoint};
+use crate::runner::{
+    sweep_csv_header, sweep_csv_row, FallibleSweepOptions, PointSession, SweepGrid, SweepPoint,
+    SweepRow,
+};
 
 /// First token pair of every journal file; bump the version on any
 /// format change.
-pub const JOURNAL_MAGIC: &str = "fasttrack-sweep-journal v1";
+const JOURNAL_MAGIC: &str = "fasttrack-sweep-journal v1";
 
 /// Hashes the identity of a grid into the fingerprint stored in its
 /// journal header. Two grids fingerprint equal exactly when they would
 /// produce the same rows: same base seed, packet quota, and point list.
-pub fn grid_fingerprint(grid: &SweepGrid) -> u64 {
+fn grid_fingerprint(grid: &SweepGrid) -> u64 {
     let mut h = splitmix64(grid.base_seed);
     let mut mix = |bytes: &[u8]| {
         for &b in bytes {
@@ -132,22 +137,20 @@ impl From<std::io::Error> for JournalError {
 
 /// Parsed contents of a journal file.
 #[derive(Debug, Default)]
-pub struct JournalContents {
+struct JournalContents {
     /// Grid fingerprint from the header.
-    pub fingerprint: u64,
+    fingerprint: u64,
     /// Completed points: index → CSV row (without trailing newline).
-    pub done: HashMap<usize, String>,
-    /// Failed points recorded so far: `(index, message)`. Informational
-    /// only — resume re-attempts them.
-    pub errors: Vec<(usize, String)>,
+    done: HashMap<usize, String>,
     /// Byte length of the valid prefix of the file. A torn final append
     /// leaves trailing bytes beyond this; resume truncates to it before
     /// appending so the torn line never becomes interior corruption.
-    pub valid_len: u64,
+    valid_len: u64,
 }
 
-/// Reads and validates a journal file.
-pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
+/// Reads and validates a journal file. `err` records are informational
+/// (resume re-attempts those points), so only their syntax is checked.
+fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
     let mut reader = BufReader::new(File::open(path)?);
     let mut raw = String::new();
     if reader.read_line(&mut raw)? == 0 {
@@ -200,10 +203,7 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
                     None => pending = Some(no),
                 }
             }
-            (Some("err"), Some(index)) => {
-                let msg = parts.next().unwrap_or("").to_string();
-                contents.errors.push((index, msg));
-            }
+            (Some("err"), Some(_)) => {}
             _ => pending = Some(no),
         }
         // A final line without its newline is a mid-append crash even if
@@ -218,34 +218,54 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
 
 /// The append side of a journal: one flushed line per finished point.
 #[derive(Debug)]
-pub struct SweepJournal {
+struct SweepJournal {
     file: Mutex<File>,
 }
 
 impl SweepJournal {
-    /// Creates (or truncates) a journal for the given grid fingerprint.
-    pub fn create(path: &Path, fingerprint: u64) -> std::io::Result<Self> {
-        let mut file = File::create(path)?;
-        writeln!(file, "{JOURNAL_MAGIC} {fingerprint:016x}")?;
-        file.flush()?;
-        Ok(SweepJournal {
-            file: Mutex::new(file),
-        })
-    }
-
-    /// Opens an existing journal for appending (header already present),
-    /// first truncating it to `valid_len` bytes — the valid prefix
-    /// reported by [`read_journal`] — so a torn final append from a
-    /// crash is discarded rather than buried by new records.
-    pub fn append_to(path: &Path, valid_len: u64) -> std::io::Result<Self> {
+    /// The journal at `path` for `grid`, plus the rows it already holds:
+    /// a fresh journal when the file does not exist, else the recorded
+    /// points of the same grid, with a torn final append chopped off so
+    /// that new records never bury it as interior corruption.
+    fn open(grid: &SweepGrid, path: &Path) -> Result<(Self, HashMap<usize, String>), JournalError> {
+        let fingerprint = grid_fingerprint(grid);
+        if !path.exists() {
+            let mut file = File::create(path)?;
+            writeln!(file, "{JOURNAL_MAGIC} {fingerprint:016x}")?;
+            file.flush()?;
+            return Ok((Self::new(file), HashMap::new()));
+        }
+        let mut contents = read_journal(path)?;
+        if contents.fingerprint != fingerprint {
+            return Err(JournalError::GridMismatch {
+                expected: fingerprint,
+                found: contents.fingerprint,
+            });
+        }
+        contents.done.retain(|&i, _| i < grid.len());
         let file = OpenOptions::new().append(true).open(path)?;
-        file.set_len(valid_len)?;
-        Ok(SweepJournal {
-            file: Mutex::new(file),
-        })
+        file.set_len(contents.valid_len)?;
+        Ok((Self::new(file), contents.done))
     }
 
-    fn record(&self, line: &str) {
+    fn new(file: File) -> Self {
+        SweepJournal {
+            file: Mutex::new(file),
+        }
+    }
+
+    /// Appends and flushes the record of point `index`'s final result:
+    /// its CSV row, or its error on one line.
+    fn record<R>(&self, index: usize, result: &Result<(SweepRow, R), SweepError>) {
+        let line = match result {
+            Ok((row, _)) => {
+                let row = sweep_csv_row(row);
+                let row = row.trim_end();
+                format!("ok {index} {:016x} {row}", row_hash(row))
+            }
+            // A panic message may span lines; a record must not.
+            Err(e) => format!("err {index} {}", e.to_string().replace('\n', " ")),
+        };
         let mut file = self
             .file
             .lock()
@@ -256,124 +276,105 @@ impl SweepJournal {
             eprintln!("warning: sweep journal append failed: {e}");
         }
     }
+}
 
-    /// Records a completed point (`row` without its trailing newline).
-    pub fn record_ok(&self, index: usize, row: &str) {
-        self.record(&format!("ok {index} {:016x} {row}", row_hash(row)));
-    }
-
-    /// Records a point that failed all its attempts.
-    pub fn record_err(&self, index: usize, err: &SweepError) {
-        self.record(&format!("err {index} {err}"));
-    }
+/// One grid point's part in a (possibly journaled) sweep.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // one per grid point, read once
+pub enum PointOutcome<R> {
+    /// Restored from the journal: the point's CSV line (with newline).
+    Restored(String),
+    /// Run by this invocation: its row and the drive closure's sidecar.
+    Ran(SweepRow, R),
+    /// Failed every attempt.
+    Failed(SweepError),
 }
 
 /// The merged outcome of a journaled (possibly resumed) sweep.
 #[derive(Debug)]
-pub struct SweepOutcome {
-    /// Per-point outcome in grid order: the CSV row line (with newline)
-    /// or the typed error.
-    pub rows: Vec<Result<String, SweepError>>,
+pub struct SweepOutcome<R> {
+    /// Every grid point's outcome, in grid order.
+    pub points: Vec<PointOutcome<R>>,
     /// Points restored from the journal instead of re-run.
     pub restored: usize,
 }
 
-impl SweepOutcome {
+impl<R> SweepOutcome<R> {
     /// The sweep CSV: header plus every successful row in grid order —
     /// byte-identical to an uninterrupted [`SweepGrid::run`]'s
     /// [`crate::runner::sweep_csv`] when every point succeeds.
     pub fn csv(&self) -> String {
         let mut out = String::from(sweep_csv_header());
-        for row in self.rows.iter().flatten() {
-            out.push_str(row);
+        for point in &self.points {
+            match point {
+                PointOutcome::Restored(line) => out.push_str(line),
+                PointOutcome::Ran(row, _) => out.push_str(&sweep_csv_row(row)),
+                PointOutcome::Failed(_) => {}
+            }
         }
         out
     }
 
+    /// The points run by this invocation as `(index, row, sidecar)`, in
+    /// grid order.
+    pub fn ran(&self) -> impl Iterator<Item = (usize, &SweepRow, &R)> {
+        self.points.iter().enumerate().filter_map(|(i, p)| match p {
+            PointOutcome::Ran(row, sidecar) => Some((i, row, sidecar)),
+            _ => None,
+        })
+    }
+
     /// Failed points as `(index, error)`, in grid order.
-    pub fn errors(&self) -> Vec<(usize, &SweepError)> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_ref().err().map(|e| (i, e)))
-            .collect()
+    pub fn errors(&self) -> impl Iterator<Item = (usize, &SweepError)> {
+        self.points.iter().enumerate().filter_map(|(i, p)| match p {
+            PointOutcome::Failed(e) => Some((i, e)),
+            _ => None,
+        })
     }
 }
 
-/// Runs `grid` with the journal at `path`: fresh points are simulated
-/// (with `opts`'s isolation/retry/budget hardening) and appended as they
-/// finish; points already recorded are restored without re-running.
-/// Pass a path that does not exist yet for a fresh crash-safe run, or
-/// an interrupted run's journal to resume it.
-pub fn run_journaled(
+/// Runs `grid` through [`SweepGrid::run_each`] with `opts`'s isolation,
+/// retry and budget, each point driven by `drive`. With a journal
+/// `path`, every point's final result is appended (and flushed) on its
+/// worker the moment it is known, and points the journal already
+/// records are restored instead of re-run: pass a path that does not
+/// exist yet for a fresh crash-safe run, or an interrupted run's journal
+/// to resume it. Without one, every point runs and nothing is written.
+pub fn run_journaled<R, F>(
     grid: &SweepGrid,
     opts: &FallibleSweepOptions,
-    path: &Path,
-) -> Result<SweepOutcome, JournalError> {
-    let fingerprint = grid_fingerprint(grid);
-    let mut done: HashMap<usize, String> = HashMap::new();
-    let journal = if path.exists() {
-        let contents = read_journal(path)?;
-        if contents.fingerprint != fingerprint {
-            return Err(JournalError::GridMismatch {
-                expected: fingerprint,
-                found: contents.fingerprint,
-            });
+    path: Option<&Path>,
+    drive: F,
+) -> Result<SweepOutcome<R>, JournalError>
+where
+    R: Send,
+    F: Fn(usize, u64, &SweepPoint, PointSession, &mut BernoulliSource) -> (SimReport, R) + Sync,
+{
+    let (journal, mut done) = match path {
+        Some(path) => {
+            let (journal, done) = SweepJournal::open(grid, path)?;
+            (Some(journal), done)
         }
-        done = contents.done;
-        done.retain(|&i, _| i < grid.points.len());
-        // Chop off a torn final append before continuing: appending
-        // after it would turn the torn line into interior corruption and
-        // make the journal unreadable on the *next* resume.
-        SweepJournal::append_to(path, contents.valid_len)?
-    } else {
-        SweepJournal::create(path, fingerprint)?
+        None => (None, HashMap::new()),
     };
     let restored = done.len();
-
-    let todo: Vec<(usize, SweepPoint)> = grid
-        .points
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !done.contains_key(i))
-        .map(|(i, p)| (i, p.clone()))
+    let todo = (0..grid.len()).filter(|i| !done.contains_key(i)).collect();
+    let record = |i, result: &Result<_, _>| {
+        if let Some(journal) = &journal {
+            journal.record(i, result);
+        }
+    };
+    let mut fresh = grid.run_each(todo, opts, drive, record).into_iter();
+    let points = (0..grid.len())
+        .map(|i| match done.remove(&i) {
+            Some(row) => PointOutcome::Restored(row + "\n"),
+            None => match fresh.next().expect("every point not restored was run") {
+                Ok((row, sidecar)) => PointOutcome::Ran(row, sidecar),
+                Err(e) => PointOutcome::Failed(e),
+            },
+        })
         .collect();
-    let order: Vec<usize> = todo.iter().map(|&(i, _)| i).collect();
-
-    // The journal write happens inside the worker closure, right when
-    // the point finishes — that is the crash-safety property. Errors are
-    // journaled only on the final attempt (earlier failures still get
-    // retried).
-    let fresh = sweep_fallible(
-        todo,
-        opts.threads,
-        opts.retries,
-        |_slot, attempt, &(orig, ref p)| {
-            let res = grid.attempt_point(orig, attempt, p, opts.cycle_budget);
-            match &res {
-                Ok(row) => journal.record_ok(orig, sweep_csv_row(row).trim_end()),
-                Err(e) if attempt == opts.retries => journal.record_err(orig, e),
-                Err(_) => {}
-            }
-            res
-        },
-    );
-
-    let mut rows: Vec<Option<Result<String, SweepError>>> =
-        (0..grid.points.len()).map(|_| None).collect();
-    for (i, row) in done {
-        rows[i] = Some(Ok(format!("{row}\n")));
-    }
-    for (slot, res) in fresh.into_iter().enumerate() {
-        rows[order[slot]] = Some(res.map(|r| sweep_csv_row(&r)));
-    }
-    Ok(SweepOutcome {
-        rows: rows
-            .into_iter()
-            .map(|r| r.expect("every grid index is either restored or run"))
-            .collect(),
-        restored,
-    })
+    Ok(SweepOutcome { points, restored })
 }
 
 #[cfg(test)]
@@ -381,6 +382,17 @@ mod tests {
     use super::*;
     use crate::runner::NocUnderTest;
     use fasttrack_traffic::pattern::Pattern;
+
+    /// The unobserved drive every plain sweep runs.
+    fn plain(
+        _: usize,
+        _: u64,
+        _: &SweepPoint,
+        session: PointSession,
+        source: &mut BernoulliSource,
+    ) -> (SimReport, ()) {
+        (session.run(source).expect("no faults").report, ())
+    }
 
     fn small_grid(seed: u64) -> SweepGrid {
         let nuts = [NocUnderTest::hoplite(4), NocUnderTest::fasttrack(4, 2, 1)];
@@ -407,10 +419,10 @@ mod tests {
         let grid = small_grid(0xA11CE);
         let path = tmp("fresh.journal");
         let _ = std::fs::remove_file(&path);
-        let outcome =
-            run_journaled(&grid, &FallibleSweepOptions::default(), &path).expect("journaled run");
+        let outcome = run_journaled(&grid, &FallibleSweepOptions::default(), Some(&path), plain)
+            .expect("journaled run");
         assert_eq!(outcome.restored, 0);
-        assert!(outcome.errors().is_empty());
+        assert_eq!(outcome.errors().count(), 0);
         assert_eq!(outcome.csv(), crate::runner::sweep_csv(&grid.run(1)));
     }
 
@@ -421,7 +433,7 @@ mod tests {
         let partial = tmp("partial.journal");
         let _ = std::fs::remove_file(&golden);
         let opts = FallibleSweepOptions::default();
-        let full = run_journaled(&grid, &opts, &golden).expect("golden run");
+        let full = run_journaled(&grid, &opts, Some(&golden), plain).expect("golden run");
 
         // Simulate a crash: keep the header and the first two records
         // (as if the process died mid-grid), plus a torn final line.
@@ -433,15 +445,71 @@ mod tests {
         )
         .unwrap();
 
-        let resumed = run_journaled(&grid, &opts, &partial).expect("resume");
+        let resumed = run_journaled(&grid, &opts, Some(&partial), plain).expect("resume");
         assert_eq!(resumed.restored, 2, "two intact records restored");
         assert_eq!(resumed.csv(), full.csv(), "resume must be byte-identical");
 
         // The torn tail was truncated before the resume appended, so the
         // journal stays readable: a further resume restores every point.
-        let again = run_journaled(&grid, &opts, &partial).expect("second resume");
+        let again = run_journaled(&grid, &opts, Some(&partial), plain).expect("second resume");
         assert_eq!(again.restored, grid.points.len());
         assert_eq!(again.csv(), full.csv());
+    }
+
+    #[test]
+    fn completion_hook_runs_once_per_point_on_its_worker() {
+        let mut grid = small_grid(0xD0E);
+        grid.points[3].rate = 0.004; // cannot finish inside the budget
+        let opts = FallibleSweepOptions {
+            threads: 2,
+            retries: 1,
+            cycle_budget: Some(2000),
+        };
+        let ran_on = Mutex::new(HashMap::new());
+        let done_on = Mutex::new(Vec::new());
+        let drive = |i, _, _: &SweepPoint, session: PointSession, source: &mut _| {
+            ran_on
+                .lock()
+                .unwrap()
+                .insert(i, std::thread::current().id());
+            (session.run(source).expect("no faults").report, ())
+        };
+        let hook = |i, result: &Result<_, _>| {
+            let thread = std::thread::current().id();
+            done_on.lock().unwrap().push((i, thread, result.is_ok()));
+        };
+        let results = grid.run_each((0..grid.len()).collect(), &opts, drive, hook);
+        // Every point's hook has run by the time the sweep returns: once,
+        // with its final result, on the thread that ran its last attempt.
+        let mut done = done_on.lock().unwrap().clone();
+        done.sort_by_key(|d| d.0);
+        let ran_on = ran_on.lock().unwrap();
+        assert_eq!(done.len(), grid.len(), "{done:?}");
+        for (slot, &(i, thread, ok)) in done.iter().enumerate() {
+            assert_eq!(i, slot);
+            assert_eq!(thread, ran_on[&i], "point {i}");
+            assert_eq!(ok, results[i].is_ok(), "point {i}");
+        }
+        assert!(results[3].is_err() && results[..3].iter().all(Result::is_ok));
+
+        // The journal append is that hook: one record per point, the
+        // retried failure included once.
+        let path = tmp("hook.journal");
+        let _ = std::fs::remove_file(&path);
+        let outcome = run_journaled(&grid, &opts, Some(&path), plain).expect("journaled run");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut records: Vec<(usize, &str)> = text
+            .lines()
+            .skip(1)
+            .map(|l| {
+                let mut parts = l.split(' ');
+                let kind = parts.next().unwrap();
+                (parts.next().unwrap().parse().unwrap(), kind)
+            })
+            .collect();
+        records.sort_unstable();
+        assert_eq!(records, [(0, "ok"), (1, "ok"), (2, "ok"), (3, "err")]);
+        assert_eq!(outcome.errors().map(|(i, _)| i).collect::<Vec<_>>(), [3]);
     }
 
     #[test]
@@ -449,8 +517,8 @@ mod tests {
         let path = tmp("mismatch.journal");
         let _ = std::fs::remove_file(&path);
         let opts = FallibleSweepOptions::default();
-        run_journaled(&small_grid(1), &opts, &path).expect("first run");
-        let err = run_journaled(&small_grid(2), &opts, &path).unwrap_err();
+        run_journaled(&small_grid(1), &opts, Some(&path), plain).expect("first run");
+        let err = run_journaled(&small_grid(2), &opts, Some(&path), plain).unwrap_err();
         assert!(matches!(err, JournalError::GridMismatch { .. }), "{err}");
         assert!(err.to_string().contains("refusing to resume"));
     }

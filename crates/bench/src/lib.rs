@@ -17,7 +17,7 @@ pub mod runner;
 pub mod table;
 
 pub use fuzz::{fuzz, FailureClass, FuzzConfig, FuzzFailure, FuzzOutcome};
-pub use journal::{grid_fingerprint, run_journaled, JournalError, SweepJournal, SweepOutcome};
+pub use journal::{run_journaled, JournalError, PointOutcome, SweepOutcome};
 pub use runner::{
     storm_json, sweep_csv, FallibleSweepOptions, NocUnderTest, PointSlo, SloSpec, SweepGrid,
     SweepPoint, SweepRow, SweepTiming, INJECTION_RATES, PE_LADDER,

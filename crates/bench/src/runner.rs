@@ -2,11 +2,11 @@
 //! deterministic sweep grid every experiment — the CLI's `sweep` /
 //! `storm` / `compare` and the figure catalog — runs through.
 
-use fasttrack_core::attribution::{AttributionConfig, AttributionReport, LatencyComponent};
+use fasttrack_core::attribution::{AttributionReport, LatencyComponent};
 use fasttrack_core::config::{FtPolicy, NocConfig};
 use fasttrack_core::fallback::{FallbackConfig, FallbackError};
 use fasttrack_core::fault::{FaultError, FaultPlan, StormSpec};
-use fasttrack_core::monitor::{HealthSummary, MonitorConfig};
+use fasttrack_core::monitor::HealthSummary;
 use fasttrack_core::packet::Delivery;
 use fasttrack_core::queue::InjectQueues;
 use fasttrack_core::shg::{ShgBackend, ShgNoc};
@@ -15,9 +15,7 @@ use fasttrack_core::sim::{
     TorusEngine, TrafficSource,
 };
 use fasttrack_core::stats::SimStats;
-use fasttrack_core::sweep::{
-    point_seed, retry_seed, splitmix64, sweep, sweep_fallible, SweepError,
-};
+use fasttrack_core::sweep::{retry_seed, splitmix64, sweep_fallible, SweepError};
 use fasttrack_core::topology::{
     MonitorShape, ShgConfig, ShgTopology, Topology, TopologySpec, TorusTopology,
 };
@@ -381,83 +379,75 @@ impl SweepGrid {
         self.points.is_empty()
     }
 
-    /// The one sweep runner every variant below is a closure over. For
-    /// each point it derives the seed from the grid base seed and the
-    /// point index, builds the point's traffic source and session, and
-    /// hands `(index, seed, point, session, source)` to `drive`, which
-    /// composes whatever faults and observers it needs on the session,
-    /// runs it, and returns the report plus a typed sidecar. Rows and
-    /// sidecars come back in point order, so the output is independent
-    /// of `threads` (1 is the serial golden run).
-    fn run_each<R, F>(&self, threads: usize, drive: F) -> (Vec<SweepRow>, Vec<R>)
+    /// The one sweep runner: runs the grid points `indices` names on
+    /// `opts.threads` workers and returns their results in that order.
+    ///
+    /// Each attempt of point `i` draws its seed with [`retry_seed`]
+    /// (attempt 0 is [`point_seed`](fasttrack_core::sweep::point_seed),
+    /// so rows never depend on whether retries were armed), builds the
+    /// point's traffic source and session — capped at
+    /// `opts.cycle_budget` cycles when one is set — and hands
+    /// `(i, seed, point, session, source)` to `drive`, which composes
+    /// whatever faults and observers it needs, runs the session and
+    /// returns the report plus a typed sidecar. A panicking attempt is
+    /// caught and a run truncated under the budget becomes
+    /// [`SweepError::BudgetExceeded`]; either is retried up to
+    /// `opts.retries` times. `done(i, &result)` runs once per point, on
+    /// its worker, as soon as the final result is known. Results depend
+    /// only on the grid and `indices`, never on `opts.threads`.
+    pub fn run_each<R, F, H>(
+        &self,
+        indices: Vec<usize>,
+        opts: &FallibleSweepOptions,
+        drive: F,
+        done: H,
+    ) -> Vec<Result<(SweepRow, R), SweepError>>
     where
         R: Send,
         F: Fn(usize, u64, &SweepPoint, PointSession, &mut BernoulliSource) -> (SimReport, R) + Sync,
+        H: Fn(usize, &Result<(SweepRow, R), SweepError>) + Sync,
     {
-        let (base, packets) = (self.base_seed, self.packets_per_pe);
-        sweep(self.points.clone(), threads, move |i, p| {
-            let seed = point_seed(base, i);
-            let mut source = p.source(seed, packets);
-            let (report, sidecar) = drive(i, seed, &p, p.nut.session(), &mut source);
-            (p.row(seed, report), sidecar)
-        })
-        .into_iter()
-        .unzip()
-    }
-
-    /// Runs every point on `threads` workers. Results come back in
-    /// point order with per-point derived seeds, so the output is
-    /// independent of `threads` (1 is the serial golden run).
-    pub fn run(&self, threads: usize) -> Vec<SweepRow> {
-        self.run_each(threads, |_, _, _, session, source| {
-            (no_faults(session.run(source)).report, ())
-        })
-        .0
-    }
-
-    /// [`SweepGrid::run`] with per-point wall-clock timing captured.
-    ///
-    /// Rows are identical to [`SweepGrid::run`] — timing lives in the
-    /// returned [`SweepTiming`] sidecar and never reaches the CSV, so
-    /// byte-determinism across thread counts is untouched. Timings come
-    /// back indexed by grid point (the [`sweep`] ordering guarantee), so
-    /// percentiles aggregate over the whole grid regardless of which
-    /// worker thread ran each point.
-    pub fn run_timed(&self, threads: usize) -> (Vec<SweepRow>, SweepTiming) {
-        let (rows, secs) = self.run_each(threads, |_, _, _, session, source| {
-            let t0 = std::time::Instant::now();
-            let report = no_faults(session.run(source)).report;
-            (report, t0.elapsed().as_secs_f64())
-        });
-        (rows, SweepTiming::new(secs))
-    }
-
-    /// [`SweepGrid::run`] with a per-point health monitor attached.
-    ///
-    /// Each point runs its own monitor (so its detectors and flight
-    /// recorder never see another point's events) and the summaries are
-    /// merged back by point index, exactly like the rows — the output
-    /// is deterministic at any thread count, and the rows (hence
-    /// [`sweep_csv`] bytes) are identical to an unmonitored
-    /// [`SweepGrid::run`] because the monitor never perturbs a run.
-    pub fn run_with_health(
-        &self,
-        threads: usize,
-        mcfg: MonitorConfig,
-    ) -> (Vec<SweepRow>, Vec<PointHealth>) {
-        self.run_each(threads, |index, seed, p, session, source| {
-            let (report, monitor) =
-                no_faults(session.with_monitor(mcfg).run(source)).into_monitored();
-            let health = PointHealth {
-                index,
-                label: p.nut.label.clone(),
-                pattern: p.pattern,
-                rate: p.rate,
+        let budget = opts.cycle_budget;
+        let attempt = |_, attempt, &i: &usize| {
+            let p = &self.points[i];
+            let seed = retry_seed(self.base_seed, i, attempt);
+            let mut session = p.nut.session();
+            if let Some(max_cycles) = budget {
+                session = session.max_cycles(max_cycles);
+            }
+            let (report, sidecar) = drive(
+                i,
                 seed,
-                health: monitor.summary(),
-            };
-            (report, health)
-        })
+                p,
+                session,
+                &mut p.source(seed, self.packets_per_pe),
+            );
+            match budget {
+                Some(budget) if report.truncated => Err(SweepError::BudgetExceeded { budget }),
+                _ => Ok((p.row(seed, report), sidecar)),
+            }
+        };
+        let finished = |&i: &usize, result: &Result<_, _>| done(i, result);
+        sweep_fallible(indices, opts.threads, opts.retries, attempt, finished)
+    }
+
+    /// Every point, unobserved, on `threads` workers. Results come back
+    /// in point order with per-point derived seeds, so the output is
+    /// independent of `threads` (1 is the serial golden run).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the point, when a point panicked; the other points
+    /// still run to completion first.
+    pub fn run(&self, threads: usize) -> Vec<SweepRow> {
+        let opts = FallibleSweepOptions {
+            threads,
+            ..FallibleSweepOptions::default()
+        };
+        let drive = |_, _, _: &SweepPoint, session: PointSession, source: &mut BernoulliSource| {
+            (no_faults(session.run(source)).report, ())
+        };
+        expect_all(self.run_each(self.all(), &opts, drive, |_, _| {})).0
     }
 
     /// [`SweepGrid::run`] under a seeded fault storm: every point runs
@@ -484,155 +474,90 @@ impl SweepGrid {
         for p in &self.points {
             topology_of(&p.nut.topology).validate_fallback(fallback)?;
         }
-        Ok(self.run_each(threads, |index, seed, p, session, source| {
-            // On a torus this is `FaultPlan::storm` bit-for-bit.
-            let plan = FaultPlan::storm_topo(
-                &*topology_of(&p.nut.topology),
-                splitmix64(seed ^ STORM_SALT),
-                storm,
-            );
-            let report = session
-                .with_fallback(fallback)
-                .expect("chains validated before the sweep")
-                .with_faults(&plan)
-                .run(source)
-                .expect("storm plans are valid by construction")
-                .report;
-            let verdict = PointSlo::evaluate(index, p, seed, &report, slo);
-            (report, verdict)
-        }))
-    }
-
-    /// [`SweepGrid::run`] with the latency-attribution layer attached to
-    /// every point. The rows are byte-identical to a plain run's
-    /// (attribution observes without perturbing); the second vector is
-    /// the per-point cycle accounting, in point-index order, ready for
-    /// [`attribution_csv`].
-    pub fn run_with_attribution(
-        &self,
-        threads: usize,
-        acfg: AttributionConfig,
-    ) -> (Vec<SweepRow>, Vec<PointAttribution>) {
-        self.run_each(threads, |index, seed, p, session, source| {
-            let (report, attribution) =
-                no_faults(session.with_attribution(acfg).run(source)).into_attributed();
-            let point = PointAttribution {
-                index,
-                label: p.nut.label.clone(),
-                pattern: p.pattern,
-                rate: p.rate,
-                seed,
-                attribution,
-            };
-            (report, point)
-        })
-    }
-
-    /// [`SweepGrid::run`] hardened for unattended grids: per-point panic
-    /// isolation, bounded deterministic retry, and a per-point cycle
-    /// budget that converts livelocked points into typed errors.
-    ///
-    /// Failure containment is exact: a panicking or over-budget point
-    /// comes back as `Err` in its slot while every healthy point's
-    /// [`SweepRow`] — and hence its [`sweep_csv_row`] bytes — is
-    /// identical to a plain [`SweepGrid::run`] at any thread count
-    /// (attempt 0 uses the same [`point_seed`] stream).
-    pub fn run_fallible(&self, opts: &FallibleSweepOptions) -> Vec<Result<SweepRow, SweepError>> {
-        let budget = opts.cycle_budget;
-        sweep_fallible(
-            self.points.clone(),
-            opts.threads,
-            opts.retries,
-            move |i, attempt, p| self.attempt_point(i, attempt, p, budget),
-        )
-    }
-
-    /// One attempt of grid point `orig` — the primitive under both
-    /// [`SweepGrid::run_fallible`] and the journaled resume path. The
-    /// seed derives from `(base_seed, orig, attempt)` via [`retry_seed`]
-    /// (attempt 0 is the plain [`point_seed`] stream), so a point re-run
-    /// after a crash gets exactly the seed it would have had in the
-    /// uninterrupted run.
-    pub fn attempt_point(
-        &self,
-        orig: usize,
-        attempt: u32,
-        p: &SweepPoint,
-        cycle_budget: Option<u64>,
-    ) -> Result<SweepRow, SweepError> {
-        let seed = retry_seed(self.base_seed, orig, attempt);
-        let sim_opts = match cycle_budget {
-            None => SimOptions::default(),
-            Some(max_cycles) => SimOptions::with_max_cycles(max_cycles),
+        let opts = FallibleSweepOptions {
+            threads,
+            ..FallibleSweepOptions::default()
         };
-        let report = p
-            .nut
-            .run(&mut p.source(seed, self.packets_per_pe), sim_opts);
-        if let (true, Some(budget)) = (report.truncated, cycle_budget) {
-            return Err(SweepError::BudgetExceeded { budget });
-        }
-        Ok(p.row(seed, report))
+        let drive =
+            |index, seed, p: &SweepPoint, session: PointSession, source: &mut BernoulliSource| {
+                // On a torus this is `FaultPlan::storm` bit-for-bit.
+                let plan = FaultPlan::storm_topo(
+                    &*topology_of(&p.nut.topology),
+                    splitmix64(seed ^ STORM_SALT),
+                    storm,
+                );
+                let report = session
+                    .with_fallback(fallback)
+                    .expect("chains validated before the sweep")
+                    .with_faults(&plan)
+                    .run(source)
+                    .expect("storm plans are valid by construction")
+                    .report;
+                let verdict = PointSlo::evaluate(index, p, seed, &report, slo);
+                (report, verdict)
+            };
+        let results = self.run_each(self.all(), &opts, drive, |_, _| {});
+        Ok(expect_all(results))
+    }
+
+    /// Every grid index, in order.
+    fn all(&self) -> Vec<usize> {
+        (0..self.points.len()).collect()
     }
 }
 
-/// The session [`SweepGrid`]'s per-point closures compose on.
-type PointSession = SimSession<'static, SpecBackend>;
+/// Rows and sidecars of a sweep in which every point must succeed.
+fn expect_all<R>(results: Vec<Result<(SweepRow, R), SweepError>>) -> (Vec<SweepRow>, Vec<R>) {
+    results
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| r.unwrap_or_else(|e| panic!("sweep point {i} failed: {e}")))
+        .unzip()
+}
+
+/// The session [`SweepGrid::run_each`] hands each point's closure.
+pub type PointSession = SimSession<'static, SpecBackend>;
 
 /// Per-point wall-clock timings of one sweep run, aggregated across
-/// worker threads into nearest-rank percentiles.
-///
-/// Produced by [`SweepGrid::run_timed`]; strictly a sidecar — rows and
-/// CSV bytes are untouched by timing capture.
+/// worker threads into nearest-rank percentiles (`sweep --profile`).
+/// Strictly a sidecar: rows and CSV bytes are untouched by timing.
 #[derive(Debug, Clone, Default)]
 pub struct SweepTiming {
-    per_point_secs: Vec<f64>,
     sorted: Vec<f64>,
 }
 
 impl SweepTiming {
-    /// Wraps raw per-point timings (indexed by grid point).
-    pub fn new(per_point_secs: Vec<f64>) -> Self {
-        let mut sorted = per_point_secs.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
+    /// Wraps raw per-point timings, in any order.
+    pub fn new(mut per_point_secs: Vec<f64>) -> Self {
+        per_point_secs.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
         SweepTiming {
-            per_point_secs,
-            sorted,
+            sorted: per_point_secs,
         }
     }
 
     /// Number of timed points.
     pub fn len(&self) -> usize {
-        self.per_point_secs.len()
+        self.sorted.len()
     }
 
     /// True when no points were timed.
     pub fn is_empty(&self) -> bool {
-        self.per_point_secs.is_empty()
-    }
-
-    /// Raw per-point seconds, indexed by grid point.
-    pub fn per_point_secs(&self) -> &[f64] {
-        &self.per_point_secs
+        self.sorted.is_empty()
     }
 
     /// Sum of per-point seconds (total per-point work, not wall clock
     /// when threads > 1).
     pub fn total(&self) -> f64 {
-        self.per_point_secs.iter().sum()
+        self.sorted.iter().sum()
     }
 
     /// Mean per-point seconds (0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.per_point_secs.is_empty() {
+        if self.sorted.is_empty() {
             0.0
         } else {
-            self.total() / self.per_point_secs.len() as f64
+            self.total() / self.sorted.len() as f64
         }
-    }
-
-    /// Fastest point (0 when empty).
-    pub fn min(&self) -> f64 {
-        self.sorted.first().copied().unwrap_or(0.0)
     }
 
     /// Slowest point (0 when empty).
@@ -670,7 +595,7 @@ impl SweepTiming {
     }
 }
 
-/// Options for [`SweepGrid::run_fallible`].
+/// How [`SweepGrid::run_each`] runs its points.
 #[derive(Debug, Clone, Copy)]
 pub struct FallibleSweepOptions {
     /// Worker threads (0 is treated as 1).
@@ -1003,7 +928,6 @@ mod tests {
     fn sweep_timing_uses_nearest_rank_percentiles() {
         let t = SweepTiming::new(vec![0.3, 0.1, 0.2, 0.4]);
         assert_eq!(t.len(), 4);
-        assert_eq!(t.min(), 0.1);
         assert_eq!(t.max(), 0.4);
         assert!((t.total() - 1.0).abs() < 1e-12);
         assert!((t.mean() - 0.25).abs() < 1e-12);
@@ -1033,34 +957,203 @@ mod tests {
     #[test]
     fn run_each_hands_every_point_its_seed_session_and_source() {
         // The primitive itself: closures see (index, derived seed,
-        // point) in grid order at any thread count, and running the
-        // handed session over the handed source is the plain sweep.
+        // point) in the order asked for at any thread count, and running
+        // the handed session over the handed source is the plain sweep.
         let grid = mixed_grid(0xC0FFEE);
-        let plain = sweep_csv(&grid.run(1));
+        let plain = grid.run(1);
+        let backwards: Vec<usize> = grid.all().into_iter().rev().collect();
         for threads in [1, 2, 8] {
-            let (rows, seen) = grid.run_each(threads, |i, seed, p, session, source| {
+            let opts = FallibleSweepOptions {
+                threads,
+                ..FallibleSweepOptions::default()
+            };
+            let drive = |i, seed, p: &SweepPoint, session: PointSession, source: &mut _| {
                 let report = no_faults(session.run(source)).report;
                 (report, (i, seed, p.nut.label.clone()))
-            });
-            assert_eq!(sweep_csv(&rows), plain, "{threads} threads");
-            for (i, (index, seed, label)) in seen.into_iter().enumerate() {
+            };
+            let out = grid.run_each(backwards.clone(), &opts, drive, |_, _| {});
+            for (&i, result) in backwards.iter().zip(out) {
+                let (row, (index, seed, label)) = result.expect("healthy point");
+                assert_eq!(
+                    sweep_csv_row(&row),
+                    sweep_csv_row(&plain[i]),
+                    "{threads} threads"
+                );
                 assert_eq!(index, i);
-                assert_eq!(seed, point_seed(grid.base_seed, i));
+                assert_eq!(seed, fasttrack_core::sweep::point_seed(grid.base_seed, i));
                 assert_eq!(label, grid.points[i].nut.label);
             }
         }
     }
 
+    /// One closure with the monitor and the attribution layer attached
+    /// and a timer around the run, under a cycle budget and `retries`.
+    #[allow(clippy::type_complexity)]
+    fn observed(
+        grid: &SweepGrid,
+        threads: usize,
+        retries: u32,
+        seeds: &std::sync::Mutex<Vec<(usize, u64)>>,
+    ) -> Vec<Result<(SweepRow, (PointHealth, PointAttribution, f64)), SweepError>> {
+        use fasttrack_core::attribution::AttributionConfig;
+        use fasttrack_core::monitor::MonitorConfig;
+        let opts = FallibleSweepOptions {
+            threads,
+            retries,
+            cycle_budget: Some(2000),
+        };
+        let drive = |index, seed, p: &SweepPoint, session: PointSession, source: &mut _| {
+            seeds.lock().unwrap().push((index, seed));
+            let started = std::time::Instant::now();
+            let outcome = no_faults(
+                session
+                    .with_monitor(MonitorConfig::default())
+                    .with_attribution(AttributionConfig::default())
+                    .run(source),
+            );
+            let secs = started.elapsed().as_secs_f64();
+            let (label, pattern, rate) = (p.nut.label.clone(), p.pattern, p.rate);
+            let health = PointHealth {
+                index,
+                label: label.clone(),
+                pattern,
+                rate,
+                seed,
+                health: outcome.monitor.expect("monitored").summary(),
+            };
+            let attribution = PointAttribution {
+                index,
+                label,
+                pattern,
+                rate,
+                seed,
+                attribution: outcome.attribution.expect("attributed"),
+            };
+            (outcome.report, (health, attribution, secs))
+        };
+        grid.run_each(grid.all(), &opts, drive, |_, _| {})
+    }
+
     #[test]
-    fn run_timed_rows_match_untimed_run() {
-        let grid = mixed_grid(7);
-        let plain = sweep_csv(&grid.run(1));
+    fn observers_timing_and_hardening_leave_rows_identical() {
+        // The intentional panics below unwind on this (named) test
+        // thread or on unnamed sweep workers; keep them off stderr.
+        static HOOK: std::sync::Once = std::sync::Once::new();
+        HOOK.call_once(|| {
+            let prev = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                let ours = std::thread::current()
+                    .name()
+                    .is_none_or(|n| n.contains("leave_rows_identical"));
+                if !ours {
+                    prev(info);
+                }
+            }));
+        });
+        let grid = mixed_grid(0xBEEF);
+        let plain: Vec<String> = grid.run(1).iter().map(sweep_csv_row).collect();
+        // Point 2 panics (zero channels trips the bank's assert); point
+        // 8 is so slow it cannot finish inside the cycle budget.
+        let mut broken = grid.clone();
+        broken.points[2].nut.channels = 0;
+        broken.points[8].rate = 0.004;
+        let seeds = std::sync::Mutex::new(Vec::new());
+        let sidecars = |points: &[(usize, &(PointHealth, PointAttribution, f64))]| {
+            let health: Vec<_> = points.iter().map(|(_, s)| s.0.clone()).collect();
+            let attribution: Vec<_> = points.iter().map(|(_, s)| s.1.clone()).collect();
+            (health_json(&health), attribution_csv(&attribution))
+        };
+
+        let golden = observed(&grid, 1, 0, &seeds);
+        let ok: Vec<(usize, &(SweepRow, _))> = golden
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (i, r.as_ref().expect("no point fails on the healthy grid")))
+            .collect();
+        let golden_sidecars = sidecars(&ok.iter().map(|&(i, (_, s))| (i, s)).collect::<Vec<_>>());
         for threads in [1, 2, 8] {
-            let (rows, timing) = grid.run_timed(threads);
-            assert_eq!(sweep_csv(&rows), plain, "timing must be a sidecar");
-            assert_eq!(timing.len(), grid.len());
-            assert!(timing.per_point_secs().iter().all(|&s| s >= 0.0));
+            // Observed and timed: rows byte-identical to the plain run,
+            // sidecars thread-invariant.
+            let out = observed(&grid, threads, 0, &seeds);
+            let ran: Vec<_> = out.iter().map(|r| r.as_ref().unwrap()).collect();
+            let rows: Vec<String> = ran.iter().map(|(row, _)| sweep_csv_row(row)).collect();
+            assert_eq!(rows, plain, "observers changed rows at {threads} threads");
+            let points: Vec<_> = ran.iter().map(|(_, s)| s).enumerate().collect();
+            assert_eq!(sidecars(&points), golden_sidecars, "{threads} threads");
+            assert!(ran.iter().all(|(_, s)| s.2 >= 0.0));
+
+            // Hardened: the two bad points fail in their slots, after
+            // exactly two attempts each on deterministic retry seeds; the
+            // rest keep their plain rows and their sidecar entries.
+            seeds.lock().unwrap().clear();
+            let out = observed(&broken, threads, 1, &seeds);
+            assert!(
+                matches!(&out[2], Err(SweepError::Panicked { message, attempts: 2 })
+                    if message.contains("at least one channel")),
+                "{:?}",
+                out[2].as_ref().err()
+            );
+            assert_eq!(
+                out[8].as_ref().err(),
+                Some(&SweepError::BudgetExceeded { budget: 2000 })
+            );
+            let mut tried = seeds.lock().unwrap().clone();
+            tried.sort_unstable();
+            for i in grid.all() {
+                let attempts: Vec<u64> = tried.iter().filter(|t| t.0 == i).map(|t| t.1).collect();
+                let expect: Vec<u64> = match i {
+                    2 | 8 => (0..2).map(|a| retry_seed(grid.base_seed, i, a)).collect(),
+                    _ => vec![retry_seed(grid.base_seed, i, 0)],
+                };
+                let mut expect = expect;
+                expect.sort_unstable();
+                assert_eq!(attempts, expect, "point {i} at {threads} threads");
+            }
+            let survivors: Vec<_> = out
+                .iter()
+                .enumerate()
+                .filter_map(|(i, r)| r.as_ref().ok().map(|(row, s)| (i, row, s)))
+                .collect();
+            assert_eq!(survivors.len(), grid.len() - 2);
+            for &(i, row, _) in &survivors {
+                assert_eq!(sweep_csv_row(row), plain[i], "point {i}");
+            }
+            let kept: Vec<_> = survivors.iter().map(|&(i, _, s)| (i, s)).collect();
+            let golden_kept: Vec<_> = ok
+                .iter()
+                .filter(|&&(i, _)| i != 2 && i != 8)
+                .map(|&(i, (_, s))| (i, s))
+                .collect();
+            assert_eq!(sidecars(&kept), sidecars(&golden_kept), "{threads} threads");
         }
+
+        // What each sidecar says about the healthy grid.
+        let (json, csv) = &golden_sidecars;
+        assert!(json.starts_with('[') && json.ends_with(']'));
+        for p in &grid.points {
+            let label = &p.nut.label;
+            assert!(json.contains(&format!("\"config\":\"{label}\"")), "{label}");
+        }
+        assert!(csv.starts_with(attribution_csv_header()));
+        assert_eq!(csv.lines().count(), grid.len() + 1);
+        for &(i, (row, (health, attribution, _))) in &ok {
+            assert_eq!((health.index, attribution.index), (i, i));
+            assert_eq!(health.health.injected, health.health.delivered);
+            let a = &attribution.attribution;
+            // The mesh engine keeps no `route_decisions` counter, so its
+            // wire-class reconciliation has nothing to check against;
+            // the exact-sum invariant holds on every backend.
+            let mesh = matches!(grid.points[i].nut.topology, TopologySpec::Mesh { .. });
+            assert_eq!(a.reconciled(), !mesh, "point {i}");
+            assert_eq!(a.mismatches, 0, "point {i}");
+            assert_eq!(a.delivered, row.report.stats.delivered);
+        }
+        // FastTrack points attribute cycles to express lanes; Hoplite
+        // points must not.
+        let express = |i: usize| &(ok[i].1).1 .1.attribution;
+        assert!(express(4).component(LatencyComponent::Express) > 0);
+        assert_eq!(express(0).component(LatencyComponent::Express), 0);
+        assert_eq!(express(0).express_decisions, 0);
     }
 
     #[test]
@@ -1089,38 +1182,6 @@ mod tests {
         assert_eq!(serial, sweep_csv(&grid.run(3)), "thread count leaked in");
         assert!(serial.starts_with("config,"));
         assert_eq!(serial.lines().count(), 1 + grid.len());
-    }
-
-    #[test]
-    fn health_sweep_keeps_rows_identical_and_is_deterministic() {
-        let grid = mixed_grid(0xBEEF);
-        let plain = sweep_csv(&grid.run(1));
-        let (rows1, health1) = grid.run_with_health(1, MonitorConfig::default());
-        assert_eq!(
-            sweep_csv(&rows1),
-            plain,
-            "health monitoring must not change sweep rows"
-        );
-        for threads in [2, 8] {
-            let (rows, health) = grid.run_with_health(threads, MonitorConfig::default());
-            assert_eq!(sweep_csv(&rows), plain, "thread count leaked in");
-            assert_eq!(
-                health_json(&health1),
-                health_json(&health),
-                "health output must be deterministic at any thread count"
-            );
-        }
-        assert_eq!(health1.len(), grid.len());
-        for (i, p) in health1.iter().enumerate() {
-            assert_eq!(p.index, i);
-            assert_eq!(p.health.injected, p.health.delivered);
-        }
-        let json = health_json(&health1);
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        for p in &grid.points {
-            let label = &p.nut.label;
-            assert!(json.contains(&format!("\"config\":\"{label}\"")), "{label}");
-        }
     }
 
     #[test]
@@ -1231,146 +1292,6 @@ mod tests {
         assert!(grid
             .run_storm(1, &StormSpec::default(), &bad, &SloSpec::default())
             .is_err());
-    }
-
-    #[test]
-    fn attribution_sweep_keeps_rows_identical_and_is_deterministic() {
-        let grid = mixed_grid(0xBEEF);
-        let plain = sweep_csv(&grid.run(1));
-        let acfg = AttributionConfig::default();
-        let (rows1, attrib1) = grid.run_with_attribution(1, acfg);
-        assert_eq!(
-            sweep_csv(&rows1),
-            plain,
-            "attribution must not change sweep rows"
-        );
-        for threads in [2, 8] {
-            let (rows, attrib) = grid.run_with_attribution(threads, acfg);
-            assert_eq!(sweep_csv(&rows), plain, "thread count leaked in");
-            assert_eq!(
-                attribution_csv(&attrib1),
-                attribution_csv(&attrib),
-                "attribution sidecar must be deterministic at any thread count"
-            );
-        }
-        assert_eq!(attrib1.len(), grid.len());
-        for (i, (p, row)) in attrib1.iter().zip(&rows1).enumerate() {
-            assert_eq!(p.index, i);
-            // The mesh engine keeps no `route_decisions` counter, so its
-            // wire-class reconciliation has nothing to check against;
-            // the exact-sum invariant holds on every backend.
-            let mesh = matches!(grid.points[i].nut.topology, TopologySpec::Mesh { .. });
-            assert_eq!(p.attribution.reconciled(), !mesh, "point {i}");
-            assert_eq!(p.attribution.mismatches, 0, "point {i}");
-            assert_eq!(p.attribution.delivered, row.report.stats.delivered);
-        }
-        let csv = attribution_csv(&attrib1);
-        assert!(csv.starts_with(attribution_csv_header()));
-        assert_eq!(csv.lines().count(), grid.len() + 1);
-        // FastTrack points must attribute cycles to express lanes;
-        // Hoplite points must not.
-        let ft = &attrib1[4].attribution;
-        assert!(ft.component(LatencyComponent::Express) > 0);
-        let hoplite = &attrib1[0].attribution;
-        assert_eq!(hoplite.component(LatencyComponent::Express), 0);
-        assert_eq!(hoplite.express_decisions, 0);
-    }
-
-    #[test]
-    fn fallible_grid_isolates_bad_points_across_threads() {
-        // Suppress the default panic hook for the intentional panics:
-        // the serial path panics on this (named) test thread, the
-        // parallel path on unnamed sweep workers.
-        static HOOK: std::sync::Once = std::sync::Once::new();
-        HOOK.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let ours = std::thread::current()
-                    .name()
-                    .is_none_or(|n| n.contains("fallible_grid"));
-                if !ours {
-                    prev(info);
-                }
-            }));
-        });
-        let nuts = [NocUnderTest::hoplite(4), NocUnderTest::fasttrack(4, 2, 1)];
-        let mut grid = SweepGrid::cross(&nuts, &[Pattern::Random], &[0.1, 0.5], 0xFA11)
-            .with_packets_per_pe(20);
-        // Point 1 panics (zero channels trips the engine's assert);
-        // point 2 is so slow it cannot finish inside the cycle budget.
-        grid.points[1].nut.channels = 0;
-        grid.points[2].rate = 0.004;
-        let run = |threads| {
-            grid.run_fallible(&FallibleSweepOptions {
-                threads,
-                retries: 0,
-                cycle_budget: Some(2000),
-            })
-        };
-        let golden = run(1);
-        assert_eq!(golden.len(), 4);
-        assert!(
-            matches!(&golden[1], Err(SweepError::Panicked { message, .. })
-                if message.contains("at least one channel")),
-            "{:?}",
-            golden[1]
-        );
-        assert!(matches!(
-            golden[2],
-            Err(SweepError::BudgetExceeded { budget: 2000 })
-        ));
-        let csv_of = |rows: &[Result<SweepRow, SweepError>]| -> Vec<String> {
-            rows.iter()
-                .flat_map(|r| r.as_ref().ok().map(sweep_csv_row))
-                .collect()
-        };
-        let healthy = csv_of(&golden);
-        assert_eq!(healthy.len(), 2, "two points stay healthy");
-        for threads in [2, 8] {
-            let out = run(threads);
-            assert_eq!(
-                csv_of(&out),
-                healthy,
-                "healthy rows must be byte-identical at {threads} threads"
-            );
-            for (a, b) in golden.iter().zip(&out) {
-                match (a, b) {
-                    (Err(ea), Err(eb)) => assert_eq!(ea, eb),
-                    (Ok(_), Ok(_)) => {}
-                    _ => panic!("outcome flipped between thread counts"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn budget_exceeded_points_can_recover_via_retry() {
-        // The retry re-seeds deterministically; with a budget generous
-        // enough for the nominal run, attempt 0 fails only for the
-        // pathological point and attempt seeds stay reproducible.
-        let grid = SweepGrid::cross(&[NocUnderTest::hoplite(4)], &[Pattern::Random], &[0.2], 3)
-            .with_packets_per_pe(20);
-        let a = grid.run_fallible(&FallibleSweepOptions {
-            threads: 1,
-            retries: 2,
-            cycle_budget: None,
-        });
-        let b = grid.run_fallible(&FallibleSweepOptions {
-            threads: 1,
-            retries: 2,
-            cycle_budget: None,
-        });
-        assert_eq!(
-            sweep_csv_row(a[0].as_ref().unwrap()),
-            sweep_csv_row(b[0].as_ref().unwrap()),
-            "fallible runs are pure"
-        );
-        // With no failures, the fallible run equals the plain run.
-        assert_eq!(
-            sweep_csv_row(a[0].as_ref().unwrap()),
-            sweep_csv_row(&grid.run(1)[0]),
-            "attempt-0 seeds must match the plain sweep"
-        );
     }
 
     #[test]

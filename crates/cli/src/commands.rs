@@ -5,8 +5,8 @@ use fasttrack_bench::figures::{catalog, experiments_md, Scale, Verdict};
 use fasttrack_bench::fuzz::{fuzz, FuzzConfig};
 use fasttrack_bench::journal::run_journaled;
 use fasttrack_bench::runner::{
-    attribution_csv, health_json, storm_json, sweep_csv, topology_of, FallibleSweepOptions,
-    NocUnderTest, SloSpec, SpecBackend, SweepGrid, INJECTION_RATES,
+    attribution_csv, health_json, storm_json, topology_of, FallibleSweepOptions, NocUnderTest,
+    PointAttribution, PointHealth, SloSpec, SpecBackend, SweepGrid, SweepTiming, INJECTION_RATES,
 };
 use fasttrack_core::attribution::{AttributionConfig, LatencyComponent, PacketJourney};
 use fasttrack_core::export::{epochs_to_csv, ChromeTraceSink, NdjsonSink};
@@ -36,8 +36,8 @@ use fasttrack_traffic::trace_io::trace_source_from_text;
 
 use crate::args::{ArgError, Flags};
 use crate::run_spec::{
-    channels_flag, conserved_or_err, fault_plan, pattern_flag, range_flag, session_for, write_file,
-    RunSpec,
+    channels_flag, conserved_or_err, fault_plan, float_flag, pattern_flag, range_flag, session_for,
+    write_file, RunSpec,
 };
 use crate::spec::{
     check_pattern_side, parse_grid, parse_noc, parse_pattern, parse_topology, SpecError,
@@ -276,6 +276,10 @@ CRASH-SAFE SWEEPS:
   from a different grid is refused. --retries re-runs a panicked or
   over-budget point with a fresh derived seed; --cycle-budget fails
   points that exceed the given cycle count instead of hanging the grid.
+  Under any of the three a failed point is reported on stderr and left
+  out of the CSV and the sidecars; without them it fails the sweep.
+  Every sweep flag composes with every other, except that --resume
+  takes neither --health/--attribution nor --out table.
 
 EXAMPLES:
   fasttrack simulate --noc ft:8:2:1 --pattern random --rate 0.5
@@ -361,9 +365,21 @@ pub fn cmd_monitor(flags: &Flags) -> Result<String, CliError> {
     }
     let defaults = DetectorConfig::default();
     let detectors = DetectorConfig {
-        livelock_multiple: flags.numeric("livelock-multiple", defaults.livelock_multiple)?,
+        livelock_multiple: float_flag(
+            flags,
+            "livelock-multiple",
+            defaults.livelock_multiple,
+            "(0,inf)",
+            |x| x > 0.0 && x.is_finite(),
+        )?,
         starvation_streak: flags.numeric("stall-streak", defaults.starvation_streak)?,
-        hotspot_watermark: flags.numeric("hotspot-watermark", defaults.hotspot_watermark)?,
+        hotspot_watermark: float_flag(
+            flags,
+            "hotspot-watermark",
+            defaults.hotspot_watermark,
+            "(0,1]",
+            |x| x > 0.0 && x <= 1.0,
+        )?,
         ..defaults
     };
     let mcfg = MonitorConfig {
@@ -566,7 +582,9 @@ pub fn cmd_storm(flags: &Flags) -> Result<String, CliError> {
         )));
     }
     let slo = SloSpec {
-        min_delivered_fraction: flags.numeric("min-delivered", 0.95)?,
+        min_delivered_fraction: float_flag(flags, "min-delivered", 0.95, "[0,1]", |x| {
+            (0.0..=1.0).contains(&x)
+        })?,
         max_p99_latency: flags.numeric("max-p99", 0)?,
     };
     // Two channels by default: the chain's alternate-channel step needs
@@ -790,26 +808,32 @@ pub fn cmd_compare(flags: &Flags) -> Result<String, CliError> {
 /// derived from `--seed` and the point index, so output is
 /// byte-identical at any thread count (`--threads 1` is the golden
 /// serial run). `--out csv` emits machine-readable CSV (and reports
-/// the row x column shape on stderr). `--health <path>` additionally
-/// runs every point under a [`fasttrack_core::monitor::HealthMonitor`]
-/// and writes the per-point summaries as a JSON sidecar; the rows —
-/// and hence the CSV bytes — are unchanged by monitoring.
+/// the row x column shape on stderr).
 ///
+/// Every flag below composes on the one run: `--health <path>` and
+/// `--attribution <path>` attach a [`HealthMonitor`] and the
+/// attribution layer to every point and write their per-point sidecars
+/// (the rows — and hence the CSV bytes — are unchanged by observing),
+/// and `--profile` prints per-point timing percentiles to stderr.
 /// Hardening: `--retries <n>` re-runs a panicked or over-budget point
 /// up to `n` times with fresh derived seeds, `--cycle-budget <c>` turns
-/// a point that exceeds `c` cycles into a typed per-point error instead
-/// of stalling the grid, and `--resume <journal>` appends each finished
+/// a point that exceeds `c` cycles into a per-point error instead of
+/// stalling the grid, and `--resume <journal>` appends each finished
 /// point to a crash-safe journal — re-running against an existing
 /// journal restores recorded points and produces CSV byte-identical to
-/// an uninterrupted run.
+/// an uninterrupted run. Under any of the three a failed point is
+/// reported on stderr and left out of the CSV and the sidecars; without
+/// them it fails the command.
 pub fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
     let packets: u64 = flags.numeric("packets", 1000)?;
     let seed: u64 = flags.numeric("seed", 1)?;
-    let threads: usize = flags.numeric("threads", 1)?;
-    let retries: u32 = flags.numeric("retries", 0)?;
-    let cycle_budget = match flags.optional("cycle-budget") {
-        Some(_) => Some(flags.numeric("cycle-budget", 0u64)?),
-        None => None,
+    let opts = FallibleSweepOptions {
+        threads: flags.numeric("threads", 1)?,
+        retries: flags.numeric("retries", 0)?,
+        cycle_budget: match flags.optional("cycle-budget") {
+            Some(_) => Some(flags.numeric("cycle-budget", 0u64)?),
+            None => None,
+        },
     };
     let resume = flags.optional("resume");
     let out_fmt = flags
@@ -820,25 +844,6 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
         return Err(CliError::Other(format!(
             "unknown --out format {out_fmt:?} (expected table or csv)"
         )));
-    }
-    let profile = flags.switch("profile");
-    if profile
-        && (resume.is_some()
-            || retries > 0
-            || cycle_budget.is_some()
-            || flags.optional("health").is_some()
-            || flags.optional("attribution").is_some())
-    {
-        return Err(CliError::Other(
-            "--profile times the plain sweep path only (drop \
-             --resume/--retries/--cycle-budget/--health/--attribution)"
-                .into(),
-        ));
-    }
-    if flags.optional("attribution").is_some() && flags.optional("health").is_some() {
-        return Err(CliError::Other(
-            "--attribution and --health are separate sidecars; pass one per run".into(),
-        ));
     }
 
     let grid = match flags.optional("grid") {
@@ -857,8 +862,9 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
     }
     .with_packets_per_pe(packets);
 
-    if let Some(path) = resume {
-        if flags.optional("health").is_some() || flags.optional("attribution").is_some() {
+    let (health, attribution) = (flags.optional("health"), flags.optional("attribution"));
+    if resume.is_some() {
+        if health.is_some() || attribution.is_some() {
             return Err(CliError::Other(
                 "--resume cannot be combined with --health/--attribution \
                  (journals record rows only)"
@@ -870,94 +876,99 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
                 "--resume emits CSV only (got --out {out_fmt}); drop --out or pass --out csv"
             )));
         }
-        let opts = FallibleSweepOptions {
-            threads,
-            retries,
-            cycle_budget,
-        };
-        let outcome = run_journaled(&grid, &opts, std::path::Path::new(path))
-            .map_err(|e| CliError::Other(e.to_string()))?;
-        let errors = outcome.errors();
-        for (i, e) in &errors {
-            eprintln!("sweep point {i} failed: {e}");
-        }
-        eprintln!(
-            "sweep journal: {} points ({} restored, {} failed) -> {path}",
-            grid.points.len(),
-            outcome.restored,
-            errors.len(),
-        );
-        return Ok(outcome.csv());
     }
 
-    let hardened = retries > 0 || cycle_budget.is_some();
-    if hardened && (flags.optional("health").is_some() || flags.optional("attribution").is_some()) {
-        return Err(CliError::Other(
-            "--health/--attribution cannot be combined with --retries/--cycle-budget".into(),
-        ));
+    let outcome = run_journaled(
+        &grid,
+        &opts,
+        resume.map(std::path::Path::new),
+        |index, seed, p, mut session, source| {
+            if health.is_some() {
+                session = session.with_monitor(MonitorConfig::default());
+            }
+            if attribution.is_some() {
+                session = session.with_attribution(AttributionConfig::default());
+            }
+            let started = std::time::Instant::now();
+            let outcome = session.run(source).expect("no fault plan attached");
+            let secs = started.elapsed().as_secs_f64();
+            let (label, pattern, rate) = (&p.nut.label, p.pattern, p.rate);
+            let health = outcome.monitor.map(|monitor| PointHealth {
+                index,
+                label: label.clone(),
+                pattern,
+                rate,
+                seed,
+                health: monitor.summary(),
+            });
+            let attribution = outcome.attribution.map(|attribution| PointAttribution {
+                index,
+                label: label.clone(),
+                pattern,
+                rate,
+                seed,
+                attribution,
+            });
+            (outcome.report, (health, attribution, secs))
+        },
+    )
+    .map_err(|e| CliError::Other(e.to_string()))?;
+
+    let errors: Vec<_> = outcome.errors().collect();
+    let hardened = resume.is_some() || opts.retries > 0 || opts.cycle_budget.is_some();
+    if let (false, Some((i, e))) = (hardened, errors.first()) {
+        return Err(CliError::Other(format!("sweep point {i} failed: {e}")));
     }
-    let rows = if hardened {
-        let opts = FallibleSweepOptions {
-            threads,
-            retries,
-            cycle_budget,
-        };
-        let mut rows = Vec::new();
-        for (i, res) in grid.run_fallible(&opts).into_iter().enumerate() {
-            match res {
-                Ok(row) => rows.push(row),
-                Err(e) => eprintln!("sweep point {i} failed: {e}"),
-            }
-        }
-        rows
-    } else {
-        match flags.optional("health") {
-            Some(path) => {
-                let (rows, points) = grid.run_with_health(threads, MonitorConfig::default());
-                let mut json = health_json(&points);
-                json.push('\n');
-                write_file(path, json)?;
-                let unhealthy = points.iter().filter(|p| !p.health.healthy()).count();
-                eprintln!(
-                    "sweep health: {} points ({unhealthy} unhealthy) -> {path}",
-                    points.len()
-                );
-                rows
-            }
-            None if flags.optional("attribution").is_some() => {
-                let path = flags.optional("attribution").expect("checked above");
-                let (rows, points) =
-                    grid.run_with_attribution(threads, AttributionConfig::default());
-                let csv = attribution_csv(&points);
-                write_file(path, csv)?;
-                let unreconciled = points
-                    .iter()
-                    .filter(|p| !p.attribution.reconciled())
-                    .count();
-                eprintln!(
-                    "sweep attribution: {} points ({unreconciled} unreconciled) -> {path}",
-                    points.len()
-                );
-                rows
-            }
-            None if profile => {
-                // Timing lives in a stderr sidecar; the rows — and the
-                // CSV bytes — are identical to an unprofiled run.
-                let (rows, timing) = grid.run_timed(threads);
-                eprintln!("{}", timing.render_text());
-                rows
-            }
-            None => grid.run(threads),
-        }
-    };
+    for (i, e) in &errors {
+        eprintln!("sweep point {i} failed: {e}");
+    }
+    if let Some(path) = health {
+        let points: Vec<PointHealth> = outcome.ran().flat_map(|(.., s)| s.0.clone()).collect();
+        write_file(path, health_json(&points) + "\n")?;
+        let unhealthy = points.iter().filter(|p| !p.health.healthy()).count();
+        eprintln!(
+            "sweep health: {} points ({unhealthy} unhealthy) -> {path}",
+            points.len()
+        );
+    }
+    if let Some(path) = attribution {
+        let points: Vec<PointAttribution> = outcome.ran().flat_map(|(.., s)| s.1.clone()).collect();
+        write_file(path, attribution_csv(&points))?;
+        let unreconciled = points
+            .iter()
+            .filter(|p| !p.attribution.reconciled())
+            .count();
+        eprintln!(
+            "sweep attribution: {} points ({unreconciled} unreconciled) -> {path}",
+            points.len()
+        );
+    }
+    if flags.switch("profile") {
+        // Timing lives in a stderr sidecar; the rows — and the CSV
+        // bytes — are identical to an unprofiled run.
+        let timing = SweepTiming::new(outcome.ran().map(|(.., s)| s.2).collect());
+        eprintln!("{}", timing.render_text());
+    }
+
     if out_fmt == "csv" {
-        let csv = sweep_csv(&rows);
-        let columns = csv.lines().next().map_or(0, |h| h.split(',').count());
-        eprintln!("sweep csv: {} data rows x {columns} columns", rows.len());
+        let csv = outcome.csv();
+        match resume {
+            Some(path) => eprintln!(
+                "sweep journal: {} points ({} restored, {} failed) -> {path}",
+                grid.len(),
+                outcome.restored,
+                errors.len(),
+            ),
+            None => {
+                let columns = csv.lines().next().map_or(0, |h| h.split(',').count());
+                let rows = outcome.ran().count();
+                eprintln!("sweep csv: {rows} data rows x {columns} columns");
+            }
+        }
         return Ok(csv);
     }
     let mut out = String::from("config         pattern      rate    sustained  avg-lat   worst\n");
-    for row in &rows {
+    for (_, row, _) in outcome.ran() {
         out.push_str(&format!(
             "{:<14} {:<12} {:<7.2} {:<10.4} {:<9.1} {}\n",
             row.label,
@@ -2562,11 +2573,6 @@ mod tests {
         let plain = run(argv(base)).unwrap();
         let profiled = run(argv(&format!("{base} --profile"))).unwrap();
         assert_eq!(plain, profiled, "--profile must not perturb the CSV");
-        // Timing requires the plain path.
-        assert!(matches!(
-            run(argv(&format!("{base} --profile --retries 1"))),
-            Err(CliError::Other(_))
-        ));
     }
 
     #[test]
@@ -2762,7 +2768,7 @@ mod tests {
     fn storm_gate_exits_nonzero_when_slo_missed() {
         let err = run(argv(
             "storm --noc ft:4:2:1 --rate 0.3 --packets 60 --kills 20 \
-             --duration 1500 --min-delivered 1.01",
+             --duration 1500 --max-p99 1",
         ))
         .unwrap_err();
         assert!(err.to_string().contains("availability SLO missed"), "{err}");
@@ -2999,21 +3005,100 @@ mod tests {
     }
 
     #[test]
-    fn sweep_attribution_rejects_conflicting_flags() {
-        let err = run(argv(
-            "sweep --noc ft:4:2:1 --attribution /tmp/a.csv --health /tmp/h.json",
-        ))
-        .unwrap_err();
-        assert!(err.to_string().contains("separate sidecars"), "{err}");
-        let err = run(argv(
-            "sweep --noc ft:4:2:1 --attribution /tmp/a.csv --retries 2",
-        ))
-        .unwrap_err();
-        assert!(err.to_string().contains("cannot be combined"), "{err}");
-        let err = run(argv(
-            "sweep --noc ft:4:2:1 --attribution /tmp/a.csv --resume /tmp/j",
-        ))
-        .unwrap_err();
+    fn sweep_observers_and_hardening_compose() {
+        let dir = std::env::temp_dir().join("fasttrack_cli_sweep_compose");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = |name: &str| dir.join(name).display().to_string();
+        let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+        // Point 0 cannot finish inside a 2000-cycle budget; point 1 can.
+        let base = "sweep --grid hoplite:4;random;0.004,0.5 --packets 25 --seed 5 --out csv";
+        let plain = run(argv(base)).unwrap();
+        let (h, a) = (file("h.json"), file("a.csv"));
+        let solo_health = run(argv(&format!("{base} --health {h}"))).unwrap();
+        let solo_health_json = read("h.json");
+        let solo_attribution = run(argv(&format!("{base} --attribution {a}"))).unwrap();
+        let solo_attribution_csv = read("a.csv");
+        assert_eq!((&solo_health, &solo_attribution), (&plain, &plain));
+
+        // Both observers on one run: each sidecar equals its solo run's.
+        let both = run(argv(&format!(
+            "{base} --threads 2 --health {h} --attribution {a} --profile"
+        )))
+        .unwrap();
+        assert_eq!(both, plain, "observers and timing must not perturb the CSV");
+        assert_eq!(read("h.json"), solo_health_json);
+        assert_eq!(read("a.csv"), solo_attribution_csv);
+
+        // Hardened: the CSV is the hardened run's, and each sidecar holds
+        // exactly the surviving point, as the solo run wrote it.
+        let hardening = "--retries 1 --cycle-budget 2000";
+        let hardened = run(argv(&format!("{base} {hardening}"))).unwrap();
+        assert_eq!(hardened.lines().count(), 2, "{hardened}");
+        assert_eq!(hardened.lines().nth(1), plain.lines().nth(2));
+        let observed = run(argv(&format!(
+            "{base} {hardening} --health {h} --attribution {a} --profile"
+        )))
+        .unwrap();
+        assert_eq!(observed, hardened);
+        let health = read("h.json");
+        assert!(health.contains("\"index\":1,") && !health.contains("\"index\":0,"));
+        assert!(
+            solo_health_json.ends_with(&format!(",{}", &health[1..])),
+            "{health}"
+        );
+        let attribution = read("a.csv");
+        let solo: Vec<&str> = solo_attribution_csv.lines().collect();
+        assert_eq!(attribution.lines().collect::<Vec<_>>(), [solo[0], solo[2]]);
+
+        // A journal composes with timing, not with sidecars.
+        let journal = dir.join("j.journal");
+        let _ = std::fs::remove_file(&journal);
+        let resume = format!("{base} --resume {}", journal.display());
+        assert_eq!(run(argv(&format!("{resume} --profile"))).unwrap(), plain);
+        let err = run(argv(&format!("{resume} --attribution {a}"))).unwrap_err();
         assert!(err.to_string().contains("--resume"), "{err}");
+    }
+
+    /// Each float flag is range-checked like `--rate`: NaN, infinities and
+    /// values outside the range are typed errors, not a silent verdict.
+    #[test]
+    fn float_flags_out_of_range_are_typed_errors() {
+        let storm = "storm --noc ft:4:2:1 --packets 2";
+        let monitor = "monitor --noc hoplite:4 --packets 2";
+        for (cmd, flag, range, bad, good) in [
+            (
+                storm,
+                "min-delivered",
+                "[0,1]",
+                &["-1", "1.01", "nan", "inf"][..],
+                "0",
+            ),
+            (
+                monitor,
+                "hotspot-watermark",
+                "(0,1]",
+                &["-1", "0", "2", "nan", "inf"],
+                "1",
+            ),
+            (
+                monitor,
+                "livelock-multiple",
+                "(0,inf)",
+                &["-1", "0", "nan", "inf"],
+                "0.5",
+            ),
+        ] {
+            for value in bad {
+                let err = run(argv(&format!("{cmd} --{flag} {value}"))).unwrap_err();
+                assert!(
+                    matches!(err, CliError::Other(_)),
+                    "--{flag} {value}: {err:?}"
+                );
+                let text = err.to_string();
+                assert!(text.contains(&format!("--{flag}")), "{text}");
+                assert!(text.contains(&format!("out of {range}")), "{text}");
+            }
+            run(argv(&format!("{cmd} --{flag} {good}"))).unwrap();
+        }
     }
 }

@@ -123,6 +123,24 @@ pub(crate) fn channels_flag(flags: &Flags, default: usize) -> Result<usize, CliE
     Ok(channels)
 }
 
+/// A float `--<flag>`, `default` when absent, refused unless `ok`
+/// holds; `range` names the accepted values in the error. NaN fails
+/// every comparison, so a range check written as one refuses it too.
+pub(crate) fn float_flag(
+    flags: &Flags,
+    flag: &str,
+    default: f64,
+    range: &str,
+    ok: impl Fn(f64) -> bool,
+) -> Result<f64, CliError> {
+    let value: f64 = flags.numeric(flag, default)?;
+    if ok(value) {
+        Ok(value)
+    } else {
+        Err(CliError::Other(format!("--{flag} {value} out of {range}")))
+    }
+}
+
 /// The `--pattern` spec string, `random` when absent.
 pub(crate) fn pattern_flag(flags: &Flags) -> &str {
     flags.optional("pattern").unwrap_or("random")

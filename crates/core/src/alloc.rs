@@ -186,19 +186,6 @@ pub fn try_allocate(inputs: &[RoutePrefs], available: OutSet, exit: ExitPolicy) 
     assignment
 }
 
-/// Attempts PE injection after the in-flight assignment: returns the first
-/// port in the PE's preference list whose slot is still free, given the
-/// ports consumed by `taken`.
-pub fn try_inject(
-    pe_prefs: &RoutePrefs,
-    available: OutSet,
-    taken: &[OutPort],
-    exit: ExitPolicy,
-) -> Option<OutPort> {
-    let free = free_after(available, taken.iter().copied(), exit);
-    first_free(pe_prefs, available, free, exit)
-}
-
 /// Everything a router visit decides for its in-flight inputs, packed
 /// into one word so the engine can memoise it (`kernel::DecisionTable`):
 /// five bits per input register — the assigned port's index (or
@@ -295,6 +282,22 @@ mod tests {
 
     fn shared() -> ExitPolicy {
         ExitPolicy::SharedWithSouth
+    }
+
+    /// The port the PE injects on once `taken` is assigned: the pair of
+    /// calls the engine makes after a router's in-flight decision.
+    fn inject(
+        pe: &RoutePrefs,
+        available: OutSet,
+        taken: &[OutPort],
+        exit: ExitPolicy,
+    ) -> Option<OutPort> {
+        first_free(
+            pe,
+            available,
+            free_after(available, taken.iter().copied(), exit),
+            exit,
+        )
     }
 
     #[test]
@@ -464,8 +467,8 @@ mod tests {
     /// the LUT alphabet can form: the whole alphabet in every position
     /// for up to two inputs, and for three and four one list per distinct
     /// in-flight port in priority order (the only such sets a router can
-    /// hold). Each assignment must equal the reference's; then
-    /// `try_inject` must, for every list a PE can hold, over every prefix
+    /// hold). Each assignment must equal the reference's; then the PE's
+    /// injection port must, for every list a PE can hold, over every prefix
     /// of every port sequence an assignment took.
     #[test]
     fn allocation_matches_the_reference_exhaustively() {
@@ -524,7 +527,7 @@ mod tests {
                 for taken in &taken_prefixes {
                     for pe in pe_alphabet {
                         assert_eq!(
-                            try_inject(pe, available, taken, exit),
+                            inject(pe, available, taken, exit),
                             reference::try_inject(pe, available, taken, exit),
                             "{:?} after {taken:?} on {available:?} {exit:?}",
                             pe.ports()
@@ -626,12 +629,12 @@ mod tests {
         let pe = compute_prefs(&cfg, class, InPort::Pe, at, Coord::new(3, 0));
         // Nothing taken: injects east.
         assert_eq!(
-            try_inject(&pe, class.available_outputs(), &[], shared()),
+            inject(&pe, class.available_outputs(), &[], shared()),
             Some(OutPort::EastSh)
         );
         // East taken: PE stalls (it never deflects).
         assert_eq!(
-            try_inject(&pe, class.available_outputs(), &[OutPort::EastSh], shared()),
+            inject(&pe, class.available_outputs(), &[OutPort::EastSh], shared()),
             None
         );
     }
@@ -644,12 +647,12 @@ mod tests {
         // PE wants south; a delivery this cycle consumed the shared slot.
         let pe = compute_prefs(&cfg, class, InPort::Pe, at, Coord::new(0, 3));
         assert_eq!(
-            try_inject(&pe, class.available_outputs(), &[OutPort::Exit], shared()),
+            inject(&pe, class.available_outputs(), &[OutPort::Exit], shared()),
             None
         );
         // Dedicated exit: south is still free.
         assert_eq!(
-            try_inject(
+            inject(
                 &pe,
                 class.available_outputs(),
                 &[OutPort::Exit],

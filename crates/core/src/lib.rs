@@ -60,7 +60,6 @@ pub mod multichannel;
 pub mod noc;
 pub mod packet;
 pub mod port;
-pub mod probe;
 pub mod profile;
 pub mod queue;
 pub mod realtime;
@@ -94,7 +93,6 @@ pub mod prelude {
     pub use crate::noc::Noc;
     pub use crate::packet::{Delivery, Packet, PacketId, PendingPacket};
     pub use crate::port::{InPort, OutPort};
-    pub use crate::probe::{PathStep, Probe, TraceSelect};
     pub use crate::profile::{
         PhaseStat, ProfileSummary, ScopedSpan, SessionProfile, Span, SpanRecorder, ThreadProfile,
     };

@@ -3,9 +3,8 @@
 //!
 //! [`WindowedMetrics`] is an [`EventSink`] that folds the engine's event
 //! stream into fixed-length epochs: rolling throughput, latency
-//! mean/p50/p99, deflection rate, stall counts, and (optionally) a
-//! per-link utilization time series. Because it consumes the same
-//! events any exporter sees, it needs no engine support beyond
+//! mean/p50/p99, deflection rate and stall counts. Because it consumes
+//! the same events any exporter sees, it needs no engine support beyond
 //! [`crate::noc::Noc::step_with_sink`].
 //!
 //! The steady-state detector ([`WindowedMetrics::steady_state_epoch`])
@@ -40,9 +39,6 @@ pub struct EpochStats {
     pub stalls: u64,
     /// End-to-end latency histogram of this epoch's deliveries.
     latency: Histogram,
-    /// `link_usage[node][port]` assignments this epoch (present only
-    /// when link tracking is enabled).
-    pub link_usage: Vec<[u64; 5]>,
 }
 
 impl EpochStats {
@@ -78,16 +74,6 @@ impl EpochStats {
             self.deflections as f64 / self.decisions as f64
         }
     }
-
-    /// Utilization (0..=1) of output `port` at `node` over the epoch
-    /// (0 when link tracking is off).
-    pub fn link_utilization(&self, node: usize, port: usize) -> f64 {
-        if self.cycles == 0 || node >= self.link_usage.len() {
-            0.0
-        } else {
-            self.link_usage[node][port] as f64 / self.cycles as f64
-        }
-    }
 }
 
 /// An [`EventSink`] that aggregates events into fixed-length epochs.
@@ -95,7 +81,6 @@ impl EpochStats {
 pub struct WindowedMetrics {
     epoch_len: u64,
     nodes: usize,
-    track_links: bool,
     completed: Vec<EpochStats>,
     cur: EpochStats,
     /// Epoch index of `cur`.
@@ -119,7 +104,6 @@ impl WindowedMetrics {
         WindowedMetrics {
             epoch_len,
             nodes,
-            track_links: false,
             completed: Vec::new(),
             cur: EpochStats::default(),
             cur_index: 0,
@@ -127,14 +111,6 @@ impl WindowedMetrics {
             warmup_reset_at: None,
             truncated: false,
         }
-    }
-
-    /// Enables the per-link utilization time series (a `[u64; 5]` per
-    /// node per epoch — sized for small diagnostic runs).
-    pub fn with_link_series(mut self) -> Self {
-        self.track_links = true;
-        self.cur.link_usage = vec![[0; 5]; self.nodes];
-        self
     }
 
     /// The configured epoch length in cycles.
@@ -179,18 +155,7 @@ impl WindowedMetrics {
     fn advance_to(&mut self, cycle: u64) {
         self.horizon = self.horizon.max(cycle + 1);
         while cycle >= (self.cur_index + 1) * self.epoch_len {
-            let link_usage = if self.track_links {
-                vec![[0; 5]; self.nodes]
-            } else {
-                Vec::new()
-            };
-            let mut done = std::mem::replace(
-                &mut self.cur,
-                EpochStats {
-                    link_usage,
-                    ..EpochStats::default()
-                },
-            );
+            let mut done = std::mem::take(&mut self.cur);
             done.start_cycle = self.cur_index * self.epoch_len;
             done.cycles = self.epoch_len;
             self.completed.push(done);
@@ -291,12 +256,7 @@ impl EventSink for WindowedMetrics {
         self.advance_to(event.cycle());
         match *event {
             SimEvent::Inject { .. } => self.cur.injected += 1,
-            SimEvent::RouteDecision { node, out, .. } => {
-                self.cur.decisions += 1;
-                if self.track_links && node < self.cur.link_usage.len() {
-                    self.cur.link_usage[node][out.index()] += 1;
-                }
-            }
+            SimEvent::RouteDecision { .. } => self.cur.decisions += 1,
             SimEvent::Deflect { .. } => self.cur.deflections += 1,
             SimEvent::ExpressHop { .. } => self.cur.express_hops += 1,
             SimEvent::Eject { delivery, .. } => {
@@ -443,28 +403,6 @@ mod tests {
         assert!(e.p50_latency() >= 10);
         assert!(e.p99_latency() >= e.p50_latency());
         assert!((e.deflection_rate() - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn link_series_tracks_port_usage() {
-        let mut m = WindowedMetrics::new(4, 10).with_link_series();
-        m.emit(&SimEvent::RouteDecision {
-            cycle: 0,
-            node: 2,
-            packet: PacketId(0),
-            in_port: None,
-            out: crate::port::OutPort::EastSh,
-            src: Coord::new(0, 0),
-            dst: Coord::new(1, 0),
-            hops: 1,
-        });
-        for c in 0..10 {
-            m.end_cycle(c);
-        }
-        let epochs = m.finish();
-        let e = &epochs[0];
-        assert!((e.link_utilization(2, crate::port::OutPort::EastSh.index()) - 0.1).abs() < 1e-9);
-        assert_eq!(e.link_utilization(3, 0), 0.0);
     }
 
     #[test]

@@ -290,30 +290,6 @@ pub fn compute_prefs(
     prefs
 }
 
-/// Fallback-chain demotion ([`crate::fallback`]): re-routes a
-/// lane-locked express packet as if it had arrived on the *shared twin*
-/// of its input (`W_ex → W_sh`, `N_ex → N_sh`), dropping it onto the
-/// shared deflection ring. Shared-ring links can never be fault-masked
-/// ([`crate::fault::FaultError::PartitionsTorus`] rejects such plans),
-/// so a demoted packet always has a live escape path. Under the Inject
-/// policy — the only one whose crossbar strands express packets — the
-/// shared twin's connectivity is shared-only, so the result never
-/// references an express port.
-pub fn demote_prefs(
-    cfg: &NocConfig,
-    class: RouterClass,
-    in_port: InPort,
-    at: Coord,
-    dst: Coord,
-) -> RoutePrefs {
-    let twin = match in_port {
-        InPort::WestEx => InPort::WestSh,
-        InPort::NorthEx => InPort::NorthSh,
-        other => other,
-    };
-    compute_prefs(cfg, class, twin, at, dst)
-}
-
 /// Whether this particular input should *try* the express lane: the
 /// topology-level desire, specialized per lane-change policy. Under the
 /// Inject policy a short-lane packet never boards express mid-flight, and

@@ -241,18 +241,29 @@ where
 /// while every other slot is unaffected, so the result vector always
 /// has exactly `items.len()` entries in item order for any thread
 /// count.
-pub fn sweep_fallible<T, R, F>(
+///
+/// `done(&item, &result)` runs once per item, on the worker that ran
+/// it, as soon as the item's final result is known — the place for
+/// per-point side effects (a crash-safe journal append) that must not
+/// wait for the whole sweep.
+pub fn sweep_fallible<T, R, F, H>(
     items: Vec<T>,
     threads: usize,
     retries: u32,
     f: F,
+    done: H,
 ) -> Vec<Result<R, SweepError>>
 where
     T: Send + Sync,
     R: Send,
     F: Fn(usize, u32, &T) -> Result<R, SweepError> + Sync,
+    H: Fn(&T, &Result<R, SweepError>) + Sync,
 {
-    sweep(items, threads, |i, item| run_point(&f, i, &item, retries))
+    sweep(items, threads, |i, item| {
+        let result = run_point(&f, i, &item, retries);
+        done(&item, &result);
+        result
+    })
 }
 
 #[cfg(test)]
@@ -336,15 +347,21 @@ mod tests {
     fn sweep_fallible_isolates_panics_per_point() {
         silence_intentional_panics();
         for threads in [1, 2, 8] {
-            let out = sweep_fallible((0..16u64).collect(), threads, 0, |i, attempt, &x| {
-                if i == 5 {
-                    panic!("point 5 is broken");
-                }
-                if i == 9 {
-                    return Err(SweepError::BudgetExceeded { budget: 1000 });
-                }
-                Ok((x, attempt))
-            });
+            let out = sweep_fallible(
+                (0..16u64).collect(),
+                threads,
+                0,
+                |i, attempt, &x| {
+                    if i == 5 {
+                        panic!("point 5 is broken");
+                    }
+                    if i == 9 {
+                        return Err(SweepError::BudgetExceeded { budget: 1000 });
+                    }
+                    Ok((x, attempt))
+                },
+                |_, _| {},
+            );
             assert_eq!(out.len(), 16, "threads={threads}");
             for (i, r) in out.iter().enumerate() {
                 match i {
@@ -367,17 +384,27 @@ mod tests {
         silence_intentional_panics();
         // Succeeds only on attempt 2: the retry loop must reach it and
         // report which attempt produced the result.
-        let out = sweep_fallible(vec![7u64], 1, 3, |_i, attempt, &x| {
-            if attempt < 2 {
-                panic!("flaky");
-            }
-            Ok((x, attempt))
-        });
+        let out = sweep_fallible(
+            vec![7u64],
+            1,
+            3,
+            |_i, attempt, &x| {
+                if attempt < 2 {
+                    panic!("flaky");
+                }
+                Ok((x, attempt))
+            },
+            |_, _| {},
+        );
         assert_eq!(out, vec![Ok((7, 2))]);
         // Exhausted retries keep the last failure, with the total count.
-        let out = sweep_fallible(vec![7u64], 1, 2, |_i, _attempt, _x| -> Result<(), _> {
-            panic!("always")
-        });
+        let out = sweep_fallible(
+            vec![7u64],
+            1,
+            2,
+            |_i, _attempt, _x| -> Result<(), _> { panic!("always") },
+            |_, _| {},
+        );
         assert_eq!(
             out,
             vec![Err(SweepError::Panicked {
@@ -391,12 +418,18 @@ mod tests {
     fn sweep_fallible_results_are_thread_invariant() {
         silence_intentional_panics();
         let run = |threads| {
-            sweep_fallible((0..64u64).collect(), threads, 1, |i, attempt, _x| {
-                if i % 13 == 3 && attempt == 0 {
-                    panic!("transient");
-                }
-                Ok(retry_seed(9, i, attempt))
-            })
+            sweep_fallible(
+                (0..64u64).collect(),
+                threads,
+                1,
+                |i, attempt, _x| {
+                    if i % 13 == 3 && attempt == 0 {
+                        panic!("transient");
+                    }
+                    Ok(retry_seed(9, i, attempt))
+                },
+                |_, _| {},
+            )
         };
         let golden = run(1);
         assert_eq!(run(2), golden);

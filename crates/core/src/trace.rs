@@ -10,9 +10,8 @@
 //! same simulation into a full event log without touching the engine.
 //!
 //! Events carry the *decision* cycle (the cycle in which the router
-//! assigned an output), matching [`crate::probe::PathStep`]; a delivery
-//! consumed by the PE one cycle later still reports the decision cycle
-//! in its [`SimEvent::Eject`].
+//! assigned an output); a delivery consumed by the PE one cycle later
+//! still reports the decision cycle in its [`SimEvent::Eject`].
 
 use crate::geom::Coord;
 use crate::packet::{Delivery, PacketId};

@@ -1,6 +1,7 @@
 //! Adversarial traffic generators: bursty on-off (MMPP-style)
-//! injection, hotspot concentration, and worst-case permutations
-//! parameterized by the FastTrack express geometry `(D, R)`.
+//! injection and worst-case permutations parameterized by the FastTrack
+//! express geometry `(D, R)`. Hotspot concentration is a pattern
+//! ([`Pattern::Hotspot`]) any Bernoulli source can draw.
 //!
 //! Synthetic Bernoulli traffic is memoryless and spatially uniform —
 //! friendly to a deflection NoC. These generators attack the two
@@ -115,20 +116,6 @@ impl TrafficSource for BurstySource {
     fn exhausted(&self) -> bool {
         self.generated.iter().all(|&g| g >= self.packets_per_pe)
     }
-}
-
-/// Hotspot-concentration source: a Bernoulli injector whose traffic is
-/// aimed at the four quadrant-center hotspots with the given
-/// probability ([`Pattern::Hotspot`]), the adversarial case for exit-
-/// port contention.
-pub fn hotspot_source(
-    n: u16,
-    percent: u8,
-    rate: f64,
-    packets_per_pe: u64,
-    seed: u64,
-) -> crate::source::BernoulliSource {
-    crate::source::BernoulliSource::new(n, Pattern::Hotspot { percent }, rate, packets_per_pe, seed)
 }
 
 /// The X-ring offset every packet of a worst-case [`PermutationSource`]

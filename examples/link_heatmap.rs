@@ -1,7 +1,7 @@
-//! Link-utilization heatmaps and packet path tracing: step the engine
-//! with a probe as its event sink, run a hotspot workload, and visualize
-//! where the traffic actually flows — including one sampled packet's
-//! full journey.
+//! Link-utilization heatmaps and packet path tracing: run a hotspot
+//! workload through a session with a small counting sink attached, show
+//! where the traffic actually flows, and print one packet's full journey
+//! from the attribution layer's watch.
 //!
 //! ```sh
 //! cargo run --release --example link_heatmap
@@ -9,39 +9,39 @@
 
 use fasttrack::prelude::*;
 
+/// Output-port assignments per router: every assignment reaches a sink
+/// as exactly one `RouteDecision` (in flight) or `Inject` (from the PE).
+struct PortCounts(Vec<[u64; 5]>);
+
+impl EventSink for PortCounts {
+    fn emit(&mut self, event: &SimEvent) {
+        if let SimEvent::RouteDecision { node, out, .. } | SimEvent::Inject { node, out, .. } =
+            *event
+        {
+            self.0[node][out.index()] += 1;
+        }
+    }
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 8u16;
     let cfg = NocConfig::fasttrack(n, 2, 1, FtPolicy::Full)?;
-    let mut noc = Noc::new(cfg.clone());
-    let mut probe = Probe::with_tracing(n, TraceSelect::Sampled(97));
-
-    // Hotspot workload: everyone hammers the node at (6,6), plus
-    // background random traffic.
-    let mut queues = InjectQueues::new(cfg.num_nodes());
-    let mut source = BernoulliSource::new(n, Pattern::Random, 0.2, 200, 13);
-    let hotspot = Coord::new(6, 6);
-    let mut deliveries = Vec::new();
-    let mut cycle = 0u64;
-    loop {
-        source.pump(cycle, &mut queues);
-        if cycle.is_multiple_of(4) && cycle < 800 {
-            let src = (cycle as usize * 7) % cfg.num_nodes();
-            if src != hotspot.to_node_id(n) {
-                queues.push(src, hotspot, cycle, 1);
-            }
-        }
-        noc.step_with_sink(&mut queues, &mut deliveries, None, &mut probe);
-        cycle += 1;
-        if cycle > 800 && queues.is_empty() && noc.in_flight() == 0 {
-            break;
-        }
-    }
+    // 60% of every PE's packets aim at the quadrant-center hotspots.
+    let mut source = BernoulliSource::new(n, Pattern::Hotspot { percent: 60 }, 0.2, 200, 13);
+    let mut counts = PortCounts(vec![[0; 5]; cfg.num_nodes()]);
+    let watched = PacketId(97);
+    let outcome = SimSession::new(&cfg)
+        .with_attribution(AttributionConfig::default().watch(watched))
+        .with_sink(&mut counts)
+        .run(&mut source)?;
+    let cycles = outcome.report.cycles.max(1) as f64;
+    let utilization = |node: usize, port: OutPort| counts.0[node][port.index()] as f64 / cycles;
 
     println!(
         "== {} hotspot run: {} cycles, {} delivered ==\n",
         cfg.name(),
-        cycle,
-        deliveries.len()
+        outcome.report.cycles,
+        outcome.report.stats.delivered
     );
     for (label, port) in [
         ("E_sh (short east)", OutPort::EastSh),
@@ -50,22 +50,45 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("S_ex (express south)", OutPort::SouthEx),
     ] {
         println!("{label} utilization deciles:");
-        println!("{}", probe.heatmap(port));
+        for y in 0..n {
+            let row: String = (0..n)
+                .map(|x| {
+                    let u = utilization(Coord::new(x, y).to_node_id(n), port);
+                    char::from(b'0' + (u * 10.0).floor().min(9.0) as u8)
+                })
+                .collect();
+            println!("{row}");
+        }
+        println!();
     }
 
-    if let Some((node, port, u)) = probe.hottest_link() {
+    let links = (0..cfg.num_nodes()).flat_map(|node| {
+        OutPort::ALL
+            .into_iter()
+            .filter(|&p| p != OutPort::Exit)
+            .map(move |p| (node, p))
+    });
+    if let Some((node, port)) = links.max_by_key(|&(node, p)| counts.0[node][p.index()]) {
         println!(
-            "hottest link: {} out of node {} ({:.0}% utilized)",
-            port,
+            "hottest link: {port} out of node {} ({:.0}% utilized)",
             Coord::from_node_id(node, n),
-            u * 100.0
+            utilization(node, port) * 100.0
         );
     }
 
-    if let Some(id) = probe.traced_ids().next() {
-        println!("\nsampled packet {:?} path:", id.0);
-        for step in probe.path(id).unwrap() {
-            println!("  cycle {:>5}: {} -> {}", step.cycle, step.at, step.out);
+    if let Some(journey) = outcome.attribution.and_then(|a| a.journey) {
+        println!("\npacket {} path:", watched.0);
+        for event in &journey.events {
+            if let SimEvent::RouteDecision {
+                cycle, node, out, ..
+            }
+            | SimEvent::Inject {
+                cycle, node, out, ..
+            } = *event
+            {
+                let at = Coord::from_node_id(node, n);
+                println!("  cycle {cycle:>5}: {at} -> {out}");
+            }
         }
     }
     Ok(())
