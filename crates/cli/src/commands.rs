@@ -6,16 +6,16 @@ use fasttrack_bench::fuzz::{fuzz, FuzzConfig};
 use fasttrack_bench::journal::run_journaled;
 use fasttrack_bench::runner::{
     attribution_csv, health_json, storm_json, topology_of, FallibleSweepOptions, NocUnderTest,
-    PointAttribution, PointHealth, SloSpec, SpecBackend, SweepGrid, SweepTiming, INJECTION_RATES,
+    PointAttribution, PointHealth, SloSpec, SweepGrid, SweepTiming, INJECTION_RATES,
 };
 use fasttrack_core::attribution::{AttributionConfig, LatencyComponent, PacketJourney};
 use fasttrack_core::export::{epochs_to_csv, ChromeTraceSink, NdjsonSink};
 use fasttrack_core::fallback::FallbackConfig;
 use fasttrack_core::fault::StormSpec;
 use fasttrack_core::metrics::WindowedMetrics;
-use fasttrack_core::monitor::{DetectorConfig, FlightRecorder, HealthMonitor, MonitorConfig};
+use fasttrack_core::monitor::{DetectorConfig, FlightRecorder, MonitorConfig};
 use fasttrack_core::packet::PacketId;
-use fasttrack_core::sim::{SimOutcome, SimReport, SimSession, TrafficSource};
+use fasttrack_core::sim::{SimOutcome, SimReport, TrafficSource};
 use fasttrack_core::topology::TopologySpec;
 use fasttrack_core::trace::{EventSink, SimEvent};
 use fasttrack_fpga::device::Device;
@@ -28,19 +28,17 @@ use fasttrack_traffic::graph_gen::rmat;
 use fasttrack_traffic::matrix::circuit;
 use fasttrack_traffic::multiproc::{parsec_benchmarks, parsec_trace};
 use fasttrack_traffic::partition::Partition;
-use fasttrack_traffic::scenario::{
-    Expectation, RecordingSource, ReplaySource, ScenarioHeader, ScenarioTrace, TraceError,
-};
+use fasttrack_traffic::scenario::{Expectation, RecordingSource, ScenarioHeader};
 use fasttrack_traffic::spmv::spmv_source;
-use fasttrack_traffic::trace_io::trace_source_from_text;
 
 use crate::args::{ArgError, Flags};
 use crate::run_spec::{
-    channels_flag, conserved_or_err, fault_plan, float_flag, pattern_flag, range_flag, session_for,
-    write_file, RunSpec,
+    channels_flag, conserved_or_err, fault_plan, float_flag, load_replay, pattern_flag, range_flag,
+    write_file, Observer, Run, RunSpec,
 };
+pub use crate::run_spec::{replay_session, SingleRun};
 use crate::spec::{
-    check_pattern_side, parse_grid, parse_noc, parse_pattern, parse_topology, SpecError,
+    check_pattern_side, grid_side, parse_grid, parse_noc, parse_pattern, parse_topology, SpecError,
 };
 
 /// Any CLI failure.
@@ -157,8 +155,8 @@ USAGE:
 SPECS:
   NoC:     hoplite:<n> | ft:<n>:<d>:<r> | ftlite:<n>:<d>:<r>
            | shg:<q>:<delta> | mesh:<n>:<depth>
-           (faults/cost/profile/trace/record drive the torus kinds; simulate,
-            monitor, sweep, storm, compare, and attribute accept all five)
+           (faults, cost and record model the torus kinds only; every
+            other command accepts all five)
   Pattern: random | bitcompl | transpose | tornado | shuffle | bitrev
            | local:<radius> | hotspot:<percent>
   Grid:    <noc>[,<noc>...];<pattern>[,<pattern>...];<rate>[,<rate>...]
@@ -329,32 +327,36 @@ fn render_report(report: &SimReport) -> String {
     )
 }
 
-/// `--health <path>` on a single run: the monitor summary as JSON.
-fn write_health(flags: &Flags, monitor: &HealthMonitor, out: &mut String) -> Result<(), CliError> {
-    if let Some(path) = flags.optional("health") {
-        write_file(path, monitor.summary().to_json() + "\n")?;
-        out.push_str(&format!("  health json -> {path}\n"));
+/// `simulate`, `monitor`, `profile`, `attribute` and `trace --file` —
+/// one run with its row's observers attached (`--profile` adds the
+/// profiler), on the traffic [`SingleRun::new`] reads, printed by
+/// [`render_outcome`].
+fn cmd_run(flags: &Flags, run: Run) -> Result<String, CliError> {
+    let SingleRun {
+        mut session,
+        mut source,
+        ..
+    } = SingleRun::new(flags, run)?;
+    let Run(.., observers) = run;
+    if observers.contains(&Observer::Attribution) {
+        session = session.with_attribution(AttributionConfig::default());
     }
-    Ok(())
+    if observers.contains(&Observer::Monitor) {
+        session = session.with_monitor(monitor_config(flags)?);
+    }
+    if observers.contains(&Observer::Profile) || flags.switch("profile") {
+        session = session.with_profile();
+    }
+    let outcome = session
+        .run(&mut source)
+        .map_err(|e| CliError::Other(e.to_string()))?;
+    render_outcome(flags, &outcome)
 }
 
-/// `simulate` — one run at one injection rate.
-pub fn cmd_simulate(flags: &Flags) -> Result<String, CliError> {
-    let run = RunSpec::from_flags(flags, None, 1.0, 1000)?.with_channels(flags)?;
-    let report = run.session().run(&mut run.source()).unwrap().report;
-    Ok(render_report(&report))
-}
-
-/// `monitor` — one run with the online health monitor attached.
-///
-/// Prints a snapshot line every `--snapshot` cycles, the usual report,
-/// and the final health verdict (livelock / starvation / hotspot
-/// detectors, each report carrying a flight-recorder excerpt of the
-/// last `--flight-recorder` events at the triggering router).
-/// `--health <path>` writes the summary JSON, `--metrics <path>` the
-/// Prometheus-style exposition of the live counters.
-pub fn cmd_monitor(flags: &Flags) -> Result<String, CliError> {
-    let run = RunSpec::from_flags(flags, None, 1.0, 1000)?.with_channels(flags)?;
+/// The health monitor `monitor`'s flags configure: a snapshot line
+/// every `--snapshot` cycles, `--flight-recorder` events of context per
+/// report, and the detector thresholds.
+fn monitor_config(flags: &Flags) -> Result<MonitorConfig, CliError> {
     let snapshot: u64 = flags.numeric("snapshot", 1000)?;
     let flight: usize = flags.numeric("flight-recorder", 32)?;
     if snapshot == 0 {
@@ -382,40 +384,68 @@ pub fn cmd_monitor(flags: &Flags) -> Result<String, CliError> {
         )?,
         ..defaults
     };
-    let mcfg = MonitorConfig {
+    Ok(MonitorConfig {
         detectors,
         flight_capacity: flight,
         max_reports: flags.numeric("max-reports", MonitorConfig::default().max_reports)?,
         snapshot_every: Some(snapshot),
-    };
+    })
+}
 
-    let mut session = run.session().with_monitor(mcfg);
-    if flags.switch("profile") {
-        session = session.with_profile();
+/// Prints one single run: the sections its observers fill, in a fixed
+/// order — monitor snapshots, report, health verdict, profile table,
+/// attribution table — then a note per file written: `--health` (the
+/// monitor summary JSON), `--metrics` (the run's Prometheus exposition,
+/// `fasttrack_profile_*` rows included under `--profile`) and `--out`
+/// (`<prefix>.chrome.json`, the profile's Chrome trace). Under `--json`
+/// stdout is the attached observer's JSON alone and the notes go to
+/// stderr.
+fn render_outcome(flags: &Flags, outcome: &SimOutcome) -> Result<String, CliError> {
+    let mut notes = Vec::new();
+    if let (Some(path), Some(monitor)) = (flags.optional("health"), &outcome.monitor) {
+        write_file(path, monitor.summary().to_json() + "\n")?;
+        notes.push(format!("  health json -> {path}"));
     }
-    let outcome = session.run(&mut run.source()).unwrap();
-    let report = outcome.report;
-    let monitor = outcome
-        .monitor
-        .expect("session was built with `with_monitor`");
-
+    if let Some(path) = flags.optional("metrics") {
+        write_file(path, outcome.metrics.to_prometheus())?;
+        notes.push(format!("  metrics exposition -> {path}"));
+    }
+    if let (Some(prefix), Some(profile)) = (flags.optional("out"), &outcome.profile) {
+        let path = format!("{prefix}.chrome.json");
+        write_file(&path, profile.chrome_trace())?;
+        notes.push(format!("chrome trace -> {path}"));
+    }
+    if flags.switch("json") {
+        for note in &notes {
+            eprintln!("{note}");
+        }
+        let json = match (&outcome.attribution, &outcome.profile) {
+            (Some(attribution), _) => attribution.to_json(),
+            (None, Some(profile)) => profile.to_json(),
+            (None, None) => String::new(),
+        };
+        return Ok(json + "\n");
+    }
+    let monitor = outcome.monitor.as_ref();
     let mut out = String::new();
-    for line in monitor.snapshots() {
+    for line in monitor.map_or(&[][..], |m| m.snapshots()) {
         out.push_str(line);
         out.push('\n');
     }
-    out.push_str(&render_report(&report));
+    out.push_str(&render_report(&outcome.report));
     out.push('\n');
-    out.push_str(&monitor.summary().render_text());
+    if let Some(monitor) = monitor {
+        out.push_str(&monitor.summary().render_text());
+    }
     if let Some(profile) = &outcome.profile {
-        // The `--metrics` exposition below carries the
-        // fasttrack_profile_* series as well.
         out.push_str(&profile.render_text());
     }
-    write_health(flags, &monitor, &mut out)?;
-    if let Some(path) = flags.optional("metrics") {
-        write_file(path, outcome.metrics.to_prometheus())?;
-        out.push_str(&format!("  metrics exposition -> {path}\n"));
+    if let Some(attribution) = &outcome.attribution {
+        out.push_str(&attribution.render_text());
+    }
+    for note in notes {
+        out.push_str(&note);
+        out.push('\n');
     }
     Ok(out)
 }
@@ -540,7 +570,10 @@ pub fn cmd_faults(flags: &Flags) -> Result<String, CliError> {
         out.push_str(&profile.render_text());
     }
     out.push_str(&monitor.summary().render_text());
-    write_health(flags, &monitor, &mut out)?;
+    if let Some(path) = flags.optional("health") {
+        write_file(path, monitor.summary().to_json() + "\n")?;
+        out.push_str(&format!("  health json -> {path}\n"));
+    }
     conserved_or_err(out, &report)
 }
 
@@ -564,7 +597,8 @@ const MAX_STORM_EVENTS: u64 = 100_000;
 pub fn cmd_storm(flags: &Flags) -> Result<String, CliError> {
     // FT(64,2,2): the paper's depopulated 8x8 reference point. With
     // --grid only the run's packets and seed are read (and declared).
-    let run = RunSpec::from_flags(flags, Some("ft:8:2:2"), 0.3, 500)?;
+    let noc = parse_topology(flags.optional("noc").unwrap_or("ft:8:2:2"))?;
+    let run = RunSpec::on(noc, flags, 0.3, 500)?;
     let seed = run.seed;
     let threads: usize = flags.numeric("threads", 1)?;
     let storm = StormSpec {
@@ -811,8 +845,8 @@ pub fn cmd_compare(flags: &Flags) -> Result<String, CliError> {
 /// the row x column shape on stderr).
 ///
 /// Every flag below composes on the one run: `--health <path>` and
-/// `--attribution <path>` attach a [`HealthMonitor`] and the
-/// attribution layer to every point and write their per-point sidecars
+/// `--attribution <path>` attach a health monitor and the attribution
+/// layer to every point and write their per-point sidecars
 /// (the rows — and hence the CSV bytes — are unchanged by observing),
 /// and `--profile` prints per-point timing percentiles to stderr.
 /// Hardening: `--retries <n>` re-runs a panicked or over-budget point
@@ -1010,23 +1044,17 @@ pub fn cmd_cost(flags: &Flags) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `trace --file` — replay a text trace file.
-fn cmd_trace_replay(flags: &Flags) -> Result<String, CliError> {
-    let cfg = parse_noc(flags.required("noc")?)?;
-    let path = flags.required("file")?;
-    let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-    let mut src =
-        trace_source_from_text(&text, cfg.n()).map_err(|e| CliError::Other(e.to_string()))?;
-    let report = SimSession::new(&cfg).run(&mut src).unwrap().report;
-    Ok(render_report(&report))
-}
-
 /// `trace` — run synthetic traffic with the observability stack
 /// attached, exporting an NDJSON event log, a per-epoch CSV, and a Chrome
-/// trace-event JSON.
-fn cmd_trace_export(flags: &Flags) -> Result<String, CliError> {
-    let cfg = parse_noc(flags.optional("noc").unwrap_or("ft:8:2:1"))?;
-    let run = RunSpec::on(TopologySpec::Torus(cfg.clone()), flags, 0.1, 200)?;
+/// trace-event JSON. (`trace --file` is a plain [`cmd_run`].)
+fn cmd_trace(flags: &Flags) -> Result<String, CliError> {
+    let SingleRun {
+        topology,
+        session,
+        mut source,
+        ..
+    } = SingleRun::new(flags, Run(Some("ft:8:2:1"), 0.1, 200, &[]))?;
+    let (side, nodes) = (grid_side(&topology), topology.num_nodes());
     let epoch: u64 = flags.numeric("epoch", 64)?;
     if epoch == 0 {
         return Err(CliError::Other("--epoch must be positive".into()));
@@ -1040,16 +1068,15 @@ fn cmd_trace_export(flags: &Flags) -> Result<String, CliError> {
     let mut sink = (
         (
             NdjsonSink::new(),
-            ChromeTraceSink::new(cfg.n()),
-            WindowedMetrics::new(cfg.num_nodes(), epoch),
+            ChromeTraceSink::new(side),
+            WindowedMetrics::new(nodes, epoch),
         ),
-        FlightRecorder::new(cfg.num_nodes(), flight.max(1)),
+        FlightRecorder::new(nodes, flight.max(1)),
     );
-    let report = run
-        .session()
+    let report = session
         .with_sink(&mut sink)
-        .run(&mut run.source())
-        .unwrap()
+        .run(&mut source)
+        .map_err(|e| CliError::Other(e.to_string()))?
         .report;
     let ((ndjson, chrome, metrics), recorder) = sink;
 
@@ -1061,7 +1088,7 @@ fn cmd_trace_export(flags: &Flags) -> Result<String, CliError> {
     let csv_path = format!("{prefix}.epochs.csv");
     let chrome_path = format!("{prefix}.chrome.json");
     write_file(&events_path, ndjson.as_str())?;
-    write_file(&csv_path, epochs_to_csv(&epochs, cfg.num_nodes()))?;
+    write_file(&csv_path, epochs_to_csv(&epochs, nodes))?;
     write_file(&chrome_path, chrome.finish())?;
 
     let mut out = render_report(&report);
@@ -1084,7 +1111,7 @@ fn cmd_trace_export(flags: &Flags) -> Result<String, CliError> {
         // in cycle order) through fresh exporters: the same file
         // formats, but bounded to what a post-mortem actually needs.
         let mut replay_nd = NdjsonSink::new();
-        let mut replay_chrome = ChromeTraceSink::new(cfg.n());
+        let mut replay_chrome = ChromeTraceSink::new(side);
         let events = recorder.dump_all();
         for e in &events {
             replay_nd.emit(e);
@@ -1098,48 +1125,6 @@ fn cmd_trace_export(flags: &Flags) -> Result<String, CliError> {
             "  flight recorder K={flight}: {} events retained -> {flight_nd}, {flight_chrome}\n",
             events.len(),
         ));
-    }
-    Ok(out)
-}
-
-/// `profile` — one self-profiled run: the session span tree with
-/// per-phase self time, plus the hot-path counter summary (cycles/sec,
-/// packets/sec, route decisions, pool-slot reuse, deflections).
-///
-/// Defaults to the paper's FT(64,2,2) fabric. `--out <prefix>` writes
-/// `<prefix>.chrome.json` in Chrome trace-event format; `--json` emits
-/// the machine-readable summary instead of the text table.
-pub fn cmd_profile(flags: &Flags) -> Result<String, CliError> {
-    let cfg = parse_noc(flags.optional("noc").unwrap_or("ft:8:2:2"))?;
-    let run = RunSpec::on(TopologySpec::Torus(cfg), flags, 0.5, 1000)?;
-    let outcome = run.session().with_profile().run(&mut run.source()).unwrap();
-    let profile = outcome
-        .profile
-        .expect("`with_profile` always attaches a profile");
-
-    let chrome_note = match flags.optional("out") {
-        Some(prefix) => {
-            let path = format!("{prefix}.chrome.json");
-            write_file(&path, profile.chrome_trace())?;
-            Some(format!("chrome trace -> {path}"))
-        }
-        None => None,
-    };
-    if flags.switch("json") {
-        // Keep stdout pure JSON; the file note goes to stderr.
-        if let Some(note) = chrome_note {
-            eprintln!("{note}");
-        }
-        let mut json = profile.to_json();
-        json.push('\n');
-        return Ok(json);
-    }
-    let mut out = render_report(&outcome.report);
-    out.push('\n');
-    out.push_str(&profile.render_text());
-    if let Some(note) = chrome_note {
-        out.push_str(&note);
-        out.push('\n');
     }
     Ok(out)
 }
@@ -1258,11 +1243,16 @@ pub fn cmd_record(flags: &Flags) -> Result<String, CliError> {
 /// expectation, a divergent outcome is a nonzero exit.
 pub fn cmd_replay(flags: &Flags) -> Result<String, CliError> {
     let path = flags.required("file")?;
-    let (header, session, mut src) = load_replay(path)?;
-    let pushes = src.len();
+    let SingleRun {
+        session,
+        mut source,
+        recorded,
+        ..
+    } = load_replay(path)?;
+    let (header, pushes) = recorded.expect("a replayed run carries its header");
 
     let report = session
-        .run(&mut src)
+        .run(&mut source)
         .map_err(|e| CliError::Other(e.to_string()))?
         .report;
 
@@ -1290,113 +1280,6 @@ pub fn cmd_replay(flags: &Flags) -> Result<String, CliError> {
                 got.truncated,
             )));
         }
-    }
-    Ok(out)
-}
-
-/// What a scenario trace replays as: its header, the session built
-/// from it, and the source that owns its schedule.
-pub type Replay = (
-    ScenarioHeader,
-    SimSession<'static, SpecBackend>,
-    ReplaySource,
-);
-
-/// Turns a decoded scenario trace into the session it replays on. NoC,
-/// channel count, cycle cap, warmup, fault plan and — when the header
-/// says the recording ran with them — the standard fallback chains all
-/// come from the trace header; the records move into the source, so the
-/// run holds one copy of the schedule. This is the one reading of a
-/// header: `replay`, `attribute --trace`, `explain --trace` and the
-/// corpus tests all replay through it.
-pub fn replay_session(trace: ScenarioTrace) -> Result<Replay, CliError> {
-    let (header, cfg, plan, src) = trace
-        .replay_setup()
-        .map_err(|e| CliError::Other(e.to_string()))?;
-    let mut session = session_for(&TopologySpec::Torus(cfg), header.channels)
-        .max_cycles(header.max_cycles)
-        .warmup_cycles(header.warmup)
-        .with_faults(&plan);
-    if header.fallback {
-        session = session
-            .with_fallback(&FallbackConfig::standard())
-            .map_err(|e| CliError::Other(e.to_string()))?;
-    }
-    Ok((header, session, src))
-}
-
-/// [`replay_session`] of the trace file at `path`, whose text is
-/// dropped once decoded.
-fn load_replay(path: &str) -> Result<Replay, CliError> {
-    let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-    let trace = ScenarioTrace::decode(&text)
-        .map_err(|e: TraceError| CliError::Other(format!("{path}: {e}")))?;
-    drop(text);
-    replay_session(trace).map_err(|e| CliError::Other(format!("{path}: {e}")))
-}
-
-/// Runs the session `attribute`/`explain` share: a recorded scenario
-/// when `--trace` is given (faults, warmup, channels, and cycle cap
-/// all come from the trace header), a synthetic Bernoulli run
-/// otherwise.
-fn attributed_outcome(
-    flags: &Flags,
-    acfg: AttributionConfig,
-    mcfg: Option<MonitorConfig>,
-) -> Result<SimOutcome, CliError> {
-    let (session, mut src): (_, Box<dyn TrafficSource>) = match flags.optional("trace") {
-        Some(path) => {
-            let (_, session, src) = load_replay(path)?;
-            (session, Box::new(src))
-        }
-        None => {
-            let run = RunSpec::from_flags(flags, None, 1.0, 1000).map_err(|e| match e {
-                CliError::Args(ArgError::MissingFlag("noc")) => CliError::Other(
-                    "need --trace <path> or --noc <spec> to say which run to attribute".into(),
-                ),
-                e => e,
-            })?;
-            let run = run.with_channels(flags)?;
-            (run.session(), Box::new(run.source()))
-        }
-    };
-    let mut session = session.with_attribution(acfg);
-    if let Some(m) = mcfg {
-        session = session.with_monitor(m);
-    }
-    session
-        .run(&mut src)
-        .map_err(|e| CliError::Other(e.to_string()))
-}
-
-/// `attribute` — where did the cycles go? Runs one simulation (live
-/// synthetic traffic or a recorded scenario trace) with the
-/// latency-attribution layer attached and prints the per-component
-/// cycle accounting: source-queue wait, express-lane transit,
-/// shared-ring transit, deflection penalty, fault-reroute penalty, and
-/// the final eject cycle, with the exact-sum and wire-class
-/// reconciliation verdicts. `--metrics <path>` writes the
-/// `fasttrack_attrib_*` cells as a Prometheus exposition; `--json`
-/// emits the aggregate report as JSON instead of text.
-pub fn cmd_attribute(flags: &Flags) -> Result<String, CliError> {
-    let outcome = attributed_outcome(flags, AttributionConfig::default(), None)?;
-    let attribution = outcome
-        .attribution
-        .expect("session was built with `with_attribution`");
-    let mut out = if flags.switch("json") {
-        let mut json = attribution.to_json();
-        json.push('\n');
-        json
-    } else {
-        let mut text = render_report(&outcome.report);
-        text.push('\n');
-        text.push_str(&attribution.render_text());
-        text
-    };
-    if let Some(path) = flags.optional("metrics") {
-        let exposition = outcome.metrics.to_prometheus();
-        write_file(path, exposition)?;
-        out.push_str(&format!("  attribution metrics -> {path}\n"));
     }
     Ok(out)
 }
@@ -1535,7 +1418,16 @@ pub fn cmd_explain(flags: &Flags) -> Result<String, CliError> {
         ..MonitorConfig::default()
     };
     let acfg = AttributionConfig::default().watch(PacketId(id));
-    let outcome = attributed_outcome(flags, acfg, Some(mcfg))?;
+    let SingleRun {
+        session,
+        mut source,
+        ..
+    } = SingleRun::new(flags, ATTRIBUTE)?;
+    let outcome = session
+        .with_attribution(acfg)
+        .with_monitor(mcfg)
+        .run(&mut source)
+        .map_err(|e| CliError::Other(e.to_string()))?;
     let attribution = outcome
         .attribution
         .expect("session was built with `with_attribution`");
@@ -1705,6 +1597,12 @@ type Command = fn(&Flags) -> Result<String, CliError>;
 /// Groups of flag names, as [`Flags::parse`] takes them.
 type FlagGroups = &'static [&'static [&'static str]];
 
+/// A bare run on the required `--noc`: `simulate` and `trace --file`.
+const BARE: Run = Run(None, 1.0, 1000, &[]);
+/// `attribute` and `explain`: an attributed run on `--noc`, or the
+/// recording at `--trace`.
+const ATTRIBUTE: Run = Run(None, 1.0, 1000, &[Observer::Attribution]);
+
 /// What [`RunSpec::on`] reads.
 const RUN_FLAGS: &[&str] = &["pattern", "rate", "packets", "seed"];
 /// What [`fault_plan`] reads.
@@ -1761,9 +1659,13 @@ fn command_table(
     };
     let has = |flag: &str| args.iter().any(|a| a == flag);
     let (cmd, values, switches): (Command, FlagGroups, &[&str]) = match command {
-        "simulate" => (cmd_simulate, &[RUN_FLAGS, &["noc", "channels"]], &[]),
+        "simulate" => (
+            |f| cmd_run(f, BARE),
+            &[RUN_FLAGS, &["noc", "channels"]],
+            &[],
+        ),
         "monitor" => (
-            cmd_monitor,
+            |f| cmd_run(f, Run(None, 1.0, 1000, &[Observer::Monitor])),
             &[
                 RUN_FLAGS,
                 &[
@@ -1797,12 +1699,20 @@ fn command_table(
             &["json"],
         ),
         "storm" => (cmd_storm, &[RUN_FLAGS, STORM_FLAGS, &["noc"]], &["json"]),
-        "profile" => (cmd_profile, &[RUN_FLAGS, &["noc", "out"]], &["json"]),
+        "profile" => (
+            |f| cmd_run(f, Run(Some("ft:8:2:2"), 0.5, 1000, &[Observer::Profile])),
+            &[RUN_FLAGS, &["noc", "out"]],
+            &["json"],
+        ),
         // `--trace` replays a recorded scenario: fabric, channels and
         // traffic all come from its header.
-        "attribute" if has("--trace") => (cmd_attribute, &[&["trace", "metrics"]], &["json"]),
+        "attribute" if has("--trace") => (
+            |f| cmd_run(f, ATTRIBUTE),
+            &[&["trace", "metrics"]],
+            &["json"],
+        ),
         "attribute" => (
-            cmd_attribute,
+            |f| cmd_run(f, ATTRIBUTE),
             &[RUN_FLAGS, &["noc", "channels", "metrics"]],
             &["json"],
         ),
@@ -1815,9 +1725,9 @@ fn command_table(
         "figure" => (cmd_figure, &[&["out"]], &["all"]),
         "cost" => (cmd_cost, &[&["noc", "width", "channels"]], &[]),
         // `--file` selects the text-trace replay, which reads nothing else.
-        "trace" if has("--file") => (cmd_trace_replay, &[&["noc", "file"]], &[]),
+        "trace" if has("--file") => (|f| cmd_run(f, BARE), &[&["noc", "file"]], &[]),
         "trace" => (
-            cmd_trace_export,
+            cmd_trace,
             &[RUN_FLAGS, &["noc", "epoch", "flight-recorder", "out"]],
             &[],
         ),
@@ -1842,6 +1752,7 @@ fn command_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fasttrack_traffic::scenario::ScenarioTrace;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -2010,7 +1921,7 @@ mod tests {
     /// start; `@` is a scratch path prefix) with the defaults it
     /// documents: rate, packets, and anything beyond `--pattern random
     /// --seed 1` (`1x` = `--channels 1`).
-    const RUN_COMMANDS: [(&str, &str, u32, &str); 10] = [
+    const RUN_COMMANDS: [(&str, &str, u32, &str); 12] = [
         ("simulate --noc hoplite:4", "1.0", 1000, "1x"),
         ("monitor --noc hoplite:4", "1.0", 1000, "1x"),
         ("faults --noc hoplite:4", "0.5", 1000, "1x"),
@@ -2018,6 +1929,8 @@ mod tests {
         ("storm", "0.3", 500, "--noc ft:8:2:2 --channels 2"),
         ("trace --noc hoplite:4 --out @trace", "0.1", 200, ""),
         ("profile", "0.5", 1000, "--noc ft:8:2:2"),
+        ("profile --noc shg:4:2", "0.5", 1000, ""),
+        ("trace --noc mesh:4:2 --out @t", "0.1", 200, ""),
         ("record --noc hoplite:4 --out @rec.trace", "0.5", 1000, "1x"),
         ("attribute --noc hoplite:4", "1.0", 1000, "1x"),
         ("explain 0 --noc hoplite:4", "1.0", 1000, "1x"),
@@ -2214,7 +2127,11 @@ mod tests {
             .unwrap();
             // `profile` appends wall-clock timings; its four-line report
             // is the deterministic part.
-            let keep = if cmd == "profile" { 4 } else { usize::MAX };
+            let keep = if cmd.starts_with("profile") {
+                4
+            } else {
+                usize::MAX
+            };
             let head = |s: &str| s.lines().take(keep).collect::<Vec<_>>().join("\n");
             assert_eq!(head(&bare), head(&full), "{cmd}");
         }
@@ -2565,6 +2482,51 @@ mod tests {
     fn profile_defaults_to_the_paper_fabric() {
         let out = run(argv("profile --packets 10")).unwrap();
         assert!(out.contains("FT(64,2,2)"), "{out}");
+    }
+
+    /// Under `--json` stdout is one JSON object and a newline: the note
+    /// for each file written goes to stderr.
+    #[test]
+    fn json_output_is_one_object_whatever_files_are_written() {
+        let dir = std::env::temp_dir().join("fasttrack_cli_json_notes");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("f").display().to_string();
+        for (cmd, written) in [
+            (
+                "attribute --noc ft:4:2:1 --packets 20 --metrics",
+                path.clone(),
+            ),
+            (
+                "profile --noc hoplite:4 --packets 20 --out",
+                format!("{path}.chrome.json"),
+            ),
+        ] {
+            let _ = std::fs::remove_file(&written);
+            let out = run(argv(&format!("{cmd} {path} --json"))).unwrap();
+            assert!(out.starts_with('{') && out.ends_with("}\n"), "{cmd}: {out}");
+            assert_eq!(out.lines().count(), 1, "{cmd}: {out}");
+            assert!(std::path::Path::new(&written).exists(), "{cmd}");
+        }
+    }
+
+    /// `faults`, `cost` and `record` model the torus: a well-formed SHG
+    /// or mesh spec is refused as such, not as an unknown kind.
+    #[test]
+    fn torus_only_commands_refuse_other_fabrics_by_name() {
+        for cmd in [
+            "faults --noc shg:4:2",
+            "cost --noc mesh:4:2",
+            "record --noc shg:4:2 --out @x.trace",
+        ] {
+            let err = run_with(cmd, "").unwrap_err();
+            assert!(
+                matches!(err, CliError::Spec(SpecError::Invalid(_))),
+                "{cmd}: {err:?}"
+            );
+            let text = err.to_string();
+            assert!(text.contains("torus fabrics only"), "{cmd}: {text}");
+            assert!(text.contains(":4:2\""), "{cmd} names the spec: {text}");
+        }
     }
 
     #[test]

@@ -1,20 +1,137 @@
 //! The one flags→run path: how `--noc/--channels` and
 //! `--pattern/--rate/--packets/--seed` become a [`TopologySpec`], a
 //! [`BernoulliSource`], and a session, with each command's defaults
-//! passed in — plus the plumbing the command bodies share.
+//! passed in; how every single-run command gets its session and traffic
+//! ([`SingleRun::new`]) — plus the plumbing the command bodies share.
 
 use fasttrack_bench::runner::SpecBackend;
 use fasttrack_core::config::NocConfig;
+use fasttrack_core::fallback::FallbackConfig;
 use fasttrack_core::fault::{FaultPlan, FaultSpec};
 use fasttrack_core::multichannel::MAX_CHANNELS;
-use fasttrack_core::sim::{SimReport, SimSession};
+use fasttrack_core::sim::{SimReport, SimSession, TrafficSource};
 use fasttrack_core::topology::TopologySpec;
 use fasttrack_traffic::pattern::Pattern;
+use fasttrack_traffic::scenario::{ScenarioHeader, ScenarioTrace};
 use fasttrack_traffic::source::BernoulliSource;
+use fasttrack_traffic::trace_io::trace_source_from_text;
 
-use crate::args::Flags;
+use crate::args::{ArgError, Flags};
 use crate::commands::CliError;
-use crate::spec::{check_pattern_side, parse_pattern, parse_topology};
+use crate::spec::{check_pattern_side, grid_side, parse_pattern, parse_topology};
+
+/// An observer a single-run command attaches to every run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Observer {
+    Monitor,
+    Profile,
+    Attribution,
+}
+
+/// A single-run command's row: its synthetic run's `--noc` default
+/// (`None`: the flag is required), its `--rate` and `--packets`
+/// defaults, and the observers every run attaches.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run(
+    pub Option<&'static str>,
+    pub f64,
+    pub u64,
+    pub &'static [Observer],
+);
+
+/// One single run, ready to drive: its fabric, its session and its
+/// traffic.
+pub struct SingleRun {
+    /// The fabric the run drives.
+    pub topology: TopologySpec,
+    /// The session over `topology`, carrying whatever the input fixes
+    /// (a trace header's channels, cycle cap, warmup, faults, chains).
+    pub session: SimSession<'static, SpecBackend>,
+    /// The traffic.
+    pub source: Box<dyn TrafficSource>,
+    /// The header and push count of a recorded scenario.
+    pub recorded: Option<(ScenarioHeader, usize)>,
+}
+
+impl SingleRun {
+    /// The one input step of every single-run command: the scenario
+    /// trace at `--trace`, the text trace at `--file` on the `--noc`
+    /// fabric, or else [`RunSpec`]'s Bernoulli traffic under `run`'s
+    /// defaults — on any topology.
+    pub(crate) fn new(flags: &Flags, run: Run) -> Result<SingleRun, CliError> {
+        let Run(noc, rate, packets, observers) = run;
+        if let Some(path) = flags.optional("trace") {
+            return load_replay(path);
+        }
+        let noc = match flags.optional("noc").or(noc) {
+            Some(noc) => noc,
+            // `attribute` and `explain` also run from `--trace`.
+            None if observers.contains(&Observer::Attribution) => {
+                return Err(CliError::Other(
+                    "need --trace <path> or --noc <spec> to say which run to attribute".into(),
+                ))
+            }
+            None => return Err(ArgError::MissingFlag("noc").into()),
+        };
+        let topology = parse_topology(noc)?;
+        if let Some(path) = flags.optional("file") {
+            let source = trace_source_from_text(&read_file(path)?, grid_side(&topology))
+                .map_err(|e| CliError::Other(e.to_string()))?;
+            return Ok(SingleRun {
+                session: session_for(&topology, 1),
+                topology,
+                source: Box::new(source),
+                recorded: None,
+            });
+        }
+        let run = RunSpec::on(topology, flags, rate, packets)?.with_channels(flags)?;
+        Ok(SingleRun {
+            session: run.session(),
+            source: Box::new(run.source()),
+            topology: run.topology,
+            recorded: None,
+        })
+    }
+}
+
+/// Turns a decoded scenario trace into the run it replays. Topology,
+/// channel count, cycle cap, warmup, fault plan and — when the header
+/// says the recording ran with them — the standard fallback chains all
+/// come from the trace header; the records move into the source, so the
+/// run holds one copy of the schedule. This is the one reading of a
+/// header: `replay`, `attribute --trace`, `explain --trace` and the
+/// corpus tests all replay through it.
+pub fn replay_session(trace: ScenarioTrace) -> Result<SingleRun, CliError> {
+    let (header, topology, plan, source) = trace
+        .replay_setup()
+        .map_err(|e| CliError::Other(e.to_string()))?;
+    let mut session = session_for(&topology, header.channels)
+        .max_cycles(header.max_cycles)
+        .warmup_cycles(header.warmup)
+        .with_faults(&plan);
+    if header.fallback {
+        session = session
+            .with_fallback(&FallbackConfig::standard())
+            .map_err(|e| CliError::Other(e.to_string()))?;
+    }
+    let pushes = source.len();
+    Ok(SingleRun {
+        topology,
+        session,
+        source: Box::new(source),
+        recorded: Some((header, pushes)),
+    })
+}
+
+/// [`replay_session`] of the trace file at `path`, whose text is
+/// dropped once decoded.
+pub(crate) fn load_replay(path: &str) -> Result<SingleRun, CliError> {
+    let text = read_file(path)?;
+    let trace =
+        ScenarioTrace::decode(&text).map_err(|e| CliError::Other(format!("{path}: {e}")))?;
+    drop(text);
+    replay_session(trace).map_err(|e| CliError::Other(format!("{path}: {e}")))
+}
 
 /// One validated synthetic run.
 pub(crate) struct RunSpec {
@@ -29,25 +146,9 @@ pub(crate) struct RunSpec {
 }
 
 impl RunSpec {
-    /// The run `flags` describe on the topology `--noc` names
-    /// (`default_noc` when absent; with `None` the flag is required),
-    /// given the command's default `--rate` and `--packets`.
-    pub fn from_flags(
-        flags: &Flags,
-        default_noc: Option<&str>,
-        rate: f64,
-        packets: u64,
-    ) -> Result<RunSpec, CliError> {
-        let noc = match default_noc {
-            Some(default) => flags.optional("noc").unwrap_or(default),
-            None => flags.required("noc")?,
-        };
-        RunSpec::on(parse_topology(noc)?, flags, rate, packets)
-    }
-
-    /// The same on a topology the caller resolved (a torus-only
-    /// command's `parse_noc`, one entry of a list). One channel: the
-    /// commands that take `--channels` chain [`RunSpec::with_channels`].
+    /// The run `flags` describe on `topology`, given the command's
+    /// default `--rate` and `--packets`. One channel: the commands that
+    /// take `--channels` chain [`RunSpec::with_channels`].
     pub fn on(
         topology: TopologySpec,
         flags: &Flags,
@@ -87,11 +188,7 @@ impl RunSpec {
 
     /// A fresh Bernoulli source; equal runs draw equal traffic.
     pub fn source(&self) -> BernoulliSource {
-        let side = self
-            .topology
-            .monitor_shape()
-            .grid_side
-            .expect("built-in topologies are square grids");
+        let side = grid_side(&self.topology);
         BernoulliSource::new(side, self.pattern, self.rate, self.packets, self.seed)
     }
 
@@ -195,6 +292,11 @@ pub(crate) fn fault_plan(
         )?,
     };
     Ok((fault_seed, FaultPlan::random(cfg, fault_seed, &spec)))
+}
+
+/// Reads an input file, naming the path in the error.
+pub(crate) fn read_file(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))
 }
 
 /// Writes an output file, naming the path in the error.

@@ -79,18 +79,22 @@ pub fn parse_topology(spec: &str) -> Result<TopologySpec, SpecError> {
     Ok(spec.parse::<TopologySpec>()?)
 }
 
-/// Parses a NoC spec for the torus-only commands: [`parse_topology`],
+/// Parses a NoC spec for the commands whose fault draws or price list
+/// model the torus (`faults`, `cost`, `record`): [`parse_topology`],
 /// restricted to `hoplite:` / `ft:` / `ftlite:`.
 ///
 /// # Errors
 ///
 /// Returns a [`SpecError`] describing the malformed field;
-/// [`SpecError::UnknownKind`] for a well-formed `shg:` / `mesh:` spec.
+/// [`SpecError::Invalid`], naming the spec, for a well-formed `shg:` /
+/// `mesh:` one.
 pub fn parse_noc(spec: &str) -> Result<NocConfig, SpecError> {
     match parse_topology(spec)? {
         TopologySpec::Torus(cfg) => Ok(cfg),
-        TopologySpec::Shg(_) => Err(SpecError::UnknownKind("shg".into())),
-        TopologySpec::Mesh { .. } => Err(SpecError::UnknownKind("mesh".into())),
+        other => Err(SpecError::Invalid(format!(
+            "{spec:?} names {}; this command models torus fabrics only (hoplite/ft/ftlite)",
+            other.display_name()
+        ))),
     }
 }
 
@@ -151,10 +155,7 @@ pub fn parse_pattern(spec: &str) -> Result<Pattern, SpecError> {
 /// Returns [`SpecError::Invalid`], naming the pattern and the side, for
 /// a bit permutation on a side that is not a power of two.
 pub fn check_pattern_side(pattern: Pattern, topology: &TopologySpec) -> Result<(), SpecError> {
-    let side = topology
-        .monitor_shape()
-        .grid_side
-        .expect("built-in topologies are square grids");
+    let side = grid_side(topology);
     if pattern.admits_side(side) {
         Ok(())
     } else {
@@ -162,6 +163,14 @@ pub fn check_pattern_side(pattern: Pattern, topology: &TopologySpec) -> Result<(
             "pattern {pattern} needs a power-of-two side, not {side}"
         )))
     }
+}
+
+/// The side of `topology`'s square grid.
+pub(crate) fn grid_side(topology: &TopologySpec) -> u16 {
+    topology
+        .monitor_shape()
+        .grid_side
+        .expect("built-in topologies are square grids")
 }
 
 /// A parsed `--grid` specification: the cross product of topologies,
@@ -253,10 +262,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_noc_specs() {
-        assert!(matches!(
-            parse_noc("mesh:4"),
-            Err(SpecError::UnknownKind(_))
-        ));
+        assert!(matches!(parse_noc("mesh:4"), Err(SpecError::Invalid(_))));
         assert!(matches!(parse_noc("hoplite"), Err(SpecError::Invalid(_))));
         assert!(matches!(parse_noc("ft:8:2"), Err(SpecError::Invalid(_))));
         assert!(matches!(

@@ -570,36 +570,6 @@ pub struct SimOutcome {
     pub attribution: Option<AttributionReport>,
 }
 
-impl SimOutcome {
-    /// Splits the outcome into report and monitor.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the session was built without
-    /// [`SimSession::with_monitor`].
-    pub fn into_monitored(self) -> (SimReport, HealthMonitor) {
-        (
-            self.report,
-            self.monitor
-                .expect("session was built without `with_monitor`"),
-        )
-    }
-
-    /// Splits the outcome into report and attribution report.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the session was built without
-    /// [`SimSession::with_attribution`].
-    pub fn into_attributed(self) -> (SimReport, AttributionReport) {
-        (
-            self.report,
-            self.attribution
-                .expect("session was built without `with_attribution`"),
-        )
-    }
-}
-
 /// One composable builder for every simulation mode.
 ///
 /// A session starts from a configuration ([`SimSession::new`] for the
@@ -964,29 +934,5 @@ mod tests {
         // Warmup-period deliveries are excluded from the measured stats.
         assert!(report.stats.delivered < 200);
         assert_eq!(report.cycles, 300);
-    }
-
-    #[test]
-    fn outcome_without_monitor_panics_on_split() {
-        let cfg = NocConfig::hoplite(4).unwrap();
-        let outcome = run_session(
-            &cfg,
-            &mut Batch {
-                items: vec![(1, Coord::new(0, 0))],
-                pushed: false,
-            },
-        );
-        assert!(outcome.stats.delivered == 1);
-        let result = std::panic::catch_unwind(|| {
-            SimOutcome {
-                report: SimReport::default(),
-                metrics: Default::default(),
-                monitor: None,
-                profile: None,
-                attribution: None,
-            }
-            .into_monitored()
-        });
-        assert!(result.is_err());
     }
 }

@@ -958,27 +958,36 @@ impl ScenarioTrace {
     }
 
     /// Takes the trace apart into everything a session needs to replay
-    /// it: the header, the topology from its noc spec, the recorded
-    /// fault plan, and a [`ReplaySource`] that now owns the push
-    /// schedule (moved, not copied). One call serves `fasttrack
-    /// replay`, `attribute --trace`, and `explain --trace` identically.
+    /// it: the header, the topology its noc spec names (any kind), the
+    /// recorded fault plan, and a [`ReplaySource`] that now owns the
+    /// push schedule (moved, not copied). One call serves every
+    /// scenario replay of the CLI.
     ///
     /// # Errors
     ///
     /// Returns [`TraceError::BadHeader`] when the noc spec does not
-    /// parse.
+    /// parse, or when it names a non-torus topology with `channels > 1`
+    /// (only a torus replicates into a bank).
     pub fn replay_setup(
         self,
     ) -> Result<
         (
             ScenarioHeader,
-            NocConfig,
+            TopologySpec,
             fasttrack_core::fault::FaultPlan,
             ReplaySource,
         ),
         TraceError,
     > {
-        let cfg = self.header.noc_config()?;
+        let topology = self.header.topology()?;
+        if self.header.channels > 1 && !matches!(topology, TopologySpec::Torus(_)) {
+            return Err(TraceError::BadHeader(format!(
+                "noc spec {:?} names {} with {} channels; only a torus replicates",
+                self.header.noc,
+                topology.display_name(),
+                self.header.channels
+            )));
+        }
         let plan = self
             .header
             .faults
@@ -986,7 +995,7 @@ impl ScenarioTrace {
             .fold(fasttrack_core::fault::FaultPlan::new(), |p, &f| p.with(f));
         let source = ReplaySource::new(self.header.side_len()?, self.records)
             .hold_until(self.header.drained_at);
-        Ok((self.header, cfg, plan, source))
+        Ok((self.header, topology, plan, source))
     }
 }
 
@@ -1531,9 +1540,9 @@ mod tests {
         // The rebuilt source replays the same schedule as one built by
         // hand from the record list.
         let by_hand = trace.replay_source().expect("valid trace");
-        let (header, cfg, plan, rebuilt) = trace.clone().replay_setup().expect("valid trace");
+        let (header, topology, plan, rebuilt) = trace.clone().replay_setup().expect("valid trace");
         assert_eq!(header, trace.header);
-        assert_eq!(cfg.n(), 4);
+        assert_eq!(topology.num_nodes(), 16);
         assert_eq!(plan.faults(), trace.header.faults.as_slice());
         assert_eq!(rebuilt.len(), trace.records.len());
         let cfg2 = trace.header.noc_config().unwrap();

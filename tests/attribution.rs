@@ -168,7 +168,8 @@ fn corpus_traces_attribute_cleanly() {
     for path in entries {
         let name = path.display().to_string();
         let trace = ScenarioTrace::decode(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let (_, cfg, plan, _) = trace.clone().replay_setup().unwrap();
+        let cfg = trace.header.noc_config().unwrap();
+        let (.., plan, _) = trace.clone().replay_setup().unwrap();
         let run = |attrib: bool| {
             let mut src = trace.replay_source().unwrap();
             let mut session = SimSession::new(&cfg)

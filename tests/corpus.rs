@@ -26,6 +26,7 @@ use fasttrack::traffic::multiproc::{parsec_benchmarks, parsec_trace};
 use fasttrack::traffic::partition::Partition;
 use fasttrack::traffic::scenario::{Expectation, RecordingSource, ReplaySource, ScenarioTrace};
 use fasttrack::traffic::spmv::spmv_source;
+use fasttrack_cli::commands::{replay_session, SingleRun};
 
 /// Records `src` on `cfg`, replays the captured schedule, and asserts
 /// the two runs are indistinguishable (report and event stream).
@@ -123,13 +124,18 @@ fn checked_in_corpus_replays_and_matches_expectations() {
         assert_eq!(trace.encode(), text, "{name}: re-encode must be stable");
         // The CLI's reading of a header, so this test and `fasttrack
         // replay` cannot disagree about what a trace means.
-        let (header, session, mut src) = fasttrack_cli::commands::replay_session(trace)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let SingleRun {
+            session,
+            mut source,
+            recorded,
+            ..
+        } = replay_session(trace).unwrap_or_else(|e| panic!("{name}: {e}"));
         let report = session
-            .run(&mut src)
+            .run(&mut source)
             .unwrap_or_else(|e| panic!("{name}: {e}"))
             .report;
         assert!(report.conserved(), "{name}: conservation violated");
+        let (header, _) = recorded.expect("a replayed run carries its header");
         let expect = header
             .expect
             .unwrap_or_else(|| panic!("{name}: corpus entries must embed an expectation"));
@@ -225,4 +231,64 @@ fn replay_arms_the_chains_a_header_asks_for() {
     std::fs::remove_file(&path).unwrap();
     let out = replayed.unwrap_or_else(|e| panic!("chains-armed replay: {e}"));
     assert!(out.contains("expectation verified"), "{out}");
+}
+
+/// A recording on the SHG or the mesh replays as it was recorded, and
+/// `attribute --trace` / `explain --trace` read it like a torus trace.
+/// Only a torus replicates, so a header naming either with more than
+/// one channel is refused rather than replayed on one.
+#[test]
+fn shg_and_mesh_recordings_replay_attribute_and_explain() {
+    use fasttrack::traffic::scenario::ScenarioHeader;
+    use fasttrack_bench::runner::SpecBackend;
+    let cli = |cmd: &str, path: &std::path::Path| {
+        let mut argv: Vec<String> = cmd.split(' ').map(String::from).collect();
+        argv.push(path.display().to_string());
+        fasttrack_cli::run(argv)
+    };
+    for (noc, kind) in [("shg:4:2", "shg"), ("mesh:4:2", "mesh")] {
+        let topology: TopologySpec = noc.parse().unwrap();
+        let mut recording =
+            RecordingSource::new(4, BernoulliSource::new(4, Pattern::Random, 0.4, 30, 5));
+        let report = SimSession::with_backend(SpecBackend::new(&topology, 1))
+            .run(&mut recording)
+            .unwrap()
+            .report;
+        let mut header = ScenarioHeader::new(noc, "bernoulli:random");
+        header.expect = Some(Expectation {
+            delivered: report.stats.delivered,
+            cycles: report.cycles,
+            dropped: report.stats.dropped,
+            truncated: report.truncated,
+        });
+        let trace = recording.into_trace(header);
+        let path =
+            std::env::temp_dir().join(format!("fasttrack_{kind}_{}.trace", std::process::id()));
+        std::fs::write(&path, trace.encode()).unwrap();
+        let replayed = cli("replay --file", &path).unwrap_or_else(|e| panic!("{noc}: {e}"));
+        assert!(
+            replayed.contains("expectation verified"),
+            "{noc}: {replayed}"
+        );
+        let attributed = cli("attribute --trace", &path).unwrap();
+        assert!(
+            attributed.contains("where the cycles went"),
+            "{noc}: {attributed}"
+        );
+        let explained = cli("explain 0 --trace", &path).unwrap();
+        assert!(explained.contains("journey:"), "{noc}: {explained}");
+
+        let mut wide = trace;
+        wide.header.channels = 2;
+        std::fs::write(&path, wide.encode()).unwrap();
+        for cmd in ["replay --file", "attribute --trace", "explain 0 --trace"] {
+            let err = cli(cmd, &path).unwrap_err().to_string();
+            assert!(err.contains("bad trace header"), "{noc} {cmd}: {err}");
+            assert!(
+                err.contains("only a torus replicates"),
+                "{noc} {cmd}: {err}"
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
 }

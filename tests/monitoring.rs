@@ -36,11 +36,11 @@ fn monitor_is_a_passive_observer() {
         let mut a = BernoulliSource::new(8, Pattern::Random, rate, 50, 11);
         let mut b = BernoulliSource::new(8, Pattern::Random, rate, 50, 11);
         let plain = SimSession::new(&cfg).run(&mut a).unwrap().report;
-        let (report, monitor) = SimSession::new(&cfg)
+        let outcome = SimSession::new(&cfg)
             .with_monitor(monitored_cfg())
             .run(&mut b)
-            .unwrap()
-            .into_monitored();
+            .unwrap();
+        let (report, monitor) = (outcome.report, outcome.monitor.unwrap());
         assert_eq!(plain, report, "rate {rate}: monitor perturbed the run");
         let s = monitor.summary();
         assert_eq!(s.injected, report.stats.injected);
@@ -53,11 +53,12 @@ fn monitor_is_a_passive_observer() {
 fn light_load_is_healthy_and_saturation_is_not() {
     let cfg = NocConfig::hoplite(8).unwrap();
     let mut light = BernoulliSource::new(8, Pattern::Random, 0.02, 20, 5);
-    let (_, m) = SimSession::new(&cfg)
+    let m = SimSession::new(&cfg)
         .with_monitor(monitored_cfg())
         .run(&mut light)
         .unwrap()
-        .into_monitored();
+        .monitor
+        .unwrap();
     assert!(
         m.healthy(),
         "2% load on Hoplite must not trip any detector: {:?}",
@@ -67,11 +68,12 @@ fn light_load_is_healthy_and_saturation_is_not() {
     // Hoplite-64 RANDOM at rate 1.0 is far above saturation: injectors
     // starve and the shared ring links run hot.
     let mut heavy = BernoulliSource::new(8, Pattern::Random, 1.0, 150, 5);
-    let (_, m) = SimSession::new(&cfg)
+    let m = SimSession::new(&cfg)
         .with_monitor(monitored_cfg())
         .run(&mut heavy)
         .unwrap()
-        .into_monitored();
+        .monitor
+        .unwrap();
     assert!(!m.healthy(), "saturated Hoplite reported healthy");
     let s = m.summary();
     assert!(
@@ -101,7 +103,7 @@ fn registry_exposition_matches_summary() {
         .run(&mut src)
         .unwrap();
     let prom = outcome.metrics.to_prometheus();
-    let (report, m) = outcome.into_monitored();
+    let (report, m) = (outcome.report, outcome.monitor.unwrap());
     assert!(prom.contains(&format!(
         "fasttrack_injected_total {}",
         report.stats.injected

@@ -187,7 +187,7 @@ fn check_observers_are_pure_folds<B: SessionBackend + Clone>(
 
     let outcome = session().with_monitor(mcfg).run(&mut source()).unwrap();
     let driven_metrics = outcome.metrics.to_prometheus();
-    let (_, driven) = outcome.into_monitored();
+    let driven = outcome.monitor.unwrap();
     let mut replayed = HealthMonitor::new(backend.monitor_shape(), mcfg);
     tape.replay(&mut replayed);
     let mut replayed_metrics = MetricsRegistry::new();
@@ -214,7 +214,7 @@ fn check_observers_are_pure_folds<B: SessionBackend + Clone>(
         .run(&mut source())
         .unwrap();
     let driven_metrics = outcome.metrics.to_prometheus();
-    let (_, driven) = outcome.into_attributed();
+    let driven = outcome.attribution.unwrap();
     let mut sink = AttributionSink::new(AttributionConfig::default());
     tape.replay(&mut sink);
     let replayed = AttributionReport::assemble(sink, &report);
