@@ -579,8 +579,9 @@ pub fn cmd_faults(flags: &Flags) -> Result<String, CliError> {
 
 /// The most link kills one `storm` schedule may hold: each is a
 /// `Fault::DownLink` the plan materialises for every grid point, and
-/// the default spec schedules 16.
-const MAX_STORM_EVENTS: u64 = 100_000;
+/// the default spec schedules 16. `faults` and `record` hold their
+/// drawn `--transient-links` and `--down-links` to it too.
+pub(crate) const MAX_STORM_EVENTS: u64 = 100_000;
 
 /// `storm` — availability under a seeded fault storm, with and without
 /// the fallback chains.
@@ -2753,6 +2754,27 @@ mod tests {
             assert!(err.to_string().contains("100000-event cap"), "{err}");
             assert!(started.elapsed().as_secs() < 1, "{oversized}: refused late");
         }
+    }
+
+    /// Every transient or down link a `faults` or `record` plan draws is
+    /// one fault: these aborted (exit 134) or printed a 5-million-line
+    /// plan.
+    #[test]
+    fn fault_counts_above_the_event_cap_are_refused() {
+        for args in [
+            "faults --noc ft:8:2:2 --down-links 18446744073709551615",
+            "faults --noc ft:8:2:2 --transient-links 18446744073709551615",
+            "faults --noc ft:8:2:2 --down-links 5000000",
+            "record --workload spmv --out x.trace --transient-links 18446744073709551615",
+        ] {
+            let err = run(argv(args)).unwrap_err();
+            assert!(
+                err.to_string().contains("100000-event cap"),
+                "{args}: {err}"
+            );
+        }
+        let at_cap = "faults --noc ft:4:2:1 --packets 5 --down-links 100000 --json";
+        assert!(run(argv(at_cap)).is_ok());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use fasttrack_traffic::source::BernoulliSource;
 use fasttrack_traffic::trace_io::trace_source_from_text;
 
 use crate::args::{ArgError, Flags};
-use crate::commands::CliError;
+use crate::commands::{CliError, MAX_STORM_EVENTS};
 use crate::spec::{check_pattern_side, grid_side, parse_pattern, parse_topology};
 
 /// An observer a single-run command attaches to every run.
@@ -291,6 +291,18 @@ pub(crate) fn fault_plan(
             FaultSpec::default().window,
         )?,
     };
+    // Every transient or down link is drawn into the plan, whatever the
+    // fabric's size (dead links, fail-stops and stalls cap at it).
+    for (flag, count) in [
+        ("transient-links", spec.transient_links),
+        ("down-links", spec.down_links),
+    ] {
+        if count as u64 > MAX_STORM_EVENTS {
+            return Err(CliError::Other(format!(
+                "--{flag} {count} is above the {MAX_STORM_EVENTS}-event cap"
+            )));
+        }
+    }
     Ok((fault_seed, FaultPlan::random(cfg, fault_seed, &spec)))
 }
 

@@ -14,7 +14,7 @@
 //! and `S_sh` are one physical resource (Hoplite's two-mux switch), so
 //! they occupy a single allocation *slot*.
 
-use std::num::NonZeroU32;
+use std::num::NonZeroU64;
 
 use crate::config::ExitPolicy;
 use crate::port::{OutPort, OutSet};
@@ -188,18 +188,22 @@ pub fn try_allocate(inputs: &[RoutePrefs], available: OutSet, exit: ExitPolicy) 
 
 /// Everything a router visit decides for its in-flight inputs, packed
 /// into one word so the engine can memoise it (`kernel::DecisionTable`):
-/// five bits per input register — the assigned port's index (or
-/// [`Decision::STRANDED`]), whether that counts as a deflection, whether
-/// it is a lane demotion — then the slot mask left free for the PE, and a
+/// eight bits per input register — the assigned port's index (or
+/// [`Decision::STRANDED`] when it gets none), whether that counts as a
+/// deflection, whether it is a lane demotion, whether the Inject
+/// policy's stranding rule took the packet, and the dead link its list
+/// preferred, if any — then the slot mask left free for the PE, and a
 /// top bit that keeps the word nonzero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Decision(NonZeroU32);
+pub(crate) struct Decision(pub(crate) NonZeroU64);
 
 impl Decision {
-    const STRANDED: u32 = 7;
-    const DEFLECTED: u32 = 1 << 3;
-    const DEMOTED: u32 = 1 << 4;
-    const FREE_SHIFT: u32 = 5 * MAX_IN_FLIGHT as u32;
+    const STRANDED: u64 = 7;
+    const DEFLECTED: u64 = 1 << 3;
+    const DEMOTED: u64 = 1 << 4;
+    const STRANDED_EXPRESS: u64 = 1 << 5;
+    const AVOIDED_SHIFT: usize = 6;
+    const FREE_SHIFT: usize = 8 * MAX_IN_FLIGHT;
 
     /// Allocates `inputs` — one list per input register in
     /// [`InPort::index`](crate::port::InPort::index) order, the empty
@@ -226,7 +230,7 @@ impl Decision {
         let allocator = if must_match { allocate } else { try_allocate };
         let assignment = allocator(&prefs[..n], available, exit);
         let free = free_after(available, assignment.iter().flatten().copied(), exit);
-        let mut word = 1 << 31 | (free as u32) << Self::FREE_SHIFT;
+        let mut word = 1 << 63 | u64::from(free) << Self::FREE_SHIFT;
         for i in 0..n {
             let code = assignment[i].map_or(Self::STRANDED, |out| {
                 let deflected = !prefs[i].productive().contains(out);
@@ -234,33 +238,105 @@ impl Decision {
                     && prefs[i].wanted_express()
                     && !out.is_express()
                     && out != OutPort::Exit;
-                out.index() as u32
+                out.index() as u64
                     | if deflected { Self::DEFLECTED } else { 0 }
                     | if demoted { Self::DEMOTED } else { 0 }
             });
-            word |= code << (5 * slots[i]);
+            word |= code << (8 * slots[i]);
         }
-        Decision(NonZeroU32::new(word).expect("the top bit is set"))
+        Decision(NonZeroU64::new(word).expect("the top bit is set"))
+    }
+
+    /// What a router does on a visit with live `outputs`, `dead` being
+    /// its dead links: [`Decision::decide`] after the Inject policy's
+    /// stranding rule. That crossbar has no express-to-shared turn, so
+    /// an express packet whose every productive output is dead would
+    /// orbit the express ring forever; it is dropped instead or, with
+    /// `demote` (the fallback chain's first step), placed by
+    /// `demoted[slot]`, its shared twin's list. An input whose `demoted`
+    /// list is empty never strands. Each input also records the first
+    /// dead link its list counted productive ([`Decision::avoided`]).
+    pub(crate) fn of_visit(
+        mut inputs: [RoutePrefs; MAX_IN_FLIGHT],
+        demoted: &[RoutePrefs; MAX_IN_FLIGHT],
+        outputs: OutSet,
+        dead: OutSet,
+        exit: ExitPolicy,
+        demote: bool,
+    ) -> Decision {
+        let mut faults = 0;
+        for (slot, input) in inputs.iter_mut().enumerate() {
+            let productive = input.productive();
+            let Some(avoided) = productive.intersect(dead).iter().next() else {
+                continue;
+            };
+            debug_assert!(avoided.is_express(), "only express links die");
+            let avoided = 1 + avoided.index() as u64 / 2;
+            faults |= avoided << (8 * slot + Self::AVOIDED_SHIFT);
+            if !demoted[slot].ports().is_empty() && productive.difference(dead).is_empty() {
+                faults |= Self::STRANDED_EXPRESS << (8 * slot);
+                if demote {
+                    *input = demoted[slot];
+                } else {
+                    // Dropped: left out of the allocation, assigned no port.
+                    *input = RoutePrefs::empty();
+                    faults |= Self::STRANDED << (8 * slot);
+                }
+            }
+        }
+        let decision = Decision::decide(&inputs, outputs, exit, dead.is_empty());
+        Decision(decision.0 | faults)
+    }
+
+    /// Bits `8 * slot ..` of the word.
+    #[inline]
+    fn field(self, slot: usize) -> u64 {
+        self.0.get() >> (8 * slot)
     }
 
     /// The port assigned to the packet in input register `slot`; `None`
-    /// when dead links stranded it. Meaningless for an empty register.
+    /// when it was stranded — by the Inject rule, or by dead links that
+    /// left too few outputs. Meaningless for an empty register.
     #[inline]
     pub(crate) fn out(self, slot: usize) -> Option<OutPort> {
-        let code = self.0.get() >> (5 * slot) & 7;
+        let code = self.field(slot) & 7;
         (code != Self::STRANDED).then(|| OutPort::ALL[code as usize])
     }
 
     /// Whether `slot`'s assignment is a deflection.
     #[inline]
     pub(crate) fn deflected(self, slot: usize) -> bool {
-        self.0.get() >> (5 * slot) & Self::DEFLECTED != 0
+        self.field(slot) & Self::DEFLECTED != 0
     }
 
     /// Whether `slot`'s assignment is a lane demotion.
     #[inline]
     pub(crate) fn demoted(self, slot: usize) -> bool {
-        self.0.get() >> (5 * slot) & Self::DEMOTED != 0
+        self.field(slot) & Self::DEMOTED != 0
+    }
+
+    /// Whether the Inject policy's stranding rule took the express packet
+    /// in `slot` ([`Decision::of_visit`]): it is dropped when
+    /// [`Decision::out`] is `None`, demoted onto the shared ring
+    /// otherwise.
+    #[inline]
+    pub(crate) fn stranded_express(self, slot: usize) -> bool {
+        self.field(slot) & Self::STRANDED_EXPRESS != 0
+    }
+
+    /// Whether the stranding rule took any input.
+    #[inline]
+    pub(crate) fn any_stranded_express(self) -> bool {
+        self.0.get() & (Self::STRANDED_EXPRESS * 0x0101_0101) != 0
+    }
+
+    /// The first dead link `slot`'s list counted productive.
+    #[inline]
+    pub(crate) fn avoided(self, slot: usize) -> Option<OutPort> {
+        match self.field(slot) >> Self::AVOIDED_SHIFT & 3 {
+            0 => None,
+            code => Some(OutPort::ALL[2 * (code as usize - 1)]),
+        }
     }
 
     /// The slot mask the in-flight assignments leave free — what
@@ -268,6 +344,31 @@ impl Decision {
     #[inline]
     pub(crate) fn free(self) -> u8 {
         (self.0.get() >> Self::FREE_SHIFT & 0b1_1111) as u8
+    }
+}
+
+/// What the PE does once the in-flight inputs are placed: the port it
+/// injects on (`None`: it stalls) and, when it injects, the first dead
+/// link its list counted productive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Injection {
+    pub(crate) out: Option<OutPort>,
+    pub(crate) avoided: Option<OutPort>,
+}
+
+impl Injection {
+    /// The first port of the PE's list `pe` that is live and whose slot
+    /// the in-flight inputs left in `free` ([`Decision::free`]).
+    pub(crate) fn of(
+        pe: &RoutePrefs,
+        outputs: OutSet,
+        dead: OutSet,
+        free: u8,
+        exit: ExitPolicy,
+    ) -> Injection {
+        let out = first_free(pe, outputs, free, exit);
+        let avoided = out.and_then(|_| pe.productive().intersect(dead).iter().next());
+        Injection { out, avoided }
     }
 }
 

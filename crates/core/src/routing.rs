@@ -290,6 +290,30 @@ pub fn compute_prefs(
     prefs
 }
 
+/// The list a stranded express packet is demoted to by the fallback
+/// chain's first step: what its input's shared twin (`W_ex → W_sh`,
+/// `N_ex → N_sh`) routes. Empty for every input but an express one under
+/// the Inject policy, the only crossbar that strands a packet.
+pub(crate) fn demoted_prefs(
+    cfg: &NocConfig,
+    class: RouterClass,
+    in_port: InPort,
+    at: Coord,
+    dst: Coord,
+) -> RoutePrefs {
+    match (cfg.ft_policy(), in_port.is_express()) {
+        (Some(FtPolicy::Inject), true) => compute_prefs(cfg, class, twin(in_port), at, dst),
+        _ => RoutePrefs::empty(),
+    }
+}
+
+/// The shared input of an express input's lane direction: `W_ex → W_sh`,
+/// `N_ex → N_sh`.
+pub(crate) fn twin(express: InPort) -> InPort {
+    debug_assert!(express.is_express());
+    InPort::ALL[express.index() + 2]
+}
+
 /// Whether this particular input should *try* the express lane: the
 /// topology-level desire, specialized per lane-change policy. Under the
 /// Inject policy a short-lane packet never boards express mid-flight, and

@@ -41,7 +41,7 @@
 //! (`delivered + in_flight + dropped == injected`) holds under every
 //! plan, asserted by the integration tests.
 
-use crate::fault::{FaultError, FaultPlan, FaultState};
+use crate::fault::{FaultError, FaultPlan, FaultState, NodeFaults};
 use crate::geom::Coord;
 use crate::kernel::{PacketPool, EMPTY_SLOT};
 use crate::packet::{Delivery, Packet};
@@ -311,7 +311,7 @@ impl ShgNoc {
     pub fn only_failed_injectors_pending(&self, queues: &InjectQueues) -> bool {
         match &self.faults {
             None => false,
-            Some(f) => (0..self.nodes).all(|n| queues.depth(n) == 0 || f.failed(n, self.cycle)),
+            Some(f) => (0..self.nodes).all(|n| queues.depth(n) == 0 || f.node_faults(n).failed),
         }
     }
 
@@ -417,7 +417,7 @@ impl ShgNoc {
         let link_fault = self
             .faults
             .as_ref()
-            .and_then(|f| f.link_fault(node, port, self.cycle));
+            .and_then(|f| f.node_faults(node).link_fault(port));
         if let Some(corrupted) = link_fault {
             self.drop_packet(node, idx, Some(port), corrupted, sink);
             return false;
@@ -436,9 +436,6 @@ impl ShgNoc {
         deliveries: &mut Vec<Delivery>,
         sink: &mut S,
     ) {
-        if let Some(f) = self.faults.as_mut() {
-            f.patch_epoch(self.cycle);
-        }
         let q = self.topo.config().q();
         let deg = self.out_degree;
 
@@ -449,9 +446,14 @@ impl ShgNoc {
             self.stats.router_visits += 1;
             let at = self.coords[node];
             let base = node * deg;
-            let (failed, dead) = match &self.faults {
-                Some(f) => (f.failed(node, self.cycle), f.dead[node]),
-                None => (false, OutSet::empty()),
+            let NodeFaults {
+                failed,
+                stalled,
+                dead,
+                ..
+            } = match &self.faults {
+                Some(f) => f.node_faults(node),
+                None => NodeFaults::default(),
             };
             let live = self.all_slots & !self.class_slots[usize::from(dead.bits() & 0xF)];
             // This router's outputs are written only during this visit,
@@ -573,10 +575,6 @@ impl ShgNoc {
                 continue;
             };
             let dst = pending.dst;
-            let stalled = self
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.injector_stalled(node, self.cycle));
             let offset = offset_id(at, dst, q);
             let row = (node * self.row_stride + offset) * deg;
             // A self-send leaves through the ejector without traversing
@@ -644,6 +642,11 @@ impl ShgNoc {
             sink.end_cycle(self.cycle);
         }
         self.cycle += 1;
+        // The fault words describe the cycle about to run (see
+        // `Noc::step_with_sink`).
+        if let Some(f) = self.faults.as_mut() {
+            f.patch_epoch(self.cycle);
+        }
     }
 }
 

@@ -157,7 +157,7 @@ impl RefShgNoc {
         let dead = self
             .faults
             .as_ref()
-            .map_or(OutSet::empty(), |f| f.dead[node]);
+            .map_or(OutSet::empty(), |f| f.node_faults(node).dead);
         let base = node * self.out_degree;
         let mut wanted: Option<(u16, usize)> = None;
         let mut chosen: Option<(u16, usize)> = None;
@@ -198,7 +198,8 @@ impl RefShgNoc {
         let nodes = self.nodes;
         self.faults
             .get_or_insert_with(|| FaultPlan::new().compile(nodes))
-            .dead[node] = dead;
+            .words[node]
+            .dead = dead;
         for s in 0..self.out_degree {
             self.next_regs[node * self.out_degree + s] = match taken >> s & 1 {
                 1 => 0,
@@ -233,7 +234,7 @@ impl RefShgNoc {
         let link_fault = self
             .faults
             .as_ref()
-            .and_then(|f| f.link_fault(node, port, self.cycle));
+            .and_then(|f| f.node_faults(node).link_fault(port));
         if let Some(corrupted) = link_fault {
             self.pool.release(idx);
             self.in_flight -= 1;
@@ -269,7 +270,7 @@ impl RefShgNoc {
             let failed = self
                 .faults
                 .as_ref()
-                .is_some_and(|f| f.failed(node, self.cycle));
+                .is_some_and(|f| f.node_faults(node).failed);
 
             // Arrivals, in ascending global-link order (deterministic).
             for li in 0..self.in_links[node].len() {
@@ -327,7 +328,7 @@ impl RefShgNoc {
                     // Every live output is taken: dead links broke the
                     // arrivals <= outputs guarantee. Bufferless routers
                     // have nowhere to park the loser.
-                    let dead = self.faults.as_ref().expect("only faults strand").dead[node];
+                    let dead = self.faults.as_ref().expect("only faults strand").words[node].dead;
                     self.pool.release(idx);
                     self.in_flight -= 1;
                     self.stats.dropped += 1;
@@ -361,7 +362,7 @@ impl RefShgNoc {
                     let dead_caused = self
                         .faults
                         .as_ref()
-                        .is_some_and(|f| f.dead[node].contains(greedy_port));
+                        .is_some_and(|f| f.words[node].dead.contains(greedy_port));
                     if dead_caused {
                         // Steered off a dead link: degradation, not a
                         // deflection.
@@ -401,7 +402,7 @@ impl RefShgNoc {
             let stalled = self
                 .faults
                 .as_ref()
-                .is_some_and(|f| f.injector_stalled(node, self.cycle));
+                .is_some_and(|f| f.node_faults(node).stalled);
             let Some(pending) = queues.peek(node) else {
                 continue;
             };
@@ -470,7 +471,7 @@ impl RefShgNoc {
                         if self
                             .faults
                             .as_ref()
-                            .is_some_and(|f| f.dead[node].contains(greedy_port))
+                            .is_some_and(|f| f.words[node].dead.contains(greedy_port))
                         {
                             self.stats.rerouted += 1;
                             if S::ENABLED {

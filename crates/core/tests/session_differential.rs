@@ -181,6 +181,56 @@ fn saturated_lut_runs_match_direct_event_for_event() {
     }
 }
 
+/// FTlite banks under the standard fallback chains, past saturation and
+/// with express links dead and dying: stranded express packets are
+/// demoted (or, with the chains off, dropped), allocation losers switch
+/// channels and sibling channels shut exit gates — all of it memoised
+/// per live-output block in LUT mode and decided afresh in Direct mode,
+/// event for event.
+#[test]
+fn inject_policy_fallback_banks_match_direct() {
+    let spec = FaultSpec {
+        dead_links: 6,
+        transient_links: 2,
+        fail_stop_routers: 1,
+        stalled_injectors: 1,
+        down_links: 12,
+        window: (0, 300),
+    };
+    let (mut demotions, mut switches, mut dropped) = (0, 0, 0);
+    for (n, d, r) in [(8, 4, 1), (8, 2, 1), (10, 4, 2)] {
+        let cfg = NocConfig::fasttrack(n, d, r, FtPolicy::Inject).unwrap();
+        for seed in 0..3 {
+            let plan = FaultPlan::random(&cfg, seed, &spec);
+            for fallback in [FallbackConfig::standard(), FallbackConfig::none()] {
+                let run = |mode| {
+                    let mut sink = VecSink::new();
+                    let report = SimSession::new(&cfg)
+                        .channels(2)
+                        .route_mode(mode)
+                        .with_faults(&plan)
+                        .with_fallback(&fallback)
+                        .unwrap()
+                        .with_sink(&mut sink)
+                        .run(&mut BatchSource::random(n, 20, seed))
+                        .unwrap()
+                        .report;
+                    (report, sink.events)
+                };
+                let (lut, lut_events) = run(RouteMode::Lut);
+                let (direct, direct_events) = run(RouteMode::Direct);
+                assert_eq!(lut, direct, "{} seed {seed}", lut.config_name);
+                assert!(lut_events == direct_events, "{} events", lut.config_name);
+                demotions += lut.stats.fallback_demotions;
+                switches += lut.stats.fallback_channel_switches;
+                dropped += lut.stats.dropped;
+            }
+        }
+    }
+    // Every path the word drives ran.
+    assert!(demotions > 0 && switches > 0 && dropped > 0);
+}
+
 /// A fault plan exercising every supported fault kind, drawn
 /// deterministically from a seed (always torus-safe by construction).
 fn small_plan(cfg: &NocConfig, seed: u64) -> FaultPlan {
@@ -218,9 +268,9 @@ proptest! {
         channels in 1usize..=3,
         seed in 0u64..500,
     ) {
-        // Gated visits (channels > 1) and dead-link visits bypass the
-        // decision table, healthy ones around them use it: one run
-        // crosses that boundary many times.
+        // Gated visits (channels > 1) and dead-link visits read degraded
+        // decision blocks, healthy ones around them the healthy block:
+        // one run crosses that boundary many times.
         let plan = small_plan(&cfg, seed);
         let run = |mode: RouteMode| observed(&cfg, channels, mode, Some(&plan), 2, seed);
         let (lut, lut_events) = run(RouteMode::Lut);
