@@ -10,7 +10,10 @@
 //! uses on 64-bit targets) seeded through SplitMix64. Streams are stable
 //! across runs and platforms — a property the deterministic-trace
 //! regression tests rely on — but are **not** bit-compatible with the
-//! upstream crate, and none of this is cryptographically secure.
+//! upstream crate, and none of this is cryptographically secure. A
+//! caller that maps draws through `f64::ln` (geometric gaps, think
+//! times) is stable per platform only: `ln` is not correctly rounded,
+//! so another libm may round a draw to a neighbouring integer.
 
 #![warn(missing_docs)]
 

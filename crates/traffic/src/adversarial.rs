@@ -34,6 +34,8 @@ pub struct BurstySource {
     pattern: Pattern,
     packets_per_pe: u64,
     generated: Vec<u64>,
+    /// PEs still below their quota, so `exhausted` is O(1).
+    remaining_pes: usize,
     on: Vec<bool>,
     rng: SmallRng,
 }
@@ -80,6 +82,7 @@ impl BurstySource {
             pattern,
             packets_per_pe,
             generated: vec![0; nodes],
+            remaining_pes: if packets_per_pe == 0 { 0 } else { nodes },
             on,
             rng,
         }
@@ -109,12 +112,15 @@ impl TrafficSource for BurstySource {
                 let dst = self.pattern.destination(src, self.n, &mut self.rng);
                 queues.push(node, dst, cycle, 0);
                 self.generated[node] += 1;
+                if self.generated[node] == self.packets_per_pe {
+                    self.remaining_pes -= 1;
+                }
             }
         }
     }
 
     fn exhausted(&self) -> bool {
-        self.generated.iter().all(|&g| g >= self.packets_per_pe)
+        self.remaining_pes == 0
     }
 }
 
@@ -154,7 +160,8 @@ pub struct PermutationSource {
     n: u16,
     offset: u16,
     packets_per_pe: u64,
-    generated: Vec<u64>,
+    /// Packets each PE has sent: every PE sends in the same pumps.
+    sent: u64,
 }
 
 impl PermutationSource {
@@ -180,7 +187,7 @@ impl PermutationSource {
             n,
             offset,
             packets_per_pe,
-            generated: vec![0; n as usize * n as usize],
+            sent: 0,
         }
     }
 
@@ -192,18 +199,18 @@ impl PermutationSource {
 
 impl TrafficSource for PermutationSource {
     fn pump(&mut self, cycle: u64, queues: &mut InjectQueues) {
-        for node in 0..self.generated.len() {
-            if self.generated[node] < self.packets_per_pe {
-                let src = Coord::from_node_id(node, self.n);
-                let dst = src.east(self.offset, self.n);
-                queues.push(node, dst, cycle, 0);
-                self.generated[node] += 1;
-            }
+        if self.exhausted() {
+            return;
         }
+        for node in 0..self.n as usize * self.n as usize {
+            let src = Coord::from_node_id(node, self.n);
+            queues.push(node, src.east(self.offset, self.n), cycle, 0);
+        }
+        self.sent += 1;
     }
 
     fn exhausted(&self) -> bool {
-        self.generated.iter().all(|&g| g >= self.packets_per_pe)
+        self.sent >= self.packets_per_pe
     }
 }
 

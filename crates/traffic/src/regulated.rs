@@ -20,7 +20,8 @@ pub struct RegulatedSource {
     n: u16,
     period: u64,
     packets_per_pe: u64,
-    generated: Vec<u64>,
+    /// Packets each PE has sent: every PE sends in the same pumps.
+    sent: u64,
     rng: SmallRng,
 }
 
@@ -36,7 +37,7 @@ impl RegulatedSource {
             n,
             period,
             packets_per_pe,
-            generated: vec![0; n as usize * n as usize],
+            sent: 0,
             rng: SmallRng::seed_from_u64(seed),
         }
     }
@@ -49,27 +50,24 @@ impl RegulatedSource {
 
 impl TrafficSource for RegulatedSource {
     fn pump(&mut self, cycle: u64, queues: &mut InjectQueues) {
-        if !cycle.is_multiple_of(self.period) {
+        if !cycle.is_multiple_of(self.period) || self.exhausted() {
             return;
         }
-        for node in 0..self.generated.len() {
-            if self.generated[node] < self.packets_per_pe {
-                let src = Coord::from_node_id(node, self.n);
-                let dst = loop {
-                    let c =
-                        Coord::new(self.rng.gen_range(0..self.n), self.rng.gen_range(0..self.n));
-                    if c != src {
-                        break c;
-                    }
-                };
-                queues.push(node, dst, cycle, 0);
-                self.generated[node] += 1;
-            }
+        for node in 0..self.n as usize * self.n as usize {
+            let src = Coord::from_node_id(node, self.n);
+            let dst = loop {
+                let c = Coord::new(self.rng.gen_range(0..self.n), self.rng.gen_range(0..self.n));
+                if c != src {
+                    break c;
+                }
+            };
+            queues.push(node, dst, cycle, 0);
         }
+        self.sent += 1;
     }
 
     fn exhausted(&self) -> bool {
-        self.generated.iter().all(|&g| g >= self.packets_per_pe)
+        self.sent >= self.packets_per_pe
     }
 }
 

@@ -1,11 +1,17 @@
 //! Pinned output bytes: the two non-torus backends, and everything the
 //! observers (monitor, flight recorder, attribution) print.
 //!
-//! The SHG and mesh engines are rewritten for speed from time to time;
-//! each rewrite must leave every number the CLI prints unchanged. These
-//! goldens were generated by the binary *before* the active-set rewrite
-//! of both engines (`ShgNoc`, `MeshNoc`) and are regenerated here
-//! through `fasttrack_cli::run` at one and two worker threads.
+//! The SHG and mesh engines and the observer sinks are rewritten for
+//! speed from time to time; each rewrite must leave every number the CLI
+//! prints unchanged. The goldens are regenerated here through
+//! `fasttrack_cli::run` at one and two worker threads.
+//!
+//! All eight files below were last re-recorded, by the release binary,
+//! when `BernoulliSource` moved from one coin per PE per cycle to
+//! geometric gaps on an arrival calendar. That draws the same
+//! random process from a differently consumed stream, so every
+//! Bernoulli-driven number moved once; no engine or sink changed with
+//! it. `metrics_catalog.txt` holds no values and did not change.
 //!
 //! A deliberate behaviour change re-records them:
 //!
@@ -17,10 +23,9 @@
 //! ```
 //!
 //! The observer goldens (`sweep_health.json`, `sweep_attribution.csv`,
-//! `monitor.{txt,prom}`, `attribute.{txt,prom}`) were recorded by the
-//! binary *before* the sinks moved to plain counters, a flat recorder
-//! ring and an id-keyed attribution table; the argv of each is in its
-//! test below, with the sidecar path printed as `<PATH>`.
+//! `monitor.{txt,prom}`, `attribute.{txt,prom}`) are the sidecar and
+//! stdout of the argv in each test below, with the sidecar path printed
+//! as `<PATH>`.
 
 fn run(args: &str, threads: u32) -> String {
     run_plain(&format!("{args} --threads {threads}"))
