@@ -380,12 +380,7 @@ fn classify_run<T: TrafficSource>(
         .then_some(sink.worst)
         .flatten()
         .filter(|&(_, c)| c >= 3);
-    let expect = Expectation {
-        delivered: report.stats.delivered,
-        cycles: report.cycles,
-        dropped: report.stats.dropped,
-        truncated: report.truncated,
-    };
+    let expect = Expectation::from(report);
     let monitor_livelock = monitor
         .reports()
         .iter()

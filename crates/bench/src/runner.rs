@@ -248,10 +248,7 @@ impl NocUnderTest {
     /// topology is a square grid, which is what the synthetic traffic
     /// generators key on.
     pub fn side(&self) -> u16 {
-        self.topology
-            .monitor_shape()
-            .grid_side
-            .expect("built-in topologies are square grids")
+        self.topology.side()
     }
 
     /// The [`SimSession`] over this NoC — the one way the harness runs

@@ -33,12 +33,12 @@ use fasttrack_traffic::spmv::spmv_source;
 
 use crate::args::{ArgError, Flags};
 use crate::run_spec::{
-    channels_flag, conserved_or_err, fault_plan, float_flag, load_replay, pattern_flag, range_flag,
-    write_file, Observer, Run, RunSpec,
+    channels_flag, conserved_or_err, fault_plan, float_flag, load_replay, note, pattern_flag,
+    range_flag, write_file, Observer, Run, RunSpec,
 };
 pub use crate::run_spec::{replay_session, SingleRun};
 use crate::spec::{
-    check_pattern_side, grid_side, parse_grid, parse_noc, parse_pattern, parse_topology, SpecError,
+    check_pattern_side, parse_grid, parse_noc, parse_pattern, parse_topology, SpecError,
 };
 
 /// Any CLI failure.
@@ -416,8 +416,8 @@ fn render_outcome(flags: &Flags, outcome: &SimOutcome) -> Result<String, CliErro
         notes.push(format!("chrome trace -> {path}"));
     }
     if flags.switch("json") {
-        for note in &notes {
-            eprintln!("{note}");
+        for line in &notes {
+            note(line);
         }
         let json = match (&outcome.attribution, &outcome.profile) {
             (Some(attribution), _) => attribution.to_json(),
@@ -955,16 +955,16 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
         return Err(CliError::Other(format!("sweep point {i} failed: {e}")));
     }
     for (i, e) in &errors {
-        eprintln!("sweep point {i} failed: {e}");
+        note(format_args!("sweep point {i} failed: {e}"));
     }
     if let Some(path) = health {
         let points: Vec<PointHealth> = outcome.ran().flat_map(|(.., s)| s.0.clone()).collect();
         write_file(path, health_json(&points) + "\n")?;
         let unhealthy = points.iter().filter(|p| !p.health.healthy()).count();
-        eprintln!(
+        note(format_args!(
             "sweep health: {} points ({unhealthy} unhealthy) -> {path}",
             points.len()
-        );
+        ));
     }
     if let Some(path) = attribution {
         let points: Vec<PointAttribution> = outcome.ran().flat_map(|(.., s)| s.1.clone()).collect();
@@ -973,31 +973,33 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
             .iter()
             .filter(|p| !p.attribution.reconciled())
             .count();
-        eprintln!(
+        note(format_args!(
             "sweep attribution: {} points ({unreconciled} unreconciled) -> {path}",
             points.len()
-        );
+        ));
     }
     if flags.switch("profile") {
         // Timing lives in a stderr sidecar; the rows — and the CSV
         // bytes — are identical to an unprofiled run.
         let timing = SweepTiming::new(outcome.ran().map(|(.., s)| s.2).collect());
-        eprintln!("{}", timing.render_text());
+        note(timing.render_text());
     }
 
     if out_fmt == "csv" {
         let csv = outcome.csv();
         match resume {
-            Some(path) => eprintln!(
+            Some(path) => note(format_args!(
                 "sweep journal: {} points ({} restored, {} failed) -> {path}",
                 grid.len(),
                 outcome.restored,
                 errors.len(),
-            ),
+            )),
             None => {
                 let columns = csv.lines().next().map_or(0, |h| h.split(',').count());
                 let rows = outcome.ran().count();
-                eprintln!("sweep csv: {rows} data rows x {columns} columns");
+                note(format_args!(
+                    "sweep csv: {rows} data rows x {columns} columns"
+                ));
             }
         }
         return Ok(csv);
@@ -1055,7 +1057,7 @@ fn cmd_trace(flags: &Flags) -> Result<String, CliError> {
         mut source,
         ..
     } = SingleRun::new(flags, Run(Some("ft:8:2:1"), 0.1, 200, &[]))?;
-    let (side, nodes) = (grid_side(&topology), topology.num_nodes());
+    let (side, nodes) = (topology.side(), topology.num_nodes());
     let epoch: u64 = flags.numeric("epoch", 64)?;
     if epoch == 0 {
         return Err(CliError::Other("--epoch must be positive".into()));
@@ -1128,16 +1130,6 @@ fn cmd_trace(flags: &Flags) -> Result<String, CliError> {
         ));
     }
     Ok(out)
-}
-
-/// The [`Expectation`] a finished report realizes.
-fn expectation_of(report: &SimReport) -> Expectation {
-    Expectation {
-        delivered: report.stats.delivered,
-        cycles: report.cycles,
-        dropped: report.stats.dropped,
-        truncated: report.truncated,
-    }
 }
 
 /// `record` — run a generator (workload preset or synthetic) and write
@@ -1226,7 +1218,7 @@ pub fn cmd_record(flags: &Flags) -> Result<String, CliError> {
     header.channels = run.channels;
     header.max_cycles = max_cycles;
     header.faults = plan.faults().to_vec();
-    header.expect = Some(expectation_of(&report));
+    header.expect = Some(Expectation::from(&report));
     let trace = rec.into_trace(header);
     write_file(out_path, trace.encode())?;
 
@@ -1263,7 +1255,7 @@ pub fn cmd_replay(flags: &Flags) -> Result<String, CliError> {
         header.generator,
     ));
     if let Some(expect) = header.expect {
-        let got = expectation_of(&report);
+        let got = Expectation::from(&report);
         if got == expect {
             out.push_str("  expectation verified: delivered/cycles/dropped/truncated match\n");
         } else {
@@ -2015,6 +2007,47 @@ mod tests {
             .collect()
     }
 
+    /// Words random argv is drawn from: every form-selecting flag, flags
+    /// with and without values, near-miss spellings, the empty word, and
+    /// values the spec parsers must refuse with a typed error.
+    const ARGV_WORDS: &str = "--noc --grid --trace --file --workload --pattern --rate \
+        --packets --json --all --profile --out -- - --- --noc=x hoplite:4 ft:8:2:1 shg:4:2 \
+        mesh:0:0 hoplite:65535 ft:8:9:1 random local:0 bitrev 0.5 nan -1 \
+        18446744073709551616 é 3 hoplite:4;random;0.5 ;; ,;,;, shg:4:2;tornado;1e-300  ";
+    const COMMAND_NAMES: &str = "simulate monitor sweep compare faults storm profile \
+        attribute explain figure cost trace record replay fuzz";
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// Random argv never panics the flag parser, nor the spec parsers
+        /// the commands hand its values to.
+        #[test]
+        fn random_argv_never_panics_the_flag_parser(
+            command in proptest::prelude::any::<usize>(),
+            words in proptest::array::uniform4((0usize..64, 0usize..64)),
+            count in 0usize..=4,
+        ) {
+            let vocab: Vec<&str> = ARGV_WORDS.split(' ').collect();
+            let commands: Vec<&str> = COMMAND_NAMES.split(' ').collect();
+            let args: Vec<String> = words[..count]
+                .iter()
+                .flat_map(|&(a, b)| [vocab[a % vocab.len()], vocab[b % vocab.len()]])
+                .map(String::from)
+                .collect();
+            let command = commands[command % commands.len()];
+            let (_, values, switches, positionals) = command_table(command, &args).unwrap();
+            if let Ok(flags) = Flags::parse(args, values, switches, positionals) {
+                let _ = flags.optional("noc").map(parse_topology);
+                let _ = flags.optional("pattern").map(parse_pattern);
+                let _ = flags.optional("grid").map(parse_grid);
+                let _ = flags.numeric::<f64>("rate", 1.0);
+                let _ = flags.numeric::<u64>("packets", 1);
+                let _ = (flags.switch("json"), flags.positionals());
+            }
+        }
+    }
+
     #[test]
     fn a_flag_the_command_does_not_read_is_a_typed_error() {
         // The ROADMAP's three: a typo must not run at the default rate,
@@ -2661,11 +2694,29 @@ mod tests {
     fn preset_recordings_keep_their_pinned_trailers() {
         let dir = std::env::temp_dir().join("fasttrack_cli_pinned_trailers");
         std::fs::create_dir_all(&dir).unwrap();
-        for (workload, trailer) in [
-            ("spmv", "end 8239 8da21458e508b274"),
-            ("graph", "end 12821 24d7faa6e3657b18"),
-            ("dataflow", "end 2460 9dc31ecf65444ef7"),
-            ("multiproc", "end 144000 24bb931a5e7872a7"),
+        // Line 2 is the header, which carries `drained_at` and the
+        // realized outcome; the trailer digests the body.
+        for (workload, header, trailer) in [
+            (
+                "spmv",
+                r#"{"schema":2,"noc":"ft:4:2:1","channels":1,"max_cycles":2000000,"warmup":0,"generator":"spmv","faults":"","drained_at":0,"expect_delivered":8239,"expect_cycles":2025,"expect_dropped":0,"expect_truncated":false}"#,
+                "end 8239 8da21458e508b274",
+            ),
+            (
+                "graph",
+                r#"{"schema":2,"noc":"ft:4:2:1","channels":1,"max_cycles":2000000,"warmup":0,"generator":"graph","faults":"","drained_at":0,"expect_delivered":12821,"expect_cycles":6173,"expect_dropped":0,"expect_truncated":false}"#,
+                "end 12821 24d7faa6e3657b18",
+            ),
+            (
+                "dataflow",
+                r#"{"schema":2,"noc":"ft:4:2:1","channels":1,"max_cycles":5000000,"warmup":0,"generator":"dataflow","faults":"","drained_at":806,"expect_delivered":2460,"expect_cycles":807,"expect_dropped":0,"expect_truncated":false}"#,
+                "end 2460 9dc31ecf65444ef7",
+            ),
+            (
+                "multiproc",
+                r#"{"schema":2,"noc":"ft:6:2:1","channels":1,"max_cycles":2000000,"warmup":0,"generator":"multiproc:x264","faults":"","drained_at":10463,"expect_delivered":144000,"expect_cycles":20512,"expect_dropped":0,"expect_truncated":false}"#,
+                "end 144000 24bb931a5e7872a7",
+            ),
         ] {
             let path = dir.join(format!("{workload}.trace")).display().to_string();
             run(argv(&format!(
@@ -2673,6 +2724,7 @@ mod tests {
             )))
             .unwrap();
             let text = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(text.lines().nth(1), Some(header), "{workload}");
             assert_eq!(text.lines().last(), Some(trailer), "{workload}");
         }
     }

@@ -12,13 +12,13 @@ use fasttrack_core::multichannel::MAX_CHANNELS;
 use fasttrack_core::sim::{SimReport, SimSession, TrafficSource};
 use fasttrack_core::topology::TopologySpec;
 use fasttrack_traffic::pattern::Pattern;
-use fasttrack_traffic::scenario::{ScenarioHeader, ScenarioTrace};
+use fasttrack_traffic::scenario::{ReplaySource, ScenarioHeader, ScenarioTrace};
 use fasttrack_traffic::source::BernoulliSource;
-use fasttrack_traffic::trace_io::trace_source_from_text;
+use fasttrack_traffic::trace_io::parse_trace;
 
 use crate::args::{ArgError, Flags};
 use crate::commands::{CliError, MAX_STORM_EVENTS};
-use crate::spec::{check_pattern_side, grid_side, parse_pattern, parse_topology};
+use crate::spec::{check_pattern_side, parse_pattern, parse_topology};
 
 /// An observer a single-run command attaches to every run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,12 +75,13 @@ impl SingleRun {
         };
         let topology = parse_topology(noc)?;
         if let Some(path) = flags.optional("file") {
-            let source = trace_source_from_text(&read_file(path)?, grid_side(&topology))
-                .map_err(|e| CliError::Other(e.to_string()))?;
+            let side = topology.side();
+            let records =
+                parse_trace(&read_file(path)?, side).map_err(|e| CliError::Other(e.to_string()))?;
             return Ok(SingleRun {
                 session: session_for(&topology, 1),
                 topology,
-                source: Box::new(source),
+                source: Box::new(ReplaySource::new(side, records)),
                 recorded: None,
             });
         }
@@ -188,7 +189,7 @@ impl RunSpec {
 
     /// A fresh Bernoulli source; equal runs draw equal traffic.
     pub fn source(&self) -> BernoulliSource {
-        let side = grid_side(&self.topology);
+        let side = self.topology.side();
         BernoulliSource::new(side, self.pattern, self.rate, self.packets, self.seed)
     }
 
@@ -314,6 +315,13 @@ pub(crate) fn read_file(path: &str) -> Result<String, CliError> {
 /// Writes an output file, naming the path in the error.
 pub(crate) fn write_file(path: &str, data: impl AsRef<[u8]>) -> Result<(), CliError> {
     std::fs::write(path, data).map_err(|e| CliError::Io(format!("{path}: {e}")))
+}
+
+/// Writes one line of commentary to stderr. A closed stderr is not
+/// the command's failure, so unlike `eprintln!` this never panics.
+pub(crate) fn note(line: impl std::fmt::Display) {
+    use std::io::Write;
+    let _ = writeln!(std::io::stderr(), "{line}");
 }
 
 /// `out`, as an error when the run broke exact conservation: that is

@@ -155,7 +155,7 @@ pub fn parse_pattern(spec: &str) -> Result<Pattern, SpecError> {
 /// Returns [`SpecError::Invalid`], naming the pattern and the side, for
 /// a bit permutation on a side that is not a power of two.
 pub fn check_pattern_side(pattern: Pattern, topology: &TopologySpec) -> Result<(), SpecError> {
-    let side = grid_side(topology);
+    let side = topology.side();
     if pattern.admits_side(side) {
         Ok(())
     } else {
@@ -163,14 +163,6 @@ pub fn check_pattern_side(pattern: Pattern, topology: &TopologySpec) -> Result<(
             "pattern {pattern} needs a power-of-two side, not {side}"
         )))
     }
-}
-
-/// The side of `topology`'s square grid.
-pub(crate) fn grid_side(topology: &TopologySpec) -> u16 {
-    topology
-        .monitor_shape()
-        .grid_side
-        .expect("built-in topologies are square grids")
 }
 
 /// A parsed `--grid` specification: the cross product of topologies,

@@ -890,6 +890,16 @@ impl TopologySpec {
         }
     }
 
+    /// Side of the square grid every built-in topology is (`hoplite:8`,
+    /// `shg:8:2` and `mesh:8:4` all have side 8).
+    pub fn side(&self) -> u16 {
+        match self {
+            TopologySpec::Torus(cfg) => cfg.n(),
+            TopologySpec::Shg(cfg) => cfg.q(),
+            TopologySpec::Mesh { n, .. } => *n,
+        }
+    }
+
     /// Monitor sizing for the selected topology.
     pub fn monitor_shape(&self) -> MonitorShape {
         match self {

@@ -9,7 +9,8 @@
 
 use crate::graph_gen::Graph;
 use crate::partition::Partition;
-use crate::source::{Message, MessageBatchSource};
+use crate::scenario::ReplaySource;
+use crate::source::{batch_source, Message};
 
 /// Extracts the edge-message batch for one push superstep.
 pub fn graph_messages(graph: &Graph, pes: usize, partition: Partition) -> Vec<Message> {
@@ -28,9 +29,9 @@ pub fn graph_messages(graph: &Graph, pes: usize, partition: Partition) -> Vec<Me
 
 /// Builds a ready-to-run traffic source for one superstep on an `n × n`
 /// NoC.
-pub fn graph_source(graph: &Graph, n: u16, partition: Partition) -> MessageBatchSource {
+pub fn graph_source(graph: &Graph, n: u16, partition: Partition) -> ReplaySource {
     let pes = n as usize * n as usize;
-    MessageBatchSource::new(n, graph_messages(graph, pes, partition))
+    batch_source(n, graph_messages(graph, pes, partition))
 }
 
 #[cfg(test)]

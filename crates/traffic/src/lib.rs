@@ -4,9 +4,12 @@
 //! patterns and the four FPGA-accelerator case studies.
 //!
 //! * [`pattern`] — RANDOM / LOCAL / BITCOMPL / TRANSPOSE destination maps.
-//! * [`source`] — open-loop Bernoulli injectors, closed message batches,
-//!   and timed traces, all implementing
-//!   [`fasttrack_core::sim::TrafficSource`].
+//! * [`source`] — the open-loop Bernoulli injector and the [`Message`]
+//!   a closed workload is made of.
+//! * [`scenario`] — recorded push schedules and [`ReplaySource`], which
+//!   plays every fixed schedule: case-study batches, PARSEC traces,
+//!   text traces ([`trace_io`]) and recorded scenarios. Every source
+//!   implements [`fasttrack_core::sim::TrafficSource`].
 //! * [`matrix`] + [`spmv`] — synthetic Matrix-Market-class matrices and
 //!   Sparse Matrix-Vector Multiplication traffic (Figure 15a).
 //! * [`graph_gen`] + [`graph`] — R-MAT / road-network graphs and
@@ -51,4 +54,4 @@ pub use pattern::Pattern;
 pub use scenario::{
     RecordingSource, ReplaySource, ScenarioHeader, ScenarioRecord, ScenarioTrace, TraceError,
 };
-pub use source::{BernoulliSource, Message, MessageBatchSource, TimedTraceSource};
+pub use source::{BernoulliSource, Message};

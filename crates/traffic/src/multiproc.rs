@@ -11,7 +11,7 @@ use fasttrack_core::geom::Coord;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::source::{Message, TimedTraceSource};
+use crate::scenario::{ReplaySource, ScenarioRecord};
 
 /// Traffic profile of one PARSEC benchmark on the overlay.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,7 +86,7 @@ pub fn parsec_benchmarks() -> Vec<ParsecProfile> {
 /// # Panics
 ///
 /// Panics if `n < 2`.
-pub fn parsec_trace(profile: &ParsecProfile, n: u16, seed: u64) -> TimedTraceSource {
+pub fn parsec_trace(profile: &ParsecProfile, n: u16, seed: u64) -> ReplaySource {
     assert!(n >= 2);
     let pes = n as usize * n as usize;
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -112,17 +112,17 @@ pub fn parsec_trace(profile: &ParsecProfile, n: u16, seed: u64) -> TimedTraceSou
             } else {
                 rng.gen_range(0..pes)
             };
-            events.push((
-                t,
-                Message {
-                    src: pe,
-                    dst,
-                    tag: 0,
-                },
-            ));
+            events.push(ScenarioRecord {
+                cycle: t,
+                src: pe,
+                dst,
+                tag: 0,
+            });
         }
     }
-    TimedTraceSource::new(n, events)
+    // Stable: one cycle's messages push in PE order.
+    events.sort_by_key(|r| r.cycle);
+    ReplaySource::new(n, events)
 }
 
 #[cfg(test)]
@@ -150,7 +150,7 @@ mod tests {
             think_cycles: 1.0,
         };
         let mut trace = parsec_trace(&profile, 4, 1);
-        assert_eq!(trace.remaining(), 1600);
+        assert_eq!(trace.len(), 1600);
         let mut q = InjectQueues::new(16);
         trace.pump(u64::MAX, &mut q);
         assert_eq!(q.total_enqueued(), 1600);

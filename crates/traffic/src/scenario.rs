@@ -63,7 +63,7 @@ use fasttrack_core::multichannel::MAX_CHANNELS;
 use fasttrack_core::packet::Delivery;
 use fasttrack_core::port::OutPort;
 use fasttrack_core::queue::InjectQueues;
-use fasttrack_core::sim::TrafficSource;
+use fasttrack_core::sim::{SimReport, TrafficSource};
 use fasttrack_core::sweep::splitmix64;
 use fasttrack_core::topology::TopologySpec;
 
@@ -103,6 +103,18 @@ pub struct Expectation {
     pub dropped: u64,
     /// Whether the run hit its cycle budget.
     pub truncated: bool,
+}
+
+impl From<&SimReport> for Expectation {
+    /// The outcome a finished run realized.
+    fn from(report: &SimReport) -> Self {
+        Expectation {
+            delivered: report.stats.delivered,
+            cycles: report.cycles,
+            dropped: report.stats.dropped,
+            truncated: report.truncated,
+        }
+    }
 }
 
 /// Scenario metadata: everything needed to rebuild the session.
@@ -155,14 +167,6 @@ impl ScenarioHeader {
             fallback: false,
             expect: None,
         }
-    }
-
-    /// Side length of the square grid the spec names (`hoplite:8` → 8).
-    fn side_len(&self) -> Result<u16, TraceError> {
-        self.topology()?
-            .monitor_shape()
-            .grid_side
-            .ok_or_else(|| TraceError::BadHeader(format!("noc spec {:?} is not a grid", self.noc)))
     }
 
     /// Rebuilds the full [`NocConfig`] from the spec string: the
@@ -762,7 +766,7 @@ impl ScenarioTrace {
             .next_line()
             .ok_or_else(|| TraceError::BadHeader("missing header line".into()))?;
         let header = Self::decode_header(header_line)?;
-        let side = u64::from(header.side_len()?);
+        let side = u64::from(header.topology()?.side());
         let nodes = side * side;
 
         // The trailer's count, read ahead only to size `records`: the
@@ -952,7 +956,7 @@ impl ScenarioTrace {
     /// parse.
     pub fn replay_source(&self) -> Result<ReplaySource, TraceError> {
         Ok(
-            ReplaySource::new(self.header.side_len()?, self.records.clone())
+            ReplaySource::new(self.header.topology()?.side(), self.records.clone())
                 .hold_until(self.header.drained_at),
         )
     }
@@ -993,8 +997,8 @@ impl ScenarioTrace {
             .faults
             .iter()
             .fold(fasttrack_core::fault::FaultPlan::new(), |p, &f| p.with(f));
-        let source = ReplaySource::new(self.header.side_len()?, self.records)
-            .hold_until(self.header.drained_at);
+        let source =
+            ReplaySource::new(topology.side(), self.records).hold_until(self.header.drained_at);
         Ok((self.header, topology, plan, source))
     }
 }
@@ -1103,9 +1107,9 @@ impl<S: TrafficSource> TrafficSource for RecordingSource<S> {
     }
 }
 
-/// Open-loop source replaying a recorded push schedule at the exact
-/// recorded cycles, implementing the same [`TrafficSource`] trait as
-/// every generator.
+/// Open-loop source replaying a push schedule at the exact recorded
+/// cycles: a scenario trace, a text trace, a PARSEC trace, or a
+/// case-study batch (every record at cycle 0).
 #[derive(Debug, Clone)]
 pub struct ReplaySource {
     n: u16,
@@ -1116,8 +1120,18 @@ pub struct ReplaySource {
 }
 
 impl ReplaySource {
-    /// Creates a replay source for an `n × n` system.
+    /// Creates a replay source for an `n × n` system. Records play in
+    /// the order given (nondecreasing cycles), each at its cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any record endpoint is out of range.
     pub fn new(n: u16, records: Vec<ScenarioRecord>) -> Self {
+        let nodes = n as usize * n as usize;
+        assert!(
+            records.iter().all(|r| r.src < nodes && r.dst < nodes),
+            "record endpoint out of range"
+        );
         ReplaySource {
             n,
             records,
@@ -1490,6 +1504,34 @@ mod tests {
             ScenarioTrace::decode(&text),
             Err(TraceError::TrailingData { line: 6 })
         ));
+    }
+
+    #[test]
+    fn replay_releases_each_record_at_its_cycle() {
+        let records = vec![
+            ScenarioRecord {
+                cycle: 0,
+                src: 0,
+                dst: 3,
+                tag: 1,
+            },
+            ScenarioRecord {
+                cycle: 5,
+                src: 1,
+                dst: 2,
+                tag: 0,
+            },
+        ];
+        let mut src = ReplaySource::new(2, records);
+        let mut q = InjectQueues::new(4);
+        src.pump(0, &mut q);
+        assert_eq!(q.total_enqueued(), 1); // only the cycle-0 record
+        assert!(!src.exhausted());
+        src.pump(4, &mut q);
+        assert_eq!(q.total_enqueued(), 1);
+        src.pump(5, &mut q);
+        assert_eq!(q.total_enqueued(), 2);
+        assert!(src.exhausted());
     }
 
     #[test]

@@ -46,7 +46,7 @@ fn decode(text: &str) -> Result<ScenarioTrace, TraceError> {
         .next()
         .ok_or_else(|| TraceError::BadHeader("missing header line".into()))?;
     let header = ScenarioTrace::decode_header(header_line)?;
-    let side = u64::from(header.side_len()?);
+    let side = u64::from(header.topology()?.side());
     let nodes = side * side;
 
     let mut checksum = line_hash(header_line);
@@ -181,12 +181,11 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    use super::super::{RecordingSource, ScenarioHeader};
+    use super::super::{RecordingSource, ReplaySource, ScenarioHeader};
     use super::*;
     use crate::adversarial::BurstySource;
     use crate::dataflow::{lu_dag, DataflowSource};
     use crate::pattern::Pattern;
-    use crate::source::{Message, TimedTraceSource};
 
     /// A valid trace on `ft:4:2:1` (16 nodes): nondecreasing cycles,
     /// in-range nodes, numbers of every width up to all twenty digits.
@@ -471,17 +470,16 @@ mod tests {
             match which {
                 0 => {
                     // Several releases per cycle, sources shuffled.
-                    let events = (0..400)
-                        .map(|_| {
-                            let m = Message {
-                                src: rng.gen_range(0..16),
-                                dst: rng.gen_range(0..16),
-                                tag: rng.gen(),
-                            };
-                            (rng.gen_range(0..60), m)
+                    let mut records: Vec<ScenarioRecord> = (0..400)
+                        .map(|_| ScenarioRecord {
+                            src: rng.gen_range(0..16),
+                            dst: rng.gen_range(0..16),
+                            tag: rng.gen(),
+                            cycle: rng.gen_range(0..60),
                         })
                         .collect();
-                    record_both(4, TimedTraceSource::new(4, events));
+                    records.sort_by_key(|r| r.cycle);
+                    record_both(4, ReplaySource::new(4, records));
                 }
                 1 => {
                     let source =

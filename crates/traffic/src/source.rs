@@ -1,7 +1,7 @@
-//! Traffic sources implementing [`TrafficSource`]: open-loop Bernoulli
-//! injectors (the paper's synthetic experiments use 1 K packets per PE at
-//! a swept injection rate) and closed message batches (saturation runs
-//! and accelerator-trace communication).
+//! The open-loop Bernoulli injector (the paper's synthetic experiments
+//! use 1 K packets per PE at a swept injection rate) and the message a
+//! closed workload is made of. A fixed schedule of messages, whether a
+//! case-study batch or a timed trace, plays through [`ReplaySource`].
 
 use fasttrack_core::geom::Coord;
 use fasttrack_core::queue::InjectQueues;
@@ -10,6 +10,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::pattern::Pattern;
+use crate::scenario::{ReplaySource, ScenarioRecord};
 
 /// Open-loop source: every PE injects Bernoulli(`rate`) each cycle and
 /// enqueues each packet to a pattern-drawn destination — until it has
@@ -143,117 +144,22 @@ pub struct Message {
     pub tag: u64,
 }
 
-/// Closed-workload source: a fixed batch of messages, all available at
-/// cycle 0 (each PE drains its share as fast as the NoC accepts). The
-/// makespan of the batch is the workload completion time — the metric
-/// behind the paper's accelerator case studies.
-#[derive(Debug, Clone)]
-pub struct MessageBatchSource {
-    n: u16,
-    messages: Vec<Message>,
-    pushed: bool,
-}
-
-impl MessageBatchSource {
-    /// Creates a batch source for an `n × n` system.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any message endpoint is out of range.
-    pub fn new(n: u16, messages: Vec<Message>) -> Self {
-        let nodes = n as usize * n as usize;
-        for m in &messages {
-            assert!(
-                m.src < nodes && m.dst < nodes,
-                "message endpoint out of range"
-            );
-        }
-        MessageBatchSource {
-            n,
-            messages,
-            pushed: false,
-        }
-    }
-
-    /// Number of messages in the batch.
-    pub fn len(&self) -> usize {
-        self.messages.len()
-    }
-
-    /// True if the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.messages.is_empty()
-    }
-}
-
-impl TrafficSource for MessageBatchSource {
-    fn pump(&mut self, cycle: u64, queues: &mut InjectQueues) {
-        if !self.pushed {
-            for m in &self.messages {
-                queues.push(m.src, Coord::from_node_id(m.dst, self.n), cycle, m.tag);
-            }
-            self.pushed = true;
-        }
-    }
-
-    fn exhausted(&self) -> bool {
-        self.pushed
-    }
-}
-
-/// Timed trace source: messages become available at prescribed cycles
-/// (extracted accelerator communication traces).
-#[derive(Debug, Clone)]
-pub struct TimedTraceSource {
-    n: u16,
-    /// Events sorted by release cycle.
-    events: Vec<(u64, Message)>,
-    next: usize,
-}
-
-impl TimedTraceSource {
-    /// Creates a trace source; events are sorted by release cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any endpoint is out of range.
-    pub fn new(n: u16, mut events: Vec<(u64, Message)>) -> Self {
-        let nodes = n as usize * n as usize;
-        for (_, m) in &events {
-            assert!(
-                m.src < nodes && m.dst < nodes,
-                "trace endpoint out of range"
-            );
-        }
-        events.sort_by_key(|(t, _)| *t);
-        TimedTraceSource { n, events, next: 0 }
-    }
-
-    /// Number of events remaining.
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.next
-    }
-}
-
-impl TrafficSource for TimedTraceSource {
-    fn pump(&mut self, cycle: u64, queues: &mut InjectQueues) {
-        while self.next < self.events.len() && self.events[self.next].0 <= cycle {
-            let (_, m) = self.events[self.next];
-            queues.push(m.src, Coord::from_node_id(m.dst, self.n), cycle, m.tag);
-            self.next += 1;
-        }
-    }
-
-    fn exhausted(&self) -> bool {
-        self.next == self.events.len()
-    }
+/// A closed batch: every message pushed at cycle 0, in the order given.
+/// Its makespan is the workload completion time, the metric behind the
+/// paper's accelerator case studies.
+pub(crate) fn batch_source(n: u16, messages: Vec<Message>) -> ReplaySource {
+    let at_start = |Message { src, dst, tag }| ScenarioRecord {
+        cycle: 0,
+        src,
+        dst,
+        tag,
+    };
+    ReplaySource::new(n, messages.into_iter().map(at_start).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fasttrack_core::config::NocConfig;
-    use fasttrack_core::sim::SimSession;
 
     #[test]
     fn bernoulli_generates_exact_quota() {
@@ -612,6 +518,8 @@ mod tests {
 
     #[test]
     fn batch_source_end_to_end() {
+        use fasttrack_core::config::NocConfig;
+        use fasttrack_core::sim::SimSession;
         let msgs = vec![
             Message {
                 src: 0,
@@ -629,11 +537,16 @@ mod tests {
                 tag: 3,
             },
         ];
-        let mut src = MessageBatchSource::new(4, msgs);
-        assert_eq!(src.len(), 3);
-        assert!(!src.is_empty());
-        let cfg = NocConfig::hoplite(4).unwrap();
-        let report = SimSession::new(&cfg).run(&mut src).unwrap().report;
+        // Every message is pushed by the first pump, whatever its cycle.
+        let mut src = batch_source(4, msgs.clone());
+        let mut q = InjectQueues::new(16);
+        src.pump(3, &mut q);
+        assert_eq!(q.total_enqueued(), 3);
+        assert!(src.exhausted());
+        let report = SimSession::new(&NocConfig::hoplite(4).unwrap())
+            .run(&mut batch_source(4, msgs))
+            .unwrap()
+            .report;
         assert!(!report.truncated);
         assert_eq!(report.stats.delivered, 3);
     }
@@ -641,7 +554,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn batch_bounds_checked() {
-        MessageBatchSource::new(
+        batch_source(
             2,
             vec![Message {
                 src: 0,
@@ -649,36 +562,5 @@ mod tests {
                 tag: 0,
             }],
         );
-    }
-
-    #[test]
-    fn timed_trace_releases_in_order() {
-        let events = vec![
-            (
-                5,
-                Message {
-                    src: 1,
-                    dst: 2,
-                    tag: 0,
-                },
-            ),
-            (
-                0,
-                Message {
-                    src: 0,
-                    dst: 3,
-                    tag: 1,
-                },
-            ),
-        ];
-        let mut src = TimedTraceSource::new(2, events);
-        assert_eq!(src.remaining(), 2);
-        let mut q = InjectQueues::new(4);
-        src.pump(0, &mut q);
-        assert_eq!(q.total_enqueued(), 1); // only the cycle-0 event
-        assert!(!src.exhausted());
-        src.pump(5, &mut q);
-        assert_eq!(q.total_enqueued(), 2);
-        assert!(src.exhausted());
     }
 }

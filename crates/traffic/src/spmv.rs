@@ -11,7 +11,8 @@
 
 use crate::matrix::SparseMatrix;
 use crate::partition::Partition;
-use crate::source::{Message, MessageBatchSource};
+use crate::scenario::ReplaySource;
+use crate::source::{batch_source, Message};
 
 /// Extracts the SpMV message batch for one iteration of `y = A·x` on
 /// `pes` processing elements under the given partition.
@@ -35,9 +36,9 @@ pub fn spmv_messages(matrix: &SparseMatrix, pes: usize, partition: Partition) ->
 
 /// Builds a ready-to-run traffic source for one SpMV iteration on an
 /// `n × n` NoC.
-pub fn spmv_source(matrix: &SparseMatrix, n: u16, partition: Partition) -> MessageBatchSource {
+pub fn spmv_source(matrix: &SparseMatrix, n: u16, partition: Partition) -> ReplaySource {
     let pes = n as usize * n as usize;
-    MessageBatchSource::new(n, spmv_messages(matrix, pes, partition))
+    batch_source(n, spmv_messages(matrix, pes, partition))
 }
 
 /// Iterative SpMV (`x ← A·x` repeated): each iteration's messages are

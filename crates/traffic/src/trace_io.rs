@@ -1,21 +1,24 @@
-//! Plain-text trace serialization.
+//! Plain-text trace reader.
 //!
 //! Downstream users replay their own accelerator communication traces
 //! (the paper extracts them from SpMV/graph/LU/PARSEC runs). The format
-//! is one event per line:
+//! is one message per line:
 //!
 //! ```text
 //! # comment lines and blanks are ignored
 //! <release_cycle> <src_node> <dst_node> [tag]
 //! ```
 //!
-//! Nodes are row-major ids on the target torus. The reader validates
-//! ranges eagerly so a bad trace fails at load, not mid-simulation.
+//! Nodes are row-major ids on the target fabric. Unlike a scenario
+//! trace, the file carries no header and no checksum, which is what
+//! makes it the way in for a trace written by another tool. The reader
+//! validates ranges eagerly so a bad trace fails at load, not
+//! mid-simulation, and hands back [`ScenarioRecord`]s that a
+//! [`ReplaySource`](crate::scenario::ReplaySource) plays.
 
-use std::fmt::Write as _;
 use std::num::ParseIntError;
 
-use crate::source::{Message, TimedTraceSource};
+use crate::scenario::ScenarioRecord;
 
 /// Errors raised while parsing a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,23 +68,16 @@ impl std::fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
-/// One parsed trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Cycle at which the message becomes available at its source.
-    pub release_cycle: u64,
-    /// The message.
-    pub message: Message,
-}
-
-/// Parses a text trace targeted at an `n × n` system.
+/// Parses a text trace targeted at an `n × n` system into its push
+/// schedule: the lines sorted stably by release cycle, so messages of
+/// one cycle push in file order.
 ///
 /// # Errors
 ///
 /// Returns a [`TraceParseError`] describing the first malformed line.
-pub fn parse_trace(text: &str, n: u16) -> Result<Vec<TraceEvent>, TraceParseError> {
+pub fn parse_trace(text: &str, n: u16) -> Result<Vec<ScenarioRecord>, TraceParseError> {
     let nodes = n as usize * n as usize;
-    let mut events = Vec::new();
+    let mut records = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line = idx + 1;
         let content = raw.split('#').next().unwrap_or("").trim();
@@ -102,7 +98,7 @@ pub fn parse_trace(text: &str, n: u16) -> Result<Vec<TraceEvent>, TraceParseErro
                     text: text.to_string(),
                 })
         };
-        let release_cycle = parse(fields[0])?;
+        let cycle = parse(fields[0])?;
         let src = parse(fields[1])?;
         let dst = parse(fields[2])?;
         let tag = if fields.len() == 4 {
@@ -118,68 +114,52 @@ pub fn parse_trace(text: &str, n: u16) -> Result<Vec<TraceEvent>, TraceParseErro
                 return Err(TraceParseError::NodeOutOfRange { line, node, nodes });
             }
         }
-        events.push(TraceEvent {
-            release_cycle,
-            message: Message {
-                src: src as usize,
-                dst: dst as usize,
-                tag,
-            },
+        records.push(ScenarioRecord {
+            cycle,
+            src: src as usize,
+            dst: dst as usize,
+            tag,
         });
     }
-    Ok(events)
-}
-
-/// Serializes events into the text format (sorted by release cycle).
-pub fn format_trace(events: &[TraceEvent]) -> String {
-    let mut sorted: Vec<&TraceEvent> = events.iter().collect();
-    sorted.sort_by_key(|e| e.release_cycle);
-    let mut out = String::from("# cycle src dst tag\n");
-    for e in sorted {
-        let _ = writeln!(
-            out,
-            "{} {} {} {}",
-            e.release_cycle, e.message.src, e.message.dst, e.message.tag
-        );
-    }
-    out
-}
-
-/// Builds a ready-to-run [`TimedTraceSource`] from trace text.
-///
-/// # Errors
-///
-/// Returns a [`TraceParseError`] for malformed input.
-pub fn trace_source_from_text(text: &str, n: u16) -> Result<TimedTraceSource, TraceParseError> {
-    let events = parse_trace(text, n)?;
-    Ok(TimedTraceSource::new(
-        n,
-        events
-            .into_iter()
-            .map(|e| (e.release_cycle, e.message))
-            .collect(),
-    ))
+    records.sort_by_key(|r| r.cycle);
+    Ok(records)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn record(cycle: u64, src: usize, dst: usize, tag: u64) -> ScenarioRecord {
+        ScenarioRecord {
+            cycle,
+            src,
+            dst,
+            tag,
+        }
+    }
+
     #[test]
     fn parses_comments_blanks_and_tags() {
         let text = "# header\n\n0 0 5\n10 3 1 42  # inline comment\n";
-        let events = parse_trace(text, 4).unwrap();
-        assert_eq!(events.len(), 2);
         assert_eq!(
-            events[0].message,
-            Message {
-                src: 0,
-                dst: 5,
-                tag: 0
-            }
+            parse_trace(text, 4).unwrap(),
+            [record(0, 0, 5, 0), record(10, 3, 1, 42)]
         );
-        assert_eq!(events[1].release_cycle, 10);
-        assert_eq!(events[1].message.tag, 42);
+    }
+
+    #[test]
+    fn sorts_stably_by_cycle() {
+        let text = "9 3 4 1\n0 0 5\n5 2 7 2\n0 1 6\n5 9 1\n";
+        assert_eq!(
+            parse_trace(text, 4).unwrap(),
+            [
+                record(0, 0, 5, 0),
+                record(0, 1, 6, 0),
+                record(5, 2, 7, 2),
+                record(5, 9, 1, 0),
+                record(9, 3, 4, 1),
+            ]
+        );
     }
 
     #[test]
@@ -225,41 +205,13 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_preserves_events() {
-        let events = vec![
-            TraceEvent {
-                release_cycle: 7,
-                message: Message {
-                    src: 1,
-                    dst: 2,
-                    tag: 3,
-                },
-            },
-            TraceEvent {
-                release_cycle: 0,
-                message: Message {
-                    src: 0,
-                    dst: 15,
-                    tag: 0,
-                },
-            },
-        ];
-        let text = format_trace(&events);
-        let parsed = parse_trace(&text, 4).unwrap();
-        // format_trace sorts by cycle.
-        assert_eq!(parsed[0].release_cycle, 0);
-        assert_eq!(parsed[1], events[0]);
-        assert_eq!(parsed.len(), 2);
-    }
-
-    #[test]
     fn source_built_from_text_runs() {
+        use crate::scenario::ReplaySource;
         use fasttrack_core::config::NocConfig;
         use fasttrack_core::sim::SimSession;
-        let text = "0 0 5\n0 1 6\n5 2 7\n";
-        let mut src = trace_source_from_text(text, 4).unwrap();
+        let records = parse_trace("0 0 5\n0 1 6\n5 2 7\n", 4).unwrap();
         let report = SimSession::new(&NocConfig::hoplite(4).unwrap())
-            .run(&mut src)
+            .run(&mut ReplaySource::new(4, records))
             .unwrap()
             .report;
         assert!(!report.truncated);

@@ -57,7 +57,6 @@ pub mod prelude {
     pub use fasttrack_mesh::{MeshBackend, MeshConfig, MeshNoc};
     pub use fasttrack_traffic::partition::Partition;
     pub use fasttrack_traffic::pattern::Pattern;
-    pub use fasttrack_traffic::source::{
-        BernoulliSource, Message, MessageBatchSource, TimedTraceSource,
-    };
+    pub use fasttrack_traffic::scenario::ReplaySource;
+    pub use fasttrack_traffic::source::{BernoulliSource, Message};
 }

@@ -14,12 +14,8 @@ fn spec(s: &str) -> TopologySpec {
     s.parse().unwrap()
 }
 
-fn side(spec: &TopologySpec) -> u16 {
-    spec.monitor_shape().grid_side.unwrap()
-}
-
 fn saturated_rate(spec: &TopologySpec, pattern: Pattern, seed: u64) -> f64 {
-    let mut src = BernoulliSource::new(side(spec), pattern, 1.0, 400, seed);
+    let mut src = BernoulliSource::new(spec.side(), pattern, 1.0, 400, seed);
     let session = NocUnderTest::from_spec(spec.clone()).session();
     let report = session.run(&mut src).unwrap().report;
     assert!(!report.truncated);
@@ -66,7 +62,7 @@ fn zero_load_matches_engine_exactly() {
         for src in 0..nodes {
             for dst in 0..nodes {
                 engine.reset_stats();
-                queues.push(src, Coord::from_node_id(dst, side(&spec)), cycle, 0);
+                queues.push(src, Coord::from_node_id(dst, spec.side()), cycle, 0);
                 let (mut events, mut deliveries) = (VecSink::new(), Vec::new());
                 while deliveries.is_empty() {
                     engine.step_cycle(&mut queues, &mut deliveries, &mut events);

@@ -24,8 +24,11 @@ use fasttrack::traffic::graph_gen::rmat;
 use fasttrack::traffic::matrix::circuit;
 use fasttrack::traffic::multiproc::{parsec_benchmarks, parsec_trace};
 use fasttrack::traffic::partition::Partition;
-use fasttrack::traffic::scenario::{Expectation, RecordingSource, ReplaySource, ScenarioTrace};
+use fasttrack::traffic::scenario::{
+    Expectation, RecordingSource, ReplaySource, ScenarioHeader, ScenarioTrace,
+};
 use fasttrack::traffic::spmv::spmv_source;
+use fasttrack::traffic::trace_io::parse_trace;
 use fasttrack_cli::commands::{replay_session, SingleRun};
 
 /// Records `src` on `cfg`, replays the captured schedule, and asserts
@@ -100,6 +103,69 @@ fn multiproc_record_replay_is_byte_identical() {
     let profile = &parsec_benchmarks()[0];
     let cfg = NocConfig::fasttrack(6, 2, 1, FtPolicy::Full).unwrap();
     assert_round_trip(&cfg, parsec_trace(profile, 6, 51), 2_000_000);
+}
+
+/// Plays `source` on `noc` and returns the report and the event stream.
+fn run_on(
+    noc: &TopologySpec,
+    mut source: ReplaySource,
+) -> (SimReport, Vec<fasttrack::core::trace::SimEvent>) {
+    let mut events = VecSink::new();
+    let report = SimSession::with_backend(fasttrack_bench::runner::SpecBackend::new(noc, 1))
+        .with_sink(&mut events)
+        .run(&mut source)
+        .unwrap()
+        .report;
+    (report, events.events)
+}
+
+/// A schedule with several pushes per cycle, a gap, and tags.
+const TEXT_TRACE: &str = "# cycle src dst tag\n\
+    0 0 5\n0 1 6 3\n0 15 0\n2 3 12 9\n7 9 9\n7 4 11 1\n7 4 2\n30 14 1\n";
+
+#[test]
+fn text_and_scenario_traces_of_one_schedule_replay_alike() {
+    for noc in ["hoplite:4", "shg:4:2", "mesh:4:2"] {
+        let topology: TopologySpec = noc.parse().unwrap();
+        let records = parse_trace(TEXT_TRACE, 4).unwrap();
+        let text = run_on(&topology, ReplaySource::new(4, records.clone()));
+        assert_eq!(text.0.stats.delivered, 8, "{noc}");
+
+        let encoded = ScenarioTrace::new(ScenarioHeader::new(noc, "text"), records).encode();
+        let SingleRun {
+            session,
+            mut source,
+            ..
+        } = replay_session(ScenarioTrace::decode(&encoded).unwrap()).unwrap();
+        let mut events = VecSink::new();
+        let report = session
+            .with_sink(&mut events)
+            .run(&mut source)
+            .unwrap()
+            .report;
+        assert_eq!(text.0, report, "{noc}: reports diverge");
+        assert_eq!(text.1, events.events, "{noc}: event streams diverge");
+    }
+}
+
+#[test]
+fn unordered_text_trace_plays_like_its_stable_sort() {
+    // The same lines as `TEXT_TRACE` out of cycle order; lines of one
+    // cycle keep their relative order, which is what a stable sort by
+    // cycle restores.
+    let unordered = "30 14 1\n7 9 9\n0 0 5\n2 3 12 9\n7 4 11 1\n0 1 6 3\n7 4 2\n0 15 0\n";
+    let topology: TopologySpec = "hoplite:4".parse().unwrap();
+    let play = |text: &str| {
+        run_on(
+            &topology,
+            ReplaySource::new(4, parse_trace(text, 4).unwrap()),
+        )
+    };
+    assert_eq!(
+        parse_trace(unordered, 4).unwrap(),
+        parse_trace(TEXT_TRACE, 4).unwrap()
+    );
+    assert_eq!(play(unordered), play(TEXT_TRACE));
 }
 
 #[test]
@@ -239,7 +305,6 @@ fn replay_arms_the_chains_a_header_asks_for() {
 /// one channel is refused rather than replayed on one.
 #[test]
 fn shg_and_mesh_recordings_replay_attribute_and_explain() {
-    use fasttrack::traffic::scenario::ScenarioHeader;
     use fasttrack_bench::runner::SpecBackend;
     let cli = |cmd: &str, path: &std::path::Path| {
         let mut argv: Vec<String> = cmd.split(' ').map(String::from).collect();
@@ -255,12 +320,7 @@ fn shg_and_mesh_recordings_replay_attribute_and_explain() {
             .unwrap()
             .report;
         let mut header = ScenarioHeader::new(noc, "bernoulli:random");
-        header.expect = Some(Expectation {
-            delivered: report.stats.delivered,
-            cycles: report.cycles,
-            dropped: report.stats.dropped,
-            truncated: report.truncated,
-        });
+        header.expect = Some(Expectation::from(&report));
         let trace = recording.into_trace(header);
         let path =
             std::env::temp_dir().join(format!("fasttrack_{kind}_{}.trace", std::process::id()));
