@@ -16,9 +16,7 @@ use fasttrack_core::sim::{
 };
 use fasttrack_core::stats::SimStats;
 use fasttrack_core::sweep::{retry_seed, splitmix64, sweep_fallible, SweepError};
-use fasttrack_core::topology::{
-    MonitorShape, ShgConfig, ShgTopology, Topology, TopologySpec, TorusTopology,
-};
+use fasttrack_core::topology::{MonitorShape, ShgConfig, ShgTopology, Topology, TopologySpec};
 use fasttrack_core::trace::EventSink;
 use fasttrack_mesh::{MeshBackend, MeshConfig, MeshNoc, MeshTopology};
 use fasttrack_traffic::pattern::Pattern;
@@ -33,7 +31,7 @@ pub const INJECTION_RATES: [f64; 9] = [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7
 /// and the iso-resource cost model.
 pub fn topology_of(spec: &TopologySpec) -> Box<dyn Topology> {
     match spec {
-        TopologySpec::Torus(cfg) => Box::new(TorusTopology::new(cfg.clone())),
+        TopologySpec::Torus(cfg) => Box::new(cfg.clone()),
         TopologySpec::Shg(cfg) => Box::new(ShgTopology::new(*cfg)),
         TopologySpec::Mesh { n, depth } => Box::new(MeshTopology::new(
             MeshConfig::new(*n, *depth).expect("specs are validated"),
@@ -477,8 +475,7 @@ impl SweepGrid {
         };
         let drive =
             |index, seed, p: &SweepPoint, session: PointSession, source: &mut BernoulliSource| {
-                // On a torus this is `FaultPlan::storm` bit-for-bit.
-                let plan = FaultPlan::storm_topo(
+                let plan = FaultPlan::storm(
                     &*topology_of(&p.nut.topology),
                     splitmix64(seed ^ STORM_SALT),
                     storm,

@@ -155,8 +155,8 @@ USAGE:
 SPECS:
   NoC:     hoplite:<n> | ft:<n>:<d>:<r> | ftlite:<n>:<d>:<r>
            | shg:<q>:<delta> | mesh:<n>:<depth>
-           (faults, cost and record model the torus kinds only; every
-            other command accepts all five)
+           (cost models the torus kinds only; every other command
+            accepts all five)
   Pattern: random | bitcompl | transpose | tornado | shuffle | bitrev
            | local:<radius> | hotspot:<percent>
   Grid:    <noc>[,<noc>...];<pattern>[,<pattern>...];<rate>[,<rate>...]
@@ -185,10 +185,11 @@ FAULTS:
   healthy baseline and the faulted fabric on the same traffic, and
   reports packets dropped/rerouted, the degraded throughput ratio, the
   exact conservation check (delivered + in-flight + dropped ==
-  injected), and the health verdict. --window bounds the cycles
-  transient faults are drawn from. --json emits the accounting as one
-  JSON object; either way the exit code is nonzero when the
-  conservation invariant is violated.
+  injected), and the health verdict. Dead and down links are drawn
+  from the fabric's express links, so a mesh, which has none, draws
+  none. --window bounds the cycles transient faults are drawn from.
+  --json emits the accounting as one JSON object; either way the exit
+  code is nonzero when the conservation invariant is violated.
 
 STORM:
   `storm` measures availability under a seeded fault storm: express
@@ -289,6 +290,7 @@ EXAMPLES:
   fasttrack monitor --noc ft:8:2:2 --rate 1.0 --snapshot 500 --health health.json
   fasttrack faults --noc ft:8:2:2 --rate 0.3 --dead-links 2 --fault-seed 42
   fasttrack faults --noc ftlite:8:4:1 --rate 0.5 --dead-links 4 --json
+  fasttrack faults --noc shg:8:2 --rate 0.3 --transient-links 2 --down-links 2
   fasttrack storm --noc ft:8:2:2 --rate 0.3 --kills 8 --heal 200:600 --out slo.json
   fasttrack sweep --grid \"ft:8:2:1;random;0.1,0.5\" --resume run.journal
   fasttrack trace --noc ft:8:2:2 --pattern random --rate 0.2
@@ -458,14 +460,19 @@ fn render_outcome(flags: &Flags, outcome: &SimOutcome) -> Result<String, CliErro
 /// windows and fail-stop routers lose packets, exactly accounted;
 /// stalled injectors delay without loss). The report contrasts the
 /// faulted run with the baseline: packets dropped and rerouted, the
-/// degraded throughput ratio, the exact conservation check, and the
-/// health verdict from the online monitor. `--health <path>` writes the
-/// monitor summary JSON.
+/// degraded throughput ratio and the exact conservation check, after
+/// the faulted run as [`render_outcome`] prints it (with the online
+/// monitor's health verdict and `--health` summary JSON). Every
+/// topology takes a plan: a fabric draws the faults it has links for.
 pub fn cmd_faults(flags: &Flags) -> Result<String, CliError> {
-    let cfg = parse_noc(flags.required("noc")?)?;
-    let run =
-        RunSpec::on(TopologySpec::Torus(cfg.clone()), flags, 0.5, 1000)?.with_channels(flags)?;
-    let (fault_seed, plan) = fault_plan(flags, &cfg, run.seed, flags.numeric("down-links", 0)?)?;
+    let topology = parse_topology(flags.required("noc")?)?;
+    let run = RunSpec::on(topology, flags, 0.5, 1000)?.with_channels(flags)?;
+    let (fault_seed, plan) = fault_plan(
+        flags,
+        &*topology_of(&run.topology),
+        run.seed,
+        flags.numeric("down-links", 0)?,
+    )?;
 
     let baseline = run.session().run(&mut run.source()).unwrap().report;
 
@@ -476,15 +483,10 @@ pub fn cmd_faults(flags: &Flags) -> Result<String, CliError> {
     if flags.switch("profile") {
         session = session.with_profile();
     }
-    let SimOutcome {
-        report,
-        monitor,
-        profile,
-        ..
-    } = session
+    let outcome = session
         .run(&mut run.source())
         .map_err(|e| CliError::Other(e.to_string()))?;
-    let monitor = monitor.expect("monitor attached");
+    let report = &outcome.report;
 
     if flags.switch("json") {
         use std::fmt::Write as _;
@@ -492,7 +494,7 @@ pub fn cmd_faults(flags: &Flags) -> Result<String, CliError> {
         let _ = write!(
             json,
             "\"noc\":\"{}\",\"fault_seed\":{fault_seed}",
-            cfg.name()
+            run.topology.display_name()
         );
         json.push_str(",\"faults\":[");
         for (i, f) in plan.faults().iter().enumerate() {
@@ -529,7 +531,7 @@ pub fn cmd_faults(flags: &Flags) -> Result<String, CliError> {
             report.conserved()
         );
         json.push('\n');
-        return conserved_or_err(json, &report);
+        return conserved_or_err(json, report);
     }
 
     let mut out = String::new();
@@ -547,9 +549,9 @@ pub fn cmd_faults(flags: &Flags) -> Result<String, CliError> {
     out.push_str("healthy baseline:\n");
     out.push_str(&render_report(&baseline));
     out.push_str("\nfaulted fabric:\n");
-    out.push_str(&render_report(&report));
+    out.push_str(&render_outcome(flags, &outcome)?);
     out.push_str(&format!(
-        "\n  degraded: {} packets dropped, {} rerouted around dead links\n  \
+        "  degraded: {} packets dropped, {} rerouted around dead links\n  \
          throughput {:.1}% of baseline\n",
         report.stats.dropped,
         report.stats.rerouted,
@@ -566,15 +568,7 @@ pub fn cmd_faults(flags: &Flags) -> Result<String, CliError> {
             report.stats.delivered, report.in_flight, report.stats.dropped, report.stats.injected,
         ));
     }
-    if let Some(profile) = &profile {
-        out.push_str(&profile.render_text());
-    }
-    out.push_str(&monitor.summary().render_text());
-    if let Some(path) = flags.optional("health") {
-        write_file(path, monitor.summary().to_json() + "\n")?;
-        out.push_str(&format!("  health json -> {path}\n"));
-    }
-    conserved_or_err(out, &report)
+    conserved_or_err(out, report)
 }
 
 /// The most link kills one `storm` schedule may hold: each is a
@@ -1152,12 +1146,10 @@ pub fn cmd_record(flags: &Flags) -> Result<String, CliError> {
         Some(_) => flags.optional("noc").unwrap_or("ft:4:2:1").to_string(),
         None => flags.required("noc")?.to_string(),
     };
-    let cfg = parse_noc(&noc_spec)?;
     // A workload preset replaces the run's traffic; its fabric, seed,
-    // and channel count still apply.
-    let run =
-        RunSpec::on(TopologySpec::Torus(cfg.clone()), flags, 0.5, 1000)?.with_channels(flags)?;
-    let seed = run.seed;
+    // and channel count still apply, and it sizes itself to the side.
+    let run = RunSpec::on(parse_topology(&noc_spec)?, flags, 0.5, 1000)?.with_channels(flags)?;
+    let (seed, side) = (run.seed, run.topology.side());
     // The LU dataflow DAG serializes heavily; give it the same budget
     // the integration tests need.
     let default_budget: u64 = if workload == Some("dataflow") {
@@ -1166,13 +1158,13 @@ pub fn cmd_record(flags: &Flags) -> Result<String, CliError> {
         2_000_000
     };
     let max_cycles: u64 = flags.numeric("max-cycles", default_budget)?;
-    let (_, plan) = fault_plan(flags, &cfg, seed, 0)?;
+    let (_, plan) = fault_plan(flags, &*topology_of(&run.topology), seed, 0)?;
 
     let (source, generator): (Box<dyn TrafficSource>, String) = match workload {
         Some("spmv") => (
             Box::new(spmv_source(
                 &circuit(1000, 4, 2, 3, seed),
-                cfg.n(),
+                side,
                 Partition::Cyclic,
             )),
             "spmv".into(),
@@ -1180,19 +1172,19 @@ pub fn cmd_record(flags: &Flags) -> Result<String, CliError> {
         Some("graph") => (
             Box::new(graph_source(
                 &rmat(11, 15_000, 0.57, 0.19, 0.19, seed),
-                cfg.n(),
+                side,
                 Partition::Cyclic,
             )),
             "graph".into(),
         ),
         Some("dataflow") => (
-            Box::new(DataflowSource::new(lu_dag(1200, 48, 2.0, seed), cfg.n(), 3)),
+            Box::new(DataflowSource::new(lu_dag(1200, 48, 2.0, seed), side, 3)),
             "dataflow".into(),
         ),
         Some("multiproc") => {
             let profiles = parsec_benchmarks();
             let label = format!("multiproc:{}", profiles[0].name);
-            (Box::new(parsec_trace(&profiles[0], cfg.n(), seed)), label)
+            (Box::new(parsec_trace(&profiles[0], side, seed)), label)
         }
         Some(other) => {
             return Err(CliError::Other(format!(
@@ -1205,7 +1197,7 @@ pub fn cmd_record(flags: &Flags) -> Result<String, CliError> {
         ),
     };
 
-    let mut rec = RecordingSource::new(cfg.n(), source);
+    let mut rec = RecordingSource::new(side, source);
     let report = run
         .session()
         .max_cycles(max_cycles)
@@ -2397,6 +2389,29 @@ mod tests {
         assert!(json.contains("\"dropped\":"), "{json}");
     }
 
+    /// SHG and the mesh take a drawn plan too, each the faults it has
+    /// links for, and conserve every packet.
+    #[test]
+    fn faults_run_on_shg_and_mesh() {
+        for (cmd, faults) in [
+            (
+                "faults --noc shg:4:2 --transient-links 2 --fail-stop 1 --down-links 2",
+                5,
+            ),
+            (
+                "faults --noc mesh:4:2 --transient-links 2 --fail-stop 1 --stalled-injectors 1",
+                4,
+            ),
+        ] {
+            let out = run(argv(&format!("{cmd} --packets 40"))).unwrap();
+            assert!(
+                out.contains(&format!("fault plan: {faults} faults")),
+                "{cmd}: {out}"
+            );
+            assert!(out.contains("conservation: exact"), "{cmd}: {out}");
+        }
+    }
+
     #[test]
     fn faults_empty_plan_is_the_baseline() {
         let out = run(argv("faults --noc hoplite:4 --rate 0.2 --packets 20")).unwrap();
@@ -2543,15 +2558,11 @@ mod tests {
         }
     }
 
-    /// `faults`, `cost` and `record` model the torus: a well-formed SHG
-    /// or mesh spec is refused as such, not as an unknown kind.
+    /// `cost` prices the torus: a well-formed SHG or mesh spec is
+    /// refused as such, not as an unknown kind.
     #[test]
     fn torus_only_commands_refuse_other_fabrics_by_name() {
-        for cmd in [
-            "faults --noc shg:4:2",
-            "cost --noc mesh:4:2",
-            "record --noc shg:4:2 --out @x.trace",
-        ] {
+        for cmd in ["cost --noc mesh:4:2", "cost --noc shg:4:2"] {
             let err = run_with(cmd, "").unwrap_err();
             assert!(
                 matches!(err, CliError::Spec(SpecError::Invalid(_))),
@@ -2614,6 +2625,29 @@ mod tests {
         assert!(text.contains("\"generator\":\"bernoulli:hotspot:60\""));
         let replayed = run(argv(&format!("replay --file {path}"))).unwrap();
         assert!(replayed.contains("expectation verified"), "{replayed}");
+    }
+
+    #[test]
+    fn record_then_replay_round_trips_on_shg_and_mesh() {
+        let dir = std::env::temp_dir().join("fasttrack_cli_record_backends");
+        std::fs::create_dir_all(&dir).unwrap();
+        for noc in ["shg:4:2", "mesh:4:2"] {
+            let file = format!("{}.trace", noc.replace(':', "_"));
+            let path = dir.join(file).display().to_string();
+            let out = run(argv(&format!(
+                "record --noc {noc} --rate 0.3 --packets 30 --seed 4 \
+                 --transient-links 2 --fail-stop 1 --out {path}"
+            )))
+            .unwrap();
+            assert!(out.contains("recorded"), "{noc}: {out}");
+            let trace = ScenarioTrace::decode(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            assert_eq!(trace.header.faults.len(), 3, "{noc}");
+            let replayed = run(argv(&format!("replay --file {path}"))).unwrap();
+            assert!(
+                replayed.contains("expectation verified"),
+                "{noc}: {replayed}"
+            );
+        }
     }
 
     #[test]

@@ -5,12 +5,11 @@
 //! ([`SingleRun::new`]) — plus the plumbing the command bodies share.
 
 use fasttrack_bench::runner::SpecBackend;
-use fasttrack_core::config::NocConfig;
 use fasttrack_core::fallback::FallbackConfig;
 use fasttrack_core::fault::{FaultPlan, FaultSpec};
 use fasttrack_core::multichannel::MAX_CHANNELS;
 use fasttrack_core::sim::{SimReport, SimSession, TrafficSource};
-use fasttrack_core::topology::TopologySpec;
+use fasttrack_core::topology::{Topology, TopologySpec};
 use fasttrack_traffic::pattern::Pattern;
 use fasttrack_traffic::scenario::{ReplaySource, ScenarioHeader, ScenarioTrace};
 use fasttrack_traffic::source::BernoulliSource;
@@ -269,12 +268,13 @@ pub(crate) fn range_flag(
     }
 }
 
-/// Draws the plan the fault-count flags describe from `--fault-seed`
-/// (the run's `seed` when absent), returning the seed beside the plan.
-/// `down_links` is the caller's: only `faults` has a `--down-links`.
+/// Draws the plan the fault-count flags describe on `topology` from
+/// `--fault-seed` (the run's `seed` when absent), returning the seed
+/// beside the plan. `down_links` is the caller's: only `faults` has a
+/// `--down-links`.
 pub(crate) fn fault_plan(
     flags: &Flags,
-    cfg: &NocConfig,
+    topology: &dyn Topology,
     seed: u64,
     down_links: usize,
 ) -> Result<(u64, FaultPlan), CliError> {
@@ -304,7 +304,7 @@ pub(crate) fn fault_plan(
             )));
         }
     }
-    Ok((fault_seed, FaultPlan::random(cfg, fault_seed, &spec)))
+    Ok((fault_seed, FaultPlan::random(topology, fault_seed, &spec)))
 }
 
 /// Reads an input file, naming the path in the error.

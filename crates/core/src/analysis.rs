@@ -121,18 +121,18 @@ mod tests {
     use crate::config::{FtPolicy, NocConfig};
     use crate::geom::Coord;
     use crate::port::OutPort;
-    use crate::topology::TorusTopology;
+    use crate::topology::Topology;
 
-    fn hoplite(n: u16) -> TorusTopology {
-        TorusTopology::new(NocConfig::hoplite(n).unwrap())
+    fn hoplite(n: u16) -> NocConfig {
+        NocConfig::hoplite(n).unwrap()
     }
 
-    fn ft(n: u16, d: u16, r: u16) -> TorusTopology {
-        TorusTopology::new(NocConfig::fasttrack(n, d, r, FtPolicy::Full).unwrap())
+    fn ft(n: u16, d: u16, r: u16) -> NocConfig {
+        NocConfig::fasttrack(n, d, r, FtPolicy::Full).unwrap()
     }
 
     /// The load on each node's `port` link (0 where it has none).
-    fn on(topo: &TorusTopology, loads: &ChannelLoads, port: OutPort) -> Vec<f64> {
+    fn on(topo: &NocConfig, loads: &ChannelLoads, port: OutPort) -> Vec<f64> {
         let mut per_node = vec![0.0; topo.num_nodes()];
         for (l, &load) in topo.links().iter().zip(&loads.links) {
             if l.port == port {

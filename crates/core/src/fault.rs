@@ -27,12 +27,9 @@
 
 use std::fmt;
 
-use crate::config::NocConfig;
-use crate::geom::Coord;
 use crate::port::{OutPort, OutSet};
-use crate::router::RouterClass;
 use crate::sweep::splitmix64;
-use crate::topology::{Topology, TorusTopology};
+use crate::topology::Topology;
 
 /// One injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +46,7 @@ pub enum Fault {
     DeadLink {
         /// Node the link leaves from.
         node: usize,
-        /// The dead output (must be an express port; see
+        /// The dead output (on the torus an express port; see
         /// [`FaultError::PartitionsTorus`]).
         out: OutPort,
     },
@@ -99,7 +96,7 @@ pub enum Fault {
     DownLink {
         /// Node the link leaves from.
         node: usize,
-        /// The downed output (must be an express port).
+        /// The downed output (on the torus an express port).
         out: OutPort,
         /// First dead cycle (inclusive).
         from: u64,
@@ -213,9 +210,8 @@ impl fmt::Display for FaultError {
             }
             FaultError::PartitionsTorus { node, out } => write!(
                 f,
-                "dead link {out} at node {node} would partition the network: it is the \
-                 only route for some traffic (on the torus the shared ring is the \
-                 deflection escape path; only express links may die permanently)"
+                "dead link {out} at node {node} would partition the network: this \
+                 fabric has no other route for some of the traffic that crosses it"
             ),
             FaultError::NoExpressLink { node, out } => {
                 write!(f, "node {node} has no express link {out} to fault")
@@ -349,84 +345,32 @@ impl FaultPlan {
         self.faults.len()
     }
 
-    /// Checks the plan against a torus configuration: node ids in range,
-    /// windows non-empty, dead links express-only and present at their
-    /// router (the reachability pre-check — see
-    /// [`FaultError::PartitionsTorus`]).
-    pub fn validate(&self, cfg: &NocConfig) -> Result<(), FaultError> {
-        let nodes = cfg.num_nodes();
+    /// Checks the plan against `topo`, fault by fault, through its
+    /// [`Topology::validate_fault`]: node ids in range, windows
+    /// non-empty, links present, and no dead link the fabric cannot
+    /// route without (see [`FaultError::PartitionsTorus`]).
+    pub fn validate(&self, topo: &dyn Topology) -> Result<(), FaultError> {
         for fault in &self.faults {
-            let node = fault.node();
-            if node >= nodes {
-                return Err(FaultError::BadNode { node, nodes });
-            }
-            match *fault {
-                Fault::DeadLink { out, .. } => {
-                    match out {
-                        OutPort::Exit => return Err(FaultError::NotALink { node }),
-                        OutPort::EastSh | OutPort::SouthSh => {
-                            return Err(FaultError::PartitionsTorus { node, out })
-                        }
-                        OutPort::EastEx | OutPort::SouthEx => {}
-                    }
-                    if !router_outputs(cfg, node).contains(out) {
-                        return Err(FaultError::NoExpressLink { node, out });
-                    }
-                }
-                Fault::TransientLink {
-                    out, from, until, ..
-                } => {
-                    if out == OutPort::Exit {
-                        return Err(FaultError::NotALink { node });
-                    }
-                    if from >= until {
-                        return Err(FaultError::EmptyWindow { from, until });
-                    }
-                    if out.is_express() && !router_outputs(cfg, node).contains(out) {
-                        return Err(FaultError::NoExpressLink { node, out });
-                    }
-                }
-                Fault::FailStopRouter { .. } => {}
-                Fault::StalledInjector { from, until, .. } => {
-                    if from >= until {
-                        return Err(FaultError::EmptyWindow { from, until });
-                    }
-                }
-                Fault::DownLink {
-                    out, from, until, ..
-                } => {
-                    match out {
-                        OutPort::Exit => return Err(FaultError::NotALink { node }),
-                        OutPort::EastSh | OutPort::SouthSh => {
-                            return Err(FaultError::PartitionsTorus { node, out })
-                        }
-                        OutPort::EastEx | OutPort::SouthEx => {}
-                    }
-                    if from >= until {
-                        return Err(FaultError::EmptyWindow { from, until });
-                    }
-                    if !router_outputs(cfg, node).contains(out) {
-                        return Err(FaultError::NoExpressLink { node, out });
-                    }
-                }
-            }
+            topo.validate_fault(fault)?;
         }
         Ok(())
     }
 
-    /// Draws a valid plan for `cfg` from a seed. The same `(cfg, seed,
-    /// spec)` triple always produces the same plan; distinct seeds
-    /// decorrelate via SplitMix64 exactly like sweep point seeds.
-    pub fn random(cfg: &NocConfig, seed: u64, spec: &FaultSpec) -> FaultPlan {
+    /// Draws a valid plan for `topo` from a seed. The same `(topo,
+    /// seed, spec)` triple always produces the same plan; distinct seeds
+    /// decorrelate via SplitMix64 exactly like sweep point seeds. Dead
+    /// and down links come from [`Topology::express_ports`], so a fabric
+    /// without express links draws none.
+    pub fn random(topo: &dyn Topology, seed: u64, spec: &FaultSpec) -> FaultPlan {
         let mut stream = SeedStream::new(seed);
-        let nodes = cfg.num_nodes();
+        let nodes = topo.num_nodes();
         let (w0, w1) = spec.window;
         let (w0, w1) = if w0 < w1 { (w0, w1) } else { (w0, w0 + 1) };
         let mut plan = FaultPlan::new();
 
         // Dead links: sample without replacement from the express links
         // that actually exist (the pool storms draw from too).
-        let express = TorusTopology::new(cfg.clone()).express_ports();
+        let express = topo.express_ports();
         let mut undrawn = express.clone();
         for _ in 0..spec.dead_links.min(undrawn.len()) {
             let i = (stream.next() % undrawn.len() as u64) as usize;
@@ -435,10 +379,11 @@ impl FaultPlan {
         }
 
         // Transient links: any real link, window drawn inside the spec
-        // window (shared links always exist; express only where present).
+        // window. Candidates go shared before express whatever the
+        // fabric's slot order, so a torus plan stays what it was.
         for _ in 0..spec.transient_links {
             let node = (stream.next() % nodes as u64) as usize;
-            let outs = router_outputs(cfg, node);
+            let links = topo.out_links(node);
             let candidates: Vec<OutPort> = [
                 OutPort::EastSh,
                 OutPort::SouthSh,
@@ -446,7 +391,7 @@ impl FaultPlan {
                 OutPort::SouthEx,
             ]
             .into_iter()
-            .filter(|&o| outs.contains(o))
+            .filter(|&o| links.iter().any(|l| l.port == o))
             .collect();
             let out = candidates[(stream.next() % candidates.len() as u64) as usize];
             let from = w0 + stream.next() % (w1 - w0);
@@ -497,17 +442,46 @@ impl FaultPlan {
             }
         }
 
-        debug_assert!(plan.validate(cfg).is_ok());
+        debug_assert!(plan.validate(topo).is_ok());
         plan
     }
 
-    /// Draws a fault storm for `cfg` from a seed: express links die at
+    /// Draws a fault storm for `topo` from a seed: express-class links
+    /// (the pool [`Topology::express_ports`] supplies) die at
     /// `spec.kills_per_kcycle` and heal after a delay from
     /// `spec.heal_after`, as a plan of [`Fault::DownLink`] windows. The
-    /// same `(cfg, seed, spec)` triple always produces the same storm.
+    /// same `(topo, seed, spec)` triple always produces the same storm.
     /// On a topology with no express links the storm is empty.
-    pub fn storm(cfg: &NocConfig, seed: u64, spec: &StormSpec) -> FaultPlan {
-        FaultPlan::storm_topo(&TorusTopology::new(cfg.clone()), seed, spec)
+    pub fn storm(topo: &dyn Topology, seed: u64, spec: &StormSpec) -> FaultPlan {
+        let mut stream = SeedStream::new(seed);
+        let mut plan = FaultPlan::new();
+        let express = topo.express_ports();
+        if express.is_empty() || spec.duration == 0 {
+            return plan;
+        }
+        let (h0, h1) = spec.heal_after;
+        let (h0, h1) = (h0.max(1), h1.max(h0.max(1) + 1));
+        for _ in 0..spec.kill_events() {
+            let (node, out) = express[(stream.next() % express.len() as u64) as usize];
+            let from = stream.next() % spec.duration;
+            let until = from + h0 + stream.next() % (h1 - h0);
+            plan.push(Fault::DownLink {
+                node,
+                out,
+                from,
+                until,
+            });
+        }
+        debug_assert!(plan.validate(topo).is_ok());
+        plan
+    }
+
+    /// [`FaultPlan::storm`] under its old name, kept only for the
+    /// repo benchmark's storm job (`benchmark/src/plan.rs`), its one
+    /// remaining caller.
+    #[doc(hidden)]
+    pub fn storm_topo(topo: &dyn Topology, seed: u64, spec: &StormSpec) -> FaultPlan {
+        FaultPlan::storm(topo, seed, spec)
     }
 
     /// Compiles the plan into the epoch schedule the engines patch their
@@ -591,25 +565,18 @@ impl fmt::Display for FaultPlan {
     }
 }
 
-/// The outputs that physically exist at `node` (shared ring, plus
-/// express links where the topology places them).
-fn router_outputs(cfg: &NocConfig, node: usize) -> OutSet {
-    let at = Coord::from_node_id(node, cfg.n());
-    RouterClass::of(cfg, at).available_outputs()
-}
-
 /// A deterministic stream of draws derived from one seed: the canonical
 /// SplitMix64 generator (add the golden-gamma, then mix).
-pub(crate) struct SeedStream {
+struct SeedStream {
     state: u64,
 }
 
 impl SeedStream {
-    pub(crate) fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         SeedStream { state: seed }
     }
 
-    pub(crate) fn next(&mut self) -> u64 {
+    fn next(&mut self) -> u64 {
         let out = splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         out
@@ -764,7 +731,8 @@ impl FaultState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FtPolicy;
+    use crate::config::{FtPolicy, NocConfig};
+    use crate::geom::Coord;
 
     fn ft(n: u16, d: u16, r: u16) -> NocConfig {
         NocConfig::fasttrack(n, d, r, FtPolicy::Full).unwrap()

@@ -106,7 +106,7 @@ pub mod prelude {
     pub use crate::sweep::{point_seed, retry_seed, splitmix64, sweep, sweep_fallible, SweepError};
     pub use crate::topology::{
         LinkDesc, LinkId, MonitorShape, ResourceCost, ShgConfig, ShgConfigError, ShgTopology,
-        TopoRouteLut, Topology, TopologySpec, TopologySpecError, TorusTopology, WireClass,
+        TopoRouteLut, Topology, TopologySpec, TopologySpecError, WireClass,
     };
     pub use crate::trace::{EventSink, NullSink, SimEvent, VecSink};
 }

@@ -71,14 +71,11 @@ pub fn zero_load_profile(topo: &dyn Topology) -> ZeroLoadProfile {
 mod tests {
     use super::*;
     use crate::config::{FtPolicy, NocConfig};
-    use crate::topology::TorusTopology;
 
     #[test]
     fn fasttrack_cuts_zero_load_latency() {
-        let hoplite = zero_load_profile(&TorusTopology::new(NocConfig::hoplite(8).unwrap()));
-        let fast = zero_load_profile(&TorusTopology::new(
-            NocConfig::fasttrack(8, 2, 1, FtPolicy::Full).unwrap(),
-        ));
+        let hoplite = zero_load_profile(&NocConfig::hoplite(8).unwrap());
+        let fast = zero_load_profile(&NocConfig::fasttrack(8, 2, 1, FtPolicy::Full).unwrap());
         assert!(
             fast.mean < 0.8 * hoplite.mean,
             "{} vs {}",

@@ -180,7 +180,7 @@ impl ShgNoc {
     /// around them from the first cycle instead of discovering them by
     /// deflection.
     pub fn with_faults(cfg: ShgConfig, plan: &FaultPlan) -> Result<Self, FaultError> {
-        plan.validate_topo(&ShgTopology::new(cfg))?;
+        plan.validate(&ShgTopology::new(cfg))?;
         let faults = (!plan.is_empty()).then(|| plan.compile(cfg.num_nodes()));
         Ok(Self::build(cfg, faults))
     }
@@ -1034,7 +1034,7 @@ mod tests {
     fn storm_runs_conserve() {
         let c = cfg(8, 2);
         let topo = ShgTopology::new(c);
-        let storm = FaultPlan::storm_topo(&topo, 42, &crate::fault::StormSpec::default());
+        let storm = FaultPlan::storm(&topo, 42, &crate::fault::StormSpec::default());
         assert!(!storm.is_empty());
         let mut src = Batch::all_to(8, Coord::new(7, 7));
         let report = SimSession::with_backend(ShgBackend::new(c))

@@ -92,7 +92,7 @@ impl RefShgNoc {
     /// deflection.
     pub(super) fn with_faults(cfg: ShgConfig, plan: &FaultPlan) -> Result<Self, FaultError> {
         let topo = ShgTopology::new(cfg);
-        plan.validate_topo(&topo)?;
+        plan.validate(&topo)?;
         let mut noc = RefShgNoc::new(cfg);
         if !plan.is_empty() {
             let faults = plan.compile(noc.nodes);

@@ -541,8 +541,8 @@ impl SessionBackend for TorusBackend {
     }
 
     fn set_fallback(&mut self, fallback: &FallbackConfig) -> Result<(), FallbackError> {
-        use crate::topology::{Topology, TorusTopology};
-        TorusTopology::new(self.cfg.clone()).validate_fallback(fallback)?;
+        use crate::topology::Topology;
+        self.cfg.validate_fallback(fallback)?;
         self.fallback = fallback.compile();
         Ok(())
     }

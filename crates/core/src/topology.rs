@@ -6,10 +6,10 @@
 //! [`WireClass`], builds a flat routing table ([`TopoRouteLut`]), prices
 //! itself with a first-order FPGA resource model ([`ResourceCost`]), and
 //! answers fault-validation questions such as *does removing this link
-//! partition the graph?* ([`Topology::connected_without`]). The torus
-//! family implements it via [`TorusTopology`]; the first non-torus
-//! backend is the Sparse Hamming Graph ([`ShgTopology`], after Iff et
-//! al., "Sparse Hamming Graph: A Customizable Network-on-Chip
+//! partition the graph?* ([`Topology::connected_without`]). A torus
+//! configuration ([`NocConfig`]) is a topology as it stands; the first
+//! non-torus backend is the Sparse Hamming Graph ([`ShgTopology`], after
+//! Iff et al., "Sparse Hamming Graph: A Customizable Network-on-Chip
 //! Topology", arXiv 2211.13980).
 //!
 //! [`TopologySpec`] is the uniform textual surface (`hoplite:8`,
@@ -17,10 +17,10 @@
 //! headers, and sweep grids.
 //!
 //! ```
-//! use fasttrack_core::topology::{Topology, TopologySpec, TorusTopology};
+//! use fasttrack_core::topology::{Topology, TopologySpec};
 //! use fasttrack_core::config::NocConfig;
 //!
-//! let topo = TorusTopology::new(NocConfig::hoplite(4).unwrap());
+//! let topo = NocConfig::hoplite(4).unwrap();
 //! assert_eq!(topo.num_nodes(), 16);
 //! // Every node of the plain torus has exactly two outgoing links.
 //! assert!((0..16).all(|v| topo.out_links(v).len() == 2));
@@ -35,7 +35,7 @@ use std::str::FromStr;
 
 use crate::config::{ConfigError, FtPolicy, NocConfig, NocKind};
 use crate::fallback::{FallbackConfig, FallbackError};
-use crate::fault::{Fault, FaultError, FaultPlan, SeedStream, StormSpec};
+use crate::fault::{Fault, FaultError};
 use crate::geom::Coord;
 use crate::noc::LINK_INPUTS;
 use crate::port::{InPort, OutPort};
@@ -227,7 +227,7 @@ impl TopoRouteLut {
 ///    measure to `dst`, so that following the LUT alone (no
 ///    deflections) terminates.
 /// 4. **Stable enumeration** — link order is deterministic; seeded
-///    fault draws ([`FaultPlan::storm_topo`]) depend on it.
+///    fault draws ([`crate::fault::FaultPlan::storm`]) depend on it.
 ///
 /// ```
 /// use fasttrack_core::topology::{ShgConfig, ShgTopology, Topology, TopoRouteLut};
@@ -397,12 +397,14 @@ pub trait Topology {
         pool
     }
 
-    /// Validates one fault against this topology. The default checks
-    /// node bounds, window shapes, link existence, and — for permanent
-    /// and windowed dead links — that the surviving graph stays
-    /// strongly connected (via [`Topology::connected_without`]).
-    /// Implementations with stricter structural rules (the torus
-    /// shared-ring escape path) override this.
+    /// Validates one fault against this topology: the one admission
+    /// rule [`crate::fault::FaultPlan::validate`] applies fault by
+    /// fault. The default checks node bounds, window shapes, link
+    /// existence, and — for permanent and windowed dead links — that
+    /// the surviving graph stays strongly connected (via
+    /// [`Topology::connected_without`]). Fabrics with structural rules
+    /// (the torus's shared-ring escape path, the mesh's single XY path)
+    /// override this.
     fn validate_fault(&self, fault: &Fault) -> Result<(), FaultError> {
         let nodes = self.num_nodes();
         let node = fault.node();
@@ -421,29 +423,22 @@ pub trait Topology {
             }
             Ok(())
         };
-        let check_window = |from: u64, until: u64| {
-            if from >= until {
-                Err(FaultError::EmptyWindow { from, until })
-            } else {
-                Ok(())
-            }
-        };
         match *fault {
             Fault::DeadLink { out, .. } => check_link(out, true),
             Fault::DownLink {
                 out, from, until, ..
             } => {
-                check_window(from, until)?;
+                window(from, until)?;
                 check_link(out, true)
             }
             Fault::TransientLink {
                 out, from, until, ..
             } => {
-                check_window(from, until)?;
+                window(from, until)?;
                 check_link(out, false)
             }
             Fault::FailStopRouter { .. } => Ok(()),
-            Fault::StalledInjector { from, until, .. } => check_window(from, until),
+            Fault::StalledInjector { from, until, .. } => window(from, until),
         }
     }
 
@@ -461,106 +456,55 @@ pub trait Topology {
     }
 }
 
-impl FaultPlan {
-    /// Checks the plan against an arbitrary topology, fault by fault,
-    /// through [`Topology::validate_fault`]. For a [`TorusTopology`]
-    /// this agrees exactly with [`FaultPlan::validate`].
-    pub fn validate_topo(&self, topo: &dyn Topology) -> Result<(), FaultError> {
-        for fault in self.faults() {
-            topo.validate_fault(fault)?;
-        }
+/// A fault window `from..until`, refused when empty.
+fn window(from: u64, until: u64) -> Result<(), FaultError> {
+    if from >= until {
+        Err(FaultError::EmptyWindow { from, until })
+    } else {
         Ok(())
     }
-
-    /// Draws a fault storm for an arbitrary topology: express-class
-    /// links (the pool [`Topology::express_ports`] supplies) die at
-    /// `spec.kills_per_kcycle` and heal after a delay from
-    /// `spec.heal_after`, as a plan of [`Fault::DownLink`] windows. The
-    /// same `(topology, seed, spec)` triple always produces the same
-    /// storm; [`FaultPlan::storm`] is this draw on a [`TorusTopology`].
-    pub fn storm_topo(topo: &dyn Topology, seed: u64, spec: &StormSpec) -> FaultPlan {
-        let mut stream = SeedStream::new(seed);
-        let mut plan = FaultPlan::new();
-        let express = topo.express_ports();
-        if express.is_empty() || spec.duration == 0 {
-            return plan;
-        }
-        let (h0, h1) = spec.heal_after;
-        let (h0, h1) = (h0.max(1), h1.max(h0.max(1) + 1));
-        for _ in 0..spec.kill_events() {
-            let (node, out) = express[(stream.next() % express.len() as u64) as usize];
-            let from = stream.next() % spec.duration;
-            let until = from + h0 + stream.next() % (h1 - h0);
-            plan.push(Fault::DownLink {
-                node,
-                out,
-                from,
-                until,
-            });
-        }
-        debug_assert!(plan.validate_topo(topo).is_ok());
-        plan
-    }
 }
 
-/// The torus family — Hoplite and FastTrack — expressed as a
-/// [`Topology`]. Link enumeration and fault validation delegate to the
-/// same [`RouterClass`] geometry the engines use, so the trait view and
-/// the engine agree on which links exist.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TorusTopology {
-    cfg: NocConfig,
+/// The link a lone packet leaves `at` by on the torus `cfg`, having
+/// arrived on `input` and headed to `dst`: the first choice of the
+/// engine's routing function, or `None` when that choice is the exit.
+fn torus_next_link(cfg: &NocConfig, at: usize, input: InPort, dst: usize) -> Option<LinkDesc> {
+    let n = cfg.n();
+    let here = Coord::from_node_id(at, n);
+    let class = RouterClass::of(cfg, here);
+    let out = compute_prefs(cfg, class, input, here, Coord::from_node_id(dst, n)).primary();
+    cfg.out_links(at).into_iter().find(|l| l.port == out)
 }
 
-impl TorusTopology {
-    /// Wraps a torus configuration.
-    pub fn new(cfg: NocConfig) -> Self {
-        TorusTopology { cfg }
-    }
-
-    /// The wrapped configuration.
-    pub fn config(&self) -> &NocConfig {
-        &self.cfg
-    }
-
-    /// The link a lone packet leaves `at` by, having arrived on `input`
-    /// and headed to `dst`: the first choice of the engine's routing
-    /// function, or `None` when that choice is the exit.
-    fn next_link(&self, at: usize, input: InPort, dst: usize) -> Option<LinkDesc> {
-        let n = self.cfg.n();
-        let here = Coord::from_node_id(at, n);
-        let class = RouterClass::of(&self.cfg, here);
-        let out =
-            compute_prefs(&self.cfg, class, input, here, Coord::from_node_id(dst, n)).primary();
-        self.out_links(at).into_iter().find(|l| l.port == out)
-    }
-}
-
-impl Topology for TorusTopology {
+/// The torus family — Hoplite and FastTrack — is a [`Topology`] as
+/// its configuration stands. Link enumeration and fault validation read
+/// the same [`RouterClass`] geometry the engines use, so the trait view
+/// and the engine agree on which links exist.
+impl Topology for NocConfig {
     fn name(&self) -> String {
-        self.cfg.name()
+        NocConfig::name(self)
     }
 
     fn spec(&self) -> TopologySpec {
-        TopologySpec::Torus(self.cfg.clone())
+        TopologySpec::Torus(self.clone())
     }
 
     fn num_nodes(&self) -> usize {
-        self.cfg.num_nodes()
+        NocConfig::num_nodes(self)
     }
 
     fn monitor_shape(&self) -> MonitorShape {
-        MonitorShape::torus(self.cfg.n())
+        MonitorShape::torus(self.n())
     }
 
     /// A router's links in [`OutPort::index`] order, slotted by that
     /// index (the engine's output register index).
     fn out_links(&self, node: usize) -> Vec<LinkDesc> {
-        let n = self.cfg.n();
-        let d = self.cfg.d().max(1);
-        let pipeline = self.cfg.link_pipeline();
+        let n = self.n();
+        let d = self.d().max(1);
+        let pipeline = self.link_pipeline();
         let at = Coord::from_node_id(node, n);
-        let outs = RouterClass::of(&self.cfg, at).available_outputs();
+        let outs = RouterClass::of(self, at).available_outputs();
         outs.iter()
             .filter(|&port| port != OutPort::Exit)
             .map(|port| {
@@ -589,7 +533,7 @@ impl Topology for TorusTopology {
 
     /// The PE's first choice: where the engine injects a packet at `at`.
     fn route_slot(&self, at: usize, dst: usize) -> usize {
-        self.next_link(at, InPort::Pe, dst)
+        torus_next_link(self, at, InPort::Pe, dst)
             .expect("a packet not yet home injects onto a link")
             .slot
     }
@@ -600,7 +544,7 @@ impl Topology for TorusTopology {
     fn zero_load_path(&self, src: usize, dst: usize) -> Vec<LinkDesc> {
         let mut path = Vec::new();
         let (mut at, mut input) = (src, InPort::Pe);
-        while let Some(link) = self.next_link(at, input, dst) {
+        while let Some(link) = torus_next_link(self, at, input, dst) {
             // The walk is a function of its (router, input) state, so a
             // walk longer than the state count repeats one: an orbit.
             assert!(
@@ -614,11 +558,50 @@ impl Topology for TorusTopology {
         path
     }
 
+    /// The torus rules are structural, with no graph search: the shared
+    /// ring is the bufferless router's deflection escape path, so only
+    /// an express link may die (for good or for a window), and it must
+    /// exist at its router.
     fn validate_fault(&self, fault: &Fault) -> Result<(), FaultError> {
-        // Exact parity with the torus-native path: the shared ring is
-        // the deflection escape hatch, so Sh-class dead links are
-        // structurally rejected rather than connectivity-checked.
-        FaultPlan::new().with(*fault).validate(&self.cfg)
+        let nodes = self.num_nodes();
+        let node = fault.node();
+        if node >= nodes {
+            return Err(FaultError::BadNode { node, nodes });
+        }
+        let outs = RouterClass::of(self, Coord::from_node_id(node, self.n())).available_outputs();
+        let link = |out: OutPort| {
+            if outs.contains(out) {
+                Ok(())
+            } else {
+                Err(FaultError::NoExpressLink { node, out })
+            }
+        };
+        match *fault {
+            Fault::DeadLink { out, .. } | Fault::DownLink { out, .. } => {
+                match out {
+                    OutPort::Exit => return Err(FaultError::NotALink { node }),
+                    OutPort::EastSh | OutPort::SouthSh => {
+                        return Err(FaultError::PartitionsTorus { node, out })
+                    }
+                    OutPort::EastEx | OutPort::SouthEx => {}
+                }
+                if let Fault::DownLink { from, until, .. } = *fault {
+                    window(from, until)?;
+                }
+                link(out)
+            }
+            Fault::TransientLink {
+                out, from, until, ..
+            } => {
+                if out == OutPort::Exit {
+                    return Err(FaultError::NotALink { node });
+                }
+                window(from, until)?;
+                link(out)
+            }
+            Fault::FailStopRouter { .. } => Ok(()),
+            Fault::StalledInjector { from, until, .. } => window(from, until),
+        }
     }
 
     fn validate_fallback(&self, fallback: &FallbackConfig) -> Result<(), FallbackError> {
@@ -851,7 +834,7 @@ impl Topology for ShgTopology {
 /// scenario-trace headers, and sweep grids share.
 ///
 /// * `hoplite:<n>` / `ft:<n>:<d>:<r>` / `ftlite:<n>:<d>:<r>` — the
-///   torus family ([`TorusTopology`])
+///   torus family ([`NocConfig`])
 /// * `shg:<q>:<delta>` — Sparse Hamming Graph ([`ShgTopology`])
 /// * `mesh:<n>[:<depth>]` — buffered XY mesh (engine in
 ///   `fasttrack-mesh`; depth defaults to 4)
@@ -1078,6 +1061,7 @@ impl FromStr for TopologySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultPlan, StormSpec};
 
     fn ft(n: u16, d: u16, r: u16) -> NocConfig {
         NocConfig::fasttrack(n, d, r, FtPolicy::Full).unwrap()
@@ -1085,55 +1069,95 @@ mod tests {
 
     #[test]
     fn torus_links_match_router_geometry() {
-        let topo = TorusTopology::new(ft(8, 2, 1));
+        let topo = ft(8, 2, 1);
         // R == 1: every router has both express links -> 4 out-links.
         assert!((0..64).all(|v| topo.out_links(v).len() == 4));
-        let hoplite = TorusTopology::new(NocConfig::hoplite(4).unwrap());
+        let hoplite = NocConfig::hoplite(4).unwrap();
         assert!((0..16).all(|v| hoplite.out_links(v).len() == 2));
         // Depopulated (R == 2): only every other diagonal position has
         // express outputs, so the total express pool shrinks.
-        let dep = TorusTopology::new(ft(8, 2, 2));
+        let dep = ft(8, 2, 2);
         let full_express = topo.express_ports().len();
         let dep_express = dep.express_ports().len();
         assert!(dep_express < full_express, "{dep_express} < {full_express}");
     }
 
+    /// The torus admission table: every fault kind on every output
+    /// class of every router of a depopulated fabric, with a live and an
+    /// empty window. Only an express link may die, and the answer never
+    /// needs a graph search.
     #[test]
     fn torus_fault_validation_matches_native() {
-        let cfg = ft(8, 2, 1);
-        let topo = TorusTopology::new(cfg.clone());
-        let faults = [
-            Fault::DeadLink {
-                node: 0,
-                out: OutPort::EastEx,
-            },
-            Fault::DeadLink {
-                node: 0,
-                out: OutPort::EastSh,
-            },
-            Fault::DeadLink {
-                node: 0,
-                out: OutPort::Exit,
-            },
-            Fault::FailStopRouter { node: 99, at: 0 },
-            Fault::StalledInjector {
-                node: 1,
-                from: 5,
-                until: 5,
-            },
-        ];
-        for fault in faults {
-            assert_eq!(
-                topo.validate_fault(&fault),
-                FaultPlan::new().with(fault).validate(&cfg),
-                "{fault}"
-            );
+        use FaultError::*;
+        let cfg = ft(8, 2, 2);
+        let express = cfg.express_ports();
+        assert!(
+            express.len() < 2 * cfg.num_nodes(),
+            "some routers lack an express port"
+        );
+        for node in 0..cfg.num_nodes() {
+            for out in OutPort::ALL {
+                for (from, until) in [(10, 20), (20, 20)] {
+                    let empty = (from >= until).then_some(EmptyWindow { from, until });
+                    let present = if out.is_express() && !express.contains(&(node, out)) {
+                        Err(NoExpressLink { node, out })
+                    } else {
+                        Ok(())
+                    };
+                    let dies = |windowed: bool| match out {
+                        OutPort::Exit => Err(NotALink { node }),
+                        OutPort::EastSh | OutPort::SouthSh => Err(PartitionsTorus { node, out }),
+                        _ => empty.filter(|_| windowed).map_or(present, Err),
+                    };
+                    let transient = match out {
+                        OutPort::Exit => Err(NotALink { node }),
+                        _ => empty.map_or(present, Err),
+                    };
+                    let table = [
+                        (Fault::DeadLink { node, out }, dies(false)),
+                        (
+                            Fault::DownLink {
+                                node,
+                                out,
+                                from,
+                                until,
+                            },
+                            dies(true),
+                        ),
+                        (
+                            Fault::TransientLink {
+                                node,
+                                out,
+                                from,
+                                until,
+                                corrupt: false,
+                            },
+                            transient,
+                        ),
+                        (Fault::FailStopRouter { node, at: from }, Ok(())),
+                        (
+                            Fault::StalledInjector { node, from, until },
+                            empty.map_or(Ok(()), Err),
+                        ),
+                    ];
+                    for (fault, want) in table {
+                        assert_eq!(cfg.validate_fault(&fault), want, "{fault}");
+                    }
+                }
+            }
         }
+        assert_eq!(
+            cfg.validate_fault(&Fault::FailStopRouter { node: 64, at: 0 }),
+            Err(BadNode {
+                node: 64,
+                nodes: 64
+            })
+        );
     }
 
     #[test]
     fn torus_is_strongly_connected_and_partitions_detected() {
-        let topo = TorusTopology::new(NocConfig::hoplite(2).unwrap());
+        let topo = NocConfig::hoplite(2).unwrap();
         assert!(topo.connected_without(&[]));
         // Killing every outgoing link of node 0 partitions the graph.
         assert!(!topo.connected_without(&[(0, OutPort::EastSh), (0, OutPort::SouthSh)]));
@@ -1144,8 +1168,7 @@ mod tests {
     /// from router to router (contract 3) reaches the destination.
     #[test]
     fn torus_route_lut_walks_home() {
-        for cfg in crate::kernel::tests::configs() {
-            let topo = TorusTopology::new(cfg);
+        for topo in crate::kernel::tests::configs() {
             let lut = topo.build_route_lut();
             let nodes = topo.num_nodes();
             for src in 0..nodes {
@@ -1284,12 +1307,12 @@ mod tests {
     fn shg_storms_are_deterministic() {
         let topo = ShgTopology::new(ShgConfig::new(8, 2).unwrap());
         let spec = StormSpec::default();
-        let a = FaultPlan::storm_topo(&topo, 11, &spec);
-        let b = FaultPlan::storm_topo(&topo, 11, &spec);
+        let a = FaultPlan::storm(&topo, 11, &spec);
+        let b = FaultPlan::storm(&topo, 11, &spec);
         assert_eq!(a, b);
         assert!(!a.is_empty());
-        assert!(a.validate_topo(&topo).is_ok());
-        assert_ne!(a, FaultPlan::storm_topo(&topo, 12, &spec));
+        assert!(a.validate(&topo).is_ok());
+        assert_ne!(a, FaultPlan::storm(&topo, 12, &spec));
     }
 
     #[test]
@@ -1301,14 +1324,14 @@ mod tests {
             Err(FallbackError::UnsupportedTopology)
         ));
         // The torus delegates to the torus-native validator.
-        let torus = TorusTopology::new(ft(8, 2, 1));
+        let torus = ft(8, 2, 1);
         assert!(torus.validate_fallback(&FallbackConfig::standard()).is_ok());
     }
 
     #[test]
     fn resource_costs_scale_with_degree() {
-        let hoplite = TorusTopology::new(NocConfig::hoplite(8).unwrap()).resource_cost();
-        let ftfull = TorusTopology::new(ft(8, 2, 1)).resource_cost();
+        let hoplite = NocConfig::hoplite(8).unwrap().resource_cost();
+        let ftfull = ft(8, 2, 1).resource_cost();
         let shg = ShgTopology::new(ShgConfig::new(8, 2).unwrap()).resource_cost();
         assert!(ftfull.total() > hoplite.total());
         assert!(shg.total() > hoplite.total());
@@ -1412,11 +1435,10 @@ mod tests {
 
     #[test]
     fn torus_spec_views_agree() {
-        let cfg = ft(8, 2, 1);
-        let topo = TorusTopology::new(cfg.clone());
-        assert_eq!(topo.spec(), TopologySpec::Torus(cfg));
+        let topo = ft(8, 2, 1);
+        assert_eq!(topo.spec(), TopologySpec::Torus(topo.clone()));
         assert_eq!(topo.spec().to_string(), "ft:8:2:1");
-        assert_eq!(topo.name(), "FT(64,2,1)");
+        assert_eq!(Topology::name(&topo), "FT(64,2,1)");
         assert_eq!(topo.monitor_shape(), MonitorShape::torus(8));
         assert_eq!(topo.neighbors(0).len(), 4);
         assert_eq!(topo.links().len(), 64 * 4);

@@ -147,7 +147,6 @@ proptest! {
         let n = cfg.n();
         let batch = random_batch(n, 3, seed);
         let (deliveries, _) = drain(&cfg, &batch, 300_000);
-        let topo = TorusTopology::new(cfg.clone());
         let floored = cfg.ft_policy() != Some(FtPolicy::Full);
         for del in &deliveries {
             let p = &del.packet;
@@ -155,7 +154,7 @@ proptest! {
             let net = del.network_latency();
             prop_assert!(net >= p.total_hops() as u64,
                 "latency {net} below hop count {}", p.total_hops());
-            let floor = zero_load_latency(&topo, p.src.to_node_id(n), p.dst.to_node_id(n));
+            let floor = zero_load_latency(&cfg, p.src.to_node_id(n), p.dst.to_node_id(n));
             prop_assert!(!floored || del.total_latency() >= floor,
                 "latency {} below the zero-load floor {floor} on {}",
                 del.total_latency(), cfg.name());

@@ -121,7 +121,7 @@ proptest! {
         traffic_seed in 0u64..500,
     ) {
         let topo = ShgTopology::new(cfg);
-        let storm = FaultPlan::storm_topo(&topo, storm_seed, &StormSpec::default());
+        let storm = FaultPlan::storm(&topo, storm_seed, &StormSpec::default());
         let mut src = RandomBatch::new(cfg.q(), 3, traffic_seed);
         let report = SimSession::with_backend(ShgBackend::new(cfg))
             .with_faults(&storm)

@@ -20,6 +20,7 @@ use fasttrack_core::trace::{EventSink, NullSink, SimEvent};
 
 use crate::config::MeshConfig;
 use crate::router::{xy_route, Dir};
+use crate::topology::MeshTopology;
 
 #[cfg(test)]
 mod reference;
@@ -86,49 +87,6 @@ struct MeshFaultState {
 }
 
 impl MeshFaultState {
-    /// Checks `plan` against a mesh: XY routing is single-path, so dead
-    /// links are rejected outright ([`FaultError::PartitionsTorus`]) and
-    /// transient faults must name axis (shared) ports — the mesh has no
-    /// express links.
-    fn validate(plan: &FaultPlan, cfg: &MeshConfig) -> Result<(), FaultError> {
-        let nodes = cfg.num_nodes();
-        for fault in plan.faults() {
-            let node = fault.node();
-            if node >= nodes {
-                return Err(FaultError::BadNode { node, nodes });
-            }
-            match *fault {
-                Fault::DeadLink { out, .. } => {
-                    return Err(FaultError::PartitionsTorus { node, out })
-                }
-                Fault::TransientLink {
-                    out, from, until, ..
-                } => {
-                    match out {
-                        OutPort::Exit => return Err(FaultError::NotALink { node }),
-                        OutPort::EastEx | OutPort::SouthEx => {
-                            return Err(FaultError::NoExpressLink { node, out })
-                        }
-                        OutPort::EastSh | OutPort::SouthSh => {}
-                    }
-                    if from >= until {
-                        return Err(FaultError::EmptyWindow { from, until });
-                    }
-                }
-                Fault::FailStopRouter { .. } => {}
-                Fault::StalledInjector { from, until, .. } => {
-                    if from >= until {
-                        return Err(FaultError::EmptyWindow { from, until });
-                    }
-                }
-                // Down-then-recover windows name express links, which the
-                // mesh does not have.
-                Fault::DownLink { out, .. } => return Err(FaultError::NoExpressLink { node, out }),
-            }
-        }
-        Ok(())
-    }
-
     fn compile(plan: &FaultPlan, nodes: usize) -> Self {
         let mut state = MeshFaultState {
             fail_at: vec![u64::MAX; nodes],
@@ -138,7 +96,7 @@ impl MeshFaultState {
         for fault in plan.faults() {
             match *fault {
                 Fault::DeadLink { .. } | Fault::DownLink { .. } => {
-                    unreachable!("rejected by validate")
+                    unreachable!("rejected by MeshTopology::validate_fault")
                 }
                 Fault::TransientLink {
                     node,
@@ -261,7 +219,7 @@ impl MeshNoc {
     /// injectors, and transient axis-link faults; permanently dead links
     /// are rejected (every mesh link is the only route for some pairs).
     pub fn with_faults(cfg: MeshConfig, plan: &FaultPlan) -> Result<Self, FaultError> {
-        MeshFaultState::validate(plan, &cfg)?;
+        plan.validate(&MeshTopology::new(cfg))?;
         let mut noc = MeshNoc::new(cfg);
         if !plan.is_empty() {
             noc.faults = Some(MeshFaultState::compile(plan, cfg.num_nodes()));

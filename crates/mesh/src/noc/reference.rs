@@ -18,6 +18,7 @@ use fasttrack_core::trace::{EventSink, SimEvent};
 use super::{axis_port, MeshFaultState, INJ};
 use crate::config::MeshConfig;
 use crate::router::{xy_route, Dir};
+use crate::topology::MeshTopology;
 
 /// A buffered 2-D mesh NoC instance.
 #[derive(Debug, Clone)]
@@ -81,7 +82,7 @@ impl RefMeshNoc {
     /// injectors, and transient axis-link faults; permanently dead links
     /// are rejected (every mesh link is the only route for some pairs).
     pub(super) fn with_faults(cfg: MeshConfig, plan: &FaultPlan) -> Result<Self, FaultError> {
-        MeshFaultState::validate(plan, &cfg)?;
+        plan.validate(&MeshTopology::new(cfg))?;
         let mut noc = RefMeshNoc::new(cfg);
         if !plan.is_empty() {
             noc.faults = Some(MeshFaultState::compile(plan, cfg.num_nodes()));

@@ -12,7 +12,7 @@
 //! wires. The per-direction `slot` is [`Dir::index`], so edge routers
 //! simply omit the slots that would leave the fabric.
 
-use fasttrack_core::fault::{Fault, FaultError, FaultPlan};
+use fasttrack_core::fault::{Fault, FaultError};
 use fasttrack_core::geom::Coord;
 use fasttrack_core::port::OutPort;
 use fasttrack_core::topology::{
@@ -20,7 +20,6 @@ use fasttrack_core::topology::{
 };
 
 use crate::config::MeshConfig;
-use crate::noc::MeshNoc;
 use crate::router::{xy_route, Dir};
 
 /// The axis class a mesh direction reports through (the engine's event
@@ -115,11 +114,36 @@ impl Topology for MeshTopology {
         cost
     }
 
-    /// Delegates to the mesh engine's own validator: XY routing is
-    /// single-path, so the mesh admits only transient axis faults,
-    /// fail-stop routers, and stalled injectors — never dead links.
+    /// XY routing is single-path, so the mesh admits only transient
+    /// axis (shared-class) faults, fail-stop routers, and stalled
+    /// injectors: a dead link of any port would partition it, and it
+    /// has no express link to take down.
     fn validate_fault(&self, fault: &Fault) -> Result<(), FaultError> {
-        MeshNoc::with_faults(self.cfg, &FaultPlan::new().with(*fault)).map(|_| ())
+        let nodes = self.num_nodes();
+        let node = fault.node();
+        if node >= nodes {
+            return Err(FaultError::BadNode { node, nodes });
+        }
+        let window = |from: u64, until: u64| {
+            if from >= until {
+                Err(FaultError::EmptyWindow { from, until })
+            } else {
+                Ok(())
+            }
+        };
+        match *fault {
+            Fault::DeadLink { out, .. } => Err(FaultError::PartitionsTorus { node, out }),
+            Fault::DownLink { out, .. } => Err(FaultError::NoExpressLink { node, out }),
+            Fault::TransientLink {
+                out, from, until, ..
+            } => match out {
+                OutPort::Exit => Err(FaultError::NotALink { node }),
+                OutPort::EastEx | OutPort::SouthEx => Err(FaultError::NoExpressLink { node, out }),
+                OutPort::EastSh | OutPort::SouthSh => window(from, until),
+            },
+            Fault::FailStopRouter { .. } => Ok(()),
+            Fault::StalledInjector { from, until, .. } => window(from, until),
+        }
     }
 }
 
@@ -205,6 +229,93 @@ mod tests {
             corrupt: false,
         };
         assert!(t.validate_fault(&transient).is_ok());
+    }
+
+    /// The mesh's whole admission table: every fault kind on every
+    /// output class, with a live and an empty window, plus a node past
+    /// the fabric. XY routing is single-path, so a dead link partitions
+    /// whatever its port; the mesh has no express links, so a down link
+    /// or an express transient names a link that is not there.
+    #[test]
+    fn admission_table_covers_every_kind_and_port() {
+        use FaultError::*;
+        let t = topo(4);
+        let node = 5;
+        for out in OutPort::ALL {
+            for (from, until) in [(10, 20), (20, 20)] {
+                let empty = (from >= until).then_some(EmptyWindow { from, until });
+                let transient = match out {
+                    OutPort::Exit => Err(NotALink { node }),
+                    OutPort::EastEx | OutPort::SouthEx => Err(NoExpressLink { node, out }),
+                    OutPort::EastSh | OutPort::SouthSh => empty.map_or(Ok(()), Err),
+                };
+                let table = [
+                    (
+                        Fault::DeadLink { node, out },
+                        Err(PartitionsTorus { node, out }),
+                    ),
+                    (
+                        Fault::DownLink {
+                            node,
+                            out,
+                            from,
+                            until,
+                        },
+                        Err(NoExpressLink { node, out }),
+                    ),
+                    (
+                        Fault::TransientLink {
+                            node,
+                            out,
+                            from,
+                            until,
+                            corrupt: true,
+                        },
+                        transient,
+                    ),
+                    (Fault::FailStopRouter { node, at: from }, Ok(())),
+                    (
+                        Fault::StalledInjector { node, from, until },
+                        empty.map_or(Ok(()), Err),
+                    ),
+                ];
+                for (fault, want) in table {
+                    assert_eq!(t.validate_fault(&fault), want, "{fault:?}");
+                }
+            }
+        }
+        let nodes = t.num_nodes();
+        for fault in [
+            Fault::DeadLink {
+                node: nodes,
+                out: OutPort::EastSh,
+            },
+            Fault::DownLink {
+                node: nodes,
+                out: OutPort::EastEx,
+                from: 0,
+                until: 1,
+            },
+            Fault::TransientLink {
+                node: nodes,
+                out: OutPort::Exit,
+                from: 1,
+                until: 0,
+                corrupt: false,
+            },
+            Fault::FailStopRouter { node: nodes, at: 0 },
+            Fault::StalledInjector {
+                node: nodes,
+                from: 1,
+                until: 0,
+            },
+        ] {
+            assert_eq!(
+                t.validate_fault(&fault),
+                Err(BadNode { node: nodes, nodes }),
+                "{fault:?}"
+            );
+        }
     }
 
     #[test]

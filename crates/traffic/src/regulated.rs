@@ -77,7 +77,6 @@ mod tests {
     use fasttrack_core::config::{FtPolicy, NocConfig};
     use fasttrack_core::realtime::zero_load_profile;
     use fasttrack_core::sim::SimSession;
-    use fasttrack_core::topology::TorusTopology;
 
     #[test]
     fn regulated_source_obeys_its_budget() {
@@ -103,7 +102,7 @@ mod tests {
         // worst case stays within a small multiple of the zero-load
         // worst case — the regime real-time bounds address.
         let cfg = NocConfig::fasttrack(8, 2, 1, FtPolicy::Full).unwrap();
-        let profile = zero_load_profile(&TorusTopology::new(cfg.clone()));
+        let profile = zero_load_profile(&cfg);
         let mut src = RegulatedSource::new(8, 20, 100, 3);
         let report = SimSession::new(&cfg).run(&mut src).unwrap().report;
         assert!(!report.truncated);

@@ -193,7 +193,7 @@ fn mean_hop_model_matches_deflection_free_traffic() {
     // At low load there are almost no deflections, so measured hops per
     // packet match the analytic minimal-path mean.
     let cfg = NocConfig::fasttrack(8, 2, 1, FtPolicy::Full).unwrap();
-    let loads = channel_loads(&TorusTopology::new(cfg.clone()), &uniform_traffic(64));
+    let loads = channel_loads(&cfg, &uniform_traffic(64));
     let predicted = loads.mean_hops_per_packet(64.0);
     let mut src = BernoulliSource::new(8, Pattern::Random, 0.02, 300, 0xb3);
     let report = SimSession::new(&cfg).run(&mut src).unwrap().report;

@@ -22,6 +22,17 @@
 //!     > tests/golden/storm_shg.json
 //! ```
 //!
+//! Two torus goldens pin the seeded fault draws (`FaultPlan::random`
+//! and `FaultPlan::storm`) and the runs they drive:
+//!
+//! ```text
+//! fasttrack faults --noc ft:8:2:2 --rate 0.3 --packets 500 --dead-links 2 \
+//!     --down-links 2 --fail-stop 1 --transient-links 3 --stalled-injectors 2 \
+//!     --fault-seed 11 --json > tests/golden/faults_ft8.json
+//! fasttrack storm --noc ft:8:2:2 --rate 0.3 --kills 8 --json \
+//!     > tests/golden/storm_ft8.json
+//! ```
+//!
 //! The observer goldens (`sweep_health.json`, `sweep_attribution.csv`,
 //! `monitor.{txt,prom}`, `attribute.{txt,prom}`) are the sidecar and
 //! stdout of the argv in each test below, with the sidecar path printed
@@ -65,6 +76,23 @@ fn shg_storm_json_is_pinned() {
             threads,
         );
         assert_eq!(json, golden, "--threads {threads}");
+    }
+}
+
+#[test]
+fn torus_fault_draws_are_pinned() {
+    let faults = run_plain(
+        "faults --noc ft:8:2:2 --rate 0.3 --packets 500 --dead-links 2 --down-links 2 \
+         --fail-stop 1 --transient-links 3 --stalled-injectors 2 --fault-seed 11 --json",
+    );
+    assert_eq!(faults, include_str!("golden/faults_ft8.json"));
+    for threads in [1, 2] {
+        let storm = run("storm --noc ft:8:2:2 --rate 0.3 --kills 8 --json", threads);
+        assert_eq!(
+            storm,
+            include_str!("golden/storm_ft8.json"),
+            "--threads {threads}"
+        );
     }
 }
 
