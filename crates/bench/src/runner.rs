@@ -6,157 +6,23 @@ use fasttrack_core::attribution::{AttributionReport, LatencyComponent};
 use fasttrack_core::config::{FtPolicy, NocConfig};
 use fasttrack_core::fallback::{FallbackConfig, FallbackError};
 use fasttrack_core::fault::{FaultError, FaultPlan, StormSpec};
+use fasttrack_core::mesh::MeshConfig;
 use fasttrack_core::monitor::HealthSummary;
-use fasttrack_core::packet::Delivery;
-use fasttrack_core::queue::InjectQueues;
-use fasttrack_core::shg::{ShgBackend, ShgNoc};
 use fasttrack_core::sim::{
-    SessionBackend, SimEngine, SimOptions, SimOutcome, SimReport, SimSession, TorusBackend,
-    TorusEngine, TrafficSource,
+    SimOptions, SimOutcome, SimReport, SimSession, SpecBackend, TrafficSource,
 };
-use fasttrack_core::stats::SimStats;
 use fasttrack_core::sweep::{retry_seed, splitmix64, sweep_fallible, SweepError};
-use fasttrack_core::topology::{MonitorShape, ShgConfig, ShgTopology, Topology, TopologySpec};
-use fasttrack_core::trace::EventSink;
-use fasttrack_mesh::{MeshBackend, MeshConfig, MeshNoc, MeshTopology};
+use fasttrack_core::topology::{ShgConfig, TopologySpec};
 use fasttrack_traffic::pattern::Pattern;
 use fasttrack_traffic::source::BernoulliSource;
 
 /// The injection rates swept in Figures 11–13 (log-spaced 1%..100%).
 pub const INJECTION_RATES: [f64; 9] = [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0];
 
-/// Builds a `dyn` [`Topology`] view of a spec — the single place the
-/// harness maps topology kinds to their implementations (torus, SHG,
-/// and buffered mesh), used for storm drawing, fallback validation,
-/// and the iso-resource cost model.
-pub fn topology_of(spec: &TopologySpec) -> Box<dyn Topology> {
-    match spec {
-        TopologySpec::Torus(cfg) => Box::new(cfg.clone()),
-        TopologySpec::Shg(cfg) => Box::new(ShgTopology::new(*cfg)),
-        TopologySpec::Mesh { n, depth } => Box::new(MeshTopology::new(
-            MeshConfig::new(*n, *depth).expect("specs are validated"),
-        )),
-    }
-}
-
-/// Evaluates `$body` with `$x` bound to whichever backend (or engine)
-/// the three-variant enum `$this` holds.
-macro_rules! delegate {
-    ($ty:ident, $this:expr, $x:ident => $body:expr) => {
-        match $this {
-            $ty::Torus($x) => $body,
-            $ty::Shg($x) => $body,
-            $ty::Mesh($x) => $body,
-        }
-    };
-}
-
-/// The one [`SessionBackend`] the harness drives: any [`TopologySpec`]
-/// plus a channel count, so every NoC under test runs through one
-/// concrete [`SimSession`] type. It lives beside [`topology_of`] because
-/// this is the one crate that sees both the core and the mesh engines.
-#[derive(Debug, Clone)]
-pub enum SpecBackend {
-    /// Hoplite / FastTrack torus: a single NoC or a replicated bank.
-    Torus(TorusBackend),
-    /// Sparse Hamming Graph.
-    Shg(ShgBackend),
-    /// Buffered mesh.
-    Mesh(MeshBackend),
-}
-
-impl SpecBackend {
-    /// The backend for `spec`. One channel drives a plain single NoC;
-    /// any other count a replicated bank (channels apply to torus NoCs
-    /// only, matching how `Hoplite` vs `Hoplite-3x` read).
-    pub fn new(spec: &TopologySpec, channels: usize) -> Self {
-        match spec {
-            TopologySpec::Torus(cfg) => {
-                let backend = TorusBackend::new(cfg);
-                SpecBackend::Torus(if channels == 1 {
-                    backend
-                } else {
-                    backend.channels(channels)
-                })
-            }
-            TopologySpec::Shg(cfg) => SpecBackend::Shg(ShgBackend::new(*cfg)),
-            TopologySpec::Mesh { n, depth } => SpecBackend::Mesh(MeshBackend::new(
-                &MeshConfig::new(*n, *depth).expect("specs are validated"),
-            )),
-        }
-    }
-}
-
-impl SessionBackend for SpecBackend {
-    type Engine = SpecEngine;
-
-    fn build(&self, faults: Option<&FaultPlan>) -> Result<SpecEngine, FaultError> {
-        Ok(match self {
-            SpecBackend::Torus(b) => SpecEngine::Torus(b.build(faults)?),
-            SpecBackend::Shg(b) => SpecEngine::Shg(b.build(faults)?),
-            SpecBackend::Mesh(b) => SpecEngine::Mesh(b.build(faults)?),
-        })
-    }
-
-    fn monitor_shape(&self) -> MonitorShape {
-        delegate!(SpecBackend, self, b => b.monitor_shape())
-    }
-
-    fn fallback_armed(&self) -> bool {
-        delegate!(SpecBackend, self, b => b.fallback_armed())
-    }
-
-    fn set_fallback(&mut self, fallback: &FallbackConfig) -> Result<(), FallbackError> {
-        delegate!(SpecBackend, self, b => b.set_fallback(fallback))
-    }
-}
-
-/// The engine a [`SpecBackend`] builds.
-#[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // engines are built once per session, never stored in bulk
-pub enum SpecEngine {
-    /// A torus NoC or bank.
-    Torus(TorusEngine),
-    /// A Sparse Hamming Graph NoC.
-    Shg(ShgNoc),
-    /// A buffered mesh NoC.
-    Mesh(MeshNoc),
-}
-
-impl SimEngine for SpecEngine {
-    fn num_nodes(&self) -> usize {
-        delegate!(SpecEngine, self, e => e.num_nodes())
-    }
-
-    fn report_name(&self) -> String {
-        delegate!(SpecEngine, self, e => e.report_name())
-    }
-
-    fn step_cycle<S: EventSink>(
-        &mut self,
-        queues: &mut InjectQueues,
-        deliveries: &mut Vec<Delivery>,
-        sink: &mut S,
-    ) {
-        delegate!(SpecEngine, self, e => e.step_cycle(queues, deliveries, sink))
-    }
-
-    fn in_flight(&self) -> usize {
-        delegate!(SpecEngine, self, e => SimEngine::in_flight(e))
-    }
-
-    fn reset_stats(&mut self) {
-        delegate!(SpecEngine, self, e => SimEngine::reset_stats(e))
-    }
-
-    fn only_failed_injectors_pending(&self, queues: &InjectQueues) -> bool {
-        delegate!(SpecEngine, self, e => SimEngine::only_failed_injectors_pending(e, queues))
-    }
-
-    fn stats_snapshot(&self) -> SimStats {
-        delegate!(SpecEngine, self, e => e.stats_snapshot())
-    }
-}
+/// Forwarded for the repo benchmark (`benchmark/src/plan.rs` and
+/// `benchmark/src/traced.rs` import it from here); ROADMAP item 1 PR B
+/// moves those imports to `fasttrack_core::topology` and deletes this.
+pub use fasttrack_core::topology::topology_of;
 
 /// A NoC under test: a topology plus a channel count (for the
 /// replicated-Hoplite comparisons; channels apply to torus NoCs only).
@@ -457,8 +323,8 @@ impl SweepGrid {
     /// Returns the first [`FallbackError`] when the chains fail
     /// validation against a point's topology (non-torus topologies
     /// admit only the inert configuration — see
-    /// [`Topology::validate_fallback`]); storm plans themselves are
-    /// valid by construction.
+    /// [`fasttrack_core::topology::Topology::validate_fallback`]);
+    /// storm plans themselves are valid by construction.
     pub fn run_storm(
         &self,
         threads: usize,

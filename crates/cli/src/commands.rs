@@ -5,8 +5,8 @@ use fasttrack_bench::figures::{catalog, experiments_md, Scale, Verdict};
 use fasttrack_bench::fuzz::{fuzz, FuzzConfig};
 use fasttrack_bench::journal::run_journaled;
 use fasttrack_bench::runner::{
-    attribution_csv, health_json, storm_json, topology_of, FallibleSweepOptions, NocUnderTest,
-    PointAttribution, PointHealth, SloSpec, SweepGrid, SweepTiming, INJECTION_RATES,
+    attribution_csv, health_json, storm_json, FallibleSweepOptions, NocUnderTest, PointAttribution,
+    PointHealth, SloSpec, SweepGrid, SweepTiming, INJECTION_RATES,
 };
 use fasttrack_core::attribution::{AttributionConfig, LatencyComponent, PacketJourney};
 use fasttrack_core::export::{epochs_to_csv, ChromeTraceSink, NdjsonSink};
@@ -16,7 +16,7 @@ use fasttrack_core::metrics::WindowedMetrics;
 use fasttrack_core::monitor::{DetectorConfig, FlightRecorder, MonitorConfig};
 use fasttrack_core::packet::PacketId;
 use fasttrack_core::sim::{SimOutcome, SimReport, TrafficSource};
-use fasttrack_core::topology::TopologySpec;
+use fasttrack_core::topology::{topology_of, TopologySpec};
 use fasttrack_core::trace::{EventSink, SimEvent};
 use fasttrack_fpga::device::Device;
 use fasttrack_fpga::power::PowerModel;
@@ -461,7 +461,7 @@ fn render_outcome(flags: &Flags, outcome: &SimOutcome) -> Result<String, CliErro
 /// stalled injectors delay without loss). The report contrasts the
 /// faulted run with the baseline: packets dropped and rerouted, the
 /// degraded throughput ratio and the exact conservation check, after
-/// the faulted run as [`render_outcome`] prints it (with the online
+/// the faulted run as `render_outcome` prints it (with the online
 /// monitor's health verdict and `--health` summary JSON). Every
 /// topology takes a plan: a fabric draws the faults it has links for.
 pub fn cmd_faults(flags: &Flags) -> Result<String, CliError> {

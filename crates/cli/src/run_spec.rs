@@ -4,11 +4,10 @@
 //! passed in; how every single-run command gets its session and traffic
 //! ([`SingleRun::new`]) — plus the plumbing the command bodies share.
 
-use fasttrack_bench::runner::SpecBackend;
 use fasttrack_core::fallback::FallbackConfig;
 use fasttrack_core::fault::{FaultPlan, FaultSpec};
 use fasttrack_core::multichannel::MAX_CHANNELS;
-use fasttrack_core::sim::{SimReport, SimSession, TrafficSource};
+use fasttrack_core::sim::{SimReport, SimSession, SpecBackend, TrafficSource};
 use fasttrack_core::topology::{Topology, TopologySpec};
 use fasttrack_traffic::pattern::Pattern;
 use fasttrack_traffic::scenario::{ReplaySource, ScenarioHeader, ScenarioTrace};

@@ -272,6 +272,23 @@ mod tests {
         assert!(e.to_string().contains("need 1 <= d <= n/2"), "{e}");
     }
 
+    /// The one check of a mesh spec is `MeshConfig::new`'s, so a side
+    /// below 2 or a zero depth reads as `MeshConfigError`'s sentence,
+    /// on the command line as in the grammar.
+    #[test]
+    fn rejects_mesh_config_violations() {
+        for (spec, why) in [
+            ("mesh:1", "mesh side 1 too small, need n >= 2"),
+            ("mesh:4:0", "buffer depth must be at least 1"),
+        ] {
+            let message = format!("invalid configuration: invalid mesh spec: {why}");
+            assert_eq!(parse_topology(spec).unwrap_err().to_string(), message);
+            let argv = ["simulate", "--noc", spec].map(String::from).to_vec();
+            let e = crate::run(argv).unwrap_err();
+            assert_eq!(e.to_string(), message, "simulate --noc {spec}");
+        }
+    }
+
     /// Every surface that reads a NoC spec — the grid grammar's
     /// `parse_topology`, the torus-only `parse_noc`, and a scenario
     /// header's `topology` / `noc_config` — is the one [`TopologySpec`]

@@ -28,6 +28,7 @@
 use std::fmt;
 
 use crate::port::{OutPort, OutSet};
+use crate::queue::InjectQueues;
 use crate::sweep::splitmix64;
 use crate::topology::Topology;
 
@@ -668,6 +669,13 @@ impl FaultState {
         self.words[node]
     }
 
+    /// True when every still-queued packet sits at a PE whose router has
+    /// fail-stopped: no further progress is possible, so drivers can end
+    /// the run instead of spinning to the cycle cap.
+    pub(crate) fn only_failed_injectors_pending(&self, queues: &InjectQueues) -> bool {
+        (0..self.words.len()).all(|n| queues.depth(n) == 0 || self.words[n].failed)
+    }
+
     /// The static (never-healing) dead-port masks — what fault-aware
     /// route-table builders mask out, leaving only windowed faults to
     /// the words.
@@ -886,7 +894,8 @@ mod tests {
     /// Stepping through the cycles with a patch at each, every router's
     /// word equals a direct scan of the plan — random plans of all five
     /// kinds, plus overlapping transients with both `corrupt` flags on
-    /// one link and a router told to fail twice — and every window is
+    /// one link (in either order), a router told to fail twice, one dead
+    /// from cycle 0, and back-to-back stall windows — and every window is
     /// applied once when it opens and once when it closes.
     #[test]
     fn compiled_state_answers_queries() {
@@ -914,6 +923,26 @@ mod tests {
             }
             plan.push(Fault::FailStopRouter { node: 5, at: 50 });
             plan.push(Fault::FailStopRouter { node: 5, at: 45 });
+            // The shapes the buffered mesh draws: overlapping `E_sh`
+            // transients opening with the drop, a router dead from cycle
+            // 0, and a stall window ending on the cycle the next begins.
+            for (from, until, corrupt) in [(12, 30, false), (8, 20, true)] {
+                plan.push(Fault::TransientLink {
+                    node: 7,
+                    out: OutPort::EastSh,
+                    from,
+                    until,
+                    corrupt,
+                });
+            }
+            plan.push(Fault::FailStopRouter { node: 9, at: 0 });
+            for (from, until) in [(10, 25), (25, 35)] {
+                plan.push(Fault::StalledInjector {
+                    node: 2,
+                    from,
+                    until,
+                });
+            }
             let mut fs = plan.compile(nodes);
             for cycle in 0..horizon {
                 fs.patch_epoch(cycle);

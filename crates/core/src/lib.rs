@@ -54,6 +54,7 @@ pub mod fallback;
 pub mod fault;
 pub mod geom;
 pub mod kernel;
+pub mod mesh;
 pub mod metrics;
 pub mod monitor;
 pub mod multichannel;
@@ -84,6 +85,7 @@ pub mod prelude {
     pub use crate::fault::{Fault, FaultError, FaultPlan, FaultSpec, StormSpec};
     pub use crate::geom::Coord;
     pub use crate::kernel::{PacketPool, RouteLut, RouteMode};
+    pub use crate::mesh::{MeshBackend, MeshConfig, MeshNoc};
     pub use crate::metrics::{EpochStats, WindowedMetrics};
     pub use crate::monitor::{
         Anomaly, DetectorConfig, FlightRecorder, HealthMonitor, HealthReport, HealthSummary,
@@ -100,13 +102,13 @@ pub mod prelude {
     pub use crate::shg::{ShgBackend, ShgNoc};
     pub use crate::sim::{
         drive_engine, SessionBackend, SimEngine, SimOptions, SimOutcome, SimReport, SimSession,
-        TorusBackend, TorusEngine, TrafficSource,
+        SpecBackend, SpecEngine, TorusBackend, TorusEngine, TrafficSource,
     };
     pub use crate::stats::{Histogram, LatencyStats, LinkUsage, PortCounters, SimStats};
     pub use crate::sweep::{point_seed, retry_seed, splitmix64, sweep, sweep_fallible, SweepError};
     pub use crate::topology::{
-        LinkDesc, LinkId, MonitorShape, ResourceCost, ShgConfig, ShgConfigError, ShgTopology,
-        TopoRouteLut, Topology, TopologySpec, TopologySpecError, WireClass,
+        topology_of, LinkDesc, LinkId, MonitorShape, ResourceCost, ShgConfig, ShgConfigError,
+        ShgTopology, TopoRouteLut, Topology, TopologySpec, TopologySpecError, WireClass,
     };
     pub use crate::trace::{EventSink, NullSink, SimEvent, VecSink};
 }

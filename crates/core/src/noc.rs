@@ -324,12 +324,9 @@ impl Noc {
     /// the run instead of spinning to the cycle cap. Always `false` on a
     /// fault-free fabric.
     pub fn only_failed_injectors_pending(&self, queues: &InjectQueues) -> bool {
-        match &self.faults {
-            None => false,
-            Some(f) => {
-                (0..self.cfg.num_nodes()).all(|n| queues.depth(n) == 0 || f.node_faults(n).failed)
-            }
-        }
+        self.faults
+            .as_ref()
+            .is_some_and(|f| f.only_failed_injectors_pending(queues))
     }
 
     /// The configuration this NoC was built from.
@@ -834,12 +831,6 @@ impl Noc {
     /// registers (see [`Frame::occ_matches_slots`]).
     pub(crate) fn occupancy_masks_exact(&self) -> bool {
         self.regs.occ_matches_slots() && self.wheel.iter().all(Frame::occ_matches_slots)
-    }
-
-    /// Record that `count` packets were enqueued (driver bookkeeping so
-    /// the stats snapshot is self-contained).
-    pub fn note_enqueued(&mut self, count: u64) {
-        self.stats.enqueued += count;
     }
 
     /// Snapshot of every packet currently on a link register, with its

@@ -132,7 +132,7 @@ impl InjectQueues {
 /// order is the dense `0..nodes` order, so events, deliveries and
 /// arbitration come out exactly as if every router ran.
 #[derive(Debug, Default)]
-pub struct ActiveCursor {
+pub(crate) struct ActiveCursor {
     /// Index of the next mask word to load.
     word: usize,
     /// Unvisited routers of word `word - 1`.
@@ -147,7 +147,7 @@ impl ActiveCursor {
     /// another router's queue: engines forward into next-cycle state and
     /// pop only the visited router's queue.
     #[inline]
-    pub fn next(&mut self, occ: &[u64], queues: &InjectQueues) -> Option<usize> {
+    pub(crate) fn next(&mut self, occ: &[u64], queues: &InjectQueues) -> Option<usize> {
         while self.bits == 0 {
             if self.word == occ.len() {
                 return None;

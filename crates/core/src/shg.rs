@@ -26,7 +26,7 @@
 //!   best progress available, which is what keeps a detour around a
 //!   dead stride-1 link from livelocking on the stride ring.
 //! * **Only active routers are visited**: the step walks
-//!   [`ActiveCursor`] over the routers with an occupied arrival
+//!   `queue::ActiveCursor` over the routers with an occupied arrival
 //!   register or a waiting PE, in ascending node order — what a scan of
 //!   every router would do, minus the routers with nothing to do.
 //!
@@ -309,15 +309,9 @@ impl ShgNoc {
     /// True when every still-queued packet sits at a fail-stopped
     /// router (mirrors the torus engine's early-exit condition).
     pub fn only_failed_injectors_pending(&self, queues: &InjectQueues) -> bool {
-        match &self.faults {
-            None => false,
-            Some(f) => (0..self.nodes).all(|n| queues.depth(n) == 0 || f.node_faults(n).failed),
-        }
-    }
-
-    /// Record that `count` packets were enqueued (driver bookkeeping).
-    pub fn note_enqueued(&mut self, count: u64) {
-        self.stats.enqueued += count;
+        self.faults
+            .as_ref()
+            .is_some_and(|f| f.only_failed_injectors_pending(queues))
     }
 
     /// Clears accumulated statistics (e.g. after warmup).

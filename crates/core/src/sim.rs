@@ -1,7 +1,7 @@
 //! The simulation driver: one composable [`SimSession`] wires a traffic
-//! source to any engine — single torus, multi-channel bank, or (via the
-//! `fasttrack-mesh` crate) a buffered mesh — runs it to completion, and
-//! produces a [`SimReport`].
+//! source to any engine — single torus, multi-channel bank, Sparse
+//! Hamming Graph or buffered mesh — runs it to completion, and produces
+//! a [`SimReport`].
 //!
 //! Tracing, health monitoring, and fault injection *compose* on the
 //! session instead of multiplying entry points:
@@ -32,6 +32,7 @@ use crate::config::NocConfig;
 use crate::fallback::{CompiledFallback, FallbackConfig, FallbackError};
 use crate::fault::{FaultError, FaultPlan};
 use crate::kernel::RouteMode;
+use crate::mesh::{MeshBackend, MeshConfig, MeshNoc};
 use crate::monitor::MetricsRegistry;
 use crate::monitor::{HealthMonitor, MonitorConfig};
 use crate::multichannel::MultiNoc;
@@ -39,8 +40,9 @@ use crate::noc::Noc;
 use crate::packet::Delivery;
 use crate::profile::{self, EventCounter, SessionProfile};
 use crate::queue::InjectQueues;
+use crate::shg::{ShgBackend, ShgNoc};
 use crate::stats::SimStats;
-use crate::topology::MonitorShape;
+use crate::topology::{MonitorShape, TopologySpec};
 use crate::trace::{EventSink, NullSink, SimEvent};
 
 /// A workload that feeds the NoC.
@@ -211,9 +213,9 @@ impl SimReport {
 
 /// A steppable cycle-accurate engine the shared drive loop can run.
 ///
-/// Implemented by [`Noc`], [`MultiNoc`], and `fasttrack-mesh`'s
-/// `MeshNoc`; one generic [`drive_engine`] loop replaces the three
-/// near-identical per-engine drivers the crate used to carry.
+/// Implemented by [`Noc`], [`MultiNoc`], [`ShgNoc`] and [`MeshNoc`];
+/// one generic [`drive_engine`] loop replaces the near-identical
+/// per-engine drivers the crate used to carry.
 pub trait SimEngine {
     /// PEs in the system (sizes the injection queues and the report).
     fn num_nodes(&self) -> usize;
@@ -408,6 +410,17 @@ pub trait SessionBackend {
     }
 }
 
+/// Evaluates `$body` with `$x` bound to whichever variant of the enum
+/// `$ty` the value `$this` holds; each variant wraps one engine or
+/// backend.
+macro_rules! delegate {
+    ($ty:ident { $($variant:ident),+ }, $this:expr, $x:ident => $body:expr) => {
+        match $this {
+            $($ty::$variant($x) => $body,)+
+        }
+    };
+}
+
 /// Backend for the torus engines: a single [`Noc`], or a [`MultiNoc`]
 /// bank when a channel count is set on the session.
 #[derive(Debug, Clone)]
@@ -452,17 +465,11 @@ pub enum TorusEngine {
 
 impl SimEngine for TorusEngine {
     fn num_nodes(&self) -> usize {
-        match self {
-            TorusEngine::Single(e) => e.num_nodes(),
-            TorusEngine::Multi(e) => e.num_nodes(),
-        }
+        delegate!(TorusEngine { Single, Multi }, self, e => e.num_nodes())
     }
 
     fn report_name(&self) -> String {
-        match self {
-            TorusEngine::Single(e) => e.report_name(),
-            TorusEngine::Multi(e) => e.report_name(),
-        }
+        delegate!(TorusEngine { Single, Multi }, self, e => e.report_name())
     }
 
     fn step_cycle<S: EventSink>(
@@ -471,38 +478,25 @@ impl SimEngine for TorusEngine {
         deliveries: &mut Vec<Delivery>,
         sink: &mut S,
     ) {
-        match self {
-            TorusEngine::Single(e) => e.step_cycle(queues, deliveries, sink),
-            TorusEngine::Multi(e) => e.step_cycle(queues, deliveries, sink),
-        }
+        delegate!(TorusEngine { Single, Multi }, self, e => e.step_cycle(queues, deliveries, sink))
     }
 
     fn in_flight(&self) -> usize {
-        match self {
-            TorusEngine::Single(e) => SimEngine::in_flight(e),
-            TorusEngine::Multi(e) => SimEngine::in_flight(e),
-        }
+        delegate!(TorusEngine { Single, Multi }, self, e => SimEngine::in_flight(e))
     }
 
     fn reset_stats(&mut self) {
-        match self {
-            TorusEngine::Single(e) => SimEngine::reset_stats(e),
-            TorusEngine::Multi(e) => SimEngine::reset_stats(e),
-        }
+        delegate!(TorusEngine { Single, Multi }, self, e => SimEngine::reset_stats(e))
     }
 
     fn only_failed_injectors_pending(&self, queues: &InjectQueues) -> bool {
-        match self {
-            TorusEngine::Single(e) => SimEngine::only_failed_injectors_pending(e, queues),
-            TorusEngine::Multi(e) => SimEngine::only_failed_injectors_pending(e, queues),
-        }
+        delegate!(TorusEngine { Single, Multi }, self, e => {
+            SimEngine::only_failed_injectors_pending(e, queues)
+        })
     }
 
     fn stats_snapshot(&self) -> SimStats {
-        match self {
-            TorusEngine::Single(e) => e.stats_snapshot(),
-            TorusEngine::Multi(e) => e.stats_snapshot(),
-        }
+        delegate!(TorusEngine { Single, Multi }, self, e => e.stats_snapshot())
     }
 }
 
@@ -545,6 +539,117 @@ impl SessionBackend for TorusBackend {
         self.cfg.validate_fallback(fallback)?;
         self.fallback = fallback.compile();
         Ok(())
+    }
+}
+
+/// The one [`SessionBackend`] over every fabric kind: any
+/// [`TopologySpec`] plus a channel count, so every NoC a spec names runs
+/// through one concrete [`SimSession`] type. A new kind is registered
+/// here and in [`crate::topology::topology_of`].
+#[derive(Debug, Clone)]
+pub enum SpecBackend {
+    /// Hoplite / FastTrack torus: a single NoC or a replicated bank.
+    Torus(TorusBackend),
+    /// Sparse Hamming Graph.
+    Shg(ShgBackend),
+    /// Buffered mesh.
+    Mesh(MeshBackend),
+}
+
+impl SpecBackend {
+    /// The backend for `spec`. One channel drives a plain single NoC;
+    /// any other count a replicated bank (channels apply to torus NoCs
+    /// only, matching how `Hoplite` vs `Hoplite-3x` read).
+    pub fn new(spec: &TopologySpec, channels: usize) -> Self {
+        match spec {
+            TopologySpec::Torus(cfg) => {
+                let backend = TorusBackend::new(cfg);
+                SpecBackend::Torus(if channels == 1 {
+                    backend
+                } else {
+                    backend.channels(channels)
+                })
+            }
+            TopologySpec::Shg(cfg) => SpecBackend::Shg(ShgBackend::new(*cfg)),
+            TopologySpec::Mesh { n, depth } => SpecBackend::Mesh(MeshBackend::new(
+                &MeshConfig::new(*n, *depth).expect("specs are validated"),
+            )),
+        }
+    }
+}
+
+impl SessionBackend for SpecBackend {
+    type Engine = SpecEngine;
+
+    fn build(&self, faults: Option<&FaultPlan>) -> Result<SpecEngine, FaultError> {
+        Ok(match self {
+            SpecBackend::Torus(b) => SpecEngine::Torus(b.build(faults)?),
+            SpecBackend::Shg(b) => SpecEngine::Shg(b.build(faults)?),
+            SpecBackend::Mesh(b) => SpecEngine::Mesh(b.build(faults)?),
+        })
+    }
+
+    fn monitor_shape(&self) -> MonitorShape {
+        delegate!(SpecBackend { Torus, Shg, Mesh }, self, b => b.monitor_shape())
+    }
+
+    fn fallback_armed(&self) -> bool {
+        delegate!(SpecBackend { Torus, Shg, Mesh }, self, b => b.fallback_armed())
+    }
+
+    fn set_fallback(&mut self, fallback: &FallbackConfig) -> Result<(), FallbackError> {
+        delegate!(SpecBackend { Torus, Shg, Mesh }, self, b => b.set_fallback(fallback))
+    }
+}
+
+/// The engine a [`SpecBackend`] builds.
+#[derive(Debug, Clone)]
+#[allow(clippy::large_enum_variant)] // engines are built once per session, never stored in bulk
+pub enum SpecEngine {
+    /// A torus NoC or bank.
+    Torus(TorusEngine),
+    /// A Sparse Hamming Graph NoC.
+    Shg(ShgNoc),
+    /// A buffered mesh NoC.
+    Mesh(MeshNoc),
+}
+
+impl SimEngine for SpecEngine {
+    fn num_nodes(&self) -> usize {
+        delegate!(SpecEngine { Torus, Shg, Mesh }, self, e => e.num_nodes())
+    }
+
+    fn report_name(&self) -> String {
+        delegate!(SpecEngine { Torus, Shg, Mesh }, self, e => e.report_name())
+    }
+
+    fn step_cycle<S: EventSink>(
+        &mut self,
+        queues: &mut InjectQueues,
+        deliveries: &mut Vec<Delivery>,
+        sink: &mut S,
+    ) {
+        delegate!(SpecEngine { Torus, Shg, Mesh }, self, e => {
+            e.step_cycle(queues, deliveries, sink)
+        })
+    }
+
+    fn in_flight(&self) -> usize {
+        delegate!(SpecEngine { Torus, Shg, Mesh }, self, e => SimEngine::in_flight(e))
+    }
+
+    fn reset_stats(&mut self) {
+        delegate!(SpecEngine { Torus, Shg, Mesh }, self, e => SimEngine::reset_stats(e))
+    }
+
+    fn only_failed_injectors_pending(&self, queues: &InjectQueues) -> bool {
+        delegate!(SpecEngine { Torus, Shg, Mesh }, self, e => {
+            SimEngine::only_failed_injectors_pending(e, queues)
+        })
+    }
+
+    fn stats_snapshot(&self) -> SimStats {
+        delegate!(SpecEngine { Torus, Shg, Mesh }, self, e => e.stats_snapshot())
     }
 }
 
@@ -606,7 +711,7 @@ impl SimSession<'static, TorusBackend> {
 }
 
 impl<B: SessionBackend> SimSession<'static, B> {
-    /// A session over an arbitrary backend (e.g. `fasttrack-mesh`).
+    /// A session over an arbitrary backend (e.g. [`SpecBackend`]).
     pub fn with_backend(backend: B) -> Self {
         SimSession {
             backend,

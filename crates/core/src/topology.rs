@@ -37,6 +37,7 @@ use crate::config::{ConfigError, FtPolicy, NocConfig, NocKind};
 use crate::fallback::{FallbackConfig, FallbackError};
 use crate::fault::{Fault, FaultError};
 use crate::geom::Coord;
+use crate::mesh::{MeshConfig, MeshConfigError, MeshTopology};
 use crate::noc::LINK_INPUTS;
 use crate::port::{InPort, OutPort};
 use crate::router::RouterClass;
@@ -836,16 +837,15 @@ impl Topology for ShgTopology {
 /// * `hoplite:<n>` / `ft:<n>:<d>:<r>` / `ftlite:<n>:<d>:<r>` — the
 ///   torus family ([`NocConfig`])
 /// * `shg:<q>:<delta>` — Sparse Hamming Graph ([`ShgTopology`])
-/// * `mesh:<n>[:<depth>]` — buffered XY mesh (engine in
-///   `fasttrack-mesh`; depth defaults to 4)
+/// * `mesh:<n>[:<depth>]` — buffered XY mesh ([`MeshTopology`]; depth
+///   defaults to 4)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologySpec {
     /// The torus family (Hoplite / FastTrack / FT-lite).
     Torus(NocConfig),
     /// Sparse Hamming Graph.
     Shg(ShgConfig),
-    /// Buffered XY mesh. Raw parameters rather than a `MeshConfig`
-    /// because `fasttrack-mesh` depends on this crate, not vice versa.
+    /// Buffered XY mesh, validated by [`MeshConfig::new`] when parsed.
     Mesh {
         /// Side length of the `n × n` mesh.
         n: u16,
@@ -893,6 +893,21 @@ impl TopologySpec {
     }
 }
 
+/// Builds a `dyn` [`Topology`] view of a spec — the one place a
+/// topology kind maps to its implementation (torus, SHG, buffered mesh),
+/// used for fault and storm drawing, fallback validation, and the
+/// iso-resource cost model. [`crate::sim::SpecBackend`] maps it to its
+/// engine.
+pub fn topology_of(spec: &TopologySpec) -> Box<dyn Topology> {
+    match spec {
+        TopologySpec::Torus(cfg) => Box::new(cfg.clone()),
+        TopologySpec::Shg(cfg) => Box::new(ShgTopology::new(*cfg)),
+        TopologySpec::Mesh { n, depth } => Box::new(MeshTopology::new(
+            MeshConfig::new(*n, *depth).expect("specs are validated"),
+        )),
+    }
+}
+
 impl fmt::Display for TopologySpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -934,8 +949,8 @@ pub enum TopologySpecError {
     Torus(ConfigError),
     /// The SHG configuration failed validation.
     Shg(ShgConfigError),
-    /// The mesh parameters failed validation.
-    Mesh(&'static str),
+    /// The mesh configuration failed validation.
+    Mesh(MeshConfigError),
 }
 
 impl fmt::Display for TopologySpecError {
@@ -972,6 +987,12 @@ impl From<ConfigError> for TopologySpecError {
 impl From<ShgConfigError> for TopologySpecError {
     fn from(e: ShgConfigError) -> Self {
         TopologySpecError::Shg(e)
+    }
+}
+
+impl From<MeshConfigError> for TopologySpecError {
+    fn from(e: MeshConfigError) -> Self {
+        TopologySpecError::Mesh(e)
     }
 }
 
@@ -1038,20 +1059,15 @@ impl FromStr for TopologySpec {
                     return Err(arity("mesh", "1 or 2"));
                 }
                 let n = side(fields[1])?;
-                if n < 2 {
-                    return Err(TopologySpecError::Mesh("mesh side must be at least 2"));
-                }
-                let depth = if fields.len() == 3 {
-                    usize::from(num(fields[2])?)
-                } else {
-                    4
+                let depth = match fields.get(2) {
+                    Some(depth) => usize::from(num(depth)?),
+                    None => 4,
                 };
-                if depth == 0 {
-                    return Err(TopologySpecError::Mesh(
-                        "mesh buffer depth must be at least 1",
-                    ));
-                }
-                Ok(TopologySpec::Mesh { n, depth })
+                let cfg = MeshConfig::new(n, depth)?;
+                Ok(TopologySpec::Mesh {
+                    n: cfg.n(),
+                    depth: cfg.buffer_depth(),
+                })
             }
             other => Err(TopologySpecError::UnknownKind(other.to_string())),
         }

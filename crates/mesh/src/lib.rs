@@ -1,44 +1,8 @@
-//! # fasttrack-mesh
-//!
-//! A buffered, credit-flow-controlled 2-D mesh NoC — the "buffered
-//! low-radix router" class (CONNECT, Split-Merge, OpenSMART) that the
-//! FastTrack paper compares against in Table I and Figure 1.
-//!
-//! Five-port routers with per-input FIFOs, XY dimension-ordered routing,
-//! round-robin output arbitration, and credit-based backpressure.
-//! Packets are single-flit (matching the Hoplite-family comparison).
-//! Buffered routers never deflect: losers wait. On an FPGA this costs
-//! ~20× the LUTs of a Hoplite switch and halves the clock (Table I) —
-//! which is exactly the trade-off the figure-1 bench quantifies by
-//! simulation.
-//!
-//! ```
-//! use fasttrack_core::geom::Coord;
-//! use fasttrack_core::queue::InjectQueues;
-//! use fasttrack_mesh::{MeshConfig, MeshNoc};
-//!
-//! let mut noc = MeshNoc::new(MeshConfig::new(4, 4)?);
-//! let mut queues = InjectQueues::new(16);
-//! queues.push(0, Coord::new(3, 3), 0, 0);
-//! let mut deliveries = Vec::new();
-//! while noc.in_flight() > 0 || !queues.is_empty() {
-//!     noc.step(&mut queues, &mut deliveries);
-//! }
-//! assert_eq!(deliveries.len(), 1);
-//! assert_eq!(deliveries[0].packet.short_hops, 6); // Manhattan distance
-//! # Ok::<(), fasttrack_mesh::MeshConfigError>(())
-//! ```
+//! The buffered-mesh engine moved into `fasttrack-core` as
+//! [`fasttrack_core::mesh`]; this crate only forwards it, for its one
+//! remaining caller, the repo benchmark (`benchmark/src/plan.rs:31`
+//! imports `fasttrack_mesh::{MeshBackend, MeshConfig}`). ROADMAP item 1
+//! PR B moves that import to `fasttrack_core::mesh` and deletes this
+//! crate.
 
-#![warn(missing_docs)]
-
-pub mod config;
-pub mod noc;
-pub mod router;
-pub mod sim;
-pub mod topology;
-
-pub use config::{MeshConfig, MeshConfigError};
-pub use noc::MeshNoc;
-pub use router::{mesh_distance, xy_route, Dir};
-pub use sim::MeshBackend;
-pub use topology::MeshTopology;
+pub use fasttrack_core::mesh::*;

@@ -7,7 +7,8 @@
 //! cost/timing/power models for the Xilinx Virtex-7 485T, and the
 //! paper's complete workload suite.
 //!
-//! This facade re-exports the three member crates:
+//! This facade re-exports the three member crates and the mesh
+//! baseline:
 //!
 //! * [`core`] (`fasttrack-core`) — topology, routers, routing, the
 //!   simulation engine, multi-channel NoCs, and statistics.
@@ -16,8 +17,9 @@
 //! * [`traffic`] (`fasttrack-traffic`) — synthetic patterns plus SpMV,
 //!   graph analytics, token LU dataflow, and multiprocessor-overlay
 //!   workload generators.
-//! * [`mesh`] (`fasttrack-mesh`) — the buffered credit-flow-controlled
-//!   2-D mesh baseline (the Table I / Figure 1 comparison class).
+//! * [`mesh`] (`fasttrack_core::mesh`) — the buffered
+//!   credit-flow-controlled 2-D mesh baseline (the Table I / Figure 1
+//!   comparison class).
 //!
 //! ## Quick start
 //!
@@ -43,8 +45,8 @@
 //! --all`); runnable scenarios are under `examples/`.
 
 pub use fasttrack_core as core;
+pub use fasttrack_core::mesh;
 pub use fasttrack_fpga as fpga;
-pub use fasttrack_mesh as mesh;
 pub use fasttrack_traffic as traffic;
 
 /// One-stop imports for applications.
@@ -54,7 +56,6 @@ pub mod prelude {
     pub use fasttrack_fpga::power::PowerModel;
     pub use fasttrack_fpga::resources::{noc_cost, NocCost};
     pub use fasttrack_fpga::routability::noc_frequency_mhz;
-    pub use fasttrack_mesh::{MeshBackend, MeshConfig, MeshNoc};
     pub use fasttrack_traffic::partition::Partition;
     pub use fasttrack_traffic::pattern::Pattern;
     pub use fasttrack_traffic::scenario::ReplaySource;

@@ -8,7 +8,7 @@
 use fasttrack::core::analysis::{channel_loads, permutation_traffic, uniform_traffic};
 use fasttrack::core::realtime::zero_load_latency;
 use fasttrack::prelude::*;
-use fasttrack_bench::runner::{topology_of, NocUnderTest, SpecBackend};
+use fasttrack_bench::runner::NocUnderTest;
 
 fn spec(s: &str) -> TopologySpec {
     s.parse().unwrap()

@@ -111,7 +111,7 @@ fn run_on(
     mut source: ReplaySource,
 ) -> (SimReport, Vec<fasttrack::core::trace::SimEvent>) {
     let mut events = VecSink::new();
-    let report = SimSession::with_backend(fasttrack_bench::runner::SpecBackend::new(noc, 1))
+    let report = SimSession::with_backend(SpecBackend::new(noc, 1))
         .with_sink(&mut events)
         .run(&mut source)
         .unwrap()
@@ -305,7 +305,6 @@ fn replay_arms_the_chains_a_header_asks_for() {
 /// one channel is refused rather than replayed on one.
 #[test]
 fn shg_and_mesh_recordings_replay_attribute_and_explain() {
-    use fasttrack_bench::runner::SpecBackend;
     let cli = |cmd: &str, path: &std::path::Path| {
         let mut argv: Vec<String> = cmd.split(' ').map(String::from).collect();
         argv.push(path.display().to_string());

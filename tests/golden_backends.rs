@@ -33,6 +33,16 @@
 //!     > tests/golden/storm_ft8.json
 //! ```
 //!
+//! One mesh golden pins a faulted buffered-mesh run: fifteen faults,
+//! among them two overlapping corrupting windows on node 7's `E_sh`, a
+//! fail-stop router and two stalled injectors.
+//!
+//! ```text
+//! fasttrack faults --noc mesh:4:2 --rate 0.3 --packets 300 --transient-links 12 \
+//!     --fail-stop 1 --stalled-injectors 2 --window 0:600 --fault-seed 5 --json \
+//!     > tests/golden/faults_mesh4.json
+//! ```
+//!
 //! The observer goldens (`sweep_health.json`, `sweep_attribution.csv`,
 //! `monitor.{txt,prom}`, `attribute.{txt,prom}`) are the sidecar and
 //! stdout of the argv in each test below, with the sidecar path printed
@@ -94,6 +104,15 @@ fn torus_fault_draws_are_pinned() {
             "--threads {threads}"
         );
     }
+}
+
+#[test]
+fn mesh_fault_run_is_pinned() {
+    let faults = run_plain(
+        "faults --noc mesh:4:2 --rate 0.3 --packets 300 --transient-links 12 --fail-stop 1 \
+         --stalled-injectors 2 --window 0:600 --fault-seed 5 --json",
+    );
+    assert_eq!(faults, include_str!("golden/faults_mesh4.json"));
 }
 
 /// Runs `args` plus `--<flag> <tmp>` and returns (stdout with the path
