@@ -3,8 +3,9 @@
 //!
 //! Each iteration draws one scenario from a SplitMix64 stream keyed by
 //! [`point_seed`] — the same per-point seeding discipline as `sweep` —
-//! runs it through a [`SimSession`] under a [`RecordingSource`], and
-//! classifies the outcome:
+//! runs it under a [`RecordingSource`] through the session its
+//! [`ScenarioHeader`] describes (the session `replay` rebuilds from the
+//! archived trace), and classifies the outcome:
 //!
 //! * **Panic** — the engine panicked (caught per-point, like the
 //!   crash-safe sweep path).
@@ -35,12 +36,11 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use fasttrack_core::config::{FtPolicy, NocConfig};
-use fasttrack_core::fallback::FallbackConfig;
+use fasttrack_core::config::FtPolicy;
 use fasttrack_core::fault::{Fault, FaultPlan, FaultSpec};
 use fasttrack_core::monitor::{Anomaly, MonitorConfig};
 use fasttrack_core::packet::PacketId;
-use fasttrack_core::sim::{SimSession, TrafficSource};
+use fasttrack_core::sim::TrafficSource;
 use fasttrack_core::sweep::{point_seed, splitmix64, sweep};
 use fasttrack_core::trace::{EventSink, SimEvent};
 use fasttrack_traffic::adversarial::{BurstySource, PermutationSource};
@@ -162,19 +162,18 @@ enum TrafficKind {
     Hotspot,
 }
 
-/// One drawn scenario — a pure function of its seed.
+/// One drawn scenario — a pure function of its seed: the traffic draw
+/// beside the header of the run it drives. The header is the session
+/// every run and probe of the scenario builds ([`ScenarioHeader::session`])
+/// and, with the minimized faults and the expected outcome, the header
+/// of its archived trace.
 #[derive(Debug, Clone)]
 struct Scenario {
-    spec: String,
-    cfg: NocConfig,
+    header: ScenarioHeader,
     traffic: TrafficKind,
     rate_milli: u64,
     packets_per_pe: u64,
     traffic_seed: u64,
-    fault_seed: u64,
-    fault_spec: FaultSpec,
-    fallback: bool,
-    max_cycles: u64,
 }
 
 /// Counter-mode SplitMix64 draw stream.
@@ -214,27 +213,38 @@ fn valid_dr(n: u16) -> Vec<(u16, u16)> {
     pairs
 }
 
+/// The header of a fuzz run on the torus `spec`: `fallback` chains, a
+/// `max_cycles` budget, and the faults `fault_spec` draws from
+/// `fault_seed`.
+fn fuzz_header(
+    spec: &str,
+    fault_seed: u64,
+    fault_spec: &FaultSpec,
+    fallback: bool,
+    max_cycles: u64,
+) -> ScenarioHeader {
+    let mut header = ScenarioHeader::new(spec, "fuzz");
+    let cfg = header
+        .noc_config()
+        .expect("the fuzzer draws valid torus specs");
+    header.faults = FaultPlan::random(&cfg, fault_seed, fault_spec)
+        .faults()
+        .to_vec();
+    header.fallback = fallback;
+    header.max_cycles = max_cycles;
+    header
+}
+
 fn draw_scenario(seed: u64, max_cycles: u64) -> Scenario {
     let mut s = Stream::new(seed);
     let n: u16 = if s.below(2) == 0 { 4 } else { 8 };
-    let (spec, cfg) = if s.below(4) == 0 {
-        (format!("hoplite:{n}"), NocConfig::hoplite(n).unwrap())
+    let spec = if s.below(4) == 0 {
+        format!("hoplite:{n}")
     } else {
         let pairs = valid_dr(n);
         let (d, r) = pairs[s.below(pairs.len() as u64) as usize];
-        let policy = if s.below(2) == 0 {
-            FtPolicy::Full
-        } else {
-            FtPolicy::Inject
-        };
-        let prefix = match policy {
-            FtPolicy::Full => "ft",
-            FtPolicy::Inject => "ftlite",
-        };
-        (
-            format!("{prefix}:{n}:{d}:{r}"),
-            NocConfig::fasttrack(n, d, r, policy).unwrap(),
-        )
+        let prefix = if s.below(2) == 0 { "ft" } else { "ftlite" };
+        format!("{prefix}:{n}:{d}:{r}")
     };
     let traffic = match s.below(4) {
         0 => TrafficKind::Bernoulli,
@@ -256,26 +266,18 @@ fn draw_scenario(seed: u64, max_cycles: u64) -> Scenario {
     };
     let fallback = s.below(2) == 1;
     Scenario {
-        spec,
-        cfg,
+        header: fuzz_header(&spec, fault_seed, &fault_spec, fallback, max_cycles),
         traffic,
         rate_milli,
         packets_per_pe,
         traffic_seed,
-        fault_seed,
-        fault_spec,
-        fallback,
-        max_cycles,
     }
 }
 
 impl Scenario {
-    fn fault_plan(&self) -> FaultPlan {
-        FaultPlan::random(&self.cfg, self.fault_seed, &self.fault_spec)
-    }
-
     fn source(&self) -> Box<dyn TrafficSource + Send> {
-        let n = self.cfg.n();
+        let cfg = self.header.noc_config().expect("fuzz headers name a torus");
+        let n = cfg.n();
         let rate = self.rate_milli as f64 / 1000.0;
         match self.traffic {
             TrafficKind::Bernoulli => Box::new(BernoulliSource::new(
@@ -295,7 +297,7 @@ impl Scenario {
                 self.traffic_seed,
             )),
             TrafficKind::Permutation => {
-                let (d, r) = (self.cfg.d(), self.cfg.r());
+                let (d, r) = (cfg.d(), cfg.r());
                 Box::new(PermutationSource::new(
                     n,
                     d.max(1),
@@ -321,6 +323,11 @@ impl Scenario {
             TrafficKind::Hotspot => "hotspot",
         }
     }
+}
+
+/// The grid side of the torus `header` names.
+fn side(header: &ScenarioHeader) -> u16 {
+    header.topology().expect("fuzz headers name a torus").side()
 }
 
 /// Outcome of running one scenario (or one replay probe).
@@ -352,21 +359,13 @@ impl EventSink for RerouteFold {
     }
 }
 
-/// Runs `source` under the scenario's session and classifies the result.
-fn classify_run<T: TrafficSource>(
-    scenario: &Scenario,
-    plan: &FaultPlan,
-    source: &mut T,
-) -> RunVerdict {
-    let mut session = SimSession::new(&scenario.cfg).max_cycles(scenario.max_cycles);
-    if scenario.fallback {
-        session = session
-            .with_fallback(&FallbackConfig::standard())
-            .expect("standard chains validate on every router class");
-    }
+/// Runs `source` under the session `header` describes and classifies
+/// the result.
+fn classify_run<T: TrafficSource>(header: &ScenarioHeader, source: &mut T) -> RunVerdict {
     let mut sink = RerouteFold::default();
-    let outcome = session
-        .with_faults(plan)
+    let outcome = header
+        .session()
+        .expect("fuzz headers name a torus, whose router classes all take the standard chains")
         .with_monitor(MonitorConfig::default())
         .with_sink(&mut sink)
         .run(source)
@@ -375,7 +374,7 @@ fn classify_run<T: TrafficSource>(
     let monitor = outcome.monitor.as_ref().expect("monitor attached");
     // Three or more demotions of one packet means it cycled back onto
     // a lane the storm killed again.
-    let reroute_loop = scenario
+    let reroute_loop = header
         .fallback
         .then_some(sink.worst)
         .flatten()
@@ -391,11 +390,11 @@ fn classify_run<T: TrafficSource>(
         Some(FailureClass::Livelock)
     } else if reroute_loop.is_some() {
         Some(FailureClass::RerouteLoop)
-    } else if scenario.cfg.ft_policy() == Some(FtPolicy::Inject)
+    } else if header.noc_config().ok().and_then(|cfg| cfg.ft_policy()) == Some(FtPolicy::Inject)
         && report.stats.dropped > 0
-        && !plan.is_empty()
-        && plan
-            .faults()
+        && !header.faults.is_empty()
+        && header
+            .faults
             .iter()
             .all(|f| matches!(f, Fault::DeadLink { .. }))
     {
@@ -412,7 +411,7 @@ fn classify_run<T: TrafficSource>(
             if monitor_livelock {
                 "monitor flagged a circling packet".to_string()
             } else {
-                format!("cycle budget {} exhausted", scenario.max_cycles)
+                format!("cycle budget {} exhausted", header.max_cycles)
             }
         }
         Some(FailureClass::StrandedDrop) => format!(
@@ -435,18 +434,16 @@ fn classify_run<T: TrafficSource>(
     }
 }
 
-/// Replays `records` against the scenario under `plan` and reports
+/// Replays `records` under the session `header` describes and reports
 /// whether the same failure class reproduces (with the resulting
 /// expectation when it does).
 fn probe(
-    scenario: &Scenario,
-    plan: &FaultPlan,
+    header: &ScenarioHeader,
     records: Vec<ScenarioRecord>,
     class: FailureClass,
 ) -> Option<Expectation> {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut source = ReplaySource::new(scenario.cfg.n(), records);
-        classify_run(scenario, plan, &mut source)
+        classify_run(header, &mut ReplaySource::new(side(header), records))
     }));
     match result {
         Err(_) => (class == FailureClass::Panic).then(Expectation::default),
@@ -458,8 +455,7 @@ fn probe(
 /// delete contiguous chunks (halving the chunk size each round) while
 /// the failure class keeps reproducing.
 fn minimize_records(
-    scenario: &Scenario,
-    plan: &FaultPlan,
+    header: &ScenarioHeader,
     mut current: Vec<ScenarioRecord>,
     class: FailureClass,
 ) -> Vec<ScenarioRecord> {
@@ -472,7 +468,7 @@ fn minimize_records(
             let mut candidate = Vec::with_capacity(current.len() - (end - start));
             candidate.extend_from_slice(&current[..start]);
             candidate.extend_from_slice(&current[end..]);
-            if !candidate.is_empty() && probe(scenario, plan, candidate, class).is_some() {
+            if !candidate.is_empty() && probe(header, candidate, class).is_some() {
                 current.drain(start..end);
                 progressed = true;
                 // Retry the same offset: the next chunk slid into it.
@@ -488,26 +484,23 @@ fn minimize_records(
     current
 }
 
-/// Greedy fault-plan reduction: drop each fault (last to first) that
-/// the failure does not need.
+/// Greedy reduction of the header's fault list: drop each fault (last
+/// to first) that the failure does not need.
 fn minimize_faults(
-    scenario: &Scenario,
-    plan: &FaultPlan,
+    mut header: ScenarioHeader,
     records: &[ScenarioRecord],
     class: FailureClass,
-) -> FaultPlan {
-    let mut faults: Vec<Fault> = plan.faults().to_vec();
-    let mut i = faults.len();
+) -> ScenarioHeader {
+    let mut i = header.faults.len();
     while i > 0 {
         i -= 1;
-        let mut candidate: Vec<Fault> = faults.clone();
-        candidate.remove(i);
-        let cand_plan = candidate.iter().fold(FaultPlan::new(), |p, f| p.with(*f));
-        if probe(scenario, &cand_plan, records.to_vec(), class).is_some() {
-            faults = candidate;
+        let mut candidate = header.clone();
+        candidate.faults.remove(i);
+        if probe(&candidate, records.to_vec(), class).is_some() {
+            header = candidate;
         }
     }
-    faults.into_iter().fold(FaultPlan::new(), |p, f| p.with(f))
+    header
 }
 
 /// Result of one fuzz iteration, as returned from the pool.
@@ -529,10 +522,9 @@ pub fn fuzz(cfg: &FuzzConfig) -> FuzzOutcome {
     let indices: Vec<u64> = (0..cfg.iters).collect();
     let points: Vec<PointResult> = sweep(indices, cfg.threads, move |_, index| {
         let scenario = draw_scenario(point_seed(base_seed, index as usize), max_cycles);
-        let plan = scenario.fault_plan();
-        let mut recording = RecordingSource::new(scenario.cfg.n(), scenario.source());
+        let mut recording = RecordingSource::new(side(&scenario.header), scenario.source());
         let verdict = catch_unwind(AssertUnwindSafe(|| {
-            classify_run(&scenario, &plan, &mut recording)
+            classify_run(&scenario.header, &mut recording)
         }));
         let (class, detail) = match verdict {
             Err(_) => (Some(FailureClass::Panic), "engine panicked".to_string()),
@@ -558,34 +550,29 @@ pub fn fuzz(cfg: &FuzzConfig) -> FuzzOutcome {
             continue;
         }
         let scenario = draw_scenario(point_seed(base_seed, point.index as usize), max_cycles);
-        let plan = scenario.fault_plan();
         let original_records = point.records.len();
 
-        // Minimize: messages first (the bulk), then the fault plan.
-        let (records, plan, expect) =
-            if probe(&scenario, &plan, point.records.clone(), class).is_some() {
-                let records = minimize_records(&scenario, &plan, point.records, class);
-                let plan = minimize_faults(&scenario, &plan, &records, class);
-                let expect = probe(&scenario, &plan, records.clone(), class)
+        // Minimize: messages first (the bulk), then the fault list.
+        let header = scenario.header.clone();
+        let (records, mut header, expect) =
+            if probe(&header, point.records.clone(), class).is_some() {
+                let records = minimize_records(&header, point.records, class);
+                let header = minimize_faults(header, &records, class);
+                let expect = probe(&header, records.clone(), class)
                     .expect("minimized scenario must still reproduce");
-                (records, plan, expect)
+                (records, header, expect)
             } else {
                 // The failure does not reproduce open-loop (e.g. a panic
                 // mid-pump): archive the un-minimized schedule as-is.
-                (point.records, plan, Expectation::default())
+                (point.records, header, Expectation::default())
             };
-
-        let mut header = ScenarioHeader::new(&scenario.spec, "fuzz");
-        header.max_cycles = scenario.max_cycles;
-        header.faults = plan.faults().to_vec();
-        header.fallback = scenario.fallback;
         header.expect = Some(expect);
         let summary = format!(
             "iter {}: {} [{} traffic on {}, {} faults, {} -> {} msgs] {}",
             point.index,
             class.tag(),
             scenario.traffic_name(),
-            scenario.spec,
+            header.noc,
             header.faults.len(),
             original_records,
             records.len(),
@@ -615,17 +602,12 @@ mod tests {
     fn scenario_draw_is_seed_deterministic() {
         let a = draw_scenario(42, 30_000);
         let b = draw_scenario(42, 30_000);
-        assert_eq!(a.spec, b.spec);
+        assert_eq!(a.header, b.header);
         assert_eq!(a.traffic, b.traffic);
-        assert_eq!(a.fault_seed, b.fault_seed);
+        assert_eq!(a.traffic_seed, b.traffic_seed);
         let c = draw_scenario(43, 30_000);
         // Different seeds should (overwhelmingly) differ somewhere.
-        assert!(
-            a.spec != c.spec
-                || a.traffic != c.traffic
-                || a.traffic_seed != c.traffic_seed
-                || a.fault_seed != c.fault_seed
-        );
+        assert!(a.header != c.header || a.traffic != c.traffic || a.traffic_seed != c.traffic_seed);
     }
 
     #[test]
@@ -633,10 +615,35 @@ mod tests {
         for n in [4u16, 8] {
             for (d, r) in valid_dr(n) {
                 assert!(d >= 1 && d <= n / 2 && r >= 1 && r <= d && d % r == 0 && n % r == 0);
-                assert!(NocConfig::fasttrack(n, d, r, FtPolicy::Full).is_ok());
+                assert!(
+                    fasttrack_core::config::NocConfig::fasttrack(n, d, r, FtPolicy::Full).is_ok()
+                );
             }
         }
         assert!(!valid_dr(4).is_empty());
+    }
+
+    /// Scans fault seeds `0..seeds` like the main loop until the scenario
+    /// `at` builds for one fails with `class`, returning that scenario's
+    /// header and recorded schedule.
+    fn find(
+        class: FailureClass,
+        seeds: u64,
+        at: impl Fn(u64) -> Scenario,
+    ) -> (ScenarioHeader, Vec<ScenarioRecord>) {
+        (0..seeds)
+            .find_map(|fault_seed| {
+                let scenario = at(fault_seed);
+                let mut recording = RecordingSource::new(side(&scenario.header), scenario.source());
+                let verdict = classify_run(&scenario.header, &mut recording);
+                (verdict.class == Some(class)).then(|| (scenario.header, recording.into_records()))
+            })
+            .unwrap_or_else(|| {
+                panic!(
+                    "no {} in {seeds} fault seeds: classifier or fix regressed",
+                    class.tag()
+                )
+            })
     }
 
     #[test]
@@ -688,55 +695,28 @@ mod tests {
         // cycle. (Under Inject a demoted packet stays on the shared
         // ring, so the loop is a Full-policy finding.) Scan fault seeds
         // like the main loop until the class fires.
-        let mut found = None;
-        for fault_seed in 0..300u64 {
-            let scenario = Scenario {
-                spec: "ft:8:2:2".to_string(),
-                cfg: NocConfig::fasttrack(8, 2, 2, FtPolicy::Full).unwrap(),
-                traffic: TrafficKind::Bernoulli,
-                rate_milli: 950,
-                packets_per_pe: 12,
-                traffic_seed: 0x100F ^ fault_seed,
-                fault_seed,
-                fault_spec: FaultSpec {
-                    dead_links: 0,
-                    transient_links: 0,
-                    fail_stop_routers: 0,
-                    stalled_injectors: 0,
-                    down_links: 12,
-                    window: (0, 400),
-                },
-                fallback: true,
-                max_cycles: 30_000,
-            };
-            let plan = scenario.fault_plan();
-            let mut recording = RecordingSource::new(scenario.cfg.n(), scenario.source());
-            let verdict = classify_run(&scenario, &plan, &mut recording);
-            if verdict.class == Some(FailureClass::RerouteLoop) {
-                found = Some((scenario, plan, recording));
-                break;
-            }
-        }
-        let (scenario, plan, recording) =
-            found.expect("no reroute loop in 300 fault seeds - detector or fallback regressed");
-        let records = recording.into_records();
-        let minimized =
-            minimize_records(&scenario, &plan, records.clone(), FailureClass::RerouteLoop);
+        let storm = FaultSpec {
+            dead_links: 0,
+            transient_links: 0,
+            fail_stop_routers: 0,
+            stalled_injectors: 0,
+            down_links: 12,
+            window: (0, 400),
+        };
+        let (header, records) = find(FailureClass::RerouteLoop, 300, |fault_seed| Scenario {
+            header: fuzz_header("ft:8:2:2", fault_seed, &storm, true, 30_000),
+            traffic: TrafficKind::Bernoulli,
+            rate_milli: 950,
+            packets_per_pe: 12,
+            traffic_seed: 0x100F ^ fault_seed,
+        });
+        let minimized = minimize_records(&header, records.clone(), FailureClass::RerouteLoop);
         assert!(!minimized.is_empty() && minimized.len() <= records.len());
-        let plan = minimize_faults(&scenario, &plan, &minimized, FailureClass::RerouteLoop);
-        let expect = probe(
-            &scenario,
-            &plan,
-            minimized.clone(),
-            FailureClass::RerouteLoop,
-        )
-        .expect("minimized reroute-loop scenario must reproduce");
+        let mut header = minimize_faults(header, &minimized, FailureClass::RerouteLoop);
+        let expect = probe(&header, minimized.clone(), FailureClass::RerouteLoop)
+            .expect("minimized reroute-loop scenario must reproduce");
         assert!(!expect.truncated, "run must terminate (no orbit)");
         // The minimized trace round-trips with its fallback flag.
-        let mut header = ScenarioHeader::new(&scenario.spec, "fuzz");
-        header.max_cycles = scenario.max_cycles;
-        header.faults = plan.faults().to_vec();
-        header.fallback = true;
         header.expect = Some(expect);
         let trace = ScenarioTrace::new(header, minimized);
         let decoded = ScenarioTrace::decode(&trace.encode()).unwrap();
@@ -753,60 +733,29 @@ mod tests {
         // A stranded drop needs a packet whose express route crosses a
         // dead express link, so (like the fuzzer's main loop) we scan
         // seeds until the class fires.
-        let mut found = None;
-        for fault_seed in 0..200u64 {
-            let scenario = Scenario {
-                spec: "ftlite:8:4:1".to_string(),
-                cfg: NocConfig::fasttrack(8, 4, 1, FtPolicy::Inject).unwrap(),
-                traffic: TrafficKind::Bernoulli,
-                rate_milli: 800,
-                packets_per_pe: 12,
-                traffic_seed: 0xFA17 ^ fault_seed,
-                fault_seed,
-                fault_spec: FaultSpec {
-                    dead_links: 6,
-                    transient_links: 0,
-                    fail_stop_routers: 0,
-                    stalled_injectors: 0,
-                    down_links: 0,
-                    window: (0, 400),
-                },
-                fallback: false,
-                max_cycles: 30_000,
-            };
-            let plan = scenario.fault_plan();
-            let mut recording = RecordingSource::new(scenario.cfg.n(), scenario.source());
-            let verdict = classify_run(&scenario, &plan, &mut recording);
-            if verdict.class == Some(FailureClass::StrandedDrop) {
-                found = Some((scenario, plan, recording));
-                break;
-            }
-        }
-        let (scenario, plan, recording) =
-            found.expect("no stranded drop in 200 fault seeds — classifier or fix regressed");
-        let records = recording.into_records();
-        let minimized = minimize_records(
-            &scenario,
-            &plan,
-            records.clone(),
-            FailureClass::StrandedDrop,
-        );
+        let dead = FaultSpec {
+            dead_links: 6,
+            transient_links: 0,
+            fail_stop_routers: 0,
+            stalled_injectors: 0,
+            down_links: 0,
+            window: (0, 400),
+        };
+        let (header, records) = find(FailureClass::StrandedDrop, 200, |fault_seed| Scenario {
+            header: fuzz_header("ftlite:8:4:1", fault_seed, &dead, false, 30_000),
+            traffic: TrafficKind::Bernoulli,
+            rate_milli: 800,
+            packets_per_pe: 12,
+            traffic_seed: 0xFA17 ^ fault_seed,
+        });
+        let minimized = minimize_records(&header, records.clone(), FailureClass::StrandedDrop);
         assert!(!minimized.is_empty() && minimized.len() <= records.len());
-        let plan = minimize_faults(&scenario, &plan, &minimized, FailureClass::StrandedDrop);
-        let expect = probe(
-            &scenario,
-            &plan,
-            minimized.clone(),
-            FailureClass::StrandedDrop,
-        )
-        .expect("minimized stranded-drop scenario must reproduce");
+        let mut header = minimize_faults(header, &minimized, FailureClass::StrandedDrop);
+        let expect = probe(&header, minimized.clone(), FailureClass::StrandedDrop)
+            .expect("minimized stranded-drop scenario must reproduce");
         assert!(expect.dropped > 0);
         assert!(!expect.truncated, "run must terminate (no orbit)");
         // And the minimized trace round-trips through the v1 format.
-        let mut header = ScenarioHeader::new(&scenario.spec, "fuzz");
-        header.max_cycles = scenario.max_cycles;
-        header.faults = plan.faults().to_vec();
-        header.fallback = scenario.fallback;
         header.expect = Some(expect);
         let trace = ScenarioTrace::new(header, minimized);
         let decoded = ScenarioTrace::decode(&trace.encode()).unwrap();

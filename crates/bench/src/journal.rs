@@ -35,7 +35,7 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use fasttrack_core::sim::SimReport;
-use fasttrack_core::sweep::{splitmix64, SweepError};
+use fasttrack_core::sweep::{hash_bytes, splitmix64, SweepError};
 use fasttrack_traffic::source::BernoulliSource;
 
 use crate::runner::{
@@ -65,15 +65,6 @@ fn grid_fingerprint(grid: &SweepGrid) -> u64 {
         mix(&(p.nut.channels as u64).to_le_bytes());
         mix(p.pattern.to_string().as_bytes());
         mix(&p.rate.to_bits().to_le_bytes());
-    }
-    h
-}
-
-/// Checksum guarding one `ok` record's row against torn appends.
-fn row_hash(row: &str) -> u64 {
-    let mut h = splitmix64(row.len() as u64);
-    for &b in row.as_bytes() {
-        h = splitmix64(h ^ u64::from(b));
     }
     h
 }
@@ -193,7 +184,7 @@ fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
                     .unwrap_or("")
                     .split_once(' ')
                     .and_then(|(cksum, row)| match u64::from_str_radix(cksum, 16) {
-                        Ok(c) if c == row_hash(row) => Some(row.to_string()),
+                        Ok(c) if c == hash_bytes(row.as_bytes()) => Some(row.to_string()),
                         _ => None,
                     });
                 match intact {
@@ -261,7 +252,7 @@ impl SweepJournal {
             Ok((row, _)) => {
                 let row = sweep_csv_row(row);
                 let row = row.trim_end();
-                format!("ok {index} {:016x} {row}", row_hash(row))
+                format!("ok {index} {:016x} {row}", hash_bytes(row.as_bytes()))
             }
             // A panic message may span lines; a record must not.
             Err(e) => format!("err {index} {}", e.to_string().replace('\n', " ")),
@@ -528,7 +519,7 @@ mod tests {
         let path = tmp("corrupt.journal");
         let grid = small_grid(3);
         let fp = grid_fingerprint(&grid);
-        let valid = format!("ok 0 {:016x} row", row_hash("row"));
+        let valid = format!("ok 0 {:016x} row", hash_bytes(b"row"));
         std::fs::write(
             &path,
             format!("{JOURNAL_MAGIC} {fp:016x}\ngarbage line\n{valid}\n"),

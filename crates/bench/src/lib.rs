@@ -19,7 +19,7 @@ pub mod table;
 pub use fuzz::{fuzz, FailureClass, FuzzConfig, FuzzFailure, FuzzOutcome};
 pub use journal::{run_journaled, JournalError, PointOutcome, SweepOutcome};
 pub use runner::{
-    storm_json, sweep_csv, FallibleSweepOptions, NocUnderTest, PointSlo, SloSpec, SweepGrid,
-    SweepPoint, SweepRow, SweepTiming, INJECTION_RATES, PE_LADDER,
+    storm_json, sweep_csv, FallibleSweepOptions, NocUnderTest, SloSpec, SweepGrid, SweepPoint,
+    SweepRow, SweepTiming, INJECTION_RATES, PE_LADDER,
 };
 pub use table::Table;

@@ -183,6 +183,18 @@ pub struct SweepRow {
     pub report: SimReport,
 }
 
+impl SweepRow {
+    /// Delivered fraction (`delivered / injected`; 1.0 when idle).
+    pub fn delivered_fraction(&self) -> f64 {
+        let s = &self.report.stats;
+        if s.injected == 0 {
+            1.0
+        } else {
+            s.delivered as f64 / s.injected as f64
+        }
+    }
+}
+
 /// A sweep grid: an ordered list of points plus the deterministic
 /// seeding scheme. Identical grids produce identical [`SweepRow`]s (and
 /// identical [`sweep_csv`] bytes) at any thread count.
@@ -314,9 +326,9 @@ impl SweepGrid {
     /// [`SweepGrid::run`] under a seeded fault storm: every point runs
     /// with a per-point storm plan (express links dying and healing on a
     /// schedule derived from the point seed) and the given fallback
-    /// chains, and comes back with an availability verdict against the
-    /// SLO thresholds. Rows and [`PointSlo`]s are in point-index order
-    /// and byte-identical at any thread count.
+    /// chains. Rows are in point-index order and byte-identical at any
+    /// thread count; [`SloSpec::met`] judges each against availability
+    /// thresholds.
     ///
     /// # Errors
     ///
@@ -330,8 +342,7 @@ impl SweepGrid {
         threads: usize,
         storm: &StormSpec,
         fallback: &FallbackConfig,
-        slo: &SloSpec,
-    ) -> Result<(Vec<SweepRow>, Vec<PointSlo>), FallbackError> {
+    ) -> Result<Vec<SweepRow>, FallbackError> {
         for p in &self.points {
             topology_of(&p.nut.topology).validate_fallback(fallback)?;
         }
@@ -340,7 +351,7 @@ impl SweepGrid {
             ..FallibleSweepOptions::default()
         };
         let drive =
-            |index, seed, p: &SweepPoint, session: PointSession, source: &mut BernoulliSource| {
+            |_, seed, p: &SweepPoint, session: PointSession, source: &mut BernoulliSource| {
                 let plan = FaultPlan::storm(
                     &*topology_of(&p.nut.topology),
                     splitmix64(seed ^ STORM_SALT),
@@ -353,11 +364,10 @@ impl SweepGrid {
                     .run(source)
                     .expect("storm plans are valid by construction")
                     .report;
-                let verdict = PointSlo::evaluate(index, p, seed, &report, slo);
-                (report, verdict)
+                (report, ())
             };
         let results = self.run_each(self.all(), &opts, drive, |_, _| {});
-        Ok(expect_all(results))
+        Ok(expect_all(results).0)
     }
 
     /// Every grid index, in order.
@@ -483,7 +493,7 @@ impl Default for FallibleSweepOptions {
 /// draw (`b"STORM"` as an integer).
 const STORM_SALT: u64 = 0x53_54_4F_52_4D;
 
-/// Availability SLO thresholds for [`SweepGrid::run_storm`].
+/// Availability SLO thresholds for the rows of [`SweepGrid::run_storm`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloSpec {
     /// Minimum delivered fraction (`delivered / injected`) a point must
@@ -502,199 +512,93 @@ impl Default for SloSpec {
     }
 }
 
-/// The availability verdict of one storm-swept point, tagged with the
-/// point's identity so merged output stays self-describing.
-#[derive(Debug, Clone)]
-pub struct PointSlo {
-    /// The point's index in the grid (merge key).
-    pub index: usize,
-    /// Label of the NoC under test.
-    pub label: String,
-    /// Traffic pattern.
-    pub pattern: Pattern,
-    /// Injection rate.
-    pub rate: f64,
-    /// The derived per-point seed.
-    pub seed: u64,
-    /// Packets that entered the NoC.
-    pub injected: u64,
-    /// Packets delivered despite the storm.
-    pub delivered: u64,
-    /// Packets lost to exhausted fallback chains or dead routers.
-    pub dropped: u64,
-    /// Reroute decisions (dead-link avoidance plus fallback demotions
-    /// and channel switches).
-    pub rerouted: u64,
-    /// Stranded express packets demoted to the shared ring.
-    pub fallback_demotions: u64,
-    /// Allocation losers switched to a sibling channel.
-    pub fallback_channel_switches: u64,
-    /// Delivered fraction (`delivered / injected`; 1.0 when idle).
-    pub delivered_fraction: f64,
-    /// p99 end-to-end latency in cycles.
-    pub p99_latency: u64,
-    /// Exact conservation across reroutes and recovery windows:
-    /// `delivered + in_flight + dropped == injected`.
-    pub conserved: bool,
-    /// Whether the point met the [`SloSpec`] thresholds.
-    pub slo_met: bool,
-}
-
-impl PointSlo {
-    /// Folds one storm run's report into its availability verdict.
-    fn evaluate(
-        index: usize,
-        p: &SweepPoint,
-        seed: u64,
-        report: &SimReport,
-        slo: &SloSpec,
-    ) -> Self {
-        let s = &report.stats;
-        let delivered_fraction = if s.injected == 0 {
-            1.0
-        } else {
-            s.delivered as f64 / s.injected as f64
-        };
-        let p99_latency = report.p99_latency();
-        let slo_met = delivered_fraction >= slo.min_delivered_fraction
-            && (slo.max_p99_latency == 0 || p99_latency <= slo.max_p99_latency);
-        PointSlo {
-            index,
-            label: p.nut.label.clone(),
-            pattern: p.pattern,
-            rate: p.rate,
-            seed,
-            injected: s.injected,
-            delivered: s.delivered,
-            dropped: s.dropped,
-            rerouted: s.rerouted,
-            fallback_demotions: s.fallback_demotions,
-            fallback_channel_switches: s.fallback_channel_switches,
-            delivered_fraction,
-            p99_latency,
-            conserved: report.conserved(),
-            slo_met,
-        }
+impl SloSpec {
+    /// Whether `row` meets the thresholds.
+    pub fn met(&self, row: &SweepRow) -> bool {
+        row.delivered_fraction() >= self.min_delivered_fraction
+            && (self.max_p99_latency == 0 || row.report.p99_latency() <= self.max_p99_latency)
     }
 }
 
-/// Serializes per-point SLO verdicts as one deterministic JSON array in
-/// point-index order (the storm companion of [`health_json`]).
-pub fn storm_json(points: &[PointSlo]) -> String {
+/// Writes the fields naming sweep point `index` — grid index, NoC
+/// label, pattern, rate and seed — that open each JSON sidecar entry.
+fn write_point_identity(out: &mut String, index: usize, row: &SweepRow) {
+    use std::fmt::Write as _;
+    let _ = write!(
+        out,
+        "{{\"index\":{index},\"config\":\"{}\",\"pattern\":\"{}\",\"rate\":{},\"seed\":{}",
+        row.label, row.pattern, row.rate, row.seed
+    );
+}
+
+/// Serializes storm rows (every grid point, in index order) with their
+/// availability verdicts under `slo` as one deterministic JSON array
+/// (the storm companion of [`health_json`]).
+pub fn storm_json(rows: &[SweepRow], slo: &SloSpec) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("[");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
+    for (index, row) in rows.iter().enumerate() {
+        if index > 0 {
             out.push(',');
         }
+        write_point_identity(&mut out, index, row);
+        let (r, s) = (&row.report, &row.report.stats);
         let _ = write!(
             out,
-            "{{\"index\":{},\"config\":\"{}\",\"pattern\":\"{}\",\"rate\":{},\"seed\":{},\
-             \"injected\":{},\"delivered\":{},\"dropped\":{},\"rerouted\":{},\
+            ",\"injected\":{},\"delivered\":{},\"dropped\":{},\"rerouted\":{},\
              \"fallback_demotions\":{},\"fallback_channel_switches\":{},\
              \"delivered_fraction\":{:.6},\"p99_latency\":{},\"conserved\":{},\"slo_met\":{}}}",
-            p.index,
-            p.label,
-            p.pattern,
-            p.rate,
-            p.seed,
-            p.injected,
-            p.delivered,
-            p.dropped,
-            p.rerouted,
-            p.fallback_demotions,
-            p.fallback_channel_switches,
-            p.delivered_fraction,
-            p.p99_latency,
-            p.conserved,
-            p.slo_met,
+            s.injected,
+            s.delivered,
+            s.dropped,
+            s.rerouted,
+            s.fallback_demotions,
+            s.fallback_channel_switches,
+            row.delivered_fraction(),
+            r.p99_latency(),
+            r.conserved(),
+            slo.met(row),
         );
     }
     out.push(']');
     out
 }
 
-/// The health verdict of one sweep point, tagged with the point's
-/// identity so merged output stays self-describing.
-#[derive(Debug, Clone)]
-pub struct PointHealth {
-    /// The point's index in the grid (merge key).
-    pub index: usize,
-    /// Label of the NoC under test.
-    pub label: String,
-    /// Traffic pattern.
-    pub pattern: Pattern,
-    /// Injection rate.
-    pub rate: f64,
-    /// The derived per-point seed.
-    pub seed: u64,
-    /// The point's health summary.
-    pub health: HealthSummary,
-}
-
-/// Serializes per-point health summaries as one deterministic JSON
-/// array in point-index order (the companion of [`sweep_csv`]).
-pub fn health_json(points: &[PointHealth]) -> String {
-    use std::fmt::Write as _;
+/// Serializes per-point health summaries, each with its point's grid
+/// index and row, as one deterministic JSON array in the given order
+/// (the companion of [`sweep_csv`]).
+pub fn health_json(points: &[(usize, &SweepRow, &HealthSummary)]) -> String {
     let mut out = String::from("[");
-    for (i, p) in points.iter().enumerate() {
+    for (i, &(index, row, health)) in points.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(
-            out,
-            "{{\"index\":{},\"config\":\"{}\",\"pattern\":\"{}\",\"rate\":{},\"seed\":{},\"health\":{}}}",
-            p.index,
-            p.label,
-            p.pattern,
-            p.rate,
-            p.seed,
-            p.health.to_json()
-        );
+        write_point_identity(&mut out, index, row);
+        out.push_str(",\"health\":");
+        out.push_str(&health.to_json());
+        out.push('}');
     }
     out.push(']');
     out
 }
 
-/// The latency attribution of one sweep point, tagged with the point's
-/// identity so the sidecar CSV stays self-describing.
-#[derive(Debug, Clone)]
-pub struct PointAttribution {
-    /// The point's index in the grid (merge key).
-    pub index: usize,
-    /// Label of the NoC under test.
-    pub label: String,
-    /// Traffic pattern.
-    pub pattern: Pattern,
-    /// Injection rate.
-    pub rate: f64,
-    /// The derived per-point seed.
-    pub seed: u64,
-    /// The point's aggregate attribution report.
-    pub attribution: AttributionReport,
-}
-
-/// The header line of the [`attribution_csv`] sidecar (with the
-/// trailing newline).
-pub fn attribution_csv_header() -> &'static str {
-    "index,config,pattern,rate,seed,packets,queue_wait_cycles,express_cycles,\
-     ring_cycles,deflect_cycles,reroute_cycles,eject_cycles,total_cycles,\
-     express_traffic_fraction,express_decisions,ring_decisions,exit_decisions,\
-     route_decisions,reconciled\n"
-}
-
-/// Serializes per-point attribution reports as a deterministic sidecar
-/// CSV in point-index order — the companion of [`sweep_csv`], which
-/// stays byte-identical whether or not attribution ran.
-pub fn attribution_csv(points: &[PointAttribution]) -> String {
+/// Serializes per-point attribution reports, each with its point's grid
+/// index and row, as a deterministic sidecar CSV in the given order —
+/// the companion of [`sweep_csv`], which stays byte-identical whether
+/// or not attribution ran.
+pub fn attribution_csv(points: &[(usize, &SweepRow, &AttributionReport)]) -> String {
     use std::fmt::Write as _;
-    let mut out = String::from(attribution_csv_header());
-    for p in points {
-        let a = &p.attribution;
+    let mut out = String::from(
+        "index,config,pattern,rate,seed,packets,queue_wait_cycles,express_cycles,\
+         ring_cycles,deflect_cycles,reroute_cycles,eject_cycles,total_cycles,\
+         express_traffic_fraction,express_decisions,ring_decisions,exit_decisions,\
+         route_decisions,reconciled\n",
+    );
+    for &(index, row, a) in points {
         let _ = write!(
             out,
             "{},{},{},{:.6},{},{}",
-            p.index, p.label, p.pattern, p.rate, p.seed, a.delivered
+            index, row.label, row.pattern, row.rate, row.seed, a.delivered
         );
         for c in LatencyComponent::ALL {
             let _ = write!(out, ",{}", a.component(c));
@@ -854,7 +758,7 @@ mod tests {
         threads: usize,
         retries: u32,
         seeds: &std::sync::Mutex<Vec<(usize, u64)>>,
-    ) -> Vec<Result<(SweepRow, (PointHealth, PointAttribution, f64)), SweepError>> {
+    ) -> Vec<Result<(SweepRow, (HealthSummary, AttributionReport, f64)), SweepError>> {
         use fasttrack_core::attribution::AttributionConfig;
         use fasttrack_core::monitor::MonitorConfig;
         let opts = FallibleSweepOptions {
@@ -862,7 +766,7 @@ mod tests {
             retries,
             cycle_budget: Some(2000),
         };
-        let drive = |index, seed, p: &SweepPoint, session: PointSession, source: &mut _| {
+        let drive = |index, seed, _: &SweepPoint, session: PointSession, source: &mut _| {
             seeds.lock().unwrap().push((index, seed));
             let started = std::time::Instant::now();
             let outcome = no_faults(
@@ -872,23 +776,8 @@ mod tests {
                     .run(source),
             );
             let secs = started.elapsed().as_secs_f64();
-            let (label, pattern, rate) = (p.nut.label.clone(), p.pattern, p.rate);
-            let health = PointHealth {
-                index,
-                label: label.clone(),
-                pattern,
-                rate,
-                seed,
-                health: outcome.monitor.expect("monitored").summary(),
-            };
-            let attribution = PointAttribution {
-                index,
-                label,
-                pattern,
-                rate,
-                seed,
-                attribution: outcome.attribution.expect("attributed"),
-            };
+            let health = outcome.monitor.expect("monitored").summary();
+            let attribution = outcome.attribution.expect("attributed");
             (outcome.report, (health, attribution, secs))
         };
         grid.run_each(grid.all(), &opts, drive, |_, _| {})
@@ -918,9 +807,10 @@ mod tests {
         broken.points[2].nut.channels = 0;
         broken.points[8].rate = 0.004;
         let seeds = std::sync::Mutex::new(Vec::new());
-        let sidecars = |points: &[(usize, &(PointHealth, PointAttribution, f64))]| {
-            let health: Vec<_> = points.iter().map(|(_, s)| s.0.clone()).collect();
-            let attribution: Vec<_> = points.iter().map(|(_, s)| s.1.clone()).collect();
+        type Sidecar = (HealthSummary, AttributionReport, f64);
+        let sidecars = |points: &[(usize, &(SweepRow, Sidecar))]| {
+            let health: Vec<_> = points.iter().map(|&(i, (row, s))| (i, row, &s.0)).collect();
+            let attribution: Vec<_> = points.iter().map(|&(i, (row, s))| (i, row, &s.1)).collect();
             (health_json(&health), attribution_csv(&attribution))
         };
 
@@ -930,7 +820,7 @@ mod tests {
             .enumerate()
             .map(|(i, r)| (i, r.as_ref().expect("no point fails on the healthy grid")))
             .collect();
-        let golden_sidecars = sidecars(&ok.iter().map(|&(i, (_, s))| (i, s)).collect::<Vec<_>>());
+        let golden_sidecars = sidecars(&ok);
         for threads in [1, 2, 8] {
             // Observed and timed: rows byte-identical to the plain run,
             // sidecars thread-invariant.
@@ -938,7 +828,7 @@ mod tests {
             let ran: Vec<_> = out.iter().map(|r| r.as_ref().unwrap()).collect();
             let rows: Vec<String> = ran.iter().map(|(row, _)| sweep_csv_row(row)).collect();
             assert_eq!(rows, plain, "observers changed rows at {threads} threads");
-            let points: Vec<_> = ran.iter().map(|(_, s)| s).enumerate().collect();
+            let points: Vec<_> = ran.iter().copied().enumerate().collect();
             assert_eq!(sidecars(&points), golden_sidecars, "{threads} threads");
             assert!(ran.iter().all(|(_, s)| s.2 >= 0.0));
 
@@ -972,19 +862,22 @@ mod tests {
             let survivors: Vec<_> = out
                 .iter()
                 .enumerate()
-                .filter_map(|(i, r)| r.as_ref().ok().map(|(row, s)| (i, row, s)))
+                .filter_map(|(i, r)| r.as_ref().ok().map(|r| (i, r)))
                 .collect();
             assert_eq!(survivors.len(), grid.len() - 2);
-            for &(i, row, _) in &survivors {
+            for &(i, (row, _)) in &survivors {
                 assert_eq!(sweep_csv_row(row), plain[i], "point {i}");
             }
-            let kept: Vec<_> = survivors.iter().map(|&(i, _, s)| (i, s)).collect();
             let golden_kept: Vec<_> = ok
                 .iter()
-                .filter(|&&(i, _)| i != 2 && i != 8)
-                .map(|&(i, (_, s))| (i, s))
+                .copied()
+                .filter(|&(i, _)| i != 2 && i != 8)
                 .collect();
-            assert_eq!(sidecars(&kept), sidecars(&golden_kept), "{threads} threads");
+            assert_eq!(
+                sidecars(&survivors),
+                sidecars(&golden_kept),
+                "{threads} threads"
+            );
         }
 
         // What each sidecar says about the healthy grid.
@@ -994,12 +887,13 @@ mod tests {
             let label = &p.nut.label;
             assert!(json.contains(&format!("\"config\":\"{label}\"")), "{label}");
         }
-        assert!(csv.starts_with(attribution_csv_header()));
+        assert!(csv.starts_with("index,config,pattern,rate,seed,packets,"));
         assert_eq!(csv.lines().count(), grid.len() + 1);
-        for &(i, (row, (health, attribution, _))) in &ok {
-            assert_eq!((health.index, attribution.index), (i, i));
-            assert_eq!(health.health.injected, health.health.delivered);
-            let a = &attribution.attribution;
+        for (i, line) in csv.lines().skip(1).enumerate() {
+            assert!(line.starts_with(&format!("{i},")), "{line}");
+        }
+        for &(i, (row, (health, a, _))) in &ok {
+            assert_eq!(health.injected, health.delivered);
             // The mesh engine keeps no `route_decisions` counter, so its
             // wire-class reconciliation has nothing to check against;
             // the exact-sum invariant holds on every backend.
@@ -1010,7 +904,7 @@ mod tests {
         }
         // FastTrack points attribute cycles to express lanes; Hoplite
         // points must not.
-        let express = |i: usize| &(ok[i].1).1 .1.attribution;
+        let express = |i: usize| &(ok[i].1).1 .1;
         assert!(express(4).component(LatencyComponent::Express) > 0);
         assert_eq!(express(0).component(LatencyComponent::Express), 0);
         assert_eq!(express(0).express_decisions, 0);
@@ -1056,34 +950,29 @@ mod tests {
         };
         let fallback = FallbackConfig::standard();
         let slo = SloSpec::default();
-        let (rows1, slo1) = grid.run_storm(1, &storm, &fallback, &slo).unwrap();
+        let rows1 = grid.run_storm(1, &storm, &fallback).unwrap();
         for threads in [2, 8] {
-            let (rows, slos) = grid.run_storm(threads, &storm, &fallback, &slo).unwrap();
+            let rows = grid.run_storm(threads, &storm, &fallback).unwrap();
             assert_eq!(
                 sweep_csv(&rows1),
                 sweep_csv(&rows),
                 "thread count leaked in"
             );
-            assert_eq!(storm_json(&slo1), storm_json(&slos));
+            assert_eq!(storm_json(&rows1, &slo), storm_json(&rows, &slo));
         }
         // An empty storm under inert chains is the plain sweep.
         let calm = StormSpec {
             duration: 0,
             ..storm
         };
-        let (calm_rows, _) = grid
-            .run_storm(2, &calm, &FallbackConfig::none(), &slo)
-            .unwrap();
+        let calm_rows = grid.run_storm(2, &calm, &FallbackConfig::none()).unwrap();
         assert_eq!(sweep_csv(&calm_rows), sweep_csv(&grid.run(1)));
-        for (i, p) in slo1.iter().enumerate() {
-            assert_eq!(p.index, i);
-            assert!(p.conserved, "conservation must hold under the storm");
-            assert_eq!(
-                p.delivered + p.dropped + (rows1[i].report.in_flight as u64),
-                p.injected
-            );
+        for row in &rows1 {
+            let (r, s) = (&row.report, &row.report.stats);
+            assert!(r.conserved(), "conservation must hold under the storm");
+            assert_eq!(s.delivered + s.dropped + (r.in_flight as u64), s.injected);
         }
-        let json = storm_json(&slo1);
+        let json = storm_json(&rows1, &slo);
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(json.contains("\"delivered_fraction\""));
         assert!(json.contains("\"slo_met\""));
@@ -1113,32 +1002,35 @@ mod tests {
             heal_after: (200, 600),
             duration: 4_000,
         };
-        let slo = SloSpec::default();
-        let (_, on) = grid
-            .run_storm(1, &storm, &FallbackConfig::standard(), &slo)
+        let on = grid
+            .run_storm(1, &storm, &FallbackConfig::standard())
             .unwrap();
-        let (_, off) = grid
-            .run_storm(1, &storm, &FallbackConfig::none(), &slo)
-            .unwrap();
+        let off = grid.run_storm(1, &storm, &FallbackConfig::none()).unwrap();
         for (a, b) in on.iter().zip(&off) {
             assert_eq!(a.seed, b.seed, "comparison must use equal seeds");
-            assert_eq!(a.injected, b.injected, "equal seeds, equal traffic");
-            assert!(a.conserved && b.conserved);
+            assert_eq!(
+                a.report.stats.injected, b.report.stats.injected,
+                "equal seeds, equal traffic"
+            );
+            assert!(a.report.conserved() && b.report.conserved());
             assert!(
-                a.delivered_fraction > b.delivered_fraction,
+                a.delivered_fraction() > b.delivered_fraction(),
                 "{}: chains {:.4} must beat drop baseline {:.4}",
                 a.label,
-                a.delivered_fraction,
-                b.delivered_fraction,
+                a.delivered_fraction(),
+                b.delivered_fraction(),
             );
         }
-        assert!(on[0].fallback_demotions > 0, "Inject point must demote");
         assert!(
-            on[1].fallback_channel_switches > 0,
+            on[0].report.stats.fallback_demotions > 0,
+            "Inject point must demote"
+        );
+        assert!(
+            on[1].report.stats.fallback_channel_switches > 0,
             "two-channel point must switch channels"
         );
         assert_eq!(
-            off[0].fallback_demotions + off[1].fallback_channel_switches,
+            off[0].report.stats.fallback_demotions + off[1].report.stats.fallback_channel_switches,
             0
         );
     }
@@ -1149,9 +1041,7 @@ mod tests {
         let nuts = [NocUnderTest::fasttrack(4, 2, 1)];
         let grid = SweepGrid::cross(&nuts, &[Pattern::Random], &[0.2], 1).with_packets_per_pe(10);
         let bad = FallbackConfig::none().with_chain(0, vec![FallbackAction::DemoteToRing]);
-        assert!(grid
-            .run_storm(1, &StormSpec::default(), &bad, &SloSpec::default())
-            .is_err());
+        assert!(grid.run_storm(1, &StormSpec::default(), &bad).is_err());
     }
 
     #[test]

@@ -5,8 +5,8 @@ use fasttrack_bench::figures::{catalog, experiments_md, Scale, Verdict};
 use fasttrack_bench::fuzz::{fuzz, FuzzConfig};
 use fasttrack_bench::journal::run_journaled;
 use fasttrack_bench::runner::{
-    attribution_csv, health_json, storm_json, FallibleSweepOptions, NocUnderTest, PointAttribution,
-    PointHealth, SloSpec, SweepGrid, SweepTiming, INJECTION_RATES,
+    attribution_csv, health_json, storm_json, FallibleSweepOptions, NocUnderTest, SloSpec,
+    SweepGrid, SweepTiming, INJECTION_RATES,
 };
 use fasttrack_core::attribution::{AttributionConfig, LatencyComponent, PacketJourney};
 use fasttrack_core::export::{epochs_to_csv, ChromeTraceSink, NdjsonSink};
@@ -661,11 +661,11 @@ pub fn cmd_storm(flags: &Flags) -> Result<String, CliError> {
     } else {
         FallbackConfig::none()
     };
-    let (_, verdicts) = grid
-        .run_storm(threads, &storm, &chains, &slo)
+    let rows = grid
+        .run_storm(threads, &storm, &chains)
         .map_err(|e| CliError::Other(e.to_string()))?;
-    let (_, bare) = grid
-        .run_storm(threads, &storm, &FallbackConfig::none(), &slo)
+    let bare = grid
+        .run_storm(threads, &storm, &FallbackConfig::none())
         .map_err(|e| CliError::Other(e.to_string()))?;
 
     let report_json = {
@@ -682,8 +682,8 @@ pub fn cmd_storm(flags: &Flags) -> Result<String, CliError> {
             slo.min_delivered_fraction,
             slo.max_p99_latency
         );
-        let _ = write!(json, ",\"points\":{}", storm_json(&verdicts));
-        let _ = write!(json, ",\"chains_off\":{}", storm_json(&bare));
+        let _ = write!(json, ",\"points\":{}", storm_json(&rows, &slo));
+        let _ = write!(json, ",\"chains_off\":{}", storm_json(&bare, &slo));
         json.push('}');
         json.push('\n');
         json
@@ -700,26 +700,27 @@ pub fn cmd_storm(flags: &Flags) -> Result<String, CliError> {
             "storm: {} kill(s)/kcycle, heal after {}..{} cycles, {} cycles (seed {seed})\n",
             storm.kills_per_kcycle, storm.heal_after.0, storm.heal_after.1, storm.duration,
         ));
-        for (v, b) in verdicts.iter().zip(&bare) {
+        for (row, b) in rows.iter().zip(&bare) {
+            let s = &row.report.stats;
             out.push_str(&format!(
                 "  {} {} rate {:.2}: delivered {:.1}% (chains off: {:.1}%), p99 {} cycles, \
                  {} demoted, {} switched, {} rerouted — SLO {}\n",
-                v.label,
-                v.pattern,
-                v.rate,
-                100.0 * v.delivered_fraction,
-                100.0 * b.delivered_fraction,
-                v.p99_latency,
-                v.fallback_demotions,
-                v.fallback_channel_switches,
-                v.rerouted,
-                if v.slo_met { "met" } else { "MISSED" },
+                row.label,
+                row.pattern,
+                row.rate,
+                100.0 * row.delivered_fraction(),
+                100.0 * b.delivered_fraction(),
+                row.report.p99_latency(),
+                s.fallback_demotions,
+                s.fallback_channel_switches,
+                s.rerouted,
+                if slo.met(row) { "met" } else { "MISSED" },
             ));
         }
-        let met = verdicts.iter().filter(|v| v.slo_met).count();
+        let met = rows.iter().filter(|row| slo.met(row)).count();
         out.push_str(&format!(
             "SLO: {met}/{} point(s) met (min delivered {:.1}%{})\n",
-            verdicts.len(),
+            rows.len(),
             100.0 * slo.min_delivered_fraction,
             if slo.max_p99_latency > 0 {
                 format!(", p99 <= {}", slo.max_p99_latency)
@@ -732,8 +733,8 @@ pub fn cmd_storm(flags: &Flags) -> Result<String, CliError> {
         }
     }
 
-    let broken = verdicts.iter().any(|v| !v.conserved);
-    let missed = verdicts.iter().any(|v| !v.slo_met);
+    let broken = rows.iter().any(|row| !row.report.conserved());
+    let missed = rows.iter().any(|row| !slo.met(row));
     if broken {
         Err(CliError::Other(format!(
             "{out}conservation invariant violated under the storm"
@@ -911,7 +912,7 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
         &grid,
         &opts,
         resume.map(std::path::Path::new),
-        |index, seed, p, mut session, source| {
+        |_, _, _, mut session, source| {
             if health.is_some() {
                 session = session.with_monitor(MonitorConfig::default());
             }
@@ -921,24 +922,8 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
             let started = std::time::Instant::now();
             let outcome = session.run(source).expect("no fault plan attached");
             let secs = started.elapsed().as_secs_f64();
-            let (label, pattern, rate) = (&p.nut.label, p.pattern, p.rate);
-            let health = outcome.monitor.map(|monitor| PointHealth {
-                index,
-                label: label.clone(),
-                pattern,
-                rate,
-                seed,
-                health: monitor.summary(),
-            });
-            let attribution = outcome.attribution.map(|attribution| PointAttribution {
-                index,
-                label: label.clone(),
-                pattern,
-                rate,
-                seed,
-                attribution,
-            });
-            (outcome.report, (health, attribution, secs))
+            let health = outcome.monitor.map(|monitor| monitor.summary());
+            (outcome.report, (health, outcome.attribution, secs))
         },
     )
     .map_err(|e| CliError::Other(e.to_string()))?;
@@ -952,21 +937,24 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
         note(format_args!("sweep point {i} failed: {e}"));
     }
     if let Some(path) = health {
-        let points: Vec<PointHealth> = outcome.ran().flat_map(|(.., s)| s.0.clone()).collect();
+        let points: Vec<_> = outcome
+            .ran()
+            .filter_map(|(i, row, s)| Some((i, row, s.0.as_ref()?)))
+            .collect();
         write_file(path, health_json(&points) + "\n")?;
-        let unhealthy = points.iter().filter(|p| !p.health.healthy()).count();
+        let unhealthy = points.iter().filter(|(.., h)| !h.healthy()).count();
         note(format_args!(
             "sweep health: {} points ({unhealthy} unhealthy) -> {path}",
             points.len()
         ));
     }
     if let Some(path) = attribution {
-        let points: Vec<PointAttribution> = outcome.ran().flat_map(|(.., s)| s.1.clone()).collect();
+        let points: Vec<_> = outcome
+            .ran()
+            .filter_map(|(i, row, s)| Some((i, row, s.1.as_ref()?)))
+            .collect();
         write_file(path, attribution_csv(&points))?;
-        let unreconciled = points
-            .iter()
-            .filter(|p| !p.attribution.reconciled())
-            .count();
+        let unreconciled = points.iter().filter(|(.., a)| !a.reconciled()).count();
         note(format_args!(
             "sweep attribution: {} points ({unreconciled} unreconciled) -> {path}",
             points.len()
@@ -1197,19 +1185,17 @@ pub fn cmd_record(flags: &Flags) -> Result<String, CliError> {
         ),
     };
 
-    let mut rec = RecordingSource::new(side, source);
-    let report = run
-        .session()
-        .max_cycles(max_cycles)
-        .with_faults(&plan)
-        .run(&mut rec)
-        .map_err(|e| CliError::Other(e.to_string()))?
-        .report;
-
     let mut header = ScenarioHeader::new(&noc_spec, &generator);
     header.channels = run.channels;
     header.max_cycles = max_cycles;
     header.faults = plan.faults().to_vec();
+    let mut rec = RecordingSource::new(side, source);
+    let report = header
+        .session()
+        .map_err(|e| CliError::Other(e.to_string()))?
+        .run(&mut rec)
+        .map_err(|e| CliError::Other(e.to_string()))?
+        .report;
     header.expect = Some(Expectation::from(&report));
     let trace = rec.into_trace(header);
     write_file(out_path, trace.encode())?;
@@ -2177,6 +2163,24 @@ mod tests {
             run(argv("sweep --grid hoplite:4;random")),
             Err(CliError::Spec(_))
         ));
+    }
+
+    #[test]
+    fn sweep_and_storm_grids_refuse_an_invalid_depopulation() {
+        // A grid string reaches `NocUnderTest::from_spec` only after
+        // `parse_grid` built (and so validated) its fabric.
+        for args in [
+            "sweep --grid ft:8:3:2;random;0.5",
+            "storm --grid ft:8:3:2;random;0.3",
+        ] {
+            let err = run(argv(args)).unwrap_err().to_string();
+            assert_eq!(
+                err,
+                "invalid configuration: depopulation r=2 invalid for d=3, \
+                 need 1 <= r <= d and d % r == 0",
+                "{args}"
+            );
+        }
     }
 
     #[test]

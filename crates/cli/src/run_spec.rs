@@ -4,13 +4,12 @@
 //! passed in; how every single-run command gets its session and traffic
 //! ([`SingleRun::new`]) — plus the plumbing the command bodies share.
 
-use fasttrack_core::fallback::FallbackConfig;
 use fasttrack_core::fault::{FaultPlan, FaultSpec};
 use fasttrack_core::multichannel::MAX_CHANNELS;
 use fasttrack_core::sim::{SimReport, SimSession, SpecBackend, TrafficSource};
 use fasttrack_core::topology::{Topology, TopologySpec};
 use fasttrack_traffic::pattern::Pattern;
-use fasttrack_traffic::scenario::{ReplaySource, ScenarioHeader, ScenarioTrace};
+use fasttrack_traffic::scenario::{ReplaySource, ScenarioHeader, ScenarioTrace, TraceError};
 use fasttrack_traffic::source::BernoulliSource;
 use fasttrack_traffic::trace_io::parse_trace;
 
@@ -93,27 +92,18 @@ impl SingleRun {
     }
 }
 
-/// Turns a decoded scenario trace into the run it replays. Topology,
-/// channel count, cycle cap, warmup, fault plan and — when the header
-/// says the recording ran with them — the standard fallback chains all
-/// come from the trace header; the records move into the source, so the
-/// run holds one copy of the schedule. This is the one reading of a
-/// header: `replay`, `attribute --trace`, `explain --trace` and the
+/// Turns a decoded scenario trace into the run it replays: the session
+/// is the one its header describes ([`ScenarioHeader::session`]), and
+/// the records move into the source, so the run holds one copy of the
+/// schedule. `replay`, `attribute --trace`, `explain --trace` and the
 /// corpus tests all replay through it.
 pub fn replay_session(trace: ScenarioTrace) -> Result<SingleRun, CliError> {
-    let (header, topology, plan, source) = trace
-        .replay_setup()
-        .map_err(|e| CliError::Other(e.to_string()))?;
-    let mut session = session_for(&topology, header.channels)
-        .max_cycles(header.max_cycles)
-        .warmup_cycles(header.warmup)
-        .with_faults(&plan);
-    if header.fallback {
-        session = session
-            .with_fallback(&FallbackConfig::standard())
-            .map_err(|e| CliError::Other(e.to_string()))?;
-    }
-    let pushes = source.len();
+    let ScenarioTrace { header, records } = trace;
+    let bad = |e: TraceError| CliError::Other(e.to_string());
+    let session = header.session().map_err(bad)?;
+    let topology = header.topology().map_err(bad)?;
+    let pushes = records.len();
+    let source = ReplaySource::new(topology.side(), records).hold_until(header.drained_at);
     Ok(SingleRun {
         topology,
         session,

@@ -48,23 +48,7 @@ impl MultiNoc {
     ///
     /// Panics if `channels == 0`.
     pub fn new(cfg: NocConfig, channels: usize) -> Self {
-        assert!(channels > 0, "need at least one channel");
-        let nodes = cfg.num_nodes();
-        // Build one channel and clone it: clones share the route LUT
-        // behind its `Arc`, so the table is computed once per bank.
-        let first = Noc::new(cfg);
-        let mut chans = Vec::with_capacity(channels);
-        for _ in 1..channels {
-            chans.push(first.clone());
-        }
-        chans.push(first);
-        MultiNoc {
-            channels: chans,
-            gates: StepGates::new(nodes),
-            rotation: 0,
-            cycle: 0,
-            pending: Vec::new(),
-        }
+        MultiNoc::bank(Noc::new(cfg), channels)
     }
 
     /// Builds `channels` copies of the NoC with the same fault plan
@@ -80,22 +64,27 @@ impl MultiNoc {
         channels: usize,
         plan: &FaultPlan,
     ) -> Result<Self, FaultError> {
-        assert!(channels > 0, "need at least one channel");
         plan.validate(&cfg)?;
-        let nodes = cfg.num_nodes();
-        let first = Noc::with_faults(cfg, plan)?;
+        Ok(MultiNoc::bank(Noc::with_faults(cfg, plan)?, channels))
+    }
+
+    /// The bank of `channels` copies of `first`: clones share the route
+    /// LUT behind its `Arc`, so the table is computed once per bank.
+    fn bank(first: Noc, channels: usize) -> Self {
+        assert!(channels > 0, "need at least one channel");
+        let nodes = first.config().num_nodes();
         let mut chans = Vec::with_capacity(channels);
         for _ in 1..channels {
             chans.push(first.clone());
         }
         chans.push(first);
-        Ok(MultiNoc {
+        MultiNoc {
             channels: chans,
             gates: StepGates::new(nodes),
             rotation: 0,
             cycle: 0,
             pending: Vec::new(),
-        })
+        }
     }
 
     /// Installs compiled fallback chains on every channel, arming

@@ -38,6 +38,17 @@ pub fn splitmix64(state: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// SplitMix64 hash of a byte string: `splitmix64(len)`, then one round
+/// per byte. The sweep journal checksums its rows with it and scenario
+/// traces their lines, so both file formats depend on its exact value.
+pub fn hash_bytes(bytes: &[u8]) -> u64 {
+    let mut h = splitmix64(bytes.len() as u64);
+    for &b in bytes {
+        h = splitmix64(h ^ u64::from(b));
+    }
+    h
+}
+
 /// Derives the RNG seed for sweep point `index` from `base_seed`.
 ///
 /// The double hash decorrelates both arguments: neighbouring indices

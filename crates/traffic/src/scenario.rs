@@ -57,14 +57,15 @@
 use std::fmt;
 
 use fasttrack_core::config::NocConfig;
-use fasttrack_core::fault::Fault;
+use fasttrack_core::fallback::FallbackConfig;
+use fasttrack_core::fault::{Fault, FaultPlan};
 use fasttrack_core::geom::Coord;
 use fasttrack_core::multichannel::MAX_CHANNELS;
 use fasttrack_core::packet::Delivery;
 use fasttrack_core::port::OutPort;
 use fasttrack_core::queue::InjectQueues;
-use fasttrack_core::sim::{SimReport, TrafficSource};
-use fasttrack_core::sweep::splitmix64;
+use fasttrack_core::sim::{SimReport, SimSession, SpecBackend, TrafficSource};
+use fasttrack_core::sweep::{hash_bytes, splitmix64};
 use fasttrack_core::topology::TopologySpec;
 
 #[cfg(test)]
@@ -202,6 +203,41 @@ impl ScenarioHeader {
             .parse::<TopologySpec>()
             .map_err(|e| TraceError::BadHeader(format!("bad noc spec {:?}: {e}", self.noc)))
     }
+
+    /// The session this header describes — the one way a recorded run
+    /// is configured, whether it is being recorded, replayed or fuzzed:
+    /// the topology its noc spec names, `channels` of it, the cycle cap,
+    /// the warmup, the faults and, when `fallback` is set, the standard
+    /// fallback chains.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::BadHeader`] when the noc spec does not
+    /// parse, when it names a non-torus topology with `channels > 1`
+    /// (only a torus replicates into a bank), or when the fabric refuses
+    /// the fallback chains.
+    pub fn session(&self) -> Result<SimSession<'static, SpecBackend>, TraceError> {
+        let topology = self.topology()?;
+        if self.channels > 1 && !matches!(topology, TopologySpec::Torus(_)) {
+            return Err(TraceError::BadHeader(format!(
+                "noc spec {:?} names {} with {} channels; only a torus replicates",
+                self.noc,
+                topology.display_name(),
+                self.channels
+            )));
+        }
+        let faults = self.faults.iter().fold(FaultPlan::new(), |p, &f| p.with(f));
+        let session = SimSession::with_backend(SpecBackend::new(&topology, self.channels.max(1)))
+            .max_cycles(self.max_cycles)
+            .warmup_cycles(self.warmup)
+            .with_faults(&faults);
+        if !self.fallback {
+            return Ok(session);
+        }
+        session
+            .with_fallback(&FallbackConfig::standard())
+            .map_err(|e| TraceError::BadHeader(e.to_string()))
+    }
 }
 
 /// A decoded scenario: header plus the realized push schedule.
@@ -288,22 +324,13 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// SplitMix64 hash of one line, mirroring the sweep journal's row hash.
-fn line_hash(line: &[u8]) -> u64 {
-    let mut h = splitmix64(line.len() as u64);
-    for &b in line {
-        h = splitmix64(h ^ u64::from(b));
-    }
-    h
-}
-
 /// Record lines hashed side by side. One SplitMix64 round is two
 /// dependent multiplies (~14 cycles of latency) but only a handful of
 /// issue slots, so a core can keep about this many independent chains
 /// in flight.
 const LANES: usize = 4;
 
-/// [`line_hash`] of [`LANES`] lines at once, their per-byte chains
+/// [`hash_bytes`] of [`LANES`] lines at once, their per-byte chains
 /// interleaved over the common prefix length.
 fn line_hashes(lines: [&[u8]; LANES]) -> [u64; LANES] {
     let mut h = lines.map(|l| splitmix64(l.len() as u64));
@@ -334,7 +361,7 @@ struct BodyChecksum {
 impl BodyChecksum {
     fn new(header_line: &str) -> Self {
         BodyChecksum {
-            sum: line_hash(header_line.as_bytes()),
+            sum: hash_bytes(header_line.as_bytes()),
             held: [(0, 0); LANES],
             holding: 0,
         }
@@ -361,7 +388,7 @@ impl BodyChecksum {
     /// The checksum over every line added.
     fn finish(mut self, buf: &[u8]) -> u64 {
         for (from, to) in self.held.into_iter().take(self.holding) {
-            self.fold(line_hash(&buf[from..to]));
+            self.fold(hash_bytes(&buf[from..to]));
         }
         self.sum
     }
@@ -960,47 +987,6 @@ impl ScenarioTrace {
                 .hold_until(self.header.drained_at),
         )
     }
-
-    /// Takes the trace apart into everything a session needs to replay
-    /// it: the header, the topology its noc spec names (any kind), the
-    /// recorded fault plan, and a [`ReplaySource`] that now owns the
-    /// push schedule (moved, not copied). One call serves every
-    /// scenario replay of the CLI.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::BadHeader`] when the noc spec does not
-    /// parse, or when it names a non-torus topology with `channels > 1`
-    /// (only a torus replicates into a bank).
-    pub fn replay_setup(
-        self,
-    ) -> Result<
-        (
-            ScenarioHeader,
-            TopologySpec,
-            fasttrack_core::fault::FaultPlan,
-            ReplaySource,
-        ),
-        TraceError,
-    > {
-        let topology = self.header.topology()?;
-        if self.header.channels > 1 && !matches!(topology, TopologySpec::Torus(_)) {
-            return Err(TraceError::BadHeader(format!(
-                "noc spec {:?} names {} with {} channels; only a torus replicates",
-                self.header.noc,
-                topology.display_name(),
-                self.header.channels
-            )));
-        }
-        let plan = self
-            .header
-            .faults
-            .iter()
-            .fold(fasttrack_core::fault::FaultPlan::new(), |p, &f| p.with(f));
-        let source =
-            ReplaySource::new(topology.side(), self.records).hold_until(self.header.drained_at);
-        Ok((self.header, topology, plan, source))
-    }
 }
 
 /// Wraps any [`TrafficSource`] and records the realized push schedule.
@@ -1301,7 +1287,7 @@ mod tests {
     fn rejects_a_channel_count_above_the_cap() {
         let decode = |channels: u64| {
             let header = format!("{{\"schema\":2,\"noc\":\"hoplite:4\",\"channels\":{channels}}}");
-            let sum = line_hash(header.as_bytes());
+            let sum = hash_bytes(header.as_bytes());
             ScenarioTrace::decode(&format!("{SCENARIO_MAGIC}\n{header}\nend 0 {sum:016x}\n"))
         };
         assert_eq!(decode(0).unwrap().header.channels, 1);
@@ -1349,7 +1335,7 @@ mod tests {
     #[test]
     fn lockstep_hashes_equal_the_serial_hash() {
         let lines: [&[u8]; LANES] = [b"m 0 0 5 1", b"", b"m 18446744073709551615 15 0 7", b"m 3"];
-        assert_eq!(line_hashes(lines), lines.map(line_hash));
+        assert_eq!(line_hashes(lines), lines.map(hash_bytes));
     }
 
     #[test]
@@ -1385,7 +1371,7 @@ mod tests {
         let header = "{\"schema\":2,\"noc\":\"shg:8:2\",\"wire_budget\":9000,\"flavor\":\"zesty\"}";
         let text = format!(
             "{SCENARIO_MAGIC}\n{header}\nend 0 {:016x}\n",
-            line_hash(header.as_bytes())
+            hash_bytes(header.as_bytes())
         );
         let trace = ScenarioTrace::decode(&text).unwrap();
         assert_eq!(trace.header.noc, "shg:8:2");
@@ -1401,7 +1387,7 @@ mod tests {
         let header = "{\"schema\":1,\"noc\":\"ftlite:8:4:1\"}";
         let text = format!(
             "{SCENARIO_MAGIC}\n{header}\nend 0 {:016x}\n",
-            line_hash(header.as_bytes())
+            hash_bytes(header.as_bytes())
         );
         let trace = ScenarioTrace::decode(&text).unwrap();
         // The recorded schema number is preserved...
@@ -1469,8 +1455,8 @@ mod tests {
         let huge = u64::from(u32::MAX) + 7;
         let body = format!("m 0 0 {huge} 0");
         let header = "{\"schema\":1,\"noc\":\"ft:4:2:1\"}";
-        let mut checksum = line_hash(header.as_bytes());
-        checksum = splitmix64(checksum ^ line_hash(body.as_bytes()));
+        let mut checksum = hash_bytes(header.as_bytes());
+        checksum = splitmix64(checksum ^ hash_bytes(body.as_bytes()));
         let text = format!("{SCENARIO_MAGIC}\n{header}\n{body}\nend 1 {checksum:016x}\n");
         assert_eq!(
             ScenarioTrace::decode(&text),
@@ -1486,9 +1472,9 @@ mod tests {
         let header = "{\"schema\":1,\"noc\":\"ft:4:2:1\"}";
         let b1 = "m 5 0 1 0";
         let b2 = "m 4 0 1 0";
-        let mut checksum = line_hash(header.as_bytes());
-        checksum = splitmix64(checksum ^ line_hash(b1.as_bytes()));
-        checksum = splitmix64(checksum ^ line_hash(b2.as_bytes()));
+        let mut checksum = hash_bytes(header.as_bytes());
+        checksum = splitmix64(checksum ^ hash_bytes(b1.as_bytes()));
+        checksum = splitmix64(checksum ^ hash_bytes(b2.as_bytes()));
         let text = format!("{SCENARIO_MAGIC}\n{header}\n{b1}\n{b2}\nend 2 {checksum:016x}\n");
         assert_eq!(
             ScenarioTrace::decode(&text),
@@ -1577,29 +1563,58 @@ mod tests {
     }
 
     #[test]
-    fn replay_setup_rebuilds_config_faults_and_source() {
-        let trace = sample_trace();
-        // The rebuilt source replays the same schedule as one built by
-        // hand from the record list.
-        let by_hand = trace.replay_source().expect("valid trace");
-        let (header, topology, plan, rebuilt) = trace.clone().replay_setup().expect("valid trace");
-        assert_eq!(header, trace.header);
-        assert_eq!(topology.num_nodes(), 16);
-        assert_eq!(plan.faults(), trace.header.faults.as_slice());
-        assert_eq!(rebuilt.len(), trace.records.len());
-        let cfg2 = trace.header.noc_config().unwrap();
-        let mut a = rebuilt;
-        let mut b = by_hand;
-        let ra = fasttrack_core::sim::SimSession::new(&cfg2)
-            .max_cycles(trace.header.max_cycles)
-            .run(&mut a)
+    fn header_session_runs_like_a_session_built_by_hand() {
+        let mut trace = sample_trace();
+        trace.header.warmup = 5;
+        let header = &trace.header;
+        let cfg = header.noc_config().unwrap();
+        let plan = header
+            .faults
+            .iter()
+            .fold(FaultPlan::new(), |p, &f| p.with(f));
+        let by_hand = SimSession::new(&cfg)
+            .max_cycles(header.max_cycles)
+            .warmup_cycles(header.warmup)
+            .with_faults(&plan)
+            .run(&mut trace.replay_source().unwrap())
             .unwrap()
             .report;
-        let rb = fasttrack_core::sim::SimSession::new(&cfg2)
-            .max_cycles(trace.header.max_cycles)
-            .run(&mut b)
+        let from_header = header
+            .session()
+            .expect("valid header")
+            .run(&mut trace.replay_source().unwrap())
             .unwrap()
             .report;
-        assert_eq!(ra, rb);
+        assert_eq!(from_header, by_hand);
+
+        // Chains are armed when the header says the recording ran them.
+        let mut armed = header.clone();
+        armed.fallback = true;
+        let by_hand = SimSession::new(&cfg)
+            .max_cycles(header.max_cycles)
+            .warmup_cycles(header.warmup)
+            .with_faults(&plan)
+            .with_fallback(&FallbackConfig::standard())
+            .unwrap()
+            .run(&mut trace.replay_source().unwrap())
+            .unwrap()
+            .report;
+        let from_header = armed
+            .session()
+            .unwrap()
+            .run(&mut trace.replay_source().unwrap())
+            .unwrap()
+            .report;
+        assert_eq!(from_header, by_hand);
+
+        // Only a torus replicates, and chains need an express fabric.
+        let mut wide = ScenarioHeader::new("shg:4:2", "unit");
+        wide.channels = 2;
+        assert!(
+            matches!(wide.session(), Err(TraceError::BadHeader(why)) if why.contains("only a torus replicates"))
+        );
+        let mut chained = ScenarioHeader::new("mesh:4:2", "unit");
+        chained.fallback = true;
+        assert!(matches!(chained.session(), Err(TraceError::BadHeader(_))));
     }
 }

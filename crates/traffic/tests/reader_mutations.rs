@@ -91,8 +91,10 @@ proptest! {
         let mut bytes = valid_scenario(noc).into_bytes();
         mutate(&mut bytes, edits, count);
         if let Ok(trace) = ScenarioTrace::decode(&String::from_utf8_lossy(&bytes)) {
-            // A decoded schedule is in range for its own header.
-            let _ = trace.replay_setup();
+            // A decoded schedule is in range for its own header, and the
+            // header describes a session or says why not.
+            let _ = trace.header.session();
+            let _ = trace.replay_source();
         }
     }
 

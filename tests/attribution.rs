@@ -168,16 +168,9 @@ fn corpus_traces_attribute_cleanly() {
     for path in entries {
         let name = path.display().to_string();
         let trace = ScenarioTrace::decode(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let cfg = trace.header.noc_config().unwrap();
-        let (.., plan, _) = trace.clone().replay_setup().unwrap();
         let run = |attrib: bool| {
             let mut src = trace.replay_source().unwrap();
-            let mut session = SimSession::new(&cfg)
-                .max_cycles(trace.header.max_cycles)
-                .with_faults(&plan);
-            if trace.header.channels > 1 {
-                session = session.channels(trace.header.channels);
-            }
+            let mut session = trace.header.session().unwrap();
             if attrib {
                 session = session.with_attribution(AttributionConfig::default());
             }

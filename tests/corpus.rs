@@ -168,6 +168,34 @@ fn unordered_text_trace_plays_like_its_stable_sort() {
     assert_eq!(play(unordered), play(TEXT_TRACE));
 }
 
+/// What the fuzzer archives is what `replay` verifies: each minimized
+/// failure, decoded from its encoding and replayed through the CLI's
+/// reading of a header, realizes the expectation its header embeds.
+#[test]
+fn fuzz_archives_replay_to_their_expectations() {
+    let outcome = fasttrack_bench::fuzz(&fasttrack_bench::FuzzConfig {
+        iters: 60,
+        seed: 7,
+        threads: 1,
+        max_cycles: 30_000,
+    });
+    assert!(!outcome.failures.is_empty(), "seed 7 finds no failure");
+    for failure in &outcome.failures {
+        let trace = ScenarioTrace::decode(&failure.trace.encode()).unwrap();
+        let expect = trace
+            .header
+            .expect
+            .expect("archived traces embed an outcome");
+        let SingleRun {
+            session,
+            mut source,
+            ..
+        } = replay_session(trace).unwrap_or_else(|e| panic!("{}: {e}", failure.summary));
+        let report = session.run(&mut source).unwrap().report;
+        assert_eq!(Expectation::from(&report), expect, "{}", failure.summary);
+    }
+}
+
 #[test]
 fn checked_in_corpus_replays_and_matches_expectations() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
