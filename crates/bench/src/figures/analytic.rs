@@ -1,12 +1,13 @@
-//! Tables I/II and Figures 1, 4, 6, 10: the `fasttrack-fpga` models,
-//! no simulation.
+//! Tables I/II and Figures 1, 4, 6, 10: the price list and the
+//! `fasttrack-fpga` models, no simulation.
 
 use fasttrack_core::config::{FtPolicy, NocConfig};
+use fasttrack_core::resources::router_cost;
 use fasttrack_core::router::RouterClass;
 use fasttrack_fpga::device::Device;
 use fasttrack_fpga::power::PowerModel;
 use fasttrack_fpga::published::{PublishedRouter, TABLE1};
-use fasttrack_fpga::resources::{noc_cost, router_cost, RouterCost};
+use fasttrack_fpga::resources::noc_cost;
 use fasttrack_fpga::routability::{noc_frequency_mhz, peak_datawidth, FIG10_WIDTHS};
 use fasttrack_fpga::wire::{
     physical_express_mhz, virtual_express_mhz, SWEEP_DISTANCES, SWEEP_HOPS,
@@ -44,14 +45,14 @@ pub(super) fn table1(_: Scale) -> Outcome {
         ("FTlite Inject", RouterClass::FULL, Some(FtPolicy::Inject)),
         ("FTlite depopulated", depopulated, Some(FtPolicy::Full)),
     ]
-    .map(|(name, class, policy)| (name, router_cost(class, policy, 32)));
-    let cols: [Col<(&str, RouterCost)>; 3] = [
-        ("Router variant", &|m| m.0.into()),
-        ("LUTs", &|m| m.1.luts.to_string()),
-        ("FFs", &|m| m.1.ffs.to_string()),
+    .map(|(name, class, policy)| (name, router_cost(class, policy).at(32)));
+    let cols: [Col<(&str, (u64, u64))>; 3] = [
+        ("Router variant", &|&(name, _)| name.into()),
+        ("LUTs", &|&(_, (luts, _))| luts.to_string()),
+        ("FFs", &|&(_, (_, ffs))| ffs.to_string()),
     ];
     out.table("table1_model_costs", model, &cols);
-    let luts = model.map(|m| m.1.luts);
+    let luts = model.map(|(_, (luts, _))| luts);
     let claim = "a 32 b Hoplite router costs 78 LUTs (Table I)";
     out.holds(claim, format!("model: {} LUTs", luts[0]), luts[0] == 78);
     out.holds(

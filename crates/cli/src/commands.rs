@@ -746,16 +746,19 @@ pub fn cmd_storm(flags: &Flags) -> Result<String, CliError> {
     }
 }
 
+/// Table II's datapath width: `cost`'s default and `compare`'s price.
+const DATAPATH_WIDTH: u32 = 256;
+
 /// `compare` — iso-resource comparison across topologies.
 ///
 /// Runs the same traffic (pattern, rate, packets-per-PE, seed) on every
-/// topology in `--topologies`, prices each with the shared first-order
-/// FPGA resource model ([`fasttrack_core::topology::Topology::resource_cost`]),
-/// and reports
-/// throughput normalized per thousand LUT+FF — the iso-resource figure
-/// the paper's cost/performance comparisons turn on. The first
-/// topology is the baseline the `vs base` column is relative to.
-/// `--out <path>` writes the table as machine-readable CSV.
+/// topology in `--topologies`, prices each from the one price list
+/// ([`fasttrack_core::topology::Topology::resource_cost`]) at
+/// `DATAPATH_WIDTH`, and reports throughput normalized per thousand
+/// LUT+FF — the iso-resource figure the paper's cost/performance
+/// comparisons turn on. The first topology is the baseline the `vs base`
+/// column is relative to. `--out <path>` writes the table as
+/// machine-readable CSV.
 pub fn cmd_compare(flags: &Flags) -> Result<String, CliError> {
     let spec_list = flags
         .optional("topologies")
@@ -791,9 +794,11 @@ pub fn cmd_compare(flags: &Flags) -> Result<String, CliError> {
         let label = run.topology.display_name();
         let nodes = run.topology.num_nodes();
         let cost = topology_of(&run.topology).resource_cost();
+        let (luts, ffs) = cost.at(DATAPATH_WIDTH);
+        let cells = luts + ffs;
         let report = run.session().run(&mut run.source()).unwrap().report;
         let rate_per_pe = report.sustained_rate_per_pe();
-        let rate_per_kcell = rate_per_pe * nodes as f64 / (cost.total() as f64 / 1e3);
+        let rate_per_kcell = rate_per_pe * nodes as f64 / (cells as f64 / 1e3);
         let p99 = report.p99_latency();
         // The first topology is the baseline.
         let base = *base.get_or_insert(rate_per_kcell);
@@ -804,21 +809,15 @@ pub fn cmd_compare(flags: &Flags) -> Result<String, CliError> {
         };
         let _ = writeln!(
             csv,
-            "{label},{nodes},{},{},{},{},{},{rate_per_pe:.6},{:.2},{p99},{rate_per_kcell:.6},{vs_base:.4}",
-            cost.luts,
-            cost.ffs,
-            cost.total(),
+            "{label},{nodes},{luts},{ffs},{cells},{},{},{rate_per_pe:.6},{:.2},{p99},{rate_per_kcell:.6},{vs_base:.4}",
             report.stats.delivered,
             report.cycles,
             report.avg_latency(),
         );
         let _ = writeln!(
             out,
-            "  {label:<22} {nodes:>5} nodes  {:>8} cells ({} LUT + {} FF)  rate/PE {rate_per_pe:.4}  \
+            "  {label:<22} {nodes:>5} nodes  {cells:>8} cells ({luts} LUT + {ffs} FF)  rate/PE {rate_per_pe:.4}  \
              p99 {p99:>4}  rate/kcell {rate_per_kcell:.4} ({vs_base:.2}x base)",
-            cost.total(),
-            cost.luts,
-            cost.ffs,
         );
     }
     if let Some(path) = flags.optional("out") {
@@ -1004,7 +1003,7 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
 /// `cost` — the FPGA implementation picture.
 pub fn cmd_cost(flags: &Flags) -> Result<String, CliError> {
     let cfg = parse_noc(flags.required("noc")?)?;
-    let width: u32 = flags.numeric("width", 256)?;
+    let width: u32 = flags.numeric("width", DATAPATH_WIDTH)?;
     if width == 0 {
         return Err(CliError::Other("--width must be positive".into()));
     }
@@ -1834,6 +1833,38 @@ mod tests {
             let cells: u64 = line.split(',').nth(4).unwrap().parse().unwrap();
             assert!(cells > 0, "{line}");
         }
+    }
+
+    /// `compare` and `cost` read one price list: every torus row is
+    /// `noc_cost` at 256 b, and the SHG pays for its all-to-all switch.
+    #[test]
+    fn compare_prices_every_fabric_from_the_one_list() {
+        let dir = std::env::temp_dir().join("fasttrack_cli_compare_prices");
+        std::fs::create_dir_all(&dir).unwrap();
+        let csv_path = dir.join("prices.csv").display().to_string();
+        let rows = |specs: &str| {
+            run(argv(&format!(
+                "compare --topologies {specs} --packets 2 --out {csv_path}"
+            )))
+            .unwrap();
+            let csv = std::fs::read_to_string(&csv_path).unwrap();
+            // Counted from the right: a torus label such as
+            // `FT(16,2,1)` carries commas of its own.
+            let cells = |line: &str| -> (u64, u64) {
+                let cols: Vec<&str> = line.rsplit(',').collect();
+                (cols[9].parse().unwrap(), cols[8].parse().unwrap())
+            };
+            csv.lines().skip(1).map(cells).collect::<Vec<_>>()
+        };
+        let specs = ["hoplite:4", "ft:4:2:1", "ftlite:4:2:2"];
+        for (spec, priced) in specs.iter().zip(rows(&specs.join(","))) {
+            let cost = noc_cost(&parse_noc(spec).unwrap(), DATAPATH_WIDTH);
+            assert_eq!(priced, (cost.luts, cost.ffs), "{spec}");
+        }
+        let [ft, shg] = rows("ft:8:2:1,shg:8:2")[..] else {
+            panic!("two rows")
+        };
+        assert_eq!((ft.0, shg.0), (104_064, 153_216));
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //!
 //! Higher-level experiments compose a [`sim::SimSession`] around a
 //! [`sim::TrafficSource`]; traffic generators live in the
-//! `fasttrack-traffic` crate and FPGA cost models in `fasttrack-fpga`.
+//! `fasttrack-traffic` crate and FPGA wire/fit/clock models in `fasttrack-fpga`.
 
 #![warn(missing_docs)]
 
@@ -64,6 +64,7 @@ pub mod port;
 pub mod profile;
 pub mod queue;
 pub mod realtime;
+pub mod resources;
 pub mod router;
 pub mod routing;
 pub mod shg;
@@ -107,8 +108,8 @@ pub mod prelude {
     pub use crate::stats::{Histogram, LatencyStats, LinkUsage, PortCounters, SimStats};
     pub use crate::sweep::{point_seed, retry_seed, splitmix64, sweep, sweep_fallible, SweepError};
     pub use crate::topology::{
-        topology_of, LinkDesc, LinkId, MonitorShape, ResourceCost, ShgConfig, ShgConfigError,
-        ShgTopology, TopoRouteLut, Topology, TopologySpec, TopologySpecError, WireClass,
+        topology_of, LinkDesc, LinkId, MonitorShape, ShgConfig, ShgConfigError, ShgTopology,
+        TopoRouteLut, Topology, TopologySpec, TopologySpecError, WireClass,
     };
     pub use crate::trace::{EventSink, NullSink, SimEvent, VecSink};
 }

@@ -18,9 +18,8 @@ use crate::mesh::config::MeshConfig;
 use crate::mesh::noc::axis_port;
 use crate::mesh::router::{xy_route, Dir};
 use crate::port::OutPort;
-use crate::topology::{
-    LinkDesc, MonitorShape, ResourceCost, Topology, TopologySpec, WireClass, DATAPATH_BITS,
-};
+use crate::resources::{self, ResourceCost};
+use crate::topology::{LinkDesc, MonitorShape, Topology, TopologySpec, WireClass};
 
 /// An `n × n` buffered mesh viewed through the [`Topology`] trait.
 #[derive(Debug, Clone, Copy)]
@@ -86,22 +85,26 @@ impl Topology for MeshTopology {
         xy_route(from, to).map_or(0, Dir::index)
     }
 
-    /// A buffered router is priced like the default mux-tree model on
-    /// the LUT side, but its flip-flops hold `buffer_depth` flits per
-    /// input FIFO instead of one link register — the Table I gap the
-    /// iso-resource harness exists to expose.
+    /// XY routing fixes the fan-ins ([`crate::resources`]): an X input
+    /// goes straight or turns, a Y input never turns onto X, nothing
+    /// U-turns, and the PE reaches every output. Each link input's
+    /// register is a FIFO of `buffer_depth` flits.
     fn resource_cost(&self) -> ResourceCost {
-        let depth = self.cfg.buffer_depth() as u64;
-        let mut cost = ResourceCost::default();
-        for node in 0..self.num_nodes() {
-            let out_degree = self.out_links(node).len() as u64;
-            let in_degree = out_degree; // bidirectional: one FIFO per inbound link
-            let outputs = out_degree + 1; // + Exit
-            let fanin = in_degree + 1; // + injection
-            cost.luts += outputs * (fanin - 1) * (DATAPATH_BITS / 2) + 8 * outputs;
-            cost.ffs += DATAPATH_BITS * depth * in_degree + 8 * in_degree + 16;
-        }
-        cost
+        let depth = self.cfg.buffer_depth();
+        let x_axis = |l: &LinkDesc| l.port == OutPort::EastSh;
+        (0..self.num_nodes())
+            .map(|node| {
+                // Links are bidirectional: the router has an input from
+                // each side it has an output to, slotted by `Dir`.
+                let links = self.out_links(node);
+                let fan_in = |out: &LinkDesc| {
+                    let feeds = |f: &&LinkDesc| f.slot != out.slot && (x_axis(f) || !x_axis(out));
+                    1 + links.iter().filter(feeds).count() as u32
+                };
+                let muxes = links.iter().map(fan_in).chain([links.len() as u32]);
+                resources::router(muxes, links.len() * (depth + 1) + 1, [false; 2])
+            })
+            .sum()
     }
 
     /// XY routing is single-path, so the mesh admits only transient
@@ -312,8 +315,14 @@ mod tests {
     fn buffers_dominate_ff_cost() {
         let shallow = MeshTopology::new(MeshConfig::new(4, 1).unwrap()).resource_cost();
         let deep = MeshTopology::new(MeshConfig::new(4, 8).unwrap()).resource_cost();
-        assert_eq!(shallow.luts, deep.luts, "depth is FF-only");
-        assert!(deep.ffs > 4 * shallow.ffs);
+        assert_eq!(shallow.luts_per_bit, deep.luts_per_bit, "depth is FF-only");
+        assert_eq!(shallow.decode_luts, deep.decode_luts);
+        // 48 link inputs, each seven flits deeper.
+        assert_eq!(deep.ffs_per_bit, shallow.ffs_per_bit + 7 * 48);
+        let (shallow_luts, shallow_ffs) = shallow.at(256);
+        let (deep_luts, deep_ffs) = deep.at(256);
+        assert_eq!(shallow_luts, deep_luts);
+        assert!(deep_ffs > 3 * shallow_ffs && deep_ffs > deep_luts);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! A [`Topology`] enumerates nodes and links, tags every link with a
 //! [`WireClass`], builds a flat routing table ([`TopoRouteLut`]), prices
-//! itself with a first-order FPGA resource model ([`ResourceCost`]), and
+//! itself from the FPGA price list ([`crate::resources`]), and
 //! answers fault-validation questions such as *does removing this link
 //! partition the graph?* ([`Topology::connected_without`]). A torus
 //! configuration ([`NocConfig`]) is a topology as it stands; the first
@@ -40,6 +40,7 @@ use crate::geom::Coord;
 use crate::mesh::{MeshConfig, MeshConfigError, MeshTopology};
 use crate::noc::LINK_INPUTS;
 use crate::port::{InPort, OutPort};
+use crate::resources::{self, ResourceCost};
 use crate::router::RouterClass;
 use crate::routing::compute_prefs;
 
@@ -138,35 +139,6 @@ impl MonitorShape {
         self.nodes * self.links_per_node
     }
 }
-
-/// First-order FPGA resource price of a topology: enough to hold
-/// iso-resource comparisons (`fasttrack compare`) to a consistent,
-/// deterministic standard without reaching into the device-specific
-/// cost models of `fasttrack-fpga`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ResourceCost {
-    /// Estimated 6-input LUTs.
-    pub luts: u64,
-    /// Estimated flip-flops.
-    pub ffs: u64,
-}
-
-impl ResourceCost {
-    /// Combined LUT + FF count, the single figure iso-resource matching
-    /// compares.
-    pub fn total(&self) -> u64 {
-        self.luts + self.ffs
-    }
-}
-
-impl fmt::Display for ResourceCost {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} LUTs + {} FFs", self.luts, self.ffs)
-    }
-}
-
-/// Datapath width the default resource model prices (bits per flit).
-pub const DATAPATH_BITS: u64 = 64;
 
 /// A flat next-slot routing table: `slot[at * nodes + dst]` is the
 /// preferred productive output slot at `at` for a packet headed to
@@ -308,30 +280,29 @@ pub trait Topology {
             .map(|l| l.class)
     }
 
-    /// First-order FPGA price: every output is a cascade of 2:1
-    /// [`DATAPATH_BITS`]-wide muxes over the link inputs plus the PE
-    /// injector, each link input lands in a datapath register, and a
-    /// small per-port control allowance covers allocation logic. The
-    /// absolute numbers are coarse; their *ratios* across topologies are
-    /// what iso-resource matching consumes.
+    /// The fabric's FPGA price ([`crate::resources`]). The default
+    /// reads the fan-ins off [`Topology::out_links`] for an engine that
+    /// deflects onto any free output, as the SHG's does: every link
+    /// input and the PE reach every link output, and every link input
+    /// can eject.
     fn resource_cost(&self) -> ResourceCost {
-        let nodes = self.num_nodes();
-        let mut in_degree = vec![0u64; nodes];
-        let mut out_degree = vec![0u64; nodes];
-        for link in self.links() {
-            in_degree[link.dst] += 1;
-            out_degree[link.src] += 1;
-        }
-        let mut cost = ResourceCost::default();
-        for v in 0..nodes {
-            let fanin = in_degree[v] + 1; // links + PE injector
-            let outputs = out_degree[v] + 1; // links + Exit
-                                             // (fanin - 1) two-input mux stages per output, 2 bits/LUT.
-            cost.luts += outputs * (fanin - 1) * (DATAPATH_BITS / 2);
-            cost.luts += 8 * outputs; // allocation / control
-            cost.ffs += DATAPATH_BITS * in_degree[v] + 16;
-        }
-        cost
+        let mut inputs = vec![0u32; self.num_nodes()];
+        self.links().iter().for_each(|l| inputs[l.dst] += 1);
+        (0..self.num_nodes())
+            .map(|v| {
+                let links = self.out_links(v);
+                let express = |l: &&LinkDesc| l.class == WireClass::Express;
+                let drives = |east| {
+                    links
+                        .iter()
+                        .filter(express)
+                        .any(|l| l.port.is_east() == east)
+                };
+                let muxes = links.iter().map(|_| inputs[v] + 1).chain([inputs[v]]);
+                let registers = inputs[v] as usize + 1 + links.len();
+                resources::router(muxes, registers, [true, false].map(drives))
+            })
+            .sum()
     }
 
     /// True when the directed graph stays strongly connected after
@@ -557,6 +528,14 @@ impl Topology for NocConfig {
             path.push(link);
         }
         path
+    }
+
+    /// Every router priced by its class, the fan-ins read from
+    /// [`crate::router::allowed_outputs`] ([`resources::router_cost`]).
+    fn resource_cost(&self) -> ResourceCost {
+        let class = |id| RouterClass::of(self, Coord::from_node_id(id, self.n()));
+        let price = |id| resources::router_cost(class(id), self.ft_policy());
+        (0..self.num_nodes()).map(price).sum()
     }
 
     /// The torus rules are structural, with no graph search: the shared
@@ -1346,13 +1325,25 @@ mod tests {
 
     #[test]
     fn resource_costs_scale_with_degree() {
-        let hoplite = NocConfig::hoplite(8).unwrap().resource_cost();
-        let ftfull = ft(8, 2, 1).resource_cost();
+        let hoplite = NocConfig::hoplite(8).unwrap().resource_cost().at(256);
+        let ftfull = ft(8, 2, 1).resource_cost().at(256);
         let shg = ShgTopology::new(ShgConfig::new(8, 2).unwrap()).resource_cost();
-        assert!(ftfull.total() > hoplite.total());
-        assert!(shg.total() > hoplite.total());
-        assert!(hoplite.luts > 0 && hoplite.ffs > 0);
-        assert!(!hoplite.to_string().is_empty());
+        assert_eq!(hoplite, (33_664, 83_008));
+        assert_eq!(ftfull, (104_064, 150_016));
+        // Out-degree 4 like FT(64,2,1), but every input reaches every
+        // output: 5:1 link muxes where the torus has 3:1 and 4:1.
+        assert_eq!(shg.at(256).0, 153_216);
+        assert!(shg.at(256).0 > ftfull.0 && ftfull.0 > hoplite.0);
+        assert!(shg.at(256).1 > hoplite.1);
+        // Width-linear: the per-bit part scales, the control part stays.
+        let (luts_1, ffs_1) = shg.at(1);
+        assert_eq!(
+            shg.at(256),
+            (
+                luts_1 + 255 * shg.luts_per_bit,
+                ffs_1 + 255 * shg.ffs_per_bit
+            )
+        );
     }
 
     #[test]

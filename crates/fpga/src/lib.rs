@@ -7,8 +7,8 @@
 //! * [`wire`] — the §III wire characterization (Figures 4 and 6): how far
 //!   a signal travels in one clock, with and without LUT stages in the
 //!   path, and how physical express bypass wires keep frequency high.
-//! * [`resources`] — structural LUT/FF/wire cost per router class and per
-//!   NoC (Tables I and II, Figures 1 and 14).
+//! * [`resources`] — NoC cost: `fasttrack_core::resources`' LUTs and
+//!   FFs plus wire bundles (Tables I and II, Figures 1 and 14).
 //! * [`routability`] — does a configuration fit the device, and at what
 //!   frequency (Table II, Figure 10).
 //! * [`power`] — dynamic power and workload energy (Table II, Figure 19).

@@ -1,117 +1,11 @@
-//! FPGA resource cost model: LUTs, flip-flops, and wires per router and
-//! per NoC (paper Table I, Table II, Figures 1 and 14).
-//!
-//! The model is structural — it counts the switch multiplexers each router
-//! class actually instantiates — and is calibrated against every absolute
-//! number the paper reports:
-//!
-//! | Config (8×8, 256 b)  | paper LUTs | model | paper FFs | model |
-//! |----------------------|-----------|-------|-----------|-------|
-//! | Hoplite              | 34 K      | 33.7K | 83 K      | 83.0K |
-//! | FT(64,2,1)           | 104 K     | 104.1K| 150 K     | 150.0K|
-//! | FT(64,2,2)           | 69 K      | 69.1K | 117 K     | 116.6K|
-//!
-//! and Hoplite @32 b = 78 LUTs (Table I), FT @32 b in 191–290 LUTs.
-//!
-//! The mux inventory is derived from [`allowed_outputs`], the matrix the
-//! decision table is checked against on every key. A 2:1–4:1 mux is one
-//! 6-LUT per bit, a 5:1–8:1 mux two: white routers have two 3:1 muxes
-//! (`E_sh`, shared `S_sh`/exit), black ones four 4:1 (3:1 under Inject)
-//! and a 5:1 exit, grey ones under Full 3:1, 3:1, 4:1 and a 4:1 exit. A
-//! white router in an FT NoC with `D ≥ 2` is priced with the shared exit
-//! but runs a dedicated one (DESIGN §5b "Exit port").
+//! NoC-level cost: the routers' LUTs and FFs from the one price list,
+//! [`Topology::resource_cost`], plus what it does not cover: the wire
+//! bundles crossing a channel cut and the wire length power charges.
 
-use fasttrack_core::config::{FtPolicy, NocConfig};
-use fasttrack_core::geom::Coord;
-use fasttrack_core::port::{InPort, OutPort, OutSet};
-use fasttrack_core::router::{allowed_outputs, RouterClass};
+use fasttrack_core::config::NocConfig;
+use fasttrack_core::topology::Topology;
 
 use crate::device::Device;
-
-/// LUT/FF cost of one router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RouterCost {
-    /// 6-input LUTs.
-    pub luts: u64,
-    /// Flip-flops.
-    pub ffs: u64,
-}
-
-impl RouterCost {
-    /// Component-wise sum.
-    pub fn plus(self, other: RouterCost) -> RouterCost {
-        RouterCost {
-            luts: self.luts + other.luts,
-            ffs: self.ffs + other.ffs,
-        }
-    }
-
-    /// `max(LUTs, FFs)` — the paper's Figure 1 cost metric.
-    pub fn max_resource(self) -> u64 {
-        self.luts.max(self.ffs)
-    }
-}
-
-/// LUTs per bit for a mux with `inputs` data inputs on a 6-LUT fabric.
-///
-/// # Panics
-///
-/// Panics if `inputs` is 0 or greater than 8.
-pub fn mux_luts_per_bit(inputs: u32) -> u64 {
-    match inputs {
-        1 => 0,
-        2..=4 => 1,
-        5..=8 => 2,
-        _ => panic!("mux with {inputs} inputs not supported"),
-    }
-}
-
-/// Each output mux of a `class` switch and its fan-in: the inputs whose
-/// [`allowed_outputs`] reach it. `shared_exit` folds `Exit` into `S_sh`.
-fn output_muxes(class: RouterClass, policy: FtPolicy, shared_exit: bool) -> Vec<(OutPort, u32)> {
-    let mux = |out| match out {
-        OutPort::Exit if shared_exit => OutPort::SouthSh,
-        out => out,
-    };
-    let mut fan_in = [0; 5];
-    for port in InPort::ALL.into_iter().filter(|&p| class.has_input(p)) {
-        let reach = allowed_outputs(Some(policy), class, port);
-        let fed: OutSet = reach.iter().map(mux).collect();
-        fed.iter().for_each(|out| fan_in[out.index()] += 1);
-    }
-    let avail = class.available_outputs();
-    let outs = avail.iter().filter(|&out| mux(out) == out);
-    outs.map(|out| (out, fan_in[out.index()])).collect()
-}
-
-/// Cost of one router of the given class at `width` bits.
-///
-/// `policy` is `None` for a baseline Hoplite NoC. A router with no
-/// express port is Hoplite's two-mux switch under any policy.
-pub fn router_cost(class: RouterClass, policy: Option<FtPolicy>, width: u32) -> RouterCost {
-    let policy = policy.unwrap_or_default();
-    let muxes = output_muxes(class, policy, !class.has_any_express());
-    let luts: u64 = muxes.iter().map(|m| mux_luts_per_bit(m.1)).sum();
-    // Registers on every input, the PE's included, and every link output.
-    let inputs = InPort::ALL.into_iter().filter(|&p| class.has_input(p));
-    let registers = (inputs.count() + class.available_outputs().len() - 1) as u64;
-    // Control and decode logic (DOR compare, valid bits, priority) by
-    // class: calibration, not structure. The Inject routing function is
-    // decided once at the PE, which roughly halves its decode.
-    let (decode, control) = match (class.x_express, class.y_express) {
-        (true, true) => (90, 40),
-        (true, false) | (false, true) => (60, 30),
-        (false, false) => (14, 17),
-    };
-    let decode = match policy {
-        FtPolicy::Full => decode,
-        FtPolicy::Inject => (decode / 2).max(14),
-    };
-    RouterCost {
-        luts: luts * width as u64 + decode,
-        ffs: registers * width as u64 + control,
-    }
-}
 
 /// Aggregate cost of one NoC channel.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,16 +18,9 @@ pub struct NocCost {
     pub wire_bundles_per_cut: u32,
     /// Total wire bits crossing one ring cut (`width × bundles`).
     pub wire_bits_per_cut: u64,
-    /// Router count.
-    pub routers: usize,
 }
 
 impl NocCost {
-    /// `max(LUTs, FFs)` for the whole NoC.
-    pub fn max_resource(&self) -> u64 {
-        self.luts.max(self.ffs)
-    }
-
     /// Cost of `channels` replicated copies (multi-channel Hoplite).
     pub fn replicated(&self, channels: u32) -> NocCost {
         NocCost {
@@ -141,27 +28,20 @@ impl NocCost {
             ffs: self.ffs * channels as u64,
             wire_bundles_per_cut: self.wire_bundles_per_cut * channels,
             wire_bits_per_cut: self.wire_bits_per_cut * channels as u64,
-            routers: self.routers * channels as usize,
         }
     }
 }
 
-/// Computes the aggregate cost of the NoC described by `cfg` at `width`
-/// bits, summing per-position router classes (full / grey / white).
+/// The aggregate cost of the NoC described by `cfg` at `width` bits:
+/// its price-list entry and its `1 + D/R` wire bundles per cut.
 pub fn noc_cost(cfg: &NocConfig, width: u32) -> NocCost {
-    let n = cfg.n();
-    let mut total = RouterCost::default();
-    for id in 0..cfg.num_nodes() {
-        let class = RouterClass::of(cfg, Coord::from_node_id(id, n));
-        total = total.plus(router_cost(class, cfg.ft_policy(), width));
-    }
+    let (luts, ffs) = cfg.resource_cost().at(width);
     let mult = cfg.wire_multiplier() as u32;
     NocCost {
-        luts: total.luts,
-        ffs: total.ffs,
+        luts,
+        ffs,
         wire_bundles_per_cut: mult,
         wire_bits_per_cut: width as u64 * mult as u64,
-        routers: cfg.num_nodes(),
     }
 }
 
@@ -186,39 +66,10 @@ pub fn wire_slice_bits(device: &Device, cfg: &NocConfig, width: u32) -> (f64, f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fasttrack_core::config::{ExitPolicy, NocConfig};
+    use fasttrack_core::config::FtPolicy;
 
     fn ft(n: u16, d: u16, r: u16) -> NocConfig {
         NocConfig::fasttrack(n, d, r, FtPolicy::Full).unwrap()
-    }
-
-    #[test]
-    fn table1_hoplite_32b() {
-        let c = router_cost(RouterClass::HOPLITE, None, 32);
-        assert_eq!(c.luts, 78); // paper Table I: Hoplite = 78 LUTs
-    }
-
-    #[test]
-    fn table1_fasttrack_32b_range() {
-        let full = router_cost(RouterClass::FULL, Some(FtPolicy::Full), 32);
-        let inject = router_cost(RouterClass::FULL, Some(FtPolicy::Inject), 32);
-        let grey = router_cost(
-            RouterClass {
-                x_express: true,
-                y_express: false,
-            },
-            Some(FtPolicy::Full),
-            32,
-        );
-        // Paper Table I: FastTrack 191–290 LUTs at 32 b.
-        for c in [full, inject, grey] {
-            assert!(
-                (180..=295).contains(&c.luts),
-                "32b FT router cost {} outside the paper's range",
-                c.luts
-            );
-        }
-        assert!(inject.luts < full.luts);
     }
 
     #[test]
@@ -262,73 +113,11 @@ mod tests {
     }
 
     #[test]
-    fn mux_costs() {
-        assert_eq!(mux_luts_per_bit(1), 0);
-        assert_eq!(mux_luts_per_bit(3), 1);
-        assert_eq!(mux_luts_per_bit(4), 1);
-        assert_eq!(mux_luts_per_bit(5), 2);
-        assert_eq!(mux_luts_per_bit(8), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "not supported")]
-    fn mux_too_wide_panics() {
-        mux_luts_per_bit(9);
-    }
-
-    #[test]
     fn replication_scales_linearly() {
         let base = noc_cost(&NocConfig::hoplite(8).unwrap(), 256);
         let tripled = base.replicated(3);
         assert_eq!(tripled.luts, 3 * base.luts);
         assert_eq!(tripled.wire_bundles_per_cut, 3);
-        assert_eq!(tripled.routers, 3 * base.routers);
-    }
-
-    /// The one place the priced switch and the engine's part ways. A
-    /// router with no express port inside an FT NoC with `D ≥ 2` runs the
-    /// NoC's `ExitPolicy::Dedicated`: three 3:1 muxes (`E_sh`, `S_sh`,
-    /// `Exit`), priced as Hoplite's two. Pinned here, not resolved: +256
-    /// LUTs per such router at 256 b, so +4 096 on FT(64,2,2).
-    #[test]
-    fn white_routers_in_ft_nocs_are_priced_one_exit_mux_short() {
-        let mut cfgs = vec![NocConfig::hoplite(8).unwrap()];
-        for (d, r) in [(1, 1), (2, 1), (2, 2), (3, 1), (4, 1), (4, 2), (4, 4)] {
-            for policy in [FtPolicy::Full, FtPolicy::Inject] {
-                cfgs.push(NocConfig::fasttrack(8, d, r, policy).unwrap());
-            }
-        }
-        let mut gaps = std::collections::BTreeSet::new();
-        for cfg in cfgs {
-            let policy = cfg.ft_policy().unwrap_or_default();
-            let engine_shares_exit = cfg.exit_policy() == ExitPolicy::SharedWithSouth;
-            let mut extra_luts = 0;
-            for id in 0..cfg.num_nodes() {
-                let class = RouterClass::of(&cfg, Coord::from_node_id(id, cfg.n()));
-                let engine = output_muxes(class, policy, engine_shares_exit);
-                let priced = output_muxes(class, policy, !class.has_any_express());
-                assert!(
-                    priced.iter().all(|mux| engine.contains(mux)),
-                    "{}",
-                    cfg.name()
-                );
-                for &(out, fan_in) in engine.iter().filter(|mux| !priced.contains(mux)) {
-                    gaps.insert((class.code(), out, fan_in));
-                    extra_luts += mux_luts_per_bit(fan_in) * 256;
-                }
-            }
-            let white_in_ft = cfg.d() >= 2 && cfg.r() >= 2;
-            assert_eq!(extra_luts > 0, white_in_ft, "{}", cfg.name());
-            if cfg.d() == 2 && cfg.r() == 2 && policy == FtPolicy::Full {
-                assert_eq!(extra_luts, 4_096);
-                assert_eq!(noc_cost(&cfg, 256).luts + extra_luts, 73_216);
-            }
-        }
-        let white = RouterClass::HOPLITE.code();
-        assert_eq!(
-            gaps.into_iter().collect::<Vec<_>>(),
-            [(white, OutPort::Exit, 3)]
-        );
     }
 
     #[test]
@@ -344,14 +133,5 @@ mod tests {
         // Depopulation halves express wiring.
         let (_, express_d) = wire_slice_bits(&dev, &ft(8, 2, 2), 256);
         assert!((express_d - short_h).abs() < 1.0);
-    }
-
-    #[test]
-    fn max_resource_metric() {
-        let c = RouterCost {
-            luts: 100,
-            ffs: 250,
-        };
-        assert_eq!(c.max_resource(), 250);
     }
 }
