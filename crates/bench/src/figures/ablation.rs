@@ -4,6 +4,7 @@
 //! each mechanism has to show.
 
 use fasttrack_core::config::{ExitPolicy, FtPolicy, LinkPipeline, NocConfig};
+use fasttrack_core::topology::topology_of;
 use fasttrack_fpga::device::Device;
 use fasttrack_fpga::resources::noc_cost;
 use fasttrack_fpga::routability::noc_frequency_mhz;
@@ -75,7 +76,7 @@ pub(super) fn lane(scale: Scale) -> Outcome {
     nuts.push(hoplite(8));
     let rows = out.grid(&nuts, &patterns, &[1.0], 3, scale);
     let at = |label: &str, pattern| rate(report(&rows, label, pattern, 1.0));
-    let luts = |i: usize| noc_cost(nuts[i].torus_config().expect("torus"), 256).luts;
+    let luts = |i: usize| noc_cost(&*topology_of(&nuts[i].topology), 256).luts;
     let cols: [Col<(Pattern, usize)>; 6] = [
         ("Pattern", &|(p, _)| p.name().into()),
         ("D", &|(_, i)| variants[*i].0.to_string()),
@@ -120,11 +121,11 @@ pub(super) fn pipe(scale: Scale) -> Outcome {
         .flat_map(|&d| extras.map(|e| variant(d, e)))
         .collect();
     let rows = out.grid(&nuts, &RANDOM, &[1.0], 17, scale);
-    let cfg = |i: usize| nuts[i].torus_config().expect("torus");
-    let mhz = |i: usize| noc_frequency_mhz(&device, cfg(i), WIDTH, 1).expect("8x8 fits at 128b");
+    let topo = |i: usize| topology_of(&nuts[i].topology);
+    let mhz = |i: usize| noc_frequency_mhz(&device, &*topo(i), WIDTH, 1).expect("8x8 fits at 128b");
     let mpkts = |i: usize| rows[i].report.aggregate_rate() * mhz(i);
     let cols: [Col<usize>; 6] = [
-        ("Config", &|&i| cfg(i).name()),
+        ("Config", &|&i| topo(i).name()),
         ("Extra regs (sh/ex)", &|&i| {
             format!("{}/{}", extras[i % 4].0, extras[i % 4].1)
         }),

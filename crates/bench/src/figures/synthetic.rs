@@ -3,6 +3,7 @@
 
 use fasttrack_core::port::InPort;
 use fasttrack_core::sim::SimReport;
+use fasttrack_core::topology::{topology_of, TopologySpec};
 use fasttrack_fpga::device::Device;
 use fasttrack_fpga::power::PowerModel;
 use fasttrack_fpga::published::TABLE1;
@@ -24,10 +25,10 @@ const SIZES: [(usize, u16); 3] = [(16, 4), (64, 8), (256, 16)];
 /// A NoC under test with its run, as the priced tables read them.
 type Run<'a> = (&'a NocUnderTest, &'a SweepRow);
 
-/// Modeled clock of `nut` (a torus) at `width` bits.
+/// Modeled clock of `nut` at `width` bits.
 fn mhz(nut: &NocUnderTest, width: u32) -> f64 {
-    let (cfg, channels) = (nut.torus_config().expect("torus"), nut.channels as u32);
-    noc_frequency_mhz(&Device::virtex7_485t(), cfg, width, channels).expect("8x8 fits")
+    let (topo, channels) = (topology_of(&nut.topology), nut.channels as u32);
+    noc_frequency_mhz(&Device::virtex7_485t(), &*topo, width, channels).expect("8x8 fits")
 }
 
 pub(super) fn fig01sim(scale: Scale) -> Outcome {
@@ -40,23 +41,38 @@ pub(super) fn fig01sim(scale: Scale) -> Outcome {
         ft(8, 2, 1),
     ];
     let rows = out.grid(&nuts, &RANDOM, &[1.0], 0x00f1_6010, scale);
-    // The buffered mesh is priced as Table I's CONNECT router.
+    // The buffered mesh is priced and clocked as Table I's CONNECT
+    // router, the literature row this figure compares against.
     let connect = TABLE1
         .iter()
         .find(|r| r.name.starts_with("CONNECT"))
         .expect("in Table I");
-    let torus = |n: &NocUnderTest| n.torus_config().map(|cfg| noc_cost(cfg, WIDTH).luts / 64);
-    let clock = |n: &NocUnderTest| torus(n).map_or(1e3 / connect.period_ns, |_| mhz(n, WIDTH));
+    let literature = |n: &NocUnderTest| matches!(n.topology, TopologySpec::Mesh { .. });
+    let luts = |n: &NocUnderTest| {
+        if literature(n) {
+            connect.luts.into()
+        } else {
+            noc_cost(&*topology_of(&n.topology), WIDTH).luts / 64
+        }
+    };
+    let clock = |n: &NocUnderTest| {
+        if literature(n) {
+            1e3 / connect.period_ns
+        } else {
+            mhz(n, WIDTH)
+        }
+    };
     let bw = |(n, r): &Run| rate(&r.report) * clock(n);
-    let class = |n: &NocUnderTest| match torus(n) {
-        Some(_) => n.label.clone(),
-        None => "Buffered mesh (CONNECT-class)".into(),
+    let class = |n: &NocUnderTest| {
+        if literature(n) {
+            "Buffered mesh (CONNECT-class)".into()
+        } else {
+            n.label.clone()
+        }
     };
     let cols: [Col<Run>; 5] = [
         ("NoC class", &|(n, _)| class(n)),
-        ("LUTs/router", &|(n, _)| {
-            torus(n).unwrap_or(connect.luts.into()).to_string()
-        }),
+        ("LUTs/router", &|(n, _)| luts(n).to_string()),
         ("Clock (MHz)", &|(n, _)| f(clock(n), 0)),
         ("Rate (pkt/cyc/PE)", &|(_, r)| f(rate(&r.report), 3)),
         ("BW (Mpkt/s/router)", &|run| f(bw(run), 1)),
@@ -284,7 +300,7 @@ pub(super) fn fig14(scale: Scale) -> Outcome {
     let nuts = replicas_and_fasttrack();
     let rows = out.grid(&nuts, &RANDOM, &[1.0], 0x00f1_6140, scale);
     let cost = |n: &NocUnderTest| {
-        noc_cost(n.torus_config().expect("torus"), WIDTH).replicated(n.channels as u32)
+        noc_cost(&*topology_of(&n.topology), WIDTH).replicated(n.channels as u32)
     };
     let mpkts = |(n, r): &Run| r.report.aggregate_rate() * mhz(n, WIDTH);
     let cols: [Col<Run>; 6] = [
@@ -547,13 +563,9 @@ pub(super) fn fig19(scale: Scale) -> Outcome {
     let rows = out.grid(&nuts, &RANDOM, &[1.0], 0x00f1_6190, scale);
     let mpkts = |(n, r): &Run| r.report.aggregate_rate() * mhz(n, WIDTH);
     let mj = |(n, r): &Run| {
-        let (cfg, clock, k) = (
-            n.torus_config().expect("torus"),
-            mhz(n, WIDTH),
-            n.channels as u32,
-        );
+        let (topo, clock, k) = (topology_of(&n.topology), mhz(n, WIDTH), n.channels as u32);
         let (cycles, stats) = (r.report.cycles, &r.report.stats);
-        1e3 * power.workload_energy_j(&device, cfg, WIDTH, clock, k, cycles, stats)
+        1e3 * power.workload_energy_j(&device, &*topo, WIDTH, clock, k, cycles, stats)
     };
     let base = mj(&(&nuts[0], &rows[0]));
     let cols: [Col<Run>; 6] = [

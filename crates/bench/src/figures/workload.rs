@@ -4,6 +4,7 @@
 
 use fasttrack_core::sim::{SimOptions, TrafficSource};
 use fasttrack_core::sweep::sweep;
+use fasttrack_core::topology::topology_of;
 use fasttrack_fpga::device::Device;
 use fasttrack_fpga::routability::noc_frequency_mhz;
 use fasttrack_traffic::dataflow::{lu_benchmarks, lu_dag, DataflowSource, LuBenchmark};
@@ -328,7 +329,7 @@ pub(super) fn serial(scale: Scale) -> Outcome {
     // and the cycles to move a line from every PE to PE+19 (`None` = hit
     // the cycle cap).
     let cells = sweep(points.clone(), threads(), |_, (nut, width)| {
-        let mhz = noc_frequency_mhz(&device, nut.torus_config().expect("torus"), width, 1).ok()?;
+        let mhz = noc_frequency_mhz(&device, &*topology_of(&nut.topology), width, 1).ok()?;
         let line = |src| Transfer {
             src,
             dst: (src + 19) % 64,

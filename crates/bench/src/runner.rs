@@ -95,14 +95,6 @@ impl NocUnderTest {
         }
     }
 
-    /// The wrapped torus configuration, when this NoC is a torus.
-    pub fn torus_config(&self) -> Option<&NocConfig> {
-        match &self.topology {
-            TopologySpec::Torus(cfg) => Some(cfg),
-            _ => None,
-        }
-    }
-
     /// Total router count.
     pub fn num_nodes(&self) -> usize {
         self.topology.num_nodes()

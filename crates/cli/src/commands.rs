@@ -37,9 +37,7 @@ use crate::run_spec::{
     range_flag, write_file, Observer, Run, RunSpec,
 };
 pub use crate::run_spec::{replay_session, SingleRun};
-use crate::spec::{
-    check_pattern_side, parse_grid, parse_noc, parse_pattern, parse_topology, SpecError,
-};
+use crate::spec::{check_pattern_side, parse_grid, parse_pattern, parse_topology, SpecError};
 
 /// Any CLI failure.
 #[derive(Debug)]
@@ -155,8 +153,8 @@ USAGE:
 SPECS:
   NoC:     hoplite:<n> | ft:<n>:<d>:<r> | ftlite:<n>:<d>:<r>
            | shg:<q>:<delta> | mesh:<n>:<depth>
-           (cost models the torus kinds only; every other command
-            accepts all five)
+           (every command accepts all five; cost and compare price,
+            wire and clock each from its links)
   Pattern: random | bitcompl | transpose | tornado | shuffle | bitrev
            | local:<radius> | hotspot:<percent>
   Grid:    <noc>[,<noc>...];<pattern>[,<pattern>...];<rate>[,<rate>...]
@@ -754,11 +752,12 @@ const DATAPATH_WIDTH: u32 = 256;
 /// Runs the same traffic (pattern, rate, packets-per-PE, seed) on every
 /// topology in `--topologies`, prices each from the one price list
 /// ([`fasttrack_core::topology::Topology::resource_cost`]) at
-/// `DATAPATH_WIDTH`, and reports throughput normalized per thousand
-/// LUT+FF — the iso-resource figure the paper's cost/performance
-/// comparisons turn on. The first topology is the baseline the `vs base`
-/// column is relative to. `--out <path>` writes the table as
-/// machine-readable CSV.
+/// `DATAPATH_WIDTH`, clocks it with the FPGA model, and reports Mpkt/s
+/// per thousand LUT+FF — the per-nanosecond, iso-resource figure the
+/// paper's Figs 1 and 14 turn on. A fabric that does not fit the device
+/// at that width has no clock, so its per-ns columns read `NA`. The
+/// first topology is the baseline the `vs base` column is relative to.
+/// `--out <path>` writes the table as CSV, its label quoted.
 pub fn cmd_compare(flags: &Flags) -> Result<String, CliError> {
     let spec_list = flags
         .optional("topologies")
@@ -776,8 +775,8 @@ pub fn cmd_compare(flags: &Flags) -> Result<String, CliError> {
     }
 
     let mut csv = String::from(
-        "label,nodes,luts,ffs,cells,delivered,cycles,rate_per_pe,avg_latency,\
-         p99_latency,rate_per_kcell,vs_base\n",
+        "label,nodes,luts,ffs,cells,mhz,delivered,cycles,rate_per_pe,avg_latency,\
+         p99_latency,mpkts_per_kcell,vs_base\n",
     );
     let traffic = &runs[0];
     let mut out = format!(
@@ -788,36 +787,48 @@ pub fn cmd_compare(flags: &Flags) -> Result<String, CliError> {
         traffic.packets,
         traffic.seed,
     );
+    let device = Device::virtex7_485t();
+    let na = |value: Option<f64>, prec: usize| value.map_or("NA".into(), |v| format!("{v:.prec$}"));
     let mut base = None;
     for run in &runs {
         use std::fmt::Write as _;
         let label = run.topology.display_name();
         let nodes = run.topology.num_nodes();
-        let cost = topology_of(&run.topology).resource_cost();
-        let (luts, ffs) = cost.at(DATAPATH_WIDTH);
-        let cells = luts + ffs;
+        let topo = topology_of(&run.topology);
+        let cost = noc_cost(&*topo, DATAPATH_WIDTH);
+        let cells = cost.luts + cost.ffs;
+        let mhz = noc_frequency_mhz(&device, &*topo, DATAPATH_WIDTH, 1).ok();
         let report = run.session().run(&mut run.source()).unwrap().report;
         let rate_per_pe = report.sustained_rate_per_pe();
-        let rate_per_kcell = rate_per_pe * nodes as f64 / (cells as f64 / 1e3);
+        // Packets per cycle over the fabric, times Mcycles per second.
+        let per_kcell = mhz.map(|mhz| rate_per_pe * nodes as f64 * mhz / (cells as f64 / 1e3));
         let p99 = report.p99_latency();
         // The first topology is the baseline.
-        let base = *base.get_or_insert(rate_per_kcell);
-        let vs_base = if base > 0.0 {
-            rate_per_kcell / base
-        } else {
-            0.0
-        };
+        let base = *base.get_or_insert(per_kcell);
+        let vs_base = per_kcell
+            .zip(base)
+            .map(|(x, base)| if base > 0.0 { x / base } else { 0.0 });
         let _ = writeln!(
             csv,
-            "{label},{nodes},{luts},{ffs},{cells},{},{},{rate_per_pe:.6},{:.2},{p99},{rate_per_kcell:.6},{vs_base:.4}",
+            "\"{label}\",{nodes},{},{},{cells},{},{},{},{rate_per_pe:.6},{:.2},{p99},{},{}",
+            cost.luts,
+            cost.ffs,
+            na(mhz, 1),
             report.stats.delivered,
             report.cycles,
             report.avg_latency(),
+            na(per_kcell, 6),
+            na(vs_base, 4),
         );
         let _ = writeln!(
             out,
-            "  {label:<22} {nodes:>5} nodes  {cells:>8} cells ({luts} LUT + {ffs} FF)  rate/PE {rate_per_pe:.4}  \
-             p99 {p99:>4}  rate/kcell {rate_per_kcell:.4} ({vs_base:.2}x base)",
+            "  {label:<22} {nodes:>5} nodes  {cells:>8} cells ({} LUT + {} FF)  rate/PE {rate_per_pe:.4}  \
+             p99 {p99:>4}  {} MHz  Mpkt/s/kcell {} ({}x base)",
+            cost.luts,
+            cost.ffs,
+            na(mhz, 0),
+            na(per_kcell, 4),
+            na(vs_base, 2),
         );
     }
     if let Some(path) = flags.optional("out") {
@@ -1000,27 +1011,29 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `cost` — the FPGA implementation picture.
+/// `cost` — the FPGA implementation picture of any fabric.
 pub fn cmd_cost(flags: &Flags) -> Result<String, CliError> {
-    let cfg = parse_noc(flags.required("noc")?)?;
+    let spec = parse_topology(flags.required("noc")?)?;
     let width: u32 = flags.numeric("width", DATAPATH_WIDTH)?;
     if width == 0 {
         return Err(CliError::Other("--width must be positive".into()));
     }
     let channels = channels_flag(flags, 1)?.max(1) as u32;
     let device = Device::virtex7_485t();
-    let cost = noc_cost(&cfg, width).replicated(channels);
+    let topo = topology_of(&spec);
+    let cost = noc_cost(&*topo, width).replicated(channels);
     let mut out = format!(
         "{} @{width}b x{channels} on {}\n  LUTs {}  FFs {}  wire bundles/cut {}\n",
-        cfg.name(),
+        spec.display_name(),
         device.name,
         cost.luts,
         cost.ffs,
         cost.wire_bundles_per_cut
     );
-    match noc_frequency_mhz(&device, &cfg, width, channels) {
+    match noc_frequency_mhz(&device, &*topo, width, channels) {
         Ok(mhz) => {
-            let power = PowerModel::default().dynamic_power_w(&device, &cfg, width, mhz, channels);
+            let power =
+                PowerModel::default().dynamic_power_w(&device, &*topo, width, mhz, channels);
             out.push_str(&format!("  frequency {mhz:.0} MHz  power {power:.1} W\n"));
         }
         Err(e) => out.push_str(&format!("  DOES NOT FIT: {e}\n")),
@@ -1823,20 +1836,42 @@ mod tests {
         .unwrap();
         assert!(out.contains("iso-resource compare: 3 topologies"));
         assert!(out.contains("FT(16,2,1)"));
-        assert!(out.contains("rate/kcell"));
+        assert!(out.contains("Mpkt/s/kcell"));
         assert!(out.contains("1.00x base"), "baseline row is 1.00x: {out}");
         let csv = std::fs::read_to_string(&csv_path).unwrap();
-        assert!(csv.starts_with("label,nodes,luts,ffs,cells,"));
+        assert!(csv.starts_with("label,nodes,luts,ffs,cells,mhz,"));
         assert_eq!(csv.lines().count(), 1 + 3);
-        // Every topology prices to a positive cell count.
+        let header = csv_fields(csv.lines().next().unwrap());
+        // Every row has the header's fields, whatever commas its label
+        // holds, and prices to a positive cell count.
         for line in csv.lines().skip(1) {
-            let cells: u64 = line.split(',').nth(4).unwrap().parse().unwrap();
+            let fields = csv_fields(line);
+            assert_eq!(fields.len(), header.len(), "{line}");
+            let cells: u64 = fields[4].parse().unwrap();
             assert!(cells > 0, "{line}");
         }
+        assert_eq!(csv_fields(csv.lines().nth(1).unwrap())[0], "FT(16,2,1)");
+    }
+
+    /// Splits one CSV line into its fields, honouring double quotes
+    /// (no label holds a quote of its own).
+    fn csv_fields(line: &str) -> Vec<String> {
+        let (mut fields, mut field, mut quoted) = (Vec::new(), String::new(), false);
+        for c in line.chars() {
+            match c {
+                '"' => quoted = !quoted,
+                ',' if !quoted => fields.push(std::mem::take(&mut field)),
+                c => field.push(c),
+            }
+        }
+        fields.push(field);
+        fields
     }
 
     /// `compare` and `cost` read one price list: every torus row is
-    /// `noc_cost` at 256 b, and the SHG pays for its all-to-all switch.
+    /// `noc_cost` at 256 b, the SHG pays for its all-to-all switch, and
+    /// the mesh for its FIFOs. A fabric that does not fit at 256 b has
+    /// no clock, so its per-ns columns read `NA`.
     #[test]
     fn compare_prices_every_fabric_from_the_one_list() {
         let dir = std::env::temp_dir().join("fasttrack_cli_compare_prices");
@@ -1848,23 +1883,22 @@ mod tests {
             )))
             .unwrap();
             let csv = std::fs::read_to_string(&csv_path).unwrap();
-            // Counted from the right: a torus label such as
-            // `FT(16,2,1)` carries commas of its own.
-            let cells = |line: &str| -> (u64, u64) {
-                let cols: Vec<&str> = line.rsplit(',').collect();
-                (cols[9].parse().unwrap(), cols[8].parse().unwrap())
-            };
-            csv.lines().skip(1).map(cells).collect::<Vec<_>>()
+            csv.lines().skip(1).map(csv_fields).collect::<Vec<_>>()
         };
+        let cells =
+            |row: &[String]| -> (u64, u64) { (row[2].parse().unwrap(), row[3].parse().unwrap()) };
         let specs = ["hoplite:4", "ft:4:2:1", "ftlite:4:2:2"];
-        for (spec, priced) in specs.iter().zip(rows(&specs.join(","))) {
-            let cost = noc_cost(&parse_noc(spec).unwrap(), DATAPATH_WIDTH);
-            assert_eq!(priced, (cost.luts, cost.ffs), "{spec}");
+        for (spec, row) in specs.iter().zip(rows(&specs.join(","))) {
+            let topo = topology_of(&parse_topology(spec).unwrap());
+            let cost = noc_cost(&*topo, DATAPATH_WIDTH);
+            assert_eq!(cells(&row), (cost.luts, cost.ffs), "{spec}");
         }
-        let [ft, shg] = rows("ft:8:2:1,shg:8:2")[..] else {
-            panic!("two rows")
-        };
-        assert_eq!((ft.0, shg.0), (104_064, 153_216));
+        let rows_of = rows("ft:8:2:1,shg:8:2,mesh:8:4");
+        let luts: Vec<u64> = rows_of.iter().map(|row| cells(row).0).collect();
+        assert_eq!(luts, [104_064, 136_832, 79_744]);
+        for row in rows("ft:16:2:1,shg:16:4") {
+            assert_eq!(row[5..].iter().filter(|f| *f == "NA").count(), 3, "{row:?}");
+        }
     }
 
     #[test]
@@ -2593,20 +2627,27 @@ mod tests {
         }
     }
 
-    /// `cost` prices the torus: a well-formed SHG or mesh spec is
-    /// refused as such, not as an unknown kind.
+    /// `cost` prices, wires and clocks every fabric from its links: the
+    /// SHG's stride-2 wires clock like FT(64,2,1)'s, its stride-4 wires
+    /// slower and wider, and the mesh by its router's LUT stages.
     #[test]
-    fn torus_only_commands_refuse_other_fabrics_by_name() {
-        for cmd in ["cost --noc mesh:4:2", "cost --noc shg:4:2"] {
-            let err = run_with(cmd, "").unwrap_err();
-            assert!(
-                matches!(err, CliError::Spec(SpecError::Invalid(_))),
-                "{cmd}: {err:?}"
-            );
-            let text = err.to_string();
-            assert!(text.contains("torus fabrics only"), "{cmd}: {text}");
-            assert!(text.contains(":4:2\""), "{cmd} names the spec: {text}");
-        }
+    fn cost_runs_on_every_fabric() {
+        let cost = |spec: &str, width: u32| {
+            run(argv(&format!("cost --noc {spec} --width {width}"))).unwrap()
+        };
+        let shg2 = cost("shg:8:2", 256);
+        assert!(shg2.contains("wire bundles/cut 3"), "{shg2}");
+        assert!(shg2.contains("frequency 323 MHz"), "{shg2}");
+        assert!(cost("ft:8:2:1", 256).contains("frequency 323 MHz"));
+        let shg3 = cost("shg:8:3", 32);
+        assert!(shg3.contains("wire bundles/cut 7"), "{shg3}");
+        assert!(shg3.contains("frequency 220 MHz"), "{shg3}");
+        assert!(cost("shg:8:3", 256).contains("DOES NOT FIT"));
+        let mesh = cost("mesh:8:4", 256);
+        let mhz: f64 = mesh.split("frequency ").nth(1).unwrap()[..3]
+            .parse()
+            .unwrap();
+        assert!((104.0..=230.0).contains(&mhz), "{mesh}");
     }
 
     #[test]

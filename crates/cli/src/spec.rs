@@ -79,9 +79,10 @@ pub fn parse_topology(spec: &str) -> Result<TopologySpec, SpecError> {
     Ok(spec.parse::<TopologySpec>()?)
 }
 
-/// Parses a NoC spec for the commands whose fault draws or price list
-/// model the torus (`faults`, `cost`, `record`): [`parse_topology`],
-/// restricted to `hoplite:` / `ft:` / `ftlite:`.
+/// Parses a torus NoC spec: [`parse_topology`], restricted to
+/// `hoplite:` / `ft:` / `ftlite:`. No command reads it; the repo
+/// benchmark's plans (`benchmark/src/plan.rs`) build torus sessions
+/// through it.
 ///
 /// # Errors
 ///

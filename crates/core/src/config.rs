@@ -219,10 +219,11 @@ impl NocConfig {
     ///
     /// A length-1 "express" link is physically indistinguishable from
     /// the short torus link next to it, so `d == 1` keeps the FastTrack
-    /// *name* (and cost-model accounting) but degenerates the datapath
-    /// to exactly baseline Hoplite: shared south/exit mux, no express
-    /// lanes, no lane-change logic. The differential tests assert that
-    /// `FT(N², 1, 1)` is cycle-for-cycle identical to `hoplite(n)`.
+    /// *name* but degenerates the datapath to exactly baseline Hoplite:
+    /// shared south/exit mux, no express lanes, no lane-change logic.
+    /// Its links, price, wires and clock are Hoplite's too. The
+    /// differential tests assert that `FT(N², 1, 1)` is cycle-for-cycle
+    /// identical to `hoplite(n)`.
     pub fn fasttrack(n: u16, d: u16, r: u16, policy: FtPolicy) -> Result<Self, ConfigError> {
         if n < 2 {
             return Err(ConfigError::SystemTooSmall { n });
@@ -364,16 +365,6 @@ impl NocConfig {
         }
     }
 
-    /// The number of parallel wire bundles per channel cut,
-    /// `1 + D/R` (paper §IV-A): one short bundle plus `D/R` express
-    /// bundles braided through the ring. Hoplite is 1.
-    pub fn wire_multiplier(&self) -> u16 {
-        match self.kind {
-            NocKind::Hoplite => 1,
-            NocKind::FastTrack { d, r, .. } => 1 + d / r,
-        }
-    }
-
     /// Short human-readable name, e.g. `Hoplite 8x8` or `FT(64,2,1)`.
     pub fn name(&self) -> String {
         match self.kind {
@@ -420,7 +411,6 @@ mod tests {
         assert_eq!(cfg.num_nodes(), 64);
         assert!(!cfg.has_express());
         assert_eq!(cfg.d(), 0);
-        assert_eq!(cfg.wire_multiplier(), 1);
         assert_eq!(cfg.name(), "Hoplite 8x8");
         assert!(!cfg.has_express_at(0));
         assert_eq!(cfg.express_hops_for(4), None);
@@ -433,7 +423,6 @@ mod tests {
         assert_eq!(cfg.d(), 2);
         assert_eq!(cfg.r(), 1);
         assert_eq!(cfg.ft_policy(), Some(FtPolicy::Full));
-        assert_eq!(cfg.wire_multiplier(), 3);
     }
 
     #[test]
@@ -508,7 +497,6 @@ mod tests {
         assert!(cfg.has_express_at(0));
         assert!(!cfg.has_express_at(1));
         assert!(cfg.has_express_at(2));
-        assert_eq!(cfg.wire_multiplier(), 2);
         assert_eq!(cfg.name(), "FT(64,2,2)");
     }
 
@@ -516,7 +504,7 @@ mod tests {
     fn d1_degenerates_to_hoplite_datapath() {
         let cfg = NocConfig::fasttrack(8, 1, 1, FtPolicy::Full).unwrap();
         assert_eq!(cfg.name(), "FT(64,1,1)");
-        assert!(cfg.has_express(), "cost accounting keeps the FT kind");
+        assert!(cfg.has_express(), "the name keeps the FT kind");
         assert_eq!(cfg.exit_policy(), ExitPolicy::SharedWithSouth);
         for pos in 0..8 {
             assert!(!cfg.has_express_at(pos));

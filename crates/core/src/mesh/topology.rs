@@ -87,8 +87,9 @@ impl Topology for MeshTopology {
 
     /// XY routing fixes the fan-ins ([`crate::resources`]): an X input
     /// goes straight or turns, a Y input never turns onto X, nothing
-    /// U-turns, and the PE reaches every output. Each link input's
-    /// register is a FIFO of `buffer_depth` flits.
+    /// U-turns, and the PE reaches every output, the ejector included
+    /// (a self-send). Each link input's register is a FIFO of
+    /// `buffer_depth` flits.
     fn resource_cost(&self) -> ResourceCost {
         let depth = self.cfg.buffer_depth();
         let x_axis = |l: &LinkDesc| l.port == OutPort::EastSh;
@@ -101,10 +102,17 @@ impl Topology for MeshTopology {
                     let feeds = |f: &&LinkDesc| f.slot != out.slot && (x_axis(f) || !x_axis(out));
                     1 + links.iter().filter(feeds).count() as u32
                 };
-                let muxes = links.iter().map(fan_in).chain([links.len() as u32]);
+                let muxes = links.iter().map(fan_in).chain([links.len() as u32 + 1]);
                 resources::router(muxes, links.len() * (depth + 1) + 1, [false; 2])
             })
             .sum()
+    }
+
+    /// The engine's `step` moves a packet from a FIFO head register
+    /// through three LUT stages in one cycle: the XY request, the
+    /// round-robin grant, and the switch mux it selects.
+    fn lut_stages(&self) -> u32 {
+        3
     }
 
     /// XY routing is single-path, so the mesh admits only transient
@@ -316,6 +324,10 @@ mod tests {
         let shallow = MeshTopology::new(MeshConfig::new(4, 1).unwrap()).resource_cost();
         let deep = MeshTopology::new(MeshConfig::new(4, 8).unwrap()).resource_cost();
         assert_eq!(shallow.luts_per_bit, deep.luts_per_bit, "depth is FF-only");
+        // Per bit: four interior routers of 6 LUTs (a 5:1 exit mux, the
+        // PE's self-send included), eight edges of 4 or 3, four corners
+        // of 2.
+        assert_eq!(shallow.luts_per_bit, 60);
         assert_eq!(shallow.decode_luts, deep.decode_luts);
         // 48 link inputs, each seven flits deeper.
         assert_eq!(deep.ffs_per_bit, shallow.ffs_per_bit + 7 * 48);

@@ -284,7 +284,7 @@ pub trait Topology {
     /// reads the fan-ins off [`Topology::out_links`] for an engine that
     /// deflects onto any free output, as the SHG's does: every link
     /// input and the PE reach every link output, and every link input
-    /// can eject.
+    /// ejects through its own ejector, so no exit mux is priced.
     fn resource_cost(&self) -> ResourceCost {
         let mut inputs = vec![0u32; self.num_nodes()];
         self.links().iter().for_each(|l| inputs[l.dst] += 1);
@@ -298,11 +298,19 @@ pub trait Topology {
                         .filter(express)
                         .any(|l| l.port.is_east() == east)
                 };
-                let muxes = links.iter().map(|_| inputs[v] + 1).chain([inputs[v]]);
+                let muxes = links.iter().map(|_| inputs[v] + 1);
                 let registers = inputs[v] as usize + 1 + links.len();
                 resources::router(muxes, registers, [true, false].map(drives))
             })
             .sum()
+    }
+
+    /// LUT stages a packet crosses inside one router in one cycle, the
+    /// depth the FPGA clock model times a short link through (Fig 4).
+    /// The default is a bufferless router, which decides and switches
+    /// in one stage.
+    fn lut_stages(&self) -> u32 {
+        1
     }
 
     /// True when the directed graph stays strongly connected after
@@ -1331,8 +1339,9 @@ mod tests {
         assert_eq!(hoplite, (33_664, 83_008));
         assert_eq!(ftfull, (104_064, 150_016));
         // Out-degree 4 like FT(64,2,1), but every input reaches every
-        // output: 5:1 link muxes where the torus has 3:1 and 4:1.
-        assert_eq!(shg.at(256).0, 153_216);
+        // output: 5:1 link muxes where the torus has 3:1 and 4:1, and
+        // per-input ejectors where the torus has an exit mux.
+        assert_eq!(shg.at(256).0, 136_832);
         assert!(shg.at(256).0 > ftfull.0 && ftfull.0 > hoplite.0);
         assert!(shg.at(256).1 > hoplite.1);
         // Width-linear: the per-bit part scales, the control part stays.

@@ -1,7 +1,7 @@
 //! # fasttrack-fpga
 //!
 //! FPGA device, wire-delay, resource, routability, and power models for
-//! FastTrack NoC cost analysis, calibrated against everything the paper
+//! NoC cost analysis, calibrated against everything the FastTrack paper
 //! measured on the Xilinx Virtex-7 485T:
 //!
 //! * [`wire`] — the §III wire characterization (Figures 4 and 6): how far
@@ -9,14 +9,17 @@
 //!   path, and how physical express bypass wires keep frequency high.
 //! * [`resources`] — NoC cost: `fasttrack_core::resources`' LUTs and
 //!   FFs plus wire bundles (Tables I and II, Figures 1 and 14).
-//! * [`routability`] — does a configuration fit the device, and at what
+//! * [`routability`] — does a fabric fit the device, and at what
 //!   frequency (Table II, Figure 10).
 //! * [`power`] — dynamic power and workload energy (Table II, Figure 19).
 //! * [`published`] — literature numbers for competing routers (Table I).
-//! * [`placement`] — linear vs folded torus layout wire-length analysis
-//!   (the §V layout choice).
-//! * [`hyperflex`] — the §VII pipelined-interconnect (Stratix 10
-//!   HyperFlex) trade-off model.
+//!
+//! Every model takes a `&dyn Topology` and reads only its price
+//! ([`Topology::resource_cost`]), its links' wire class, span and
+//! cycles ([`Topology::links`]), its routers' LUT depth
+//! ([`Topology::lut_stages`]) and its side, so the torus, the Sparse
+//! Hamming Graph and the buffered mesh are priced, wired, clocked and
+//! powered by one rule.
 //!
 //! The Vivado toolchain and silicon are obviously not reproducible in a
 //! library; these are *calibrated analytic models* that return the
@@ -25,6 +28,7 @@
 //!
 //! ```
 //! use fasttrack_core::config::{NocConfig, FtPolicy};
+//! use fasttrack_core::topology::{ShgConfig, ShgTopology};
 //! use fasttrack_fpga::{device::Device, resources::noc_cost, routability::noc_frequency_mhz};
 //!
 //! let device = Device::virtex7_485t();
@@ -33,14 +37,19 @@
 //! assert_eq!(cost.luts, 104_064); // paper Table II: 104 K
 //! let mhz = noc_frequency_mhz(&device, &cfg, 256, 1).expect("fits");
 //! assert!(mhz > 300.0);
+//! // A Sparse Hamming Graph's stride-2 wires clock like FT(64,2,1)'s.
+//! let shg = ShgTopology::new(ShgConfig::new(8, 2).unwrap());
+//! assert_eq!(noc_frequency_mhz(&device, &shg, 256, 1), Ok(mhz));
 //! # Ok::<(), fasttrack_core::config::ConfigError>(())
 //! ```
+//!
+//! [`Topology::resource_cost`]: fasttrack_core::topology::Topology::resource_cost
+//! [`Topology::links`]: fasttrack_core::topology::Topology::links
+//! [`Topology::lut_stages`]: fasttrack_core::topology::Topology::lut_stages
 
 #![warn(missing_docs)]
 
 pub mod device;
-pub mod hyperflex;
-pub mod placement;
 pub mod power;
 pub mod published;
 pub mod resources;

@@ -14,11 +14,11 @@
 //! deflections — FastTrack's whole value proposition — wins on energy
 //! even at higher peak power (Figure 19).
 
-use fasttrack_core::config::NocConfig;
 use fasttrack_core::stats::SimStats;
+use fasttrack_core::topology::Topology;
 
 use crate::device::Device;
-use crate::resources::{noc_cost, wire_slice_bits};
+use crate::resources::{class_spans, noc_cost, wire_slice_bits};
 
 /// Calibrated power coefficients. Units: picojoules per cycle per unit
 /// (equivalently µW/MHz per unit).
@@ -56,13 +56,13 @@ impl PowerModel {
     pub fn dynamic_power_w(
         &self,
         device: &Device,
-        cfg: &NocConfig,
+        topo: &dyn Topology,
         width: u32,
         freq_mhz: f64,
         channels: u32,
     ) -> f64 {
-        let cost = noc_cost(cfg, width).replicated(channels);
-        let (short, express) = wire_slice_bits(device, cfg, width);
+        let cost = noc_cost(topo, width).replicated(channels);
+        let (short, express) = wire_slice_bits(device, topo, width);
         let pj_per_cycle = self.pj_per_ff * cost.ffs as f64
             + self.pj_per_lut * cost.luts as f64
             + self.pj_per_short_slice_bit
@@ -73,28 +73,32 @@ impl PowerModel {
     }
 
     /// Energy in joules to run a workload: `cycles` at `freq_mhz` with
-    /// the given measured link-traversal counts.
+    /// the given measured link-traversal counts. A hop of either wire
+    /// class is charged the mean span of that class's links (1 for a
+    /// class the fabric lacks).
     #[allow(clippy::too_many_arguments)]
     pub fn workload_energy_j(
         &self,
         device: &Device,
-        cfg: &NocConfig,
+        topo: &dyn Topology,
         width: u32,
         freq_mhz: f64,
         channels: u32,
         cycles: u64,
         stats: &SimStats,
     ) -> f64 {
-        let p_full = self.dynamic_power_w(device, cfg, width, freq_mhz, channels);
+        let p_full = self.dynamic_power_w(device, topo, width, freq_mhz, channels);
         let seconds = cycles as f64 / (freq_mhz * 1e6);
         let static_energy = self.static_fraction * p_full * seconds;
 
-        let tile = device.tile_width_slices(cfg.n());
+        let tile = device.tile_width_slices(topo.spec().side());
         let w = width as f64;
-        let e_short = self.pj_per_short_slice_bit * tile * w * 1e-12;
+        let [short_span, express_span] =
+            class_spans(topo).map(|(span, links)| span.max(1) as f64 / links.max(1) as f64);
+        let e_short = self.pj_per_short_slice_bit * (short_span * tile) * w * 1e-12;
         let e_express = self.express_wire_factor
             * self.pj_per_short_slice_bit
-            * (cfg.d().max(1) as f64 * tile)
+            * (express_span * tile)
             * w
             * 1e-12;
         // Register/logic toggling along each hop (input+output registers
@@ -110,7 +114,7 @@ impl PowerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fasttrack_core::config::FtPolicy;
+    use fasttrack_core::config::{FtPolicy, NocConfig};
     use fasttrack_core::stats::LinkUsage;
 
     fn dev() -> Device {

@@ -1,9 +1,10 @@
 //! NoC-level cost: the routers' LUTs and FFs from the one price list,
 //! [`Topology::resource_cost`], plus what it does not cover: the wire
 //! bundles crossing a channel cut and the wire length power charges.
+//! Both read the fabric's links ([`Topology::links`]), so every fabric
+//! is wired by the same rule.
 
-use fasttrack_core::config::NocConfig;
-use fasttrack_core::topology::Topology;
+use fasttrack_core::topology::{Topology, WireClass};
 
 use crate::device::Device;
 
@@ -14,7 +15,9 @@ pub struct NocCost {
     pub luts: u64,
     /// Total FFs across all routers.
     pub ffs: u64,
-    /// Wire bundles crossing each channel cut (`1 + D/R`; 1 for Hoplite).
+    /// Wire bundles crossing each channel cut: the X links' spans per
+    /// router, rounded up (`1 + D/R` on a torus, 1 for Hoplite, 2 for a
+    /// mesh, `2^δ − 1` for an SHG).
     pub wire_bundles_per_cut: u32,
     /// Total wire bits crossing one ring cut (`width × bundles`).
     pub wire_bits_per_cut: u64,
@@ -32,41 +35,51 @@ impl NocCost {
     }
 }
 
-/// The aggregate cost of the NoC described by `cfg` at `width` bits:
-/// its price-list entry and its `1 + D/R` wire bundles per cut.
-pub fn noc_cost(cfg: &NocConfig, width: u32) -> NocCost {
-    let (luts, ffs) = cfg.resource_cost().at(width);
-    let mult = cfg.wire_multiplier() as u32;
+/// The aggregate cost of `topo` at `width` bits: its price-list entry
+/// and its wire bundles per cut. A cut between two router columns
+/// crosses every X link once per router position it spans, so the
+/// bundles are the X links' total span over the router count.
+pub fn noc_cost(topo: &dyn Topology, width: u32) -> NocCost {
+    let (luts, ffs) = topo.resource_cost().at(width);
+    let x_span: u64 = topo
+        .links()
+        .iter()
+        .filter(|l| l.port.is_east())
+        .map(|l| u64::from(l.span))
+        .sum();
+    let bundles = x_span.div_ceil(topo.num_nodes() as u64) as u32;
     NocCost {
         luts,
         ffs,
-        wire_bundles_per_cut: mult,
-        wire_bits_per_cut: width as u64 * mult as u64,
+        wire_bundles_per_cut: bundles,
+        wire_bits_per_cut: width as u64 * bundles as u64,
     }
 }
 
+/// `(total span, links)` of each wire class, `[short, express]`.
+pub(crate) fn class_spans(topo: &dyn Topology) -> [(u64, u64); 2] {
+    let mut spans = [(0, 0); 2];
+    for link in topo.links() {
+        let class = &mut spans[usize::from(link.class == WireClass::Express)];
+        class.0 += u64::from(link.span);
+        class.1 += 1;
+    }
+    spans
+}
+
 /// Total wire length in slice·bits for one NoC channel, split into
-/// (short, express). Used by the power model: short links span one router
-/// tile, express links span `D` tiles; each ring has `N` short links and
-/// `N/R` express links, and there are `2N` rings (N rows + N columns).
-pub fn wire_slice_bits(device: &Device, cfg: &NocConfig, width: u32) -> (f64, f64) {
-    let n = cfg.n() as f64;
-    let tile = device.tile_width_slices(cfg.n());
-    let rings = 2.0 * n;
-    let short = rings * n * tile * width as f64;
-    let express = if cfg.has_express() {
-        let links_per_ring = n / cfg.r() as f64;
-        rings * links_per_ring * (cfg.d() as f64 * tile) * width as f64
-    } else {
-        0.0
-    };
+/// (short, express): every link's span in router tiles, times the tile
+/// width, times the datapath width. Used by the power model.
+pub fn wire_slice_bits(device: &Device, topo: &dyn Topology, width: u32) -> (f64, f64) {
+    let tile = device.tile_width_slices(topo.spec().side());
+    let [short, express] = class_spans(topo).map(|(span, _)| span as f64 * tile * width as f64);
     (short, express)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fasttrack_core::config::FtPolicy;
+    use fasttrack_core::config::{FtPolicy, NocConfig};
 
     fn ft(n: u16, d: u16, r: u16) -> NocConfig {
         NocConfig::fasttrack(n, d, r, FtPolicy::Full).unwrap()
@@ -110,6 +123,42 @@ mod tests {
                 cfg.name()
             );
         }
+    }
+
+    /// A cut between two router columns crosses one short bundle and
+    /// `D/R` express bundles braided through the ring (paper §IV-A).
+    #[test]
+    fn torus_bundles_per_cut_are_one_plus_d_over_r() {
+        for n in [4, 8, 16] {
+            for d in 2..=n / 2 {
+                for r in (1..=d).filter(|r| d % r == 0 && n % r == 0) {
+                    for policy in [FtPolicy::Full, FtPolicy::Inject] {
+                        let cfg = NocConfig::fasttrack(n, d, r, policy).unwrap();
+                        let bundles = noc_cost(&cfg, 64).wire_bundles_per_cut;
+                        assert_eq!(bundles, u32::from(1 + d / r), "{}", cfg.name());
+                    }
+                }
+            }
+            let hoplite = NocConfig::hoplite(n).unwrap();
+            assert_eq!(noc_cost(&hoplite, 64).wire_bundles_per_cut, 1);
+            // FT(N,1,1) runs Hoplite's datapath, so it has Hoplite's wires.
+            let ft1 = NocConfig::fasttrack(n, 1, 1, FtPolicy::Full).unwrap();
+            assert_eq!(noc_cost(&ft1, 64), noc_cost(&hoplite, 64));
+        }
+    }
+
+    /// SHG strides 1, 2, … 2^(δ-1) each cross a cut that many times; a
+    /// mesh row crosses it once each way.
+    #[test]
+    fn shg_and_mesh_bundles_read_their_links() {
+        use fasttrack_core::mesh::{MeshConfig, MeshTopology};
+        use fasttrack_core::topology::{ShgConfig, ShgTopology};
+        for (delta, bundles) in [(1, 1), (2, 3), (3, 7)] {
+            let shg = ShgTopology::new(ShgConfig::new(8, delta).unwrap());
+            assert_eq!(noc_cost(&shg, 32).wire_bundles_per_cut, bundles);
+        }
+        let mesh = MeshTopology::new(MeshConfig::new(8, 4).unwrap());
+        assert_eq!(noc_cost(&mesh, 32).wire_bundles_per_cut, 2);
     }
 
     #[test]

@@ -1,18 +1,22 @@
 //! NoC frequency estimation and routability analysis (paper Table II and
 //! Figure 10).
 //!
-//! A NoC configuration at a given datawidth either **fits** the device or
-//! not (wiring capacity across router-tile boundaries, plus LUT/FF
-//! budget), and if it fits it closes timing at a frequency limited by the
-//! slowest of:
+//! A NoC at a given datawidth either **fits** the device or not (wiring
+//! capacity across router-tile boundaries, plus LUT/FF budget), and if
+//! it fits it closes timing at a frequency limited by the slowest of:
 //!
-//! * the short link (one tile span, one router LUT stage),
-//! * the express link (a `D`-tile physical bypass wire), and
+//! * every link, timed over its span in tiles split by its pipeline
+//!   registers: a short link through the router's LUT stages
+//!   ([`Topology::lut_stages`], Fig 4's curve), an express link as a
+//!   physical bypass wire skipping `span` stages (Fig 6's curve), and
 //! * a fabric/congestion cap that degrades with system size and
 //!   datawidth (calibrated to Table II: Hoplite 8×8 @256 b ≈ 344 MHz,
 //!   FT(64,2,·) ≈ 320 MHz, and to Figure 10's width/size trends).
+//!
+//! The model reads only a fabric's price, links and side, so the torus,
+//! the Sparse Hamming Graph and the buffered mesh are clocked alike.
 
-use fasttrack_core::config::NocConfig;
+use fasttrack_core::topology::{LinkDesc, Topology, WireClass};
 
 use crate::device::Device;
 use crate::resources::noc_cost;
@@ -54,12 +58,12 @@ fn fabric_cap_mhz(n: u16, width: u32) -> f64 {
 /// Returns the binding [`FitError`] when the configuration does not fit.
 pub fn check_fit(
     device: &Device,
-    cfg: &NocConfig,
+    topo: &dyn Topology,
     width: u32,
     channels: u32,
 ) -> Result<(), FitError> {
-    let cost = noc_cost(cfg, width).replicated(channels);
-    if cost.wire_bits_per_cut as f64 > device.channel_capacity(cfg.n()) {
+    let cost = noc_cost(topo, width).replicated(channels);
+    if cost.wire_bits_per_cut as f64 > device.channel_capacity(topo.spec().side()) {
         return Err(FitError::WiringOverflow);
     }
     if cost.luts > device.luts {
@@ -79,45 +83,44 @@ pub fn check_fit(
 /// (Figure 10's "NA" cells).
 pub fn noc_frequency_mhz(
     device: &Device,
-    cfg: &NocConfig,
+    topo: &dyn Topology,
     width: u32,
     channels: u32,
 ) -> Result<f64, FitError> {
-    check_fit(device, cfg, width, channels)?;
-    let tile = device.tile_width_slices(cfg.n()).max(1.0);
-    let pipeline = cfg.link_pipeline();
-
-    // Short link: register → router LUT stage → register, one tile span;
-    // extra pipeline registers (paper §V) split the wire into shorter
-    // timing segments (the segment containing the router mux binds).
-    let short_seg = (tile / pipeline.short_cycles() as f64).ceil().max(1.0) as u32;
-    let short = virtual_express_mhz(device, short_seg, 1);
-
-    // Express link: physical bypass wire over D tiles, skipping D
-    // stages, likewise segmented by its pipeline registers.
-    let express = if cfg.has_express() {
-        let len = (cfg.d() as f64 * tile / pipeline.express_cycles() as f64)
+    check_fit(device, topo, width, channels)?;
+    let side = topo.spec().side();
+    let tile = device.tile_width_slices(side).max(1.0);
+    let stages = topo.lut_stages();
+    // Pipeline registers (paper §V) split a link into shorter timing
+    // segments; the segment holding the router's logic binds.
+    let link_mhz = |link: &LinkDesc| {
+        let segment = (link.span as f64 * tile / link.cycles as f64)
             .ceil()
             .max(1.0) as u32;
-        physical_express_mhz(device, len, cfg.d() as u32)
-    } else {
-        f64::INFINITY
+        match link.class {
+            WireClass::Short => virtual_express_mhz(device, segment, stages),
+            WireClass::Express => physical_express_mhz(device, segment, link.span.into()),
+        }
     };
-
-    let fabric = fabric_cap_mhz(cfg.n(), width);
+    let slowest = topo
+        .links()
+        .iter()
+        .map(link_mhz)
+        .fold(f64::INFINITY, f64::min);
+    let fabric = fabric_cap_mhz(side, width);
     // Extra channels add placement pressure around the shared PE.
     let channel_derate = 1.0 - 0.03 * (channels.saturating_sub(1)) as f64;
 
-    Ok(short.min(express).min(fabric).max(50.0) * channel_derate)
+    Ok(slowest.min(fabric).max(50.0) * channel_derate)
 }
 
 /// Largest datawidth (from the paper's sweep set) that fits, if any.
-pub fn peak_datawidth(device: &Device, cfg: &NocConfig, channels: u32) -> Option<u32> {
+pub fn peak_datawidth(device: &Device, topo: &dyn Topology, channels: u32) -> Option<u32> {
     FIG10_WIDTHS
         .iter()
         .rev()
         .copied()
-        .find(|&w| check_fit(device, cfg, w, channels).is_ok())
+        .find(|&w| check_fit(device, topo, w, channels).is_ok())
 }
 
 /// The datawidth sweep of Figure 10.
@@ -126,7 +129,7 @@ pub const FIG10_WIDTHS: [u32; 12] = [8, 16, 32, 48, 64, 96, 128, 192, 256, 384, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fasttrack_core::config::FtPolicy;
+    use fasttrack_core::config::{FtPolicy, NocConfig};
 
     fn dev() -> Device {
         Device::virtex7_485t()
@@ -189,6 +192,43 @@ mod tests {
         let f1 = noc_frequency_mhz(&d, &cfg, 64, 1).unwrap();
         let f3 = noc_frequency_mhz(&d, &cfg, 64, 3).unwrap();
         assert!(f3 < f1);
+    }
+
+    /// Longer strides mean longer express wires: each added SHG
+    /// dimension stride lowers the clock, and stride 2 clocks like
+    /// FT(64,2,1)'s length-2 express links.
+    #[test]
+    fn shg_clock_falls_as_delta_grows() {
+        use fasttrack_core::topology::{ShgConfig, ShgTopology};
+        let d = dev();
+        let shg = |q, delta| ShgTopology::new(ShgConfig::new(q, delta).unwrap());
+        let mhz = |q, delta| noc_frequency_mhz(&d, &shg(q, delta), 8, 1).unwrap();
+        assert!(mhz(8, 1) > mhz(8, 2) && mhz(8, 2) > mhz(8, 3));
+        // At 16×16 the tiles are half as wide: the fabric cap binds up
+        // to stride 2, and strides 4 and 8 fall below it.
+        let by_delta = [1, 2, 3, 4].map(|delta| mhz(16, delta));
+        assert_eq!(by_delta[0], by_delta[1]);
+        assert!(by_delta[1] > by_delta[2] && by_delta[2] > by_delta[3]);
+        assert_eq!(
+            noc_frequency_mhz(&d, &shg(8, 2), 256, 1),
+            noc_frequency_mhz(&d, &ft(8, 2, 1), 256, 1)
+        );
+    }
+
+    /// The buffered mesh's short links run through its three LUT stages,
+    /// which sets its clock inside Table I's buffered-router band
+    /// (CONNECT 104, OpenSMART 200, Split-Merge 222 MHz) and below the
+    /// one-stage Hoplite's on the same wires.
+    #[test]
+    fn mesh_clock_is_set_by_its_router_depth() {
+        use fasttrack_core::mesh::{MeshConfig, MeshTopology};
+        let d = dev();
+        let mesh = MeshTopology::new(MeshConfig::new(8, 4).unwrap());
+        let mhz = noc_frequency_mhz(&d, &mesh, 256, 1).unwrap();
+        assert!((200.0..=230.0).contains(&mhz), "mesh {mhz}");
+        assert_eq!(mhz, virtual_express_mhz(&d, 27, 3));
+        let hoplite = noc_frequency_mhz(&d, &NocConfig::hoplite(8).unwrap(), 256, 1).unwrap();
+        assert!(mhz < hoplite);
     }
 
     #[test]
