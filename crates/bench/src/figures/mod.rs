@@ -149,11 +149,6 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    /// Whether any check failed.
-    pub fn failed(&self) -> bool {
-        self.checks.iter().any(|c| c.verdict == Verdict::Fails)
-    }
-
     /// Adds the table `slug`: a row per item, a column per `cols` entry.
     fn table<T>(&mut self, slug: &str, rows: impl IntoIterator<Item = T>, cols: &[Col<T>]) {
         let headers: Vec<&str> = cols.iter().map(|c| c.0).collect();
@@ -587,7 +582,10 @@ mod tests {
         let mut out = Outcome::default();
         let nuts = [NocUnderTest::hoplite(4), NocUnderTest::fasttrack(4, 2, 1)];
         let rows = out.grid(&nuts, &[Pattern::Random], &[0.1, 0.5], 1, Scale::Reduced);
-        assert!(rows.iter().all(|r| !r.report.truncated) && !out.failed());
+        assert!(
+            rows.iter().all(|r| !r.report.truncated)
+                && !out.checks.iter().any(|c| c.verdict == Verdict::Fails)
+        );
         // Both NoCs drew the same traffic for each (pattern, rate) point.
         assert_eq!((rows[0].seed, rows[1].seed), (rows[2].seed, rows[3].seed));
         let all: Vec<&SweepRow> = rows.iter().collect();
@@ -596,7 +594,7 @@ mod tests {
         let head = "Injection rate,Hoplite rate,\"FT(16,2,1) rate\"\n0.10,";
         assert!(csv.starts_with(head), "{csv}");
         out.truncated("Hoplite RANDOM @0.5");
-        assert!(out.failed());
+        assert!(out.checks.iter().any(|c| c.verdict == Verdict::Fails));
         let line = out.checks[0].line();
         assert!(line.contains("Hoplite RANDOM @0.5 was truncated"), "{line}");
     }

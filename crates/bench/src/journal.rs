@@ -5,7 +5,7 @@
 //! that were mid-flight. Re-running the same grid against the same
 //! journal path skips the recorded points and re-runs only the rest;
 //! the merged CSV is **byte-identical** to an uninterrupted run because
-//! rows are stored verbatim ([`crate::runner::sweep_csv_row`] has no
+//! rows are stored verbatim (`crate::runner::sweep_csv_row` has no
 //! ambient state) and re-run points derive their seeds from their
 //! *original* grid index.
 //!
@@ -324,7 +324,7 @@ impl<R> SweepOutcome<R> {
     }
 }
 
-/// Runs `grid` through [`SweepGrid::run_each`] with `opts`'s isolation,
+/// Runs `grid` through `SweepGrid::run_each` with `opts`'s isolation,
 /// retry and budget, each point driven by `drive`. With a journal
 /// `path`, every point's final result is appended (and flushed) on its
 /// worker the moment it is known, and points the journal already

@@ -14,12 +14,12 @@ pub mod figures;
 pub mod fuzz;
 pub mod journal;
 pub mod runner;
-pub mod table;
+mod table;
 
 pub use fuzz::{fuzz, FailureClass, FuzzConfig, FuzzFailure, FuzzOutcome};
 pub use journal::{run_journaled, JournalError, PointOutcome, SweepOutcome};
 pub use runner::{
     storm_json, sweep_csv, FallibleSweepOptions, NocUnderTest, SloSpec, SweepGrid, SweepPoint,
-    SweepRow, SweepTiming, INJECTION_RATES, PE_LADDER,
+    SweepRow, SweepTiming, INJECTION_RATES,
 };
 pub use table::Table;

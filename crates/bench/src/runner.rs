@@ -95,11 +95,6 @@ impl NocUnderTest {
         }
     }
 
-    /// Total router count.
-    pub fn num_nodes(&self) -> usize {
-        self.topology.num_nodes()
-    }
-
     /// Grid side length (torus/mesh `n`, SHG `q`) — every built-in
     /// topology is a square grid, which is what the synthetic traffic
     /// generators key on.
@@ -110,7 +105,7 @@ impl NocUnderTest {
     /// The [`SimSession`] over this NoC — the one way the harness runs
     /// anything. Callers compose options, faults, fallback chains, and
     /// observers with the session's own builder.
-    pub fn session(&self) -> SimSession<'static, SpecBackend> {
+    pub(crate) fn session(&self) -> SimSession<'static, SpecBackend> {
         SimSession::with_backend(SpecBackend::new(&self.topology, self.channels))
     }
 
@@ -260,7 +255,7 @@ impl SweepGrid {
     /// `opts.retries` times. `done(i, &result)` runs once per point, on
     /// its worker, as soon as the final result is known. Results depend
     /// only on the grid and `indices`, never on `opts.threads`.
-    pub fn run_each<R, F, H>(
+    pub(crate) fn run_each<R, F, H>(
         &self,
         indices: Vec<usize>,
         opts: &FallibleSweepOptions,
@@ -377,8 +372,8 @@ fn expect_all<R>(results: Vec<Result<(SweepRow, R), SweepError>>) -> (Vec<SweepR
         .unzip()
 }
 
-/// The session [`SweepGrid::run_each`] hands each point's closure.
-pub type PointSession = SimSession<'static, SpecBackend>;
+/// The session `SweepGrid::run_each` hands each point's closure.
+pub(crate) type PointSession = SimSession<'static, SpecBackend>;
 
 /// Per-point wall-clock timings of one sweep run, aggregated across
 /// worker threads into nearest-rank percentiles (`sweep --profile`).
@@ -398,23 +393,18 @@ impl SweepTiming {
     }
 
     /// Number of timed points.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.sorted.len()
-    }
-
-    /// True when no points were timed.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
     }
 
     /// Sum of per-point seconds (total per-point work, not wall clock
     /// when threads > 1).
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.sorted.iter().sum()
     }
 
     /// Mean per-point seconds (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.sorted.is_empty() {
             0.0
         } else {
@@ -423,7 +413,7 @@ impl SweepTiming {
     }
 
     /// Slowest point (0 when empty).
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         self.sorted.last().copied().unwrap_or(0.0)
     }
 
@@ -432,7 +422,7 @@ impl SweepTiming {
     /// # Panics
     ///
     /// Panics if `p` is not within `0.0..=100.0`.
-    pub fn percentile(&self, p: f64) -> f64 {
+    pub(crate) fn percentile(&self, p: f64) -> f64 {
         assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
         if self.sorted.is_empty() {
             return 0.0;
@@ -457,7 +447,7 @@ impl SweepTiming {
     }
 }
 
-/// How [`SweepGrid::run_each`] runs its points.
+/// How `SweepGrid::run_each` runs its points.
 #[derive(Debug, Clone, Copy)]
 pub struct FallibleSweepOptions {
     /// Worker threads (0 is treated as 1).
@@ -612,7 +602,7 @@ pub fn attribution_csv(points: &[(usize, &SweepRow, &AttributionReport)]) -> Str
 
 /// The CSV header line [`sweep_csv`] rows are written under (with the
 /// trailing newline).
-pub fn sweep_csv_header() -> &'static str {
+pub(crate) fn sweep_csv_header() -> &'static str {
     "config,channels,pattern,rate,seed,cycles,injected,delivered,\
      rate_per_pe,avg_latency,p99_latency,worst_latency,deflections,\
      short_hops,express_hops,dropped,rerouted\n"
@@ -622,7 +612,7 @@ pub fn sweep_csv_header() -> &'static str {
 /// formatting is fully determined by the row values — no timestamps, no
 /// ambient state — which is what lets the crash-safe journal store rows
 /// verbatim and still reproduce a byte-identical [`sweep_csv`].
-pub fn sweep_csv_row(row: &SweepRow) -> String {
+pub(crate) fn sweep_csv_row(row: &SweepRow) -> String {
     let r = &row.report;
     format!(
         "{},{},{},{},{},{},{},{},{:.6},{:.6},{},{},{},{},{},{},{}\n",
@@ -646,8 +636,8 @@ pub fn sweep_csv_row(row: &SweepRow) -> String {
     )
 }
 
-/// Serializes sweep rows as CSV ([`sweep_csv_header`] +
-/// [`sweep_csv_row`] per row): two runs of the same grid yield
+/// Serializes sweep rows as CSV (`sweep_csv_header` +
+/// `sweep_csv_row` per row): two runs of the same grid yield
 /// byte-identical output.
 pub fn sweep_csv(rows: &[SweepRow]) -> String {
     let mut out = String::from(sweep_csv_header());
@@ -658,7 +648,7 @@ pub fn sweep_csv(rows: &[SweepRow]) -> String {
 }
 
 /// The PE-count ladder of Figure 15 (4..256 PEs) mapped to torus sides.
-pub const PE_LADDER: [(usize, u16); 4] = [(4, 2), (16, 4), (64, 8), (256, 16)];
+pub(crate) const PE_LADDER: [(usize, u16); 4] = [(4, 2), (16, 4), (64, 8), (256, 16)];
 
 #[cfg(test)]
 mod tests {

@@ -14,7 +14,7 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new<S: AsRef<str>>(title: &str, headers: &[S]) -> Self {
+    pub(crate) fn new<S: AsRef<str>>(title: &str, headers: &[S]) -> Self {
         Table {
             title: title.to_string(),
             headers: headers.iter().map(|s| s.as_ref().to_string()).collect(),
@@ -27,7 +27,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the row length does not match the header count.
-    pub fn add_row(&mut self, row: Vec<String>) {
+    pub(crate) fn add_row(&mut self, row: Vec<String>) {
         assert_eq!(row.len(), self.headers.len(), "row width mismatch");
         self.rows.push(row);
     }
@@ -38,7 +38,7 @@ impl Table {
     }
 
     /// Number of data rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
     }
 
@@ -103,7 +103,7 @@ impl Table {
     }
 
     /// Renders a GitHub-flavoured Markdown table under a bold title.
-    pub fn to_markdown(&self) -> String {
+    pub(crate) fn to_markdown(&self) -> String {
         let line = |cells: &[String]| format!("| {} |", cells.join(" | "));
         let mut out = format!("**{}**\n\n{}\n", self.title, line(&self.headers));
         let _ = writeln!(out, "|{}", "---|".repeat(self.headers.len()));

@@ -2697,7 +2697,7 @@ mod tests {
         .unwrap();
         assert!(out.contains("recorded"), "{out}");
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with(fasttrack_traffic::scenario::SCENARIO_MAGIC));
+        assert!(text.starts_with("fasttrack-scenario-trace v1\n"));
         assert!(text.contains("\"generator\":\"bernoulli:hotspot:60\""));
         let replayed = run(argv(&format!("replay --file {path}"))).unwrap();
         assert!(replayed.contains("expectation verified"), "{replayed}");

@@ -138,7 +138,7 @@ impl RunSpec {
     /// The run `flags` describe on `topology`, given the command's
     /// default `--rate` and `--packets`. One channel: the commands that
     /// take `--channels` chain [`RunSpec::with_channels`].
-    pub fn on(
+    pub(crate) fn on(
         topology: TopologySpec,
         flags: &Flags,
         rate: f64,
@@ -164,7 +164,7 @@ impl RunSpec {
     }
 
     /// Applies `--channels` (0 and 1 both mean a plain single NoC).
-    pub fn with_channels(mut self, flags: &Flags) -> Result<RunSpec, CliError> {
+    pub(crate) fn with_channels(mut self, flags: &Flags) -> Result<RunSpec, CliError> {
         self.channels = channels_flag(flags, 1)?.max(1);
         // `SpecBackend` would silently drive one channel instead.
         if self.channels > 1 && !matches!(self.topology, TopologySpec::Torus(_)) {
@@ -176,13 +176,13 @@ impl RunSpec {
     }
 
     /// A fresh Bernoulli source; equal runs draw equal traffic.
-    pub fn source(&self) -> BernoulliSource {
+    pub(crate) fn source(&self) -> BernoulliSource {
         let side = self.topology.side();
         BernoulliSource::new(side, self.pattern, self.rate, self.packets, self.seed)
     }
 
     /// A fresh session over this run's fabric.
-    pub fn session(&self) -> SimSession<'static, SpecBackend> {
+    pub(crate) fn session(&self) -> SimSession<'static, SpecBackend> {
         session_for(&self.topology, self.channels)
     }
 }

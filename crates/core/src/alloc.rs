@@ -21,7 +21,7 @@ use crate::port::{OutPort, OutSet};
 use crate::routing::RoutePrefs;
 
 /// Maximum number of in-flight inputs at one router (W_ex, N_ex, W_sh, N_sh).
-pub const MAX_IN_FLIGHT: usize = 4;
+pub(crate) const MAX_IN_FLIGHT: usize = 4;
 
 /// Maps an output port to its allocation slot bit.
 ///
@@ -90,7 +90,7 @@ pub(crate) fn first_free(
 }
 
 /// The allocation result for the in-flight inputs, in the order given.
-pub type Assignment = [Option<OutPort>; MAX_IN_FLIGHT];
+pub(crate) type Assignment = [Option<OutPort>; MAX_IN_FLIGHT];
 
 /// Allocates output ports to in-flight packets.
 ///
@@ -111,7 +111,7 @@ pub type Assignment = [Option<OutPort>; MAX_IN_FLIGHT];
 /// [`crate::router`]). Fault-degraded routers (dead links masked from
 /// `available`) can genuinely violate Hall's condition; they must use
 /// [`try_allocate`] instead.
-pub fn allocate(inputs: &[RoutePrefs], available: OutSet, exit: ExitPolicy) -> Assignment {
+pub(crate) fn allocate(inputs: &[RoutePrefs], available: OutSet, exit: ExitPolicy) -> Assignment {
     let mut assignment = try_allocate(inputs, available, exit);
     for (i, slot) in assignment.iter_mut().enumerate().take(inputs.len()) {
         assert!(
@@ -132,7 +132,11 @@ pub fn allocate(inputs: &[RoutePrefs], available: OutSet, exit: ExitPolicy) -> A
 /// takes its best free port and the stranding falls on the
 /// lowest-priority loser — exactly how a fixed-priority mux cascade
 /// degrades in hardware.
-pub fn try_allocate(inputs: &[RoutePrefs], available: OutSet, exit: ExitPolicy) -> Assignment {
+pub(crate) fn try_allocate(
+    inputs: &[RoutePrefs],
+    available: OutSet,
+    exit: ExitPolicy,
+) -> Assignment {
     assert!(inputs.len() <= MAX_IN_FLIGHT);
     let mut assignment: Assignment = [None; MAX_IN_FLIGHT];
     let mut free = slot_mask(available, exit);
@@ -434,7 +438,7 @@ mod tests {
         use crate::port::{OutPort, OutSet};
         use crate::routing::RoutePrefs;
 
-        pub fn slot_mask(ports: OutSet, exit: ExitPolicy) -> u8 {
+        pub(crate) fn slot_mask(ports: OutSet, exit: ExitPolicy) -> u8 {
             let mut m = 0u8;
             for p in ports.iter() {
                 m |= slot_bit(p, exit);
@@ -442,7 +446,7 @@ mod tests {
             m
         }
 
-        pub fn feasible(masks: &[u8], free: u8) -> bool {
+        pub(crate) fn feasible(masks: &[u8], free: u8) -> bool {
             match masks.split_first() {
                 None => true,
                 Some((&first, rest)) => {
@@ -459,7 +463,7 @@ mod tests {
             }
         }
 
-        pub fn try_allocate(
+        pub(crate) fn try_allocate(
             inputs: &[RoutePrefs],
             available: OutSet,
             exit: ExitPolicy,
@@ -502,7 +506,7 @@ mod tests {
             assignment
         }
 
-        pub fn try_inject(
+        pub(crate) fn try_inject(
             pe_prefs: &RoutePrefs,
             available: OutSet,
             taken: &[OutPort],

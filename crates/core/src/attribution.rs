@@ -84,7 +84,7 @@ pub enum LatencyComponent {
 }
 
 /// Number of latency components.
-pub const COMPONENTS: usize = 6;
+pub(crate) const COMPONENTS: usize = 6;
 
 impl LatencyComponent {
     /// All components, in decomposition order.
@@ -159,7 +159,7 @@ impl PacketAttribution {
     }
 
     /// Sum of all components.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.components.iter().sum()
     }
 
@@ -410,11 +410,6 @@ impl AttributionSink {
         self.dropped_packets = 0;
         self.dropped_cycles = 0;
     }
-
-    /// Packets still in flight (injected, neither delivered nor dropped).
-    pub fn in_flight(&self) -> usize {
-        self.states.len
-    }
 }
 
 impl EventSink for AttributionSink {
@@ -614,7 +609,7 @@ impl AttributionReport {
     }
 
     /// Per-component latency histogram over delivered packets.
-    pub fn histogram(&self, c: LatencyComponent) -> &Histogram {
+    pub(crate) fn histogram(&self, c: LatencyComponent) -> &Histogram {
         &self.hists[c as usize]
     }
 
@@ -875,7 +870,7 @@ mod tests {
             link: Some(OutPort::SouthSh),
             corrupted: false,
         });
-        assert_eq!(s.in_flight(), 0);
+        assert_eq!(s.states.len, 0);
         let r = AttributionReport::assemble(s, &report_with(2));
         assert_eq!(r.dropped_packets, 1);
         // 2 wait + 5 express + 3 in-transit when dropped.
@@ -890,7 +885,7 @@ mod tests {
         s.emit(&eject(0, 1, 0));
         s.emit(&inject(3, 2, OutPort::EastEx, 1));
         s.emit(&SimEvent::WarmupReset { cycle: 5 });
-        assert_eq!(s.in_flight(), 1);
+        assert_eq!(s.states.len, 1);
         s.emit(&route(7, 2, OutPort::Exit));
         s.emit(&eject(7, 2, 2));
         let r = AttributionReport::assemble(s, &report_with(1));
@@ -914,7 +909,7 @@ mod tests {
         s.emit(&route(4, 9, OutPort::EastEx));
         s.emit(&route(6, 9, OutPort::Exit));
         s.emit(&eject(6, 9, 0));
-        assert_eq!(s.in_flight(), 0);
+        assert_eq!(s.states.len, 0);
         let r = AttributionReport::assemble(s, &report_with(3));
         assert_eq!((r.delivered, r.mismatches), (1, 0));
         assert_eq!(r.component(LatencyComponent::Ring), 4);

@@ -30,7 +30,7 @@ impl fmt::Display for FtPolicy {
 
 /// Which NoC we are simulating: the Hoplite baseline or a FastTrack variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NocKind {
+pub(crate) enum NocKind {
     /// Baseline Hoplite: unidirectional torus, short links only.
     Hoplite,
     /// FastTrack with express links of length `d`, depopulation factor `r`,
@@ -72,23 +72,23 @@ pub struct LinkPipeline {
 
 impl LinkPipeline {
     /// No extra registers (the paper's default single-register links).
-    pub const NONE: LinkPipeline = LinkPipeline {
+    pub(crate) const NONE: LinkPipeline = LinkPipeline {
         short: 0,
         express: 0,
     };
 
     /// Cycles a short-link traversal takes.
-    pub fn short_cycles(self) -> u16 {
+    pub(crate) fn short_cycles(self) -> u16 {
         1 + self.short as u16
     }
 
     /// Cycles an express-link traversal takes.
-    pub fn express_cycles(self) -> u16 {
+    pub(crate) fn express_cycles(self) -> u16 {
         1 + self.express as u16
     }
 
     /// The largest link delay (sizes the engine's timing wheel).
-    pub fn max_cycles(self) -> u16 {
+    pub(crate) fn max_cycles(self) -> u16 {
         self.short_cycles().max(self.express_cycles())
     }
 }
@@ -168,7 +168,7 @@ impl std::error::Error for ConfigError {}
 /// // length-2 express links at every router.
 /// let cfg = NocConfig::fasttrack(8, 2, 1, FtPolicy::Full)?;
 /// assert_eq!(cfg.num_nodes(), 64);
-/// assert!(cfg.has_express());
+/// assert_eq!(cfg.d(), 2);
 /// # Ok::<(), fasttrack_core::config::ConfigError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -267,7 +267,7 @@ impl NocConfig {
     }
 
     /// The link pipelining configuration.
-    pub fn link_pipeline(&self) -> LinkPipeline {
+    pub(crate) fn link_pipeline(&self) -> LinkPipeline {
         self.pipeline
     }
 
@@ -282,18 +282,13 @@ impl NocConfig {
     }
 
     /// Which NoC family this is.
-    pub fn kind(&self) -> NocKind {
+    pub(crate) fn kind(&self) -> NocKind {
         self.kind
     }
 
     /// Exit-port sharing policy.
-    pub fn exit_policy(&self) -> ExitPolicy {
+    pub(crate) fn exit_policy(&self) -> ExitPolicy {
         self.exit
-    }
-
-    /// True for FastTrack configurations (express links present).
-    pub fn has_express(&self) -> bool {
-        matches!(self.kind, NocKind::FastTrack { .. })
     }
 
     /// Express-link length `D` (0 for Hoplite).
@@ -323,7 +318,7 @@ impl NocConfig {
     /// True if the router at ring position `pos` has express ports in a
     /// dimension (both the express input and output are present, since
     /// `d % r == 0` makes express chains land only on express routers).
-    pub fn has_express_at(&self, pos: u16) -> bool {
+    pub(crate) fn has_express_at(&self, pos: u16) -> bool {
         match self.kind {
             NocKind::Hoplite => false,
             // d == 1 degenerates to the Hoplite datapath (no express
@@ -346,7 +341,7 @@ impl NocConfig {
     /// than riding short links (paper: use express iff `Δ ≥ D`). For
     /// `D = 1` the table is empty — the configuration degenerates to the
     /// Hoplite datapath (see [`NocConfig::fasttrack`]).
-    pub fn express_worthwhile(&self, delta: u16) -> bool {
+    pub(crate) fn express_worthwhile(&self, delta: u16) -> bool {
         match self.express_hops_for(delta) {
             Some(k) => k <= delta,
             None => false,
@@ -358,7 +353,7 @@ impl NocConfig {
     /// as aligned). This is the invariant that must hold for a packet to be
     /// allowed onto an express lane: express hops preserve the offset
     /// modulo `gcd(D, N)`, so a misaligned packet could never get off.
-    pub fn express_aligned(&self, delta: u16) -> bool {
+    pub(crate) fn express_aligned(&self, delta: u16) -> bool {
         match self.kind {
             NocKind::Hoplite => false,
             NocKind::FastTrack { d, .. } => delta.is_multiple_of(gcd(d, self.n)),
@@ -403,13 +398,14 @@ fn compute_express_hops(n: u16, d: u16) -> Vec<Option<u16>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::{Topology, WireClass};
 
     #[test]
     fn hoplite_basics() {
         let cfg = NocConfig::hoplite(8).unwrap();
         assert_eq!(cfg.n(), 8);
         assert_eq!(cfg.num_nodes(), 64);
-        assert!(!cfg.has_express());
+        assert!(cfg.links().iter().all(|l| l.class == WireClass::Short));
         assert_eq!(cfg.d(), 0);
         assert_eq!(cfg.name(), "Hoplite 8x8");
         assert!(!cfg.has_express_at(0));
@@ -504,7 +500,14 @@ mod tests {
     fn d1_degenerates_to_hoplite_datapath() {
         let cfg = NocConfig::fasttrack(8, 1, 1, FtPolicy::Full).unwrap();
         assert_eq!(cfg.name(), "FT(64,1,1)");
-        assert!(cfg.has_express(), "the name keeps the FT kind");
+        assert!(
+            matches!(cfg.kind(), NocKind::FastTrack { d: 1, r: 1, .. }),
+            "the kind stays FT"
+        );
+        assert!(
+            cfg.links().iter().all(|l| l.class == WireClass::Short),
+            "D = 1 lays no express link"
+        );
         assert_eq!(cfg.exit_policy(), ExitPolicy::SharedWithSouth);
         for pos in 0..8 {
             assert!(!cfg.has_express_at(pos));

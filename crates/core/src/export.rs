@@ -45,11 +45,6 @@ impl NdjsonSink {
     pub fn as_str(&self) -> &str {
         &self.buf
     }
-
-    /// Consumes the sink and returns the full log.
-    pub fn into_string(self) -> String {
-        self.buf
-    }
 }
 
 impl EventSink for NdjsonSink {
@@ -196,16 +191,6 @@ impl ChromeTraceSink {
             channel: 0,
             events: Vec::new(),
         }
-    }
-
-    /// Number of trace events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Renders the complete `{"traceEvents":[...]}` document.
@@ -361,7 +346,7 @@ mod tests {
             for e in sample_events() {
                 sink.emit(&e);
             }
-            sink.into_string()
+            sink.buf
         };
         let a = render();
         let b = render();
@@ -397,7 +382,7 @@ mod tests {
             sink.emit(&e);
         }
         // Only ejects + driver markers become trace events.
-        assert_eq!(sink.len(), 3);
+        assert_eq!(sink.events.len(), 3);
         let doc = sink.finish();
         assert!(doc.starts_with("{\"traceEvents\":["));
         assert!(doc.contains("\"ph\":\"X\""));
@@ -410,7 +395,7 @@ mod tests {
     #[test]
     fn empty_chrome_trace_is_valid() {
         let sink = ChromeTraceSink::new(4);
-        assert!(sink.is_empty());
+        assert!(sink.events.is_empty());
         let doc = sink.finish();
         assert!(doc.contains("\"traceEvents\":["));
     }

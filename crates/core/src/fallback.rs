@@ -118,7 +118,7 @@ impl std::error::Error for FallbackError {}
 
 /// Static, ordered, per-router-class fallback chains.
 ///
-/// Chains are keyed by [`RouterClass::code`] (0..4). The default (and
+/// Chains are keyed by `RouterClass::code` (0..4). The default (and
 /// [`FallbackConfig::none`]) carries empty chains everywhere, which the
 /// engine treats as the exact pre-fallback drop behavior.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -164,21 +164,16 @@ impl FallbackConfig {
         self
     }
 
-    /// The chain for a router class code, in consultation order.
-    pub fn chain(&self, class_code: usize) -> &[FallbackAction] {
-        &self.chains[class_code]
-    }
-
     /// True when every chain is empty (the engine takes the exact
     /// pre-fallback code path).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.chains.iter().all(Vec::is_empty)
     }
 
     /// Validates every chain through the same pipeline: no duplicate
     /// actions, demotion only where express inputs exist, and the
     /// same-channel escape ordered before the channel switch.
-    pub fn validate(&self) -> Result<(), FallbackError> {
+    pub(crate) fn validate(&self) -> Result<(), FallbackError> {
         for (class, chain) in self.chains.iter().enumerate() {
             let mut seen: Vec<FallbackAction> = Vec::new();
             for &action in chain {
@@ -293,7 +288,7 @@ mod tests {
             assert!(compiled.alternate[code]);
         }
         assert_eq!(
-            cfg.chain(3),
+            cfg.chains[3],
             &[
                 FallbackAction::DemoteToRing,
                 FallbackAction::AlternateChannel

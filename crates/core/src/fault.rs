@@ -108,7 +108,7 @@ pub enum Fault {
 
 impl Fault {
     /// The node the fault is anchored at.
-    pub fn node(&self) -> usize {
+    pub(crate) fn node(&self) -> usize {
         match *self {
             Fault::DeadLink { node, .. }
             | Fault::TransientLink { node, .. }
@@ -327,7 +327,7 @@ impl FaultPlan {
     }
 
     /// Adds a fault.
-    pub fn push(&mut self, fault: Fault) {
+    pub(crate) fn push(&mut self, fault: Fault) {
         self.faults.push(fault);
     }
 
@@ -986,8 +986,8 @@ mod tests {
         }
         let mut noc = crate::noc::Noc::with_faults(ft(4, 2, 1), &plan).unwrap();
         let mut deliveries = Vec::new();
-        for _ in 0..10 {
-            let all_failed = noc.cycle() >= 7;
+        for cycle in 0..10 {
+            let all_failed = cycle >= 7;
             assert_eq!(noc.only_failed_injectors_pending(&queues), all_failed);
             noc.step(&mut queues, &mut deliveries, None);
         }

@@ -74,7 +74,7 @@ impl Coord {
     }
 
     /// Coordinate reached by moving `hops <= n` south.
-    pub fn south(self, hops: u16, n: u16) -> Coord {
+    pub(crate) fn south(self, hops: u16, n: u16) -> Coord {
         Coord::new(self.x, ring_add(self.y, hops, n))
     }
 }
@@ -86,18 +86,8 @@ impl fmt::Display for Coord {
 }
 
 /// One-way ring distance `(to - from) mod n` on a unidirectional ring.
-///
-/// # Examples
-///
-/// ```
-/// use fasttrack_core::geom::ring_delta;
-///
-/// assert_eq!(ring_delta(1, 5, 8), 4);
-/// assert_eq!(ring_delta(5, 1, 8), 4); // wraps east past the edge
-/// assert_eq!(ring_delta(3, 3, 8), 0);
-/// ```
 #[inline]
-pub fn ring_delta(from: u16, to: u16, n: u16) -> u16 {
+pub(crate) fn ring_delta(from: u16, to: u16, n: u16) -> u16 {
     debug_assert!(n > 0 && from < n && to < n);
     // Both operands are already reduced, so `(to - from) mod n` is one
     // compare-and-add: no division on the per-lookup path.
@@ -122,7 +112,7 @@ fn ring_add(pos: u16, hops: u16, n: u16) -> u16 {
 }
 
 /// Greatest common divisor (used for express-ring reachability).
-pub fn gcd(a: u16, b: u16) -> u16 {
+pub(crate) fn gcd(a: u16, b: u16) -> u16 {
     let (mut a, mut b) = (a, b);
     while b != 0 {
         let t = a % b;
@@ -151,6 +141,13 @@ mod tests {
         assert_eq!(Coord::new(3, 0).to_node_id(4), 3);
         assert_eq!(Coord::new(0, 1).to_node_id(4), 4);
         assert_eq!(Coord::new(3, 3).to_node_id(4), 15);
+    }
+
+    #[test]
+    fn ring_delta_wraps_past_the_edge() {
+        assert_eq!(ring_delta(1, 5, 8), 4);
+        assert_eq!(ring_delta(5, 1, 8), 4); // wraps east past the edge
+        assert_eq!(ring_delta(3, 3, 8), 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The per-cycle inner loop of the torus engines spends most of its time
 //! answering one question per occupied input register: *which output
-//! ports does this packet prefer here?* [`crate::routing::compute_prefs`]
+//! ports does this packet prefer here?* `crate::routing::compute_prefs`
 //! answers it with branchy coordinate math, but its result depends on the
 //! router position **only** through the [`RouterClass`] (whether the
 //! position is express-capable per dimension) and the ring deltas
@@ -15,9 +15,9 @@
 //! byte load, and the bytes of all four inputs together key the engine's
 //! `DecisionTable`, which memoises what the allocator makes of them.
 //!
-//! The second half of the kernel is the [`PacketPool`]: in-flight packets
+//! The second half of the kernel is the `PacketPool`: in-flight packets
 //! move out of the link registers into a slab with free-list reuse, and
-//! the registers hold compact `u32` slot indices ([`EMPTY_SLOT`] when
+//! the registers hold compact `u32` slot indices (`EMPTY_SLOT` when
 //! idle). The register scan — four loads per router per cycle — touches
 //! 16 bytes instead of four `Option<Packet>`s, and the routing phase
 //! reads only the pool's destination column, keeping the working set of
@@ -192,8 +192,14 @@ impl RouteLut {
     /// The precomputed preference list for a packet arriving on `port` at
     /// a router of `class` at `at`, heading for `dst`. Bit-identical to
     /// [`compute_prefs`] on the same arguments.
-    #[inline]
-    pub fn lookup(&self, class: RouterClass, port: InPort, at: Coord, dst: Coord) -> RoutePrefs {
+    #[cfg(test)]
+    pub(crate) fn lookup(
+        &self,
+        class: RouterClass,
+        port: InPort,
+        at: Coord,
+        dst: Coord,
+    ) -> RoutePrefs {
         self.lists(class, port)[self.id(class, port, at, dst) as usize]
     }
 
@@ -448,7 +454,7 @@ impl DecisionTable {
 }
 
 /// Register value marking an idle input slot.
-pub const EMPTY_SLOT: u32 = u32::MAX;
+pub(crate) const EMPTY_SLOT: u32 = u32::MAX;
 
 /// Struct-of-arrays storage for in-flight packets.
 ///
@@ -459,7 +465,7 @@ pub const EMPTY_SLOT: u32 = u32::MAX;
 /// Freed slots are recycled LIFO — slot numbers never influence routing
 /// or statistics, so reuse order is unobservable.
 #[derive(Debug, Clone, Default)]
-pub struct PacketPool {
+pub(crate) struct PacketPool {
     dst: Vec<Coord>,
     meta: Vec<Packet>,
     free: Vec<u32>,
@@ -467,7 +473,7 @@ pub struct PacketPool {
 
 impl PacketPool {
     /// An empty pool with room for `cap` packets before reallocating.
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         PacketPool {
             dst: Vec::with_capacity(cap),
             meta: Vec::with_capacity(cap),
@@ -477,7 +483,7 @@ impl PacketPool {
 
     /// Stores a packet, returning its slot index.
     #[inline]
-    pub fn insert(&mut self, pkt: Packet) -> u32 {
+    pub(crate) fn insert(&mut self, pkt: Packet) -> u32 {
         match self.free.pop() {
             Some(idx) => {
                 self.dst[idx as usize] = pkt.dst;
@@ -496,13 +502,13 @@ impl PacketPool {
 
     /// The destination of the packet in `idx` (the hot column).
     #[inline]
-    pub fn dst(&self, idx: u32) -> Coord {
+    pub(crate) fn dst(&self, idx: u32) -> Coord {
         self.dst[idx as usize]
     }
 
     /// The full packet record in `idx`.
     #[inline]
-    pub fn get(&self, idx: u32) -> &Packet {
+    pub(crate) fn get(&self, idx: u32) -> &Packet {
         &self.meta[idx as usize]
     }
 
@@ -517,7 +523,8 @@ impl PacketPool {
     /// Writes an updated packet record back into `idx`. The destination
     /// is immutable after creation, so the hot column needs no update.
     #[inline]
-    pub fn write(&mut self, idx: u32, pkt: &Packet) {
+    #[cfg(test)]
+    pub(crate) fn write(&mut self, idx: u32, pkt: &Packet) {
         debug_assert_eq!(
             self.dst[idx as usize], pkt.dst,
             "packet dst mutated in flight"
@@ -527,27 +534,28 @@ impl PacketPool {
 
     /// Returns `idx` to the free list without reading it.
     #[inline]
-    pub fn release(&mut self, idx: u32) {
+    pub(crate) fn release(&mut self, idx: u32) {
         debug_assert!(!self.free.contains(&idx), "double free of pool slot");
         self.free.push(idx);
     }
 
     /// Removes and returns the packet in `idx`.
     #[inline]
-    pub fn remove(&mut self, idx: u32) -> Packet {
+    pub(crate) fn remove(&mut self, idx: u32) -> Packet {
         let pkt = self.meta[idx as usize];
         self.release(idx);
         pkt
     }
 
     /// Packets currently stored.
-    pub fn live(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn live(&self) -> usize {
         self.meta.len() - self.free.len()
     }
 
     /// Freed slots available for recycling before the pool must grow.
     #[inline]
-    pub fn free_slots(&self) -> usize {
+    pub(crate) fn free_slots(&self) -> usize {
         self.free.len()
     }
 }

@@ -45,7 +45,7 @@
 
 #![warn(missing_docs)]
 
-pub mod alloc;
+mod alloc;
 pub mod analysis;
 pub mod attribution;
 pub mod config;
@@ -66,7 +66,7 @@ pub mod queue;
 pub mod realtime;
 pub mod resources;
 pub mod router;
-pub mod routing;
+mod routing;
 pub mod shg;
 pub mod sim;
 pub mod stats;
@@ -80,12 +80,12 @@ pub mod prelude {
         AttributionConfig, AttributionReport, AttributionSink, LatencyComponent, PacketAttribution,
         PacketJourney,
     };
-    pub use crate::config::{ConfigError, ExitPolicy, FtPolicy, LinkPipeline, NocConfig, NocKind};
+    pub use crate::config::{ConfigError, ExitPolicy, FtPolicy, LinkPipeline, NocConfig};
     pub use crate::export::{ChromeTraceSink, NdjsonSink};
     pub use crate::fallback::{FallbackAction, FallbackConfig, FallbackError};
     pub use crate::fault::{Fault, FaultError, FaultPlan, FaultSpec, StormSpec};
     pub use crate::geom::Coord;
-    pub use crate::kernel::{PacketPool, RouteLut, RouteMode};
+    pub use crate::kernel::{RouteLut, RouteMode};
     pub use crate::mesh::{MeshBackend, MeshConfig, MeshNoc};
     pub use crate::metrics::{EpochStats, WindowedMetrics};
     pub use crate::monitor::{
@@ -96,20 +96,18 @@ pub mod prelude {
     pub use crate::noc::Noc;
     pub use crate::packet::{Delivery, Packet, PacketId, PendingPacket};
     pub use crate::port::{InPort, OutPort};
-    pub use crate::profile::{
-        PhaseStat, ProfileSummary, ScopedSpan, SessionProfile, Span, SpanRecorder, ThreadProfile,
-    };
+    pub use crate::profile::{PhaseStat, ProfileSummary, SessionProfile, Span, SpanRecorder};
     pub use crate::queue::InjectQueues;
     pub use crate::shg::{ShgBackend, ShgNoc};
     pub use crate::sim::{
-        drive_engine, SessionBackend, SimEngine, SimOptions, SimOutcome, SimReport, SimSession,
-        SpecBackend, SpecEngine, TorusBackend, TorusEngine, TrafficSource,
+        SessionBackend, SimEngine, SimOptions, SimOutcome, SimReport, SimSession, SpecBackend,
+        SpecEngine, TorusBackend, TorusEngine, TrafficSource,
     };
     pub use crate::stats::{Histogram, LatencyStats, LinkUsage, PortCounters, SimStats};
     pub use crate::sweep::{point_seed, retry_seed, splitmix64, sweep, sweep_fallible, SweepError};
     pub use crate::topology::{
-        topology_of, LinkDesc, LinkId, MonitorShape, ShgConfig, ShgConfigError, ShgTopology,
-        TopoRouteLut, Topology, TopologySpec, TopologySpecError, WireClass,
+        topology_of, LinkDesc, MonitorShape, ShgConfig, ShgConfigError, ShgTopology, TopoRouteLut,
+        Topology, TopologySpec, TopologySpecError, WireClass,
     };
     pub use crate::trace::{EventSink, NullSink, SimEvent, VecSink};
 }

@@ -14,13 +14,15 @@
 //! use fasttrack_core::geom::Coord;
 //! use fasttrack_core::mesh::{MeshConfig, MeshNoc};
 //! use fasttrack_core::queue::InjectQueues;
+//! use fasttrack_core::sim::SimEngine;
+//! use fasttrack_core::trace::NullSink;
 //!
 //! let mut noc = MeshNoc::new(MeshConfig::new(4, 4)?);
 //! let mut queues = InjectQueues::new(16);
 //! queues.push(0, Coord::new(3, 3), 0, 0);
 //! let mut deliveries = Vec::new();
 //! while noc.in_flight() > 0 || !queues.is_empty() {
-//!     noc.step(&mut queues, &mut deliveries);
+//!     noc.step_cycle(&mut queues, &mut deliveries, &mut NullSink);
 //! }
 //! assert_eq!(deliveries.len(), 1);
 //! assert_eq!(deliveries[0].packet.short_hops, 6); // Manhattan distance
@@ -35,6 +37,5 @@ mod topology;
 
 pub use config::{MeshConfig, MeshConfigError};
 pub use noc::MeshNoc;
-pub use router::{mesh_distance, xy_route, Dir};
 pub use sim::MeshBackend;
-pub use topology::MeshTopology;
+pub(crate) use topology::MeshTopology;

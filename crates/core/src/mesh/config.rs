@@ -54,7 +54,7 @@ impl MeshConfig {
     }
 
     /// Mesh side length.
-    pub fn n(&self) -> u16 {
+    pub(crate) fn n(&self) -> u16 {
         self.n
     }
 
@@ -64,7 +64,7 @@ impl MeshConfig {
     }
 
     /// Input FIFO depth per port.
-    pub fn buffer_depth(&self) -> usize {
+    pub(crate) fn buffer_depth(&self) -> usize {
         self.buffer_depth
     }
 

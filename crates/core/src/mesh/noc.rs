@@ -19,7 +19,7 @@ use crate::packet::{Delivery, Packet};
 use crate::port::OutPort;
 use crate::queue::{ActiveCursor, InjectQueues};
 use crate::stats::SimStats;
-use crate::trace::{EventSink, NullSink, SimEvent};
+use crate::trace::{EventSink, SimEvent};
 
 #[cfg(test)]
 mod reference;
@@ -155,7 +155,7 @@ impl MeshNoc {
     /// single-path XY routing can express: fail-stop routers, stalled
     /// injectors, and transient axis-link faults; permanently dead links
     /// are rejected (every mesh link is the only route for some pairs).
-    pub fn with_faults(cfg: MeshConfig, plan: &FaultPlan) -> Result<Self, FaultError> {
+    pub(crate) fn with_faults(cfg: MeshConfig, plan: &FaultPlan) -> Result<Self, FaultError> {
         plan.validate(&MeshTopology::new(cfg))?;
         let mut noc = MeshNoc::new(cfg);
         if !plan.is_empty() {
@@ -168,7 +168,7 @@ impl MeshNoc {
     /// fail-stopped by the current cycle — those packets can never
     /// inject, so a driver waiting for the queues to drain should stop.
     /// Always false on a fault-free mesh.
-    pub fn only_failed_injectors_pending(&self, queues: &InjectQueues) -> bool {
+    pub(crate) fn only_failed_injectors_pending(&self, queues: &InjectQueues) -> bool {
         self.faults
             .as_ref()
             .is_some_and(|f| f.only_failed_injectors_pending(queues))
@@ -184,18 +184,13 @@ impl MeshNoc {
         self.in_flight
     }
 
-    /// Current cycle.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &SimStats {
         &self.stats
     }
 
     /// Clears statistics.
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = SimStats::default();
     }
 
@@ -218,19 +213,14 @@ impl MeshNoc {
         })
     }
 
-    /// Advances the mesh by one cycle.
-    pub fn step(&mut self, queues: &mut InjectQueues, deliveries: &mut Vec<Delivery>) {
-        self.step_with_sink(queues, deliveries, &mut NullSink);
-    }
-
-    /// [`MeshNoc::step`] with an [`EventSink`] observing the cycle.
+    /// Advances the mesh by one cycle, with an [`EventSink`] observing it.
     ///
     /// The mesh emits the same event vocabulary as the torus engines
     /// with two caveats: routing decisions carry `in_port: None` (FIFO
     /// inputs have no torus port identity) and link outputs are reported
     /// by axis (`axis_port`). Buffered routers hold rather than
     /// misroute, so no [`SimEvent::Deflect`] is ever emitted.
-    pub fn step_with_sink<S: EventSink>(
+    pub(crate) fn step_with_sink<S: EventSink>(
         &mut self,
         queues: &mut InjectQueues,
         deliveries: &mut Vec<Delivery>,
@@ -481,14 +471,19 @@ mod tests {
     use super::reference::RefMeshNoc;
     use super::*;
     use crate::fault::Fault;
-    use crate::trace::VecSink;
+    use crate::trace::{NullSink, VecSink};
     use proptest::prelude::*;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+    /// The sink's events of one kind, in emission order.
+    fn of_kind<'a>(sink: &'a VecSink, kind: &str) -> Vec<&'a SimEvent> {
+        sink.events.iter().filter(|e| e.kind() == kind).collect()
+    }
 
     fn drain(noc: &mut MeshNoc, q: &mut InjectQueues, max: u64) -> Vec<Delivery> {
         let mut out = Vec::new();
         for _ in 0..max {
-            noc.step(q, &mut out);
+            noc.step_with_sink(q, &mut out, &mut NullSink);
             if q.is_empty() && noc.in_flight() == 0 {
                 break;
             }
@@ -536,7 +531,7 @@ mod tests {
         assert_eq!(dels.len(), 15 * 8, "buffered mesh must deliver everything");
         assert_eq!(noc.in_flight(), 0);
         // Ejection-limited: 120 packets need >= 120 cycles.
-        assert!(noc.cycle() >= 120);
+        assert!(noc.cycle >= 120);
     }
 
     #[test]
@@ -550,7 +545,7 @@ mod tests {
         }
         let mut dels = Vec::new();
         for _ in 0..5000 {
-            noc.step(&mut q, &mut dels);
+            noc.step_with_sink(&mut q, &mut dels, &mut NullSink);
             for fifos in &noc.fifos {
                 for f in fifos {
                     assert!(f.len() <= 1, "depth-1 FIFO overflow");
@@ -599,12 +594,12 @@ mod tests {
             }
         }
         assert_eq!(dels.len(), 2);
-        assert_eq!(sink.of_kind("inject").len(), 2);
-        assert_eq!(sink.of_kind("eject").len(), 2);
+        assert_eq!(of_kind(&sink, "inject").len(), 2);
+        assert_eq!(of_kind(&sink, "eject").len(), 2);
         // Each FIFO move is a decision: packet 1 rides its first link on
         // injection, then 4 link moves + the ejection move; packet 2
         // covers its single hop on injection, then ejects (4 + 1 + 1).
-        let routes = sink.of_kind("route");
+        let routes = of_kind(&sink, "route");
         assert_eq!(routes.len(), 6);
         let exits = routes
             .iter()
@@ -620,7 +615,7 @@ mod tests {
             .count();
         assert_eq!(exits, 2);
         // Buffered routers never deflect.
-        assert!(sink.of_kind("deflect").is_empty());
+        assert!(of_kind(&sink, "deflect").is_empty());
         for e in routes {
             if let SimEvent::RouteDecision { in_port, .. } = e {
                 assert!(in_port.is_none(), "mesh FIFOs have no torus port identity");
@@ -646,7 +641,7 @@ mod tests {
             }
         }
         assert_eq!(dels.len(), 2);
-        let stalls = sink.of_kind("stall");
+        let stalls = of_kind(&sink, "stall");
         assert!(
             !stalls.is_empty(),
             "credit exhaustion must surface as a stall"
@@ -777,8 +772,11 @@ mod tests {
         new_stats.router_visits = old.stats().router_visits;
         assert_eq!(&new_stats, old.stats());
         assert_eq!(new.in_flight(), old.in_flight());
-        assert_eq!(new.cycle(), old.cycle());
-        assert_eq!(new_q.total_pending(), old_q.total_pending());
+        assert_eq!(new.cycle, old.cycle());
+        assert_eq!(
+            (0..new_q.nodes()).map(|n| new_q.depth(n)).sum::<usize>(),
+            (0..old_q.nodes()).map(|n| old_q.depth(n)).sum::<usize>()
+        );
         (new_sink, old_sink)
     }
 
@@ -833,11 +831,11 @@ mod tests {
                         noc.fifos[node].iter().any(|f| !f.is_empty()) || queues.depth(node) > 0
                     })
                     .count() as u64;
-                noc.step(&mut queues, &mut deliveries);
+                noc.step_with_sink(&mut queues, &mut deliveries, &mut NullSink);
                 prop_assert_eq!(noc.stats().router_visits, expected, "after cycle {}", cycle);
                 prop_assert!(noc.occupancy_mask_exact());
             }
-            prop_assert!(expected <= noc.cycle() * cfg.num_nodes() as u64);
+            prop_assert!(expected <= noc.cycle * cfg.num_nodes() as u64);
         }
     }
 
@@ -853,7 +851,7 @@ mod tests {
             let mut deliveries = Vec::new();
             let mut saw_traffic = false;
             for _ in 0..12 {
-                noc.step(&mut queues, &mut deliveries);
+                noc.step_with_sink(&mut queues, &mut deliveries, &mut NullSink);
                 assert!(noc.occupancy_mask_exact());
                 saw_traffic |= noc.occ.iter().any(|&w| w != 0);
             }

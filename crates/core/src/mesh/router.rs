@@ -5,7 +5,7 @@ use crate::geom::Coord;
 /// A mesh link direction. `South` is increasing `y`, matching the torus
 /// convention of the torus engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Dir {
+pub(crate) enum Dir {
     /// Toward decreasing `y`.
     North,
     /// Toward increasing `x`.
@@ -18,10 +18,10 @@ pub enum Dir {
 
 impl Dir {
     /// All directions, in arbitration index order.
-    pub const ALL: [Dir; 4] = [Dir::North, Dir::East, Dir::South, Dir::West];
+    pub(crate) const ALL: [Dir; 4] = [Dir::North, Dir::East, Dir::South, Dir::West];
 
     /// Dense index (0..4).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Dir::North => 0,
             Dir::East => 1,
@@ -31,7 +31,8 @@ impl Dir {
     }
 
     /// The direction a packet *arrives from* when sent this way.
-    pub fn opposite(self) -> Dir {
+    #[cfg(test)]
+    pub(crate) fn opposite(self) -> Dir {
         match self {
             Dir::North => Dir::South,
             Dir::East => Dir::West,
@@ -42,7 +43,7 @@ impl Dir {
 
     /// The neighbor of `at` in this direction on an `n × n` mesh, or
     /// `None` at the mesh edge (no wraparound).
-    pub fn neighbor(self, at: Coord, n: u16) -> Option<Coord> {
+    pub(crate) fn neighbor(self, at: Coord, n: u16) -> Option<Coord> {
         match self {
             Dir::North => (at.y > 0).then(|| Coord::new(at.x, at.y - 1)),
             Dir::South => (at.y + 1 < n).then(|| Coord::new(at.x, at.y + 1)),
@@ -54,7 +55,7 @@ impl Dir {
 
 /// Where a packet at `at` heading for `dst` wants to go next under XY
 /// dimension-ordered routing (`None` = eject here).
-pub fn xy_route(at: Coord, dst: Coord) -> Option<Dir> {
+pub(crate) fn xy_route(at: Coord, dst: Coord) -> Option<Dir> {
     if at.x < dst.x {
         Some(Dir::East)
     } else if at.x > dst.x {
@@ -69,7 +70,8 @@ pub fn xy_route(at: Coord, dst: Coord) -> Option<Dir> {
 }
 
 /// Minimal hop count between two mesh nodes.
-pub fn mesh_distance(a: Coord, b: Coord) -> u32 {
+#[cfg(test)]
+pub(crate) fn mesh_distance(a: Coord, b: Coord) -> u32 {
     (a.x.abs_diff(b.x) + a.y.abs_diff(b.y)) as u32
 }
 

@@ -23,19 +23,14 @@ use crate::topology::{LinkDesc, MonitorShape, Topology, TopologySpec, WireClass}
 
 /// An `n × n` buffered mesh viewed through the [`Topology`] trait.
 #[derive(Debug, Clone, Copy)]
-pub struct MeshTopology {
+pub(crate) struct MeshTopology {
     cfg: MeshConfig,
 }
 
 impl MeshTopology {
     /// Wraps a mesh configuration.
-    pub fn new(cfg: MeshConfig) -> Self {
+    pub(crate) fn new(cfg: MeshConfig) -> Self {
         MeshTopology { cfg }
-    }
-
-    /// The wrapped configuration.
-    pub fn config(&self) -> &MeshConfig {
-        &self.cfg
     }
 }
 

@@ -5,7 +5,7 @@
 //! stream into fixed-length epochs: rolling throughput, latency
 //! mean/p50/p99, deflection rate and stall counts. Because it consumes
 //! the same events any exporter sees, it needs no engine support beyond
-//! [`crate::noc::Noc::step_with_sink`].
+//! `crate::noc::Noc::step_with_sink`.
 //!
 //! The steady-state detector ([`WindowedMetrics::steady_state_epoch`])
 //! replaces hand-picked [`crate::sim::SimOptions::warmup_cycles`] for
@@ -43,7 +43,7 @@ pub struct EpochStats {
 
 impl EpochStats {
     /// Delivered packets per cycle per PE over this epoch.
-    pub fn throughput_per_pe(&self, nodes: usize) -> f64 {
+    pub(crate) fn throughput_per_pe(&self, nodes: usize) -> f64 {
         if self.cycles == 0 || nodes == 0 {
             0.0
         } else {
@@ -52,22 +52,22 @@ impl EpochStats {
     }
 
     /// Mean end-to-end latency of this epoch's deliveries.
-    pub fn mean_latency(&self) -> f64 {
+    pub(crate) fn mean_latency(&self) -> f64 {
         self.latency.mean()
     }
 
     /// Median end-to-end latency (histogram-bucket upper bound).
-    pub fn p50_latency(&self) -> u64 {
+    pub(crate) fn p50_latency(&self) -> u64 {
         self.latency.percentile(50.0).unwrap_or(0)
     }
 
     /// 99th-percentile end-to-end latency (histogram-bucket upper bound).
-    pub fn p99_latency(&self) -> u64 {
+    pub(crate) fn p99_latency(&self) -> u64 {
         self.latency.percentile(99.0).unwrap_or(0)
     }
 
     /// Fraction of routing decisions that deflected.
-    pub fn deflection_rate(&self) -> f64 {
+    pub(crate) fn deflection_rate(&self) -> f64 {
         if self.decisions == 0 {
             0.0
         } else {
@@ -113,32 +113,6 @@ impl WindowedMetrics {
         }
     }
 
-    /// The configured epoch length in cycles.
-    pub fn epoch_len(&self) -> u64 {
-        self.epoch_len
-    }
-
-    /// PEs in the observed system.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// Completed epochs, in time order (the in-progress epoch is not
-    /// included; call [`WindowedMetrics::finish`] to flush it).
-    pub fn epochs(&self) -> &[EpochStats] {
-        &self.completed
-    }
-
-    /// Cycle of the driver's warmup reset, if one was observed.
-    pub fn warmup_reset_at(&self) -> Option<u64> {
-        self.warmup_reset_at
-    }
-
-    /// True if the driver reported hitting its cycle cap.
-    pub fn truncated(&self) -> bool {
-        self.truncated
-    }
-
     /// Flushes the trailing partial epoch (if it saw any cycles) and
     /// returns all epochs.
     pub fn finish(mut self) -> Vec<EpochStats> {
@@ -164,25 +138,11 @@ impl WindowedMetrics {
     }
 
     /// Delivered-rate (per cycle per PE) of each completed epoch.
-    pub fn epoch_rates(&self) -> Vec<f64> {
+    pub(crate) fn epoch_rates(&self) -> Vec<f64> {
         self.completed
             .iter()
             .map(|e| e.throughput_per_pe(self.nodes))
             .collect()
-    }
-
-    /// Aggregate delivered rate (per cycle per PE) from `epoch` onward,
-    /// i.e. the measurement that would result from treating everything
-    /// before `epoch` as warmup.
-    pub fn rate_after(&self, epoch: usize) -> f64 {
-        let tail = &self.completed[epoch.min(self.completed.len())..];
-        let cycles: u64 = tail.iter().map(|e| e.cycles).sum();
-        let delivered: u64 = tail.iter().map(|e| e.delivered).sum();
-        if cycles == 0 || self.nodes == 0 {
-            0.0
-        } else {
-            delivered as f64 / cycles as f64 / self.nodes as f64
-        }
     }
 
     /// Detects the epoch at which the delivered rate settles: the start
@@ -193,7 +153,7 @@ impl WindowedMetrics {
     /// the way a mean would. Returns `None` when the run is too short
     /// (< 4 epochs), idle, or never holds the band for more than a
     /// single epoch.
-    pub fn steady_state_epoch_with_tolerance(&self, tolerance: f64) -> Option<usize> {
+    pub(crate) fn steady_state_epoch_with_tolerance(&self, tolerance: f64) -> Option<usize> {
         // A run shorter than one window completes no epochs; keep that
         // guard explicit so short runs can never reach the plateau
         // search below and report a bogus epoch 0.
@@ -236,7 +196,7 @@ impl WindowedMetrics {
         best.and_then(|(start, len)| (len >= 2).then_some(start))
     }
 
-    /// [`WindowedMetrics::steady_state_epoch_with_tolerance`] at the
+    /// `WindowedMetrics::steady_state_epoch_with_tolerance` at the
     /// default 10% band.
     pub fn steady_state_epoch(&self) -> Option<usize> {
         self.steady_state_epoch_with_tolerance(0.10)
@@ -282,6 +242,19 @@ impl EventSink for WindowedMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Aggregate delivered rate (per cycle per PE) from `epoch` onward:
+    /// the measurement that treats everything before `epoch` as warmup.
+    fn rate_after(m: &WindowedMetrics, epoch: usize) -> f64 {
+        let tail = &m.completed[epoch.min(m.completed.len())..];
+        let cycles: u64 = tail.iter().map(|e| e.cycles).sum();
+        let delivered: u64 = tail.iter().map(|e| e.delivered).sum();
+        if cycles == 0 || m.nodes == 0 {
+            0.0
+        } else {
+            delivered as f64 / cycles as f64 / m.nodes as f64
+        }
+    }
     use crate::geom::Coord;
     use crate::packet::{Delivery, Packet, PacketId};
 
@@ -309,11 +282,11 @@ mod tests {
         for c in 10..25 {
             m.end_cycle(c);
         }
-        assert_eq!(m.epochs().len(), 2);
-        assert_eq!(m.epochs()[0].delivered, 2);
-        assert_eq!(m.epochs()[0].start_cycle, 0);
-        assert_eq!(m.epochs()[0].cycles, 10);
-        assert_eq!(m.epochs()[1].delivered, 1);
+        assert_eq!(m.completed.len(), 2);
+        assert_eq!(m.completed[0].delivered, 2);
+        assert_eq!(m.completed[0].start_cycle, 0);
+        assert_eq!(m.completed[0].cycles, 10);
+        assert_eq!(m.completed[1].delivered, 1);
         let all = m.finish();
         assert_eq!(all.len(), 3); // trailing partial epoch flushed
         assert_eq!(all[2].cycles, 5);
@@ -329,11 +302,11 @@ mod tests {
             m.emit(&eject_at(c, 1));
             m.end_cycle(c);
         }
-        assert!(m.epochs().is_empty());
+        assert!(m.completed.is_empty());
         assert_eq!(m.steady_state_epoch(), None);
         assert_eq!(m.suggested_warmup(), None);
-        assert_eq!(m.rate_after(0), 0.0);
-        assert_eq!(m.rate_after(10), 0.0, "out-of-range epoch clamps");
+        assert_eq!(rate_after(&m, 0), 0.0);
+        assert_eq!(rate_after(&m, 10), 0.0, "out-of-range epoch clamps");
         // Flushing the trailing partial epoch yields its true length and
         // still no steady state on a fresh short run.
         let epochs = m.finish();
@@ -347,7 +320,7 @@ mod tests {
         let m = WindowedMetrics::new(4, 10);
         assert_eq!(m.steady_state_epoch(), None);
         assert_eq!(m.suggested_warmup(), None);
-        assert_eq!(m.rate_after(0), 0.0);
+        assert_eq!(rate_after(&m, 0), 0.0);
         assert!(m.finish().is_empty());
     }
 
@@ -357,8 +330,8 @@ mod tests {
         for c in 0..20 {
             m.end_cycle(c);
         }
-        assert_eq!(m.epochs().len(), 3);
-        assert!(m.epochs().iter().all(|e| e.delivered == 0));
+        assert_eq!(m.completed.len(), 3);
+        assert!(m.completed.iter().all(|e| e.delivered == 0));
     }
 
     #[test]
@@ -369,7 +342,7 @@ mod tests {
                 m.end_cycle(c);
             }
         }
-        assert_eq!(m.epochs().len(), 1);
+        assert_eq!(m.completed.len(), 1);
         assert_eq!(m.finish().len(), 2);
     }
 
@@ -422,9 +395,9 @@ mod tests {
         assert_eq!(steady, 2);
         assert_eq!(m.suggested_warmup(), Some(20));
         // Measuring after the detected epoch recovers the plateau rate.
-        assert!((m.rate_after(steady) - 0.5).abs() < 1e-9);
+        assert!((rate_after(&m, steady) - 0.5).abs() < 1e-9);
         // Measuring from the start underestimates it.
-        assert!(m.rate_after(0) < 0.45);
+        assert!(rate_after(&m, 0) < 0.45);
     }
 
     #[test]
@@ -440,8 +413,8 @@ mod tests {
         let mut m = WindowedMetrics::new(4, 10);
         m.emit(&SimEvent::WarmupReset { cycle: 30 });
         m.emit(&SimEvent::Truncated { cycle: 90 });
-        assert_eq!(m.warmup_reset_at(), Some(30));
-        assert!(m.truncated());
+        assert_eq!(m.warmup_reset_at, Some(30));
+        assert!(m.truncated);
     }
 
     #[test]

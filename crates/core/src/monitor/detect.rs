@@ -101,7 +101,7 @@ impl Anomaly {
     }
 
     /// The router the anomaly is anchored at.
-    pub fn node(&self) -> usize {
+    pub(crate) fn node(&self) -> usize {
         match *self {
             Anomaly::Livelock { node, .. }
             | Anomaly::Starvation { node, .. }
@@ -114,7 +114,7 @@ impl Anomaly {
 /// distance. Reports each packet at most once per flight (its id is
 /// forgotten again on ejection, so a reinjected id can report again).
 #[derive(Debug, Clone)]
-pub struct LivelockDetector {
+pub(crate) struct LivelockDetector {
     grid: Option<u16>,
     multiple: f64,
     min_hops: u32,
@@ -128,7 +128,7 @@ impl LivelockDetector {
     /// as the displacement reference). `None` disables the
     /// distance-scaled threshold and falls back to the absolute hop
     /// floor for topologies without a grid embedding.
-    pub fn new(grid: Option<u16>, cfg: &DetectorConfig) -> Self {
+    pub(crate) fn new(grid: Option<u16>, cfg: &DetectorConfig) -> Self {
         LivelockDetector {
             grid,
             multiple: cfg.livelock_multiple,
@@ -139,7 +139,7 @@ impl LivelockDetector {
 
     /// DOR distance (one-way dx + dy) on the grid; 0 without one (the
     /// hop floor then carries the threshold alone).
-    pub fn dor_distance(&self, src: Coord, dst: Coord) -> u32 {
+    pub(crate) fn dor_distance(&self, src: Coord, dst: Coord) -> u32 {
         match self.grid {
             Some(n) => u32::from(src.dx_to(dst, n)) + u32::from(src.dy_to(dst, n)),
             None => 0,
@@ -148,7 +148,7 @@ impl LivelockDetector {
 
     /// Feeds one event; returns an anomaly on a fresh threshold cross.
     #[inline]
-    pub fn observe(&mut self, event: &SimEvent) -> Option<Anomaly> {
+    pub(crate) fn observe(&mut self, event: &SimEvent) -> Option<Anomaly> {
         match *event {
             SimEvent::RouteDecision {
                 node,
@@ -189,7 +189,7 @@ impl LivelockDetector {
 
 /// Flags PEs with long consecutive inject-stall streaks.
 #[derive(Debug, Clone)]
-pub struct StarvationDetector {
+pub(crate) struct StarvationDetector {
     threshold: u64,
     streaks: Vec<u64>,
     /// Last cycle counted per node, so multi-channel banks (one stall
@@ -200,7 +200,7 @@ pub struct StarvationDetector {
 
 impl StarvationDetector {
     /// A detector for `nodes` sources.
-    pub fn new(nodes: usize, cfg: &DetectorConfig) -> Self {
+    pub(crate) fn new(nodes: usize, cfg: &DetectorConfig) -> Self {
         StarvationDetector {
             threshold: cfg.starvation_streak.max(1),
             streaks: vec![0; nodes],
@@ -212,7 +212,7 @@ impl StarvationDetector {
     /// Feeds one event; returns an anomaly when a streak first reaches
     /// the threshold (re-armed by a successful injection).
     #[inline]
-    pub fn observe(&mut self, event: &SimEvent) -> Option<Anomaly> {
+    pub(crate) fn observe(&mut self, event: &SimEvent) -> Option<Anomaly> {
         match *event {
             SimEvent::QueueStall { cycle, node, depth } if node < self.streaks.len() => {
                 if self.last_cycle[node] == cycle {
@@ -238,25 +238,20 @@ impl StarvationDetector {
             _ => None,
         }
     }
-
-    /// Current streak for `node` (tests / summaries).
-    pub fn streak(&self, node: usize) -> u64 {
-        self.streaks.get(node).copied().unwrap_or(0)
-    }
 }
 
 /// Flags links whose EWMA utilization crosses the watermark.
 ///
-/// Usage counts accumulate per [`crate::topology::LinkId`] — the flat
-/// `node * links_per_node + class_slot` key the [`MonitorShape`]
-/// defines — and fold into the EWMA at window boundaries in
+/// Usage counts accumulate per flat link key —
+/// `node * links_per_node + class_slot`, as the [`MonitorShape`]
+/// defines it — and fold into the EWMA at window boundaries in
 /// [`HotspotDetector::end_cycle`] (which is idempotent per cycle, as
 /// multi-channel banks call it once per channel). Utilization is
 /// normalized by the channel count announced via
 /// [`HotspotDetector::set_channels`], so 1.0 means every channel of
 /// the link carried a packet every cycle of the window.
 #[derive(Debug, Clone)]
-pub struct HotspotDetector {
+pub(crate) struct HotspotDetector {
     window: u64,
     alpha: f64,
     watermark: f64,
@@ -269,11 +264,9 @@ pub struct HotspotDetector {
 }
 
 impl HotspotDetector {
-    /// A detector sized for `shape` (one EWMA cell per [`LinkId`]
-    /// the shape enumerates).
-    ///
-    /// [`LinkId`]: crate::topology::LinkId
-    pub fn new(shape: MonitorShape, cfg: &DetectorConfig) -> Self {
+    /// A detector sized for `shape` (one EWMA cell per link key the
+    /// shape enumerates).
+    pub(crate) fn new(shape: MonitorShape, cfg: &DetectorConfig) -> Self {
         let links = shape.num_links();
         HotspotDetector {
             window: cfg.hotspot_window.max(1),
@@ -289,13 +282,13 @@ impl HotspotDetector {
     }
 
     /// Announces how many channels feed this detector (≥ 1).
-    pub fn set_channels(&mut self, channels: usize) {
+    pub(crate) fn set_channels(&mut self, channels: usize) {
         self.channels = channels.max(1);
     }
 
     /// Feeds one event (counts link occupancy; emits nothing itself).
     #[inline]
-    pub fn observe(&mut self, event: &SimEvent) {
+    pub(crate) fn observe(&mut self, event: &SimEvent) {
         let (node, out) = match *event {
             SimEvent::RouteDecision { node, out, .. } | SimEvent::Inject { node, out, .. } => {
                 (node, out)
@@ -313,12 +306,10 @@ impl HotspotDetector {
     }
 
     /// Folds the window ending at `cycle` (if a boundary was reached)
-    /// and returns watermark crossings in [`LinkId`] order (node-major,
+    /// and returns watermark crossings in link-key order (node-major,
     /// class-slot minor — identical to the old `(node, out)` order).
     /// Idempotent per cycle.
-    ///
-    /// [`LinkId`]: crate::topology::LinkId
-    pub fn end_cycle(&mut self, cycle: u64) -> Vec<Anomaly> {
+    pub(crate) fn end_cycle(&mut self, cycle: u64) -> Vec<Anomaly> {
         if cycle + 1 < self.next_boundary {
             return Vec::new();
         }
@@ -344,17 +335,6 @@ impl HotspotDetector {
         }
         self.next_boundary = cycle + 1 + self.window;
         crossings
-    }
-
-    /// Current EWMA for a link (tests / summaries).
-    pub fn ewma(&self, node: usize, out: OutPort) -> f64 {
-        if out == OutPort::Exit || out.index() >= self.links_per_node {
-            return 0.0;
-        }
-        self.ewma
-            .get(node * self.links_per_node + out.index())
-            .copied()
-            .unwrap_or(0.0)
     }
 }
 
@@ -493,7 +473,7 @@ mod tests {
             out: OutPort::EastSh,
             queue_wait: 0,
         });
-        assert_eq!(d.streak(1), 0);
+        assert_eq!(d.streaks[1], 0);
         assert!(d.observe(&stall(3, 1)).is_none());
         assert!(d.observe(&stall(4, 1)).is_none());
         let a = d.observe(&stall(5, 1)).unwrap();
@@ -526,7 +506,7 @@ mod tests {
         };
         assert!(d.observe(&stall(0)).is_none());
         assert!(d.observe(&stall(0)).is_none());
-        assert_eq!(d.streak(0), 1);
+        assert_eq!(d.streaks[0], 1);
         assert!(d.observe(&stall(1)).is_some());
     }
 
@@ -556,8 +536,8 @@ mod tests {
                 ..
             }
         ));
-        assert!(d.ewma(0, OutPort::EastSh) > 0.9);
-        assert_eq!(d.ewma(1, OutPort::EastSh), 0.0);
+        assert!(d.ewma[OutPort::EastSh.index()] > 0.9);
+        assert_eq!(d.ewma[d.links_per_node + OutPort::EastSh.index()], 0.0);
     }
 
     #[test]
@@ -604,6 +584,6 @@ mod tests {
             d.observe(&route(c, 0, c, 1, src, dst));
             assert!(d.end_cycle(c).is_empty());
         }
-        assert!((d.ewma(0, OutPort::EastSh) - 0.5).abs() < 1e-9);
+        assert!((d.ewma[OutPort::EastSh.index()] - 0.5).abs() < 1e-9);
     }
 }

@@ -21,7 +21,8 @@ mod detect;
 mod recorder;
 mod registry;
 
-pub use detect::{Anomaly, DetectorConfig, HotspotDetector, LivelockDetector, StarvationDetector};
+pub use detect::{Anomaly, DetectorConfig};
+pub(crate) use detect::{HotspotDetector, LivelockDetector, StarvationDetector};
 pub use recorder::FlightRecorder;
 pub use registry::{MetricValue, MetricsRegistry};
 
@@ -369,7 +370,7 @@ impl HealthMonitor {
 
     /// Announces the channel count of a multi-channel bank, so hotspot
     /// utilization normalizes per channel.
-    pub fn set_channels(&mut self, channels: usize) {
+    pub(crate) fn set_channels(&mut self, channels: usize) {
         self.channels = channels.max(1);
         self.hotspot.set_channels(self.channels);
     }

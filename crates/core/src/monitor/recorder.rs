@@ -51,16 +51,6 @@ impl FlightRecorder {
         }
     }
 
-    /// The per-router capacity K.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of routers covered (excluding the driver ring).
-    pub fn nodes(&self) -> usize {
-        self.cursors.len() - 1
-    }
-
     /// Total events accepted (including since-evicted ones).
     pub fn recorded(&self) -> u64 {
         self.recorded

@@ -81,7 +81,7 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered (as any type): every
     /// metric has exactly one owner.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) {
+    pub(crate) fn counter(&mut self, name: &str, help: &str, value: u64) {
         self.insert(name, help, MetricValue::Counter(value));
     }
 
@@ -90,7 +90,7 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// Panics if `name` is already registered.
-    pub fn gauge(&mut self, name: &str, help: &str, value: f64) {
+    pub(crate) fn gauge(&mut self, name: &str, help: &str, value: f64) {
         self.insert(name, help, MetricValue::Gauge(value));
     }
 
@@ -99,7 +99,7 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// Panics if `name` is already registered.
-    pub fn histogram(&mut self, name: &str, help: &str, value: Histogram) {
+    pub(crate) fn histogram(&mut self, name: &str, help: &str, value: Histogram) {
         self.insert(name, help, MetricValue::Histogram(value));
     }
 

@@ -19,7 +19,7 @@ use crate::noc::{Noc, StepGates};
 use crate::packet::{Delivery, Packet};
 use crate::queue::InjectQueues;
 use crate::stats::SimStats;
-use crate::trace::{EventSink, NullSink};
+use crate::trace::EventSink;
 
 /// The widest bank a command line or a trace header may ask for. Each
 /// channel is a full copy of the fabric's registers, so a count taken
@@ -103,7 +103,7 @@ impl MultiNoc {
     /// Switches route resolution on every channel. Entering
     /// [`RouteMode::Lut`] builds (or reuses) one table and shares it
     /// across the bank.
-    pub fn set_route_mode(&mut self, mode: RouteMode) {
+    pub(crate) fn set_route_mode(&mut self, mode: RouteMode) {
         match mode {
             RouteMode::Direct => {
                 for ch in &mut self.channels {
@@ -125,12 +125,12 @@ impl MultiNoc {
 
     /// See [`Noc::only_failed_injectors_pending`]; all channels share
     /// the fault plan, so channel 0 answers for the bank.
-    pub fn only_failed_injectors_pending(&self, queues: &InjectQueues) -> bool {
+    pub(crate) fn only_failed_injectors_pending(&self, queues: &InjectQueues) -> bool {
         self.channels[0].only_failed_injectors_pending(queues)
     }
 
     /// Number of channels.
-    pub fn num_channels(&self) -> usize {
+    pub(crate) fn num_channels(&self) -> usize {
         self.channels.len()
     }
 
@@ -140,33 +140,18 @@ impl MultiNoc {
     }
 
     /// Total packets in flight across all channels, including packets
-    /// mid-switch between channels (see [`MultiNoc::step`]); drivers
+    /// mid-switch between channels; drivers
     /// must keep cycling until these drain too.
     pub fn in_flight(&self) -> usize {
         self.channels.iter().map(Noc::in_flight).sum::<usize>() + self.pending.len()
     }
 
-    /// Packets in flight per channel, in channel order (balance
-    /// diagnostics and monitor snapshots).
-    pub fn in_flight_per_channel(&self) -> Vec<usize> {
-        self.channels.iter().map(Noc::in_flight).collect()
-    }
-
-    /// Current cycle.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
     /// Advances all channels by one cycle, enforcing the one-injection /
-    /// one-delivery-per-PE rule across them.
-    pub fn step(&mut self, queues: &mut InjectQueues, deliveries: &mut Vec<Delivery>) {
-        self.step_with_sink(queues, deliveries, &mut NullSink);
-    }
-
-    /// [`MultiNoc::step`] with an [`EventSink`] observing all channels.
-    /// The sink's [`EventSink::set_channel`] is called before each
-    /// channel's events so consumers can attribute them.
-    pub fn step_with_sink<S: EventSink>(
+    /// one-delivery-per-PE rule across them, with an [`EventSink`]
+    /// observing all channels. The sink's [`EventSink::set_channel`] is
+    /// called before each channel's events so consumers can attribute
+    /// them.
+    pub(crate) fn step_with_sink<S: EventSink>(
         &mut self,
         queues: &mut InjectQueues,
         deliveries: &mut Vec<Delivery>,
@@ -206,7 +191,7 @@ impl MultiNoc {
     }
 
     /// Sum of all channels' statistics.
-    pub fn merged_stats(&self) -> SimStats {
+    pub(crate) fn merged_stats(&self) -> SimStats {
         let mut total = SimStats::default();
         for ch in &self.channels {
             total.merge(ch.stats());
@@ -214,13 +199,8 @@ impl MultiNoc {
         total
     }
 
-    /// Per-channel statistics (for balance diagnostics).
-    pub fn channel_stats(&self) -> Vec<&SimStats> {
-        self.channels.iter().map(Noc::stats).collect()
-    }
-
     /// Clears statistics on every channel.
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         for ch in &mut self.channels {
             ch.reset_stats();
         }
@@ -231,6 +211,7 @@ impl MultiNoc {
 mod tests {
     use super::*;
     use crate::geom::Coord;
+    use crate::trace::NullSink;
 
     #[test]
     #[should_panic(expected = "at least one channel")]
@@ -249,9 +230,9 @@ mod tests {
             q.push(0, Coord::new(2, 0), 0, 0);
         }
         let mut dels = Vec::new();
-        mnoc.step(&mut q, &mut dels);
+        mnoc.step_with_sink(&mut q, &mut dels, &mut NullSink);
         // Exactly one packet left the queue.
-        assert_eq!(q.total_pending(), 29);
+        assert_eq!((0..q.nodes()).map(|n| q.depth(n)).sum::<usize>(), 29);
         assert_eq!(mnoc.in_flight(), 1);
     }
 
@@ -265,13 +246,18 @@ mod tests {
         }
         let mut dels = Vec::new();
         for _ in 0..200 {
-            mnoc.step(&mut q, &mut dels);
+            mnoc.step_with_sink(&mut q, &mut dels, &mut NullSink);
             if q.is_empty() && mnoc.in_flight() == 0 {
                 break;
             }
         }
         assert_eq!(dels.len(), 40);
-        let per_channel: Vec<u64> = mnoc.channel_stats().iter().map(|s| s.injected).collect();
+        let per_channel: Vec<u64> = mnoc
+            .channels
+            .iter()
+            .map(Noc::stats)
+            .map(|s| s.injected)
+            .collect();
         // Rotation alternates the favored channel, so the split is even.
         assert_eq!(per_channel.iter().sum::<u64>(), 40);
         assert!(
@@ -293,7 +279,7 @@ mod tests {
         }
         let mut dels = Vec::new();
         for _ in 0..5000 {
-            mnoc.step(&mut q, &mut dels);
+            mnoc.step_with_sink(&mut q, &mut dels, &mut NullSink);
             if q.is_empty() && mnoc.in_flight() == 0 {
                 break;
             }
@@ -325,7 +311,7 @@ mod tests {
         let mut dels = Vec::new();
         for c in 0..500 {
             mnoc.step_with_sink(&mut q, &mut dels, &mut monitor);
-            let per_channel = mnoc.in_flight_per_channel();
+            let per_channel = mnoc.channels.iter().map(Noc::in_flight).collect::<Vec<_>>();
             assert_eq!(per_channel.iter().sum::<usize>(), mnoc.in_flight());
             assert_eq!(per_channel.len(), 3);
             if q.is_empty() && mnoc.in_flight() == 0 {
@@ -367,7 +353,7 @@ mod tests {
                 mnoc.pending.push((cycle as usize % 3, node, pkt));
                 adopted += 1;
             }
-            mnoc.step(&mut q, &mut dels);
+            mnoc.step_with_sink(&mut q, &mut dels, &mut NullSink);
             for ch in &mnoc.channels {
                 assert!(ch.occupancy_masks_exact(), "cycle {cycle}");
             }
@@ -389,13 +375,18 @@ mod tests {
         }
         let mut dels = Vec::new();
         for _ in 0..500 {
-            mnoc.step(&mut q, &mut dels);
+            mnoc.step_with_sink(&mut q, &mut dels, &mut NullSink);
             if q.is_empty() && mnoc.in_flight() == 0 {
                 break;
             }
         }
         let merged = mnoc.merged_stats();
-        let sum: u64 = mnoc.channel_stats().iter().map(|s| s.delivered).sum();
+        let sum: u64 = mnoc
+            .channels
+            .iter()
+            .map(Noc::stats)
+            .map(|s| s.delivered)
+            .sum();
         assert_eq!(merged.delivered, sum);
     }
 }

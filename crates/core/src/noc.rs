@@ -1,8 +1,8 @@
 //! The cycle-accurate NoC engine.
 //!
 //! A [`Noc`] is a synchronous machine: every router reads its registered
-//! input ports, the routing function ([`crate::routing`]) and allocator
-//! ([`crate::alloc`]) decide output assignments, and packets are written
+//! input ports, the routing function (`crate::routing`) and allocator
+//! (`crate::alloc`) decide output assignments, and packets are written
 //! into the input registers of the downstream routers for the next cycle.
 //! Express links cover `D` router positions in a single cycle — that is
 //! the entire point of FastTrack (the FPGA wire model in
@@ -38,7 +38,7 @@ pub struct StepGates {
 
 impl StepGates {
     /// Fresh gates (everything allowed) for `nodes` PEs.
-    pub fn new(nodes: usize) -> Self {
+    pub(crate) fn new(nodes: usize) -> Self {
         StepGates {
             exit_allowed: vec![true; nodes],
             inject_allowed: vec![true; nodes],
@@ -46,7 +46,7 @@ impl StepGates {
     }
 
     /// Re-opens all gates (call at the start of each cycle).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.exit_allowed.fill(true);
         self.inject_allowed.fill(true);
     }
@@ -166,7 +166,7 @@ pub struct Noc {
 
 impl Noc {
     /// Builds an idle NoC for the given configuration, with the route
-    /// LUT enabled (see [`Noc::with_route_mode`]).
+    /// LUT enabled (see `Noc::with_route_mode`).
     pub fn new(cfg: NocConfig) -> Self {
         Noc::with_route_mode(cfg, RouteMode::Lut)
     }
@@ -175,7 +175,7 @@ impl Noc {
     /// precomputes the route tables here so the cycle loop only does
     /// lookups; [`RouteMode::Direct`] keeps the branchy per-cycle
     /// computation (the reference path for differential tests).
-    pub fn with_route_mode(cfg: NocConfig, mode: RouteMode) -> Self {
+    pub(crate) fn with_route_mode(cfg: NocConfig, mode: RouteMode) -> Self {
         let nodes = cfg.num_nodes();
         let n = cfg.n();
         let mut classes = Vec::with_capacity(nodes);
@@ -227,7 +227,7 @@ impl Noc {
 
     /// Switches the route-resolution mode. Entering [`RouteMode::Lut`]
     /// builds the table if this engine does not already hold one.
-    pub fn set_route_mode(&mut self, mode: RouteMode) {
+    pub(crate) fn set_route_mode(&mut self, mode: RouteMode) {
         match mode {
             RouteMode::Direct => self.tables = None,
             RouteMode::Lut => {
@@ -235,15 +235,6 @@ impl Noc {
                     self.install_lut(RouteLut::build(&self.cfg));
                 }
             }
-        }
-    }
-
-    /// The current route-resolution mode.
-    pub fn route_mode(&self) -> RouteMode {
-        if self.tables.is_some() {
-            RouteMode::Lut
-        } else {
-            RouteMode::Direct
         }
     }
 
@@ -323,7 +314,7 @@ impl Noc {
     /// fail-stopped: no further progress is possible, so drivers can end
     /// the run instead of spinning to the cycle cap. Always `false` on a
     /// fault-free fabric.
-    pub fn only_failed_injectors_pending(&self, queues: &InjectQueues) -> bool {
+    pub(crate) fn only_failed_injectors_pending(&self, queues: &InjectQueues) -> bool {
         self.faults
             .as_ref()
             .is_some_and(|f| f.only_failed_injectors_pending(queues))
@@ -332,11 +323,6 @@ impl Noc {
     /// The configuration this NoC was built from.
     pub fn config(&self) -> &NocConfig {
         &self.cfg
-    }
-
-    /// Current cycle count.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
     }
 
     /// Packets currently on NoC links.
@@ -351,7 +337,7 @@ impl Noc {
 
     /// Clears the accumulated statistics (e.g. after warmup). In-flight
     /// packets keep their own hop counters.
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = SimStats::default();
     }
 
@@ -375,7 +361,7 @@ impl Noc {
     /// injection stall. The method is monomorphized per sink type;
     /// with [`NullSink`] (whose `ENABLED` is `false`) all emission code
     /// is statically removed and this is exactly `step`.
-    pub fn step_with_sink<S: EventSink>(
+    pub(crate) fn step_with_sink<S: EventSink>(
         &mut self,
         queues: &mut InjectQueues,
         deliveries: &mut Vec<Delivery>,
@@ -834,8 +820,9 @@ impl Noc {
     }
 
     /// Snapshot of every packet currently on a link register, with its
-    /// position and input port (diagnostics / debugging aid).
-    pub fn in_flight_packets(&self) -> Vec<(Coord, InPort, Packet)> {
+    /// position and input port.
+    #[cfg(test)]
+    fn in_flight_packets(&self) -> Vec<(Coord, InPort, Packet)> {
         let mut out = Vec::with_capacity(self.in_flight);
         for (i, &reg) in self.regs.slots.iter().enumerate() {
             if reg != EMPTY_SLOT {
@@ -850,7 +837,9 @@ impl Noc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FtPolicy, NocConfig};
+    use crate::config::{ExitPolicy, FtPolicy, NocConfig};
+    use proptest::prelude::*;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     fn drain(noc: &mut Noc, queues: &mut InjectQueues, max_cycles: u64) -> Vec<Delivery> {
         let mut out = Vec::new();
@@ -1054,7 +1043,7 @@ mod tests {
         assert_eq!(noc.in_flight(), 0, "did not drain");
         let s = noc.stats();
         assert_eq!(s.delivered + s.dropped, s.injected);
-        assert!(s.router_visits < noc.cycle() * nodes as u64);
+        assert!(s.router_visits < noc.cycle * nodes as u64);
         pushed
     }
 
@@ -1202,6 +1191,88 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for d in &dels {
             assert!(seen.insert((d.packet.dst, d.cycle)));
+        }
+    }
+
+    /// Hoplite or any valid `FT(n², d, r)` on a 4×4 or 8×8 torus, under
+    /// either lane policy and exit policy.
+    fn arb_config() -> impl Strategy<Value = NocConfig> {
+        (2u16..=3, any::<u8>(), any::<bool>(), any::<bool>()).prop_map(
+            |(n_exp, sel, full, dedicated)| {
+                let n = 1u16 << n_exp;
+                let policy = if full {
+                    FtPolicy::Full
+                } else {
+                    FtPolicy::Inject
+                };
+                let mut variants = vec![None];
+                for d in 1..=n / 2 {
+                    for r in 1..=d {
+                        if d % r == 0 && n.is_multiple_of(r) {
+                            variants.push(Some((d, r)));
+                        }
+                    }
+                }
+                let cfg = match variants[sel as usize % variants.len()] {
+                    None => NocConfig::hoplite(n).unwrap(),
+                    Some((d, r)) => NocConfig::fasttrack(n, d, r, policy).unwrap(),
+                };
+                cfg.with_exit_policy(if dedicated {
+                    ExitPolicy::Dedicated
+                } else {
+                    ExitPolicy::SharedWithSouth
+                })
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The step visits exactly the routers that can act. A shadow
+        /// count taken before each step — nodes with an occupied input
+        /// register or a waiting PE — must equal `router_visits` as a
+        /// running sum: nothing occupied is skipped, nothing idle is
+        /// visited.
+        #[test]
+        fn router_visits_match_shadow_active_set(
+            cfg in arb_config(),
+            rate in 1u32..40,
+            seed in any::<u64>(),
+        ) {
+            let n = cfg.n();
+            let nodes = cfg.num_nodes();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut noc = Noc::new(cfg);
+            let mut queues = InjectQueues::new(nodes);
+            let mut deliveries = Vec::new();
+            let mut expected = 0u64;
+            let mut cycles = 0u64;
+            for cycle in 0..10_000u64 {
+                if cycle < 80 {
+                    for node in 0..nodes {
+                        if rng.gen_range(0..100) < rate {
+                            let dst = Coord::new(rng.gen_range(0..n), rng.gen_range(0..n));
+                            queues.push(node, dst, cycle, 0);
+                        }
+                    }
+                } else if queues.is_empty() && noc.in_flight() == 0 {
+                    break;
+                }
+                let mut active = vec![false; nodes];
+                for (at, _, _) in noc.in_flight_packets() {
+                    active[at.to_node_id(n)] = true;
+                }
+                for (node, slot) in active.iter_mut().enumerate() {
+                    *slot |= queues.depth(node) > 0;
+                }
+                expected += active.iter().filter(|&&a| a).count() as u64;
+                noc.step(&mut queues, &mut deliveries, None);
+                cycles += 1;
+                prop_assert_eq!(noc.stats().router_visits, expected, "after cycle {}", cycle);
+            }
+            prop_assert_eq!(noc.in_flight(), 0);
+            prop_assert!(expected <= cycles * nodes as u64);
         }
     }
 }

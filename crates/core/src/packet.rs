@@ -36,7 +36,7 @@ pub struct Packet {
 
 impl Packet {
     /// Creates a packet about to be enqueued at its source.
-    pub fn new(id: PacketId, src: Coord, dst: Coord, enqueued_at: u64, tag: u64) -> Self {
+    pub(crate) fn new(id: PacketId, src: Coord, dst: Coord, enqueued_at: u64, tag: u64) -> Self {
         Packet {
             id,
             src,
@@ -59,12 +59,12 @@ impl Packet {
     ///
     /// This includes source queueing delay, which is what makes latency
     /// curves climb steeply at saturation (paper Figure 12).
-    pub fn total_latency(&self, delivered_at: u64) -> u64 {
+    pub(crate) fn total_latency(&self, delivered_at: u64) -> u64 {
         delivered_at.saturating_sub(self.enqueued_at)
     }
 
     /// Latency from NoC injection to the given delivery cycle.
-    pub fn network_latency(&self, delivered_at: u64) -> u64 {
+    pub(crate) fn network_latency(&self, delivered_at: u64) -> u64 {
         delivered_at.saturating_sub(self.injected_at)
     }
 }

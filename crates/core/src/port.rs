@@ -29,7 +29,7 @@ pub enum InPort {
 
 impl InPort {
     /// All in-flight (non-PE) inputs in allocation priority order.
-    pub const IN_FLIGHT: [InPort; 4] = [
+    pub(crate) const IN_FLIGHT: [InPort; 4] = [
         InPort::WestEx,
         InPort::NorthEx,
         InPort::WestSh,
@@ -37,7 +37,7 @@ impl InPort {
     ];
 
     /// All inputs in allocation priority order.
-    pub const ALL: [InPort; 5] = [
+    pub(crate) const ALL: [InPort; 5] = [
         InPort::WestEx,
         InPort::NorthEx,
         InPort::WestSh,
@@ -46,12 +46,12 @@ impl InPort {
     ];
 
     /// True for the two express inputs.
-    pub fn is_express(self) -> bool {
+    pub(crate) fn is_express(self) -> bool {
         matches!(self, InPort::WestEx | InPort::NorthEx)
     }
 
     /// Dense index used by per-port statistics arrays.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             InPort::WestEx => 0,
             InPort::NorthEx => 1,
@@ -101,18 +101,13 @@ impl OutPort {
     ];
 
     /// True for the two express outputs.
-    pub fn is_express(self) -> bool {
+    pub(crate) fn is_express(self) -> bool {
         matches!(self, OutPort::EastEx | OutPort::SouthEx)
     }
 
     /// True for the east-bound (X ring) outputs.
     pub fn is_east(self) -> bool {
         matches!(self, OutPort::EastEx | OutPort::EastSh)
-    }
-
-    /// True for the south-bound (Y ring) outputs.
-    pub fn is_south(self) -> bool {
-        matches!(self, OutPort::SouthEx | OutPort::SouthSh)
     }
 
     /// Dense index used by bitmasks and statistics arrays.
@@ -124,15 +119,6 @@ impl OutPort {
             OutPort::SouthSh => 3,
             OutPort::Exit => 4,
         }
-    }
-
-    /// Inverse of [`OutPort::index`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 5`.
-    pub fn from_index(i: usize) -> OutPort {
-        OutPort::ALL[i]
     }
 }
 
@@ -150,34 +136,17 @@ impl fmt::Display for OutPort {
 }
 
 /// A small set of output ports, stored as a bitmask.
-///
-/// # Examples
-///
-/// ```
-/// use fasttrack_core::port::{OutPort, OutSet};
-///
-/// let mut s = OutSet::empty();
-/// s.insert(OutPort::EastSh);
-/// assert!(s.contains(OutPort::EastSh));
-/// assert!(!s.contains(OutPort::Exit));
-/// assert_eq!(s.len(), 1);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct OutSet(u8);
+pub(crate) struct OutSet(u8);
 
 impl OutSet {
     /// The empty set.
-    pub const fn empty() -> Self {
+    pub(crate) const fn empty() -> Self {
         OutSet(0)
     }
 
-    /// Set containing every output port.
-    pub const fn all() -> Self {
-        OutSet(0b11111)
-    }
-
     /// Builds a set from a slice of ports.
-    pub fn from_ports(ports: &[OutPort]) -> Self {
+    pub(crate) fn from_ports(ports: &[OutPort]) -> Self {
         let mut s = OutSet::empty();
         for &p in ports {
             s.insert(p);
@@ -186,27 +155,27 @@ impl OutSet {
     }
 
     /// Adds a port to the set.
-    pub fn insert(&mut self, p: OutPort) {
+    pub(crate) fn insert(&mut self, p: OutPort) {
         self.0 |= 1 << p.index();
     }
 
     /// Removes a port from the set.
-    pub fn remove(&mut self, p: OutPort) {
+    pub(crate) fn remove(&mut self, p: OutPort) {
         self.0 &= !(1 << p.index());
     }
 
     /// Membership test.
-    pub fn contains(self, p: OutPort) -> bool {
+    pub(crate) fn contains(self, p: OutPort) -> bool {
         self.0 & (1 << p.index()) != 0
     }
 
     /// Number of ports in the set.
-    pub fn len(self) -> usize {
+    pub(crate) fn len(self) -> usize {
         self.0.count_ones() as usize
     }
 
     /// True if no port is in the set.
-    pub fn is_empty(self) -> bool {
+    pub(crate) fn is_empty(self) -> bool {
         self.0 == 0
     }
 
@@ -216,7 +185,7 @@ impl OutSet {
     }
 
     /// Set intersection.
-    pub fn intersect(self, other: OutSet) -> OutSet {
+    pub(crate) fn intersect(self, other: OutSet) -> OutSet {
         OutSet(self.0 & other.0)
     }
 
@@ -225,13 +194,8 @@ impl OutSet {
         OutSet(self.0 & !other.0)
     }
 
-    /// Set union.
-    pub fn union(self, other: OutSet) -> OutSet {
-        OutSet(self.0 | other.0)
-    }
-
     /// Iterates over member ports in `OutPort::ALL` order.
-    pub fn iter(self) -> impl Iterator<Item = OutPort> {
+    pub(crate) fn iter(self) -> impl Iterator<Item = OutPort> {
         OutPort::ALL.into_iter().filter(move |p| self.contains(*p))
     }
 }
@@ -270,7 +234,7 @@ mod tests {
         for p in OutPort::ALL {
             assert!(!seen[p.index()]);
             seen[p.index()] = true;
-            assert_eq!(OutPort::from_index(p.index()), p);
+            assert_eq!(OutPort::ALL[p.index()], p);
         }
     }
 
@@ -280,9 +244,9 @@ mod tests {
         assert!(!InPort::WestSh.is_express());
         assert!(OutPort::SouthEx.is_express());
         assert!(!OutPort::Exit.is_express());
-        assert!(OutPort::EastEx.is_east() && !OutPort::EastEx.is_south());
-        assert!(OutPort::SouthSh.is_south() && !OutPort::SouthSh.is_east());
-        assert!(!OutPort::Exit.is_east() && !OutPort::Exit.is_south());
+        assert!(OutPort::EastEx.is_east() && OutPort::EastSh.is_east());
+        assert!(!OutPort::SouthSh.is_east() && !OutPort::SouthEx.is_east());
+        assert!(!OutPort::Exit.is_east());
     }
 
     #[test]
@@ -296,7 +260,16 @@ mod tests {
         s.remove(OutPort::EastEx);
         assert!(!s.contains(OutPort::EastEx));
         assert_eq!(s.len(), 1);
-        assert_eq!(OutSet::all().len(), 5);
+        assert_eq!(OutSet::from_ports(&OutPort::ALL).len(), 5);
+    }
+
+    #[test]
+    fn outset_membership() {
+        let mut s = OutSet::empty();
+        s.insert(OutPort::EastSh);
+        assert!(s.contains(OutPort::EastSh));
+        assert!(!s.contains(OutPort::Exit));
+        assert_eq!(s.len(), 1);
     }
 
     #[test]
@@ -304,10 +277,6 @@ mod tests {
         let a = OutSet::from_ports(&[OutPort::EastEx, OutPort::EastSh]);
         let b = OutSet::from_ports(&[OutPort::EastSh, OutPort::SouthSh]);
         assert_eq!(a.intersect(b), OutSet::from_ports(&[OutPort::EastSh]));
-        assert_eq!(
-            a.union(b),
-            OutSet::from_ports(&[OutPort::EastEx, OutPort::EastSh, OutPort::SouthSh])
-        );
     }
 
     #[test]

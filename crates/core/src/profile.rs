@@ -3,7 +3,7 @@
 //!
 //! The profiler is a thread-local stack of named spans over a monotonic
 //! clock ([`std::time::Instant`]). Instrumentation sites call
-//! [`scoped`], which is inert (one TLS read, no clock access, no
+//! `scoped`, which is inert (one TLS read, no clock access, no
 //! allocation) unless the current thread has an active recorder — so a
 //! session that never calls [`SimSession::with_profile`] runs the exact
 //! pre-profiling code path, and cold-path spans sprinkled through
@@ -49,13 +49,6 @@ pub struct Span {
     pub dur_ns: u64,
 }
 
-impl Span {
-    /// End offset from the recorder epoch, nanoseconds.
-    pub fn end_ns(&self) -> u64 {
-        self.start_ns + self.dur_ns
-    }
-}
-
 /// Proof-of-entry handle returned by [`SpanRecorder::enter`]; spending it
 /// in [`SpanRecorder::exit`] enforces strictly LIFO closing.
 #[derive(Debug)]
@@ -64,7 +57,7 @@ pub struct SpanToken(u32);
 /// Records a tree of spans against one monotonic epoch.
 ///
 /// The recorder itself is plain data (usable directly in tests); the
-/// thread-local plumbing ([`ThreadProfile`], [`scoped`]) wraps one per
+/// thread-local plumbing (`ThreadProfile`, `scoped`) wraps one per
 /// profiled thread.
 #[derive(Debug)]
 pub struct SpanRecorder {
@@ -141,11 +134,6 @@ impl SpanRecorder {
         }
     }
 
-    /// Number of spans currently open.
-    pub fn open_depth(&self) -> usize {
-        self.stack.len()
-    }
-
     /// Closes any still-open spans and returns the recorded span list in
     /// entry order.
     pub fn finish(mut self) -> Vec<Span> {
@@ -168,20 +156,20 @@ thread_local! {
 /// return) discards the recording and restores the previous state, so
 /// activation nests safely.
 #[derive(Debug)]
-pub struct ThreadProfile {
+pub(crate) struct ThreadProfile {
     prev: Option<SpanRecorder>,
     done: bool,
 }
 
 impl ThreadProfile {
     /// Installs a fresh recorder on the current thread.
-    pub fn begin() -> ThreadProfile {
+    pub(crate) fn begin() -> ThreadProfile {
         let prev = ACTIVE.with(|a| a.borrow_mut().replace(SpanRecorder::new()));
         ThreadProfile { prev, done: false }
     }
 
     /// Deactivates recording and returns the captured spans.
-    pub fn finish(mut self) -> Vec<Span> {
+    pub(crate) fn finish(mut self) -> Vec<Span> {
         self.done = true;
         let rec = ACTIVE.with(|a| std::mem::replace(&mut *a.borrow_mut(), self.prev.take()));
         rec.map(SpanRecorder::finish).unwrap_or_default()
@@ -199,7 +187,7 @@ impl Drop for ThreadProfile {
 /// Guard for one scoped span; closes it (leniently) on drop.
 #[derive(Debug)]
 #[must_use = "a scoped span closes when this guard drops"]
-pub struct ScopedSpan {
+pub(crate) struct ScopedSpan {
     idx: Option<u32>,
 }
 
@@ -217,21 +205,16 @@ impl Drop for ScopedSpan {
 
 /// Opens a named span if the current thread is profiling; otherwise
 /// returns an inert guard (one TLS borrow, no clock read, no allocation).
-pub fn scoped(name: &'static str) -> ScopedSpan {
+pub(crate) fn scoped(name: &'static str) -> ScopedSpan {
     let idx = ACTIVE.with(|a| a.borrow_mut().as_mut().map(|rec| rec.enter_raw(name)));
     ScopedSpan { idx }
-}
-
-/// True if the current thread has an active recorder (for tests).
-pub fn thread_is_profiling() -> bool {
-    ACTIVE.with(|a| a.borrow().is_some())
 }
 
 /// Renders spans as a Chrome trace-event document — complete `ph:"X"`
 /// events with microsecond timestamps, the same shape
 /// [`crate::export::ChromeTraceSink`] emits, loadable in
 /// `chrome://tracing` or Perfetto.
-pub fn chrome_trace(spans: &[Span]) -> String {
+pub(crate) fn chrome_trace(spans: &[Span]) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     for (i, s) in spans.iter().enumerate() {
         if i > 0 {
@@ -342,7 +325,7 @@ pub struct SessionProfile {
 
 impl SessionProfile {
     /// Builds the profile from captured spans and the run's report.
-    pub fn assemble(
+    pub(crate) fn assemble(
         spans: Vec<Span>,
         report: &SimReport,
         events_dispatched: u64,
@@ -376,7 +359,7 @@ impl SessionProfile {
     }
 
     /// Appends the `fasttrack_profile_*` rows to `registry`.
-    pub fn append_metrics(&self, registry: &mut MetricsRegistry) {
+    pub(crate) fn append_metrics(&self, registry: &mut MetricsRegistry) {
         let s = &self.summary;
         for (name, help, value) in [
             (
@@ -439,7 +422,7 @@ impl SessionProfile {
     }
 
     /// Per-phase aggregates (first-seen order).
-    pub fn phases(&self) -> Vec<PhaseStat> {
+    pub(crate) fn phases(&self) -> Vec<PhaseStat> {
         summarize(&self.spans)
     }
 
@@ -522,12 +505,17 @@ fn fmt_ns(ns: u64) -> String {
 mod tests {
     use super::*;
 
+    /// True while a session profile is collecting on this thread.
+    fn thread_is_profiling() -> bool {
+        ACTIVE.with(|a| a.borrow().is_some())
+    }
+
     #[test]
     fn recorder_tracks_nesting_and_durations() {
         let mut rec = SpanRecorder::new();
         let a = rec.enter("a");
         let b = rec.enter("a.b");
-        assert_eq!(rec.open_depth(), 2);
+        assert_eq!(rec.stack.len(), 2);
         rec.exit(b);
         let c = rec.enter("a.c");
         rec.exit(c);
@@ -543,7 +531,7 @@ mod tests {
         // Disjoint children: sum of child durations fits in the parent.
         assert!(spans[1].dur_ns + spans[2].dur_ns <= spans[0].dur_ns);
         // Siblings do not overlap.
-        assert!(spans[1].end_ns() <= spans[2].start_ns);
+        assert!(spans[1].start_ns + spans[1].dur_ns <= spans[2].start_ns);
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl InjectQueues {
     }
 
     /// Head of `node`'s queue, if any.
-    pub fn peek(&self, node: usize) -> Option<&PendingPacket> {
+    pub(crate) fn peek(&self, node: usize) -> Option<&PendingPacket> {
         self.queues[node].front()
     }
 
@@ -81,11 +81,6 @@ impl InjectQueues {
     /// `depth(word * 64 + b) > 0`.
     fn nonempty_word(&self, word: usize) -> u64 {
         self.nonempty[word]
-    }
-
-    /// Packets currently waiting across all queues.
-    pub fn total_pending(&self) -> usize {
-        self.pending
     }
 
     /// Packets ever enqueued.
@@ -116,7 +111,7 @@ impl InjectQueues {
     /// Builds the [`SimEvent::QueueStall`] describing a blocked
     /// injection at `node` — the queue owns its depth, so the stall
     /// event is constructed here rather than in the engine.
-    pub fn stall_event(&self, cycle: u64, node: usize) -> SimEvent {
+    pub(crate) fn stall_event(&self, cycle: u64, node: usize) -> SimEvent {
         SimEvent::QueueStall {
             cycle,
             node,
@@ -196,7 +191,7 @@ mod tests {
         let a = q.push(0, Coord::new(1, 1), 5, 10);
         let b = q.push(0, Coord::new(2, 2), 6, 11);
         assert_ne!(a, b);
-        assert_eq!(q.total_pending(), 2);
+        assert_eq!(q.pending, 2);
         assert_eq!(q.depth(0), 2);
         assert_eq!(q.peek(0).unwrap().id, a);
         assert_eq!(q.pop(0).unwrap().id, a);
@@ -232,9 +227,9 @@ mod tests {
         let mut q = InjectQueues::new(3);
         q.push(0, Coord::new(0, 1), 0, 0);
         q.push(2, Coord::new(0, 1), 0, 0);
-        assert_eq!(q.total_pending(), 2);
+        assert_eq!(q.pending, 2);
         q.pop(2);
-        assert_eq!(q.total_pending(), 1);
+        assert_eq!(q.pending, 1);
         assert!(!q.is_empty());
     }
 }

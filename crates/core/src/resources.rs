@@ -9,7 +9,7 @@
 //! and per link output, and a decode/control allowance by the express
 //! dimensions it drives. The fabric supplies the fan-ins: the trait
 //! default from `out_links` (the SHG), the torus from
-//! [`allowed_outputs`] ([`router_cost`]), the mesh from XY routing.
+//! `allowed_outputs` ([`router_cost`]), the mesh from XY routing.
 //!
 //! The torus prices reproduce the paper's numbers: Hoplite @32 b = 78
 //! LUTs and FT @32 b in 191–290 (Table I); at 8×8, 256 b, Hoplite 33.7K
@@ -109,7 +109,7 @@ fn output_muxes(class: RouterClass, policy: FtPolicy, shared_exit: bool) -> Vec<
 }
 
 /// The price of one torus router of the given class, its fan-ins read
-/// from [`allowed_outputs`].
+/// from `allowed_outputs`.
 ///
 /// `policy` is `None` for a baseline Hoplite NoC. A router with no
 /// express port is Hoplite's two-mux switch under any policy.

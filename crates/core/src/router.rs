@@ -9,7 +9,7 @@
 //!
 //! This module answers the static hardware question: *from input port `i`,
 //! which output ports does the switch physically connect to?* The dynamic
-//! question (which output a packet wants) lives in [`crate::routing`].
+//! question (which output a packet wants) lives in `crate::routing`.
 
 use crate::config::{FtPolicy, NocConfig};
 use crate::geom::Coord;
@@ -29,7 +29,7 @@ impl RouterClass {
     ///
     /// Because `D % R == 0`, express chains land only on express-capable
     /// positions, so the express input and output are always co-located.
-    pub fn of(cfg: &NocConfig, at: Coord) -> Self {
+    pub(crate) fn of(cfg: &NocConfig, at: Coord) -> Self {
         RouterClass {
             x_express: cfg.has_express_at(at.x),
             y_express: cfg.has_express_at(at.y),
@@ -49,14 +49,14 @@ impl RouterClass {
     };
 
     /// True if the router has any express port.
-    pub fn has_any_express(self) -> bool {
+    pub(crate) fn has_any_express(self) -> bool {
         self.x_express || self.y_express
     }
 
     /// Dense class index in `0..4` (bit 0 = X express, bit 1 = Y
     /// express), used to key the route lookup tables.
     #[inline]
-    pub fn code(self) -> usize {
+    pub(crate) fn code(self) -> usize {
         self.x_express as usize | (self.y_express as usize) << 1
     }
 
@@ -65,7 +65,7 @@ impl RouterClass {
     /// # Panics
     ///
     /// Panics if `code >= 4`.
-    pub fn from_code(code: usize) -> RouterClass {
+    pub(crate) fn from_code(code: usize) -> RouterClass {
         assert!(code < 4, "router class codes are 0..4");
         RouterClass {
             x_express: code & 1 != 0,
@@ -74,7 +74,7 @@ impl RouterClass {
     }
 
     /// The set of output ports that physically exist at this router.
-    pub fn available_outputs(self) -> OutSet {
+    pub(crate) fn available_outputs(self) -> OutSet {
         let mut s = OutSet::from_ports(&[OutPort::EastSh, OutPort::SouthSh, OutPort::Exit]);
         if self.x_express {
             s.insert(OutPort::EastEx);
@@ -86,7 +86,7 @@ impl RouterClass {
     }
 
     /// True if packets can arrive on the given input port here.
-    pub fn has_input(self, port: InPort) -> bool {
+    pub(crate) fn has_input(self, port: InPort) -> bool {
         match port {
             InPort::WestEx => self.x_express,
             InPort::NorthEx => self.y_express,
@@ -119,7 +119,11 @@ impl RouterClass {
 /// * Delivery (`Exit`) is reachable from every input.
 /// * `N_sh` may take `E_sh` (the Hoplite deflection that guarantees
 ///   livelock freedom); it never upgrades to express.
-pub fn allowed_outputs(policy: Option<FtPolicy>, class: RouterClass, port: InPort) -> OutSet {
+pub(crate) fn allowed_outputs(
+    policy: Option<FtPolicy>,
+    class: RouterClass,
+    port: InPort,
+) -> OutSet {
     use OutPort::*;
     let base: OutSet = match policy {
         // Baseline Hoplite or a white router inside a FastTrack NoC:

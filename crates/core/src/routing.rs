@@ -20,7 +20,7 @@ use crate::router::{allowed_outputs, RouterClass};
 
 /// An ordered preference list plus the statistics classification sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoutePrefs {
+pub(crate) struct RoutePrefs {
     list: [OutPort; 5],
     len: u8,
     /// Ports whose assignment counts as DOR progress (not a deflection).
@@ -34,7 +34,7 @@ impl RoutePrefs {
     /// An empty preference list (no ports, nothing productive). Used as
     /// the filler value in the engine's fixed-size per-cycle buffers so
     /// the hot path never heap-allocates.
-    pub const fn empty() -> RoutePrefs {
+    pub(crate) const fn empty() -> RoutePrefs {
         RoutePrefs {
             list: [OutPort::Exit; 5],
             len: 0,
@@ -44,7 +44,7 @@ impl RoutePrefs {
     }
 
     /// The preference list, best first. Never empty for a routable packet.
-    pub fn ports(&self) -> &[OutPort] {
+    pub(crate) fn ports(&self) -> &[OutPort] {
         &self.list[..self.len as usize]
     }
 
@@ -54,22 +54,22 @@ impl RoutePrefs {
     ///
     /// Panics if the list is empty (cannot happen for lists produced by
     /// [`compute_prefs`] on inputs that exist at the router).
-    pub fn primary(&self) -> OutPort {
+    pub(crate) fn primary(&self) -> OutPort {
         self.list[0]
     }
 
     /// Ports that count as DOR progress.
-    pub fn productive(&self) -> OutSet {
+    pub(crate) fn productive(&self) -> OutSet {
         self.productive
     }
 
     /// Whether the packet wanted the express lane this cycle.
-    pub fn wanted_express(&self) -> bool {
+    pub(crate) fn wanted_express(&self) -> bool {
         self.wanted_express
     }
 
     /// The full set of ports in the list (for matching feasibility).
-    pub fn as_set(&self) -> OutSet {
+    pub(crate) fn as_set(&self) -> OutSet {
         OutSet::from_ports(self.ports())
     }
 
@@ -84,7 +84,7 @@ impl RoutePrefs {
 
 /// What a packet wants to do at a router, before port availability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Desire {
+pub(crate) enum Desire {
     /// Travel east (`dx > 0`).
     East {
         /// Boarding/continuing the express lane is warranted here.
@@ -106,7 +106,7 @@ pub enum Desire {
 /// express-reachable in no more cycles than short hops). Whether the
 /// particular input port may actually reach the express output is the
 /// connectivity matrix's concern.
-pub fn desire(cfg: &NocConfig, at: Coord, dst: Coord) -> Desire {
+pub(crate) fn desire(cfg: &NocConfig, at: Coord, dst: Coord) -> Desire {
     let n = cfg.n();
     let dx = at.dx_to(dst, n);
     let dy = at.dy_to(dst, n);
@@ -150,7 +150,7 @@ fn inject_express_eligible(cfg: &NocConfig, at: Coord, dst: Coord) -> bool {
 ///
 /// The result is never empty as long as `in_port` exists at the router's
 /// class (every existing input reaches at least `Exit` plus one lane).
-pub fn compute_prefs(
+pub(crate) fn compute_prefs(
     cfg: &NocConfig,
     class: RouterClass,
     in_port: InPort,

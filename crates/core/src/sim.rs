@@ -113,7 +113,7 @@ impl SimOptions {
     }
 
     /// Sets the hard cap on simulated cycles.
-    pub fn max_cycles(mut self, max_cycles: u64) -> Self {
+    pub(crate) fn max_cycles(mut self, max_cycles: u64) -> Self {
         self.max_cycles = max_cycles;
         self
     }
@@ -178,7 +178,7 @@ impl SimReport {
     }
 
     /// 99th-percentile end-to-end latency (0 when nothing was
-    /// delivered); see [`crate::stats::Histogram::percentile`].
+    /// delivered); see `crate::stats::Histogram::percentile`.
     pub fn p99_latency(&self) -> u64 {
         self.stats
             .total_latency
@@ -214,7 +214,7 @@ impl SimReport {
 /// A steppable cycle-accurate engine the shared drive loop can run.
 ///
 /// Implemented by [`Noc`], [`MultiNoc`], [`ShgNoc`] and [`MeshNoc`];
-/// one generic [`drive_engine`] loop replaces the near-identical
+/// one generic `drive_engine` loop replaces the near-identical
 /// per-engine drivers the crate used to carry.
 pub trait SimEngine {
     /// PEs in the system (sizes the injection queues and the report).
@@ -238,7 +238,7 @@ pub trait SimEngine {
     /// Clears accumulated statistics (warmup reset).
     fn reset_stats(&mut self);
 
-    /// See [`Noc::only_failed_injectors_pending`].
+    /// See `Noc::only_failed_injectors_pending`.
     fn only_failed_injectors_pending(&self, queues: &InjectQueues) -> bool;
 
     /// A copy of the accumulated statistics (merged across channels for
@@ -321,7 +321,7 @@ impl SimEngine for MultiNoc {
 /// engine's per-cycle events it emits [`SimEvent::WarmupReset`] when
 /// statistics are cleared and [`SimEvent::Truncated`] when the cycle cap
 /// cuts the workload short.
-pub fn drive_engine<E: SimEngine, T: TrafficSource, K: EventSink>(
+pub(crate) fn drive_engine<E: SimEngine, T: TrafficSource, K: EventSink>(
     engine: &mut E,
     source: &mut T,
     opts: SimOptions,
@@ -382,7 +382,7 @@ pub trait SessionBackend {
     fn build(&self, faults: Option<&FaultPlan>) -> Result<Self::Engine, FaultError>;
 
     /// The topology-derived sizing an attached monitor uses: node
-    /// count, [`crate::topology::LinkId`] table width, the optional
+    /// count, flat link-key table width, the optional
     /// grid side for DOR-distance references, and the channel count
     /// hotspot utilization normalizes by. Topology-backed backends
     /// derive this from [`crate::topology::Topology::monitor_shape`].
@@ -781,7 +781,7 @@ impl<'s, B: SessionBackend, K: EventSink> SimSession<'s, B, K> {
     /// Profiling observes the run without perturbing it — the report
     /// and event stream are identical to an unprofiled session's;
     /// without this call the span sites are inert (see
-    /// [`profile::scoped`]).
+    /// `profile::scoped`).
     pub fn with_profile(mut self) -> Self {
         self.profile = true;
         self
@@ -821,7 +821,7 @@ impl<'s, B: SessionBackend, K: EventSink> SimSession<'s, B, K> {
 
     /// Builds the engine, attaches this session's observers, drives
     /// `source` to completion and assembles the outcome. The lifecycle
-    /// spans are opened unconditionally — [`profile::scoped`] is inert
+    /// spans are opened unconditionally — `profile::scoped` is inert
     /// unless [`SimSession::with_profile`] installed the recorder.
     ///
     /// An unobserved run drives [`NullSink`] and a sink-only run drives

@@ -36,30 +36,30 @@ impl Default for Histogram {
 
 impl Histogram {
     /// Creates an empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Histogram::default()
     }
 
     /// Records one sample.
     #[inline]
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         self.buckets[63 - value.max(1).leading_zeros() as usize] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
     }
 
     /// Total samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
     /// Mean of all samples (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -103,7 +103,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `p` is not within `0.0..=100.0`.
-    pub fn percentile(&self, p: f64) -> Option<u64> {
+    pub(crate) fn percentile(&self, p: f64) -> Option<u64> {
         assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
         if self.count == 0 {
             return None;
@@ -121,7 +121,7 @@ impl Histogram {
     }
 
     /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         for (mine, &theirs) in self.buckets.iter_mut().zip(&other.buckets) {
             *mine += theirs;
         }
@@ -140,7 +140,7 @@ pub struct LatencyStats {
 }
 
 impl Default for LatencyStats {
-    /// [`LatencyStats::new`]: `min` is primed so the first sample sets
+    /// `LatencyStats::new`: `min` is primed so the first sample sets
     /// it, which an all-zero aggregate would not.
     fn default() -> Self {
         LatencyStats::new()
@@ -149,7 +149,7 @@ impl Default for LatencyStats {
 
 impl LatencyStats {
     /// Creates an empty aggregate.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LatencyStats {
             max: 0,
             min: u64::MAX,
@@ -158,19 +158,14 @@ impl LatencyStats {
     }
 
     /// Records one latency sample.
-    pub fn record(&mut self, latency: u64) {
+    pub(crate) fn record(&mut self, latency: u64) {
         self.max = self.max.max(latency);
         self.min = self.min.min(latency);
         self.histogram.record(latency);
     }
 
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.histogram.count()
-    }
-
     /// Mean latency (0 for an empty population).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         self.histogram.mean()
     }
 
@@ -179,22 +174,13 @@ impl LatencyStats {
         self.max
     }
 
-    /// Best-case latency observed (0 if empty).
-    pub fn min(&self) -> u64 {
-        if self.count() == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
     /// The underlying histogram.
     pub fn histogram(&self) -> &Histogram {
         &self.histogram
     }
 
     /// Merges another aggregate into this one.
-    pub fn merge(&mut self, other: &LatencyStats) {
+    pub(crate) fn merge(&mut self, other: &LatencyStats) {
         self.max = self.max.max(other.max);
         self.min = self.min.min(other.min);
         self.histogram.merge(&other.histogram);
@@ -314,7 +300,7 @@ pub struct SimStats {
 impl SimStats {
     /// Merges another run's statistics into this one (used to combine the
     /// per-channel statistics of a multi-channel NoC).
-    pub fn merge(&mut self, other: &SimStats) {
+    pub(crate) fn merge(&mut self, other: &SimStats) {
         self.enqueued += other.enqueued;
         self.injected += other.injected;
         self.delivered += other.delivered;
@@ -471,10 +457,10 @@ mod tests {
         for v in [10, 20, 30] {
             s.record(v);
         }
-        assert_eq!(s.count(), 3);
+        assert_eq!(s.histogram.count(), 3);
         assert!((s.mean() - 20.0).abs() < 1e-9);
         assert_eq!(s.max(), 30);
-        assert_eq!(s.min(), 10);
+        assert_eq!(s.min, 10);
     }
 
     #[test]
@@ -482,10 +468,10 @@ mod tests {
         let mut s = LatencyStats::default();
         assert_eq!(s, LatencyStats::new());
         s.record(5);
-        assert_eq!(s.min(), 5);
+        assert_eq!(s.min, 5);
         let mut stats = SimStats::default();
         stats.network_latency.record(7);
-        assert_eq!(stats.network_latency.min(), 7);
+        assert_eq!(stats.network_latency.min, 7);
     }
 
     #[test]
@@ -495,9 +481,9 @@ mod tests {
         let mut b = LatencyStats::new();
         b.record(15);
         a.merge(&b);
-        assert_eq!(a.count(), 2);
+        assert_eq!(a.histogram.count(), 2);
         assert_eq!(a.max(), 15);
-        assert_eq!(a.min(), 5);
+        assert_eq!(a.min, 5);
     }
 
     #[test]

@@ -44,18 +44,6 @@ use crate::resources::{self, ResourceCost};
 use crate::router::RouterClass;
 use crate::routing::compute_prefs;
 
-/// Flat link identifier: `node * links_per_node + class_slot`, the key
-/// the health monitor's hotspot EWMA tables are sized and indexed by
-/// (replacing the old `(x, y, direction)` torus-coordinate keying).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct LinkId(pub u32);
-
-impl fmt::Display for LinkId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "L{}", self.0)
-    }
-}
-
 /// The FPGA wire class a link is mapped onto — the paper's core
 /// distinction between plentiful short wires and scarce long wires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,7 +84,7 @@ pub struct MonitorShape {
     /// Total nodes in the fabric.
     pub nodes: usize,
     /// Monitored link classes per node (the hotspot EWMA table is
-    /// `nodes * links_per_node` [`LinkId`] entries wide). All current
+    /// `nodes * links_per_node` flat link keys wide). All current
     /// topologies report their links through the four non-`Exit`
     /// [`OutPort`] classes, so this is at most [`OutPort::ALL`]` - 1`.
     pub links_per_node: usize,
@@ -112,7 +100,7 @@ pub struct MonitorShape {
 impl MonitorShape {
     /// The shape of an `n × n` single-channel torus (or any square grid
     /// monitored at [`OutPort`]-class granularity).
-    pub fn torus(n: u16) -> Self {
+    pub(crate) fn torus(n: u16) -> Self {
         MonitorShape {
             nodes: usize::from(n) * usize::from(n),
             links_per_node: 4,
@@ -128,14 +116,8 @@ impl MonitorShape {
         self
     }
 
-    /// The flat monitor key for `(node, class_slot)`.
-    pub fn link_id(&self, node: usize, slot: usize) -> LinkId {
-        debug_assert!(node < self.nodes && slot < self.links_per_node);
-        LinkId((node * self.links_per_node + slot) as u32)
-    }
-
     /// Total monitored link keys.
-    pub fn num_links(&self) -> usize {
+    pub(crate) fn num_links(&self) -> usize {
         self.nodes * self.links_per_node
     }
 }
@@ -539,7 +521,7 @@ impl Topology for NocConfig {
     }
 
     /// Every router priced by its class, the fan-ins read from
-    /// [`crate::router::allowed_outputs`] ([`resources::router_cost`]).
+    /// `crate::router::allowed_outputs` ([`resources::router_cost`]).
     fn resource_cost(&self) -> ResourceCost {
         let class = |id| RouterClass::of(self, Coord::from_node_id(id, self.n()));
         let price = |id| resources::router_cost(class(id), self.ft_policy());
@@ -674,18 +656,13 @@ impl ShgConfig {
     }
 
     /// Strides per dimension.
-    pub fn delta(&self) -> u16 {
+    pub(crate) fn delta(&self) -> u16 {
         self.delta
     }
 
     /// Total nodes (`q²`).
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         usize::from(self.q) * usize::from(self.q)
-    }
-
-    /// The stride set per dimension: the first `delta` powers of two.
-    pub fn strides(&self) -> Vec<u16> {
-        (0..self.delta).map(|k| 1 << k).collect()
     }
 
     /// Human-readable name, `SHG(nodes,delta)`.
@@ -824,7 +801,7 @@ impl Topology for ShgTopology {
 /// * `hoplite:<n>` / `ft:<n>:<d>:<r>` / `ftlite:<n>:<d>:<r>` — the
 ///   torus family ([`NocConfig`])
 /// * `shg:<q>:<delta>` — Sparse Hamming Graph ([`ShgTopology`])
-/// * `mesh:<n>[:<depth>]` — buffered XY mesh ([`MeshTopology`]; depth
+/// * `mesh:<n>[:<depth>]` — buffered XY mesh (`MeshTopology`; depth
 ///   defaults to 4)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologySpec {
@@ -1204,7 +1181,6 @@ mod tests {
             ShgConfig::new(8, 4),
             Err(ShgConfigError::StrideTooLong { q: 8, delta: 4 })
         );
-        assert_eq!(ShgConfig::new(8, 3).unwrap().strides(), vec![1, 2, 4]);
         assert_eq!(ShgConfig::new(8, 2).unwrap().name(), "SHG(64,2)");
     }
 
@@ -1363,9 +1339,7 @@ mod tests {
         assert_eq!(shape.grid_side, Some(8));
         assert_eq!(shape.channels, 1);
         assert_eq!(shape.with_channels(0).channels, 1);
-        assert_eq!(shape.link_id(2, 3), LinkId(11));
         assert_eq!(shape.num_links(), 256);
-        assert_eq!(LinkId(11).to_string(), "L11");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! engine, consumed through the zero-cost [`EventSink`] trait.
 //!
 //! The engine's hot loop is generic over the sink
-//! ([`crate::noc::Noc::step_with_sink`]); the default [`NullSink`] sets
+//! (`crate::noc::Noc::step_with_sink`); the default [`NullSink`] sets
 //! [`EventSink::ENABLED`] to `false`, so every emission site compiles to
 //! nothing and the untraced path is byte-for-byte the pre-tracing
 //! engine. Attaching a real sink (a [`VecSink`], the windowed metrics in
@@ -240,11 +240,6 @@ impl VecSink {
     pub fn new() -> Self {
         VecSink::default()
     }
-
-    /// Events of one kind, in order.
-    pub fn of_kind(&self, kind: &str) -> Vec<&SimEvent> {
-        self.events.iter().filter(|e| e.kind() == kind).collect()
-    }
 }
 
 impl EventSink for VecSink {
@@ -441,8 +436,9 @@ mod tests {
             depth: 1,
         });
         assert_eq!(sink.events.len(), 2);
-        assert_eq!(sink.of_kind("eject").len(), 1);
-        assert_eq!(sink.of_kind("stall").len(), 1);
+        let count = |kind| sink.events.iter().filter(|e| e.kind() == kind).count();
+        assert_eq!(count("eject"), 1);
+        assert_eq!(count("stall"), 1);
     }
 
     #[test]

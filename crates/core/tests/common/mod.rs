@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 
 /// Arbitrary FastTrack configuration with the paper's validity rules
 /// (`D % R == 0`, `R` tiles the ring) enforced by construction.
-pub fn arb_ft_config() -> impl Strategy<Value = NocConfig> {
+pub(crate) fn arb_ft_config() -> impl Strategy<Value = NocConfig> {
     (2u16..=3, any::<u8>(), any::<bool>()).prop_map(|(n_exp, sel, full)| {
         let n = 1u16 << n_exp; // 4 or 8
         let policy = if full {
@@ -33,7 +33,7 @@ pub fn arb_ft_config() -> impl Strategy<Value = NocConfig> {
 
 /// A batch of random packets for the given torus size: `per_pe` uniform
 /// destinations per source node, in node order.
-pub fn random_batch(n: u16, per_pe: usize, seed: u64) -> Vec<(usize, Coord)> {
+pub(crate) fn random_batch(n: u16, per_pe: usize, seed: u64) -> Vec<(usize, Coord)> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let nodes = n as usize * n as usize;
     let mut batch = Vec::new();
@@ -48,14 +48,14 @@ pub fn random_batch(n: u16, per_pe: usize, seed: u64) -> Vec<(usize, Coord)> {
 
 /// A one-shot batch of random packets driven through the simulator's
 /// [`TrafficSource`] interface.
-pub struct BatchSource {
+pub(crate) struct BatchSource {
     items: Vec<(usize, Coord)>,
     pushed: bool,
 }
 
 impl BatchSource {
     /// [`random_batch`], all queued on the first cycle.
-    pub fn random(n: u16, per_pe: usize, seed: u64) -> Self {
+    pub(crate) fn random(n: u16, per_pe: usize, seed: u64) -> Self {
         BatchSource {
             items: random_batch(n, per_pe, seed),
             pushed: false,

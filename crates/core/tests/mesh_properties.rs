@@ -2,9 +2,11 @@
 //! freedom, per-flow FIFO ordering, and minimal-path routing.
 
 use fasttrack_core::geom::Coord;
-use fasttrack_core::mesh::{mesh_distance, MeshConfig, MeshNoc};
+use fasttrack_core::mesh::{MeshConfig, MeshNoc};
 use fasttrack_core::packet::Delivery;
 use fasttrack_core::queue::InjectQueues;
+use fasttrack_core::sim::SimEngine;
+use fasttrack_core::trace::NullSink;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -17,7 +19,7 @@ fn drain(cfg: MeshConfig, batch: &[(usize, Coord)], max: u64) -> (Vec<Delivery>,
     }
     let mut dels = Vec::new();
     for _ in 0..max {
-        noc.step(&mut q, &mut dels);
+        noc.step_cycle(&mut q, &mut dels, &mut NullSink);
         if q.is_empty() && noc.in_flight() == 0 {
             break;
         }
@@ -69,9 +71,10 @@ proptest! {
         let batch = random_batch(n, 3, seed);
         let (dels, _) = drain(cfg, &batch, 500_000);
         for d in &dels {
+            let (src, dst) = (d.packet.src, d.packet.dst);
             prop_assert_eq!(
                 d.packet.short_hops,
-                mesh_distance(d.packet.src, d.packet.dst),
+                (src.x.abs_diff(dst.x) + src.y.abs_diff(dst.y)) as u32,
                 "non-minimal path for {:?}", d.packet
             );
             prop_assert_eq!(d.packet.deflections, 0);

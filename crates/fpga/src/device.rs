@@ -45,13 +45,13 @@ impl Device {
 
     /// Width in SLICEs of one router tile when an `n × n` NoC uniformly
     /// tiles the device (the paper locks routers to rectangular regions).
-    pub fn tile_width_slices(&self, n: u16) -> f64 {
+    pub(crate) fn tile_width_slices(&self, n: u16) -> f64 {
         self.slice_cols as f64 / n as f64
     }
 
     /// Wiring capacity available to NoC channels crossing one tile
     /// boundary (one tile's column budget, derated for user logic).
-    pub fn channel_capacity(&self, n: u16) -> f64 {
+    pub(crate) fn channel_capacity(&self, n: u16) -> f64 {
         self.tile_width_slices(n) * self.wires_per_slice_col as f64
     }
 }

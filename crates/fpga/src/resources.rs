@@ -151,14 +151,13 @@ mod tests {
     /// mesh row crosses it once each way.
     #[test]
     fn shg_and_mesh_bundles_read_their_links() {
-        use fasttrack_core::mesh::{MeshConfig, MeshTopology};
-        use fasttrack_core::topology::{ShgConfig, ShgTopology};
+        use fasttrack_core::topology::{topology_of, ShgConfig, ShgTopology, TopologySpec};
         for (delta, bundles) in [(1, 1), (2, 3), (3, 7)] {
             let shg = ShgTopology::new(ShgConfig::new(8, delta).unwrap());
             assert_eq!(noc_cost(&shg, 32).wire_bundles_per_cut, bundles);
         }
-        let mesh = MeshTopology::new(MeshConfig::new(8, 4).unwrap());
-        assert_eq!(noc_cost(&mesh, 32).wire_bundles_per_cut, 2);
+        let mesh = topology_of(&TopologySpec::Mesh { n: 8, depth: 4 });
+        assert_eq!(noc_cost(&*mesh, 32).wire_bundles_per_cut, 2);
     }
 
     #[test]

@@ -221,10 +221,10 @@ mod tests {
     /// one-stage Hoplite's on the same wires.
     #[test]
     fn mesh_clock_is_set_by_its_router_depth() {
-        use fasttrack_core::mesh::{MeshConfig, MeshTopology};
+        use fasttrack_core::topology::{topology_of, TopologySpec};
         let d = dev();
-        let mesh = MeshTopology::new(MeshConfig::new(8, 4).unwrap());
-        let mhz = noc_frequency_mhz(&d, &mesh, 256, 1).unwrap();
+        let mesh = topology_of(&TopologySpec::Mesh { n: 8, depth: 4 });
+        let mhz = noc_frequency_mhz(&d, &*mesh, 256, 1).unwrap();
         assert!((200.0..=230.0).contains(&mhz), "mesh {mhz}");
         assert_eq!(mhz, virtual_express_mhz(&d, 27, 3));
         let hoplite = noc_frequency_mhz(&d, &NocConfig::hoplite(8).unwrap(), 256, 1).unwrap();

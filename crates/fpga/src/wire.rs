@@ -112,52 +112,11 @@ fn interp_log(anchors: &[(f64, f64)], d: f64) -> f64 {
     unreachable!("anchor scan covers the clamped range")
 }
 
-/// One sampled point of a wire characterization sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WirePoint {
-    /// Register-to-register distance in SLICEs.
-    pub distance: u32,
-    /// LUT stages along (virtual) or bypassed by (physical) the wire.
-    pub hops: u32,
-    /// Achieved frequency, MHz.
-    pub mhz: f64,
-}
-
 /// The distances the paper sweeps (powers of two, 2..=256).
 pub const SWEEP_DISTANCES: [u32; 8] = [2, 4, 8, 16, 32, 64, 128, 256];
 
 /// The hop counts the paper sweeps (0..=8).
 pub const SWEEP_HOPS: [u32; 9] = [0, 1, 2, 3, 4, 5, 6, 7, 8];
-
-/// Regenerates the full Figure 4 sweep.
-pub fn figure4_sweep(device: &Device) -> Vec<WirePoint> {
-    let mut points = Vec::new();
-    for &hops in &SWEEP_HOPS {
-        for &distance in &SWEEP_DISTANCES {
-            points.push(WirePoint {
-                distance,
-                hops,
-                mhz: virtual_express_mhz(device, distance, hops),
-            });
-        }
-    }
-    points
-}
-
-/// Regenerates the full Figure 6 sweep.
-pub fn figure6_sweep(device: &Device) -> Vec<WirePoint> {
-    let mut points = Vec::new();
-    for &hops in &SWEEP_HOPS {
-        for &distance in &SWEEP_DISTANCES {
-            points.push(WirePoint {
-                distance,
-                hops,
-                mhz: physical_express_mhz(device, distance, hops),
-            });
-        }
-    }
-    points
-}
 
 #[cfg(test)]
 mod tests {
@@ -241,13 +200,6 @@ mod tests {
         let f40 = physical_express_mhz(&d, 40, 0);
         let f48 = physical_express_mhz(&d, 48, 0);
         assert!(((f32s - f40) - (f40 - f48)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sweeps_have_full_grid() {
-        let d = dev();
-        assert_eq!(figure4_sweep(&d).len(), 72);
-        assert_eq!(figure6_sweep(&d).len(), 72);
     }
 
     #[test]

@@ -87,13 +87,6 @@ impl BurstySource {
             rng,
         }
     }
-
-    /// Long-run offered load per PE (packets/cycle).
-    pub fn offered_load(&self) -> f64 {
-        let mean_on = 1.0 / self.p_off;
-        let mean_off = 1.0 / self.p_on;
-        self.on_rate * mean_on / (mean_on + mean_off)
-    }
 }
 
 impl TrafficSource for BurstySource {
@@ -135,7 +128,7 @@ impl TrafficSource for BurstySource {
 /// the stride — and as long as the ring allows, so the fabric does
 /// maximum short-hop work per packet. `r` shifts the offset off the
 /// express *on-ramp* positions so FT-lite placements are also missed.
-pub fn worst_case_offset(n: u16, d: u16, r: u16) -> u16 {
+pub(crate) fn worst_case_offset(n: u16, d: u16, r: u16) -> u16 {
     debug_assert!(d >= 1 && r >= 1 && d <= n && r <= d);
     if d == 1 {
         // Every offset is stride-aligned; fall back to tornado (the
@@ -181,7 +174,7 @@ impl PermutationSource {
     /// # Panics
     ///
     /// Panics unless `1 ≤ offset < n`.
-    pub fn with_offset(n: u16, offset: u16, packets_per_pe: u64) -> Self {
+    pub(crate) fn with_offset(n: u16, offset: u16, packets_per_pe: u64) -> Self {
         assert!(offset >= 1 && offset < n, "offset {offset} out of 1..{n}");
         PermutationSource {
             n,
@@ -189,11 +182,6 @@ impl PermutationSource {
             packets_per_pe,
             sent: 0,
         }
-    }
-
-    /// The fixed X-ring offset of the permutation.
-    pub fn offset(&self) -> u16 {
-        self.offset
     }
 }
 
@@ -223,7 +211,9 @@ mod tests {
     #[test]
     fn bursty_respects_quota_and_load() {
         let mut src = BurstySource::new(4, Pattern::Random, 0.8, 20.0, 60.0, 10, 3);
-        assert!((src.offered_load() - 0.2).abs() < 1e-9);
+        // Long-run offered load per PE: the ON rate times the ON share.
+        let (mean_on, mean_off) = (1.0 / src.p_off, 1.0 / src.p_on);
+        assert!((src.on_rate * mean_on / (mean_on + mean_off) - 0.2).abs() < 1e-9);
         let mut q = InjectQueues::new(16);
         let mut cycle = 0;
         while !src.exhausted() && cycle < 100_000 {

@@ -33,7 +33,7 @@ impl DataflowGraph {
     ///
     /// Panics if any dependency is not strictly smaller than its node
     /// (which would break acyclicity).
-    pub fn new(deps: Vec<Vec<u32>>) -> Self {
+    pub(crate) fn new(deps: Vec<Vec<u32>>) -> Self {
         let mut succs = vec![Vec::new(); deps.len()];
         for (i, d) in deps.iter().enumerate() {
             for &p in d {
@@ -58,12 +58,12 @@ impl DataflowGraph {
     }
 
     /// Dependencies of node `i`.
-    pub fn deps(&self, i: usize) -> &[u32] {
+    pub(crate) fn deps(&self, i: usize) -> &[u32] {
         &self.deps[i]
     }
 
     /// Dependents of node `i`.
-    pub fn successors(&self, i: usize) -> &[u32] {
+    pub(crate) fn successors(&self, i: usize) -> &[u32] {
         &self.succs[i]
     }
 

@@ -13,7 +13,7 @@ use crate::scenario::ReplaySource;
 use crate::source::{batch_source, Message};
 
 /// Extracts the edge-message batch for one push superstep.
-pub fn graph_messages(graph: &Graph, pes: usize, partition: Partition) -> Vec<Message> {
+pub(crate) fn graph_messages(graph: &Graph, pes: usize, partition: Partition) -> Vec<Message> {
     assert!(pes > 0);
     let total = graph.num_vertices();
     graph

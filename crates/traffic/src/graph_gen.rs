@@ -28,7 +28,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if an endpoint is out of range.
-    pub fn new(num_vertices: usize, mut edges: Vec<(u32, u32)>) -> Self {
+    pub(crate) fn new(num_vertices: usize, mut edges: Vec<(u32, u32)>) -> Self {
         for &(u, v) in &edges {
             assert!((u as usize) < num_vertices && (v as usize) < num_vertices);
         }
@@ -52,7 +52,7 @@ impl Graph {
     }
 
     /// The edges.
-    pub fn edges(&self) -> &[(u32, u32)] {
+    pub(crate) fn edges(&self) -> &[(u32, u32)] {
         &self.edges
     }
 }

@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod adversarial;
-pub mod bfs;
 pub mod dataflow;
 pub mod graph;
 pub mod graph_gen;

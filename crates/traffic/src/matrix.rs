@@ -32,7 +32,7 @@ impl SparseMatrix {
     /// # Panics
     ///
     /// Panics if any coordinate is out of range.
-    pub fn from_coords(n: usize, mut coords: Vec<(u32, u32)>) -> Self {
+    pub(crate) fn from_coords(n: usize, mut coords: Vec<(u32, u32)>) -> Self {
         for &(r, c) in &coords {
             assert!(
                 (r as usize) < n && (c as usize) < n,
@@ -71,12 +71,12 @@ impl SparseMatrix {
     /// # Panics
     ///
     /// Panics if `r >= n`.
-    pub fn row(&self, r: usize) -> &[u32] {
+    pub(crate) fn row(&self, r: usize) -> &[u32] {
         &self.col_idx[self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize]
     }
 
     /// Iterates all `(row, col)` coordinates.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         (0..self.n).flat_map(move |r| self.row(r).iter().map(move |&c| (r as u32, c)))
     }
 }

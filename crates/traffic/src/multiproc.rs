@@ -150,7 +150,6 @@ mod tests {
             think_cycles: 1.0,
         };
         let mut trace = parsec_trace(&profile, 4, 1);
-        assert_eq!(trace.len(), 1600);
         let mut q = InjectQueues::new(16);
         trace.pump(u64::MAX, &mut q);
         assert_eq!(q.total_enqueued(), 1600);

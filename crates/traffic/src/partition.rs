@@ -33,7 +33,7 @@ impl Partition {
     /// # Panics
     ///
     /// Panics if `pes == 0` or `i >= total`.
-    pub fn owner(self, i: u32, total: usize, pes: usize) -> usize {
+    pub(crate) fn owner(self, i: u32, total: usize, pes: usize) -> usize {
         assert!(pes > 0, "need at least one PE");
         assert!((i as usize) < total, "element {i} out of {total}");
         match self {

@@ -77,7 +77,7 @@ impl Pattern {
     /// for the stochastic patterns), if `radius == 0` for
     /// [`Pattern::Local`], or if the pattern does not
     /// [admit](Pattern::admits_side) the side.
-    pub fn destination<R: Rng + ?Sized>(self, src: Coord, n: u16, rng: &mut R) -> Coord {
+    pub(crate) fn destination<R: Rng + ?Sized>(self, src: Coord, n: u16, rng: &mut R) -> Coord {
         assert!(n >= 2, "pattern needs at least a 2x2 torus");
         match self {
             Pattern::Random => loop {

@@ -41,11 +41,6 @@ impl RegulatedSource {
             rng: SmallRng::seed_from_u64(seed),
         }
     }
-
-    /// The regulation period in cycles.
-    pub fn period(&self) -> u64 {
-        self.period
-    }
 }
 
 impl TrafficSource for RegulatedSource {
@@ -81,7 +76,7 @@ mod tests {
     #[test]
     fn regulated_source_obeys_its_budget() {
         let mut src = RegulatedSource::new(4, 10, 5, 1);
-        assert_eq!(src.period(), 10);
+        assert_eq!(src.period, 10);
         let mut q = InjectQueues::new(16);
         for cycle in 0..200 {
             src.pump(cycle, &mut q);

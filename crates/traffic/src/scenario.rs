@@ -19,7 +19,7 @@
 //! recorded `schema` number is preserved. Unknown header keys are
 //! ignored in both schemas, so older builds read newer minor traces.
 //!
-//! * Line 1 is the magic string ([`SCENARIO_MAGIC`]).
+//! * Line 1 is the magic string `fasttrack-scenario-trace v1`.
 //! * Line 2 is a single flat JSON header object (hand-rolled — the
 //!   repo vendors no serde). String values never contain escapes.
 //! * Each `m` record is one realized queue push, in global push order
@@ -72,12 +72,12 @@ use fasttrack_core::topology::TopologySpec;
 mod reference;
 
 /// First line of every v1 scenario trace.
-pub const SCENARIO_MAGIC: &str = "fasttrack-scenario-trace v1";
+pub(crate) const SCENARIO_MAGIC: &str = "fasttrack-scenario-trace v1";
 
 /// The schema number written by this library. v2 widened the `noc`
 /// key to the full [`TopologySpec`] grammar; decoded v1 headers keep
 /// their recorded number so re-encoding is byte-identical.
-pub const SCENARIO_SCHEMA: u32 = 2;
+pub(crate) const SCENARIO_SCHEMA: u32 = 2;
 
 /// One realized queue push: at `cycle`, node `src` enqueued a packet
 /// for node `dst` carrying `tag`.
@@ -121,7 +121,7 @@ impl From<&SimReport> for Expectation {
 /// Scenario metadata: everything needed to rebuild the session.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioHeader {
-    /// Format schema (currently always [`SCENARIO_SCHEMA`]).
+    /// Format schema (currently always 2).
     pub schema: u32,
     /// Topology spec string in the [`TopologySpec`] grammar, e.g.
     /// `ft:8:2:1` (`ftlite:` for Inject policy) or, from schema v2 on,
@@ -252,7 +252,7 @@ pub struct ScenarioTrace {
 /// Why a scenario trace failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
-    /// The first line is not [`SCENARIO_MAGIC`].
+    /// The first line is not the `fasttrack-scenario-trace v1` magic.
     BadMagic,
     /// The header line is missing or malformed (reason attached).
     BadHeader(String),
@@ -512,7 +512,7 @@ fn parse_port(token: &str) -> Option<OutPort> {
 }
 
 /// Encodes one fault as a compact space-separated token string.
-pub fn encode_fault(fault: &Fault) -> String {
+pub(crate) fn encode_fault(fault: &Fault) -> String {
     match *fault {
         Fault::DeadLink { node, out } => format!("dead {node} {}", port_token(out)),
         Fault::TransientLink {
@@ -541,7 +541,7 @@ pub fn encode_fault(fault: &Fault) -> String {
 /// # Errors
 ///
 /// Returns [`TraceError::BadFault`] on any malformed encoding.
-pub fn decode_fault(text: &str) -> Result<Fault, TraceError> {
+pub(crate) fn decode_fault(text: &str) -> Result<Fault, TraceError> {
     let bad = || TraceError::BadFault(text.to_string());
     let fields: Vec<&str> = text.split_whitespace().collect();
     let num = |s: &str| s.parse::<u64>().map_err(|_| bad());
@@ -1133,16 +1133,6 @@ impl ReplaySource {
     pub fn hold_until(mut self, cycle: Option<u64>) -> Self {
         self.hold_until = cycle;
         self
-    }
-
-    /// Total records in the schedule.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when the schedule is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 }
 

@@ -80,36 +80,6 @@ impl TransferBatchSource {
             pushed: false,
         }
     }
-
-    /// Total flits this batch will inject.
-    pub fn total_flits(&self) -> u64 {
-        self.transfers
-            .iter()
-            .map(|t| flits_for(t.bits, self.width) as u64)
-            .sum()
-    }
-
-    /// Transfers fully reassembled so far.
-    pub fn completed_transfers(&self) -> usize {
-        self.completed
-    }
-
-    /// Number of logical transfers in the batch.
-    pub fn len(&self) -> usize {
-        self.transfers.len()
-    }
-
-    /// True if the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.transfers.is_empty()
-    }
-
-    /// Deliveries observed whose tag named no outstanding flit of this
-    /// batch (e.g. a foreign or corrupted replay) — always 0 in a
-    /// well-formed run.
-    pub fn foreign_flits(&self) -> u64 {
-        self.foreign_flits
-    }
 }
 
 impl TrafficSource for TransferBatchSource {
@@ -189,19 +159,20 @@ mod tests {
             },
         ];
         let mut src = TransferBatchSource::new(4, 128, transfers);
-        assert_eq!(src.total_flits(), 8);
-        assert_eq!(src.len(), 2);
+        assert_eq!(src.remaining.iter().sum::<u32>(), 8);
+        assert_eq!(src.transfers.len(), 2);
         let cfg = NocConfig::hoplite(4).unwrap();
         let report = SimSession::new(&cfg).run(&mut src).unwrap().report;
         assert!(!report.truncated);
         assert_eq!(report.stats.delivered, 8);
-        assert_eq!(src.completed_transfers(), 2);
-        assert_eq!(src.foreign_flits(), 0);
+        assert_eq!(src.completed, 2);
+        assert_eq!(src.foreign_flits, 0);
     }
 
     #[test]
     fn foreign_tags_are_counted_not_indexed() {
         use fasttrack_core::packet::{Packet, PacketId};
+        let at = Coord::new(0, 0);
         let mut src = TransferBatchSource::new(
             4,
             128,
@@ -212,7 +183,17 @@ mod tests {
             }],
         );
         let mk = |tag| Delivery {
-            packet: Packet::new(PacketId(0), Coord::new(0, 0), Coord::new(1, 1), 0, tag),
+            packet: Packet {
+                id: PacketId(0),
+                src: at,
+                dst: Coord::new(1, 1),
+                enqueued_at: 0,
+                injected_at: 0,
+                short_hops: 0,
+                express_hops: 0,
+                deflections: 0,
+                tag,
+            },
             cycle: 3,
         };
         // Out-of-range index, u64 wider than usize range, and a
@@ -221,8 +202,8 @@ mod tests {
         src.on_delivery(&mk(u64::MAX));
         src.on_delivery(&mk(0));
         src.on_delivery(&mk(0));
-        assert_eq!(src.completed_transfers(), 1);
-        assert_eq!(src.foreign_flits(), 3);
+        assert_eq!(src.completed, 1);
+        assert_eq!(src.foreign_flits, 3);
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl BernoulliSource {
         }
     }
 
-    /// Total packets this source will generate.
-    pub fn total_packets(&self) -> u64 {
-        self.packets_per_pe * self.generated.len() as u64
-    }
-
     /// Cycles from one arrival to the next, `Geom(rate)` on `1..`. A
     /// gap past `u64::MAX` saturates, so it never comes due.
     fn gap(&mut self) -> u64 {
@@ -164,7 +159,7 @@ mod tests {
     #[test]
     fn bernoulli_generates_exact_quota() {
         let mut src = BernoulliSource::new(4, Pattern::Random, 0.5, 10, 3);
-        assert_eq!(src.total_packets(), 160);
+        assert_eq!(src.packets_per_pe * src.generated.len() as u64, 160);
         let mut q = InjectQueues::new(16);
         let mut cycle = 0;
         while !src.exhausted() {

@@ -8,7 +8,6 @@
 use fasttrack::core::analysis::{channel_loads, permutation_traffic, uniform_traffic};
 use fasttrack::core::realtime::zero_load_latency;
 use fasttrack::prelude::*;
-use fasttrack_bench::runner::NocUnderTest;
 
 fn spec(s: &str) -> TopologySpec {
     s.parse().unwrap()
@@ -16,7 +15,7 @@ fn spec(s: &str) -> TopologySpec {
 
 fn saturated_rate(spec: &TopologySpec, pattern: Pattern, seed: u64) -> f64 {
     let mut src = BernoulliSource::new(spec.side(), pattern, 1.0, 400, seed);
-    let session = NocUnderTest::from_spec(spec.clone()).session();
+    let session = SimSession::with_backend(SpecBackend::new(spec, 1));
     let report = session.run(&mut src).unwrap().report;
     assert!(!report.truncated);
     report.sustained_rate_per_pe()

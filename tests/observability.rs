@@ -219,7 +219,7 @@ fn ndjson_run(seed: u64) -> (String, SimReport) {
         .run(&mut src)
         .unwrap()
         .report;
-    (sink.into_string(), report)
+    (sink.as_str().to_owned(), report)
 }
 
 #[test]
@@ -278,7 +278,7 @@ fn multichannel_log_attributes_channels_deterministically() {
             .with_sink(&mut sink)
             .run(&mut src)
             .unwrap();
-        sink.into_string()
+        sink.as_str().to_owned()
     };
     let a = run();
     assert_eq!(a, run(), "multichannel trace must be deterministic");
@@ -369,7 +369,11 @@ fn steady_state_detector_agrees_with_handpicked_warmup() {
         .expect("sustained load must settle");
     let suggested = metrics.suggested_warmup().unwrap();
     assert!(suggested < cap);
-    let auto_rate = metrics.rate_after(steady);
+    // Everything from the steady epoch on, the flushed tail included.
+    let tail = &metrics.finish()[steady..];
+    let cycles: u64 = tail.iter().map(|e| e.cycles).sum();
+    let delivered: u64 = tail.iter().map(|e| e.delivered).sum();
+    let auto_rate = delivered as f64 / cycles as f64 / 64.0;
 
     let rel = (auto_rate - manual_rate).abs() / manual_rate;
     assert!(
