@@ -4,19 +4,26 @@
 //! each mechanism has to show.
 
 use fasttrack_core::config::{ExitPolicy, FtPolicy, LinkPipeline, NocConfig};
-use fasttrack_core::topology::topology_of;
+use fasttrack_core::topology::{topology_of, TopologySpec};
 use fasttrack_fpga::device::Device;
 use fasttrack_fpga::resources::noc_cost;
 use fasttrack_fpga::routability::noc_frequency_mhz;
 use fasttrack_traffic::pattern::Pattern;
 
-use super::{about, f, hoplite, rate, ratio, report, torus, Col, Outcome, Scale};
+use super::{about, f, hoplite, rate, ratio, report, Col, Outcome, Scale};
 use crate::runner::{NocUnderTest, SweepRow};
 
 const RANDOM: [Pattern; 1] = [Pattern::Random];
 
 fn ft(d: u16, r: u16, policy: FtPolicy) -> NocConfig {
     NocConfig::fasttrack(8, d, r, policy).expect("valid 8x8 FastTrack config")
+}
+
+/// `cfg` under test. An exit-policy or link-pipeline variant keeps its
+/// fabric's name: its table prints the variant in a column of its own
+/// and reads rows by position.
+fn torus(cfg: NocConfig) -> NocUnderTest {
+    NocUnderTest::from_spec(TopologySpec::Torus(cfg))
 }
 
 pub(super) fn exit(scale: Scale) -> Outcome {
@@ -27,15 +34,9 @@ pub(super) fn exit(scale: Scale) -> Outcome {
         ("shared S/exit", ExitPolicy::SharedWithSouth),
         ("dedicated", ExitPolicy::Dedicated),
     ];
-    let variant = |base: &NocConfig, (name, policy)| {
-        torus(
-            format!("{} / {name}", base.name()),
-            base.clone().with_exit_policy(policy),
-        )
-    };
     let nuts: Vec<NocUnderTest> = bases
         .iter()
-        .flat_map(|b| exits.map(|e| variant(b, e)))
+        .flat_map(|b| exits.map(|(_, policy)| torus(b.clone().with_exit_policy(policy))))
         .collect();
     let rows = out.grid(&nuts, &RANDOM, &[1.0], 5, scale);
     // Per row: the dedicated-exit gain over the shared-exit row before it.
@@ -48,7 +49,7 @@ pub(super) fn exit(scale: Scale) -> Outcome {
         }
     };
     let cols: [Col<(usize, &SweepRow)>; 5] = [
-        ("Config", &|(i, _)| bases[i / 2].name()),
+        ("Config", &|(i, _)| nuts[*i].label()),
         ("Exit", &|(i, _)| exits[i % 2].0.into()),
         ("Rate (pkt/cyc/PE)", &|(_, r)| f(rate(&r.report), 4)),
         ("Avg latency", &|(_, r)| f(r.report.avg_latency(), 1)),
@@ -71,28 +72,27 @@ pub(super) fn lane(scale: Scale) -> Outcome {
     // (D, policy) in table order, then Hoplite as the floor.
     let (full, inject) = (FtPolicy::Full, FtPolicy::Inject);
     let variants = [(2u16, full), (2, inject), (4, full), (4, inject)];
-    let variant = |(d, policy)| torus(format!("D={d} {policy}"), ft(d, 1, policy));
-    let mut nuts = variants.map(variant).to_vec();
+    let mut nuts = variants.map(|(d, policy)| torus(ft(d, 1, policy))).to_vec();
     nuts.push(hoplite(8));
     let rows = out.grid(&nuts, &patterns, &[1.0], 3, scale);
-    let at = |label: &str, pattern| rate(report(&rows, label, pattern, 1.0));
+    let at = |i: usize, pattern| rate(report(&rows, &nuts[i].label(), pattern, 1.0));
     let luts = |i: usize| noc_cost(&*topology_of(&nuts[i].topology), 256).luts;
     let cols: [Col<(Pattern, usize)>; 6] = [
         ("Pattern", &|(p, _)| p.name().into()),
         ("D", &|(_, i)| variants[*i].0.to_string()),
         ("Policy", &|(_, i)| variants[*i].1.to_string()),
-        ("Rate (pkt/cyc/PE)", &|(p, i)| f(at(&nuts[*i].label, *p), 4)),
+        ("Rate (pkt/cyc/PE)", &|(p, i)| f(at(*i, *p), 4)),
         ("NoC LUTs", &|(_, i)| luts(*i).to_string()),
         ("Rate/kLUT", &|(p, i)| {
-            f(at(&nuts[*i].label, *p) * 1e6 / luts(*i) as f64, 2)
+            f(at(*i, *p) * 1e6 / luts(*i) as f64, 2)
         }),
     ];
     let cells = patterns
         .iter()
         .flat_map(|&p| (0..variants.len()).map(move |i| (p, i)));
     out.table("ablation_lane_policy", cells, &cols);
-    let [full, inject, floor] =
-        ["D=2 full", "D=2 inject", "Hoplite"].map(|l| at(l, Pattern::Random));
+    // D=2 Full, D=2 Inject and the Hoplite floor.
+    let [full, inject, floor] = [0, 1, 4].map(|i| at(i, Pattern::Random));
     out.band(
         "mid-flight lane changes are most of the win: FT(Full) sustains ~2× FTlite(Inject) on \
          RANDOM at D=2",
@@ -113,8 +113,7 @@ pub(super) fn pipe(scale: Scale) -> Outcome {
     let device = Device::virtex7_485t();
     let extras = [(0u8, 0u8), (0, 1), (1, 1), (1, 2)];
     let variant = |d, (short, express)| {
-        let cfg = ft(d, 1, FtPolicy::Full).with_link_pipeline(LinkPipeline { short, express });
-        torus(format!("{} +{short}/{express}", cfg.name()), cfg)
+        torus(ft(d, 1, FtPolicy::Full).with_link_pipeline(LinkPipeline { short, express }))
     };
     let nuts: Vec<NocUnderTest> = [2, 4]
         .iter()
@@ -125,7 +124,7 @@ pub(super) fn pipe(scale: Scale) -> Outcome {
     let mhz = |i: usize| noc_frequency_mhz(&device, &*topo(i), WIDTH, 1).expect("8x8 fits at 128b");
     let mpkts = |i: usize| rows[i].report.aggregate_rate() * mhz(i);
     let cols: [Col<usize>; 6] = [
-        ("Config", &|&i| topo(i).name()),
+        ("Config", &|&i| nuts[i].label()),
         ("Extra regs (sh/ex)", &|&i| {
             format!("{}/{}", extras[i % 4].0, extras[i % 4].1)
         }),

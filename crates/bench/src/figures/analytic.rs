@@ -4,6 +4,7 @@
 use fasttrack_core::config::{FtPolicy, NocConfig};
 use fasttrack_core::resources::router_cost;
 use fasttrack_core::router::RouterClass;
+use fasttrack_core::topology::Topology;
 use fasttrack_fpga::device::Device;
 use fasttrack_fpga::power::PowerModel;
 use fasttrack_fpga::published::{PublishedRouter, TABLE1};

@@ -21,10 +21,8 @@ mod workload;
 use std::fmt::Write as _;
 use std::ops::RangeInclusive;
 
-use fasttrack_core::config::NocConfig;
 use fasttrack_core::sim::SimReport;
 use fasttrack_core::sweep::sweep;
-use fasttrack_core::topology::TopologySpec;
 use fasttrack_traffic::pattern::Pattern;
 
 use crate::runner::{NocUnderTest, SweepGrid, SweepRow, INJECTION_RATES};
@@ -452,16 +450,6 @@ fn threads() -> usize {
     std::thread::available_parallelism().map_or(2, usize::from)
 }
 
-/// A torus NoC under test with its own table label.
-fn torus(label: String, cfg: NocConfig) -> NocUnderTest {
-    let topology = TopologySpec::Torus(cfg);
-    NocUnderTest {
-        label,
-        topology,
-        channels: 1,
-    }
-}
-
 fn hoplite(n: u16) -> NocUnderTest {
     NocUnderTest::hoplite(n)
 }
@@ -591,7 +579,7 @@ mod tests {
         let all: Vec<&SweepRow> = rows.iter().collect();
         out.pivot("t", &all, &[("rate", &|r| f(rate(r), 2))]);
         let csv = out.tables[0].to_csv();
-        let head = "Injection rate,Hoplite rate,\"FT(16,2,1) rate\"\n0.10,";
+        let head = "Injection rate,Hoplite 4x4 rate,\"FT(16,2,1) rate\"\n0.10,";
         assert!(csv.starts_with(head), "{csv}");
         out.truncated("Hoplite RANDOM @0.5");
         assert!(out.checks.iter().any(|c| c.verdict == Verdict::Fails));

@@ -1,6 +1,7 @@
 //! Figures 11–14, 16–19 and the simulated Figure 1: Bernoulli traffic
 //! on a `SweepGrid`, tabulated by the shared pivot.
 
+use fasttrack_core::config::{FtPolicy, NocConfig};
 use fasttrack_core::port::InPort;
 use fasttrack_core::sim::SimReport;
 use fasttrack_core::topology::{topology_of, TopologySpec};
@@ -15,9 +16,6 @@ use super::{about, f, ft, hoplite, range, rate, ratio, report, span, trio, Col, 
 use crate::runner::{NocUnderTest, SweepRow};
 use crate::table::Table;
 
-const HOPLITE: &str = "Hoplite";
-const FT21: &str = "FT(64,2,1)";
-const FT22: &str = "FT(64,2,2)";
 const RANDOM: [Pattern; 1] = [Pattern::Random];
 /// The (PEs, side) systems Figures 13 and 17 compare.
 const SIZES: [(usize, u16); 3] = [(16, 4), (64, 8), (256, 16)];
@@ -35,7 +33,7 @@ pub(super) fn fig01sim(scale: Scale) -> Outcome {
     const WIDTH: u32 = 32; // Table I compares 32-bit routers
     let mut out = Outcome::default();
     let nuts = [
-        NocUnderTest::mesh(8, 4),
+        NocUnderTest::from_spec(TopologySpec::Mesh { n: 8, depth: 4 }),
         hoplite(8),
         ft(8, 2, 2),
         ft(8, 2, 1),
@@ -67,7 +65,7 @@ pub(super) fn fig01sim(scale: Scale) -> Outcome {
         if literature(n) {
             "Buffered mesh (CONNECT-class)".into()
         } else {
-            n.label.clone()
+            n.label()
         }
     };
     let cols: [Col<Run>; 5] = [
@@ -129,8 +127,9 @@ pub(super) fn fig11(scale: Scale) -> Outcome {
         ("", &|r| f(rate(r), 4)),
         scale,
     );
-    let at = |label, pattern, inj| rate(report(&rows, label, pattern, inj));
-    let gain = |pattern| ratio(at(FT21, pattern, 1.0), at(HOPLITE, pattern, 1.0));
+    let [base, ft21, ft22] = trio(8).map(|n| n.label());
+    let at = |label: &str, pattern, inj| rate(report(&rows, label, pattern, inj));
+    let gain = |pattern| ratio(at(&ft21, pattern, 1.0), at(&base, pattern, 1.0));
     let [bitcompl, local, random, transpose] = Pattern::PAPER_SET;
     let claim = "FT(64,2,1) sustains ~2.5× Hoplite's rate on RANDOM at saturation (Fig 11)";
     out.band(claim, gain(random), about(2.5));
@@ -153,10 +152,10 @@ pub(super) fn fig11(scale: Scale) -> Outcome {
          injection, more at 100 %. The seed's EXPERIMENTS.md recorded 1.1×; which change moved \
          it is an open ROADMAP item",
     );
-    let low = rows.iter().filter(|r| r.label == FT21 && r.rate < 0.10);
+    let low = rows.iter().filter(|r| r.label == ft21 && r.rate < 0.10);
     let (lo, hi) = span(
         low.clone()
-            .map(|r| rate(&r.report) / at(HOPLITE, r.pattern, r.rate)),
+            .map(|r| rate(&r.report) / at(&base, r.pattern, r.rate)),
     );
     out.holds(
         "no win below 10 % injection: every NoC delivers the offered load (Fig 11)",
@@ -167,7 +166,7 @@ pub(super) fn fig11(scale: Scale) -> Outcome {
         0.95 <= lo && hi <= 1.05,
     );
     let between = Pattern::PAPER_SET.map(|p| {
-        let (h, d, f) = (at(HOPLITE, p, 1.0), at(FT22, p, 1.0), at(FT21, p, 1.0));
+        let (h, d, f) = (at(&base, p, 1.0), at(&ft22, p, 1.0), at(&ft21, p, 1.0));
         (h < d && d < f, format!("{p} {h:.3} < {d:.3} < {f:.3}"))
     });
     out.holds(
@@ -182,6 +181,7 @@ pub(super) fn fig12(scale: Scale) -> Outcome {
     let mut out = Outcome::default();
     let latency: Col<SimReport> = ("", &|r| f(r.avg_latency(), 1));
     let rows = pattern_sweep(&mut out, "fig12_avg_latency", latency, scale);
+    let [base, ft21, ft22] = trio(8).map(|n| n.label());
     // Sustained rate at the highest swept injection rate whose average
     // latency stays at or below 100 cycles: the paper's knee metric.
     let knee = |label: &str, pattern: &Pattern| {
@@ -192,12 +192,12 @@ pub(super) fn fig12(scale: Scale) -> Outcome {
             .rfind(|r| r.report.avg_latency() <= 100.0)
             .map_or(0.0, |r| rate(&r.report))
     };
-    let gain = |p: &Pattern| knee(FT21, p) / knee(HOPLITE, p);
+    let gain = |p: &Pattern| knee(&ft21, p) / knee(&base, p);
     let cols: [Col<Pattern>; 5] = [
         ("Pattern", &|p| p.name().into()),
-        (HOPLITE, &|p| f(knee(HOPLITE, p), 4)),
-        (FT21, &|p| f(knee(FT21, p), 4)),
-        (FT22, &|p| f(knee(FT22, p), 4)),
+        (&base, &|p| f(knee(&base, p), 4)),
+        (&ft21, &|p| f(knee(&ft21, p), 4)),
+        (&ft22, &|p| f(knee(&ft22, p), 4)),
         ("FT(64,2,1) gain", &|p| format!("{:.1}x", gain(p))),
     ];
     out.table("fig12_saturation_at_100", Pattern::PAPER_SET, &cols);
@@ -217,11 +217,11 @@ pub(super) fn fig12(scale: Scale) -> Outcome {
         format!("worst average latency at ≤ 5 % injection: {calm:.1} cycles"),
         calm < 30.0,
     );
-    let past = |label| report(&rows, label, Pattern::Random, 0.5).avg_latency();
+    let past = |label: &str| report(&rows, label, Pattern::Random, 0.5).avg_latency();
     out.band(
         "past Hoplite's knee FastTrack's average latency is a fraction of Hoplite's: under 0.65× \
          on RANDOM at 50 % injection (Fig 12)",
-        ratio(past(FT21), past(HOPLITE)),
+        ratio(past(&ft21), past(&base)),
         0.0..=0.65,
     );
     out
@@ -243,7 +243,7 @@ pub(super) fn fig13(scale: Scale) -> Outcome {
             ("lat", &|r| f(r.avg_latency(), 1)),
         ];
         out.pivot(&format!("fig13_multichannel_{pes}pe"), &all, &metrics);
-        let at = |nut: &NocUnderTest| rate(report(&rows, &nut.label, Pattern::Random, 1.0));
+        let at = |nut: &NocUnderTest| rate(report(&rows, &nut.label(), Pattern::Random, 1.0));
         let [hoplite, hoplite3x, _, ft] = nuts.each_ref().map(at);
         let (iso, paper) = (ratio(ft, hoplite3x), range(1.1, 1.4));
         match pes {
@@ -304,7 +304,7 @@ pub(super) fn fig14(scale: Scale) -> Outcome {
     };
     let mpkts = |(n, r): &Run| r.report.aggregate_rate() * mhz(n, WIDTH);
     let cols: [Col<Run>; 6] = [
-        ("Config", &|(n, _)| n.label.clone()),
+        ("Config", &|(n, _)| n.label()),
         ("LUTs", &|(n, _)| cost(n).luts.to_string()),
         ("Wire bundles/cut", &|(n, _)| {
             cost(n).wire_bundles_per_cut.to_string()
@@ -425,9 +425,9 @@ pub(super) fn fig17(scale: Scale) -> Outcome {
         }
         let rows = out.grid(&nuts, &RANDOM, &[0.5], 0x00f1_6170, scale);
         let at = |d: u16, r: u16| {
-            let row = rows
-                .iter()
-                .find(|row| row.label == format!("FT({pes},{d},{r})"));
+            let cfg = NocConfig::fasttrack(n, d, r, FtPolicy::Full).ok()?;
+            let name = TopologySpec::Torus(cfg).display_name();
+            let row = rows.iter().find(|row| row.label == name);
             row.map(|row| rate(&row.report))
         };
         let base = rate(&rows[0].report);
@@ -569,7 +569,7 @@ pub(super) fn fig19(scale: Scale) -> Outcome {
     };
     let base = mj(&(&nuts[0], &rows[0]));
     let cols: [Col<Run>; 6] = [
-        ("Config", &|(n, _)| n.label.clone()),
+        ("Config", &|(n, _)| n.label()),
         ("MHz", &|(n, _)| f(mhz(n, WIDTH), 0)),
         ("Rate (pkt/cyc)", &|(_, r)| f(r.report.aggregate_rate(), 2)),
         ("Throughput (Mpkt/s)", &|run| f(mpkts(run), 1)),

@@ -35,7 +35,7 @@ fn best_speedup<S: TrafficSource>(n: u16, cap: u64, source: impl Fn() -> S) -> R
     let cycles = |nut: NocUnderTest| {
         let report = nut.run(&mut source(), SimOptions::with_max_cycles(cap));
         let done = (!report.truncated).then_some(report.cycles as f64);
-        done.ok_or_else(|| format!("{} at {} PEs", nut.label, report.nodes))
+        done.ok_or_else(|| format!("{} at {} PEs", nut.label(), report.nodes))
     };
     let base = cycles(hoplite(n))?;
     let mut candidates = fasttrack_candidates(n).into_iter();
@@ -344,11 +344,11 @@ pub(super) fn serial(scale: Scale) -> Outcome {
     let mlines = |i: usize| cells[i].and_then(|(mhz, cycles)| Some(total / cycles? as f64 * mhz));
     for (i, (nut, width)) in points.iter().enumerate() {
         if matches!(cells[i], Some((_, None))) {
-            out.truncated(&format!("{} at {width} b", nut.label));
+            out.truncated(&format!("{} at {width} b", nut.label()));
         }
     }
     let cols: [Col<usize>; 6] = [
-        ("Config", &|&i| points[i].0.label.clone()),
+        ("Config", &|&i| points[i].0.label()),
         ("Width (b)", &|&i| points[i].1.to_string()),
         ("Flits/line", &|&i| {
             flits_for(CACHELINE_BITS, points[i].1).to_string()
@@ -411,7 +411,7 @@ mod tests {
         let labels = |n| {
             fasttrack_candidates(n)
                 .into_iter()
-                .map(|c| c.label)
+                .map(|c| c.label())
                 .collect::<Vec<_>>()
         };
         assert_eq!(labels(2), ["FT(4,1,1)"]);
@@ -423,7 +423,7 @@ mod tests {
         // Ten cycles cannot drain 50 packets per PE.
         assert_eq!(
             best_speedup(4, 10, traffic).unwrap_err(),
-            "Hoplite at 16 PEs"
+            "Hoplite 4x4 at 16 PEs"
         );
         let mut out = Outcome::default();
         let (lead, cell) = (vec![vec!["tiny".into()]], |_, n| {
@@ -439,7 +439,7 @@ mod tests {
         );
         let line = out.checks[0].line();
         assert!(
-            line.contains("tiny on Hoplite at 16 PEs was truncated"),
+            line.contains("tiny on Hoplite 4x4 at 16 PEs was truncated"),
             "{line}"
         );
         assert!(out.tables[0].to_csv().contains("tiny,truncated"));

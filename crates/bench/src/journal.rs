@@ -61,7 +61,7 @@ fn grid_fingerprint(grid: &SweepGrid) -> u64 {
     mix(&grid.packets_per_pe.to_le_bytes());
     mix(&(grid.points.len() as u64).to_le_bytes());
     for p in &grid.points {
-        mix(p.nut.label.as_bytes());
+        mix(p.nut.label().as_bytes());
         mix(&(p.nut.channels as u64).to_le_bytes());
         mix(p.pattern.to_string().as_bytes());
         mix(&p.rate.to_bits().to_le_bytes());
@@ -403,6 +403,17 @@ mod tests {
         assert_ne!(a, grid_fingerprint(&small_grid(2)), "seed must matter");
         let bigger = small_grid(1).with_packets_per_pe(21);
         assert_ne!(a, grid_fingerprint(&bigger), "quota must matter");
+    }
+
+    /// Two grids that differ only in the fabric's size run different
+    /// sweeps, so a journal of one must not resume the other.
+    #[test]
+    fn fingerprint_tracks_fabric_size() {
+        let over = |n| {
+            let nuts = [NocUnderTest::hoplite(n)];
+            SweepGrid::cross(&nuts, &[Pattern::Random], &[0.1], 7).with_packets_per_pe(20)
+        };
+        assert_ne!(grid_fingerprint(&over(4)), grid_fingerprint(&over(8)));
     }
 
     #[test]

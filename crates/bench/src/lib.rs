@@ -22,4 +22,4 @@ pub use runner::{
     storm_json, sweep_csv, FallibleSweepOptions, NocUnderTest, SloSpec, SweepGrid, SweepPoint,
     SweepRow, SweepTiming, INJECTION_RATES,
 };
-pub use table::Table;
+pub use table::{csv_field, Table};

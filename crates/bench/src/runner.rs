@@ -6,15 +6,16 @@ use fasttrack_core::attribution::{AttributionReport, LatencyComponent};
 use fasttrack_core::config::{FtPolicy, NocConfig};
 use fasttrack_core::fallback::{FallbackConfig, FallbackError};
 use fasttrack_core::fault::{FaultError, FaultPlan, StormSpec};
-use fasttrack_core::mesh::MeshConfig;
 use fasttrack_core::monitor::HealthSummary;
 use fasttrack_core::sim::{
     SimOptions, SimOutcome, SimReport, SimSession, SpecBackend, TrafficSource,
 };
 use fasttrack_core::sweep::{retry_seed, splitmix64, sweep_fallible, SweepError};
-use fasttrack_core::topology::{ShgConfig, TopologySpec};
+use fasttrack_core::topology::TopologySpec;
 use fasttrack_traffic::pattern::Pattern;
 use fasttrack_traffic::source::BernoulliSource;
+
+use crate::table::csv_field;
 
 /// The injection rates swept in Figures 11–13 (log-spaced 1%..100%).
 pub const INJECTION_RATES: [f64; 9] = [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0];
@@ -26,10 +27,10 @@ pub use fasttrack_core::topology::topology_of;
 
 /// A NoC under test: a topology plus a channel count (for the
 /// replicated-Hoplite comparisons; channels apply to torus NoCs only).
+/// Its name is not stored: [`NocUnderTest::label`] derives it from the
+/// two, so a fabric prints the same name wherever it appears.
 #[derive(Debug, Clone)]
 pub struct NocUnderTest {
-    /// Label used in tables (e.g. `Hoplite-3x`).
-    pub label: String,
     /// The topology this NoC instantiates.
     pub topology: TopologySpec,
     /// Parallel physical channels (1 = single NoC).
@@ -39,17 +40,12 @@ pub struct NocUnderTest {
 impl NocUnderTest {
     /// Baseline Hoplite.
     pub fn hoplite(n: u16) -> Self {
-        NocUnderTest {
-            label: "Hoplite".into(),
-            topology: TopologySpec::Torus(NocConfig::hoplite(n).expect("valid n")),
-            channels: 1,
-        }
+        NocUnderTest::hoplite_x(n, 1)
     }
 
     /// Replicated Hoplite with `channels` physical channels.
     pub fn hoplite_x(n: u16, channels: usize) -> Self {
         NocUnderTest {
-            label: format!("Hoplite-{channels}x"),
             topology: TopologySpec::Torus(NocConfig::hoplite(n).expect("valid n")),
             channels,
         }
@@ -58,41 +54,23 @@ impl NocUnderTest {
     /// FastTrack `FT(n², d, r)` with the Full lane policy.
     pub fn fasttrack(n: u16, d: u16, r: u16) -> Self {
         let config = NocConfig::fasttrack(n, d, r, FtPolicy::Full).expect("valid config");
-        NocUnderTest {
-            label: config.name(),
-            topology: TopologySpec::Torus(config),
-            channels: 1,
-        }
+        NocUnderTest::from_spec(TopologySpec::Torus(config))
     }
 
-    /// A Sparse Hamming Graph `SHG(q², δ)` under test.
-    pub fn shg(q: u16, delta: u16) -> Self {
-        let cfg = ShgConfig::new(q, delta).expect("valid SHG config");
-        NocUnderTest {
-            label: cfg.name(),
-            topology: TopologySpec::Shg(cfg),
-            channels: 1,
-        }
-    }
-
-    /// A buffered `n × n` mesh with `depth`-flit input FIFOs under test.
-    pub fn mesh(n: u16, depth: usize) -> Self {
-        let cfg = MeshConfig::new(n, depth).expect("valid mesh config");
-        NocUnderTest {
-            label: cfg.name(),
-            topology: TopologySpec::Mesh { n, depth },
-            channels: 1,
-        }
-    }
-
-    /// A NoC under test from any parsed [`TopologySpec`], labeled with
-    /// its display name.
+    /// A single-channel NoC under test from any parsed [`TopologySpec`].
     pub fn from_spec(spec: TopologySpec) -> Self {
         NocUnderTest {
-            label: spec.display_name(),
             topology: spec,
             channels: 1,
         }
+    }
+
+    /// The name tables, CSV rows and sidecars print for this NoC:
+    /// [`TopologySpec::bank_name`] of its topology and channel count
+    /// (`Hoplite 8x8`, `FT(64,2,1)`, `Mesh 8x8 (depth 4)`,
+    /// `Hoplite 8x8-3x`).
+    pub fn label(&self) -> String {
+        self.topology.bank_name(self.channels)
     }
 
     /// Grid side length (torus/mesh `n`, SHG `q`) — every built-in
@@ -143,7 +121,7 @@ impl SweepPoint {
     /// `report`.
     fn row(&self, seed: u64, report: SimReport) -> SweepRow {
         SweepRow {
-            label: self.nut.label.clone(),
+            label: self.nut.label(),
             channels: self.nut.channels,
             pattern: self.pattern,
             rate: self.rate,
@@ -580,7 +558,12 @@ pub fn attribution_csv(points: &[(usize, &SweepRow, &AttributionReport)]) -> Str
         let _ = write!(
             out,
             "{},{},{},{:.6},{},{}",
-            index, row.label, row.pattern, row.rate, row.seed, a.delivered
+            index,
+            csv_field(&row.label),
+            row.pattern,
+            row.rate,
+            row.seed,
+            a.delivered
         );
         for c in LatencyComponent::ALL {
             let _ = write!(out, ",{}", a.component(c));
@@ -616,7 +599,7 @@ pub(crate) fn sweep_csv_row(row: &SweepRow) -> String {
     let r = &row.report;
     format!(
         "{},{},{},{},{},{},{},{},{:.6},{:.6},{},{},{},{},{},{},{}\n",
-        row.label,
+        csv_field(&row.label),
         row.channels,
         row.pattern,
         row.rate,
@@ -656,9 +639,10 @@ mod tests {
 
     #[test]
     fn standard_configs_have_labels() {
-        assert_eq!(NocUnderTest::hoplite(8).label, "Hoplite");
-        assert_eq!(NocUnderTest::hoplite_x(8, 3).label, "Hoplite-3x");
-        assert_eq!(NocUnderTest::fasttrack(8, 2, 1).label, "FT(64,2,1)");
+        assert_eq!(NocUnderTest::hoplite(8).label(), "Hoplite 8x8");
+        assert_eq!(NocUnderTest::hoplite(4).label(), "Hoplite 4x4");
+        assert_eq!(NocUnderTest::hoplite_x(8, 3).label(), "Hoplite 8x8-3x");
+        assert_eq!(NocUnderTest::fasttrack(8, 2, 1).label(), "FT(64,2,1)");
     }
 
     #[test]
@@ -694,8 +678,8 @@ mod tests {
             NocUnderTest::hoplite(4),
             NocUnderTest::hoplite_x(4, 2),
             NocUnderTest::fasttrack(4, 2, 1),
-            NocUnderTest::shg(4, 2),
-            NocUnderTest::mesh(4, 2),
+            NocUnderTest::from_spec("shg:4:2".parse().unwrap()),
+            NocUnderTest::from_spec("mesh:4:2".parse().unwrap()),
         ];
         SweepGrid::cross(&nuts, &[Pattern::Random], &[0.2, 1.0], base_seed).with_packets_per_pe(40)
     }
@@ -715,7 +699,7 @@ mod tests {
             };
             let drive = |i, seed, p: &SweepPoint, session: PointSession, source: &mut _| {
                 let report = no_faults(session.run(source)).report;
-                (report, (i, seed, p.nut.label.clone()))
+                (report, (i, seed, p.nut.label()))
             };
             let out = grid.run_each(backwards.clone(), &opts, drive, |_, _| {});
             for (&i, result) in backwards.iter().zip(out) {
@@ -727,7 +711,7 @@ mod tests {
                 );
                 assert_eq!(index, i);
                 assert_eq!(seed, fasttrack_core::sweep::point_seed(grid.base_seed, i));
-                assert_eq!(label, grid.points[i].nut.label);
+                assert_eq!(label, grid.points[i].nut.label());
             }
         }
     }
@@ -866,7 +850,7 @@ mod tests {
         let (json, csv) = &golden_sidecars;
         assert!(json.starts_with('[') && json.ends_with(']'));
         for p in &grid.points {
-            let label = &p.nut.label;
+            let label = p.nut.label();
             assert!(json.contains(&format!("\"config\":\"{label}\"")), "{label}");
         }
         assert!(csv.starts_with("index,config,pattern,rate,seed,packets,"));
@@ -967,15 +951,10 @@ mod tests {
         // than the chains-off drop baseline at equal seeds — via
         // express demotion on the Inject policy (one channel) and via
         // channel switching on the Full policy (two channels).
-        let inject = NocUnderTest {
-            label: "FTlite(64,2,2)".into(),
-            topology: TopologySpec::Torus(NocConfig::fasttrack(8, 2, 2, FtPolicy::Inject).unwrap()),
-            channels: 1,
-        };
+        let inject = NocUnderTest::from_spec("ftlite:8:2:2".parse().unwrap());
         let full = NocUnderTest {
-            label: "FT(64,2,2) 2x".into(),
-            topology: TopologySpec::Torus(NocConfig::fasttrack(8, 2, 2, FtPolicy::Full).unwrap()),
             channels: 2,
+            ..NocUnderTest::fasttrack(8, 2, 2)
         };
         let grid = SweepGrid::cross(&[inject, full], &[Pattern::Random], &[0.3], 0x57)
             .with_packets_per_pe(100);

@@ -2,7 +2,21 @@
 //! terminal, CSV for `fasttrack figure --out`, and Markdown for the
 //! generated EXPERIMENTS.md.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
+
+/// One CSV field, quoted on demand: a cell holding a comma or a double
+/// quote is wrapped in quotes with its own quotes doubled, any other
+/// cell is written as it is. Every CSV the harness and the CLI write
+/// escapes its text cells here, so a row has as many fields as its
+/// header whatever its fabric's name (`FT(64,2,1)` holds commas).
+pub fn csv_field(cell: &str) -> Cow<'_, str> {
+    if cell.contains(',') || cell.contains('"') {
+        Cow::Owned(format!("\"{}\"", cell.replace('"', "\"\"")))
+    } else {
+        Cow::Borrowed(cell)
+    }
+}
 
 /// A simple column-aligned table.
 #[derive(Debug, Clone)]
@@ -73,31 +87,17 @@ impl Table {
         out
     }
 
-    /// Renders CSV (headers + rows, comma-separated, quotes on demand).
+    /// Renders CSV (headers + rows, comma-separated, each cell through
+    /// [`csv_field`]).
     pub fn to_csv(&self) -> String {
-        let esc = |c: &str| {
-            if c.contains(',') || c.contains('"') {
-                format!("\"{}\"", c.replace('"', "\"\""))
-            } else {
-                c.to_string()
-            }
+        let line = |cells: &[String]| {
+            let fields: Vec<Cow<'_, str>> = cells.iter().map(|c| csv_field(c)).collect();
+            fields.join(",")
         };
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
+        let _ = writeln!(out, "{}", line(&self.headers));
         for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
-            );
+            let _ = writeln!(out, "{}", line(row));
         }
         out
     }
@@ -150,6 +150,8 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.starts_with("\"a,b\",c"));
         assert!(csv.contains("\"v,1\",plain"));
+        assert_eq!(csv_field("a \"b\""), "\"a \"\"b\"\"\"");
+        assert_eq!(csv_field("Hoplite 8x8"), "Hoplite 8x8");
     }
 
     #[test]

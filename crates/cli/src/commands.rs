@@ -1,6 +1,7 @@
 //! CLI subcommand implementations. Each returns its report as a string
 //! so the logic is unit-testable; `main` only prints.
 
+use fasttrack_bench::csv_field;
 use fasttrack_bench::figures::{catalog, experiments_md, Scale, Verdict};
 use fasttrack_bench::fuzz::{fuzz, FuzzConfig};
 use fasttrack_bench::journal::run_journaled;
@@ -492,7 +493,7 @@ pub fn cmd_faults(flags: &Flags) -> Result<String, CliError> {
         let _ = write!(
             json,
             "\"noc\":\"{}\",\"fault_seed\":{fault_seed}",
-            run.topology.display_name()
+            run.topology.bank_name(run.channels)
         );
         json.push_str(",\"faults\":[");
         for (i, f) in plan.faults().iter().enumerate() {
@@ -625,20 +626,13 @@ pub fn cmd_storm(flags: &Flags) -> Result<String, CliError> {
     // Channel replication (and the fallback chains that exploit it) is
     // a torus feature; SHG/mesh points run single-channel with inert
     // chains, so a mixed grid still validates.
-    let nut_for = |spec: TopologySpec| match spec {
-        TopologySpec::Torus(config) => {
-            let mut label = config.name();
-            if channels > 1 {
-                use std::fmt::Write as _;
-                let _ = write!(label, " {channels}x");
-            }
-            NocUnderTest {
-                label,
-                topology: TopologySpec::Torus(config),
-                channels,
-            }
-        }
-        other => NocUnderTest::from_spec(other),
+    let nut_for = |topology: TopologySpec| NocUnderTest {
+        channels: if matches!(topology, TopologySpec::Torus(_)) {
+            channels
+        } else {
+            1
+        },
+        topology,
     };
     let grid = match flags.optional("grid") {
         Some(spec) => {
@@ -757,7 +751,8 @@ const DATAPATH_WIDTH: u32 = 256;
 /// paper's Figs 1 and 14 turn on. A fabric that does not fit the device
 /// at that width has no clock, so its per-ns columns read `NA`. The
 /// first topology is the baseline the `vs base` column is relative to.
-/// `--out <path>` writes the table as CSV, its label quoted.
+/// `--out <path>` writes the table as CSV, its label quoted when it
+/// holds a comma.
 pub fn cmd_compare(flags: &Flags) -> Result<String, CliError> {
     let spec_list = flags
         .optional("topologies")
@@ -810,7 +805,8 @@ pub fn cmd_compare(flags: &Flags) -> Result<String, CliError> {
             .map(|(x, base)| if base > 0.0 { x / base } else { 0.0 });
         let _ = writeln!(
             csv,
-            "\"{label}\",{nodes},{},{},{cells},{},{},{},{rate_per_pe:.6},{:.2},{p99},{},{}",
+            "{},{nodes},{},{},{cells},{},{},{},{rate_per_pe:.6},{:.2},{p99},{},{}",
+            csv_field(&label),
             cost.luts,
             cost.ffs,
             na(mhz, 1),
@@ -996,10 +992,18 @@ pub fn cmd_sweep(flags: &Flags) -> Result<String, CliError> {
         }
         return Ok(csv);
     }
-    let mut out = String::from("config         pattern      rate    sustained  avg-lat   worst\n");
+    // The config column is as wide as its longest name.
+    let width = outcome
+        .ran()
+        .map(|(_, row, _)| row.label.len())
+        .fold("config".len(), usize::max);
+    let mut out = format!(
+        "{:<width$} pattern      rate    sustained  avg-lat   worst\n",
+        "config"
+    );
     for (_, row, _) in outcome.ran() {
         out.push_str(&format!(
-            "{:<14} {:<12} {:<7.2} {:<10.4} {:<9.1} {}\n",
+            "{:<width$} {:<12} {:<7.2} {:<10.4} {:<9.1} {}\n",
             row.label,
             row.pattern.to_string(),
             row.rate,
@@ -1023,8 +1027,8 @@ pub fn cmd_cost(flags: &Flags) -> Result<String, CliError> {
     let topo = topology_of(&spec);
     let cost = noc_cost(&*topo, width).replicated(channels);
     let mut out = format!(
-        "{} @{width}b x{channels} on {}\n  LUTs {}  FFs {}  wire bundles/cut {}\n",
-        spec.display_name(),
+        "{} @{width}b on {}\n  LUTs {}  FFs {}  wire bundles/cut {}\n",
+        spec.bank_name(channels as usize),
         device.name,
         cost.luts,
         cost.ffs,
@@ -1771,7 +1775,7 @@ mod tests {
         let zero = run(argv("cost --noc hoplite:8 --channels 0")).unwrap();
         assert_eq!(zero, run(argv("cost --noc hoplite:8")).unwrap());
         assert!(
-            zero.contains("x1 ") && zero.contains("LUTs 33664"),
+            zero.starts_with("Hoplite 8x8 @256b on ") && zero.contains("LUTs 33664"),
             "{zero}"
         );
     }
@@ -1822,6 +1826,78 @@ mod tests {
         assert!(out.contains("Mesh 4x4"), "mesh row missing: {out}");
         // 3 topologies x 1 pattern x 1 rate + header.
         assert_eq!(out.lines().count(), 1 + 3);
+    }
+
+    /// One fabric, one name: every command that prints a fabric prints
+    /// the name `NocUnderTest::label` derives, and no two fabrics share
+    /// one. `sweep` and `compare` run single channels only.
+    #[test]
+    fn every_command_prints_one_name_per_fabric() {
+        let cases = [
+            ("hoplite:4", 1, "Hoplite 4x4"),
+            ("ft:4:2:1", 1, "FT(16,2,1)"),
+            ("ftlite:4:2:1", 1, "FTlite(16,2,1)"),
+            ("shg:4:1", 1, "SHG(16,1)"),
+            ("mesh:4:2", 1, "Mesh 4x4 (depth 2)"),
+            ("ft:4:2:1", 2, "FT(16,2,1)-2x"),
+        ];
+        let json_str = |json: &str, key: &str| {
+            let at = json.find(&format!("\"{key}\":\"")).expect(key) + key.len() + 4;
+            json[at..].split('"').next().unwrap().to_string()
+        };
+        let dir = std::env::temp_dir().join("fasttrack_cli_one_name");
+        std::fs::create_dir_all(&dir).unwrap();
+        let csv_path = dir.join("compare.csv").display().to_string();
+        let singles: Vec<&str> = cases.iter().filter(|c| c.1 == 1).map(|c| c.0).collect();
+        let sweep = run(argv(&format!(
+            "sweep --grid {};random;0.3 --packets 5 --out csv",
+            singles.join(",")
+        )))
+        .unwrap();
+        let sweep: Vec<Vec<String>> = sweep.lines().map(csv_fields).collect();
+        run(argv(&format!(
+            "compare --topologies {} --packets 5 --out {csv_path}",
+            singles.join(",")
+        )))
+        .unwrap();
+        let compare = std::fs::read_to_string(&csv_path).unwrap();
+        let compare: Vec<Vec<String>> = compare.lines().map(csv_fields).collect();
+        for (i, &(spec, channels, name)) in cases.iter().enumerate() {
+            let flags = format!("--noc {spec} --channels {channels} --packets 5");
+            let simulate = run(argv(&format!("simulate {flags}"))).unwrap();
+            let storm = run(argv(&format!("storm {flags} --min-delivered 0 --json"))).unwrap();
+            let faults = run(argv(&format!("faults {flags} --json"))).unwrap();
+            let cost = run(argv(&format!("cost --noc {spec} --channels {channels}"))).unwrap();
+            let nut = NocUnderTest {
+                channels,
+                ..NocUnderTest::from_spec(parse_topology(spec).unwrap())
+            };
+            let mut seen = vec![
+                ("simulate", simulate.split(": ").next().unwrap().to_string()),
+                ("storm --json", json_str(&storm, "config")),
+                ("faults --json", json_str(&faults, "noc")),
+                ("cost", cost.split(" @").next().unwrap().to_string()),
+                ("NocUnderTest::label", nut.label()),
+            ];
+            if channels == 1 {
+                assert_eq!(
+                    sweep[i + 1].len(),
+                    sweep[0].len(),
+                    "{spec}: {:?}",
+                    sweep[i + 1]
+                );
+                assert_eq!(compare[i + 1].len(), compare[0].len(), "{spec}");
+                seen.push(("sweep --out csv", sweep[i + 1][0].clone()));
+                seen.push(("compare --out", compare[i + 1][0].clone()));
+            }
+            for (source, printed) in seen {
+                assert_eq!(printed, name, "{spec} x{channels} in {source}");
+            }
+        }
+        let mut names: Vec<&str> = cases.iter().map(|c| c.2).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), cases.len(), "distinct specs, distinct names");
     }
 
     #[test]

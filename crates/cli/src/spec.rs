@@ -243,6 +243,7 @@ pub fn parse_grid(spec: &str) -> Result<GridSpec, SpecError> {
 mod tests {
     use super::*;
     use fasttrack_core::config::FtPolicy;
+    use fasttrack_core::topology::Topology;
     use fasttrack_traffic::scenario::ScenarioHeader;
 
     #[test]

@@ -359,22 +359,6 @@ impl NocConfig {
             NocKind::FastTrack { d, .. } => delta.is_multiple_of(gcd(d, self.n)),
         }
     }
-
-    /// Short human-readable name, e.g. `Hoplite 8x8` or `FT(64,2,1)`.
-    pub fn name(&self) -> String {
-        match self.kind {
-            NocKind::Hoplite => format!("Hoplite {0}x{0}", self.n),
-            NocKind::FastTrack { d, r, .. } => {
-                format!("FT({},{},{})", self.num_nodes(), d, r)
-            }
-        }
-    }
-}
-
-impl fmt::Display for NocConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name())
-    }
 }
 
 /// Computes, for every ring offset `delta` in `0..n`, the minimal number of

@@ -568,6 +568,7 @@ pub(crate) mod tests {
     use crate::port::OutSet;
     use crate::router::allowed_outputs;
     use crate::routing::demoted_prefs;
+    use crate::topology::Topology;
 
     /// The six fabrics the kernel's exhaustive tests cover: every policy,
     /// depopulated and not, two sizes.

@@ -31,6 +31,10 @@ impl std::error::Error for MeshConfigError {}
 /// low-radix" class — CONNECT, Split-Merge, OpenSMART), XY
 /// dimension-ordered routing, input FIFOs with credit-based flow
 /// control, round-robin output arbitration, single-flit packets.
+///
+/// It prints as `Mesh 8x8 (depth 4)`, the name
+/// [`TopologySpec::display_name`](crate::topology::TopologySpec::display_name)
+/// gives every fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeshConfig {
     n: u16,
@@ -67,17 +71,6 @@ impl MeshConfig {
     pub(crate) fn buffer_depth(&self) -> usize {
         self.buffer_depth
     }
-
-    /// Display name, e.g. `Mesh 8x8 (4-deep)`.
-    pub fn name(&self) -> String {
-        format!("Mesh {0}x{0} ({1}-deep)", self.n, self.buffer_depth)
-    }
-}
-
-impl fmt::Display for MeshConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name())
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +83,6 @@ mod tests {
         assert_eq!(c.n(), 8);
         assert_eq!(c.num_nodes(), 64);
         assert_eq!(c.buffer_depth(), 4);
-        assert_eq!(c.name(), "Mesh 8x8 (4-deep)");
     }
 
     #[test]

@@ -21,7 +21,7 @@ impl SimEngine for MeshNoc {
     }
 
     fn report_name(&self) -> String {
-        self.config().name()
+        MeshTopology::new(*self.config()).name()
     }
 
     fn step_cycle<S: EventSink>(

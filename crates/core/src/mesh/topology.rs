@@ -35,10 +35,6 @@ impl MeshTopology {
 }
 
 impl Topology for MeshTopology {
-    fn name(&self) -> String {
-        self.cfg.name()
-    }
-
     fn spec(&self) -> TopologySpec {
         TopologySpec::Mesh {
             n: self.cfg.n(),

@@ -87,10 +87,6 @@ pub struct WindowedMetrics {
     cur_index: u64,
     /// One past the last cycle any event or cycle marker reached.
     horizon: u64,
-    /// Cycle of the driver's warmup reset, if one was emitted.
-    warmup_reset_at: Option<u64>,
-    /// True if the driver reported a truncated run.
-    truncated: bool,
 }
 
 impl WindowedMetrics {
@@ -108,8 +104,6 @@ impl WindowedMetrics {
             cur: EpochStats::default(),
             cur_index: 0,
             horizon: 0,
-            warmup_reset_at: None,
-            truncated: false,
         }
     }
 
@@ -224,11 +218,13 @@ impl EventSink for WindowedMetrics {
                 self.cur.latency.record(delivery.total_latency());
             }
             SimEvent::QueueStall { .. } => self.cur.stalls += 1,
-            // Fault events feed the health monitor's dedicated counters;
-            // windowed epochs track only the throughput-side signals.
-            SimEvent::FaultDrop { .. } | SimEvent::FaultReroute { .. } => {}
-            SimEvent::WarmupReset { cycle } => self.warmup_reset_at = Some(cycle),
-            SimEvent::Truncated { .. } => self.truncated = true,
+            // Fault events feed the health monitor's dedicated counters
+            // and driver markers only advance the epochs; windowed
+            // epochs track only the throughput-side signals.
+            SimEvent::FaultDrop { .. }
+            | SimEvent::FaultReroute { .. }
+            | SimEvent::WarmupReset { .. }
+            | SimEvent::Truncated { .. } => {}
         }
     }
 
@@ -409,12 +405,14 @@ mod tests {
     }
 
     #[test]
-    fn driver_markers_recorded() {
+    fn driver_markers_count_no_traffic() {
         let mut m = WindowedMetrics::new(4, 10);
         m.emit(&SimEvent::WarmupReset { cycle: 30 });
         m.emit(&SimEvent::Truncated { cycle: 90 });
-        assert_eq!(m.warmup_reset_at, Some(30));
-        assert!(m.truncated);
+        let epochs = m.finish();
+        assert_eq!(epochs.len(), 10, "markers advance the epochs");
+        let counted = |e: &EpochStats| e.injected + e.delivered + e.decisions + e.stalls;
+        assert!(epochs.iter().all(|e| counted(e) == 0));
     }
 
     #[test]

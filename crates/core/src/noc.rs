@@ -838,6 +838,7 @@ impl Noc {
 mod tests {
     use super::*;
     use crate::config::{ExitPolicy, FtPolicy, NocConfig};
+    use crate::topology::Topology;
     use proptest::prelude::*;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 

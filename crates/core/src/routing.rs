@@ -17,6 +17,7 @@ use crate::config::{FtPolicy, NocConfig};
 use crate::geom::Coord;
 use crate::port::{InPort, OutPort, OutSet};
 use crate::router::{allowed_outputs, RouterClass};
+use crate::topology::Topology;
 
 /// An ordered preference list plus the statistics classification sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -42,7 +42,7 @@ use crate::profile::{self, EventCounter, SessionProfile};
 use crate::queue::InjectQueues;
 use crate::shg::{ShgBackend, ShgNoc};
 use crate::stats::SimStats;
-use crate::topology::{MonitorShape, TopologySpec};
+use crate::topology::{MonitorShape, Topology, TopologySpec};
 use crate::trace::{EventSink, NullSink, SimEvent};
 
 /// A workload that feeds the NoC.
@@ -287,7 +287,7 @@ impl SimEngine for MultiNoc {
     }
 
     fn report_name(&self) -> String {
-        format!("{}-{}x", self.config().name(), self.num_channels())
+        self.config().spec().bank_name(self.num_channels())
     }
 
     fn step_cycle<S: EventSink>(
@@ -907,7 +907,9 @@ impl<'s, B: SessionBackend, K: EventSink> SimSession<'s, B, K> {
 impl<'s, K: EventSink> SimSession<'s, TorusBackend, K> {
     /// Runs a `channels`-way replicated bank (multi-channel Hoplite, the
     /// paper's iso-wiring comparison point) instead of a single NoC.
-    /// The report name gains a `-{channels}x` suffix.
+    /// The report name is
+    /// [`TopologySpec::bank_name`](crate::topology::TopologySpec::bank_name):
+    /// `-<k>x` is appended above one channel.
     ///
     /// The engine panics on `channels == 0` when the session runs.
     pub fn channels(mut self, channels: usize) -> Self {

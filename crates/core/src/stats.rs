@@ -131,36 +131,17 @@ impl Histogram {
 }
 
 /// Streaming aggregate of a latency population: its histogram (which
-/// carries count and sum) plus the exact extremes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// carries count and sum) plus the exact worst case.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyStats {
     max: u64,
-    min: u64,
     histogram: Histogram,
 }
 
-impl Default for LatencyStats {
-    /// `LatencyStats::new`: `min` is primed so the first sample sets
-    /// it, which an all-zero aggregate would not.
-    fn default() -> Self {
-        LatencyStats::new()
-    }
-}
-
 impl LatencyStats {
-    /// Creates an empty aggregate.
-    pub(crate) fn new() -> Self {
-        LatencyStats {
-            max: 0,
-            min: u64::MAX,
-            histogram: Histogram::default(),
-        }
-    }
-
     /// Records one latency sample.
     pub(crate) fn record(&mut self, latency: u64) {
         self.max = self.max.max(latency);
-        self.min = self.min.min(latency);
         self.histogram.record(latency);
     }
 
@@ -182,7 +163,6 @@ impl LatencyStats {
     /// Merges another aggregate into this one.
     pub(crate) fn merge(&mut self, other: &LatencyStats) {
         self.max = self.max.max(other.max);
-        self.min = self.min.min(other.min);
         self.histogram.merge(&other.histogram);
     }
 }
@@ -451,7 +431,7 @@ mod tests {
 
     #[test]
     fn latency_stats_aggregates() {
-        let mut s = LatencyStats::new();
+        let mut s = LatencyStats::default();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.max(), 0);
         for v in [10, 20, 30] {
@@ -460,30 +440,28 @@ mod tests {
         assert_eq!(s.histogram.count(), 3);
         assert!((s.mean() - 20.0).abs() < 1e-9);
         assert_eq!(s.max(), 30);
-        assert_eq!(s.min, 10);
     }
 
     #[test]
     fn latency_stats_default_is_the_empty_aggregate() {
         let mut s = LatencyStats::default();
-        assert_eq!(s, LatencyStats::new());
+        assert_eq!((s.histogram.count(), s.max(), s.mean()), (0, 0, 0.0));
         s.record(5);
-        assert_eq!(s.min, 5);
+        assert_eq!(s.max(), 5);
         let mut stats = SimStats::default();
         stats.network_latency.record(7);
-        assert_eq!(stats.network_latency.min, 7);
+        assert_eq!(stats.network_latency.max(), 7);
     }
 
     #[test]
     fn latency_stats_merge() {
-        let mut a = LatencyStats::new();
+        let mut a = LatencyStats::default();
         a.record(5);
-        let mut b = LatencyStats::new();
+        let mut b = LatencyStats::default();
         b.record(15);
         a.merge(&b);
         assert_eq!(a.histogram.count(), 2);
         assert_eq!(a.max(), 15);
-        assert_eq!(a.min, 5);
     }
 
     #[test]

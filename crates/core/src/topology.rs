@@ -194,8 +194,11 @@ impl TopoRouteLut {
 /// assert_eq!(TopoRouteLut::build(&topo).slot(0, 60), Some(path[0].slot));
 /// ```
 pub trait Topology {
-    /// Human-readable name (e.g. `FT(64,2,1)`, `SHG(64,2)`).
-    fn name(&self) -> String;
+    /// The fabric's name, [`TopologySpec::display_name`] of its spec
+    /// (e.g. `FT(64,2,1)`, `SHG(64,2)`).
+    fn name(&self) -> String {
+        self.spec().display_name()
+    }
 
     /// The parseable spec this topology round-trips through.
     fn spec(&self) -> TopologySpec;
@@ -443,10 +446,6 @@ fn torus_next_link(cfg: &NocConfig, at: usize, input: InPort, dst: usize) -> Opt
 /// the same [`RouterClass`] geometry the engines use, so the trait view
 /// and the engine agree on which links exist.
 impl Topology for NocConfig {
-    fn name(&self) -> String {
-        NocConfig::name(self)
-    }
-
     fn spec(&self) -> TopologySpec {
         TopologySpec::Torus(self.clone())
     }
@@ -664,11 +663,6 @@ impl ShgConfig {
     pub(crate) fn num_nodes(&self) -> usize {
         usize::from(self.q) * usize::from(self.q)
     }
-
-    /// Human-readable name, `SHG(nodes,delta)`.
-    pub fn name(&self) -> String {
-        format!("SHG({},{})", self.num_nodes(), self.delta)
-    }
 }
 
 /// The Sparse Hamming Graph as a [`Topology`].
@@ -710,10 +704,6 @@ impl ShgTopology {
 }
 
 impl Topology for ShgTopology {
-    fn name(&self) -> String {
-        self.cfg.name()
-    }
-
     fn spec(&self) -> TopologySpec {
         TopologySpec::Shg(self.cfg)
     }
@@ -819,12 +809,39 @@ pub enum TopologySpec {
 }
 
 impl TopologySpec {
-    /// Human-readable name of the selected topology.
+    /// The fabric's name: the one spelling every label, table, CSV
+    /// `config` field and report line prints, one arm per kind.
+    ///
+    /// `Hoplite 8x8`, `FT(64,2,1)` (the Full lane policy),
+    /// `FTlite(64,2,1)` (the Inject policy), `SHG(64,2)` and
+    /// `Mesh 8x8 (depth 4)`. Distinct specs get distinct names; a bank
+    /// of replicas is named by [`TopologySpec::bank_name`].
     pub fn display_name(&self) -> String {
         match self {
-            TopologySpec::Torus(cfg) => cfg.name(),
-            TopologySpec::Shg(cfg) => cfg.name(),
+            TopologySpec::Torus(cfg) => match cfg.kind() {
+                NocKind::Hoplite => format!("Hoplite {0}x{0}", cfg.n()),
+                NocKind::FastTrack { d, r, policy } => {
+                    let family = match policy {
+                        FtPolicy::Full => "FT",
+                        FtPolicy::Inject => "FTlite",
+                    };
+                    format!("{family}({},{d},{r})", cfg.num_nodes())
+                }
+            },
+            TopologySpec::Shg(cfg) => format!("SHG({},{})", cfg.num_nodes(), cfg.delta()),
             TopologySpec::Mesh { n, depth } => format!("Mesh {n}x{n} (depth {depth})"),
+        }
+    }
+
+    /// The name of `channels` parallel copies of this fabric:
+    /// [`TopologySpec::display_name`] at one channel, `<name>-<k>x`
+    /// above it (`Hoplite 8x8-3x`, `FT(64,2,2)-2x`).
+    pub fn bank_name(&self, channels: usize) -> String {
+        let name = self.display_name();
+        if channels > 1 {
+            format!("{name}-{channels}x")
+        } else {
+            name
         }
     }
 
@@ -1181,7 +1198,6 @@ mod tests {
             ShgConfig::new(8, 4),
             Err(ShgConfigError::StrideTooLong { q: 8, delta: 4 })
         );
-        assert_eq!(ShgConfig::new(8, 2).unwrap().name(), "SHG(64,2)");
     }
 
     #[test]
@@ -1362,6 +1378,35 @@ mod tests {
             "mesh:4".parse::<TopologySpec>().unwrap(),
             TopologySpec::Mesh { n: 4, depth: 4 }
         );
+    }
+
+    /// One spelling per fabric, and per channel count of a bank: the
+    /// name each spec prints, and no two specs sharing one.
+    #[test]
+    fn every_spec_has_one_distinct_name() {
+        let names = [
+            ("hoplite:8", "Hoplite 8x8"),
+            ("hoplite:4", "Hoplite 4x4"),
+            ("ft:8:2:1", "FT(64,2,1)"),
+            ("ftlite:8:2:1", "FTlite(64,2,1)"),
+            ("ft:8:2:2", "FT(64,2,2)"),
+            ("shg:8:2", "SHG(64,2)"),
+            ("mesh:8:4", "Mesh 8x8 (depth 4)"),
+            ("mesh:8:2", "Mesh 8x8 (depth 2)"),
+        ];
+        for (spec, name) in names {
+            let spec: TopologySpec = spec.parse().unwrap();
+            assert_eq!(spec.display_name(), name);
+            assert_eq!(topology_of(&spec).name(), name);
+            assert_eq!(spec.bank_name(1), name);
+        }
+        let mut distinct: Vec<&str> = names.iter().map(|n| n.1).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), names.len());
+        let bank = |s: &str, k| s.parse::<TopologySpec>().unwrap().bank_name(k);
+        assert_eq!(bank("hoplite:8", 3), "Hoplite 8x8-3x");
+        assert_eq!(bank("ft:8:2:2", 2), "FT(64,2,2)-2x");
     }
 
     #[test]

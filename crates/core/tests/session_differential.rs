@@ -277,8 +277,12 @@ proptest! {
         let (direct, direct_events) = run(RouteMode::Direct);
         prop_assert_eq!(&lut, &direct);
         prop_assert_eq!(lut_events, direct_events);
-        // The `-{k}x` naming (including `-1x`) is part of the contract.
-        prop_assert!(lut.config_name.ends_with(&format!("-{channels}x")));
+        // A bank is named `<fabric>-{k}x`; one channel is the plain name.
+        let bank = match channels {
+            1 => cfg.name(),
+            k => format!("{}-{k}x", cfg.name()),
+        };
+        prop_assert_eq!(lut.config_name, bank);
     }
 
     /// Composing everything at once — faults, sink, monitor,

@@ -39,10 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let mpkts = report.aggregate_rate() * mhz;
         let efficiency = mpkts / (cost.luts as f64 / 1000.0);
-        let label = match cfg.ft_policy() {
-            Some(FtPolicy::Inject) => format!("{} lite", cfg.name()),
-            _ => cfg.name(),
-        };
+        let label = cfg.name();
         println!(
             "{:<16} {:>8} {:>7} {:>8.0} {:>10.4} {:>12.1} {:>12.2}",
             label,

@@ -13,6 +13,12 @@
 //! Bernoulli-driven number moved once; no engine or sink changed with
 //! it. `metrics_catalog.txt` holds no values and did not change.
 //!
+//! Three were re-recorded once more, with no number moving, when every
+//! fabric name came to be spelled by `TopologySpec::display_name` and
+//! every CSV text cell escaped by `csv_field`: `storm_ft8.json` names
+//! its two-channel bank `FT(64,2,2)-2x`, and `backends.csv` and
+//! `sweep_attribution.csv` quote the `config` fields that hold commas.
+//!
 //! A deliberate behaviour change re-records them:
 //!
 //! ```text
