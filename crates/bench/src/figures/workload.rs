@@ -13,7 +13,8 @@ use fasttrack_traffic::graph_gen::{graph_benchmarks, rmat, road_network, GraphBe
 use fasttrack_traffic::matrix::{banded, circuit, power_law, spmv_benchmarks, MatrixBenchmark};
 use fasttrack_traffic::multiproc::{parsec_benchmarks, parsec_trace, ParsecProfile};
 use fasttrack_traffic::partition::Partition;
-use fasttrack_traffic::serialize::{flits_for, Transfer, TransferBatchSource};
+use fasttrack_traffic::scenario::{ReplaySource, ScenarioRecord};
+use fasttrack_traffic::serialize::flits_for;
 use fasttrack_traffic::spmv::spmv_source;
 
 use super::{about, f, ft, hoplite, span, threads, Col, Outcome, Scale};
@@ -330,13 +331,18 @@ pub(super) fn serial(scale: Scale) -> Outcome {
     // the cycle cap).
     let cells = sweep(points.clone(), threads(), |_, (nut, width)| {
         let mhz = noc_frequency_mhz(&device, &*topology_of(&nut.topology), width, 1).ok()?;
-        let line = |src| Transfer {
-            src,
-            dst: (src + 19) % 64,
-            bits: CACHELINE_BITS,
+        // Line `tag`'s flits are pushed back to back, all at cycle 0.
+        let flits = |(tag, src): (usize, usize)| {
+            let flit = ScenarioRecord {
+                cycle: 0,
+                src,
+                dst: (src + 19) % 64,
+                tag: tag as u64,
+            };
+            std::iter::repeat_n(flit, flits_for(CACHELINE_BITS, width) as usize)
         };
-        let lines = (0..64usize).flat_map(|src| (0..lines_per_pe).map(move |_| line(src)));
-        let mut source = TransferBatchSource::new(8, width, lines.collect());
+        let lines = (0..64usize).flat_map(|src| std::iter::repeat_n(src, lines_per_pe));
+        let mut source = ReplaySource::new(8, lines.enumerate().flat_map(flits).collect());
         let report = nut.run(&mut source, SimOptions::default());
         Some((mhz, (!report.truncated).then_some(report.cycles)))
     });

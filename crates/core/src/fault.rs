@@ -23,7 +23,7 @@
 //!   [`crate::stats::SimStats::dropped`], so exact conservation holds:
 //!   `delivered + in_flight + dropped == injected`.
 //! * **Stalled injectors** suppress PE injection for a window; queued
-//!   packets wait (counted as injection stalls), nothing is lost.
+//!   packets wait (each waiting head emits a `QueueStall`), nothing is lost.
 
 use std::fmt;
 

@@ -391,9 +391,6 @@ impl MeshNoc {
                     cycle: self.cycle + 1,
                 };
                 self.stats.total_latency.record(delivery.total_latency());
-                self.stats
-                    .network_latency
-                    .record(delivery.network_latency());
                 if S::ENABLED {
                     sink.emit(&SimEvent::Eject {
                         cycle: self.cycle,

@@ -29,8 +29,6 @@ pub struct FlightRecorder {
     slots: Vec<SimEvent>,
     /// One cursor per router; the final one is the driver ring's.
     cursors: Vec<Cursor>,
-    recorded: u64,
-    dropped: u64,
 }
 
 impl FlightRecorder {
@@ -46,19 +44,7 @@ impl FlightRecorder {
             capacity,
             slots: vec![SimEvent::WarmupReset { cycle: 0 }; (nodes + 1) * capacity],
             cursors: vec![Cursor::default(); nodes + 1],
-            recorded: 0,
-            dropped: 0,
         }
-    }
-
-    /// Total events accepted (including since-evicted ones).
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Events evicted to honour the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Ring `ring`'s events, oldest first, as the two runs the cursor
@@ -108,12 +94,7 @@ impl EventSink for FlightRecorder {
         if cursor.next == self.capacity {
             cursor.next = 0;
         }
-        if cursor.len < self.capacity {
-            cursor.len += 1;
-        } else {
-            self.dropped += 1;
-        }
-        self.recorded += 1;
+        cursor.len = (cursor.len + 1).min(self.capacity);
     }
 }
 
@@ -142,8 +123,6 @@ mod tests {
             [7, 8, 9]
         );
         assert!(rec.excerpt(0).is_empty());
-        assert_eq!(rec.recorded(), 10);
-        assert_eq!(rec.dropped(), 7);
     }
 
     #[test]

@@ -601,9 +601,6 @@ impl Noc {
                             cycle: self.cycle + 1,
                         };
                         self.stats.total_latency.record(delivery.total_latency());
-                        self.stats
-                            .network_latency
-                            .record(delivery.network_latency());
                         deliveries.push(delivery);
                         if S::ENABLED {
                             sink.emit(&SimEvent::Eject {
@@ -633,13 +630,10 @@ impl Noc {
             // PE injection: lowest priority, never deflects.
             let inject_ok = gates.as_ref().is_none_or(|g| g.inject_allowed[node]);
             if inject_ok && stalled {
-                // A stalled injector holds its queue; count the stall so
-                // the degradation shows up in the report.
-                if queues.peek(node).is_some() {
-                    self.stats.injection_stalls += 1;
-                    if S::ENABLED {
-                        sink.emit(&queues.stall_event(self.cycle, node));
-                    }
+                // A stalled injector holds its queue; a waiting head
+                // shows as a `QueueStall` event.
+                if S::ENABLED && queues.peek(node).is_some() {
+                    sink.emit(&queues.stall_event(self.cycle, node));
                 }
             } else if inject_ok {
                 if let Some(pending) = queues.peek(node) {
@@ -705,9 +699,6 @@ impl Noc {
                                         cycle: self.cycle + 1,
                                     };
                                     self.stats.total_latency.record(delivery.total_latency());
-                                    self.stats
-                                        .network_latency
-                                        .record(delivery.network_latency());
                                     deliveries.push(delivery);
                                     if S::ENABLED {
                                         sink.emit(&SimEvent::Eject {
@@ -739,7 +730,6 @@ impl Noc {
                             }
                         }
                         None => {
-                            self.stats.injection_stalls += 1;
                             if S::ENABLED {
                                 sink.emit(&queues.stall_event(self.cycle, node));
                             }

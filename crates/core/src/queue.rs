@@ -20,7 +20,6 @@ pub struct InjectQueues {
     nonempty: Vec<u64>,
     next_id: u64,
     pending: usize,
-    enqueued_total: u64,
 }
 
 impl InjectQueues {
@@ -31,7 +30,6 @@ impl InjectQueues {
             nonempty: vec![0; nodes.div_ceil(64)],
             next_id: 0,
             pending: 0,
-            enqueued_total: 0,
         }
     }
 
@@ -56,7 +54,6 @@ impl InjectQueues {
         });
         self.nonempty[src / 64] |= 1 << (src % 64);
         self.pending += 1;
-        self.enqueued_total += 1;
         id
     }
 
@@ -83,9 +80,9 @@ impl InjectQueues {
         self.nonempty[word]
     }
 
-    /// Packets ever enqueued.
+    /// Packets ever enqueued (ids are handed out densely from 0).
     pub fn total_enqueued(&self) -> u64 {
-        self.enqueued_total
+        self.next_id
     }
 
     /// Queue depth at one node.

@@ -337,9 +337,6 @@ impl ShgNoc {
             cycle: self.cycle + 1,
         };
         self.stats.total_latency.record(delivery.total_latency());
-        self.stats
-            .network_latency
-            .record(delivery.network_latency());
         deliveries.push(delivery);
         if S::ENABLED {
             sink.emit(&SimEvent::Eject {
@@ -565,7 +562,6 @@ impl ShgNoc {
             // any link; otherwise the PE needs a free output.
             let chosen = (dst != at).then(|| pick_slot(&self.rows[row..row + deg], live, free).0);
             if stalled || chosen == Some(NO_SLOT) {
-                self.stats.injection_stalls += 1;
                 if S::ENABLED {
                     sink.emit(&queues.stall_event(self.cycle, node));
                 }

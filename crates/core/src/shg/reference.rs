@@ -132,9 +132,6 @@ impl RefShgNoc {
             cycle: self.cycle + 1,
         };
         self.stats.total_latency.record(delivery.total_latency());
-        self.stats
-            .network_latency
-            .record(delivery.network_latency());
         deliveries.push(delivery);
         if S::ENABLED {
             sink.emit(&SimEvent::Eject {
@@ -407,7 +404,6 @@ impl RefShgNoc {
                 continue;
             };
             if stalled {
-                self.stats.injection_stalls += 1;
                 if S::ENABLED {
                     sink.emit(&queues.stall_event(self.cycle, node));
                 }
@@ -492,7 +488,6 @@ impl RefShgNoc {
                     self.forward(node, slot, idx, sink);
                 }
                 None => {
-                    self.stats.injection_stalls += 1;
                     if S::ENABLED {
                         sink.emit(&queues.stall_event(self.cycle, node));
                     }

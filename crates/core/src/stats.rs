@@ -239,14 +239,10 @@ pub struct SimStats {
     pub delivered: u64,
     /// Latency from source-queue entry to delivery.
     pub total_latency: LatencyStats,
-    /// Latency from NoC injection to delivery.
-    pub network_latency: LatencyStats,
     /// Link traversal totals.
     pub link_usage: LinkUsage,
     /// Per-port deflection counters.
     pub ports: PortCounters,
-    /// Cycles in which a PE wanted to inject but stalled.
-    pub injection_stalls: u64,
     /// Packets discarded by injected faults (dead routers, transient
     /// link drops, corruption). Zero on a fault-free fabric. Packet
     /// conservation holds as `delivered + in_flight + dropped ==
@@ -285,14 +281,12 @@ impl SimStats {
         self.injected += other.injected;
         self.delivered += other.delivered;
         self.total_latency.merge(&other.total_latency);
-        self.network_latency.merge(&other.network_latency);
         self.link_usage.short_hops += other.link_usage.short_hops;
         self.link_usage.express_hops += other.link_usage.express_hops;
         for i in 0..4 {
             self.ports.deflections[i] += other.ports.deflections[i];
             self.ports.demotions[i] += other.ports.demotions[i];
         }
-        self.injection_stalls += other.injection_stalls;
         self.dropped += other.dropped;
         self.rerouted += other.rerouted;
         self.fallback_demotions += other.fallback_demotions;
@@ -448,9 +442,6 @@ mod tests {
         assert_eq!((s.histogram.count(), s.max(), s.mean()), (0, 0, 0.0));
         s.record(5);
         assert_eq!(s.max(), 5);
-        let mut stats = SimStats::default();
-        stats.network_latency.record(7);
-        assert_eq!(stats.network_latency.max(), 7);
     }
 
     #[test]

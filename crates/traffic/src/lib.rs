@@ -7,9 +7,9 @@
 //! * [`source`] — the open-loop Bernoulli injector and the [`Message`]
 //!   a closed workload is made of.
 //! * [`scenario`] — recorded push schedules and [`ReplaySource`], which
-//!   plays every fixed schedule: case-study batches, PARSEC traces,
-//!   text traces ([`trace_io`]) and recorded scenarios. Every source
-//!   implements [`fasttrack_core::sim::TrafficSource`].
+//!   plays every fixed schedule: case-study and serialization batches,
+//!   PARSEC traces, text traces ([`trace_io`]) and recorded scenarios.
+//!   Every source implements [`fasttrack_core::sim::TrafficSource`].
 //! * [`matrix`] + [`spmv`] — synthetic Matrix-Market-class matrices and
 //!   Sparse Matrix-Vector Multiplication traffic (Figure 15a).
 //! * [`graph_gen`] + [`graph`] — R-MAT / road-network graphs and

@@ -3,27 +3,11 @@
 //!
 //! A 512-bit x86 cacheline rides a 512-bit NoC as a single Hoplite-style
 //! wide packet; on a 128-bit NoC it must be serialized into four flits.
-//! This module splits logical [`Transfer`]s into per-flit packets,
-//! tracks reassembly at the destination, and reports transfer-level
-//! completion — letting experiments compare *wide-but-slow* against
-//! *narrow-but-fast* configurations on equal terms (cachelines per
-//! second, not packets per cycle).
-
-use fasttrack_core::geom::Coord;
-use fasttrack_core::packet::Delivery;
-use fasttrack_core::queue::InjectQueues;
-use fasttrack_core::sim::TrafficSource;
-
-/// One logical transfer (e.g. a cacheline) between two PEs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Transfer {
-    /// Source PE (node id).
-    pub src: usize,
-    /// Destination PE (node id).
-    pub dst: usize,
-    /// Payload size in bits.
-    pub bits: u32,
-}
+//! [`flits_for`] gives that count. A batch of transfers is then
+//! `flits_for` consecutive cycle-0 records per transfer, tagged with its
+//! index and played by a [`ReplaySource`](crate::scenario::ReplaySource):
+//! experiments compare *wide-but-slow* against *narrow-but-fast* NoCs on
+//! equal terms (cachelines per second, not packets per cycle).
 
 /// Number of flits a transfer needs at `width` bits per packet.
 ///
@@ -35,99 +19,28 @@ pub fn flits_for(bits: u32, width: u32) -> u32 {
     bits.div_ceil(width).max(1)
 }
 
-/// A closed batch of logical transfers, serialized to `width`-bit flits
-/// (all available at cycle 0), with destination-side reassembly.
-///
-/// The flit tag encodes the transfer index, so [`TransferBatchSource`]
-/// can count a transfer complete when its last flit arrives.
-#[derive(Debug, Clone)]
-pub struct TransferBatchSource {
-    n: u16,
-    width: u32,
-    transfers: Vec<Transfer>,
-    /// Remaining undelivered flits per transfer.
-    remaining: Vec<u32>,
-    completed: usize,
-    /// Deliveries whose tag named no outstanding flit of this batch.
-    foreign_flits: u64,
-    pushed: bool,
-}
-
-impl TransferBatchSource {
-    /// Creates the source for an `n × n` NoC of `width`-bit links.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width == 0` or any endpoint is out of range.
-    pub fn new(n: u16, width: u32, transfers: Vec<Transfer>) -> Self {
-        assert!(width > 0);
-        let nodes = n as usize * n as usize;
-        let mut remaining = Vec::with_capacity(transfers.len());
-        for t in &transfers {
-            assert!(
-                t.src < nodes && t.dst < nodes,
-                "transfer endpoint out of range"
-            );
-            remaining.push(flits_for(t.bits, width));
-        }
-        TransferBatchSource {
-            n,
-            width,
-            transfers,
-            remaining,
-            completed: 0,
-            foreign_flits: 0,
-            pushed: false,
-        }
-    }
-}
-
-impl TrafficSource for TransferBatchSource {
-    fn pump(&mut self, cycle: u64, queues: &mut InjectQueues) {
-        if !self.pushed {
-            for (idx, t) in self.transfers.iter().enumerate() {
-                for _ in 0..flits_for(t.bits, self.width) {
-                    queues.push(t.src, Coord::from_node_id(t.dst, self.n), cycle, idx as u64);
-                }
-            }
-            self.pushed = true;
-        }
-    }
-
-    fn on_delivery(&mut self, delivery: &Delivery) {
-        // Bounds-check the tag before using it as an index: a replayed
-        // or foreign trace may carry tags this batch never issued, and
-        // `tag as usize` alone would wrap on 32-bit hosts. Unknown
-        // tags are counted, not indexed with.
-        let tag = delivery.packet.tag;
-        let Ok(idx) = usize::try_from(tag) else {
-            self.foreign_flits += 1;
-            return;
-        };
-        let Some(remaining) = self.remaining.get_mut(idx) else {
-            self.foreign_flits += 1;
-            return;
-        };
-        if *remaining == 0 {
-            self.foreign_flits += 1;
-            return;
-        }
-        *remaining -= 1;
-        if *remaining == 0 {
-            self.completed += 1;
-        }
-    }
-
-    fn exhausted(&self) -> bool {
-        self.pushed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{ReplaySource, ScenarioRecord};
     use fasttrack_core::config::NocConfig;
     use fasttrack_core::sim::SimSession;
+    use fasttrack_core::trace::{SimEvent, VecSink};
+
+    /// The batch for `(src, dst, bits)` transfers at `width` bits: each
+    /// transfer's flits in a row, tagged with the transfer's index.
+    fn batch(width: u32, transfers: &[(usize, usize, u32)]) -> Vec<ScenarioRecord> {
+        let flits = |(tag, &(src, dst, bits)): (usize, _)| {
+            let record = ScenarioRecord {
+                cycle: 0,
+                src,
+                dst,
+                tag: tag as u64,
+            };
+            std::iter::repeat_n(record, flits_for(bits, width) as usize)
+        };
+        transfers.iter().enumerate().flat_map(flits).collect()
+    }
 
     #[test]
     fn flit_math() {
@@ -145,93 +58,46 @@ mod tests {
     }
 
     #[test]
-    fn serializes_and_reassembles() {
-        let transfers = vec![
-            Transfer {
-                src: 0,
-                dst: 5,
-                bits: 512,
-            },
-            Transfer {
-                src: 3,
-                dst: 12,
-                bits: 512,
-            },
-        ];
-        let mut src = TransferBatchSource::new(4, 128, transfers);
-        assert_eq!(src.remaining.iter().sum::<u32>(), 8);
-        assert_eq!(src.transfers.len(), 2);
+    fn serialized_batch_delivers_every_flit() {
+        let transfers = [(0, 5, 512), (3, 12, 512), (7, 7, 200), (9, 2, 1)];
+        let mut sink = VecSink::new();
         let cfg = NocConfig::hoplite(4).unwrap();
-        let report = SimSession::new(&cfg).run(&mut src).unwrap().report;
+        let report = SimSession::new(&cfg)
+            .with_sink(&mut sink)
+            .run(&mut ReplaySource::new(4, batch(128, &transfers)))
+            .unwrap()
+            .report;
         assert!(!report.truncated);
-        assert_eq!(report.stats.delivered, 8);
-        assert_eq!(src.completed, 2);
-        assert_eq!(src.foreign_flits, 0);
-    }
-
-    #[test]
-    fn foreign_tags_are_counted_not_indexed() {
-        use fasttrack_core::packet::{Packet, PacketId};
-        let at = Coord::new(0, 0);
-        let mut src = TransferBatchSource::new(
-            4,
-            128,
-            vec![Transfer {
-                src: 0,
-                dst: 5,
-                bits: 128,
-            }],
-        );
-        let mk = |tag| Delivery {
-            packet: Packet {
-                id: PacketId(0),
-                src: at,
-                dst: Coord::new(1, 1),
-                enqueued_at: 0,
-                injected_at: 0,
-                short_hops: 0,
-                express_hops: 0,
-                deflections: 0,
-                tag,
-            },
-            cycle: 3,
-        };
-        // Out-of-range index, u64 wider than usize range, and a
-        // double-delivery of an already-complete transfer.
-        src.on_delivery(&mk(99));
-        src.on_delivery(&mk(u64::MAX));
-        src.on_delivery(&mk(0));
-        src.on_delivery(&mk(0));
-        assert_eq!(src.completed, 1);
-        assert_eq!(src.foreign_flits, 3);
+        assert_eq!(report.stats.delivered, 4 + 4 + 2 + 1);
+        // Every flit of transfer `i` arrives at its destination, tagged `i`.
+        let mut arrived = [0u32; 4];
+        for event in &sink.events {
+            if let SimEvent::Eject { node, delivery, .. } = event {
+                let tag = delivery.packet.tag as usize;
+                assert_eq!(*node, transfers[tag].1);
+                arrived[tag] += 1;
+            }
+        }
+        assert_eq!(arrived, transfers.map(|(_, _, bits)| flits_for(bits, 128)));
     }
 
     #[test]
     fn wide_links_need_fewer_cycles_per_cacheline() {
         // 200 cachelines from each PE to a partner: at 512b each is one
         // packet; at 128b it is four — the narrow run takes ~4x longer.
-        let mk = |width| {
-            let transfers: Vec<Transfer> = (0..16)
-                .flat_map(|s| {
-                    (0..200).map(move |_| Transfer {
-                        src: s,
-                        dst: (s + 7) % 16,
-                        bits: 512,
-                    })
-                })
-                .collect();
-            TransferBatchSource::new(4, width, transfers)
-        };
+        let transfers: Vec<_> = (0..16)
+            .flat_map(|s| std::iter::repeat_n((s, (s + 7) % 16, 512), 200))
+            .collect();
         let cfg = NocConfig::hoplite(4).unwrap();
-        let wide = {
-            let mut s = mk(512);
-            SimSession::new(&cfg).run(&mut s).unwrap().report
+        let cycles = |width| {
+            let mut source = ReplaySource::new(4, batch(width, &transfers));
+            SimSession::new(&cfg)
+                .run(&mut source)
+                .unwrap()
+                .report
+                .cycles
         };
-        let narrow = {
-            let mut s = mk(128);
-            SimSession::new(&cfg).run(&mut s).unwrap().report
-        };
-        let ratio = narrow.cycles as f64 / wide.cycles as f64;
+        let ratio = cycles(128) as f64 / cycles(512) as f64;
         assert!(
             (3.0..=5.0).contains(&ratio),
             "serialization ratio {ratio:.2}"

@@ -20,14 +20,27 @@ fn check_all_subsets<B: SessionBackend + Clone>(name: &str, backend: B, side: u1
         .with_sink(&mut reference)
         .run(&mut source())
         .unwrap();
-    let eject_latency: u64 = reference
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            SimEvent::Eject { delivery, .. } => Some(delivery.total_latency()),
-            _ => None,
-        })
-        .sum();
+    // Every delivery's `injected_at` is the cycle of its packet's
+    // `Inject` event, on every engine.
+    let mut injected_at = std::collections::HashMap::new();
+    let mut eject_latency = 0;
+    for event in &reference.events {
+        match *event {
+            SimEvent::Inject { cycle, packet, .. } => {
+                injected_at.insert(packet, cycle);
+            }
+            SimEvent::Eject { delivery, .. } => {
+                let p = delivery.packet;
+                assert_eq!(
+                    injected_at.get(&p.id),
+                    Some(&p.injected_at),
+                    "{name}: {p:?}"
+                );
+                eject_latency += delivery.total_latency();
+            }
+            _ => {}
+        }
+    }
 
     for mask in 0u8..16 {
         let [sink_on, monitor, attribution, profile] = [0, 1, 2, 3].map(|bit| mask >> bit & 1 == 1);
