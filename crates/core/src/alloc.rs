@@ -429,230 +429,6 @@ mod tests {
         assert!(feasible(&[], 0));
     }
 
-    /// The allocator as it stood before it moved into slot-mask space —
-    /// iterator-built masks, unconditional recursion, the general loop
-    /// for every input count — kept as the oracle for the closed forms.
-    mod reference {
-        use super::super::{slot_bit, Assignment, MAX_IN_FLIGHT};
-        use crate::config::ExitPolicy;
-        use crate::port::{OutPort, OutSet};
-        use crate::routing::RoutePrefs;
-
-        pub(crate) fn slot_mask(ports: OutSet, exit: ExitPolicy) -> u8 {
-            let mut m = 0u8;
-            for p in ports.iter() {
-                m |= slot_bit(p, exit);
-            }
-            m
-        }
-
-        pub(crate) fn feasible(masks: &[u8], free: u8) -> bool {
-            match masks.split_first() {
-                None => true,
-                Some((&first, rest)) => {
-                    let mut options = first & free;
-                    while options != 0 {
-                        let bit = options & options.wrapping_neg();
-                        options &= options - 1;
-                        if feasible(rest, free & !bit) {
-                            return true;
-                        }
-                    }
-                    false
-                }
-            }
-        }
-
-        pub(crate) fn try_allocate(
-            inputs: &[RoutePrefs],
-            available: OutSet,
-            exit: ExitPolicy,
-        ) -> Assignment {
-            let mut assignment: Assignment = [None; MAX_IN_FLIGHT];
-            let mut free = slot_mask(available, exit);
-            let mut remaining: [u8; MAX_IN_FLIGHT] = [0; MAX_IN_FLIGHT];
-            for (i, prefs) in inputs.iter().enumerate() {
-                let set: OutSet = prefs.ports().iter().copied().collect();
-                remaining[i] = slot_mask(set.intersect(available), exit);
-            }
-            for (i, prefs) in inputs.iter().enumerate() {
-                let rest = &remaining[i + 1..inputs.len()];
-                let mut chosen = None;
-                for &p in prefs.ports() {
-                    if !available.contains(p) {
-                        continue;
-                    }
-                    let bit = slot_bit(p, exit);
-                    if free & bit == 0 {
-                        continue;
-                    }
-                    if feasible(rest, free & !bit) {
-                        chosen = Some(p);
-                        break;
-                    }
-                }
-                if chosen.is_none() {
-                    chosen = prefs
-                        .ports()
-                        .iter()
-                        .copied()
-                        .find(|&p| available.contains(p) && free & slot_bit(p, exit) != 0);
-                }
-                if let Some(p) = chosen {
-                    free &= !slot_bit(p, exit);
-                }
-                assignment[i] = chosen;
-            }
-            assignment
-        }
-
-        pub(crate) fn try_inject(
-            pe_prefs: &RoutePrefs,
-            available: OutSet,
-            taken: &[OutPort],
-            exit: ExitPolicy,
-        ) -> Option<OutPort> {
-            let mut free = slot_mask(available, exit);
-            for &p in taken {
-                free &= !slot_bit(p, exit);
-            }
-            pe_prefs
-                .ports()
-                .iter()
-                .copied()
-                .find(|&p| available.contains(p) && free & slot_bit(p, exit) != 0)
-        }
-    }
-
-    const POLICIES: [ExitPolicy; 2] = [ExitPolicy::SharedWithSouth, ExitPolicy::Dedicated];
-
-    /// All 32 subsets of the five output ports.
-    fn all_out_sets() -> impl Iterator<Item = OutSet> {
-        (0u8..32).map(|bits| {
-            OutPort::ALL
-                .into_iter()
-                .filter(|p| bits >> p.index() & 1 == 1)
-                .collect()
-        })
-    }
-
-    #[test]
-    fn slot_mask_and_feasible_match_the_reference_exhaustively() {
-        for exit in POLICIES {
-            for ports in all_out_sets() {
-                assert_eq!(
-                    slot_mask(ports, exit),
-                    reference::slot_mask(ports, exit),
-                    "{ports:?} {exit:?}"
-                );
-            }
-        }
-        // Every slot mask is five bits: all tuples of up to three.
-        for free in 0u8..32 {
-            assert!(feasible(&[], free));
-            for a in 0u8..32 {
-                assert_eq!(feasible(&[a], free), reference::feasible(&[a], free));
-                for b in 0u8..32 {
-                    let two = [a, b];
-                    assert_eq!(feasible(&two, free), reference::feasible(&two, free));
-                    for c in 0u8..32 {
-                        let three = [a, b, c];
-                        assert_eq!(
-                            feasible(&three, free),
-                            reference::feasible(&three, free),
-                            "{three:?} free {free:#b}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Both exit policies x all 32 `available` sets x the input tuples
-    /// the LUT alphabet can form: the whole alphabet in every position
-    /// for up to two inputs, and for three and four one list per distinct
-    /// in-flight port in priority order (the only such sets a router can
-    /// hold). Each assignment must equal the reference's; then the PE's
-    /// injection port must, for every list a PE can hold, over every prefix
-    /// of every port sequence an assignment took.
-    #[test]
-    fn allocation_matches_the_reference_exhaustively() {
-        use std::collections::BTreeSet;
-        let by_port = crate::kernel::tests::distinct_prefs_by_port();
-        let mut alphabet: Vec<RoutePrefs> = Vec::new();
-        for prefs in by_port.iter().flatten() {
-            if !alphabet.iter().any(|p| p.ports() == prefs.ports()) {
-                alphabet.push(*prefs);
-            }
-        }
-        let pe_alphabet = &by_port[InPort::Pe.index()];
-        assert!(alphabet.len() > 30 && pe_alphabet.len() > 5);
-
-        for exit in POLICIES {
-            for available in all_out_sets() {
-                let mut assignments: BTreeSet<Assignment> = BTreeSet::new();
-                let mut check = |inputs: &[RoutePrefs]| {
-                    let got = try_allocate(inputs, available, exit);
-                    assert_eq!(
-                        got,
-                        reference::try_allocate(inputs, available, exit),
-                        "{:?} on {available:?} {exit:?}",
-                        inputs.iter().map(|p| p.ports()).collect::<Vec<_>>()
-                    );
-                    assignments.insert(got);
-                };
-                check(&[]);
-                for &a in &alphabet {
-                    check(&[a]);
-                    for &b in &alphabet {
-                        check(&[a, b]);
-                    }
-                }
-                let [w_ex, n_ex, w_sh, n_sh, _] = &by_port;
-                for (&a, &b, &c) in triples(w_ex, n_ex, w_sh) {
-                    check(&[a, b, c]);
-                    for &d in n_sh {
-                        check(&[a, b, c, d]);
-                    }
-                }
-                for (&a, &b, &c) in triples(w_ex, n_ex, n_sh)
-                    .chain(triples(w_ex, w_sh, n_sh))
-                    .chain(triples(n_ex, w_sh, n_sh))
-                {
-                    check(&[a, b, c]);
-                }
-
-                let mut taken_prefixes: BTreeSet<Vec<OutPort>> = BTreeSet::new();
-                for got in &assignments {
-                    let taken: Vec<OutPort> = got.iter().flatten().copied().collect();
-                    for k in 0..=taken.len() {
-                        taken_prefixes.insert(taken[..k].to_vec());
-                    }
-                }
-                for taken in &taken_prefixes {
-                    for pe in pe_alphabet {
-                        assert_eq!(
-                            inject(pe, available, taken, exit),
-                            reference::try_inject(pe, available, taken, exit),
-                            "{:?} after {taken:?} on {available:?} {exit:?}",
-                            pe.ports()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// The cross product of three alphabets.
-    fn triples<'a, T>(
-        a: &'a [T],
-        b: &'a [T],
-        c: &'a [T],
-    ) -> impl Iterator<Item = (&'a T, &'a T, &'a T)> {
-        a.iter()
-            .flat_map(move |x| b.iter().flat_map(move |y| c.iter().map(move |z| (x, y, z))))
-    }
-
     /// Hoplite: W at destination (wants exit), N wants south. Exit shares
     /// the S_sh slot, so N must deflect east — the canonical Hoplite
     /// deflection.

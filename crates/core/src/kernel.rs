@@ -583,25 +583,6 @@ pub(crate) mod tests {
         ]
     }
 
-    /// The allocator's input alphabet: every distinct port list the six
-    /// [`configs`] LUTs hold, grouped by the input port it is keyed under
-    /// ([`InPort::index`] order; the unfilled-key filler included).
-    pub(crate) fn distinct_prefs_by_port() -> [Vec<RoutePrefs>; 5] {
-        let mut by_port: [Vec<RoutePrefs>; 5] = Default::default();
-        for cfg in configs() {
-            let lut = RouteLut::build(&cfg);
-            for (cp, lists) in lut.lists.iter().enumerate() {
-                let seen = &mut by_port[cp % 5];
-                for prefs in &lists[..lut.counts[cp] as usize] {
-                    if !seen.iter().any(|p| p.ports() == prefs.ports()) {
-                        seen.push(*prefs);
-                    }
-                }
-            }
-        }
-        by_port
-    }
-
     /// Hoplite and every valid `FT(n², d, r)` under both policies.
     fn fabrics_of_side(n: u16) -> Vec<NocConfig> {
         let mut cfgs = vec![NocConfig::hoplite(n).unwrap()];

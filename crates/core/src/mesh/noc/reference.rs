@@ -1,9 +1,11 @@
-//! The dense mesh engine as it stood before the active-set walk: three
-//! `0..nodes` scans per cycle, a five-way `% 5` search per output per
-//! router, and an O(nodes x moves) stall pass under an enabled sink.
-//! Kept verbatim as the oracle the differential tests in
-//! [`super::tests`] compare [`super::MeshNoc`] against; it exists only
-//! under `#[cfg(test)]`.
+//! A dense mesh engine: three `0..nodes` scans per cycle, a five-way
+//! `% 5` search per output per router, and an O(nodes x moves) stall
+//! pass under an enabled sink. It exists only under `#[cfg(test)]`, as
+//! the oracle the differential tests in [`super::tests`] drive
+//! [`super::MeshNoc`] against. No other test fails when the short-hop
+//! counter skips a hop a transient fault eats
+//! (`stats.link_usage.short_hops += 1` moved below the transient-fault
+//! `if let`).
 
 use std::collections::VecDeque;
 

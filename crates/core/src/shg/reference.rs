@@ -1,9 +1,12 @@
-//! The dense SHG engine as it stood before the active-set walk: a scan
-//! of every router every cycle, a per-packet search of every output slot
-//! against the full `nodes x nodes` distance table, and whole-`Packet`
-//! copies through the pool. Kept verbatim as the oracle the
-//! differential tests in [`super::tests`] compare [`super::ShgNoc`]
-//! against; it exists only under `#[cfg(test)]`.
+//! A dense SHG engine: a scan of every router every cycle, a per-packet
+//! search of every output slot against the full `nodes x nodes`
+//! distance table, and whole-`Packet` copies through the pool. It exists
+//! only under `#[cfg(test)]`, as the oracle the differential tests in
+//! [`super::tests`] drive [`super::ShgNoc`] against. No other test fails
+//! when a transient-fault drop in `ShgNoc::step_with_sink` also takes
+//! its output slot (the `if self.forward(..)` guard on `free` dropped),
+//! or when `pool_reuse` misses the pool's last free slot
+//! (`free_slots() > 0` read as `> 1`).
 
 use super::{build_dist, EMPTY_SLOT, UNREACHABLE};
 use crate::fault::{FaultError, FaultPlan};

@@ -452,8 +452,8 @@ impl TorusBackend {
 
 /// The engine a [`TorusBackend`] builds. Single-channel sessions drive
 /// a plain [`Noc`]; sessions with an explicit channel count drive a
-/// [`MultiNoc`] even for one channel, because the bank names its report
-/// `…-1x` and arbitrates through the shared-PE gates.
+/// [`MultiNoc`] even for one channel, because the bank arbitrates
+/// through the shared-PE gates.
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)] // engines are built once per session, never stored in bulk
 pub enum TorusEngine {
@@ -560,7 +560,17 @@ impl SpecBackend {
     /// The backend for `spec`. One channel drives a plain single NoC;
     /// any other count a replicated bank (channels apply to torus NoCs
     /// only, matching how `Hoplite` vs `Hoplite-3x` read).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channels > 1` and `spec` is not a torus: only the
+    /// torus engines replicate.
     pub fn new(spec: &TopologySpec, channels: usize) -> Self {
+        assert!(
+            channels <= 1 || matches!(spec, TopologySpec::Torus(_)),
+            "{channels} channels on {}: only a torus replicates",
+            spec.display_name()
+        );
         match spec {
             TopologySpec::Torus(cfg) => {
                 let backend = TorusBackend::new(cfg);
@@ -1017,6 +1027,13 @@ mod tests {
         assert!(!report.truncated);
         assert_eq!(report.stats.delivered, 160);
         assert!(report.config_name.contains("3x"));
+    }
+
+    #[test]
+    #[should_panic(expected = "3 channels on SHG(64,2): only a torus replicates")]
+    fn spec_backend_refuses_channels_off_the_torus() {
+        let spec: TopologySpec = "shg:8:2".parse().unwrap();
+        SpecBackend::new(&spec, 3);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Profiler transparency and span-algebra properties:
 //!
-//! * a profiled [`SimSession`] run must be *report-identical* and
-//!   *event-stream-identical* to an unprofiled one (the same proof shape
-//!   as the monitor-identity differential: profiling observes, never
-//!   perturbs);
+//! * a profiled [`SimSession`] run must be *report-identical* to an
+//!   unprofiled one, and its summary must count the run (the event
+//!   stream under every observer subset is `tests/observer_fanout.rs`'s
+//!   to check);
 //! * spans close strictly LIFO and the sum of child durations never
 //!   exceeds the parent's duration (disjoint sub-intervals in integer
 //!   nanoseconds);
@@ -44,32 +44,6 @@ fn profiled_run_is_report_identical() {
         assert!(profile.summary().drive_seconds > 0.0);
         assert_eq!(profile.summary().delivered, plain.report.stats.delivered);
     }
-}
-
-#[test]
-fn profiled_run_is_event_stream_identical() {
-    let cfg = ft_cfg();
-    let mut plain_sink = VecSink::new();
-    let plain = SimSession::new(&cfg)
-        .with_sink(&mut plain_sink)
-        .run(&mut BatchSource::random(8, 6, 23))
-        .unwrap();
-    let mut profiled_sink = VecSink::new();
-    let profiled = SimSession::new(&cfg)
-        .with_profile()
-        .with_sink(&mut profiled_sink)
-        .run(&mut BatchSource::random(8, 6, 23))
-        .unwrap();
-    assert_eq!(plain.report, profiled.report);
-    assert_eq!(
-        plain_sink.events, profiled_sink.events,
-        "the event stream must be identical with profiling attached"
-    );
-    // The profiler's dispatch counter saw exactly the same stream.
-    assert_eq!(
-        profiled.profile.unwrap().summary().events_dispatched,
-        plain_sink.events.len() as u64
-    );
 }
 
 #[test]

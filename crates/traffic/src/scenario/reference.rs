@@ -1,15 +1,15 @@
-//! The scenario codec and recorder as they stood before they handled
-//! records as integers: `encode` formatting a `String` per line,
-//! `decode` tokenizing every line into a `Vec<&str>` and parsing with
-//! `str::parse`, `RecordingSource::pump` snapshotting every queue
-//! depth and sorting each cycle's pushes by packet id. Kept verbatim as
-//! the oracles the differential tests below compare
-//! [`ScenarioTrace::encode`], [`ScenarioTrace::decode`] and
-//! [`RecordingSource`] against; it exists only under `#[cfg(test)]`.
+//! Test-only oracles for the scenario codec: a `decode` that tokenizes
+//! every line into a `Vec<&str>` and parses it with `str::parse`, and an
+//! `encode_body` that formats a `String` per record line, both hashing
+//! byte by byte with their own `line_hash`. The differential proptests
+//! below compare [`ScenarioTrace::decode`] and [`ScenarioTrace::encode`]
+//! against them. No other test fails when `decode` takes a
+//! whitespace-only line after the trailer for data (`line.trim()`
+//! dropped), lets its canonical fast path read 20-digit numbers
+//! (wrapping), or hashes a loosely spelled line with its trailing
+//! whitespace; or when `encode` stops zero-padding the trailer's
+//! checksum to 16 hex digits.
 
-use fasttrack_core::packet::Delivery;
-use fasttrack_core::queue::InjectQueues;
-use fasttrack_core::sim::TrafficSource;
 use fasttrack_core::sweep::splitmix64;
 
 use super::{ScenarioRecord, ScenarioTrace, TraceError, SCENARIO_MAGIC};
@@ -123,69 +123,13 @@ fn decode(text: &str) -> Result<ScenarioTrace, TraceError> {
     Ok(ScenarioTrace { header, records })
 }
 
-/// The recorder's state and `pump` (its other methods never changed).
-struct RefRecorder<S> {
-    n: u16,
-    inner: S,
-    records: Vec<ScenarioRecord>,
-    depths: Vec<usize>,
-    drained_at: Option<u64>,
-}
-
-impl<S: TrafficSource> RefRecorder<S> {
-    fn note_drain(&mut self, cycle: u64) {
-        if self.drained_at.is_none() && self.inner.exhausted() {
-            self.drained_at = Some(cycle);
-        }
-    }
-
-    fn pump(&mut self, cycle: u64, queues: &mut InjectQueues) {
-        let nodes = queues.nodes();
-        self.depths.resize(nodes, 0);
-        for node in 0..nodes {
-            self.depths[node] = queues.depth(node);
-        }
-        self.inner.pump(cycle, queues);
-        // Collect this cycle's new tail entries across all nodes and
-        // sort by packet id to recover the exact global push order —
-        // replay must assign identical PacketIds.
-        let mut fresh: Vec<(u64, ScenarioRecord)> = Vec::new();
-        for node in 0..nodes {
-            for p in queues.iter(node).skip(self.depths[node]) {
-                fresh.push((
-                    p.id.0,
-                    ScenarioRecord {
-                        cycle,
-                        src: node,
-                        dst: p.dst.to_node_id(self.n),
-                        tag: p.tag,
-                    },
-                ));
-            }
-        }
-        fresh.sort_by_key(|&(id, _)| id);
-        self.records.extend(fresh.into_iter().map(|(_, r)| r));
-        self.note_drain(cycle);
-    }
-
-    fn on_delivery(&mut self, delivery: &Delivery) {
-        self.inner.on_delivery(delivery);
-        self.note_drain(delivery.cycle);
-    }
-}
-
 mod tests {
-    use fasttrack_core::config::{FtPolicy, NocConfig};
-    use fasttrack_core::sim::SimSession;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    use super::super::{RecordingSource, ReplaySource, ScenarioHeader};
+    use super::super::ScenarioHeader;
     use super::*;
-    use crate::adversarial::BurstySource;
-    use crate::dataflow::{lu_dag, DataflowSource};
-    use crate::pattern::Pattern;
 
     /// A valid trace on `ft:4:2:1` (16 nodes): nondecreasing cycles,
     /// in-range nodes, numbers of every width up to all twenty digits.
@@ -380,120 +324,6 @@ mod tests {
                 encode_body(header_line, &trace.records)
             );
             prop_assert_eq!(text, expected);
-        }
-    }
-
-    /// Both recorders around clones of one source, checked against each
-    /// other after every `pump` and every delivery. The new one sees
-    /// the session's queues, which the engine pops between pumps; the
-    /// reference gets queues nobody pops — its snapshot-and-skip reads
-    /// the same tails either way.
-    struct Both<S> {
-        new: RecordingSource<S>,
-        old: RefRecorder<S>,
-        shadow: InjectQueues,
-        pushing_cycles: u64,
-    }
-
-    impl<S: TrafficSource + Clone> Both<S> {
-        fn new(n: u16, inner: S) -> Self {
-            Both {
-                new: RecordingSource::new(n, inner.clone()),
-                old: RefRecorder {
-                    n,
-                    inner,
-                    records: Vec::new(),
-                    depths: Vec::new(),
-                    drained_at: None,
-                },
-                shadow: InjectQueues::new(usize::from(n) * usize::from(n)),
-                pushing_cycles: 0,
-            }
-        }
-
-        fn agree(&self, when: u64) {
-            assert_eq!(self.new.records, self.old.records, "records at {when}");
-            assert_eq!(
-                self.new.drained_at(),
-                self.old.drained_at,
-                "drain at {when}"
-            );
-        }
-    }
-
-    impl<S: TrafficSource + Clone> TrafficSource for Both<S> {
-        fn pump(&mut self, cycle: u64, queues: &mut InjectQueues) {
-            let before = self.new.records.len();
-            self.new.pump(cycle, queues);
-            self.old.pump(cycle, &mut self.shadow);
-            self.agree(cycle);
-            self.pushing_cycles += u64::from(self.new.records.len() > before);
-        }
-
-        fn on_delivery(&mut self, delivery: &Delivery) {
-            self.new.on_delivery(delivery);
-            self.old.on_delivery(delivery);
-            self.agree(delivery.cycle);
-        }
-
-        fn exhausted(&self) -> bool {
-            self.new.exhausted()
-        }
-    }
-
-    fn record_both<S: TrafficSource + Clone>(n: u16, inner: S) -> Both<S> {
-        let mut both = Both::new(n, inner);
-        let cfg = NocConfig::fasttrack(n, 2, 1, FtPolicy::Full).unwrap();
-        let report = SimSession::new(&cfg)
-            .max_cycles(200_000)
-            .run(&mut both)
-            .unwrap()
-            .report;
-        assert!(!report.truncated);
-        assert_eq!(both.new.records.len() as u64, report.stats.injected);
-        assert!(
-            both.pushing_cycles > 1,
-            "the source must push over several cycles"
-        );
-        both
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Sources that push to several nodes in one cycle, in an order
-        /// that is not node order: id placement must give what the
-        /// snapshot-and-sort recorder gave, at every cycle.
-        #[test]
-        fn recorder_matches_sorting_reference(seed in any::<u64>(), which in 0u8..3) {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            match which {
-                0 => {
-                    // Several releases per cycle, sources shuffled.
-                    let mut records: Vec<ScenarioRecord> = (0..400)
-                        .map(|_| ScenarioRecord {
-                            src: rng.gen_range(0..16),
-                            dst: rng.gen_range(0..16),
-                            tag: rng.gen(),
-                            cycle: rng.gen_range(0..60),
-                        })
-                        .collect();
-                    records.sort_by_key(|r| r.cycle);
-                    record_both(4, ReplaySource::new(4, records));
-                }
-                1 => {
-                    let source =
-                        BurstySource::new(4, Pattern::Random, 0.9, 6.0, 9.0, 30, rng.gen());
-                    record_both(4, source);
-                }
-                _ => {
-                    // Closed loop: pushes depend on deliveries, and the
-                    // source outlives its last push.
-                    let dag = lu_dag(150, 12, 2.0, rng.gen());
-                    let both = record_both(4, DataflowSource::new(dag, 4, 3));
-                    prop_assert!(both.new.drained_at().is_some());
-                }
-            }
         }
     }
 }

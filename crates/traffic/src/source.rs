@@ -191,54 +191,6 @@ mod tests {
         assert!(slow_cycles > 300, "rate 0.1 finished suspiciously fast");
     }
 
-    /// The per-cycle pump `BernoulliSource` replaced, kept as the
-    /// reference its calendar is checked against: one coin per
-    /// unfinished PE per cycle.
-    struct PerCycleBernoulli {
-        n: u16,
-        rate: f64,
-        pattern: Pattern,
-        packets_per_pe: u64,
-        generated: Vec<u64>,
-        remaining_pes: usize,
-        rng: SmallRng,
-    }
-
-    impl PerCycleBernoulli {
-        fn new(n: u16, pattern: Pattern, rate: f64, packets_per_pe: u64, seed: u64) -> Self {
-            let nodes = n as usize * n as usize;
-            PerCycleBernoulli {
-                n,
-                rate,
-                pattern,
-                packets_per_pe,
-                generated: vec![0; nodes],
-                remaining_pes: if packets_per_pe == 0 { 0 } else { nodes },
-                rng: SmallRng::seed_from_u64(seed),
-            }
-        }
-    }
-
-    impl TrafficSource for PerCycleBernoulli {
-        fn pump(&mut self, cycle: u64, queues: &mut InjectQueues) {
-            for node in 0..self.generated.len() {
-                if self.generated[node] < self.packets_per_pe && self.rng.gen::<f64>() < self.rate {
-                    let src = Coord::from_node_id(node, self.n);
-                    let dst = self.pattern.destination(src, self.n, &mut self.rng);
-                    queues.push(node, dst, cycle, 0);
-                    self.generated[node] += 1;
-                    if self.generated[node] == self.packets_per_pe {
-                        self.remaining_pes -= 1;
-                    }
-                }
-            }
-        }
-
-        fn exhausted(&self) -> bool {
-            self.remaining_pes == 0
-        }
-    }
-
     /// Pumps cycles `from..to` and returns each PE's arrival cycles. It
     /// also checks that every packet is stamped with the cycle that
     /// pushed it and that one cycle's pushes ascend by node (ids are
@@ -292,42 +244,24 @@ mod tests {
 
     #[test]
     fn window_counts_match_the_per_cycle_process() {
-        // Counts in a `WINDOW`-cycle window are Binomial(WINDOW, p) under
-        // both pumps. Every comparison allows four standard errors: of
-        // the mean, sqrt(var / N); of the variance, var·sqrt((2 + κ) / N)
-        // with κ the binomial's excess kurtosis.
+        // Counts in a `WINDOW`-cycle window are Binomial(WINDOW, p), as
+        // under one coin per PE per cycle. Each comparison allows four
+        // standard errors: of the mean, sqrt(var / N); of the variance,
+        // var·sqrt((2 + κ) / N) with κ the binomial's excess kurtosis.
         for (i, &p) in RATES.iter().enumerate() {
-            let seed = 40 + i as u64;
-            let mut calendar = BernoulliSource::new(SIDE, Pattern::Random, p, u64::MAX, seed);
-            let mut reference = PerCycleBernoulli::new(SIDE, Pattern::Random, p, u64::MAX, seed);
+            let mut src = BernoulliSource::new(SIDE, Pattern::Random, p, u64::MAX, 40 + i as u64);
             let w = WINDOW as f64;
             let (mu, var) = (w * p, w * p * (1.0 - p));
             let samples = (NODES as u64 * CYCLES / WINDOW) as f64;
             let kurtosis = (1.0 - 6.0 * p * (1.0 - p)) / var;
             let se_mean = (var / samples).sqrt();
             let se_var = var * ((2.0 + kurtosis) / samples).sqrt();
-            let mut moments = Vec::new();
-            for counts in [
-                window_counts(&arrivals(&mut calendar, NODES, 0, CYCLES), WINDOW, CYCLES),
-                window_counts(&arrivals(&mut reference, NODES, 0, CYCLES), WINDOW, CYCLES),
-            ] {
-                let (m, v) = mean_var(counts.iter().flatten().copied());
-                assert!((m - mu).abs() < 4.0 * se_mean, "p={p}: mean {m} vs {mu}");
-                assert!(
-                    (v - var).abs() < 4.0 * se_var,
-                    "p={p}: variance {v} vs {var}"
-                );
-                moments.push((m, v));
-            }
-            let ((m1, v1), (m2, v2)) = (moments[0], moments[1]);
-            let sqrt2 = 2f64.sqrt();
+            let counts = window_counts(&arrivals(&mut src, NODES, 0, CYCLES), WINDOW, CYCLES);
+            let (m, v) = mean_var(counts.iter().flatten().copied());
+            assert!((m - mu).abs() < 4.0 * se_mean, "p={p}: mean {m} vs {mu}");
             assert!(
-                (m1 - m2).abs() < 4.0 * sqrt2 * se_mean,
-                "p={p}: means {m1} vs {m2}"
-            );
-            assert!(
-                (v1 - v2).abs() < 4.0 * sqrt2 * se_var,
-                "p={p}: variances {v1} vs {v2}"
+                (v - var).abs() < 4.0 * se_var,
+                "p={p}: variance {v} vs {var}"
             );
         }
     }
@@ -468,14 +402,10 @@ mod tests {
     }
 
     #[test]
-    fn quota_and_exhaustion_match_the_reference() {
+    fn quota_and_exhaustion_agree() {
         for (rate, quota, seed) in [(0.3, 7, 1), (0.05, 3, 2), (1.0, 4, 3), (0.5, 1, 4)] {
             check_quota(
                 &mut BernoulliSource::new(4, Pattern::Random, rate, quota, seed),
-                quota,
-            );
-            check_quota(
-                &mut PerCycleBernoulli::new(4, Pattern::Random, rate, quota, seed),
                 quota,
             );
         }

@@ -1,22 +1,51 @@
-//! The observer fan-out contract: on every backend, every subset of
-//! {sink, monitor, attribution, profile} leaves the run identical to the
-//! bare session — same `SimReport`, same event stream at the user sink —
-//! and each attached observer sees that one stream in full. And the
-//! observers are pure folds of that stream: a standalone monitor or
-//! attribution sink fed a recording of it ends in the same state as the
-//! one the session drove.
+//! The observer fan-out contract: on every backend, healthy or faulted,
+//! every subset of {sink, monitor, attribution, profile} leaves the run
+//! identical to the bare session — same `SimReport`, same event stream
+//! at the user sink — and each attached observer sees that one stream
+//! in full. And the observers are pure folds of that stream: a
+//! standalone monitor or attribution sink fed a recording of it ends in
+//! the same state as the one the session drove.
 
 use fasttrack::prelude::*;
 
-/// Runs all 16 observer subsets on `backend` against the bare run.
-fn check_all_subsets<B: SessionBackend + Clone>(name: &str, backend: B, side: u16, rate: f64) {
+/// A dead express link and a router that fail-stops mid-run on the
+/// 4x4 torus.
+fn torus_faults() -> FaultPlan {
+    FaultPlan::new()
+        .with(Fault::DeadLink {
+            node: 5,
+            out: OutPort::EastEx,
+        })
+        .with(Fault::FailStopRouter { node: 10, at: 30 })
+}
+
+/// A session on `backend`, under `faults` when given.
+fn session_on<B: SessionBackend + Clone>(
+    backend: &B,
+    faults: Option<&FaultPlan>,
+) -> SimSession<'static, B> {
+    let session = SimSession::with_backend(backend.clone());
+    match faults {
+        Some(plan) => session.with_faults(plan),
+        None => session,
+    }
+}
+
+/// Runs all 16 observer subsets on `backend`, under `faults` when
+/// given, against the bare run.
+fn check_all_subsets<B: SessionBackend + Clone>(
+    name: &str,
+    backend: B,
+    side: u16,
+    rate: f64,
+    faults: Option<&FaultPlan>,
+) {
     let source = || BernoulliSource::new(side, Pattern::Random, rate, 30, 0xFA9);
-    let bare = SimSession::with_backend(backend.clone())
-        .run(&mut source())
-        .unwrap()
-        .report;
+    let session = || session_on(&backend, faults);
+    let bare = session().run(&mut source()).unwrap().report;
+    assert_eq!(faults.is_some(), bare.stats.dropped > 0, "{name}: drops");
     let mut reference = VecSink::new();
-    SimSession::with_backend(backend.clone())
+    session()
         .with_sink(&mut reference)
         .run(&mut source())
         .unwrap();
@@ -45,7 +74,7 @@ fn check_all_subsets<B: SessionBackend + Clone>(name: &str, backend: B, side: u1
     for mask in 0u8..16 {
         let [sink_on, monitor, attribution, profile] = [0, 1, 2, 3].map(|bit| mask >> bit & 1 == 1);
         let case = format!("{name}, subset {mask:04b}");
-        let mut session = SimSession::with_backend(backend.clone());
+        let mut session = session();
         if monitor {
             session = session.with_monitor(MonitorConfig::default());
         }
@@ -108,29 +137,40 @@ fn check_all_subsets<B: SessionBackend + Clone>(name: &str, backend: B, side: u1
 #[test]
 fn every_observer_subset_is_passive_on_every_backend() {
     let ft = NocConfig::fasttrack(4, 2, 1, FtPolicy::Full).unwrap();
-    check_all_subsets("torus", TorusBackend::new(&ft), 4, 0.6);
+    check_all_subsets("torus", TorusBackend::new(&ft), 4, 0.6, None);
+    // Faulted: every observer sees the drops.
+    check_all_subsets(
+        "faulted torus",
+        TorusBackend::new(&ft),
+        4,
+        0.6,
+        Some(&torus_faults()),
+    );
     let hoplite = NocConfig::hoplite(4).unwrap();
     check_all_subsets(
         "3-channel torus",
         TorusBackend::new(&hoplite).channels(3),
         4,
         0.6,
+        None,
     );
     check_all_subsets(
         "shg",
         ShgBackend::new(ShgConfig::new(4, 2).unwrap()),
         4,
         0.6,
+        None,
     );
     check_all_subsets(
         "mesh",
         MeshBackend::new(&MeshConfig::new(4, 2).unwrap()),
         4,
         0.6,
+        None,
     );
     // Low load on a large torus: most routers are skipped every cycle.
     let ft16 = NocConfig::fasttrack(16, 2, 1, FtPolicy::Full).unwrap();
-    check_all_subsets("low-load torus", TorusBackend::new(&ft16), 16, 0.05);
+    check_all_subsets("low-load torus", TorusBackend::new(&ft16), 16, 0.05, None);
 }
 
 /// Everything an engine tells a sink, in call order.
@@ -179,13 +219,7 @@ fn check_observers_are_pure_folds<B: SessionBackend + Clone>(
     faults: Option<&FaultPlan>,
 ) {
     let source = || BernoulliSource::new(side, Pattern::Random, 0.7, 40, 0xF01D);
-    let session = || {
-        let s = SimSession::with_backend(backend.clone());
-        match faults {
-            Some(plan) => s.with_faults(plan),
-            None => s,
-        }
-    };
+    let session = || session_on(&backend, faults);
     let mcfg = MonitorConfig {
         snapshot_every: Some(50),
         ..MonitorConfig::default()
@@ -246,13 +280,12 @@ fn observers_are_pure_folds_of_the_event_stream() {
     let ft = NocConfig::fasttrack(4, 2, 1, FtPolicy::Full).unwrap();
     check_observers_are_pure_folds("torus", TorusBackend::new(&ft), 4, None);
     // Drops and reroutes reach the fault cells and the in-flight gauge.
-    let plan = FaultPlan::new()
-        .with(Fault::DeadLink {
-            node: 5,
-            out: OutPort::EastEx,
-        })
-        .with(Fault::FailStopRouter { node: 10, at: 30 });
-    check_observers_are_pure_folds("faulted torus", TorusBackend::new(&ft), 4, Some(&plan));
+    check_observers_are_pure_folds(
+        "faulted torus",
+        TorusBackend::new(&ft),
+        4,
+        Some(&torus_faults()),
+    );
     let hoplite = NocConfig::hoplite(4).unwrap();
     check_observers_are_pure_folds(
         "3-channel torus",
