@@ -33,15 +33,27 @@ fn closed_stdout_is_a_quiet_stop() {
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
+    // Drained on its own thread: a child that fills the stderr pipe
+    // before writing stdout (say, a panic on every point) must fail the
+    // test, not block both processes on full pipes.
+    let mut stderr = child.stderr.take().unwrap();
+    let drain = std::thread::spawn(move || {
+        let mut bytes = Vec::new();
+        stderr.read_to_end(&mut bytes).unwrap();
+        String::from_utf8_lossy(&bytes).into_owned()
+    });
     let mut stdout = child.stdout.take().unwrap();
     let mut first = [0u8; 512];
     let read = stdout.read(&mut first).unwrap();
-    assert!(first[..read].starts_with(b"config,"), "{read} bytes");
     drop(stdout);
-    let out = child.wait_with_output().unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let status = child.wait().unwrap();
+    let stderr = drain.join().unwrap();
+    assert!(
+        first[..read].starts_with(b"config,"),
+        "{read} bytes; {stderr}"
+    );
     assert!(!stderr.contains("panicked"), "{stderr}");
-    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert_eq!(status.code(), Some(0), "{stderr}");
 }
 
 #[test]

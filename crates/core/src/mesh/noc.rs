@@ -290,8 +290,8 @@ impl MeshNoc {
                     want[xy_route(at, head.dst).map_or(EJECT, Dir::index)] |= 1 << d;
                 }
             }
-            if let Some(pending) = queues.peek(node).filter(|_| !stalled) {
-                want[xy_route(at, pending.dst).map_or(EJECT, Dir::index)] |= 1 << INJ;
+            if let Some(dst) = queues.head_dst(node).filter(|_| !stalled) {
+                want[xy_route(at, dst).map_or(EJECT, Dir::index)] |= 1 << INJ;
             }
 
             // Arbitrate each output somebody wants: four links, then

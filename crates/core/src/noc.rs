@@ -365,6 +365,27 @@ impl Noc {
         &mut self,
         queues: &mut InjectQueues,
         deliveries: &mut Vec<Delivery>,
+        gates: Option<&mut StepGates>,
+        sink: &mut S,
+    ) {
+        // One branch per cycle picks the body: an unobserved fabric
+        // without a fault plan runs the one that reads no fault word.
+        // An observed run pays for its sink's emits anyway, and keeping
+        // one body per sink type bounds the code the split adds.
+        if S::ENABLED || self.faults.is_some() {
+            self.step_body::<S, true>(queues, deliveries, gates, sink);
+        } else {
+            self.step_body::<S, false>(queues, deliveries, gates, sink);
+        }
+    }
+
+    /// The cycle itself, compiled per case: with `FAULTED` false every
+    /// router is healthy, so its fault word is the constant default and
+    /// every fault branch folds away.
+    fn step_body<S: EventSink, const FAULTED: bool>(
+        &mut self,
+        queues: &mut InjectQueues,
+        deliveries: &mut Vec<Delivery>,
         mut gates: Option<&mut StepGates>,
         sink: &mut S,
     ) {
@@ -382,15 +403,16 @@ impl Noc {
             let at = self.coords[node];
             let class = self.classes[node];
             let base = node * MAX_IN_FLIGHT;
+            let faults = match &self.faults {
+                Some(f) if FAULTED => f.node_faults(node),
+                _ => NodeFaults::default(),
+            };
             let NodeFaults {
                 failed,
                 dead,
                 stalled,
                 ..
-            } = match &self.faults {
-                Some(f) => f.node_faults(node),
-                None => NodeFaults::default(),
-            };
+            } = faults;
 
             // A fail-stopped router swallows every arriving packet and
             // neither routes, injects, nor delivers.
@@ -622,7 +644,7 @@ impl Noc {
                                 span: d,
                             });
                         }
-                        self.forward(idx, node, out, sink)
+                        self.forward(idx, node, out, faults, sink)
                     }
                 }
             }
@@ -632,11 +654,11 @@ impl Noc {
             if inject_ok && stalled {
                 // A stalled injector holds its queue; a waiting head
                 // shows as a `QueueStall` event.
-                if S::ENABLED && queues.peek(node).is_some() {
+                if S::ENABLED && queues.head_dst(node).is_some() {
                     sink.emit(&queues.stall_event(self.cycle, node));
                 }
             } else if inject_ok {
-                if let Some(pending) = queues.peek(node) {
+                if let Some(dst) = queues.head_dst(node) {
                     // The PE takes the first live port of its list whose
                     // slot the in-flight packets left free: one more
                     // table read in LUT mode. A shut exit gate also
@@ -644,11 +666,11 @@ impl Noc {
                     let free = decision.free();
                     let Injection { out, avoided } = match &mut self.tables {
                         Some(tables) => {
-                            let id = tables.lut().id(class, InPort::Pe, at, pending.dst);
+                            let id = tables.lut().id(class, InPort::Pe, at, dst);
                             tables.inject(class, outputs, id, free)
                         }
                         None => {
-                            let pe = compute_prefs(&self.cfg, class, InPort::Pe, at, pending.dst);
+                            let pe = compute_prefs(&self.cfg, class, InPort::Pe, at, dst);
                             Injection::of(&pe, outputs, dead, free, exit_policy)
                         }
                     };
@@ -725,7 +747,7 @@ impl Noc {
                                         self.stats.pool_reuse += 1;
                                     }
                                     let idx = self.pool.insert(pkt);
-                                    self.forward(idx, node, out, sink);
+                                    self.forward(idx, node, out, faults, sink);
                                 }
                             }
                         }
@@ -763,10 +785,20 @@ impl Noc {
     /// Writes the packet in pool slot `idx` into the input register at the
     /// far end of `node`'s output link `out`, updating hop counters.
     /// Pipelined links place the packet deeper into the timing wheel
-    /// (one extra cycle per extra link register). A transiently faulted
-    /// link consumes the hop but loses the packet (counted in `dropped`;
-    /// conservation: the in-flight count drops with it).
-    fn forward<S: EventSink>(&mut self, idx: u32, node: usize, out: OutPort, sink: &mut S) {
+    /// (one extra cycle per extra link register). A link `faults` (the
+    /// visit's word) names lossy consumes the hop but loses the packet
+    /// (counted in `dropped`; conservation: the in-flight count drops
+    /// with it). Inlined into the visit, where a healthy body's default
+    /// word folds the check away.
+    #[inline(always)]
+    fn forward<S: EventSink>(
+        &mut self,
+        idx: u32,
+        node: usize,
+        out: OutPort,
+        faults: NodeFaults,
+        sink: &mut S,
+    ) {
         // `Exit` is not a link: it has no row in either table.
         let target = self.downstream[node][out.index()];
         let in_port = LINK_INPUTS[out.index()];
@@ -781,11 +813,7 @@ impl Noc {
             self.stats.link_usage.short_hops += 1;
             pipeline.short_cycles()
         };
-        let link_fault = self
-            .faults
-            .as_ref()
-            .and_then(|f| f.node_faults(node).link_fault(out));
-        if let Some(corrupted) = link_fault {
+        if let Some(corrupted) = faults.link_fault(out) {
             let pkt = self.pool.remove(idx);
             self.in_flight -= 1;
             self.stats.dropped += 1;

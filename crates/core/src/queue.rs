@@ -10,6 +10,10 @@ use crate::geom::Coord;
 use crate::packet::{PacketId, PendingPacket};
 use crate::trace::SimEvent;
 
+/// The [`InjectQueues::heads`] entry of an empty queue: no node of a
+/// side that fits a `u16` has this coordinate.
+const NO_HEAD: Coord = Coord::new(u16::MAX, u16::MAX);
+
 /// One FIFO of pending packets per node.
 #[derive(Debug, Clone)]
 pub struct InjectQueues {
@@ -18,6 +22,10 @@ pub struct InjectQueues {
     /// `queues[node]` is non-empty, so the torus step can skip PEs with
     /// nothing to inject without touching their `VecDeque`.
     nonempty: Vec<u64>,
+    /// Per node: the destination of its queue's head, or [`NO_HEAD`]
+    /// while the queue is empty. A step's injection check reads this
+    /// hot column instead of the `VecDeque` header and its ring buffer.
+    heads: Vec<Coord>,
     next_id: u64,
     pending: usize,
 }
@@ -28,6 +36,7 @@ impl InjectQueues {
         InjectQueues {
             queues: vec![VecDeque::new(); nodes],
             nonempty: vec![0; nodes.div_ceil(64)],
+            heads: vec![NO_HEAD; nodes],
             next_id: 0,
             pending: 0,
         }
@@ -46,6 +55,9 @@ impl InjectQueues {
     pub fn push(&mut self, src: usize, dst: Coord, cycle: u64, tag: u64) -> PacketId {
         let id = PacketId(self.next_id);
         self.next_id += 1;
+        if self.queues[src].is_empty() {
+            self.heads[src] = dst;
+        }
         self.queues[src].push_back(PendingPacket {
             id,
             dst,
@@ -58,8 +70,17 @@ impl InjectQueues {
     }
 
     /// Head of `node`'s queue, if any.
+    #[cfg(test)]
     pub(crate) fn peek(&self, node: usize) -> Option<&PendingPacket> {
         self.queues[node].front()
+    }
+
+    /// Destination of the head of `node`'s queue, if any: what a step
+    /// routes the PE by before it pops.
+    #[inline]
+    pub(crate) fn head_dst(&self, node: usize) -> Option<Coord> {
+        let dst = self.heads[node];
+        (dst != NO_HEAD).then_some(dst)
     }
 
     /// Pops the head of `node`'s queue.
@@ -67,8 +88,12 @@ impl InjectQueues {
         let p = self.queues[node].pop_front();
         if p.is_some() {
             self.pending -= 1;
-            if self.queues[node].is_empty() {
-                self.nonempty[node / 64] &= !(1 << (node % 64));
+            match self.queues[node].front() {
+                Some(next) => self.heads[node] = next.dst,
+                None => {
+                    self.heads[node] = NO_HEAD;
+                    self.nonempty[node / 64] &= !(1 << (node % 64));
+                }
             }
         }
         p
@@ -177,6 +202,26 @@ mod tests {
                 for n in 0..nodes {
                     let bit = q.nonempty_word(n / 64) >> (n % 64) & 1 == 1;
                     prop_assert_eq!(bit, q.depth(n) > 0, "node {}", n);
+                }
+            }
+        }
+
+        /// Under any push/pop interleaving over several nodes, the head
+        /// column names the destination `peek` finds at every node.
+        #[test]
+        fn head_column_tracks_peek(nodes in 1usize..8, seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut q = InjectQueues::new(nodes);
+            for cycle in 0..300 {
+                let node = rng.gen_range(0..nodes);
+                if rng.gen::<bool>() {
+                    let dst = Coord::new(rng.gen_range(0..16), rng.gen_range(0..16));
+                    q.push(node, dst, cycle, 0);
+                } else {
+                    q.pop(node);
+                }
+                for n in 0..nodes {
+                    prop_assert_eq!(q.head_dst(n), q.peek(n).map(|p| p.dst), "node {}", n);
                 }
             }
         }

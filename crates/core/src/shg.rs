@@ -372,11 +372,19 @@ impl ShgNoc {
     }
 
     /// Places the packet in pool slot `idx` onto output `slot` of
-    /// `node`, bumping its hop counters in the pool. A transiently
-    /// faulted link consumes the hop but loses the packet (counted in
-    /// `dropped`); the return value says whether the register was
-    /// written, i.e. whether the slot is now taken.
-    fn forward<S: EventSink>(&mut self, node: usize, slot: usize, idx: u32, sink: &mut S) -> bool {
+    /// `node`, bumping its hop counters in the pool. A link the visit's
+    /// `faults` word names lossy consumes the hop but loses the packet
+    /// (counted in `dropped`); the return value says whether the
+    /// register was written, i.e. whether the slot is now taken.
+    #[inline(always)]
+    fn forward<S: EventSink>(
+        &mut self,
+        node: usize,
+        slot: usize,
+        idx: u32,
+        faults: NodeFaults,
+        sink: &mut S,
+    ) -> bool {
         let port = self.slot_ports[slot];
         let span = self.slot_spans[slot];
         let pkt = self.pool.get_mut(idx);
@@ -395,11 +403,7 @@ impl ShgNoc {
             pkt.short_hops += 1;
             self.stats.link_usage.short_hops += 1;
         }
-        let link_fault = self
-            .faults
-            .as_ref()
-            .and_then(|f| f.node_faults(node).link_fault(port));
-        if let Some(corrupted) = link_fault {
+        if let Some(corrupted) = faults.link_fault(port) {
             self.drop_packet(node, idx, Some(port), corrupted, sink);
             return false;
         }
@@ -417,6 +421,22 @@ impl ShgNoc {
         deliveries: &mut Vec<Delivery>,
         sink: &mut S,
     ) {
+        // One branch per cycle picks the body, as in `Noc::step_with_sink`.
+        if S::ENABLED || self.faults.is_some() {
+            self.step_body::<S, true>(queues, deliveries, sink);
+        } else {
+            self.step_body::<S, false>(queues, deliveries, sink);
+        }
+    }
+
+    /// The cycle itself, compiled per case: with `FAULTED` false every
+    /// router's fault word is the constant default.
+    fn step_body<S: EventSink, const FAULTED: bool>(
+        &mut self,
+        queues: &mut InjectQueues,
+        deliveries: &mut Vec<Delivery>,
+        sink: &mut S,
+    ) {
         let q = self.topo.config().q();
         let deg = self.out_degree;
 
@@ -427,15 +447,16 @@ impl ShgNoc {
             self.stats.router_visits += 1;
             let at = self.coords[node];
             let base = node * deg;
+            let faults = match &self.faults {
+                Some(f) if FAULTED => f.node_faults(node),
+                _ => NodeFaults::default(),
+            };
             let NodeFaults {
                 failed,
                 stalled,
                 dead,
                 ..
-            } = match &self.faults {
-                Some(f) => f.node_faults(node),
-                None => NodeFaults::default(),
-            };
+            } = faults;
             let live = self.all_slots & !self.class_slots[usize::from(dead.bits() & 0xF)];
             // This router's outputs are written only during this visit,
             // so "is the slot free" is local state, not a register probe.
@@ -543,7 +564,7 @@ impl ShgNoc {
                 }
                 // A transient-fault drop consumes the hop but leaves the
                 // slot free for the next arrival.
-                if self.forward(node, slot, idx, sink) {
+                if self.forward(node, slot, idx, faults, sink) {
                     free &= !(1 << slot);
                 }
             }
@@ -552,10 +573,9 @@ impl ShgNoc {
             if failed {
                 continue;
             }
-            let Some(pending) = queues.peek(node) else {
+            let Some(dst) = queues.head_dst(node) else {
                 continue;
             };
-            let dst = pending.dst;
             let offset = offset_id(at, dst, q);
             let row = (node * self.row_stride + offset) * deg;
             // A self-send leaves through the ejector without traversing
@@ -567,7 +587,7 @@ impl ShgNoc {
                 }
                 continue;
             }
-            let pending = queues.pop(node).expect("peeked above");
+            let pending = queues.pop(node).expect("its head was read above");
             let mut pkt = Packet::new(pending.id, at, dst, pending.enqueued_at, pending.tag);
             pkt.injected_at = self.cycle;
             self.stats.injected += 1;
@@ -590,7 +610,10 @@ impl ShgNoc {
             if !dead.is_empty() {
                 let greedy = usize::from(self.greedy[offset]);
                 let greedy_port = self.slot_ports[greedy];
-                if slot != greedy && dead.contains(greedy_port) {
+                if dead.contains(greedy_port) {
+                    // `pick_slot` returns live slots only, and a dead
+                    // port kills every slot of its class.
+                    debug_assert_ne!(slot, greedy);
                     self.stats.rerouted += 1;
                     if S::ENABLED {
                         sink.emit(&SimEvent::FaultReroute {
@@ -607,7 +630,7 @@ impl ShgNoc {
                 self.stats.pool_reuse += 1;
             }
             let idx = self.pool.insert(pkt);
-            self.forward(node, slot, idx, sink);
+            self.forward(node, slot, idx, faults, sink);
         }
 
         debug_assert!(

@@ -1,7 +1,8 @@
 //! Property tests for the fault-injection subsystem: an empty
-//! [`FaultPlan`] must be invisible (bit-identical reports to the plain
-//! engine), the same seed must always draw the same fault schedule, and
-//! exact packet conservation — `delivered + in_flight + dropped ==
+//! [`FaultPlan`], or one whose windows open only after the run, must be
+//! invisible (bit-identical reports to the plain engine), the same seed
+//! must always draw the same fault schedule, and exact packet
+//! conservation — `delivered + in_flight + dropped ==
 //! injected` — must survive every fault mix the generator can produce.
 
 use fasttrack_core::prelude::*;
@@ -60,6 +61,45 @@ proptest! {
         prop_assert_eq!(&plain, &faulted);
         prop_assert_eq!(faulted.stats.dropped, 0);
         prop_assert_eq!(faulted.stats.rerouted, 0);
+    }
+
+    /// A plan whose only window opens after the run has ended arms the
+    /// faulted step body, which must then run exactly like the healthy
+    /// one (which only unobserved runs take) — report and, observed,
+    /// event stream — on a lone torus and on a bank.
+    #[test]
+    fn window_after_the_run_is_bit_identical(cfg in arb_ft_config(), seed in 0u64..1_000) {
+        const LATE: u64 = 1 << 40;
+        let node = seed as usize % cfg.num_nodes();
+        for fault in [
+            Fault::FailStopRouter { node, at: LATE },
+            Fault::StalledInjector { node, from: LATE, until: LATE + 1 },
+            Fault::TransientLink { node, out: OutPort::EastSh, from: LATE, until: LATE + 1, corrupt: true },
+        ] {
+            let plan = FaultPlan::new().with(fault);
+            for channels in [1, 2] {
+                let run = |plan: Option<&FaultPlan>| {
+                    let session = || {
+                        let session = SimSession::new(&cfg).channels(channels);
+                        match plan {
+                            Some(plan) => session.with_faults(plan),
+                            None => session,
+                        }
+                    };
+                    let traffic = || BatchSource::random(cfg.n(), 3, seed);
+                    let bare = session().run(&mut traffic()).unwrap().report;
+                    let mut sink = VecSink::new();
+                    let observed = session().with_sink(&mut sink).run(&mut traffic()).unwrap().report;
+                    assert_eq!(bare, observed, "{fault} on {channels} channels");
+                    (bare, sink.events)
+                };
+                let (healthy, healthy_events) = run(None);
+                let (armed, armed_events) = run(Some(&plan));
+                prop_assert!(!healthy.truncated);
+                prop_assert_eq!(&healthy, &armed, "{} on {} channels", fault, channels);
+                prop_assert!(healthy_events == armed_events, "{} on {} channels", fault, channels);
+            }
+        }
     }
 
     /// [`FaultPlan::random`] is a pure function of `(cfg, seed, spec)`:

@@ -5,7 +5,7 @@
 //! engines carry, asserted for the first [`Topology`]-trait backend
 //! that is not a torus.
 
-use fasttrack_core::fault::{FaultPlan, StormSpec};
+use fasttrack_core::fault::{Fault, FaultPlan, StormSpec};
 use fasttrack_core::geom::Coord;
 use fasttrack_core::queue::InjectQueues;
 use fasttrack_core::shg::ShgBackend;
@@ -109,6 +109,45 @@ proptest! {
         let (a, b) = (runs.remove(0), runs.remove(0));
         prop_assert_eq!(a.0, b.0);
         prop_assert_eq!(a.1, b.1);
+    }
+
+    /// A plan whose only window opens after the run has ended arms the
+    /// faulted step body, which must then run exactly like the healthy
+    /// one (which only unobserved runs take): report and, observed,
+    /// event stream.
+    #[test]
+    fn window_after_the_run_is_bit_identical(cfg in arb_shg_config(), seed in 0u64..500) {
+        const LATE: u64 = 1 << 40;
+        let topo = ShgTopology::new(cfg);
+        let node = seed as usize % topo.num_nodes();
+        let out = topo.out_links(node)[0].port;
+        for fault in [
+            Fault::FailStopRouter { node, at: LATE },
+            Fault::StalledInjector { node, from: LATE, until: LATE + 1 },
+            Fault::TransientLink { node, out, from: LATE, until: LATE + 1, corrupt: false },
+        ] {
+            let plan = FaultPlan::new().with(fault);
+            let run = |plan: Option<&FaultPlan>| {
+                let session = || {
+                    let session = SimSession::with_backend(ShgBackend::new(cfg));
+                    match plan {
+                        Some(plan) => session.with_faults(plan),
+                        None => session,
+                    }
+                };
+                let traffic = || RandomBatch::new(cfg.q(), 3, seed);
+                let bare = session().run(&mut traffic()).unwrap().report;
+                let mut sink = VecSink::new();
+                let observed = session().with_sink(&mut sink).run(&mut traffic()).unwrap().report;
+                assert_eq!(bare, observed, "{fault}");
+                (bare, sink.events)
+            };
+            let (healthy, healthy_events) = run(None);
+            let (armed, armed_events) = run(Some(&plan));
+            prop_assert!(!healthy.truncated);
+            prop_assert_eq!(&healthy, &armed, "{}", fault);
+            prop_assert!(healthy_events == armed_events, "{}", fault);
+        }
     }
 
     /// Seeded storm plans (links dying and healing on a timeline,

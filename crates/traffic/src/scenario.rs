@@ -135,12 +135,16 @@ pub struct ScenarioHeader {
     pub warmup: u64,
     /// Free-form generator label (e.g. `spmv`, `fuzz`).
     pub generator: String,
-    /// Cycle at which the recorded generator first reported itself
-    /// exhausted. Closed-loop sources (dataflow) stay unexhausted past
-    /// their last push while trailing compute drains, which lengthens
-    /// the recorded run; replay holds its own exhaustion until this
-    /// cycle so the run length — and therefore the report — matches
-    /// byte-for-byte. `None` means "exhausted at the last push".
+    /// Cycle of the first pump after which the recorded generator
+    /// reported itself exhausted: an open-loop source's last push.
+    /// Closed-loop sources (dataflow) stay unexhausted past their last
+    /// push while trailing compute drains, which lengthens the recorded
+    /// run; replay holds its own exhaustion until this cycle so the run
+    /// length — and therefore the report — matches byte-for-byte.
+    /// `None` means no pump saw it: the run was truncated, or the
+    /// generator was exhausted by the run's final delivery, with a
+    /// packet in flight until then, so replay exhausted at its last
+    /// push ends on the same cycle.
     pub drained_at: Option<u64>,
     /// Faults active during the run, in plan order.
     pub faults: Vec<Fault>,
@@ -1013,9 +1017,10 @@ impl<S: TrafficSource> RecordingSource<S> {
         }
     }
 
-    /// The cycle the inner source first reported itself exhausted, if
-    /// that has happened yet (assumes exhaustion is monotone, as every
-    /// generator in this crate guarantees).
+    /// The cycle of the first pump after which the inner source
+    /// reported itself exhausted, if one has run yet (assumes
+    /// exhaustion is monotone, as every generator in this crate
+    /// guarantees).
     pub fn drained_at(&self) -> Option<u64> {
         self.drained_at
     }
@@ -1081,11 +1086,6 @@ impl<S: TrafficSource> TrafficSource for RecordingSource<S> {
 
     fn on_delivery(&mut self, delivery: &Delivery) {
         self.inner.on_delivery(delivery);
-        // Closed-loop sources flip to exhausted on their final
-        // delivery, between this cycle's pump and the engine's
-        // termination check — catch that here or the drain cycle of a
-        // run's very last cycle would be missed.
-        self.note_drain(delivery.cycle);
     }
 
     fn exhausted(&self) -> bool {
@@ -1550,6 +1550,52 @@ mod tests {
             .to_string()
             .contains("99"));
         assert!(TraceError::UnsupportedSchema(2).to_string().contains("v2"));
+    }
+
+    /// A closed-loop source that sends one packet per delivery it
+    /// receives, `left` in all, and is exhausted on its final delivery.
+    struct PingPong {
+        left: u32,
+        due: bool,
+    }
+
+    impl TrafficSource for PingPong {
+        fn pump(&mut self, cycle: u64, queues: &mut InjectQueues) {
+            if self.due && self.left > 0 {
+                queues.push(0, Coord::new(3, 3), cycle, 0);
+                self.due = false;
+            }
+        }
+        fn on_delivery(&mut self, _: &Delivery) {
+            self.left -= 1;
+            self.due = true;
+        }
+        fn exhausted(&self) -> bool {
+            self.left == 0
+        }
+    }
+
+    /// The delivery that exhausts the source ends the run on the cycle
+    /// it lands; no pump follows, so no drain cycle is noted, and the
+    /// replay, exhausted at its last push, stops on the same cycle. (A
+    /// drain noted from `Delivery::cycle`, one past the pump's cycle,
+    /// would hold the replay a cycle longer: 19 cycles against 18.)
+    #[test]
+    fn exhaustion_on_the_final_delivery_replays_to_the_same_cycle() {
+        let header = ScenarioHeader::new("ft:4:2:1", "pingpong");
+        let mut rec = RecordingSource::new(4, PingPong { left: 3, due: true });
+        let session = || header.session().unwrap();
+        let report = session().run(&mut rec).unwrap().report;
+        assert_eq!(report.stats.delivered, 3);
+        assert_eq!(rec.drained_at(), None);
+        let mut trace = rec.into_trace(header.clone());
+        trace.header.expect = Some(Expectation::from(&report));
+        let replayed = session()
+            .run(&mut trace.replay_source().unwrap())
+            .unwrap()
+            .report;
+        assert_eq!(replayed.cycles, trace.header.expect.unwrap().cycles);
+        assert_eq!(replayed, report);
     }
 
     #[test]
