@@ -346,15 +346,13 @@ impl FaultPlan {
         self.faults.len()
     }
 
-    /// Checks the plan against `topo`, fault by fault, through its
-    /// [`Topology::validate_fault`]: node ids in range, windows
-    /// non-empty, links present, and no dead link the fabric cannot
-    /// route without (see [`FaultError::PartitionsTorus`]).
+    /// Checks the plan against `topo` through its
+    /// [`Topology::validate_plan`], which returns the first error of
+    /// [`Topology::validate_fault`] in plan order: node ids in range,
+    /// windows non-empty, links present, and no dead link the fabric
+    /// cannot route without (see [`FaultError::PartitionsTorus`]).
     pub fn validate(&self, topo: &dyn Topology) -> Result<(), FaultError> {
-        for fault in &self.faults {
-            topo.validate_fault(fault)?;
-        }
-        Ok(())
+        topo.validate_plan(&self.faults)
     }
 
     /// Draws a valid plan for `topo` from a seed. The same `(topo,

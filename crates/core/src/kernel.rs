@@ -553,6 +553,12 @@ impl PacketPool {
         self.meta.len() - self.free.len()
     }
 
+    /// Slots allocated, live or free, before the pool must reallocate.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.meta.capacity().max(self.dst.capacity())
+    }
+
     /// Freed slots available for recycling before the pool must grow.
     #[inline]
     pub(crate) fn free_slots(&self) -> usize {

@@ -7,11 +7,20 @@
 //! downstream FIFO has a credit, and ejection consumes one packet per
 //! cycle. XY routing on a mesh with guaranteed ejection is
 //! deadlock-free, which the tests verify by draining adversarial loads.
-
-use std::collections::VecDeque;
+//!
+//! Buffered packets live in a [`PacketPool`]; each FIFO is a chain of
+//! pool slots linked through a per-slot `next` column, so storage
+//! follows the packets in flight, not `nodes × 4 × buffer_depth`. A
+//! packet's XY output is computed once, as it lands in a FIFO, and
+//! arbitration walks the outputs that are both wanted and open (per-node
+//! bit masks) instead of testing all five. A router applies its grants
+//! as it is visited; what they do to other routers (credits refunded
+//! upstream, packets landing downstream) waits until every router has
+//! decided, so each decides against the cycle-start state.
 
 use crate::fault::{FaultError, FaultPlan, FaultState, NodeFaults};
 use crate::geom::Coord;
+use crate::kernel::{PacketPool, EMPTY_SLOT};
 use crate::mesh::config::MeshConfig;
 use crate::mesh::router::{xy_route, Dir};
 use crate::mesh::topology::MeshTopology;
@@ -53,6 +62,19 @@ const fn opposite(dir: usize) -> usize {
     dir ^ 2
 }
 
+/// [`xy_out`] by `3 * cmp(dst.x, at.x) + cmp(dst.y, at.y)`, each
+/// comparison 0 (less), 1 (equal) or 2 (greater): x first, then y.
+const XY_OUT: [u8; 9] = [3, 3, 3, 0, EJECT as u8, 2, 1, 1, 1];
+
+/// The output index XY routing ([`xy_route`]) picks at `at` for `dst`:
+/// a link by [`Dir::index`], or [`EJECT`]. A table read, not a branch
+/// chain: random traffic makes the branches unpredictable.
+#[inline]
+fn xy_out(at: Coord, dst: Coord) -> usize {
+    let cmp = |here: u16, there: u16| usize::from(there > here) + usize::from(there >= here);
+    usize::from(XY_OUT[3 * cmp(at.x, dst.x) + cmp(at.y, dst.y)])
+}
+
 /// The round-robin winner among the inputs in `want` (bit `i` = input
 /// `i`, five inputs), searching from input `start` upward and wrapping.
 /// `want` must be non-zero.
@@ -79,9 +101,25 @@ pub struct MeshNoc {
     /// `neighbors[node][d]`: node id of the `d`-side neighbor, or
     /// [`NO_NEIGHBOR`] at the mesh edge.
     neighbors: Vec<[u32; 4]>,
-    /// `fifos[node][d]`: packets that arrived moving *from* direction
-    /// `d` (i.e. sent by the `d`-side neighbor).
-    fifos: Vec<[VecDeque<Packet>; 4]>,
+    /// Every buffered packet. Hop counters are bumped in place; a packet
+    /// is copied out only when it ejects.
+    pool: PacketPool,
+    /// Per pool slot: the slot behind it in its FIFO, or [`EMPTY_SLOT`]
+    /// at the tail.
+    next: Vec<u32>,
+    /// Per pool slot: the output ([`xy_out`]) the router whose FIFO
+    /// holds the packet routes it to, computed when it landed there.
+    route: Vec<u8>,
+    /// `heads[node * 4 + d]` and `tails[node * 4 + d]`: the first and
+    /// last pool slot of the FIFO of packets that arrived moving *from*
+    /// direction `d` (sent by the `d`-side neighbor), or [`EMPTY_SLOT`].
+    heads: Vec<u32>,
+    tails: Vec<u32>,
+    /// Per node: bit `d` is set exactly while link FIFO `d` is non-empty.
+    nonempty: Vec<u8>,
+    /// Per node: bit `d` is set exactly while link output `d` has a
+    /// neighbor and a credit; bit [`EJECT`] is always set.
+    open: Vec<u8>,
     /// Bit `node % 64` of word `node / 64` is set exactly while one of
     /// `node`'s link FIFOs holds a packet; with the inject queues' own
     /// mask it is the step's active set.
@@ -99,22 +137,13 @@ pub struct MeshNoc {
     /// [`axis_port`]): a `TransientLink` on `E_sh` covers both x-axis
     /// directions at its node, `S_sh` both y-axis directions.
     faults: Option<FaultState>,
-    /// Per-cycle scratch of the step (granted moves, link arrivals, and
-    /// under an enabled sink the nodes that injected): cleared every
-    /// cycle, allocated once.
-    moves: Vec<Move>,
-    arrivals: Vec<(usize, usize, Packet)>,
+    /// Per-cycle scratch of the step (the FIFOs popped, as `node * 4 +
+    /// d`, whose credits go back upstream; link arrivals as `(node * 4 +
+    /// d, pool slot)`; and under an enabled sink the nodes that
+    /// injected): cleared every cycle, allocated once.
+    refunds: Vec<u32>,
+    arrivals: Vec<(u32, u32)>,
     injected: Vec<u64>,
-}
-
-/// One granted move, computed against the cycle-start snapshot.
-#[derive(Debug, Clone, Copy)]
-struct Move {
-    node: u32,
-    /// Input index: 0..4 = link FIFO by direction, [`INJ`] = injection.
-    input: u8,
-    /// Output index: 0..4 = link by direction, [`EJECT`] = ejection.
-    out: u8,
 }
 
 impl MeshNoc {
@@ -123,7 +152,7 @@ impl MeshNoc {
         let n = cfg.n();
         let nodes = cfg.num_nodes();
         let coords: Vec<Coord> = (0..nodes).map(|id| Coord::from_node_id(id, n)).collect();
-        let neighbors = coords
+        let neighbors: Vec<[u32; 4]> = coords
             .iter()
             .map(|&at| {
                 Dir::ALL.map(|d| {
@@ -132,11 +161,25 @@ impl MeshNoc {
                 })
             })
             .collect();
+        let open = neighbors
+            .iter()
+            .map(|near| {
+                (0..4)
+                    .filter(|&d| near[d] != NO_NEIGHBOR)
+                    .fold(1 << EJECT, |open, d| open | 1 << d)
+            })
+            .collect();
         MeshNoc {
             cfg,
             coords,
             neighbors,
-            fifos: vec![Default::default(); nodes],
+            pool: PacketPool::with_capacity(4 * nodes),
+            next: Vec::with_capacity(4 * nodes),
+            route: Vec::with_capacity(4 * nodes),
+            heads: vec![EMPTY_SLOT; 4 * nodes],
+            tails: vec![EMPTY_SLOT; 4 * nodes],
+            nonempty: vec![0; nodes],
+            open,
             occ: vec![0; nodes.div_ceil(64)],
             credits: vec![[cfg.buffer_depth(); 4]; nodes],
             rr: vec![[0; 5]; nodes],
@@ -144,7 +187,7 @@ impl MeshNoc {
             cycle: 0,
             stats: SimStats::default(),
             faults: None,
-            moves: Vec::new(),
+            refunds: Vec::new(),
             arrivals: Vec::new(),
             injected: vec![0; nodes.div_ceil(64)],
         }
@@ -194,23 +237,243 @@ impl MeshNoc {
         self.stats = SimStats::default();
     }
 
-    /// Clears `node`'s occupancy bit if a pop just emptied its last
-    /// non-empty link FIFO.
+    /// `node`'s fault word this cycle (the default on a healthy mesh).
     #[inline]
-    fn note_popped(&mut self, node: usize) {
-        if self.fifos[node].iter().all(VecDeque::is_empty) {
-            self.occ[node / 64] &= !(1 << (node % 64));
+    fn node_faults(&self, node: usize) -> NodeFaults {
+        self.faults
+            .as_ref()
+            .map_or(NodeFaults::default(), |f| f.node_faults(node))
+    }
+
+    /// Appends pool slot `idx` to FIFO `fifo` (`node * 4 + d`), routing
+    /// the packet for `node` once, here.
+    #[inline]
+    fn push(&mut self, fifo: usize, idx: u32) {
+        let node = fifo / 4;
+        let out = xy_out(self.coords[node], self.pool.dst(idx)) as u8;
+        let slot = idx as usize;
+        if slot == self.next.len() {
+            self.next.push(EMPTY_SLOT);
+            self.route.push(out);
+        } else {
+            self.next[slot] = EMPTY_SLOT;
+            self.route[slot] = out;
+        }
+        match self.tails[fifo] {
+            EMPTY_SLOT => self.heads[fifo] = idx,
+            tail => self.next[tail as usize] = idx,
+        }
+        self.tails[fifo] = idx;
+        self.nonempty[node] |= 1 << (fifo % 4);
+        self.occ[node / 64] |= 1 << (node % 64);
+    }
+
+    /// Unlinks the head of the non-empty FIFO `fifo`, returning its pool
+    /// slot. The caller clears the node's `occ` bit when it must.
+    #[inline]
+    fn pop(&mut self, fifo: usize) -> u32 {
+        let idx = self.heads[fifo];
+        debug_assert_ne!(idx, EMPTY_SLOT, "pop of an empty FIFO");
+        let next = self.next[idx as usize];
+        self.heads[fifo] = next;
+        if next == EMPTY_SLOT {
+            self.tails[fifo] = EMPTY_SLOT;
+            self.nonempty[fifo / 4] &= !(1 << (fifo % 4));
+        }
+        idx
+    }
+
+    /// Returns a credit to the router that feeds `node`'s FIFO `d` (edge
+    /// FIFOs have no upstream), opening its output toward `node`.
+    #[inline]
+    fn return_credit(&mut self, node: usize, d: usize) {
+        let upstream = self.neighbors[node][d];
+        if upstream != NO_NEIGHBOR {
+            let (upstream, out) = (upstream as usize, opposite(d));
+            self.credits[upstream][out] += 1;
+            self.open[upstream] |= 1 << out;
         }
     }
 
-    /// The invariant the pushes and pops maintain (see `occ`): a clear
-    /// bit over a buffered packet would make the step skip its router,
-    /// so debug builds check it after every step.
-    fn occupancy_mask_exact(&self) -> bool {
-        self.fifos.iter().enumerate().all(|(node, fifos)| {
-            let occupied = fifos.iter().any(|f| !f.is_empty());
-            occupied == (self.occ[node / 64] >> (node % 64) & 1 == 1)
-        })
+    /// Packets in FIFO `fifo`, by walking its chain.
+    fn fifo_len(&self, fifo: usize) -> usize {
+        let mut len = 0;
+        let mut idx = self.heads[fifo];
+        while idx != EMPTY_SLOT {
+            len += 1;
+            idx = self.next[idx as usize];
+        }
+        len
+    }
+
+    /// The invariants every push, pop and credit change maintain, over
+    /// all state derived from the FIFOs: each chain ends at its tail and
+    /// holds at most `buffer_depth` packets whose cached output is XY's
+    /// from this router; the non-empty mask and `occ` follow the chains;
+    /// each credit plus the facing FIFO's length is the depth; the
+    /// `open` mask is exactly the outputs with a neighbor and a credit,
+    /// plus ejection; and `in_flight` counts the buffered packets. Debug
+    /// builds check it after every step: a stale bit would make the step
+    /// skip a router or grant a full link.
+    fn state_exact(&self) -> bool {
+        let depth = self.cfg.buffer_depth();
+        let mut buffered = 0;
+        let chains = (0..self.coords.len()).all(|node| {
+            let mut nonempty = 0u8;
+            let mut open = 1 << EJECT;
+            let fifos = (0..4).all(|d| {
+                let fifo = node * 4 + d;
+                let (mut idx, mut last, mut len) = (self.heads[fifo], EMPTY_SLOT, 0);
+                // Bounded, so a chain that loops fails instead of hanging.
+                while idx != EMPTY_SLOT && len <= depth {
+                    let routed = usize::from(self.route[idx as usize]);
+                    let xy = xy_route(self.coords[node], self.pool.dst(idx));
+                    if routed != xy.map_or(EJECT, Dir::index) {
+                        return false;
+                    }
+                    (last, len) = (idx, len + 1);
+                    idx = self.next[idx as usize];
+                }
+                buffered += len;
+                if len > 0 {
+                    nonempty |= 1 << d;
+                }
+                let near = self.neighbors[node][d];
+                let credit = self.credits[node][d];
+                if near != NO_NEIGHBOR && credit > 0 {
+                    open |= 1 << d;
+                }
+                let facing = match near {
+                    NO_NEIGHBOR => depth,
+                    near => credit + self.fifo_len(near as usize * 4 + opposite(d)),
+                };
+                last == self.tails[fifo] && len <= depth && facing == depth
+            });
+            let occupied = self.occ[node / 64] >> (node % 64) & 1 == 1;
+            fifos
+                && nonempty == self.nonempty[node]
+                && occupied == (nonempty != 0)
+                && open == self.open[node]
+        });
+        chains && buffered == self.in_flight
+    }
+
+    /// Applies one grant of `node`'s: pops the input (its credit
+    /// refunded upstream in phase 2) or injects the PE's head, then
+    /// ejects the packet, drops it on a faulty link, or sends it on
+    /// toward the downstream FIFO it lands in during phase 2.
+    #[inline(always)]
+    fn apply<S: EventSink>(
+        &mut self,
+        node: usize,
+        input: usize,
+        out: usize,
+        queues: &mut InjectQueues,
+        deliveries: &mut Vec<Delivery>,
+        sink: &mut S,
+    ) {
+        let out_port = match out {
+            EJECT => OutPort::Exit,
+            dir => axis_port(Dir::ALL[dir]),
+        };
+        let idx = if input == INJ {
+            let pending = queues.pop(node).expect("granted injection has a packet");
+            let mut p = Packet::new(
+                pending.id,
+                self.coords[node],
+                pending.dst,
+                pending.enqueued_at,
+                pending.tag,
+            );
+            p.injected_at = self.cycle;
+            self.stats.injected += 1;
+            self.in_flight += 1;
+            if S::ENABLED {
+                self.injected[node / 64] |= 1 << (node % 64);
+                sink.emit(&SimEvent::Inject {
+                    cycle: self.cycle,
+                    node,
+                    packet: p.id,
+                    dst: p.dst,
+                    out: out_port,
+                    queue_wait: self.cycle.saturating_sub(p.enqueued_at),
+                });
+            }
+            self.pool.insert(p)
+        } else {
+            let idx = self.pop(node * 4 + input);
+            if self.nonempty[node] == 0 {
+                self.occ[node / 64] &= !(1 << (node % 64));
+            }
+            self.refunds.push((node * 4 + input) as u32);
+            if S::ENABLED {
+                let p = self.pool.get(idx);
+                sink.emit(&SimEvent::RouteDecision {
+                    cycle: self.cycle,
+                    node,
+                    packet: p.id,
+                    in_port: None,
+                    out: out_port,
+                    src: p.src,
+                    dst: p.dst,
+                    hops: p.total_hops(),
+                });
+            }
+            idx
+        };
+
+        if out == EJECT {
+            let packet = self.pool.remove(idx);
+            debug_assert_eq!(packet.dst, self.coords[node]);
+            self.in_flight -= 1;
+            self.stats.delivered += 1;
+            let delivery = Delivery {
+                packet,
+                cycle: self.cycle + 1,
+            };
+            self.stats.total_latency.record(delivery.total_latency());
+            if S::ENABLED {
+                sink.emit(&SimEvent::Eject {
+                    cycle: self.cycle,
+                    node,
+                    delivery,
+                });
+            }
+            deliveries.push(delivery);
+            return;
+        }
+        // The hop is counted even when a transient fault eats the
+        // packet: the wire was driven either way.
+        self.pool.get_mut(idx).short_hops += 1;
+        self.stats.link_usage.short_hops += 1;
+        if let Some(corrupted) = self
+            .faults
+            .as_ref()
+            .and_then(|f| f.node_faults(node).link_fault(out_port))
+        {
+            // The reserved downstream slot is never filled: hand the
+            // credit straight back.
+            self.credits[node][out] += 1;
+            self.open[node] |= 1 << out;
+            let packet = self.pool.get(idx).id;
+            self.pool.release(idx);
+            self.in_flight -= 1;
+            self.stats.dropped += 1;
+            if S::ENABLED {
+                sink.emit(&SimEvent::FaultDrop {
+                    cycle: self.cycle,
+                    node,
+                    packet,
+                    link: Some(out_port),
+                    corrupted,
+                });
+            }
+            return;
+        }
+        // The packet arrives at the target on the FIFO facing back
+        // toward us (the neighbor exists: checked in phase 1).
+        let fifo = self.neighbors[node][out] as usize * 4 + opposite(out);
+        self.arrivals.push((fifo as u32, idx));
     }
 
     /// Advances the mesh by one cycle, with an [`EventSink`] observing it.
@@ -226,33 +489,29 @@ impl MeshNoc {
         deliveries: &mut Vec<Delivery>,
         sink: &mut S,
     ) {
-        let mut moves = std::mem::take(&mut self.moves);
-        let mut arrivals = std::mem::take(&mut self.arrivals);
-        moves.clear();
-
         // Phase 0: fail-stop routers drop everything buffered at them
         // and return the consumed credits upstream, so traffic keeps
         // flowing *toward* the dead node and is accounted as lost there
         // (exact conservation: every drop decrements in-flight).
-        if let Some(f) = &self.faults {
+        if self.faults.is_some() {
             let mut active = ActiveCursor::default();
             while let Some(node) = active.next(&self.occ, queues) {
-                if !f.node_faults(node).failed {
+                if !self.node_faults(node).failed {
                     continue;
                 }
                 for d in 0..4 {
-                    while let Some(pkt) = self.fifos[node][d].pop_front() {
-                        let upstream = self.neighbors[node][d];
-                        if upstream != NO_NEIGHBOR {
-                            self.credits[upstream as usize][opposite(d)] += 1;
-                        }
+                    while self.heads[node * 4 + d] != EMPTY_SLOT {
+                        let idx = self.pop(node * 4 + d);
+                        self.return_credit(node, d);
+                        let packet = self.pool.get(idx).id;
+                        self.pool.release(idx);
                         self.in_flight -= 1;
                         self.stats.dropped += 1;
                         if S::ENABLED {
                             sink.emit(&SimEvent::FaultDrop {
                                 cycle: self.cycle,
                                 node,
-                                packet: pkt.id,
+                                packet,
                                 link: None,
                                 corrupted: false,
                             });
@@ -262,17 +521,18 @@ impl MeshNoc {
             }
         }
 
-        // Phase 1: arbitration against the cycle-start snapshot. Only a
+        // Phase 1: each router arbitrates against the cycle-start
+        // snapshot and applies its own grants at once. What a grant does
+        // to another router — the credit a pop returns upstream, the
+        // packet a link move lands downstream — waits for phase 2, so a
+        // router visited later still sees the cycle-start state. Only a
         // router with a buffered packet or a waiting PE has a candidate.
         let mut active = ActiveCursor::default();
         while let Some(node) = active.next(&self.occ, queues) {
             self.stats.router_visits += 1;
             let NodeFaults {
                 failed, stalled, ..
-            } = match &self.faults {
-                Some(f) => f.node_faults(node),
-                None => NodeFaults::default(),
-            };
+            } = self.node_faults(node);
             // A fail-stopped router makes no moves: nothing routes,
             // nothing injects, nothing ejects. Phase 0 left its FIFOs
             // empty; its bit goes here, after the cursor has read it, so
@@ -281,161 +541,58 @@ impl MeshNoc {
                 self.occ[node / 64] &= !(1 << (node % 64));
                 continue;
             }
-            let at = self.coords[node];
             // Per output, the candidate inputs whose head packet desires
-            // it (bit `i` = input `i`).
+            // it (bit `i` = input `i`), and the outputs somebody wants.
             let mut want = [0u32; 5];
-            for (d, fifo) in self.fifos[node].iter().enumerate() {
-                if let Some(head) = fifo.front() {
-                    want[xy_route(at, head.dst).map_or(EJECT, Dir::index)] |= 1 << d;
-                }
+            let mut wanted = 0u32;
+            let mut fifos = self.nonempty[node];
+            while fifos != 0 {
+                let d = fifos.trailing_zeros() as usize;
+                fifos &= fifos - 1;
+                let out = usize::from(self.route[self.heads[node * 4 + d] as usize]);
+                want[out] |= 1 << d;
+                wanted |= 1 << out;
             }
             if let Some(dst) = queues.head_dst(node).filter(|_| !stalled) {
-                want[xy_route(at, dst).map_or(EJECT, Dir::index)] |= 1 << INJ;
+                let out = xy_out(self.coords[node], dst);
+                want[out] |= 1 << INJ;
+                wanted |= 1 << out;
             }
 
-            // Arbitrate each output somebody wants: four links, then
-            // ejection.
-            for (out, &want) in want.iter().enumerate() {
-                if want == 0 {
-                    continue;
-                }
-                // Link outputs need a neighbor and a credit.
-                if out != EJECT
-                    && (self.neighbors[node][out] == NO_NEIGHBOR || self.credits[node][out] == 0)
-                {
-                    continue;
-                }
-                let input = rr_winner(want, usize::from(self.rr[node][out]));
-                moves.push(Move {
-                    node: node as u32,
-                    input: input as u8,
-                    out: out as u8,
-                });
+            // Arbitrate each wanted output that is open (a link with a
+            // neighbor and a credit, or ejection), in N, E, S, W, eject
+            // order.
+            let mut grants = wanted & u32::from(self.open[node]);
+            while grants != 0 {
+                let out = grants.trailing_zeros() as usize;
+                grants &= grants - 1;
+                let input = rr_winner(want[out], usize::from(self.rr[node][out]));
                 self.rr[node][out] = if input == 4 { 0 } else { input as u8 + 1 };
-                // Reserve the credit now so no other router state is
-                // needed; pops/pushes apply in phase 2.
+                // Reserve the downstream slot before the move applies.
                 if out != EJECT {
                     self.credits[node][out] -= 1;
+                    if self.credits[node][out] == 0 {
+                        self.open[node] &= !(1 << out);
+                    }
                 }
+                self.apply(node, input, out, queues, deliveries, sink);
             }
         }
 
-        // Phase 2: apply moves — pops (returning upstream credits), then
-        // pushes into downstream FIFOs.
-        for mv in &moves {
-            let node = mv.node as usize;
-            let input = usize::from(mv.input);
-            let out = usize::from(mv.out);
-            let at = self.coords[node];
-            let out_port = match out {
-                EJECT => OutPort::Exit,
-                dir => axis_port(Dir::ALL[dir]),
-            };
-            let mut pkt = if input == INJ {
-                let pending = queues.pop(node).expect("granted injection has a packet");
-                let mut p = Packet::new(
-                    pending.id,
-                    at,
-                    pending.dst,
-                    pending.enqueued_at,
-                    pending.tag,
-                );
-                p.injected_at = self.cycle;
-                self.stats.injected += 1;
-                self.in_flight += 1;
-                if S::ENABLED {
-                    self.injected[node / 64] |= 1 << (node % 64);
-                    sink.emit(&SimEvent::Inject {
-                        cycle: self.cycle,
-                        node,
-                        packet: p.id,
-                        dst: p.dst,
-                        out: out_port,
-                        queue_wait: self.cycle.saturating_sub(p.enqueued_at),
-                    });
-                }
-                p
-            } else {
-                let p = self.fifos[node][input]
-                    .pop_front()
-                    .expect("granted input has a head");
-                self.note_popped(node);
-                // Return the credit to the upstream router that feeds
-                // this FIFO (if any — edge FIFOs have no upstream).
-                let upstream = self.neighbors[node][input];
-                if upstream != NO_NEIGHBOR {
-                    self.credits[upstream as usize][opposite(input)] += 1;
-                }
-                if S::ENABLED {
-                    sink.emit(&SimEvent::RouteDecision {
-                        cycle: self.cycle,
-                        node,
-                        packet: p.id,
-                        in_port: None,
-                        out: out_port,
-                        src: p.src,
-                        dst: p.dst,
-                        hops: p.total_hops(),
-                    });
-                }
-                p
-            };
-
-            if out == EJECT {
-                debug_assert_eq!(pkt.dst, at);
-                self.in_flight -= 1;
-                self.stats.delivered += 1;
-                let delivery = Delivery {
-                    packet: pkt,
-                    cycle: self.cycle + 1,
-                };
-                self.stats.total_latency.record(delivery.total_latency());
-                if S::ENABLED {
-                    sink.emit(&SimEvent::Eject {
-                        cycle: self.cycle,
-                        node,
-                        delivery,
-                    });
-                }
-                deliveries.push(delivery);
-                continue;
-            }
-            // The hop is counted even when a transient fault eats the
-            // packet: the wire was driven either way.
-            pkt.short_hops += 1;
-            self.stats.link_usage.short_hops += 1;
-            if let Some(corrupted) = self
-                .faults
-                .as_ref()
-                .and_then(|f| f.node_faults(node).link_fault(out_port))
-            {
-                // The reserved downstream slot is never filled: hand the
-                // credit straight back.
-                self.credits[node][out] += 1;
-                self.in_flight -= 1;
-                self.stats.dropped += 1;
-                if S::ENABLED {
-                    sink.emit(&SimEvent::FaultDrop {
-                        cycle: self.cycle,
-                        node,
-                        packet: pkt.id,
-                        link: Some(out_port),
-                        corrupted,
-                    });
-                }
-                continue;
-            }
-            // The packet arrives at the target on the FIFO facing back
-            // toward us (the neighbor exists: checked in phase 1).
-            arrivals.push((self.neighbors[node][out] as usize, opposite(out), pkt));
+        // Phase 2: the deferred effects on other routers — credits back
+        // upstream, then pushes into downstream FIFOs.
+        let (mut refunds, mut arrivals) = (
+            std::mem::take(&mut self.refunds),
+            std::mem::take(&mut self.arrivals),
+        );
+        for fifo in refunds.drain(..) {
+            self.return_credit(fifo as usize / 4, fifo as usize % 4);
         }
-        for (node, fifo, pkt) in arrivals.drain(..) {
-            debug_assert!(self.fifos[node][fifo].len() < self.cfg.buffer_depth());
-            self.fifos[node][fifo].push_back(pkt);
-            self.occ[node / 64] |= 1 << (node % 64);
+        for (fifo, idx) in arrivals.drain(..) {
+            self.push(fifo as usize, idx);
         }
-        debug_assert!(self.occupancy_mask_exact());
+        (self.refunds, self.arrivals) = (refunds, arrivals);
+        debug_assert!(self.state_exact(), "mesh state out of step with its FIFOs");
 
         if S::ENABLED {
             // A node with a still-pending head that did not inject was
@@ -452,8 +609,6 @@ impl MeshNoc {
             sink.end_cycle(self.cycle);
         }
 
-        self.moves = moves;
-        self.arrivals = arrivals;
         self.cycle += 1;
         // The fault words describe the cycle about to run (see
         // `Noc::step_with_sink`).
@@ -543,16 +698,44 @@ mod tests {
         let mut dels = Vec::new();
         for _ in 0..5000 {
             noc.step_with_sink(&mut q, &mut dels, &mut NullSink);
-            for fifos in &noc.fifos {
-                for f in fifos {
-                    assert!(f.len() <= 1, "depth-1 FIFO overflow");
-                }
+            for fifo in 0..noc.heads.len() {
+                assert!(noc.fifo_len(fifo) <= 1, "depth-1 FIFO overflow");
             }
             if q.is_empty() && noc.in_flight() == 0 {
                 break;
             }
         }
         assert_eq!(dels.len(), 80);
+    }
+
+    /// `mesh:<n>:65535` parses, so buffer storage must follow the
+    /// packets in flight: nothing is allocated per buffer slot, and the
+    /// deep mesh still drains.
+    #[test]
+    fn deep_fifos_allocate_per_packet_not_per_slot() {
+        let cfg = MeshConfig::new(4, 65535).unwrap();
+        let mut noc = MeshNoc::new(cfg);
+        let mut q = InjectQueues::new(16);
+        for node in 0..16 {
+            for k in 0..4 {
+                q.push(node, Coord::new(k, 3 - k), 0, 0);
+            }
+        }
+        let dels = drain(&mut noc, &mut q, 1000);
+        assert_eq!(dels.len(), 64);
+        assert!(noc.state_exact());
+        let capacities = [
+            noc.pool.capacity(),
+            noc.next.capacity(),
+            noc.route.capacity(),
+            noc.heads.capacity(),
+            noc.tails.capacity(),
+        ];
+        assert!(
+            capacities.iter().all(|&c| c <= 4 * 16),
+            "buffers sized by depth: {capacities:?}"
+        );
+        assert!(noc.credits.iter().flatten().all(|&c| c == 65535));
     }
 
     #[test]
@@ -801,8 +984,8 @@ mod tests {
 
         /// `router_visits` is the running count of routers with a
         /// non-empty link FIFO or a waiting PE — nothing buffered is
-        /// skipped, nothing idle is visited — and the occupancy mask is
-        /// exact after every step.
+        /// skipped, nothing idle is visited — and the derived state
+        /// (masks, credits, cached routes) is exact after every step.
         #[test]
         fn router_visits_match_shadow_active_set(
             spec in 0usize..3,
@@ -825,12 +1008,13 @@ mod tests {
                 }
                 expected += (0..cfg.num_nodes())
                     .filter(|&node| {
-                        noc.fifos[node].iter().any(|f| !f.is_empty()) || queues.depth(node) > 0
+                        (0..4).any(|d| noc.heads[node * 4 + d] != EMPTY_SLOT)
+                            || queues.depth(node) > 0
                     })
                     .count() as u64;
                 noc.step_with_sink(&mut queues, &mut deliveries, &mut NullSink);
                 prop_assert_eq!(noc.stats().router_visits, expected, "after cycle {}", cycle);
-                prop_assert!(noc.occupancy_mask_exact());
+                prop_assert!(noc.state_exact());
             }
             prop_assert!(expected <= noc.cycle * cfg.num_nodes() as u64);
         }
@@ -849,10 +1033,22 @@ mod tests {
             let mut saw_traffic = false;
             for _ in 0..12 {
                 noc.step_with_sink(&mut queues, &mut deliveries, &mut NullSink);
-                assert!(noc.occupancy_mask_exact());
+                assert!(noc.state_exact());
                 saw_traffic |= noc.occ.iter().any(|&w| w != 0);
             }
             assert!(saw_traffic);
+        }
+    }
+
+    /// The comparison table routes as `xy_route` does, for every pair
+    /// of positions on either side of, and level with, each other.
+    #[test]
+    fn xy_out_matches_xy_route_exhaustively() {
+        for at in (0..25).map(|id| Coord::from_node_id(id, 5)) {
+            for dst in (0..25).map(|id| Coord::from_node_id(id, 5)) {
+                let routed = xy_route(at, dst).map_or(EJECT, Dir::index);
+                assert_eq!(xy_out(at, dst), routed, "{at:?} -> {dst:?}");
+            }
         }
     }
 

@@ -84,14 +84,9 @@ impl Frame {
         self.occ[node / 64] |= 1 << (node % 64);
     }
 
-    fn clear(&mut self) {
-        self.slots.fill(EMPTY_SLOT);
-        self.occ.fill(0);
-    }
-
-    /// The invariant `put`/`clear` maintain — checked after every step in
-    /// debug builds, because a clear bit over an occupied register would
-    /// make the step skip a router that holds a packet.
+    /// The invariant `put` and the step's walk maintain — checked after
+    /// every step in debug builds, because a clear bit over an occupied
+    /// register would make the step skip a router that holds a packet.
     fn occ_matches_slots(&self) -> bool {
         self.slots
             .chunks_exact(MAX_IN_FLIGHT)
@@ -448,9 +443,11 @@ impl Noc {
             }
 
             // The occupied in-flight inputs. The register index *is* the
-            // priority order (see InPort::index).
+            // priority order (see InPort::index). Reading them empties
+            // the registers, so the frame is clear once the walk ends.
             let mut held = [EMPTY_SLOT; MAX_IN_FLIGHT];
             held.copy_from_slice(&self.regs.slots[base..base + MAX_IN_FLIGHT]);
+            self.regs.slots[base..base + MAX_IN_FLIGHT].fill(EMPTY_SLOT);
 
             // What the router does, as one word whatever its outputs. In
             // LUT mode it is a table read: the id of each input's list,
@@ -762,10 +759,16 @@ impl Noc {
         }
 
         // Rotate the timing wheel: the front frame becomes the next
-        // cycle's input registers, and a fresh frame joins the back.
+        // cycle's input registers, and the frame just walked joins the
+        // back. Every occupied register was emptied as its router read
+        // it, so only the mask is left to clear.
         let mut front = self.wheel.pop_front().expect("wheel is never empty");
         std::mem::swap(&mut self.regs, &mut front);
-        front.clear();
+        front.occ.fill(0);
+        debug_assert!(
+            front.slots.iter().all(|&r| r == EMPTY_SLOT),
+            "the walk left a packet in its frame"
+        );
         self.wheel.push_back(front);
         debug_assert!(
             self.occupancy_masks_exact(),

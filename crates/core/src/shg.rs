@@ -35,7 +35,7 @@
 //! longer strides as `E_ex`/`S_ex`), so monitors, attribution, and
 //! trace renderers work unchanged.
 //!
-//! Fault plans are validated through [`Topology::validate_fault`] and
+//! Fault plans are validated through [`Topology::validate_plan`] and
 //! compiled to the same per-node tables the torus engine reads; all
 //! five fault kinds are supported, and exact conservation
 //! (`delivered + in_flight + dropped == injected`) holds under every
@@ -110,9 +110,10 @@ pub struct ShgNoc {
     /// offset) * out_degree`, `offset` being `(dst - at) mod q` as a
     /// node id.
     rows: Vec<u8>,
-    /// 0 on a healthy fabric — it is vertex-transitive, so one router's
-    /// rows serve all — and `nodes` under a fault plan, whose statically
-    /// dead links break the symmetry.
+    /// 0 while no link is statically dead — the fabric is then
+    /// vertex-transitive, so one router's rows serve all — and `nodes`
+    /// under a plan with a [`crate::fault::Fault::DeadLink`], which
+    /// breaks the symmetry.
     row_stride: usize,
     pool: PacketPool,
     stats: SimStats,
@@ -174,7 +175,7 @@ impl ShgNoc {
 
     /// Builds an idle fabric with a fault plan injected. The plan is
     /// validated through the topology's fault hooks
-    /// ([`Topology::validate_fault`]); an empty plan yields an engine
+    /// ([`Topology::validate_plan`]); an empty plan yields an engine
     /// bit-identical to [`ShgNoc::new`]. Statically dead links are
     /// masked out of the route-distance tables, so the router steers
     /// around them from the first cycle instead of discovering them by
@@ -224,7 +225,13 @@ impl ShgNoc {
             *slot = topo.route_slot(0, offset) as u8;
         }
 
-        let (rows, row_stride) = match &faults {
+        // Only a statically dead link breaks vertex transitivity: links
+        // that go down in windows are masked per cycle, not routed around.
+        let static_dead = faults
+            .as_ref()
+            .map(FaultState::static_dead)
+            .filter(|dead| dead.iter().any(|d| !d.is_empty()));
+        let (rows, row_stride) = match static_dead {
             None => {
                 // Distance depends only on the offset: node 0's rows, from
                 // one BFS out of node 0, are every router's rows.
@@ -239,14 +246,8 @@ impl ShgNoc {
                 }
                 (rows, 0)
             }
-            Some(f) => {
-                let dist = build_dist(
-                    nodes,
-                    out_degree,
-                    &slot_ports,
-                    &link_dst,
-                    Some(f.static_dead()),
-                );
+            Some(dead) => {
+                let dist = build_dist(nodes, out_degree, &slot_ports, &link_dst, Some(dead));
                 let mut rows = vec![PAD_SLOT; nodes * nodes * out_degree];
                 for at in 0..nodes {
                     for dst in (0..nodes).filter(|&dst| dst != at) {
@@ -1361,6 +1362,48 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A plan whose links only go down in windows keeps the healthy
+    /// offset-keyed rows; one statically dead link switches to rows per
+    /// router.
+    #[test]
+    fn only_static_dead_links_build_per_router_rows() {
+        let c = cfg(8, 2);
+        let topo = ShgTopology::new(c);
+        let healthy = ShgNoc::new(c);
+        let storm = FaultPlan::storm(&topo, 42, &crate::fault::StormSpec::default());
+        assert!(storm
+            .faults()
+            .iter()
+            .any(|f| matches!(f, Fault::DownLink { .. })));
+        let mut windows = storm.clone();
+        for fault in [
+            Fault::TransientLink {
+                node: 3,
+                out: OutPort::EastEx,
+                from: 5,
+                until: 9,
+                corrupt: true,
+            },
+            Fault::FailStopRouter { node: 7, at: 20 },
+            Fault::StalledInjector {
+                node: 9,
+                from: 0,
+                until: 4,
+            },
+        ] {
+            windows.push(fault);
+        }
+        for plan in [storm, windows] {
+            let noc = ShgNoc::with_faults(c, &plan).unwrap();
+            assert_eq!(noc.row_stride, 0, "{plan}");
+            assert_eq!(noc.rows, healthy.rows, "{plan}");
+        }
+        for plan in static_dead_plans(c) {
+            let noc = ShgNoc::with_faults(c, &plan).unwrap();
+            assert_eq!(noc.row_stride, noc.nodes, "{plan}");
         }
     }
 

@@ -29,7 +29,7 @@
 //! assert_eq!(spec.to_string(), "shg:8:2");
 //! ```
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::str::FromStr;
 
@@ -303,35 +303,7 @@ pub trait Topology {
     /// the "does removing this link partition the graph?" hook the
     /// fault validator asks before admitting a dead-link fault.
     fn connected_without(&self, dead: &[(usize, OutPort)]) -> bool {
-        let nodes = self.num_nodes();
-        if nodes == 0 {
-            return true;
-        }
-        let mut fwd = vec![Vec::new(); nodes];
-        let mut rev = vec![Vec::new(); nodes];
-        for link in self.links() {
-            if !dead.contains(&(link.src, link.port)) {
-                fwd[link.src].push(link.dst);
-                rev[link.dst].push(link.src);
-            }
-        }
-        let reaches_all = |adj: &[Vec<usize>]| {
-            let mut seen = vec![false; nodes];
-            let mut queue = VecDeque::from([0usize]);
-            seen[0] = true;
-            let mut count = 1;
-            while let Some(v) = queue.pop_front() {
-                for &w in &adj[v] {
-                    if !seen[w] {
-                        seen[w] = true;
-                        count += 1;
-                        queue.push_back(w);
-                    }
-                }
-            }
-            count == nodes
-        };
-        reaches_all(&fwd) && reaches_all(&rev)
+        Adjacency::of(self).connected_without(dead)
     }
 
     /// The output slots at `node` that a fault on port class `out`
@@ -371,40 +343,19 @@ pub trait Topology {
     /// (the torus's shared-ring escape path, the mesh's single XY path)
     /// override this.
     fn validate_fault(&self, fault: &Fault) -> Result<(), FaultError> {
-        let nodes = self.num_nodes();
-        let node = fault.node();
-        if node >= nodes {
-            return Err(FaultError::BadNode { node, nodes });
-        }
-        let check_link = |out: OutPort, partition_check: bool| {
-            if out == OutPort::Exit {
-                return Err(FaultError::NotALink { node });
-            }
-            if self.fault_slots(node, out).is_empty() {
-                return Err(FaultError::NoExpressLink { node, out });
-            }
-            if partition_check && !self.connected_without(&[(node, out)]) {
-                return Err(FaultError::PartitionsTorus { node, out });
-            }
-            Ok(())
-        };
-        match *fault {
-            Fault::DeadLink { out, .. } => check_link(out, true),
-            Fault::DownLink {
-                out, from, until, ..
-            } => {
-                window(from, until)?;
-                check_link(out, true)
-            }
-            Fault::TransientLink {
-                out, from, until, ..
-            } => {
-                window(from, until)?;
-                check_link(out, false)
-            }
-            Fault::FailStopRouter { .. } => Ok(()),
-            Fault::StalledInjector { from, until, .. } => window(from, until),
-        }
+        connectivity_rule(self, fault, |node, out| {
+            self.connected_without(&[(node, out)])
+        })
+    }
+
+    /// Validates a whole plan: the error is that of the first fault, in
+    /// plan order, that [`Topology::validate_fault`] refuses. A fabric
+    /// whose per-fault check repeats work across faults overrides this
+    /// with an equal verdict.
+    fn validate_plan(&self, faults: &[Fault]) -> Result<(), FaultError> {
+        faults
+            .iter()
+            .try_for_each(|fault| self.validate_fault(fault))
     }
 
     /// Validates a fallback configuration against this topology. The
@@ -418,6 +369,121 @@ pub trait Topology {
         } else {
             Err(FallbackError::UnsupportedTopology)
         }
+    }
+}
+
+/// The default [`Topology::validate_fault`] rule, asking `connected`
+/// whether the graph stays strongly connected without the links of port
+/// class `out` at `node`.
+fn connectivity_rule<T: Topology + ?Sized>(
+    topo: &T,
+    fault: &Fault,
+    mut connected: impl FnMut(usize, OutPort) -> bool,
+) -> Result<(), FaultError> {
+    let nodes = topo.num_nodes();
+    let node = fault.node();
+    if node >= nodes {
+        return Err(FaultError::BadNode { node, nodes });
+    }
+    let mut check_link = |out: OutPort, partition_check: bool| {
+        if out == OutPort::Exit {
+            return Err(FaultError::NotALink { node });
+        }
+        if topo.fault_slots(node, out).is_empty() {
+            return Err(FaultError::NoExpressLink { node, out });
+        }
+        if partition_check && !connected(node, out) {
+            return Err(FaultError::PartitionsTorus { node, out });
+        }
+        Ok(())
+    };
+    match *fault {
+        Fault::DeadLink { out, .. } => check_link(out, true),
+        Fault::DownLink {
+            out, from, until, ..
+        } => {
+            window(from, until)?;
+            check_link(out, true)
+        }
+        Fault::TransientLink {
+            out, from, until, ..
+        } => {
+            window(from, until)?;
+            check_link(out, false)
+        }
+        Fault::FailStopRouter { .. } => Ok(()),
+        Fault::StalledInjector { from, until, .. } => window(from, until),
+    }
+}
+
+/// [`Topology::validate_plan`] for a fabric on the default
+/// [`Topology::validate_fault`]: the same verdict, from one adjacency
+/// build and one connectivity check per distinct `(node, port)` — a
+/// storm repeats its down links many times.
+fn connectivity_rule_over_plan<T: Topology + ?Sized>(
+    topo: &T,
+    faults: &[Fault],
+) -> Result<(), FaultError> {
+    let mut adjacency = None;
+    let mut verdicts = HashMap::new();
+    faults.iter().try_for_each(|fault| {
+        connectivity_rule(topo, fault, |node, out| {
+            *verdicts.entry((node, out)).or_insert_with(|| {
+                adjacency
+                    .get_or_insert_with(|| Adjacency::of(topo))
+                    .connected_without(&[(node, out)])
+            })
+        })
+    })
+}
+
+/// A topology's links as forward and reverse adjacency lists, built
+/// once to answer any number of link-removal connectivity questions.
+struct Adjacency {
+    /// `fwd[v]`: `(dst, port)` of each link leaving `v`.
+    fwd: Vec<Vec<(usize, OutPort)>>,
+    /// `rev[v]`: `(src, port)` of each link entering `v`.
+    rev: Vec<Vec<(usize, OutPort)>>,
+}
+
+impl Adjacency {
+    fn of<T: Topology + ?Sized>(topo: &T) -> Self {
+        let nodes = topo.num_nodes();
+        let mut fwd = vec![Vec::new(); nodes];
+        let mut rev = vec![Vec::new(); nodes];
+        for link in topo.links() {
+            fwd[link.src].push((link.dst, link.port));
+            rev[link.dst].push((link.src, link.port));
+        }
+        Adjacency { fwd, rev }
+    }
+
+    /// [`Topology::connected_without`] over these links: node 0 reaches
+    /// every node, and every node reaches node 0, with no link whose
+    /// `(src, port)` is in `dead`.
+    fn connected_without(&self, dead: &[(usize, OutPort)]) -> bool {
+        let nodes = self.fwd.len();
+        if nodes == 0 {
+            return true;
+        }
+        let reaches_all = |adj: &[Vec<(usize, OutPort)>], forward: bool| {
+            let mut seen = vec![false; nodes];
+            let mut queue = VecDeque::from([0usize]);
+            seen[0] = true;
+            let mut count = 1;
+            while let Some(v) = queue.pop_front() {
+                for &(w, port) in &adj[v] {
+                    let src = if forward { v } else { w };
+                    if !seen[w] && !dead.contains(&(src, port)) {
+                        seen[w] = true;
+                        count += 1;
+                        queue.push_back(w);
+                    }
+                }
+            }
+            count == nodes
+        };
+        reaches_all(&self.fwd, true) && reaches_all(&self.rev, false)
     }
 }
 
@@ -706,6 +772,10 @@ impl ShgTopology {
 impl Topology for ShgTopology {
     fn spec(&self) -> TopologySpec {
         TopologySpec::Shg(self.cfg)
+    }
+
+    fn validate_plan(&self, faults: &[Fault]) -> Result<(), FaultError> {
+        connectivity_rule_over_plan(self, faults)
     }
 
     fn num_nodes(&self) -> usize {
@@ -1059,6 +1129,8 @@ impl FromStr for TopologySpec {
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, StormSpec};
+    use proptest::prelude::*;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     fn ft(n: u16, d: u16, r: u16) -> NocConfig {
         NocConfig::fasttrack(n, d, r, FtPolicy::Full).unwrap()
@@ -1296,6 +1368,127 @@ mod tests {
                 nodes: 64
             })
         );
+    }
+
+    /// A one-way ring on the default fault rule: every link is a
+    /// bridge, so each dead or down link partitions it.
+    struct OneWayRing(usize);
+
+    impl Topology for OneWayRing {
+        fn spec(&self) -> TopologySpec {
+            unimplemented!("a test fabric has no spec")
+        }
+
+        fn num_nodes(&self) -> usize {
+            self.0
+        }
+
+        fn monitor_shape(&self) -> MonitorShape {
+            unimplemented!("a test fabric is never monitored")
+        }
+
+        fn out_links(&self, node: usize) -> Vec<LinkDesc> {
+            vec![LinkDesc {
+                src: node,
+                dst: (node + 1) % self.0,
+                slot: 0,
+                port: OutPort::EastSh,
+                class: WireClass::Short,
+                span: 1,
+                cycles: 1,
+            }]
+        }
+
+        fn route_slot(&self, _at: usize, _dst: usize) -> usize {
+            0
+        }
+    }
+
+    /// A random plan mixing every fault kind, valid or not: nodes up to
+    /// one past the last, every port including `Exit`, windows that may
+    /// be empty.
+    fn any_plan(nodes: usize, rng: &mut SmallRng) -> Vec<Fault> {
+        (0..rng.gen_range(0..12))
+            .map(|_| {
+                let node = rng.gen_range(0..=nodes);
+                let out = OutPort::ALL[rng.gen_range(0..OutPort::ALL.len())];
+                let from = rng.gen_range(0..20u64);
+                let until = rng.gen_range(0..30u64);
+                match rng.gen_range(0..5) {
+                    0 => Fault::DeadLink { node, out },
+                    1 => Fault::DownLink {
+                        node,
+                        out,
+                        from,
+                        until,
+                    },
+                    2 => Fault::TransientLink {
+                        node,
+                        out,
+                        from,
+                        until,
+                        corrupt: rng.gen(),
+                    },
+                    3 => Fault::FailStopRouter { node, at: from },
+                    _ => Fault::StalledInjector { node, from, until },
+                }
+            })
+            .collect()
+    }
+
+    /// The per-fault loop the plan-level check must agree with.
+    fn fault_by_fault(topo: &dyn Topology, faults: &[Fault]) -> Result<(), FaultError> {
+        faults.iter().try_for_each(|f| topo.validate_fault(f))
+    }
+
+    proptest! {
+        /// One adjacency and one check per distinct `(node, port)` give
+        /// exactly the per-fault verdict, first error included, on SHG
+        /// plans and on a ring where dead links partition.
+        #[test]
+        fn plan_validation_matches_fault_by_fault(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for (q, delta) in [(4, 1), (8, 2), (8, 3)] {
+                let topo = ShgTopology::new(ShgConfig::new(q, delta).unwrap());
+                let faults = any_plan(topo.num_nodes(), &mut rng);
+                prop_assert_eq!(topo.validate_plan(&faults), fault_by_fault(&topo, &faults));
+            }
+            let ring = OneWayRing(5);
+            let faults = any_plan(5, &mut rng);
+            prop_assert_eq!(
+                connectivity_rule_over_plan(&ring, &faults),
+                fault_by_fault(&ring, &faults)
+            );
+        }
+    }
+
+    #[test]
+    fn plan_validation_reports_the_first_partition() {
+        let ring = OneWayRing(4);
+        let stall = Fault::StalledInjector {
+            node: 1,
+            from: 0,
+            until: 5,
+        };
+        let cut = |node| Fault::DownLink {
+            node,
+            out: OutPort::EastSh,
+            from: 0,
+            until: 5,
+        };
+        let faults = [
+            stall,
+            cut(2),
+            Fault::FailStopRouter { node: 9, at: 0 },
+            cut(2),
+        ];
+        let partition = Err(FaultError::PartitionsTorus {
+            node: 2,
+            out: OutPort::EastSh,
+        });
+        assert_eq!(connectivity_rule_over_plan(&ring, &faults), partition);
+        assert_eq!(fault_by_fault(&ring, &faults), partition);
+        assert_eq!(connectivity_rule_over_plan(&ring, &[stall]), Ok(()));
     }
 
     #[test]
